@@ -137,12 +137,15 @@ def _cmd_run(args) -> int:
             idx = int(np.argmin(np.abs(traj.times - t_hit)))
             state = traj.states[idx]
             try:
-                state = newton_polish(state, graph, family)
-            except OracleError:
-                pass
+                state, polished = newton_polish(state, graph, family), True
+            except OracleError as exc:
+                polished = False
+                print(f"equilibrium at t={t_hit:g}: Newton polish failed, analysing "
+                      f"the recorded state: {exc}", file=sys.stderr)
             report = analyze(state, graph, family, eig_tol=args.tol_eig)
             _write_json(out / f"{stem}_equilibrium_{k:03d}.json",
-                        {"time": float(t_hit), **report.to_json_dict()})
+                        {"time": float(t_hit), "polished": polished,
+                         **report.to_json_dict()})
 
     if traj.max_lyapunov_increase > LYAPUNOV_SLACK:
         print(f"run FAILED: Lyapunov quantity increased by "
@@ -159,8 +162,8 @@ def _cmd_analyze(args) -> int:
     p = _positions_from_doc(doc["positions"] if isinstance(doc, dict) else doc, graph)
     family = get_family(args.family)
     try:
-        report = analyze(p, graph, family, eq_tol=args.tol_eq or 1e-9,
-                         eig_tol=args.tol_eig)
+        eq_tol = args.tol_eq if args.tol_eq is not None else 1e-9
+        report = analyze(p, graph, family, eq_tol=eq_tol, eig_tol=args.tol_eig)
     except WitnessNotFoundError as exc:
         print(f"analysis FAILED: classified undesired but no instability "
               f"witness found: {exc}", file=sys.stderr)

@@ -27,34 +27,52 @@ class EdgeState:
     rho: np.ndarray    # (m,) d g / d e
 
 
-def edge_states(p, graph: FormationGraph, family: PotentialFamily) -> EdgeState:
-    pos = as_positions(p, graph)
-    z = pos[graph.edge_tails] - pos[graph.edge_heads]
-    dbar = graph.desired_array
-    e = np.einsum("ij,ij->i", z, z) - dbar**2
-    check_domain(e, dbar)
+def _edge_kernel(pos: np.ndarray, graph: FormationGraph, family: PotentialFamily):
+    """The one pass over the edges shared by the control, the potential and
+    the Hessian, at an (N+1, d) realization ``pos``.
+
+    Returns edge vectors z, squared errors e, gradients g and the stacked
+    control u = -B (g z).  An exactly-zero edge vector contributes no force,
+    even for families whose g diverges at the coincidence boundary: zeroing
+    its g z changes nothing unless that product is non-finite.  There is no
+    domain check here: e = ||z||^2 - dbar^2 >= -dbar^2 holds by
+    construction, also in floating point.
+    """
+    b = graph._incidence
+    z = np.dot(b.T, pos)                # exact: one +1 and one -1 per column
+    sq = np.einsum("ij,ij->i", z, z)
+    e = sq - graph._dbar2
     with np.errstate(divide="ignore", invalid="ignore"):
-        g = np.asarray(family.g(e, dbar), dtype=float)
-        rho = np.asarray(family.rho(e, dbar), dtype=float)
+        g = np.asarray(family.g(e, graph._dbar), dtype=float)
+        f = g[:, None] * z
+    if np.count_nonzero(sq) < len(sq):
+        f[sq == 0.0] = 0.0
+    u = np.dot(b, f)
+    np.negative(u, out=u)
+    return z, e, g, u.reshape(-1)
+
+
+def edge_states(p, graph: FormationGraph, family: PotentialFamily) -> EdgeState:
+    z, e, g, _ = _edge_kernel(as_positions(p, graph), graph, family)
+    check_domain(e, graph._dbar)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho = np.asarray(family.rho(e, graph._dbar), dtype=float)
     return EdgeState(z=z, e=e, g=g, rho=rho)
 
 
-def _edge_forces(state: EdgeState) -> np.ndarray:
-    """(m, d) array g_e * z_e; exactly-zero edge vectors contribute zero
-    even for families whose g diverges at the coincidence boundary."""
-    with np.errstate(invalid="ignore"):
-        f = state.g[:, None] * state.z
-    zero = np.einsum("ij,ij->i", state.z, state.z) == 0.0
-    if np.any(zero):
-        f[zero] = 0.0
-    return f
+def _lyapunov(pos: np.ndarray, e: np.ndarray, graph: FormationGraph,
+              family: PotentialFamily, spec: LeaderSpec | None) -> float:
+    """V = 1/2 sum phi(e), plus (k_f/2) ||p_t - p_flex||^2 in target mode."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v = 0.5 * float(np.sum(family.phi(e, graph._dbar)))
+    if spec is not None and spec.mode == "target":
+        v += 0.5 * spec.k_f * float(np.sum((spec.p_t - pos[-1]) ** 2))
+    return v
 
 
 def potential_value(p, graph: FormationGraph, family: PotentialFamily) -> float:
-    state = edge_states(p, graph, family)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.asarray(family.phi(state.e, graph.desired_array), dtype=float)
-    return 0.5 * float(np.sum(phi))
+    pos = as_positions(p, graph)
+    return _lyapunov(pos, _edge_kernel(pos, graph, family)[1], graph, family, None)
 
 
 def balance_residuals(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
@@ -65,12 +83,7 @@ def balance_residuals(p, graph: FormationGraph, family: PotentialFamily) -> np.n
 
 def gradient_control(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
     """Stacked control u with blocks u_i = -sum_j g_ij z_ij."""
-    state = edge_states(p, graph, family)
-    f = _edge_forces(state)
-    u = np.zeros((graph.num_nodes, graph.dimension))
-    np.subtract.at(u, graph.edge_tails, f)
-    np.add.at(u, graph.edge_heads, f)
-    return u.reshape(-1)
+    return _edge_kernel(as_positions(p, graph), graph, family)[3]
 
 
 def local_frame_control(neighbor_offsets, g_values) -> np.ndarray:
@@ -167,8 +180,5 @@ def composite_potential(p, graph: FormationGraph, family: PotentialFamily,
     -sum_{i<=N} ||u_i||^2 - ||g_f z_f + v_f||^2 <= 0.  Reduces to V for the
     other modes.
     """
-    v = potential_value(p, graph, family)
-    if spec.mode == "target":
-        pos = as_positions(p, graph)
-        v += 0.5 * spec.k_f * float(np.sum((spec.p_t - pos[-1]) ** 2))
-    return v
+    pos = as_positions(p, graph)
+    return _lyapunov(pos, _edge_kernel(pos, graph, family)[1], graph, family, spec)

@@ -60,7 +60,18 @@ class FormationGraph:
         if incident_to_flex != [flex]:
             raise GraphError("flex node must have degree exactly 1 via the flex edge")
 
-    # -- derived arrays (computed once, cached on the instance) ------------
+        # derived arrays, computed once and cached read-only on the instance
+        m = len(pairs)
+        tails = np.array([i - 1 for i, _ in pairs], dtype=int)
+        heads = np.array([j - 1 for _, j in pairs], dtype=int)
+        dbar = np.array(self.desired, dtype=float)
+        incidence = np.zeros((n, m))
+        incidence[tails, np.arange(m)] = 1.0
+        incidence[heads, np.arange(m)] = -1.0
+        for name, arr in (("_tails", tails), ("_heads", heads), ("_dbar", dbar),
+                          ("_dbar2", dbar**2), ("_incidence", incidence)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     @property
     def num_edges(self) -> int:
@@ -68,17 +79,18 @@ class FormationGraph:
 
     @property
     def edge_tails(self) -> np.ndarray:
-        """0-based index of node i for each edge (i, j)."""
-        return np.array([i - 1 for i, _ in self.edges], dtype=int)
+        """0-based index of node i for each edge (i, j); read-only."""
+        return self._tails
 
     @property
     def edge_heads(self) -> np.ndarray:
-        """0-based index of node j for each edge (i, j)."""
-        return np.array([j - 1 for _, j in self.edges], dtype=int)
+        """0-based index of node j for each edge (i, j); read-only."""
+        return self._heads
 
     @property
     def desired_array(self) -> np.ndarray:
-        return np.array(self.desired, dtype=float)
+        """Desired distance per edge; read-only."""
+        return self._dbar
 
     @property
     def flex_edge_index(self) -> int:
@@ -175,10 +187,7 @@ def build_incidence(graph: FormationGraph) -> np.ndarray:
     For edge (i, j) with i < j the column carries +1 at row i (sink) and -1
     at row j (source), so that (B^T p)_edge = p_i - p_j.
     """
-    b = np.zeros((graph.num_nodes, graph.num_edges), dtype=int)
-    b[graph.edge_tails, np.arange(graph.num_edges)] = 1
-    b[graph.edge_heads, np.arange(graph.num_edges)] = -1
-    return b
+    return graph._incidence.astype(int)
 
 
 def as_positions(p, graph: FormationGraph) -> np.ndarray:
@@ -195,7 +204,7 @@ def as_positions(p, graph: FormationGraph) -> np.ndarray:
 def relative_positions(p, graph: FormationGraph) -> np.ndarray:
     """(m, d) array of edge vectors z_ij = p_i - p_j, in edge order."""
     pos = as_positions(p, graph)
-    return pos[graph.edge_tails] - pos[graph.edge_heads]
+    return pos[graph._tails] - pos[graph._heads]
 
 
 @dataclass(frozen=True)

@@ -14,14 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .control import (
-    LeaderSpec,
-    composite_potential,
-    gradient_control,
-    leader_control,
-)
+from .control import LeaderSpec, _edge_kernel, _lyapunov, gradient_control, leader_control
 from .graph import FormationGraph, as_positions
-from .potentials import PotentialFamily
+from .potentials import PotentialFamily, check_domain
 
 
 class IntegrationError(RuntimeError):
@@ -43,10 +38,6 @@ class PerturbationEvent:
         object.__setattr__(self, "displacement", np.asarray(self.displacement, dtype=float))
         if self.agent < 1:
             raise ValueError("agent labels are 1-based")
-        if not np.any(self.displacement != 0):
-            # a zero displacement is allowed but useless; magnitude > 0 is the
-            # intended contract, callers constructing zero events get identity
-            pass
 
 
 def random_perturbation(time: float, agent: int, dimension: int, magnitude: float,
@@ -77,9 +68,13 @@ class EquilibriumCheck:
 def detect_equilibrium(p, graph: FormationGraph, family: PotentialFamily,
                        tol: float = 1e-9) -> EquilibriumCheck:
     """Equilibrium iff max_i ||sum_j g_ij z_ij|| < tol."""
-    u = gradient_control(p, graph, family).reshape(graph.num_nodes, graph.dimension)
-    r = float(np.linalg.norm(u, axis=1).max())
+    r = _max_balance(gradient_control(p, graph, family), graph)
     return EquilibriumCheck(at_equilibrium=r < tol, residual=r)
+
+
+def _max_balance(u: np.ndarray, graph: FormationGraph) -> float:
+    """max_i ||u_i|| over the per-agent blocks of a stacked control."""
+    return float(np.linalg.norm(u.reshape(graph.num_nodes, graph.dimension), axis=1).max())
 
 
 @dataclass
@@ -116,8 +111,8 @@ class Trajectory:
             fh.write("\n")
 
 
-def _rk4_step(f, t, p, h):
-    k1 = f(t, p)
+def _rk4_step(f, t, p, h, k1):
+    """One classical RK4 step; ``k1`` = f(t, p) is supplied by the caller."""
     k2 = f(t + 0.5 * h, p + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, p + 0.5 * h * k2)
     k4 = f(t + h, p + h * k3)
@@ -134,15 +129,35 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     exactly their stated times (step clamping).  The returned trajectory
     carries an event log (equilibrium detection, perturbations, target
     arrival) and the worst per-step increase of the Lyapunov quantity.
+
+    The fixed-step loop runs the edge kernel once per accepted state and
+    reuses that pass as the next step's first RK4 stage and for the domain
+    check, the Lyapunov value, the record and the equilibrium check: four
+    kernel passes per step, plus one at the start of each segment.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     leader = leader or LeaderSpec()
+    n, d = graph.num_nodes, graph.dimension
     p = as_positions(p0, graph).reshape(-1).astype(float)
-    dbar2 = graph.desired_array**2
 
-    def rhs(t, state):
-        return leader_control(state, t, graph, family, leader)
+    def drive(t, state, u):
+        """Closed-loop velocity: adds the leader input to u in place."""
+        if leader.mode != "none":
+            u[-d:] += leader.flex_input(t, state[-d:])
+        return u
+
+    def stage(t, state):
+        return drive(t, state, _edge_kernel(state.reshape(n, d), graph, family)[3])
+
+    def evaluate(state):
+        """Kernel pass at an accepted state: its squared errors and control."""
+        _, e, _, u = _edge_kernel(state.reshape(n, d), graph, family)
+        check_domain(e, graph._dbar)
+        return e, u
+
+    def lyapunov(state, e):
+        return _lyapunov(state.reshape(n, d), e, graph, family, leader)
 
     schedule = sorted(events, key=lambda ev: ev.time)
     if any(not (0.0 <= ev.time <= t_end) for ev in schedule):
@@ -155,74 +170,74 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     eq_armed = True
     target_armed = leader.mode == "target"
 
-    def record(t, state):
-        pos = state.reshape(graph.num_nodes, graph.dimension)
-        z = pos[graph.edge_tails] - pos[graph.edge_heads]
+    def record(t, state, e, u):
         times.append(t)
         states.append(state.copy())
-        errors.append(np.einsum("ij,ij->i", z, z) - dbar2)
-        gnorms.append(np.linalg.norm(gradient_control(state, graph, family)))
+        errors.append(e)
+        gnorms.append(np.linalg.norm(u))
 
-    def check_events(t, state):
+    def check_events(t, state, u):
         nonlocal eq_armed, target_armed
-        chk = detect_equilibrium(state, graph, family, eq_tol)
-        if eq_armed and chk.at_equilibrium:
+        residual = _max_balance(u, graph)
+        if eq_armed and residual < eq_tol:
             log.append((t, "equilibrium_detected"))
             eq_armed = False
-        elif not eq_armed and chk.residual > 100.0 * eq_tol:
+        elif not eq_armed and residual > 100.0 * eq_tol:
             eq_armed = True
-        if target_armed:
-            pos = state.reshape(graph.num_nodes, graph.dimension)
-            if np.linalg.norm(pos[-1] - leader.p_t) < 1e-3:
-                log.append((t, "target_reached"))
-                target_armed = False
+        if target_armed and np.linalg.norm(state[-d:] - leader.p_t) < 1e-3:
+            log.append((t, "target_reached"))
+            target_armed = False
 
     t = 0.0
-    record(t, p)
+    e, u = evaluate(p)
+    record(t, p, e, u)
     ev_idx = 0
     for boundary in boundaries:
+        w_prev = lyapunov(p, e)
         if adaptive:
             span = boundary - t
             if span > 1e-15:
                 n_rec = max(int(round(span / (dt * record_every))), 1)
                 t_eval = np.linspace(t, boundary, n_rec + 1)[1:]
-                sol = solve_ivp(rhs, (t, boundary), p, method="RK45",
+                sol = solve_ivp(lambda ts, s: leader_control(s, ts, graph, family, leader),
+                                (t, boundary), p, method="RK45",
                                 rtol=rtol, atol=rtol * 1e-3, t_eval=t_eval,
                                 dense_output=False)
                 if not sol.success:
                     raise IntegrationError(sol.message, time=t, last_state=p)
-                w_prev = composite_potential(p, graph, family, leader)
                 for tk, yk in zip(sol.t, sol.y.T):
-                    w_k = composite_potential(yk, graph, family, leader)
+                    e, u = evaluate(yk)
+                    w_k = lyapunov(yk, e)
                     max_dv = max(max_dv, w_k - w_prev)
                     w_prev = w_k
-                    record(tk, yk)
-                    check_events(tk, yk)
+                    record(tk, yk, e, u)
+                    check_events(tk, yk, u)
                 p, t = sol.y[:, -1].copy(), boundary
         else:
             step_count = 0
-            w_prev = composite_potential(p, graph, family, leader)
             while boundary - t > 1e-12:
                 h = min(dt, boundary - t)
-                p_new = _rk4_step(rhs, t, p, h)
+                p_new = _rk4_step(stage, t, p, h, drive(t, p, u))
                 if not np.all(np.isfinite(p_new)):
                     raise IntegrationError(
                         "state became non-finite (potential-domain blow-up?)",
                         time=t, last_state=p)
                 p, t = p_new, t + h
-                w_new = composite_potential(p, graph, family, leader)
+                e, u = evaluate(p)
+                w_new = lyapunov(p, e)
                 max_dv = max(max_dv, w_new - w_prev)
                 w_prev = w_new
                 step_count += 1
                 if step_count % record_every == 0 or boundary - t <= 1e-12:
-                    record(t, p)
-                    check_events(t, p)
+                    record(t, p, e, u)
+                    check_events(t, p, u)
             t = boundary
         if ev_idx < len(schedule) and abs(schedule[ev_idx].time - boundary) < 1e-12:
             p = apply_perturbation(p, schedule[ev_idx], graph)
             log.append((boundary, "perturbation_applied"))
             eq_armed = True
-            record(t, p)
+            e, u = evaluate(p)
+            record(t, p, e, u)
             ev_idx += 1
 
     traj = Trajectory(

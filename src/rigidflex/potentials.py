@@ -31,8 +31,12 @@ def check_domain(e, dbar):
     """
     e = np.asarray(e, dtype=float)
     lo = -np.asarray(dbar, dtype=float) ** 2
-    if np.any(e < lo):
-        raise PotentialDomainError(f"squared error below -dbar^2: e={e}, bound={lo}")
+    below = e < lo
+    if below.any():
+        k = int(np.argmax(below))           # first offending edge
+        e, lo = np.broadcast_arrays(e, lo)
+        raise PotentialDomainError(f"squared error below -dbar^2 on edge {k}: "
+                                   f"e={float(e.flat[k])!r} < bound {float(lo.flat[k])!r}")
 
 
 @dataclass(frozen=True)

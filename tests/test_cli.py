@@ -133,3 +133,35 @@ def test_run_rejects_event_after_horizon(tmp_path):
     scen = small_scenario(tmp_path, events=[
         {"time": 9.9, "agent": 4, "magnitude": 0.01}])
     assert main(["run", str(scen)]) == EXIT_CONFIG
+
+
+def test_analyze_honours_zero_equilibrium_tolerance(tmp_path, graph_file, capsys):
+    real = tmp_path / "desired.json"
+    real.write_text(json.dumps({"positions": desired_equilibrium(triangle_flex()).tolist()}))
+    assert main(["analyze", str(real), str(graph_file)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["class"] == "desired"
+    # a zero tolerance admits no realization as an equilibrium
+    assert main(["analyze", str(real), str(graph_file), "--tol-eq", "0"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["class"] == "not_equilibrium"
+
+
+def test_run_reports_failed_newton_polish(tmp_path, monkeypatch, capsys):
+    import rigidflex.cli as cli
+    from rigidflex.oracle import OracleError
+
+    scen = small_scenario(tmp_path, analysis={"hessian_at_equilibria": True})
+    assert main(["run", str(scen), "--out", str(tmp_path / "ok")]) == EXIT_OK
+    report = json.loads((tmp_path / "ok" / "scenario_equilibrium_000.json").read_text())
+    assert report["polished"] is True
+
+    def failing_polish(*args, **kwargs):
+        raise OracleError("no convergence in 50 iterations")
+
+    monkeypatch.setattr(cli, "newton_polish", failing_polish)
+    capsys.readouterr()
+    assert main(["run", str(scen), "--out", str(tmp_path / "bad")]) == EXIT_OK
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "Newton polish failed" in err[0] and "50 iterations" in err[0]
+    report = json.loads((tmp_path / "bad" / "scenario_equilibrium_000.json").read_text())
+    assert report["polished"] is False
+    assert report["class"] == "desired"

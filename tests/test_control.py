@@ -150,3 +150,76 @@ def test_leader_mode_validation():
         LeaderSpec(mode="windowed", v=None, t0=0.0, tf=1.0)
     with pytest.raises(ValueError):
         LeaderSpec(mode="orbit")
+
+
+# ---------------------------------------------------------------------------
+# Edge-kernel equivalence against an independent scatter-add implementation
+
+
+def reference_control(p, graph, family):
+    """u_i = -sum_j g_ij z_ij by scatter-adding per-edge forces (np.add.at)."""
+    pos = np.asarray(p, dtype=float).reshape(graph.num_nodes, graph.dimension)
+    tails = np.array([i - 1 for i, _ in graph.edges])
+    heads = np.array([j - 1 for _, j in graph.edges])
+    z = pos[tails] - pos[heads]
+    sq = np.einsum("ij,ij->i", z, z)
+    dbar = np.array(graph.desired)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = family.g(sq - dbar**2, dbar)[:, None] * z
+    f[sq == 0.0] = 0.0
+    u = np.zeros_like(pos)
+    np.subtract.at(u, tails, f)
+    np.add.at(u, heads, f)
+    return u.reshape(-1)
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))])
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+def test_kernel_matches_scatter_add_reference(graph, family):
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        p = rng.uniform(-6.0, 6.0, (graph.num_nodes, graph.dimension))
+        ref = reference_control(p, graph, family)
+        u = gradient_control(p, graph, family)
+        assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
+def test_rational_coincident_edge_gives_finite_control(graph):
+    rng = np.random.default_rng(7)
+    p = rng.uniform(-3.0, 3.0, (graph.num_nodes, graph.dimension))
+    p[-1] = p[-2]                       # the flex edge has exactly zero length
+    u = gradient_control(p, graph, RATIONAL)
+    assert np.all(np.isfinite(u))
+    ref = reference_control(p, graph, RATIONAL)
+    assert np.abs(u - ref).max() <= 1e-12 * np.abs(ref).max()
+    # the coincident flex agent feels no force at all
+    assert np.all(u[-graph.dimension:] == 0.0)
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+def test_potential_value_matches_independent_sum(family):
+    g = tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        p = rng.uniform(-5.0, 5.0, (g.num_nodes, g.dimension))
+        total = 0.0
+        for (i, j), dbar in zip(g.edges, g.desired):
+            e = float(np.sum((p[i - 1] - p[j - 1]) ** 2)) - dbar**2
+            total += 0.5 * e**2 if family is QUADRATIC else e**2 / (e + dbar**2)
+        assert potential_value(p, g, family) == pytest.approx(0.5 * total, rel=1e-12)
+
+
+def test_integrate_is_bit_reproducible():
+    from rigidflex.integrator import PerturbationEvent, integrate
+
+    g = triangle_flex()
+    p0 = RNG.uniform(-5.0, 5.0, (4, 2))
+    spec = LeaderSpec(mode="target", k_f=2.0, p_t=np.array([3.0, 3.0]))
+    ev = PerturbationEvent(time=0.1234, agent=2, displacement=np.array([0.3, -0.2]))
+    a, b = (integrate(p0, g, RATIONAL, t_end=0.3, leader=spec, events=[ev], record_every=7)
+            for _ in range(2))
+    for name in ("times", "states", "edge_errors", "grad_norms"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert a.events == b.events
+    assert a.max_lyapunov_increase == b.max_lyapunov_increase

@@ -135,3 +135,38 @@ def test_nonpositive_horizon_rejected():
     g = triangle_flex()
     with pytest.raises(ValueError):
         integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.0)
+
+
+def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
+    """Four kernel passes per accepted RK4 step (three stages plus the new
+    state, reused as the next step's first stage), plus one at t = 0 and one
+    after each perturbation; the public control functions are not called."""
+    import rigidflex.integrator as integrator
+
+    calls = {"kernel": 0, "steps": 0}
+    kernel, step = integrator._edge_kernel, integrator._rk4_step
+
+    def counted_kernel(*args):
+        calls["kernel"] += 1
+        return kernel(*args)
+
+    def counted_step(*args):
+        calls["steps"] += 1
+        return step(*args)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("public control function called in the fixed-step loop")
+
+    monkeypatch.setattr(integrator, "_edge_kernel", counted_kernel)
+    monkeypatch.setattr(integrator, "_rk4_step", counted_step)
+    monkeypatch.setattr(integrator, "gradient_control", forbidden)
+    monkeypatch.setattr(integrator, "leader_control", forbidden)
+    g = triangle_flex()
+    spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([6.0, 6.0]))
+    events = [PerturbationEvent(time=0.1234, agent=2, displacement=np.array([0.1, 0.0])),
+              PerturbationEvent(time=0.25, agent=4, displacement=np.array([0.0, -0.2]))]
+    traj = integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.4, dt=1e-3,
+                     leader=spec, events=events)
+    assert [k for _, k in traj.events].count("perturbation_applied") == 2
+    assert calls["steps"] == 124 + 127 + 150
+    assert calls["kernel"] == 4 * calls["steps"] + 1 + len(events)

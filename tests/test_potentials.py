@@ -91,3 +91,13 @@ def test_validator_catches_wrong_sign_g():
     )
     problems = validate_family(bad, DBAR)
     assert problems  # not increasing and wrong sign
+
+
+def test_domain_error_names_the_offending_edge():
+    e = np.array([-16.0, 0.0, -17.5, 5.0])
+    dbar = np.array([4.0, 4.0, 4.0, 4.0])
+    with pytest.raises(PotentialDomainError,
+                       match=r"on edge 2: e=-17\.5 < bound -16\.0$"):
+        check_domain(e, dbar)
+    with pytest.raises(PotentialDomainError, match=r"on edge 0: e=-17\.0 < bound -16\.0$"):
+        check_domain(-17.0, DBAR)
