@@ -39,7 +39,7 @@ def _edge_kernel(pos: np.ndarray, graph: FormationGraph, family: PotentialFamily
     construction, also in floating point.
     """
     b = graph._incidence
-    z = np.dot(b.T, pos)                # exact: one +1 and one -1 per column
+    z = np.dot(b.T, pos)                # = p_i - p_j exactly for finite positions
     sq = np.einsum("ij,ij->i", z, z)
     e = sq - graph._dbar2
     with np.errstate(divide="ignore", invalid="ignore"):

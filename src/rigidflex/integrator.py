@@ -151,13 +151,11 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         return drive(t, state, _edge_kernel(state.reshape(n, d), graph, family)[3])
 
     def evaluate(state):
-        """Kernel pass at an accepted state: its squared errors and control."""
-        _, e, _, u = _edge_kernel(state.reshape(n, d), graph, family)
+        """Kernel pass at an accepted state: squared errors, control, Lyapunov value."""
+        pos = state.reshape(n, d)
+        _, e, _, u = _edge_kernel(pos, graph, family)
         check_domain(e, graph._dbar)
-        return e, u
-
-    def lyapunov(state, e):
-        return _lyapunov(state.reshape(n, d), e, graph, family, leader)
+        return e, u, _lyapunov(pos, e, graph, family, leader)
 
     schedule = sorted(events, key=lambda ev: ev.time)
     if any(not (0.0 <= ev.time <= t_end) for ev in schedule):
@@ -189,11 +187,11 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             target_armed = False
 
     t = 0.0
-    e, u = evaluate(p)
+    e, u, w = evaluate(p)
     record(t, p, e, u)
     ev_idx = 0
     for boundary in boundaries:
-        w_prev = lyapunov(p, e)
+        w_prev = w
         if adaptive:
             span = boundary - t
             if span > 1e-15:
@@ -206,10 +204,9 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
                 if not sol.success:
                     raise IntegrationError(sol.message, time=t, last_state=p)
                 for tk, yk in zip(sol.t, sol.y.T):
-                    e, u = evaluate(yk)
-                    w_k = lyapunov(yk, e)
-                    max_dv = max(max_dv, w_k - w_prev)
-                    w_prev = w_k
+                    e, u, w = evaluate(yk)
+                    max_dv = max(max_dv, w - w_prev)
+                    w_prev = w
                     record(tk, yk, e, u)
                     check_events(tk, yk, u)
                 p, t = sol.y[:, -1].copy(), boundary
@@ -223,10 +220,9 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
                         "state became non-finite (potential-domain blow-up?)",
                         time=t, last_state=p)
                 p, t = p_new, t + h
-                e, u = evaluate(p)
-                w_new = lyapunov(p, e)
-                max_dv = max(max_dv, w_new - w_prev)
-                w_prev = w_new
+                e, u, w = evaluate(p)
+                max_dv = max(max_dv, w - w_prev)
+                w_prev = w
                 step_count += 1
                 if step_count % record_every == 0 or boundary - t <= 1e-12:
                     record(t, p, e, u)
@@ -236,7 +232,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             p = apply_perturbation(p, schedule[ev_idx], graph)
             log.append((boundary, "perturbation_applied"))
             eq_armed = True
-            e, u = evaluate(p)
+            e, u, w = evaluate(p)
             record(t, p, e, u)
             ev_idx += 1
 

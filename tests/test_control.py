@@ -214,7 +214,7 @@ def test_integrate_is_bit_reproducible():
     from rigidflex.integrator import PerturbationEvent, integrate
 
     g = triangle_flex()
-    p0 = RNG.uniform(-5.0, 5.0, (4, 2))
+    p0 = np.random.default_rng(3).uniform(-5.0, 5.0, (4, 2))
     spec = LeaderSpec(mode="target", k_f=2.0, p_t=np.array([3.0, 3.0]))
     ev = PerturbationEvent(time=0.1234, agent=2, displacement=np.array([0.3, -0.2]))
     a, b = (integrate(p0, g, RATIONAL, t_end=0.3, leader=spec, events=[ev], record_every=7)

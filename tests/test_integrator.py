@@ -168,5 +168,5 @@ def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     traj = integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.4, dt=1e-3,
                      leader=spec, events=events)
     assert [k for _, k in traj.events].count("perturbation_applied") == 2
-    assert calls["steps"] == 124 + 127 + 150
+    assert calls["steps"] == 124 + 127 + 150      # dt = 1e-3, clamped onto 0.1234 and 0.25
     assert calls["kernel"] == 4 * calls["steps"] + 1 + len(events)
