@@ -36,18 +36,19 @@ def _edge_kernel(pos: np.ndarray, graph: FormationGraph, family: PotentialFamily
     even for families whose g diverges at the coincidence boundary: zeroing
     its g z changes nothing unless that product is non-finite.  There is no
     domain check here: e = ||z||^2 - dbar^2 >= -dbar^2 holds by
-    construction, also in floating point.
+    construction, also in floating point.  A non-finite coordinate leaves
+    z, e and g of the edges away from its node untouched, but the dense
+    product B (g z) makes every block of u non-finite.
     """
-    b = graph._incidence
-    z = np.dot(b.T, pos)                # = p_i - p_j exactly for finite positions
+    z = pos[graph._tails] - pos[graph._heads]
     sq = np.einsum("ij,ij->i", z, z)
     e = sq - graph._dbar2
     with np.errstate(divide="ignore", invalid="ignore"):
         g = np.asarray(family.g(e, graph._dbar), dtype=float)
         f = g[:, None] * z
-    if np.count_nonzero(sq) < len(sq):
-        f[sq == 0.0] = 0.0
-    u = np.dot(b, f)
+        if np.count_nonzero(sq) < len(sq):
+            f[sq == 0.0] = 0.0
+        u = np.dot(graph._incidence, f)
     np.negative(u, out=u)
     return z, e, g, u.reshape(-1)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .control import LeaderSpec, _edge_kernel, _lyapunov, gradient_control, leader_control
+from .control import LeaderSpec, _edge_kernel, _lyapunov, gradient_control
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily, check_domain
 
@@ -197,8 +197,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             if span > 1e-15:
                 n_rec = max(int(round(span / (dt * record_every))), 1)
                 t_eval = np.linspace(t, boundary, n_rec + 1)[1:]
-                sol = solve_ivp(lambda ts, s: leader_control(s, ts, graph, family, leader),
-                                (t, boundary), p, method="RK45",
+                sol = solve_ivp(stage, (t, boundary), p, method="RK45",
                                 rtol=rtol, atol=rtol * 1e-3, t_eval=t_eval,
                                 dense_output=False)
                 if not sol.success:

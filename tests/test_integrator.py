@@ -140,7 +140,7 @@ def test_nonpositive_horizon_rejected():
 def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     """Four kernel passes per accepted RK4 step (three stages plus the new
     state, reused as the next step's first stage), plus one at t = 0 and one
-    after each perturbation; the public control functions are not called."""
+    after each perturbation; the public gradient_control is not called."""
     import rigidflex.integrator as integrator
 
     calls = {"kernel": 0, "steps": 0}
@@ -160,7 +160,6 @@ def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     monkeypatch.setattr(integrator, "_edge_kernel", counted_kernel)
     monkeypatch.setattr(integrator, "_rk4_step", counted_step)
     monkeypatch.setattr(integrator, "gradient_control", forbidden)
-    monkeypatch.setattr(integrator, "leader_control", forbidden)
     g = triangle_flex()
     spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([6.0, 6.0]))
     events = [PerturbationEvent(time=0.1234, agent=2, displacement=np.array([0.1, 0.0])),
