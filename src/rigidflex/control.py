@@ -36,19 +36,23 @@ def _edge_kernel(pos: np.ndarray, graph: FormationGraph, family: PotentialFamily
     even for families whose g diverges at the coincidence boundary: zeroing
     its g z changes nothing unless that product is non-finite.  There is no
     domain check here: e = ||z||^2 - dbar^2 >= -dbar^2 holds by
-    construction, also in floating point.  A non-finite coordinate leaves
-    z, e and g of the edges away from its node untouched, but the dense
-    product B (g z) makes every block of u non-finite.
+    construction, also in floating point.
+
+    z = B^T p is exact for finite positions.  A non-finite coordinate of
+    one node makes that coordinate of every edge vector non-finite
+    (0 * inf = NaN), hence every e, g and block of u, not only those of
+    the node's own edges.
     """
-    z = pos[graph._tails] - pos[graph._heads]
-    sq = np.einsum("ij,ij->i", z, z)
-    e = sq - graph._dbar2
+    b = graph._incidence
     with np.errstate(divide="ignore", invalid="ignore"):
+        z = np.dot(b.T, pos)
+        sq = np.einsum("ij,ij->i", z, z)
+        e = sq - graph._dbar2
         g = np.asarray(family.g(e, graph._dbar), dtype=float)
         f = g[:, None] * z
         if np.count_nonzero(sq) < len(sq):
             f[sq == 0.0] = 0.0
-        u = np.dot(graph._incidence, f)
+        u = np.dot(b, f)
     np.negative(u, out=u)
     return z, e, g, u.reshape(-1)
 

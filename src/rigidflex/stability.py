@@ -225,7 +225,7 @@ def classify(p, graph: FormationGraph, family: PotentialFamily,
     from .control import balance_residuals
     residual = float(balance_residuals(pos, graph, family).max())
     diag = {"residual": residual}
-    if residual >= eq_tol:
+    if not residual < eq_tol:               # also a NaN residual
         return EquilibriumClass(kind="not_equilibrium", diagnostics=diag)
 
     shape_err = float(np.abs(st.e).max())

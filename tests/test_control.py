@@ -225,19 +225,22 @@ def test_integrate_is_bit_reproducible():
     assert a.max_lyapunov_increase == b.max_lyapunov_increase
 
 
-def test_non_finite_node_stays_local_to_edge_quantities():
-    """An infinite coordinate on one node leaves the edge quantities of the
-    other edges finite; the stacked control, a dense product over all edges,
-    is then non-finite in every block."""
+def test_non_finite_coordinate_reaches_every_edge():
+    """z = B^T p: an infinite coordinate on one node makes that coordinate of
+    every edge vector non-finite, and with it every e, g and control block;
+    the other coordinates stay exact, and the point is no equilibrium."""
+    from rigidflex.stability import analyze
+
     g = tetrahedron_flex()
     p = np.random.default_rng(5).uniform(-3.0, 3.0, (g.num_nodes, g.dimension))
+    finite = edge_states(p, g, QUADRATIC)
     p[0, 0] = np.inf
-    far = (g.edge_tails != 0) & (g.edge_heads != 0)
     s = edge_states(p, g, QUADRATIC)
-    ref = edge_states(np.where(np.isfinite(p), p, 0.0), g, QUADRATIC)
-    for name in ("z", "e", "g", "rho"):
-        np.testing.assert_array_equal(getattr(s, name)[far], getattr(ref, name)[far])
-    assert np.all(np.isinf(s.e[~far]))
-    assert potential_value(p, g, QUADRATIC) == np.inf
+    assert not np.any(np.isfinite(s.z[:, 0]))
+    np.testing.assert_array_equal(s.z[:, 1:], finite.z[:, 1:])
+    assert not np.any(np.isfinite(s.e)) and not np.any(np.isfinite(s.g))
+    assert np.isnan(potential_value(p, g, QUADRATIC))
     assert not np.any(np.isfinite(gradient_control(p, g, QUADRATIC)))
     assert not np.any(np.isfinite(balance_residuals(p, g, QUADRATIC)))
+    with np.errstate(invalid="ignore"):      # the Hessian products see the inf
+        assert analyze(p, g, QUADRATIC).classification.kind == "not_equilibrium"
