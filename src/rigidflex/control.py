@@ -25,56 +25,60 @@ class EdgeState:
     e: np.ndarray      # (m,) squared distance errors
     g: np.ndarray      # (m,) d phi / d e
     rho: np.ndarray    # (m,) d g / d e
+    u: np.ndarray      # (N+1, d) control of the same pass, u_i = -sum_j g_ij z_ij
 
 
 def _edge_kernel(pos: np.ndarray, graph: FormationGraph, family: PotentialFamily):
     """The one pass over the edges shared by the control, the potential and
     the Hessian, at an (N+1, d) realization ``pos``.
 
-    Returns edge vectors z, squared errors e, gradients g and the stacked
-    control u = -B (g z).  An exactly-zero edge vector contributes no force,
-    even for families whose g diverges at the coincidence boundary: zeroing
-    its g z changes nothing unless that product is non-finite.  There is no
-    domain check here: e = ||z||^2 - dbar^2 >= -dbar^2 holds by
-    construction, also in floating point.
+    Returns edge vectors z = B^T p (m, d), squared errors e, gradients g and
+    the control u = (-B)(g z) as (N+1, d) blocks, from the graph's cached
+    B^T and -B.  An exactly-zero edge vector contributes no force, even for
+    families whose g diverges at the coincidence boundary: zeroing its g z
+    changes nothing unless that product is non-finite.  There is no domain
+    check here: e = ||z||^2 - dbar^2 >= -dbar^2 holds by construction, also
+    in floating point.  The kernel sets no floating-point error state (g may
+    divide by zero at the coincidence boundary; non-finite input gives
+    invalid products): each public entry point that runs it enters
+    ``_ignore_fp`` once per call.
 
     z = B^T p is exact for finite positions.  A non-finite coordinate of
     one node makes that coordinate of every edge vector non-finite
     (0 * inf = NaN), hence every e, g and block of u, not only those of
     the node's own edges.
     """
-    b = graph._incidence
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = np.dot(b.T, pos)
-        sq = np.einsum("ij,ij->i", z, z)
-        e = sq - graph._dbar2
-        g = np.asarray(family.g(e, graph._dbar), dtype=float)
-        f = g[:, None] * z
-        if np.count_nonzero(sq) < len(sq):
-            f[sq == 0.0] = 0.0
-        u = np.dot(b, f)
-    np.negative(u, out=u)
-    return z, e, g, u.reshape(-1)
+    z = np.dot(graph._incidence_t, pos)
+    sq = np.einsum("ij,ij->i", z, z)
+    e = sq - graph._dbar2
+    g = np.asarray(family.g(e, graph._dbar), dtype=float)
+    f = g[:, None] * z
+    if np.count_nonzero(sq) < len(sq):
+        f[sq == 0.0] = 0.0
+    return z, e, g, np.dot(graph._neg_incidence, f)
 
 
+_ignore_fp = np.errstate(divide="ignore", invalid="ignore")   # used as a decorator; nests safely
+
+
+@_ignore_fp
 def edge_states(p, graph: FormationGraph, family: PotentialFamily) -> EdgeState:
-    z, e, g, _ = _edge_kernel(as_positions(p, graph), graph, family)
+    z, e, g, u = _edge_kernel(as_positions(p, graph), graph, family)
     check_domain(e, graph._dbar)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rho = np.asarray(family.rho(e, graph._dbar), dtype=float)
-    return EdgeState(z=z, e=e, g=g, rho=rho)
+    rho = np.asarray(family.rho(e, graph._dbar), dtype=float)
+    return EdgeState(z=z, e=e, g=g, rho=rho, u=u)
 
 
 def _lyapunov(pos: np.ndarray, e: np.ndarray, graph: FormationGraph,
               family: PotentialFamily, spec: LeaderSpec | None) -> float:
     """V = 1/2 sum phi(e), plus (k_f/2) ||p_t - p_flex||^2 in target mode."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        v = 0.5 * float(np.sum(family.phi(e, graph._dbar)))
+    v = 0.5 * float(family.phi(e, graph._dbar).sum())
     if spec is not None and spec.mode == "target":
-        v += 0.5 * spec.k_f * float(np.sum((spec.p_t - pos[-1]) ** 2))
+        v += 0.5 * spec.k_f * float(((spec.p_t - pos[-1]) ** 2).sum())
     return v
 
 
+@_ignore_fp
 def potential_value(p, graph: FormationGraph, family: PotentialFamily) -> float:
     pos = as_positions(p, graph)
     return _lyapunov(pos, _edge_kernel(pos, graph, family)[1], graph, family, None)
@@ -86,9 +90,10 @@ def balance_residuals(p, graph: FormationGraph, family: PotentialFamily) -> np.n
     return np.linalg.norm(u, axis=1)
 
 
+@_ignore_fp
 def gradient_control(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
     """Stacked control u with blocks u_i = -sum_j g_ij z_ij."""
-    return _edge_kernel(as_positions(p, graph), graph, family)[3]
+    return _edge_kernel(as_positions(p, graph), graph, family)[3].reshape(-1)
 
 
 def local_frame_control(neighbor_offsets, g_values) -> np.ndarray:
@@ -177,6 +182,7 @@ def leader_control(p, t: float, graph: FormationGraph, family: PotentialFamily,
     return u
 
 
+@_ignore_fp
 def composite_potential(p, graph: FormationGraph, family: PotentialFamily,
                         spec: LeaderSpec) -> float:
     """Lyapunov quantity for target mode: V + (k_f/2) ||p_t - p_flex||^2.

@@ -69,7 +69,9 @@ class FormationGraph:
         incidence[tails, np.arange(m)] = 1.0
         incidence[heads, np.arange(m)] = -1.0
         for name, arr in (("_tails", tails), ("_heads", heads), ("_dbar", dbar),
-                          ("_dbar2", dbar**2), ("_incidence", incidence)):
+                          ("_dbar2", dbar**2), ("_incidence", incidence),
+                          ("_incidence_t", np.ascontiguousarray(incidence.T)),
+                          ("_neg_incidence", -incidence)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .control import LeaderSpec, _edge_kernel, _lyapunov, gradient_control
+from .control import LeaderSpec, _edge_kernel, _ignore_fp, _lyapunov, gradient_control
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily, check_domain
 
@@ -68,13 +68,9 @@ class EquilibriumCheck:
 def detect_equilibrium(p, graph: FormationGraph, family: PotentialFamily,
                        tol: float = 1e-9) -> EquilibriumCheck:
     """Equilibrium iff max_i ||sum_j g_ij z_ij|| < tol."""
-    r = _max_balance(gradient_control(p, graph, family), graph)
+    u = gradient_control(p, graph, family).reshape(graph.num_nodes, -1)
+    r = float(np.linalg.norm(u, axis=1).max())
     return EquilibriumCheck(at_equilibrium=r < tol, residual=r)
-
-
-def _max_balance(u: np.ndarray, graph: FormationGraph) -> float:
-    """max_i ||u_i|| over the per-agent blocks of a stacked control."""
-    return float(np.linalg.norm(u.reshape(graph.num_nodes, graph.dimension), axis=1).max())
 
 
 @dataclass
@@ -112,13 +108,18 @@ class Trajectory:
 
 
 def _rk4_step(f, t, p, h, k1):
-    """One classical RK4 step; ``k1`` = f(t, p) is supplied by the caller."""
+    """One classical RK4 step; ``k1`` = f(t, p), supplied by the caller, is overwritten."""
     k2 = f(t + 0.5 * h, p + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, p + 0.5 * h * k2)
     k4 = f(t + h, p + h * k3)
-    return p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k1 += 2.0 * k2
+    k1 += 2.0 * k3
+    k1 += k4
+    k1 *= h / 6.0
+    return np.add(p, k1, out=k1)
 
 
+@_ignore_fp
 def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
               dt: float = 1e-3, leader: LeaderSpec | None = None,
               events=(), record_every: int = 10, eq_tol: float = 1e-9,
@@ -130,32 +131,35 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     carries an event log (equilibrium detection, perturbations, target
     arrival) and the worst per-step increase of the Lyapunov quantity.
 
-    The fixed-step loop runs the edge kernel once per accepted state and
-    reuses that pass as the next step's first RK4 stage and for the domain
-    check, the Lyapunov value, the record and the equilibrium check: four
-    kernel passes per step, plus one at the start of each segment.
+    The state is an (N+1, d) array, the edge kernel's layout.  The
+    fixed-step loop runs the kernel once per accepted state and reuses that
+    pass as the next step's first RK4 stage and for the domain check, the
+    Lyapunov value, the record and the equilibrium check: four kernel passes
+    per step, plus one at the start of each segment.  The whole call ignores
+    floating-point divide/invalid errors once; a non-finite state raises.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     leader = leader or LeaderSpec()
     n, d = graph.num_nodes, graph.dimension
-    p = as_positions(p0, graph).reshape(-1).astype(float)
+    p = as_positions(p0, graph).astype(float)
+    lowest_e = -graph._dbar2
 
     def drive(t, state, u):
         """Closed-loop velocity: adds the leader input to u in place."""
         if leader.mode != "none":
-            u[-d:] += leader.flex_input(t, state[-d:])
+            u[-1] += leader.flex_input(t, state[-1])
         return u
 
     def stage(t, state):
-        return drive(t, state, _edge_kernel(state.reshape(n, d), graph, family)[3])
+        return drive(t, state, _edge_kernel(state, graph, family)[3])
 
     def evaluate(state):
         """Kernel pass at an accepted state: squared errors, control, Lyapunov value."""
-        pos = state.reshape(n, d)
-        _, e, _, u = _edge_kernel(pos, graph, family)
-        check_domain(e, graph._dbar)
-        return e, u, _lyapunov(pos, e, graph, family, leader)
+        _, e, _, u = _edge_kernel(state, graph, family)
+        if (e < lowest_e).any():
+            check_domain(e, graph._dbar)
+        return e, u, _lyapunov(state, e, graph, family, leader)
 
     schedule = sorted(events, key=lambda ev: ev.time)
     if any(not (0.0 <= ev.time <= t_end) for ev in schedule):
@@ -176,13 +180,13 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
 
     def check_events(t, state, u):
         nonlocal eq_armed, target_armed
-        residual = _max_balance(u, graph)
+        residual = float(np.linalg.norm(u, axis=1).max())
         if eq_armed and residual < eq_tol:
             log.append((t, "equilibrium_detected"))
             eq_armed = False
         elif not eq_armed and residual > 100.0 * eq_tol:
             eq_armed = True
-        if target_armed and np.linalg.norm(state[-d:] - leader.p_t) < 1e-3:
+        if target_armed and np.linalg.norm(state[-1] - leader.p_t) < 1e-3:
             log.append((t, "target_reached"))
             target_armed = False
 
@@ -197,24 +201,24 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             if span > 1e-15:
                 n_rec = max(int(round(span / (dt * record_every))), 1)
                 t_eval = np.linspace(t, boundary, n_rec + 1)[1:]
-                sol = solve_ivp(stage, (t, boundary), p, method="RK45",
-                                rtol=rtol, atol=rtol * 1e-3, t_eval=t_eval,
-                                dense_output=False)
+                sol = solve_ivp(lambda tk, y: stage(tk, y.reshape(n, d)).ravel(),
+                                (t, boundary), p.ravel(), method="RK45", rtol=rtol,
+                                atol=rtol * 1e-3, t_eval=t_eval, dense_output=False)
                 if not sol.success:
                     raise IntegrationError(sol.message, time=t, last_state=p)
-                for tk, yk in zip(sol.t, sol.y.T):
+                for tk, yk in zip(sol.t, sol.y.T.reshape(-1, n, d)):
                     e, u, w = evaluate(yk)
                     max_dv = max(max_dv, w - w_prev)
                     w_prev = w
                     record(tk, yk, e, u)
                     check_events(tk, yk, u)
-                p, t = sol.y[:, -1].copy(), boundary
+                p, t = sol.y[:, -1].reshape(n, d).copy(), boundary
         else:
             step_count = 0
             while boundary - t > 1e-12:
                 h = min(dt, boundary - t)
                 p_new = _rk4_step(stage, t, p, h, drive(t, p, u))
-                if not np.all(np.isfinite(p_new)):
+                if not np.isfinite(p_new).all():
                     raise IntegrationError(
                         "state became non-finite (potential-domain blow-up?)",
                         time=t, last_state=p)
@@ -228,7 +232,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
                     check_events(t, p, u)
             t = boundary
         if ev_idx < len(schedule) and abs(schedule[ev_idx].time - boundary) < 1e-12:
-            p = apply_perturbation(p, schedule[ev_idx], graph)
+            p = apply_perturbation(p, schedule[ev_idx], graph).reshape(n, d)
             log.append((boundary, "perturbation_applied"))
             eq_armed = True
             e, u, w = evaluate(p)
@@ -237,7 +241,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
 
     traj = Trajectory(
         times=np.asarray(times),
-        states=np.asarray(states),
+        states=np.asarray(states).reshape(len(states), n * d),
         edge_errors=np.asarray(errors),
         grad_norms=np.asarray(gnorms),
         events=log,

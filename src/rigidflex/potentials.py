@@ -47,25 +47,36 @@ class PotentialFamily:
     rho: Callable
 
 
-QUADRATIC = PotentialFamily(
-    name="quadratic",
-    phi=lambda e, dbar: 0.5 * np.asarray(e, dtype=float) ** 2,
-    g=lambda e, dbar: np.asarray(e, dtype=float),
-    rho=lambda e, dbar: np.ones_like(np.asarray(e, dtype=float)),
-)
+def _quadratic_phi(e, dbar):
+    return 0.5 * np.asarray(e, dtype=float) ** 2
+
+
+def _quadratic_g(e, dbar):
+    return np.asarray(e, dtype=float)
+
+
+def _quadratic_rho(e, dbar):
+    return np.ones_like(np.asarray(e, dtype=float))
+
 
 # phi = e^2 / (e + dbar^2); g and rho are its exact derivatives.
-RATIONAL = PotentialFamily(
-    name="rational",
-    phi=lambda e, dbar: np.asarray(e, dtype=float) ** 2
-    / (np.asarray(e, dtype=float) + np.asarray(dbar, dtype=float) ** 2),
-    g=lambda e, dbar: 1.0
-    - np.asarray(dbar, dtype=float) ** 4
-    / (np.asarray(e, dtype=float) + np.asarray(dbar, dtype=float) ** 2) ** 2,
-    rho=lambda e, dbar: 2.0
-    * np.asarray(dbar, dtype=float) ** 4
-    / (np.asarray(e, dtype=float) + np.asarray(dbar, dtype=float) ** 2) ** 3,
-)
+def _rational_phi(e, dbar):
+    e = np.asarray(e, dtype=float)
+    return e**2 / (e + np.asarray(dbar, dtype=float) ** 2)
+
+
+def _rational_g(e, dbar):
+    dbar = np.asarray(dbar, dtype=float)
+    return 1.0 - dbar**4 / (np.asarray(e, dtype=float) + dbar**2) ** 2
+
+
+def _rational_rho(e, dbar):
+    dbar = np.asarray(dbar, dtype=float)
+    return 2.0 * dbar**4 / (np.asarray(e, dtype=float) + dbar**2) ** 3
+
+
+QUADRATIC = PotentialFamily("quadratic", _quadratic_phi, _quadratic_g, _quadratic_rho)
+RATIONAL = PotentialFamily("rational", _rational_phi, _rational_g, _rational_rho)
 
 FAMILIES = {f.name: f for f in (QUADRATIC, RATIONAL)}
 

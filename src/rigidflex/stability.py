@@ -38,7 +38,6 @@ class WitnessNotFoundError(RuntimeError):
 @dataclass(frozen=True)
 class HessianBundle:
     h: np.ndarray                      # ((N+1)d)^2 symmetric Hessian
-    m: np.ndarray                      # md x md block-diagonal edge matrix
     e_matrix: np.ndarray               # (N+1)^2 weighted Laplacian B diag(g) B^T
     r: dict                            # axis -> (m, N+1) factor diag(sqrt(rho) z_a) B^T
     incidence: np.ndarray
@@ -53,13 +52,11 @@ def assemble_hessian(p, graph: FormationGraph, family: PotentialFamily) -> Hessi
     st = edge_states(pos, graph, family)
     b = build_incidence(graph)
 
-    big_m = np.zeros((m * d, m * d))
     h = np.zeros((n * d, n * d))
     with np.errstate(invalid="ignore", over="ignore"):
         for k in range(m):
             zk = st.z[k]
             mk = 2.0 * st.rho[k] * np.outer(zk, zk) + st.g[k] * np.eye(d)
-            big_m[k * d:(k + 1) * d, k * d:(k + 1) * d] = mk
             i, j = graph.edge_tails[k], graph.edge_heads[k]
             si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
             h[si, si] += mk
@@ -70,7 +67,7 @@ def assemble_hessian(p, graph: FormationGraph, family: PotentialFamily) -> Hessi
         e_matrix = b @ np.diag(st.g) @ b.T
         sq = np.sqrt(st.rho)
         r = {a: (sq * st.z[:, a])[:, None] * b.T for a in range(d)}
-    return HessianBundle(h=h, m=big_m, e_matrix=e_matrix, r=r, incidence=b,
+    return HessianBundle(h=h, e_matrix=e_matrix, r=r, incidence=b,
                          p=pos.reshape(-1), graph=graph, family=family)
 
 
@@ -222,8 +219,7 @@ def classify(p, graph: FormationGraph, family: PotentialFamily,
     """Classify a realization among desired / undesired equilibrium sets."""
     pos = as_positions(p, graph)
     st = edge_states(pos, graph, family)
-    from .control import balance_residuals
-    residual = float(balance_residuals(pos, graph, family).max())
+    residual = float(np.linalg.norm(st.u, axis=1).max())
     diag = {"residual": residual}
     if not residual < eq_tol:               # also a NaN residual
         return EquilibriumClass(kind="not_equilibrium", diagnostics=diag)

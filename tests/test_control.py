@@ -1,5 +1,7 @@
 """Gradient control law, leader variants, and frame-independence."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -244,3 +246,32 @@ def test_non_finite_coordinate_reaches_every_edge():
     assert not np.any(np.isfinite(balance_residuals(p, g, QUADRATIC)))
     with np.errstate(invalid="ignore"):      # the Hessian products see the inf
         assert analyze(p, g, QUADRATIC).classification.kind == "not_equilibrium"
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
+@pytest.mark.parametrize("case", ["coincident_edge", "non_finite"])
+def test_public_entry_points_raise_no_runtime_warning(graph, case):
+    """The kernel sets no floating-point error state; every public entry point
+    ignores divide/invalid once per call, so a coincident rational edge
+    (g = -inf) or a non-finite coordinate surfaces no RuntimeWarning."""
+    from rigidflex.integrator import IntegrationError, integrate
+    from rigidflex.stability import assemble_hessian
+
+    p = np.random.default_rng(7).uniform(-3.0, 3.0, (graph.num_nodes, graph.dimension))
+    if case == "coincident_edge":
+        p[-1] = p[-2]
+    else:
+        p[0, 0] = np.inf
+    spec = LeaderSpec(mode="target", k_f=1.0, p_t=np.zeros(graph.dimension))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gradient_control(p, graph, RATIONAL)
+        potential_value(p, graph, RATIONAL)
+        composite_potential(p, graph, RATIONAL, spec)
+        edge_states(p, graph, RATIONAL)
+        assemble_hessian(p, graph, RATIONAL)
+        if case == "non_finite":
+            with pytest.raises(IntegrationError):
+                integrate(p, graph, RATIONAL, t_end=0.01)
+        else:
+            integrate(p, graph, RATIONAL, t_end=0.01)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rigidflex.control import LeaderSpec, potential_value
+from rigidflex.control import LeaderSpec, balance_residuals, leader_control, potential_value
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.integrator import (
     IntegrationError,
@@ -14,7 +14,7 @@ from rigidflex.integrator import (
     random_perturbation,
 )
 from rigidflex.oracle import desired_equilibrium
-from rigidflex.potentials import QUADRATIC
+from rigidflex.potentials import QUADRATIC, RATIONAL
 
 
 def test_desired_start_is_constant_trajectory():
@@ -169,3 +169,54 @@ def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     assert [k for _, k in traj.events].count("perturbation_applied") == 2
     assert calls["steps"] == 124 + 127 + 150      # dt = 1e-3, clamped onto 0.1234 and 0.25
     assert calls["kernel"] == 4 * calls["steps"] + 1 + len(events)
+
+
+def reference_rk4(p0, graph, family, t_end, dt, leader, eq_tol):
+    """Fixed-step classical RK4 on the public leader_control, with the event
+    rules of integrate checked after every step: (states, event log)."""
+    d = graph.dimension
+    p, t = np.asarray(p0, dtype=float).reshape(-1), 0.0
+    states, log = [p], []
+    eq_armed, target_armed = True, leader.mode == "target"
+
+    def f(t, p):
+        return leader_control(p, t, graph, family, leader)
+
+    while t_end - t > 1e-12:
+        h = min(dt, t_end - t)
+        k1 = f(t, p)
+        k2 = f(t + 0.5 * h, p + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, p + 0.5 * h * k2)
+        k4 = f(t + h, p + h * k3)
+        p, t = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + h
+        states.append(p)
+        residual = float(balance_residuals(p, graph, family).max())
+        if eq_armed and residual < eq_tol:
+            log.append((t, "equilibrium_detected"))
+            eq_armed = False
+        elif not eq_armed and residual > 100.0 * eq_tol:
+            eq_armed = True
+        if target_armed and np.linalg.norm(p[-d:] - leader.p_t) < 1e-3:
+            log.append((t, "target_reached"))
+            target_armed = False
+    return np.array(states), log
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()], ids=["2d", "3d"])
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL], ids=lambda f: f.name)
+@pytest.mark.parametrize("mode", ["none", "windowed", "target"])
+def test_integrate_matches_reference_rk4_on_public_control(graph, family, mode):
+    d = graph.dimension
+    rng = np.random.default_rng(3)
+    p0 = desired_equilibrium(graph) + 0.05 * rng.standard_normal((graph.num_nodes, d))
+    leader = {
+        "none": LeaderSpec(),
+        "windowed": LeaderSpec(mode="windowed", v=lambda t: np.full(d, 0.5), t0=0.1, tf=0.2),
+        "target": LeaderSpec(mode="target", k_f=200.0, p_t=p0[-1] + 0.01),
+    }[mode]
+    ref_states, ref_log = reference_rk4(p0, graph, family, 0.3, 1e-3, leader, eq_tol=0.1)
+    traj = integrate(p0, graph, family, t_end=0.3, dt=1e-3, leader=leader,
+                     record_every=1, eq_tol=0.1)
+    assert len(ref_states) == 301 and traj.states.shape == ref_states.shape
+    assert np.abs(traj.states - ref_states).max() <= 1e-12 * np.abs(ref_states).max()
+    assert traj.events == ref_log

@@ -101,3 +101,32 @@ def test_domain_error_names_the_offending_edge():
         check_domain(e, dbar)
     with pytest.raises(PotentialDomainError, match=r"on edge 0: e=-17\.0 < bound -16\.0$"):
         check_domain(-17.0, DBAR)
+
+
+def closed_forms(e, dbar):
+    """(phi, g, rho) of both families written out on float64 arrays."""
+    s = e + dbar**2
+    return {"quadratic": (0.5 * e**2, e, np.ones_like(e)),
+            "rational": (e**2 / s, 1.0 - dbar**4 / s**2, 2.0 * dbar**4 / s**3)}
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+def test_evaluators_equal_closed_forms_exactly(family):
+    """Array, per-edge dbar and scalar evaluation, including the coincidence
+    boundary e = -dbar^2, reproduce the closed forms bit for bit.  Scalars
+    are compared with the closed forms on scalars: numpy rounds a scalar
+    power differently from an array power."""
+    bars = np.concatenate([[1.0, DBAR], np.random.default_rng(8).uniform(0.5, 10.0, 8)])
+    dbar = np.repeat(bars, 41)
+    e = np.tile(np.linspace(-1.0, 3.0, 41), len(bars)) * dbar**2
+    assert np.count_nonzero(e == -(dbar**2)) == len(bars)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = closed_forms(e, dbar)[family.name]
+        for k, (fn, want) in enumerate(zip((family.phi, family.g, family.rho), expected)):
+            np.testing.assert_array_equal(fn(e, dbar), want)
+            np.testing.assert_array_equal(fn(e[41:82], DBAR), want[41:82])
+            for i in range(0, len(e), 5):
+                got = fn(float(e[i]), float(dbar[i]))
+                assert np.ndim(got) == 0
+                np.testing.assert_array_equal(
+                    got, closed_forms(np.asarray(e[i]), np.asarray(dbar[i]))[family.name][k])

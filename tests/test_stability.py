@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rigidflex.control import gradient_control
+from rigidflex.control import balance_residuals, gradient_control
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     build_catalog,
@@ -257,3 +257,28 @@ def test_angle_inequalities_reject_degenerate_lengths():
     lengths[(1, 2)] = 8.0  # collapses the tetrahedron onto a plane (and worse)
     with pytest.raises(ValueError):
         verify_angle_inequalities(lengths)
+
+
+def test_classify_runs_one_kernel_pass(monkeypatch):
+    """classify takes the edge states and the balance residual from one pass."""
+    import rigidflex.control as control
+
+    calls = []
+    kernel = control._edge_kernel
+
+    def counted_kernel(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(control, "_edge_kernel", counted_kernel)
+    g = triangle_flex()
+    rng = np.random.default_rng(4)
+    points = [desired_equilibrium(g), flex_coincident_equilibrium(g),
+              find_collinear_equilibrium(g, QUADRATIC).positions,
+              rng.uniform(-3.0, 3.0, (g.num_nodes, g.dimension))]
+    for p in points:
+        residual = float(balance_residuals(p, g, QUADRATIC).max())
+        calls.clear()
+        cls = classify(p, g, QUADRATIC)
+        assert len(calls) == 1
+        assert cls.diagnostics["residual"] == residual
