@@ -68,7 +68,6 @@ from .stability import (
     analyze,
     assemble_hessian,
     classify,
-    coordinate_blocks,
     instability_witness,
     psd_check,
     verify_angle_inequalities,

@@ -136,7 +136,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     pass as the next step's first RK4 stage and for the domain check, the
     Lyapunov value, the record and the equilibrium check: four kernel passes
     per step, plus one at the start of each segment.  The whole call ignores
-    floating-point divide/invalid errors once; a non-finite state raises.
+    floating-point divide/invalid errors once.  A non-finite state, or a
+    segment start (p0 or a perturbed state) where V is not finite, raises.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
@@ -160,6 +161,16 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         if (e < lowest_e).any():
             check_domain(e, graph._dbar)
         return e, u, _lyapunov(state, e, graph, family, leader)
+
+    def start(t, state):
+        """``evaluate`` at the start of a segment, where V must be finite."""
+        e, u, w = evaluate(state)
+        if not np.isfinite(w):
+            raise IntegrationError(
+                f"Lyapunov value {w!r} at t={t:g} is not finite (coincident "
+                "agents on the potential's boundary, or a non-finite state)",
+                time=t, last_state=state)
+        return e, u, w
 
     schedule = sorted(events, key=lambda ev: ev.time)
     if any(not (0.0 <= ev.time <= t_end) for ev in schedule):
@@ -191,7 +202,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             target_armed = False
 
     t = 0.0
-    e, u, w = evaluate(p)
+    e, u, w = start(t, p)
     record(t, p, e, u)
     ev_idx = 0
     for boundary in boundaries:
@@ -235,7 +246,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             p = apply_perturbation(p, schedule[ev_idx], graph).reshape(n, d)
             log.append((boundary, "perturbation_applied"))
             eq_armed = True
-            e, u, w = evaluate(p)
+            e, u, w = start(t, p)
             record(t, p, e, u)
             ev_idx += 1
 

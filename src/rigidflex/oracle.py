@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, root
 
-from .control import balance_residuals, gradient_control
+from .control import balance_residuals, edge_states, gradient_control
 from .graph import FormationGraph, as_positions
 from .integrator import detect_equilibrium, integrate
 from .potentials import PotentialFamily
@@ -88,7 +88,7 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily,
         if res < tol:
             return p
         grad_v = -gradient_control(p, graph, family)
-        h = assemble_hessian(p, graph, family).h
+        h = assemble_hessian(p, graph, family)
         if not np.all(np.isfinite(h)):
             raise OracleError("balance Jacobian is non-finite; cannot polish "
                               "(coincident agents with a singular family?)")
@@ -532,7 +532,6 @@ def family_admits(p, graph: FormationGraph, family: PotentialFamily) -> bool:
     ||z|| -> 0) exclude coincidence configurations from their domain, so
     those constructions are not equilibria for them.
     """
-    from .control import edge_states
     st = edge_states(p, graph, family)
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = np.asarray(family.phi(st.e, graph.desired_array), dtype=float)

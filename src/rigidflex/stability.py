@@ -1,11 +1,12 @@
 """Hessian assembly, equilibrium classification, and instability certificates.
 
-The shape potential's Hessian factors as H = Bbar M Bbar^T with per-edge
-blocks M_e = 2 rho_e z_e z_e^T + g_e I_d.  Sorting coordinates by axis turns
-H into d x d blocks 2 R_a^T R_b (+ E on the diagonal), where
-E = B diag(g) B^T and R_a = diag(sqrt(rho) z[:, a]) B^T.  At an undesired
-equilibrium a vector v with v^T H_last v < 0 in the last-axis block, after
-aligning the degenerate rigid subformation with the leading axes, certifies
+The shape potential's Hessian H is assembled from per-edge blocks
+M_e = 2 rho_e z_e z_e^T + g_e I_d, added to the two diagonal node blocks of
+edge e = (i, j) and subtracted from its two off-diagonal node blocks.  At an
+undesired equilibrium the collapsed rigid subformation has a degenerate axis
+r (the last axis of the aligning frame).  For node weights v the direction
+v (x) r has curvature (v (x) r)^T H (v (x) r) = v^T H_r v, where the aligned
+last-axis block is H_r[i, j] = r^T H_ij r.  A v with v^T H_r v < 0 certifies
 that the equilibrium is a saddle of the potential and hence unstable.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import edge_states
-from .graph import FormationGraph, as_positions, build_incidence
+from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
 # Default tolerances (overridable per call).
@@ -35,85 +36,40 @@ class WitnessNotFoundError(RuntimeError):
 # Hessian assembly
 
 
-@dataclass(frozen=True)
-class HessianBundle:
-    h: np.ndarray                      # ((N+1)d)^2 symmetric Hessian
-    e_matrix: np.ndarray               # (N+1)^2 weighted Laplacian B diag(g) B^T
-    r: dict                            # axis -> (m, N+1) factor diag(sqrt(rho) z_a) B^T
-    incidence: np.ndarray
-    p: np.ndarray
-    graph: FormationGraph
-    family: PotentialFamily
+@np.errstate(invalid="ignore", over="ignore")
+def assemble_hessian(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
+    """((N+1)d)^2 symmetric Hessian of the shape potential.
 
-
-def assemble_hessian(p, graph: FormationGraph, family: PotentialFamily) -> HessianBundle:
-    pos = as_positions(p, graph)
-    n, d, m = graph.num_nodes, graph.dimension, graph.num_edges
-    st = edge_states(pos, graph, family)
-    b = build_incidence(graph)
-
-    h = np.zeros((n * d, n * d))
-    with np.errstate(invalid="ignore", over="ignore"):
-        for k in range(m):
-            zk = st.z[k]
-            mk = 2.0 * st.rho[k] * np.outer(zk, zk) + st.g[k] * np.eye(d)
-            i, j = graph.edge_tails[k], graph.edge_heads[k]
-            si, sj = slice(i * d, (i + 1) * d), slice(j * d, (j + 1) * d)
-            h[si, si] += mk
-            h[sj, sj] += mk
-            h[si, sj] -= mk
-            h[sj, si] -= mk
-
-        e_matrix = b @ np.diag(st.g) @ b.T
-        sq = np.sqrt(st.rho)
-        r = {a: (sq * st.z[:, a])[:, None] * b.T for a in range(d)}
-    return HessianBundle(h=h, e_matrix=e_matrix, r=r, incidence=b,
-                         p=pos.reshape(-1), graph=graph, family=family)
-
-
-@dataclass(frozen=True)
-class CoordinateBlocks:
-    sorted_h: np.ndarray               # axis-major permutation of the Hessian
-    blocks: dict                       # (a, b) -> (N+1)^2 block 2 R_a^T R_b (+E)
-    last_block: np.ndarray             # block for the last axis
-    rotation: np.ndarray               # frame rotation applied before sorting
-    bundle: HessianBundle
-
-
-def axis_sort_permutation(n: int, d: int) -> np.ndarray:
-    """Permutation mapping axis-major index a*n+i to interleaved index i*d+a."""
-    return np.array([i * d + a for a in range(d) for i in range(n)])
-
-
-def coordinate_blocks(bundle: HessianBundle, rotation: np.ndarray | None = None) -> CoordinateBlocks:
-    """Axis-sorted Hessian after an optional orthogonal change of frame.
-
-    The sorted matrix is orthogonally similar to the original Hessian, so the
-    spectrum is preserved; the (a, b) block is 2 R_a^T R_b plus E on the
-    diagonal, evaluated at the rotated realization.
+    The edge blocks are scattered by index, in edge order, rather than
+    multiplied by the incidence matrix: a non-finite block (a coincident
+    edge of a family that diverges there) then reaches only its own four
+    node blocks, where a product with B would spread 0 * inf to all of them.
     """
-    g, d = bundle.graph, bundle.graph.dimension
-    if rotation is None:
-        rotation = np.eye(d)
-    rotation = np.asarray(rotation, dtype=float)
-    if rotation.shape != (d, d) or not np.allclose(rotation.T @ rotation, np.eye(d), atol=1e-10):
-        raise ValueError("frame rotation must be a d x d orthogonal matrix")
-    if not np.allclose(rotation, np.eye(d)):
-        pos = bundle.p.reshape(g.num_nodes, d) @ rotation.T
-        bundle = assemble_hessian(pos, g, bundle.family)
+    n, d = graph.num_nodes, graph.dimension
+    st = edge_states(p, graph, family)
+    m = 2.0 * st.rho[:, None, None] * (st.z[:, :, None] * st.z[:, None, :]) \
+        + st.g[:, None, None] * np.eye(d)
+    tails, heads = graph._tails, graph._heads
+    rows = np.stack([tails, heads, tails, heads], axis=1).ravel()
+    cols = np.stack([tails, heads, heads, tails], axis=1).ravel()
+    h = np.zeros((n, n, d, d))
+    np.add.at(h, (rows, cols), np.stack([m, m, -m, -m], axis=1).reshape(-1, d, d))
+    return h.transpose(0, 2, 1, 3).reshape(n * d, n * d)
 
-    perm = axis_sort_permutation(g.num_nodes, d)
-    sorted_h = bundle.h[np.ix_(perm, perm)]
-    blocks = {}
-    for a in range(d):
-        for c in range(d):
-            blk = 2.0 * bundle.r[a].T @ bundle.r[c]
-            if a == c:
-                blk = blk + bundle.e_matrix
-            blocks[(a, c)] = blk
-    return CoordinateBlocks(sorted_h=sorted_h, blocks=blocks,
-                            last_block=blocks[(d - 1, d - 1)],
-                            rotation=rotation, bundle=bundle)
+
+def _aligned_last_block(h: np.ndarray, rotation: np.ndarray) -> np.ndarray:
+    """(N+1)^2 block r^T H_ij r for the last axis r of the frame ``rotation``."""
+    d = len(rotation)
+    n = len(h) // d
+    return np.einsum("a,iajb,b->ij", rotation[-1], h.reshape(n, d, n, d), rotation[-1])
+
+
+def _psd_verdict(spectrum: np.ndarray, eig_tol: float | None):
+    """(min eigenvalue, PSD verdict) of an ascending spectrum."""
+    scale = max(abs(spectrum[0]), abs(spectrum[-1]), 1.0)
+    if eig_tol is None:
+        eig_tol = 1e-8 * scale
+    return float(spectrum[0]), bool(spectrum[0] >= -eig_tol)
 
 
 def psd_check(matrix: np.ndarray, eig_tol: float | None = None):
@@ -121,11 +77,7 @@ def psd_check(matrix: np.ndarray, eig_tol: float | None = None):
     matrix = np.asarray(matrix, dtype=float)
     if not np.allclose(matrix, matrix.T, atol=1e-10 * max(1.0, np.abs(matrix).max())):
         raise ValueError("psd_check expects a symmetric matrix")
-    w = np.linalg.eigvalsh(matrix)
-    scale = max(abs(w[0]), abs(w[-1]), 1.0)
-    if eig_tol is None:
-        eig_tol = 1e-8 * scale
-    return float(w[0]), bool(w[0] >= -eig_tol)
+    return _psd_verdict(np.linalg.eigvalsh(matrix), eig_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -309,40 +261,40 @@ def _plane_coordinates(points: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Witness:
-    vector: np.ndarray             # last-axis block coordinates, length N+1
-    full_vector: np.ndarray        # embedded direction in the original frame
+    vector: np.ndarray             # node weights v, length N+1
+    full_vector: np.ndarray        # v (x) r, r = rotation[-1], in the original frame
     quadratic_form: float
     tag: str                       # flex_sum | agent_indicator | eigenvector
-    rotation: np.ndarray
+    rotation: np.ndarray           # aligning frame; its last row is r
 
 
 def instability_witness(p, graph: FormationGraph, family: PotentialFamily,
                         cls: EquilibriumClass | None = None,
-                        bundle: HessianBundle | None = None,
+                        hessian: np.ndarray | None = None,
                         margin_scale: float = 1e-10) -> Witness:
     """Certified negative direction of the Hessian at an undesired equilibrium.
 
     Candidate order: the all-ones-except-flex vector (flex-coincident case),
     per-agent indicator vectors in index order (degenerate-rigid case, in the
     frame that aligns the rigid agents with the leading axes), then the
-    eigenvector of the most negative eigenvalue of the last-axis block.  The
-    first candidate whose quadratic form clears the strictness margin wins;
-    raises WitnessNotFoundError if none does.
+    eigenvector of the most negative eigenvalue of the aligned last-axis
+    block.  The first candidate whose quadratic form clears the strictness
+    margin wins; raises WitnessNotFoundError if none does.  ``hessian`` is
+    the assembled Hessian at ``p``, if the caller already has it.
     """
     if cls is None:
         cls = classify(p, graph, family)
     if cls.kind not in ("flex_coincident", "degenerate_rigid", "unrecognized"):
         raise ValueError(f"witness requested for class {cls.kind!r}")
-    if bundle is None:
-        bundle = assemble_hessian(p, graph, family)
+    if hessian is None:
+        hessian = assemble_hessian(p, graph, family)
 
     n, d = graph.num_nodes, graph.dimension
     if cls.kind == "flex_coincident":
         rotation = np.eye(d)
     else:
         rotation = alignment_rotation(p, graph)
-    cb = coordinate_blocks(bundle, rotation)
-    block = cb.last_block
+    block = _aligned_last_block(hessian, rotation)
     finite = np.isfinite(block)
     scale = max(1.0, float(np.abs(block[finite]).max())) if finite.any() else 1.0
     threshold = -margin_scale * scale
@@ -370,12 +322,8 @@ def instability_witness(p, graph: FormationGraph, family: PotentialFamily,
         with np.errstate(invalid="ignore"):    # poison the quadratic form
             q = float(v[nz] @ sub @ v[nz])
         if q < threshold and not np.isnan(q):
-            full = np.zeros(n * d)
-            back = rotation.T[:, d - 1]          # last aligned axis in original frame
-            for i in range(n):
-                full[i * d:(i + 1) * d] = v[i] * back
-            return Witness(vector=v, full_vector=full, quadratic_form=q,
-                           tag=tag, rotation=rotation)
+            return Witness(vector=v, full_vector=np.outer(v, rotation[-1]).ravel(),
+                           quadratic_form=q, tag=tag, rotation=rotation)
     raise WitnessNotFoundError(
         f"no negative direction found (class {cls.kind}/{cls.subform}, "
         f"min block eigenvalue {w[0]:.3e})")
@@ -681,30 +629,32 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     two certified topologies; other graphs get spectrum and class only.
     """
     cls = classify(p, graph, family, eq_tol=eq_tol)
-    bundle = assemble_hessian(p, graph, family)
+    h = assemble_hessian(p, graph, family)
     certified = graph.certified_topology() is not None
 
-    rotation = np.eye(graph.dimension)
-    if cls.kind == "degenerate_rigid":
+    witness = None
+    claims: list = []
+    if certified and cls.kind in ("flex_coincident", "degenerate_rigid"):
+        witness = instability_witness(p, graph, family, cls=cls, hessian=h)
+        if cls.kind == "degenerate_rigid":
+            claims = verify_sign_properties(p, graph, family, cls=cls)
+    if witness is not None:
+        rotation = witness.rotation
+    elif cls.kind == "degenerate_rigid":
         rotation = alignment_rotation(p, graph)
-    cb = coordinate_blocks(bundle, rotation)
-    if np.all(np.isfinite(bundle.h)):
-        spectrum = np.linalg.eigvalsh(bundle.h)
-        block_spectrum = np.linalg.eigvalsh(cb.last_block)
-        min_eig, is_psd = psd_check(bundle.h, eig_tol)
+    else:
+        rotation = np.eye(graph.dimension)
+
+    if np.all(np.isfinite(h)):
+        spectrum = np.linalg.eigvalsh(h)
+        block_spectrum = np.linalg.eigvalsh(_aligned_last_block(h, rotation))
+        min_eig, is_psd = _psd_verdict(spectrum, eig_tol)
     else:
         # coincidence boundary of a family that blows up there: curvature is
         # unbounded below, no finite spectrum exists
         spectrum = None
         block_spectrum = None
         min_eig, is_psd = -np.inf, False
-
-    witness = None
-    claims: list = []
-    if certified and cls.kind in ("flex_coincident", "degenerate_rigid"):
-        witness = instability_witness(p, graph, family, cls=cls, bundle=bundle)
-        if cls.kind == "degenerate_rigid":
-            claims = verify_sign_properties(p, graph, family, cls=cls)
     return StabilityReport(
         classification=cls, spectrum=spectrum, block_spectrum=block_spectrum,
         min_eigenvalue=min_eig, positive_semidefinite=is_psd,

@@ -150,7 +150,7 @@ def test_criterion_04_hessian_correctness():
         d = graph.dimension
         for _ in range(100):
             p = rng.uniform(-5, 5, (graph.num_nodes, d)).reshape(-1)
-            h = assemble_hessian(p, graph, QUADRATIC).h
+            h = assemble_hessian(p, graph, QUADRATIC)
             scale = max(1.0, float(np.abs(p).max()))
             eps = 1e-5 * scale
             fd = np.empty_like(h)
@@ -174,7 +174,7 @@ def test_criterion_05_spectral_structure_at_desired_set():
     """(N+1)d - m zero eigenvalues, remainder strictly positive."""
     for graph, expected_zero in [(TRIANGLE, 4), (TETRA, 8)]:
         p = desired_equilibrium(graph)
-        w = np.linalg.eigvalsh(assemble_hessian(p, graph, QUADRATIC).h)
+        w = np.linalg.eigvalsh(assemble_hessian(p, graph, QUADRATIC))
         tol = EPS_EIG_REL * max(abs(w[0]), abs(w[-1]))
         n_zero = int(np.sum(np.abs(w) < tol))
         assert n_zero == expected_zero, (graph.dimension, w)
@@ -187,7 +187,7 @@ def _certify_catalog(graph, family):
     entries, failures = build_catalog(graph, family)
     certified = []
     for entry in entries:
-        h = assemble_hessian(entry.positions, graph, family).h
+        h = assemble_hessian(entry.positions, graph, family)
         w = instability_witness(entry.positions, graph, family)
         if np.all(np.isfinite(h)):
             norm = float(np.linalg.norm(h, 2))

@@ -77,6 +77,15 @@ def test_run_bad_scenario_is_config_error(tmp_path):
     assert main(["run", "no_such_scenario"]) == EXIT_CONFIG
 
 
+def test_run_rational_start_on_coincidence_boundary_exits_numeric(tmp_path, capsys):
+    p0 = desired_equilibrium(triangle_flex())
+    p0[-1] = p0[-2]
+    scen = small_scenario(tmp_path, family="rational", initial=p0.tolist())
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert "not finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "scenario_trajectory.csv").exists()
+
+
 def test_analyze_saddle_reports_witness(tmp_path, graph_file):
     entry = find_collinear_equilibrium(triangle_flex(), QUADRATIC)
     real = tmp_path / "saddle.json"

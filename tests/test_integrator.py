@@ -137,6 +137,27 @@ def test_nonpositive_horizon_rejected():
         integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.0)
 
 
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()], ids=["2d", "3d"])
+def test_rational_start_on_coincidence_boundary_is_rejected(graph):
+    """V is infinite when the flex agent sits on its neighbour; before the
+    check, the first step threw the agents to |p| ~ 1e4 (2-D) or 1e6 (3-D)."""
+    p0 = np.random.default_rng(7).uniform(-3.0, 3.0, (graph.num_nodes, graph.dimension))
+    p0[-1] = p0[-2]
+    with pytest.raises(IntegrationError, match="not finite") as info:
+        integrate(p0, graph, RATIONAL, t_end=0.05)
+    assert info.value.time == 0.0
+    np.testing.assert_array_equal(info.value.last_state, p0)
+    with pytest.raises(IntegrationError, match="not finite"):
+        integrate(p0, graph, RATIONAL, t_end=0.05, adaptive=True)
+    # so is a perturbation that puts the flex agent on its neighbour
+    start = p0.copy()
+    start[-1] += 1.0
+    jump = PerturbationEvent(time=0.0, agent=graph.num_nodes, displacement=-np.ones(graph.dimension))
+    with pytest.raises(IntegrationError, match="not finite") as info:
+        integrate(start, graph, RATIONAL, t_end=0.05, events=[jump])
+    np.testing.assert_array_equal(info.value.last_state, p0)
+
+
 def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     """Four kernel passes per accepted RK4 step (three stages plus the new
     state, reused as the next step's first stage), plus one at t = 0 and one

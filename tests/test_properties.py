@@ -1,0 +1,58 @@
+"""Generated-input properties of the stability analysis (needs hypothesis)."""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rigidflex.graph import tetrahedron_flex, triangle_flex
+from rigidflex.oracle import build_catalog
+from rigidflex.potentials import QUADRATIC, RATIONAL
+from rigidflex.stability import assemble_hessian, classify, instability_witness
+
+GRAPHS = {"triangle": triangle_flex(), "tetrahedron": tetrahedron_flex()}
+FAMILIES = {"quadratic": QUADRATIC, "rational": RATIONAL}
+
+
+@functools.cache
+def catalog(graph_name, family_name):
+    return build_catalog(GRAPHS[graph_name], FAMILIES[family_name])[0]
+
+
+def rotation(angles, d):
+    """Proper rotation: one planar angle (2-D) or z-y-x Euler angles (3-D)."""
+    c, s = np.cos(angles), np.sin(angles)
+    if d == 2:
+        return np.array([[c[0], -s[0]], [s[0], c[0]]])
+    rz = np.array([[c[0], -s[0], 0.0], [s[0], c[0], 0.0], [0.0, 0.0, 1.0]])
+    ry = np.array([[c[1], 0.0, s[1]], [0.0, 1.0, 0.0], [-s[1], 0.0, c[1]]])
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, c[2], -s[2]], [0.0, s[2], c[2]]])
+    return rz @ ry @ rx
+
+
+angle_triples = st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3)
+shifts = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("family_name", sorted(FAMILIES))
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(angles=angle_triples, shift=shifts)
+def test_witness_is_invariant_under_rigid_motions(graph_name, family_name, angles, shift):
+    """Every catalog entry keeps its class and subform after a rotation and
+    a shift, its witness stays strictly negative, and the embedded direction
+    v (x) r has the same curvature in the full Hessian."""
+    graph, family = GRAPHS[graph_name], FAMILIES[family_name]
+    d = graph.dimension
+    rot = rotation(np.array(angles), d)
+    for entry in catalog(graph_name, family_name):
+        p = entry.positions @ rot.T + np.array(shift[:d])
+        cls = classify(p, graph, family)
+        assert (cls.kind, cls.subform) == (entry.kind, entry.subform)
+        h = assemble_hessian(p, graph, family)
+        w = instability_witness(p, graph, family, cls=cls, hessian=h)
+        assert w.quadratic_form < 0
+        q_full = float(w.full_vector @ h @ w.full_vector)
+        assert q_full == pytest.approx(w.quadratic_form, rel=1e-9, abs=1e-9)

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
-from rigidflex.control import balance_residuals, gradient_control
+from rigidflex.control import balance_residuals, edge_states, gradient_control
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     build_catalog,
@@ -18,10 +18,9 @@ from rigidflex.stability import (
     WitnessNotFoundError,
     alignment_rotation,
     analyze,
+    _aligned_last_block,
     assemble_hessian,
-    axis_sort_permutation,
     classify,
-    coordinate_blocks,
     instability_witness,
     psd_check,
     verify_angle_inequalities,
@@ -50,7 +49,7 @@ def fd_jacobian(p, graph, family, h=1e-6):
 def test_hessian_matches_finite_differences(graph, family):
     for _ in range(5):
         p = RNG.uniform(-5, 5, (graph.num_nodes, graph.dimension))
-        h = assemble_hessian(p, graph, family).h
+        h = assemble_hessian(p, graph, family)
         fd = fd_jacobian(p, graph, family)
         scale = max(1.0, np.abs(h).max())
         assert np.abs(h - fd).max() / scale < 1e-6
@@ -59,37 +58,71 @@ def test_hessian_matches_finite_differences(graph, family):
 def test_hessian_block_row_sums_vanish():
     g = tetrahedron_flex()
     p = RNG.uniform(-5, 5, (5, 3))
-    h = assemble_hessian(p, g, QUADRATIC).h
+    h = assemble_hessian(p, g, QUADRATIC)
     d = g.dimension
     total = sum(h[i * d:(i + 1) * d, :] for i in range(g.num_nodes))
     assert np.abs(total).max() < 1e-12
 
 
-def test_axis_sorted_spectrum_preserved():
-    g = triangle_flex()
-    p = RNG.uniform(-5, 5, (4, 2))
-    bundle = assemble_hessian(p, g, QUADRATIC)
-    cb = coordinate_blocks(bundle)
-    w0 = np.linalg.eigvalsh(bundle.h)
-    w1 = np.linalg.eigvalsh(cb.sorted_h)
-    np.testing.assert_allclose(w0, w1, atol=1e-9)
-    # block reconstruction matches the permuted matrix
-    n = g.num_nodes
-    for (a, b), blk in cb.blocks.items():
-        np.testing.assert_allclose(
-            cb.sorted_h[a * n:(a + 1) * n, b * n:(b + 1) * n], blk, atol=1e-10)
+def reference_hessian(p, graph, family):
+    """Per-edge loop: M = 2 rho z z^T + g I added to the (i, i) and (j, j)
+    node blocks and subtracted from (i, j) and (j, i)."""
+    st = edge_states(p, graph, family)
+    d = graph.dimension
+    h = np.zeros((graph.num_nodes * d, graph.num_nodes * d))
+    with np.errstate(invalid="ignore"):
+        for k, (i, j) in enumerate(graph.edges):
+            m = 2.0 * st.rho[k] * np.outer(st.z[k], st.z[k]) + st.g[k] * np.eye(d)
+            si, sj = slice((i - 1) * d, i * d), slice((j - 1) * d, j * d)
+            h[si, si] += m
+            h[sj, sj] += m
+            h[si, sj] -= m
+            h[sj, si] -= m
+    return h
 
 
-def test_axis_sort_permutation_shape():
-    perm = axis_sort_permutation(4, 2)
-    assert sorted(perm.tolist()) == list(range(8))
-    assert perm[0] == 0 and perm[4] == 1  # axis-major ordering
+def random_rotation(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+def test_hessian_matches_per_edge_loop(graph, family):
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        p = rng.uniform(-5, 5, (graph.num_nodes, graph.dimension))
+        h, ref = assemble_hessian(p, graph, family), reference_hessian(p, graph, family)
+        assert h.shape == ref.shape
+        assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
+    # a coincident rational edge makes its four node blocks non-finite, no others
+    p[-1] = p[-2]
+    h, ref = assemble_hessian(p, graph, family), reference_hessian(p, graph, family)
+    finite = np.isfinite(ref)
+    np.testing.assert_array_equal(np.isfinite(h), finite)
+    assert finite.all() == (family is QUADRATIC)
+    assert np.abs(h[finite] - ref[finite]).max() <= 1e-13 * np.abs(ref[finite]).max()
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+def test_aligned_last_block_equals_block_at_rotated_positions(graph, family):
+    """r^T H_ij r for the last row r of R is the last-axis block of the
+    Hessian re-assembled at the rotated realization p R^T."""
+    rng = np.random.default_rng(12)
+    d = graph.dimension
+    for _ in range(10):
+        p = rng.uniform(-5, 5, (graph.num_nodes, d))
+        rot = random_rotation(rng, d)
+        block = _aligned_last_block(assemble_hessian(p, graph, family), rot)
+        moved = assemble_hessian(p @ rot.T, graph, family)[d - 1::d, d - 1::d]
+        assert np.abs(block - moved).max() <= 1e-12 * np.abs(moved).max()
 
 
 def test_rigid_motion_null_space_at_desired_equilibrium():
     for g in (triangle_flex(), tetrahedron_flex()):
         p = desired_equilibrium(g)
-        h = assemble_hessian(p, g, QUADRATIC).h
+        h = assemble_hessian(p, g, QUADRATIC)
         d = g.dimension
         # translations
         for c in np.eye(d):
@@ -113,7 +146,7 @@ def test_rigid_motion_null_space_at_desired_equilibrium():
 def test_psd_check_at_desired_equilibrium():
     g = triangle_flex()
     p = desired_equilibrium(g)
-    h = assemble_hessian(p, g, QUADRATIC).h
+    h = assemble_hessian(p, g, QUADRATIC)
     min_eig, is_psd = psd_check(h)
     assert is_psd
     assert min_eig > -1e-10
@@ -187,7 +220,7 @@ def test_witness_full_vector_is_negative_direction_of_full_hessian():
     g = tetrahedron_flex()
     entries, _ = build_catalog(g, QUADRATIC)
     for entry in entries:
-        h = assemble_hessian(entry.positions, g, QUADRATIC).h
+        h = assemble_hessian(entry.positions, g, QUADRATIC)
         w = instability_witness(entry.positions, g, QUADRATIC)
         q_full = float(w.full_vector @ h @ w.full_vector)
         assert q_full == pytest.approx(w.quadratic_form, rel=1e-9, abs=1e-9)
@@ -282,3 +315,35 @@ def test_classify_runs_one_kernel_pass(monkeypatch):
         cls = classify(p, g, QUADRATIC)
         assert len(calls) == 1
         assert cls.diagnostics["residual"] == residual
+
+
+def test_analyze_assembles_once_and_aligns_once(monkeypatch):
+    """One analyze at a moved 3-D catalog point: one Hessian, at most one
+    aligning rotation, and one kernel pass each for classify, the Hessian
+    and the sign claims."""
+    import rigidflex.stability as stability
+
+    counts = dict.fromkeys(("assemble_hessian", "alignment_rotation", "edge_states"), 0)
+
+    def counted(name):
+        fn = getattr(stability, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(stability, name, counted(name))
+    g = tetrahedron_flex()
+    entries, _ = build_catalog(g, QUADRATIC)
+    rng = np.random.default_rng(13)
+    for entry in entries:
+        p = entry.positions @ random_rotation(rng, 3).T + rng.standard_normal(3)
+        counts.update(dict.fromkeys(counts, 0))
+        report = analyze(p, g, QUADRATIC)
+        assert report.witness is not None
+        assert counts["assemble_hessian"] == 1
+        assert counts["alignment_rotation"] <= 1
+        assert counts["edge_states"] == (3 if entry.kind == "degenerate_rigid" else 2)
