@@ -141,7 +141,9 @@ def test_nonpositive_horizon_rejected():
 def test_rational_start_on_coincidence_boundary_is_rejected(graph):
     """V is infinite when the flex agent sits on its neighbour; before the
     check, the first step threw the agents to |p| ~ 1e4 (2-D) or 1e6 (3-D)."""
-    p0 = np.random.default_rng(7).uniform(-3.0, 3.0, (graph.num_nodes, graph.dimension))
+    # on a grid of eighths, so the unit shifts below are exact
+    rng = np.random.default_rng(7)
+    p0 = np.round(8.0 * rng.uniform(-3.0, 3.0, (graph.num_nodes, graph.dimension))) / 8.0
     p0[-1] = p0[-2]
     with pytest.raises(IntegrationError, match="not finite") as info:
         integrate(p0, graph, RATIONAL, t_end=0.05)
@@ -152,7 +154,8 @@ def test_rational_start_on_coincidence_boundary_is_rejected(graph):
     # so is a perturbation that puts the flex agent on its neighbour
     start = p0.copy()
     start[-1] += 1.0
-    jump = PerturbationEvent(time=0.0, agent=graph.num_nodes, displacement=-np.ones(graph.dimension))
+    jump = PerturbationEvent(time=0.0, agent=graph.num_nodes,
+                             displacement=-np.ones(graph.dimension))
     with pytest.raises(IntegrationError, match="not finite") as info:
         integrate(start, graph, RATIONAL, t_end=0.05, events=[jump])
     np.testing.assert_array_equal(info.value.last_state, p0)
