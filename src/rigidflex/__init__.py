@@ -43,8 +43,8 @@ from .oracle import (
     OracleError,
     build_catalog,
     capture_equilibrium_from_flow,
+    construct_equilibrium,
     desired_equilibrium,
-    find_collinear_equilibrium,
     flex_coincident_equilibrium,
     newton_polish,
     read_catalog,

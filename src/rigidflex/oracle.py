@@ -1,16 +1,25 @@
 """Independent construction of equilibria for the certified topologies.
 
-Three construction routes, deliberately separate from the simulator and the
-Hessian machinery so their outputs can serve as ground truth:
+The constructions stay apart from the simulator and the edge kernel, so
+their outputs can serve as ground truth.  Each undesired subform has one
+layout in a table that follows ``stability.SUBFORMS_2D/3D``:
 
-  * coincidence constructions — exact by inspection (zero edge vectors and
-    edges at exactly their desired lengths contribute zero force for every
-    admissible potential family);
-  * reduced root-finding — degenerate (collinear / coplanar-symmetric)
-    ansatz with the translation gauge removed, solved by bracketed scalar
-    or small multivariate root-finders on the gap lengths;
-  * flow capture — integrate the closed loop until an equilibrium is
-    detected, then Newton-polish the full balance system.
+  * line layouts put each rigid agent in a slot on the first axis; agents
+    in one slot coincide.  The unknowns are the gaps between consecutive
+    slots and the equations are the balances of one agent per slot, written
+    with the family's g.  A lone gap whose crossing edges share one desired
+    length is exactly that length for every family (coincidence-construct);
+    any other lone gap is bracketed by brentq, and two or more gaps go to
+    hybr from several seeds (rootfind-collinear);
+  * planar layouts are the square and the triangle with its centroid, each
+    from one bracketed scalar balance, polished with the rigid agents held
+    in their plane (rootfind-coplanar);
+  * flow capture integrates the closed loop until an equilibrium is
+    detected, then Newton-polishes the full balance system.
+
+The flex agent sits at its desired length from its anchor along the last
+axis.  ``_finalize`` builds every CatalogEntry: it polishes where asked,
+rejects points outside the family's domain and classifies.
 """
 
 from __future__ import annotations
@@ -21,11 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, root
 
-from .control import balance_residuals, edge_states, gradient_control
+from .control import gradient_control
 from .graph import FormationGraph, as_positions
 from .integrator import detect_equilibrium, integrate
 from .potentials import PotentialFamily
-from .stability import EquilibriumClass, assemble_hessian, classify
+from .stability import SUBFORMS_2D, SUBFORMS_3D, assemble_hessian, classify, family_admits
 
 
 class OracleError(RuntimeError):
@@ -79,25 +88,24 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily,
     assembled Hessian; least-squares steps take the minimal-norm correction,
     leaving the rigid-motion (and flex-orbit) null directions untouched.
     ``pinned`` lists flat coordinate indices to hold fixed (e.g. all third
-    coordinates, for planar-constrained polishing).
+    coordinates, for planar-constrained polishing).  Each iteration makes
+    one control pass, which also gives the residual, and one Hessian.
     """
     p = as_positions(p, graph).reshape(-1).astype(float)
     free = np.setdiff1d(np.arange(p.size), np.asarray(pinned, dtype=int))
-    for _ in range(max_iter):
-        res = float(balance_residuals(p, graph, family).max())
+    for it in range(max_iter + 1):
+        u = gradient_control(p, graph, family)
+        res = float(np.linalg.norm(u.reshape(graph.num_nodes, -1), axis=1).max())
         if res < tol:
             return p
-        grad_v = -gradient_control(p, graph, family)
+        if it == max_iter:
+            raise OracleError(f"Newton polish stalled at residual {res:.3e}")
         h = assemble_hessian(p, graph, family)
         if not np.all(np.isfinite(h)):
             raise OracleError("balance Jacobian is non-finite; cannot polish "
                               "(coincident agents with a singular family?)")
-        step, *_ = np.linalg.lstsq(h[np.ix_(free, free)], -grad_v[free], rcond=1e-10)
+        step, *_ = np.linalg.lstsq(h[np.ix_(free, free)], u[free], rcond=1e-10)
         p[free] += step
-    res = float(balance_residuals(p, graph, family).max())
-    if res >= tol:
-        raise OracleError(f"Newton polish stalled at residual {res:.3e}")
-    return p
 
 
 # ---------------------------------------------------------------------------
@@ -148,23 +156,13 @@ def _rigid_embedding(graph: FormationGraph) -> np.ndarray:
     return _tetrahedron_points(d)
 
 
-def _attach_flex(rigid: np.ndarray, graph: FormationGraph, direction=None) -> np.ndarray:
-    """Append the flex agent at exactly its desired distance from its anchor."""
-    anchor = rigid[graph.num_nodes - 2]
-    dbar_f = graph.desired[graph.flex_edge_index]
-    if direction is None:
-        direction = anchor - rigid.mean(axis=0)
-        if np.linalg.norm(direction) < 1e-12:
-            direction = np.zeros(graph.dimension)
-            direction[0] = 1.0
-    direction = np.asarray(direction, dtype=float)
-    direction = direction / np.linalg.norm(direction)
-    return np.vstack([rigid, anchor + dbar_f * direction])
-
-
 def desired_equilibrium(graph: FormationGraph) -> np.ndarray:
-    """A realization with every edge at its desired length."""
-    return _attach_flex(_rigid_embedding(graph), graph)
+    """A realization with every edge at its desired length, the flex agent
+    on the far side of its anchor from the rigid centroid."""
+    rigid = _rigid_embedding(graph)
+    direction = rigid[-1] - rigid.mean(axis=0)
+    direction = direction / np.linalg.norm(direction)
+    return np.vstack([rigid, rigid[-1] + graph.desired[graph.flex_edge_index] * direction])
 
 
 def flex_coincident_equilibrium(graph: FormationGraph) -> np.ndarray:
@@ -174,7 +172,7 @@ def flex_coincident_equilibrium(graph: FormationGraph) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Construction helpers
+# Root-finding helpers
 
 
 def _require_equal(values, what):
@@ -184,8 +182,12 @@ def _require_equal(values, what):
     return values[0]
 
 
-def _g_of(family: PotentialFamily, length, dbar):
-    return float(family.g(length * length - dbar * dbar, dbar))
+def _bracketed_root(f, lo, hi, what):
+    """brentq on [lo, hi], with a readable error when the ends share a sign."""
+    if f(lo) * f(hi) > 0:
+        raise OracleError(f"{what} bracket failed: f({lo:.4g})={f(lo):.4g}, "
+                          f"f({hi:.4g})={f(hi):.4g}")
+    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
 
 def _multi_root(fun, seeds, names):
@@ -200,98 +202,84 @@ def _multi_root(fun, seeds, names):
                       f"seeds and residuals tried: {tried}")
 
 
-def _finalize(positions, graph, family, method, expect_kind, expect_subform=None,
-              polish=False, pinned=()) -> CatalogEntry:
-    p = as_positions(positions, graph).reshape(-1)
-    if polish:
-        p = newton_polish(p, graph, family, pinned=pinned)
-    residual = float(balance_residuals(p, graph, family).max())
-    cls = classify(p, graph, family)
-    if cls.kind != expect_kind or (expect_subform is not None
-                                   and cls.subform != expect_subform):
-        raise OracleError(
-            f"constructed point classifies as {cls.kind}/{cls.subform}, "
-            f"expected {expect_kind}/{expect_subform} (residual {residual:.3e})")
-    return CatalogEntry(positions=p.reshape(graph.num_nodes, graph.dimension),
-                        kind=cls.kind, subform=cls.subform, residual=residual,
-                        method=method, family_name=family.name)
-
-
 # ---------------------------------------------------------------------------
-# Two-dimensional constructions (triangle topology)
+# Layouts: each returns the rigid agents' positions and the method label
 
 
-def find_collinear_equilibrium(graph: FormationGraph, family: PotentialFamily,
-                               flex_off_axis: bool = True) -> CatalogEntry:
-    """Three distinct collinear agents; gaps solved from the endpoint balances.
+@dataclass(frozen=True)
+class _Line:
+    """Rigid agent k sits in slot ``slots[k]`` on the first axis.
 
-    With agents at 0, s, s+t on the x-axis the endpoint balance equations are
-    g12 s + g13 (s+t) = 0 and g23 t + g13 (s+t) = 0; the middle agent's
-    balance follows from the zero-sum identity.
+    Slots are numbered along the line from 0; the gap between consecutive
+    slots is unknown.  ``seeds`` are hybr starting gaps, as fractions of the
+    mean desired length over slot pairs, for layouts with two or more gaps.
     """
-    if _require_certified(graph) != "triangle":
-        raise OracleError("collinear three-agent construction is 2-D only")
-    d = _distance_table(graph)
-    d12, d13, d23 = d[(1, 2)], d[(1, 3)], d[(2, 3)]
-    scale = np.mean([d12, d13, d23])
 
-    def eqs(x):
-        s, t = x
-        g12 = _g_of(family, abs(s), d12)
-        g13 = _g_of(family, abs(s + t), d13)
-        g23 = _g_of(family, abs(t), d23)
-        return [g12 * s + g13 * (s + t), g23 * t + g13 * (s + t)]
+    slots: tuple
+    seeds: tuple = ()
 
-    seeds = [(0.577 * scale, 0.577 * scale), (0.4 * scale, 0.7 * scale),
-             (0.7 * scale, 0.4 * scale)]
-    s, t = _multi_root(eqs, seeds, "collinear gaps (s, t)")
+    def __call__(self, graph: FormationGraph, family: PotentialFamily):
+        slots = np.array(self.slots)
+        tails, heads = graph._tails, graph._heads
+        cross = [k for k in range(graph.num_edges) if k != graph.flex_edge_index
+                 and slots[tails[k]] != slots[heads[k]]]
+        _require_equal_reach(graph, slots, cross)
+        n_gaps = int(slots.max())
+        dbar, dbar2 = graph._dbar[cross], graph._dbar2[cross]
+        # diff = x_tail - x_head of each crossing edge, linear in the gaps
+        cols = np.arange(n_gaps)
+        a = (cols < slots[tails[cross], None]).astype(float) - (cols < slots[heads[cross], None])
+        # one member per slot; the second-to-last slot's balance follows from
+        # the others, as the balances of all agents sum to zero
+        members = [int(np.argmax(slots == s)) for s in range(n_gaps + 1) if s != n_gaps - 1]
+        r = graph._incidence[np.ix_(members, cross)]
 
-    dbar_f = graph.desired[graph.flex_edge_index]
-    flex_dir = np.array([0.0, 1.0]) if flex_off_axis else np.array([1.0, 0.0])
-    rigid = np.array([[0.0, 0.0], [s, 0.0], [s + t, 0.0]])
-    pos = np.vstack([rigid, rigid[2] + dbar_f * flex_dir])
-    return _finalize(pos, graph, family, "rootfind-collinear",
-                     "degenerate_rigid", "collinear_distinct", polish=True)
+        def balances(gaps):
+            diff = a @ gaps
+            return r @ (family.g(diff * diff - dbar2, dbar) * diff)
 
-
-def coincident_pair_equilibrium(graph: FormationGraph, family: PotentialFamily) -> CatalogEntry:
-    """Agents 2 and 3 coincident, agent 1 at its desired distance from them."""
-    if _require_certified(graph) != "triangle":
-        raise OracleError("coincident-pair construction is 2-D only")
-    d = _distance_table(graph)
-    r = _require_equal([d[(1, 2)], d[(1, 3)]], "d(1,2) = d(1,3)")
-    dbar_f = graph.desired[graph.flex_edge_index]
-    pos = np.array([[r, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, dbar_f]])
-    return _finalize(pos, graph, family, "coincidence-construct",
-                     "degenerate_rigid", "coincident_pair")
-
-
-def all_coincident_equilibrium(graph: FormationGraph, family: PotentialFamily) -> CatalogEntry:
-    """Every rigid agent at one point; the flex edge alone is at length."""
-    _require_certified(graph)
-    n, dim = graph.num_nodes, graph.dimension
-    dbar_f = graph.desired[graph.flex_edge_index]
-    pos = np.zeros((n, dim))
-    pos[-1, 0] = dbar_f
-    return _finalize(pos, graph, family, "coincidence-construct",
-                     "degenerate_rigid", "all_coincident")
+        if n_gaps > 1:
+            per_pair = {}
+            for k in cross:
+                per_pair.setdefault(frozenset(slots[[tails[k], heads[k]]]), graph._dbar[k])
+            scale = np.mean(list(per_pair.values()))
+            gaps = _multi_root(balances, [np.array(s) * scale for s in self.seeds],
+                               f"the gaps of line layout {self.slots}")
+            method = "rootfind-collinear"
+        elif n_gaps and dbar.max() - dbar.min() > 1e-12:
+            gaps = [_bracketed_root(lambda x: float(balances([x])[0]),
+                                    dbar.min(), dbar.max(), "gap")]
+            method = "rootfind-collinear"
+        else:
+            gaps, method = dbar[:1], "coincidence-construct"
+        rigid = np.zeros((len(slots), graph.dimension))
+        rigid[:, 0] = np.concatenate([[0.0], np.cumsum(gaps)])[slots]
+        return rigid, method
 
 
-# ---------------------------------------------------------------------------
-# Three-dimensional constructions (tetrahedron topology)
+def _require_equal_reach(graph: FormationGraph, slots, cross):
+    """Agents in one slot must reach every other slot along edges of the same
+    desired lengths; otherwise their balances differ and the layout has no
+    equilibrium."""
+    reach = [[] for _ in slots]
+    for k in cross:
+        i, j = graph._tails[k], graph._heads[k]
+        reach[i].append((slots[j], graph._dbar[k]))
+        reach[j].append((slots[i], graph._dbar[k]))
+    for a in range(len(slots)):
+        b = int(np.argmax(slots == slots[a]))
+        ra, rb = sorted(reach[a]), sorted(reach[b])
+        if [s for s, _ in ra] != [s for s, _ in rb] or any(
+                abs(x - y) > 1e-12 for (_, x), (_, y) in zip(ra, rb)):
+            raise OracleError(
+                f"construction needs equal desired distances: coincident agents "
+                f"{b + 1} and {a + 1} have desired lengths "
+                f"{[round(float(x), 12) for _, x in rb]} and "
+                f"{[round(float(x), 12) for _, x in ra]} to the other points")
 
 
-def _flex_perp(rigid: np.ndarray, graph: FormationGraph, axis=2) -> np.ndarray:
-    dbar_f = graph.desired[graph.flex_edge_index]
-    offset = np.zeros(3)
-    offset[axis] = dbar_f
-    return np.vstack([rigid, rigid[3] + offset])
-
-
-def square_equilibrium(graph: FormationGraph, family: PotentialFamily) -> CatalogEntry:
+def _square(graph: FormationGraph, family: PotentialFamily):
     """Planar square: side balance g(s^2 - dside^2) + g(2 s^2 - ddiag^2) = 0."""
-    if _require_certified(graph) != "tetrahedron":
-        raise OracleError("square construction is 3-D only")
     d = _distance_table(graph)
     side = _require_equal([d[(1, 2)], d[(2, 3)], d[(3, 4)], d[(1, 4)]],
                           "the four square sides")
@@ -301,26 +289,17 @@ def square_equilibrium(graph: FormationGraph, family: PotentialFamily) -> Catalo
         return (float(family.g(s2 - side**2, side))
                 + float(family.g(2 * s2 - diag**2, diag)))
 
-    lo, hi = diag**2 / 2 * (1 + 1e-9), side**2
-    if f(lo) * f(hi) > 0:
-        raise OracleError(f"square bracket failed: f({lo:.4g})={f(lo):.4g}, "
-                          f"f({hi:.4g})={f(hi):.4g}")
-    s = np.sqrt(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
-    h = s / 2.0
+    h = np.sqrt(_bracketed_root(f, diag**2 / 2 * (1 + 1e-9), side**2, "square")) / 2.0
     rigid = np.array([[h, h, 0.0], [-h, h, 0.0], [-h, -h, 0.0], [h, -h, 0.0]])
-    return _finalize(_flex_perp(rigid, graph), graph, family, "rootfind-coplanar",
-                     "degenerate_rigid", "convex_quadrilateral", polish=True,
-                     pinned=_z_pins(graph))
+    return rigid, "rootfind-coplanar"
 
 
-def interior_point_equilibrium(graph: FormationGraph, family: PotentialFamily) -> CatalogEntry:
+def _interior_point(graph: FormationGraph, family: PotentialFamily):
     """Equilateral triangle 1,2,3 with agent 4 at the centroid.
 
     Radial balance on a vertex: 3 g(s^2 - dout^2) + g(s^2/3 - dc^2) = 0,
     with s the triangle side; the centroid's balance holds by symmetry.
     """
-    if _require_certified(graph) != "tetrahedron":
-        raise OracleError("interior-point construction is 3-D only")
     d = _distance_table(graph)
     dout = _require_equal([d[(1, 2)], d[(1, 3)], d[(2, 3)]], "outer triangle sides")
     dc = _require_equal([d[(1, 4)], d[(2, 4)], d[(3, 4)]], "vertex-to-center edges")
@@ -329,146 +308,97 @@ def interior_point_equilibrium(graph: FormationGraph, family: PotentialFamily) -
         return (3 * float(family.g(s2 - dout**2, dout))
                 + float(family.g(s2 / 3 - dc**2, dc)))
 
-    lo, hi = dout**2, 3 * dc**2
-    if f(lo) * f(hi) > 0:
-        raise OracleError(f"interior-point bracket failed on [{lo:.4g}, {hi:.4g}]")
-    s = np.sqrt(brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16))
-    radius = s / np.sqrt(3.0)
+    s = np.sqrt(_bracketed_root(f, dout**2, 3 * dc**2, "interior-point"))
     ang = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
     rigid = np.zeros((4, 3))
-    rigid[:3, 0] = radius * np.cos(ang)
-    rigid[:3, 1] = radius * np.sin(ang)
-    return _finalize(_flex_perp(rigid, graph), graph, family, "rootfind-coplanar",
-                     "degenerate_rigid", "interior_point", polish=True,
-                     pinned=_z_pins(graph))
+    rigid[:3, 0] = s / np.sqrt(3.0) * np.cos(ang)
+    rigid[:3, 1] = s / np.sqrt(3.0) * np.sin(ang)
+    return rigid, "rootfind-coplanar"
 
 
-def triple_coincident_equilibrium(graph: FormationGraph, family: PotentialFamily) -> CatalogEntry:
-    """Agents 1,2,3 at one point, agent 4 at its desired distance from it."""
-    if _require_certified(graph) != "tetrahedron":
-        raise OracleError("triple-coincident construction is 3-D only")
-    d = _distance_table(graph)
-    r = _require_equal([d[(1, 4)], d[(2, 4)], d[(3, 4)]], "edges to agent 4")
-    rigid = np.zeros((4, 3))
-    rigid[3, 0] = r
-    return _finalize(_flex_perp(rigid, graph), graph, family,
-                     "coincidence-construct", "degenerate_rigid", "triple_coincident")
+# One layout per subform, in the order of stability.SUBFORMS_2D / _3D.
+_LAYOUTS = {
+    2: dict(zip(SUBFORMS_2D, (
+        _Line((0, 1, 2), ((0.577, 0.577), (0.4, 0.7), (0.7, 0.4))),
+        _Line((1, 0, 0)),
+        _Line((0, 0, 0)),
+    ))),
+    3: dict(zip(SUBFORMS_3D, (
+        _square,
+        _interior_point,
+        _Line((0, 0, 0, 0)),
+        _Line((0, 0, 0, 1)),
+        _Line((0, 0, 1, 1)),
+        _Line((0, 0, 1, 2), ((0.6, 0.6), (0.4, 0.8), (0.8, 0.4), (0.3, 0.5))),
+        _Line((1, 1, 0, 2), ((0.6, 0.6), (0.9, 0.5), (0.5, 0.9), (1.1, 1.1))),
+        _Line((0, 1, 2, 3), ((0.5, 0.5, 0.5), (0.4, 0.6, 0.4), (0.6, 0.3, 0.6),
+                             (0.3, 0.8, 0.3), (0.7, 0.7, 0.7), (0.25, 0.4, 0.55))),
+    ))),
+}
+
+# Subforms with at most one gap: exact for every admissible potential family
+# whenever the crossing edges share one desired length.
+FAMILY_INDEPENDENT_SUBFORMS = {
+    dim: tuple(name for name, layout in table.items()
+               if isinstance(layout, _Line) and max(layout.slots) <= 1)
+    for dim, table in _LAYOUTS.items()
+}
 
 
-def double_pair_equilibrium(graph: FormationGraph, family: PotentialFamily) -> CatalogEntry:
-    """Pairs (1,2) and (3,4) coincident, separated so the cross sums cancel.
-
-    For a symmetric distance set the separation solves
-    g(r^2 - d13^2) + g(r^2 - d14^2) = 0; with all four cross distances equal
-    the root is exactly r = dbar, making the construction family-independent.
-    """
-    if _require_certified(graph) != "tetrahedron":
-        raise OracleError("double-pair construction is 3-D only")
-    d = _distance_table(graph)
-    cross = [d[(1, 3)], d[(1, 4)], d[(2, 3)], d[(2, 4)]]
-    if max(cross) - min(cross) < 1e-12:
-        r, method = cross[0], "coincidence-construct"
-    else:
-        da = _require_equal([d[(1, 3)], d[(2, 3)]], "d(1,3) = d(2,3)")
-        db = _require_equal([d[(1, 4)], d[(2, 4)]], "d(1,4) = d(2,4)")
-
-        def f(r):
-            return _g_of(family, r, da) + _g_of(family, r, db)
-
-        lo, hi = min(da, db), max(da, db)
-        r, method = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16), "rootfind-coplanar"
-    rigid = np.zeros((4, 3))
-    rigid[2, 0] = rigid[3, 0] = r
-    return _finalize(_flex_perp(rigid, graph), graph, family, method,
-                     "degenerate_rigid", "double_pair")
-
-
-def pair_endpoint_equilibrium(graph: FormationGraph, family: PotentialFamily) -> CatalogEntry:
-    """Coincident pair (1,2) at one end of a line, agents 3 and 4 beyond it."""
-    if _require_certified(graph) != "tetrahedron":
-        raise OracleError("pair-endpoint construction is 3-D only")
-    d = _distance_table(graph)
-    d13 = _require_equal([d[(1, 3)], d[(2, 3)]], "d(1,3) = d(2,3)")
-    d14 = _require_equal([d[(1, 4)], d[(2, 4)]], "d(1,4) = d(2,4)")
-    d34 = d[(3, 4)]
-    scale = np.mean([d13, d14, d34])
-
-    def eqs(x):
-        s, t = x
-        g13 = _g_of(family, abs(s), d13)
-        g14 = _g_of(family, abs(s + t), d14)
-        g34 = _g_of(family, abs(t), d34)
-        return [g13 * s + g14 * (s + t), 2 * g14 * (s + t) + g34 * t]
-
-    seeds = [(0.6 * scale, 0.6 * scale), (0.4 * scale, 0.8 * scale),
-             (0.8 * scale, 0.4 * scale), (0.3 * scale, 0.5 * scale)]
-    s, t = _multi_root(eqs, seeds, "pair-endpoint gaps (s, t)")
-    rigid = np.zeros((4, 3))
-    rigid[2, 0] = s
-    rigid[3, 0] = s + t
-    return _finalize(_flex_perp(rigid, graph), graph, family, "rootfind-coplanar",
-                     "degenerate_rigid", "pair_endpoint_collinear", polish=True)
-
-
-def pair_interior_equilibrium(graph: FormationGraph, family: PotentialFamily) -> CatalogEntry:
-    """Coincident pair (1,2) between agents 3 and 4 on a line."""
-    if _require_certified(graph) != "tetrahedron":
-        raise OracleError("pair-interior construction is 3-D only")
-    d = _distance_table(graph)
-    d13 = _require_equal([d[(1, 3)], d[(2, 3)]], "d(1,3) = d(2,3)")
-    d14 = _require_equal([d[(1, 4)], d[(2, 4)]], "d(1,4) = d(2,4)")
-    d34 = d[(3, 4)]
-    scale = np.mean([d13, d14, d34])
-
-    def eqs(x):
-        s, t = x                    # agent 3 at -s, pair at 0, agent 4 at t
-        g13 = _g_of(family, abs(s), d13)
-        g14 = _g_of(family, abs(t), d14)
-        g34 = _g_of(family, abs(s + t), d34)
-        return [2 * g13 * s + g34 * (s + t), 2 * g14 * t + g34 * (s + t)]
-
-    seeds = [(0.6 * scale, 0.6 * scale), (0.9 * scale, 0.5 * scale),
-             (0.5 * scale, 0.9 * scale), (1.1 * scale, 1.1 * scale)]
-    s, t = _multi_root(eqs, seeds, "pair-interior gaps (s, t)")
-    rigid = np.zeros((4, 3))
-    rigid[2, 0] = -s
-    rigid[3, 0] = t
-    return _finalize(_flex_perp(rigid, graph), graph, family, "rootfind-coplanar",
-                     "degenerate_rigid", "pair_interior_collinear", polish=True)
-
-
-def collinear_four_equilibrium(graph: FormationGraph, family: PotentialFamily) -> CatalogEntry:
-    """Four distinct collinear agents; three gaps from three agent balances."""
-    if _require_certified(graph) != "tetrahedron":
-        raise OracleError("four-agent collinear construction is 3-D only")
-    d = _distance_table(graph)
-    scale = float(np.mean(list(d.values())[:6]))
-
-    def eqs(x):
-        s1, s2, s3 = x
-        x_ = np.array([0.0, s1, s1 + s2, s1 + s2 + s3])
-        g = {pair: _g_of(family, abs(x_[pair[0] - 1] - x_[pair[1] - 1]), d[pair])
-             for pair in d if pair[1] <= 4}
-        f1 = sum(g[(1, j)] * (x_[0] - x_[j - 1]) for j in (2, 3, 4))
-        f2 = (g[(1, 2)] * (x_[1] - x_[0]) + g[(2, 3)] * (x_[1] - x_[2])
-              + g[(2, 4)] * (x_[1] - x_[3]))
-        f4 = sum(g[(min(j, 4), max(j, 4))] * (x_[3] - x_[j - 1]) for j in (1, 2, 3))
-        return [f1, f2, f4]
-
-    seeds = [np.array(sc) * scale for sc in
-             [(0.5, 0.5, 0.5), (0.4, 0.6, 0.4), (0.6, 0.3, 0.6),
-              (0.3, 0.8, 0.3), (0.7, 0.7, 0.7), (0.25, 0.4, 0.55)]]
-    s1, s2, s3 = _multi_root(eqs, seeds, "collinear gaps (s1, s2, s3)")
-    rigid = np.zeros((4, 3))
-    rigid[:, 0] = [0.0, s1, s1 + s2, s1 + s2 + s3]
-    return _finalize(_flex_perp(rigid, graph), graph, family, "rootfind-coplanar",
-                     "degenerate_rigid", "collinear_distinct", polish=True)
+def _layout(graph: FormationGraph, subform: str):
+    _require_certified(graph)
+    table = _LAYOUTS[graph.dimension]
+    if subform not in table:
+        raise OracleError(f"unknown subform {subform!r} for dimension "
+                          f"{graph.dimension}; known: {sorted(table)}")
+    return table[subform]
 
 
 def _z_pins(graph: FormationGraph):
     """Flat indices of every third coordinate of the rigid agents."""
     d = graph.dimension
     return [i * d + (d - 1) for i in graph.rigid_nodes]
+
+
+_BOUNDARY = ("construction lies on the coincidence boundary, where this "
+             "potential family diverges (outside its domain)")
+
+
+def _finalize(positions, graph: FormationGraph, family: PotentialFamily, method: str,
+              expect=None, polish=False, pinned=()) -> CatalogEntry:
+    """Polish (if asked), check the domain, classify, and build the entry.
+
+    ``expect`` is the (kind, subform) the point must classify as, if any.
+    """
+    p = as_positions(positions, graph)
+    if polish:
+        p = newton_polish(p, graph, family, pinned=pinned).reshape(p.shape)
+    if not family_admits(p, graph, family):
+        raise OracleError(_BOUNDARY)
+    cls = classify(p, graph, family)
+    residual = cls.diagnostics["residual"]
+    if expect is not None and (cls.kind, cls.subform) != expect:
+        raise OracleError(
+            f"constructed point classifies as {cls.kind}/{cls.subform}, "
+            f"expected {expect[0]}/{expect[1]} (residual {residual:.3e})")
+    return CatalogEntry(positions=p, kind=cls.kind, subform=cls.subform,
+                        residual=residual, method=method, family_name=family.name)
+
+
+def construct_equilibrium(graph: FormationGraph, family: PotentialFamily,
+                          subform: str) -> CatalogEntry:
+    """The degenerate equilibrium of one subform, from its layout.
+
+    Raises OracleError when the desired distances do not admit the layout,
+    the root-finder fails, or the point leaves the family's domain.
+    """
+    rigid, method = _layout(graph, subform)(graph, family)
+    flex = rigid[-1].copy()
+    flex[-1] += graph.desired[graph.flex_edge_index]
+    return _finalize(np.vstack([rigid, flex]), graph, family, method,
+                     ("degenerate_rigid", subform),
+                     polish=method != "coincidence-construct",
+                     pinned=_z_pins(graph) if method == "rootfind-coplanar" else ())
 
 
 # ---------------------------------------------------------------------------
@@ -489,91 +419,35 @@ def capture_equilibrium_from_flow(p0, graph: FormationGraph, family: PotentialFa
             raise OracleError(f"no equilibrium detected before t = {t_max}")
         idx = int(np.argmin(np.abs(traj.times - hit)))
         p = traj.states[idx]
-    p = newton_polish(p, graph, family)
-    residual = float(balance_residuals(p, graph, family).max())
-    cls = classify(p, graph, family)
-    return CatalogEntry(positions=p.reshape(graph.num_nodes, graph.dimension),
-                        kind=cls.kind, subform=cls.subform, residual=residual,
-                        method="flow-capture", family_name=family.name)
+    return _finalize(p, graph, family, "flow-capture", polish=True)
 
 
 # ---------------------------------------------------------------------------
 # Catalog assembly
 
 
-BUILDERS_2D = {
-    "collinear_distinct": find_collinear_equilibrium,
-    "coincident_pair": coincident_pair_equilibrium,
-    "all_coincident": all_coincident_equilibrium,
-}
-
-BUILDERS_3D = {
-    "convex_quadrilateral": square_equilibrium,
-    "interior_point": interior_point_equilibrium,
-    "all_coincident": all_coincident_equilibrium,
-    "triple_coincident": triple_coincident_equilibrium,
-    "double_pair": double_pair_equilibrium,
-    "pair_endpoint_collinear": pair_endpoint_equilibrium,
-    "pair_interior_collinear": pair_interior_equilibrium,
-    "collinear_distinct": collinear_four_equilibrium,
-}
-
-# Subforms whose construction is exact for every admissible potential family.
-FAMILY_INDEPENDENT_SUBFORMS = {
-    2: ("coincident_pair", "all_coincident"),
-    3: ("all_coincident", "triple_coincident", "double_pair"),
-}
-
-
-def family_admits(p, graph: FormationGraph, family: PotentialFamily) -> bool:
-    """True when the family's potential is finite at this realization.
-
-    Families that blow up at the coincidence boundary (phi -> inf as
-    ||z|| -> 0) exclude coincidence configurations from their domain, so
-    those constructions are not equilibria for them.
-    """
-    st = edge_states(p, graph, family)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        phi = np.asarray(family.phi(st.e, graph.desired_array), dtype=float)
-        return bool(np.all(np.isfinite(phi)) and np.all(np.isfinite(st.g)))
-
-
-def build_catalog(graph: FormationGraph, family: PotentialFamily,
-                  subforms=None, include_flex_coincident: bool = True):
-    """Construct every requested undesired equilibrium for the topology.
+def build_catalog(graph: FormationGraph, family: PotentialFamily, subforms=None):
+    """Construct the flex-coincident and every requested degenerate equilibrium.
 
     Returns (entries, failures): entries in a deterministic order, failures a
-    subform -> message map for constructions that did not succeed with this
-    distance set / family (reported, not raised).
+    name -> message map for constructions that did not succeed with this
+    distance set / family (reported, not raised).  An unknown subform name
+    raises OracleError.
     """
     _require_certified(graph)
-    builders = BUILDERS_2D if graph.dimension == 2 else BUILDERS_3D
-    if subforms is None:
-        subforms = list(builders)
+    names = list(_LAYOUTS[graph.dimension]) if subforms is None else list(subforms)
+    for name in names:
+        _layout(graph, name)
     entries, failures = [], {}
-    boundary_msg = ("construction lies on the coincidence boundary, where this "
-                    "potential family diverges (outside its domain)")
-    if include_flex_coincident:
-        p = flex_coincident_equilibrium(graph)
-        if family_admits(p, graph, family):
-            residual = float(balance_residuals(p, graph, family).max())
-            entries.append(CatalogEntry(positions=p, kind="flex_coincident",
-                                        subform=None, residual=residual,
-                                        method="coincidence-construct",
-                                        family_name=family.name))
-        else:
-            failures["flex_coincident"] = boundary_msg
-    for name in subforms:
-        if name not in builders:
-            raise OracleError(f"unknown subform {name!r} for dimension "
-                              f"{graph.dimension}; known: {sorted(builders)}")
+    for name in ["flex_coincident", *names]:
         try:
-            entry = builders[name](graph, family)
+            if name == "flex_coincident":
+                entry = _finalize(flex_coincident_equilibrium(graph), graph, family,
+                                  "coincidence-construct", ("flex_coincident", None))
+            else:
+                entry = construct_equilibrium(graph, family, name)
         except OracleError as exc:
             failures[name] = str(exc)
-            continue
-        if family_admits(entry.positions, graph, family):
-            entries.append(entry)
         else:
-            failures[name] = boundary_msg
+            entries.append(entry)
     return entries, failures

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import edge_states
+from .control import edge_states, potential_value
 from .graph import FormationGraph, as_positions
-from .potentials import PotentialFamily
+from .potentials import PotentialDomainError, PotentialFamily
 
 # Default tolerances (overridable per call).
 EQ_TOL = 1e-9          # balance residual for equilibrium membership
@@ -30,6 +30,16 @@ GEOM_TOL = 1e-7        # collinearity/coplanarity via smallest singular value
 
 class WitnessNotFoundError(RuntimeError):
     """No strictly negative direction found for a claimed undesired equilibrium."""
+
+
+def family_admits(p, graph: FormationGraph, family: PotentialFamily) -> bool:
+    """True when the family's potential V is finite at this realization.
+
+    Families that blow up at the coincidence boundary (phi -> inf as
+    ||z|| -> 0) exclude coincidence configurations from their domain, so
+    those points are not equilibria for them.
+    """
+    return bool(np.isfinite(potential_value(p, graph, family)))
 
 
 # ---------------------------------------------------------------------------
@@ -627,9 +637,17 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
 
     Witness construction and sign-property tables are only attempted for the
     two certified topologies; other graphs get spectrum and class only.
+    Raises PotentialDomainError at finite positions where V is not finite
+    (the coincidence boundary of a family that diverges there).
     """
     cls = classify(p, graph, family, eq_tol=eq_tol)
     h = assemble_hessian(p, graph, family)
+    finite_h = bool(np.isfinite(h).all())
+    # V diverges only where some g does, so only a non-finite H needs the check
+    if (not finite_h and np.isfinite(as_positions(p, graph)).all()
+            and not family_admits(p, graph, family)):
+        raise PotentialDomainError(f"realization lies on the coincidence boundary, where "
+                                   f"the {family.name} potential diverges (outside its domain)")
     certified = graph.certified_topology() is not None
 
     witness = None
@@ -645,13 +663,12 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     else:
         rotation = np.eye(graph.dimension)
 
-    if np.all(np.isfinite(h)):
+    if finite_h:
         spectrum = np.linalg.eigvalsh(h)
         block_spectrum = np.linalg.eigvalsh(_aligned_last_block(h, rotation))
         min_eig, is_psd = _psd_verdict(spectrum, eig_tol)
     else:
-        # coincidence boundary of a family that blows up there: curvature is
-        # unbounded below, no finite spectrum exists
+        # non-finite coordinates: no finite spectrum exists
         spectrum = None
         block_spectrum = None
         min_eig, is_psd = -np.inf, False

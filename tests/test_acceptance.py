@@ -22,7 +22,7 @@ from rigidflex.cli import _resolve_scenario
 from rigidflex.control import edge_states, gradient_control, local_frame_control, leader_spec_from_json
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.integrator import integrate, random_perturbation
-from rigidflex.oracle import build_catalog, desired_equilibrium, pair_endpoint_equilibrium
+from rigidflex.oracle import build_catalog, construct_equilibrium, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
 from rigidflex.stability import (
     analyze,
@@ -224,7 +224,7 @@ def test_criterion_07_instability_certificates_3d():
     tailored = FormationGraph(num_nodes=5, dimension=3, edges=edges,
                               desired=tuple(des[e] for e in edges),
                               flex_edge=(4, 5))
-    entry = pair_endpoint_equilibrium(tailored, QUADRATIC)
+    entry = construct_equilibrium(tailored, QUADRATIC, "pair_endpoint_collinear")
     w = instability_witness(entry.positions, tailored, QUADRATIC)
     assert w.quadratic_form < 0
 

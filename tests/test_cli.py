@@ -7,7 +7,8 @@ import pytest
 
 from rigidflex.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, bundled_scenario_names, main
 from rigidflex.graph import graph_to_json, triangle_flex
-from rigidflex.oracle import desired_equilibrium, find_collinear_equilibrium
+from rigidflex.oracle import (construct_equilibrium, desired_equilibrium,
+                              flex_coincident_equilibrium)
 from rigidflex.potentials import QUADRATIC
 
 
@@ -87,7 +88,7 @@ def test_run_rational_start_on_coincidence_boundary_exits_numeric(tmp_path, caps
 
 
 def test_analyze_saddle_reports_witness(tmp_path, graph_file):
-    entry = find_collinear_equilibrium(triangle_flex(), QUADRATIC)
+    entry = construct_equilibrium(triangle_flex(), QUADRATIC, "collinear_distinct")
     real = tmp_path / "saddle.json"
     real.write_text(json.dumps({"positions": entry.positions.tolist()}))
     assert main(["analyze", str(real), str(graph_file),
@@ -174,3 +175,14 @@ def test_run_reports_failed_newton_polish(tmp_path, monkeypatch, capsys):
     report = json.loads((tmp_path / "bad" / "scenario_equilibrium_000.json").read_text())
     assert report["polished"] is False
     assert report["class"] == "desired"
+
+
+def test_analyze_rational_coincidence_point_is_config_error(tmp_path, graph_file, capsys):
+    """V is infinite there: a one-line domain error with exit 2, not a
+    missing-witness failure."""
+    real = tmp_path / "coincident.json"
+    p = flex_coincident_equilibrium(triangle_flex())
+    real.write_text(json.dumps({"positions": p.tolist()}))
+    assert main(["analyze", str(real), str(graph_file), "--family", "rational"]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "coincidence boundary" in err[0]

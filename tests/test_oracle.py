@@ -1,6 +1,7 @@
 """Equilibrium constructions: residuals, classifications, family dependence."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,22 +9,20 @@ import pytest
 from rigidflex.control import balance_residuals
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
+    _LAYOUTS,
     FAMILY_INDEPENDENT_SUBFORMS,
     OracleError,
     build_catalog,
     capture_equilibrium_from_flow,
+    construct_equilibrium,
     desired_equilibrium,
-    find_collinear_equilibrium,
     flex_coincident_equilibrium,
     newton_polish,
-    pair_endpoint_equilibrium,
     read_catalog,
-    square_equilibrium,
-    interior_point_equilibrium,
     write_catalog,
 )
 from rigidflex.potentials import QUADRATIC, RATIONAL
-from rigidflex.stability import classify
+from rigidflex.stability import EQ_TOL, SUBFORMS_2D, SUBFORMS_3D, classify
 
 
 def test_desired_equilibrium_hits_all_distances():
@@ -38,7 +37,7 @@ def test_collinear_equilibrium_known_gap():
     """Quadratic family, equal distances: the symmetric gap solves
     g(s^2 - 16) + 2 g(4 s^2 - 16) = 0, i.e. s^2 = 16/3."""
     g = triangle_flex()
-    entry = find_collinear_equilibrium(g, QUADRATIC)
+    entry = construct_equilibrium(g, QUADRATIC, "collinear_distinct")
     rigid = entry.positions[:3]
     gaps = np.linalg.norm(np.diff(rigid, axis=0), axis=1)
     np.testing.assert_allclose(gaps**2, 16.0 / 3.0, rtol=1e-9)
@@ -47,7 +46,7 @@ def test_collinear_equilibrium_known_gap():
 
 def test_square_equilibrium_known_side():
     g = tetrahedron_flex()
-    entry = square_equilibrium(g, QUADRATIC)
+    entry = construct_equilibrium(g, QUADRATIC, "convex_quadrilateral")
     side = np.linalg.norm(entry.positions[0] - entry.positions[1])
     assert side**2 == pytest.approx(32.0 / 3.0, rel=1e-9)
     assert entry.residual < 1e-12
@@ -55,7 +54,7 @@ def test_square_equilibrium_known_side():
 
 def test_interior_point_equilibrium_known_side():
     g = tetrahedron_flex()
-    entry = interior_point_equilibrium(g, QUADRATIC)
+    entry = construct_equilibrium(g, QUADRATIC, "interior_point")
     side = np.linalg.norm(entry.positions[0] - entry.positions[1])
     assert side**2 == pytest.approx(19.2, rel=1e-9)
     assert entry.residual < 1e-12
@@ -99,7 +98,7 @@ def test_pair_endpoint_constructible_with_tailored_distances():
            (4, 5): 4.0}
     g = FormationGraph(num_nodes=5, dimension=3, edges=edges,
                        desired=tuple(des[e] for e in edges), flex_edge=(4, 5))
-    entry = pair_endpoint_equilibrium(g, QUADRATIC)
+    entry = construct_equilibrium(g, QUADRATIC, "pair_endpoint_collinear")
     assert entry.subform == "pair_endpoint_collinear"
     assert entry.residual < 1e-12
     x = entry.positions[:4, 0]
@@ -121,14 +120,14 @@ def test_family_independence_of_coincidence_constructions():
 
 def test_rootfound_equilibria_are_family_dependent():
     g = triangle_flex()
-    entry = find_collinear_equilibrium(g, QUADRATIC)
+    entry = construct_equilibrium(g, QUADRATIC, "collinear_distinct")
     # the same geometry does not balance under the other family
     assert balance_residuals(entry.positions, g, RATIONAL).max() > 1e-3
 
 
 def test_newton_polish_restores_perturbed_equilibrium():
     g = triangle_flex()
-    entry = find_collinear_equilibrium(g, QUADRATIC)
+    entry = construct_equilibrium(g, QUADRATIC, "collinear_distinct")
     rng = np.random.default_rng(0)
     p = entry.positions.reshape(-1) + 1e-4 * rng.standard_normal(8)
     polished = newton_polish(p, g, QUADRATIC)
@@ -185,3 +184,112 @@ def test_uncertified_topology_rejected():
                        desired=(4.0, 4.0), flex_edge=(2, 3))
     with pytest.raises(OracleError):
         build_catalog(g, QUADRATIC)
+
+
+def tetrahedron_with(des):
+    """Tetrahedron-plus-flex graph with desired lengths des[(i, j)]."""
+    edges = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5))
+    return FormationGraph(num_nodes=5, dimension=3, edges=edges,
+                          desired=tuple(des.get(e, 4.0) for e in edges), flex_edge=(4, 5))
+
+
+TAILORED = tetrahedron_with({(1, 3): math.sqrt(26.5), (2, 3): math.sqrt(26.5),
+                             (3, 4): math.sqrt(39.0)})
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+def test_double_pair_with_crossed_unequal_distances(family):
+    """Pairs (1,2) and (3,4) balance when d13 = d24 and d14 = d23: each agent
+    sees one edge of each length across the gap, so g(r, d13) + g(r, d14) = 0
+    holds at every agent (quadratic: 2 r^2 = 16 + 25).  The rational family
+    balances there too, but the coincident pairs lie outside its domain."""
+    g = tetrahedron_with({(1, 4): 5.0, (2, 3): 5.0})
+    rigid, method = _LAYOUTS[3]["double_pair"](g, family)
+    assert method == "rootfind-collinear"
+    p = np.vstack([rigid, rigid[-1] + [0.0, 0.0, 4.0]])
+    assert balance_residuals(p, g, family).max() < 1e-12
+    if family is QUADRATIC:
+        entry = construct_equilibrium(g, family, "double_pair")
+        assert (entry.kind, entry.subform) == ("degenerate_rigid", "double_pair")
+        assert entry.residual < 1e-12
+        r = np.linalg.norm(entry.positions[2] - entry.positions[0])
+        assert r**2 == pytest.approx(20.5, rel=1e-12)
+    else:
+        with pytest.raises(OracleError, match="boundary"):
+            construct_equilibrium(g, family, "double_pair")
+    # the unbalanced pairing (d13 = d23, d14 = d24) is refused up front
+    with pytest.raises(OracleError, match="needs equal desired distances"):
+        construct_equilibrium(tetrahedron_with({(1, 4): 5.0, (2, 4): 5.0}),
+                              family, "double_pair")
+
+
+def test_pair_interior_equilibrium_known_gap():
+    """Quadratic family, equal distances: the pair sits midway and the gap s
+    solves 2 g(s^2 - 16) + 2 g(4 s^2 - 16) = 0, i.e. s^2 = 32/5."""
+    entry = construct_equilibrium(tetrahedron_flex(), QUADRATIC, "pair_interior_collinear")
+    x = np.sort(entry.positions[:4, 0] - entry.positions[0, 0])
+    np.testing.assert_allclose(np.diff(x)[[0, 2]] ** 2, 32.0 / 5.0, rtol=1e-12)
+    assert abs(x[1] - x[2]) < 1e-12
+    assert entry.residual < 1e-12
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED])
+def test_catalog_raises_no_warning(graph, family):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entries, _ = build_catalog(graph, family)
+    assert entries
+    assert all(e.residual < EQ_TOL for e in entries)
+
+
+def test_layout_table_follows_the_subform_tags():
+    """One layout per subform tag, in tag order, each with the flex agent at
+    its desired length along the last axis; the family-independent subforms
+    are exactly those built without a root-finder."""
+    for g, tags in ((triangle_flex(), SUBFORMS_2D), (tetrahedron_flex(), SUBFORMS_3D)):
+        entries, failures = build_catalog(g, QUADRATIC)
+        assert tuple(_LAYOUTS[g.dimension]) == tags
+        assert [e.subform for e in entries[1:]] == [t for t in tags if t not in failures]
+        for e in entries[1:]:
+            offset = e.positions[-1] - e.positions[-2]
+            np.testing.assert_allclose(offset, np.eye(g.dimension)[-1] * 4.0, atol=1e-9)
+        exact = tuple(e.subform for e in entries
+                      if e.kind == "degenerate_rigid" and e.method == "coincidence-construct")
+        assert FAMILY_INDEPENDENT_SUBFORMS[g.dimension] == exact
+
+
+def test_construct_rejects_unknown_subform():
+    with pytest.raises(OracleError, match="unknown subform"):
+        construct_equilibrium(triangle_flex(), QUADRATIC, "double_pair")
+    with pytest.raises(OracleError, match="unknown subform"):
+        build_catalog(tetrahedron_flex(), QUADRATIC, subforms=["square"])
+
+
+def test_newton_polish_runs_two_kernel_passes_per_iteration(monkeypatch):
+    """Each iteration takes its residual from the control pass that also
+    gives the Newton right-hand side, and assembles one Hessian."""
+    import rigidflex.control as control
+    import rigidflex.oracle as oracle
+
+    counts = {"kernel": 0, "hessian": 0}
+    kernel, hessian = control._edge_kernel, oracle.assemble_hessian
+
+    def counted_kernel(*args):
+        counts["kernel"] += 1
+        return kernel(*args)
+
+    def counted_hessian(*args):
+        counts["hessian"] += 1
+        return hessian(*args)
+
+    monkeypatch.setattr(control, "_edge_kernel", counted_kernel)
+    monkeypatch.setattr(oracle, "assemble_hessian", counted_hessian)
+    g = triangle_flex()
+    p = construct_equilibrium(g, QUADRATIC, "collinear_distinct").positions
+    p = p + 1e-4 * np.random.default_rng(3).standard_normal(p.shape)
+    counts.update(kernel=0, hessian=0)
+    polished = newton_polish(p, g, QUADRATIC)
+    assert counts["hessian"] >= 2
+    assert counts["kernel"] == 2 * counts["hessian"] + 1
+    assert balance_residuals(polished, g, QUADRATIC).max() < 1e-12

@@ -9,11 +9,11 @@ from rigidflex.control import balance_residuals, edge_states, gradient_control
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     build_catalog,
+    construct_equilibrium,
     desired_equilibrium,
-    find_collinear_equilibrium,
     flex_coincident_equilibrium,
 )
-from rigidflex.potentials import QUADRATIC, RATIONAL
+from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialDomainError
 from rigidflex.stability import (
     WitnessNotFoundError,
     alignment_rotation,
@@ -173,7 +173,7 @@ def test_classify_flex_coincident():
 
 def test_classify_collinear_subform():
     g = triangle_flex()
-    entry = find_collinear_equilibrium(g, QUADRATIC)
+    entry = construct_equilibrium(g, QUADRATIC, "collinear_distinct")
     cls = classify(entry.positions, g, QUADRATIC)
     assert cls.kind == "degenerate_rigid"
     assert cls.subform == "collinear_distinct"
@@ -181,7 +181,7 @@ def test_classify_collinear_subform():
 
 def test_alignment_rotation_moves_degeneracy_to_last_axis():
     g = triangle_flex()
-    entry = find_collinear_equilibrium(g, QUADRATIC)
+    entry = construct_equilibrium(g, QUADRATIC, "collinear_distinct")
     th = 0.7
     r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     p = entry.positions @ r.T
@@ -206,7 +206,7 @@ def test_flex_sum_witness_form_equals_flex_gradient():
 
 def test_indicator_witness_form_equals_incident_gradient_sum():
     g = triangle_flex()
-    entry = find_collinear_equilibrium(g, QUADRATIC)
+    entry = construct_equilibrium(g, QUADRATIC, "collinear_distinct")
     w = instability_witness(entry.positions, g, QUADRATIC)
     assert w.tag == "agent_indicator"
     agent = int(np.argmax(np.abs(w.vector))) + 1
@@ -261,7 +261,7 @@ def test_sign_properties_pass_on_catalog():
 def test_analyze_report_serializes():
     import json
     g = triangle_flex()
-    entry = find_collinear_equilibrium(g, QUADRATIC)
+    entry = construct_equilibrium(g, QUADRATIC, "collinear_distinct")
     report = analyze(entry.positions, g, QUADRATIC)
     doc = json.dumps(report.to_json_dict(), allow_nan=False)
     assert "collinear_distinct" in doc
@@ -307,7 +307,7 @@ def test_classify_runs_one_kernel_pass(monkeypatch):
     g = triangle_flex()
     rng = np.random.default_rng(4)
     points = [desired_equilibrium(g), flex_coincident_equilibrium(g),
-              find_collinear_equilibrium(g, QUADRATIC).positions,
+              construct_equilibrium(g, QUADRATIC, "collinear_distinct").positions,
               rng.uniform(-3.0, 3.0, (g.num_nodes, g.dimension))]
     for p in points:
         residual = float(balance_residuals(p, g, QUADRATIC).max())
@@ -347,3 +347,21 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         assert counts["assemble_hessian"] == 1
         assert counts["alignment_rotation"] <= 1
         assert counts["edge_states"] == (3 if entry.kind == "degenerate_rigid" else 2)
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
+def test_analyze_rejects_rational_coincidence_points(graph):
+    """The coincidence constructions (flex-coincident and the exact
+    degenerate ones, 7 over both topologies) lie where the rational V is
+    infinite: analyze reports a domain error there, raw and rigidly moved,
+    and a witness for the quadratic family."""
+    entries, _ = build_catalog(graph, QUADRATIC)
+    points = [e.positions for e in entries if e.method == "coincidence-construct"]
+    assert len(points) == (3 if graph.dimension == 2 else 4)
+    rng = np.random.default_rng(17)
+    d = graph.dimension
+    for p in points:
+        for q in (p, p @ random_rotation(rng, d).T + rng.standard_normal(d)):
+            with pytest.raises(PotentialDomainError, match="coincidence boundary"):
+                analyze(q, graph, RATIONAL)
+        assert analyze(p, graph, QUADRATIC).witness is not None
