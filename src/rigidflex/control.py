@@ -28,17 +28,21 @@ class EdgeState:
     u: np.ndarray      # (N+1, d) control of the same pass, u_i = -sum_j g_ij z_ij
 
 
-def _edge_kernel(pos: np.ndarray, graph: FormationGraph, family: PotentialFamily):
+def _edge_kernel(pos: np.ndarray, graph: FormationGraph, family: PotentialFamily,
+                 u: np.ndarray | None = None):
     """The one pass over the edges shared by the control, the potential and
     the Hessian, at an (N+1, d) realization ``pos``.
 
     Returns edge vectors z = B^T p (m, d), squared errors e, gradients g and
     the control u = (-B)(g z) as (N+1, d) blocks, from the graph's cached
-    B^T and -B.  An exactly-zero edge vector contributes no force, even for
-    families whose g diverges at the coincidence boundary: zeroing its g z
-    changes nothing unless that product is non-finite.  There is no domain
-    check here: e = ||z||^2 - dbar^2 >= -dbar^2 holds by construction, also
-    in floating point.  The kernel sets no floating-point error state (g may
+    B^T and -B.  The control is written into ``u`` when a C-contiguous
+    (N+1, d) float buffer is given, else into a fresh array.  An
+    exactly-zero edge vector contributes no force, even for families whose
+    g diverges at the coincidence boundary: zeroing its g z changes nothing
+    unless that product is non-finite.  There is no domain check here:
+    ||z||^2 is a sum of squares, so it is >= 0 (or NaN), and rounding is
+    monotone, so e = fl(||z||^2 - dbar^2) >= -dbar^2 also in floating
+    point.  The kernel sets no floating-point error state (g may
     divide by zero at the coincidence boundary; non-finite input gives
     invalid products): each public entry point that runs it enters
     ``_ignore_fp`` once per call.
@@ -49,13 +53,13 @@ def _edge_kernel(pos: np.ndarray, graph: FormationGraph, family: PotentialFamily
     the node's own edges.
     """
     z = np.dot(graph._incidence_t, pos)
-    sq = np.einsum("ij,ij->i", z, z)
+    sq = np.vecdot(z, z)
     e = sq - graph._dbar2
     g = np.asarray(family.g(e, graph._dbar), dtype=float)
     f = g[:, None] * z
     if np.count_nonzero(sq) < len(sq):
         f[sq == 0.0] = 0.0
-    return z, e, g, np.dot(graph._neg_incidence, f)
+    return z, e, g, np.dot(graph._neg_incidence, f, out=u)
 
 
 _ignore_fp = np.errstate(divide="ignore", invalid="ignore")   # used as a decorator; nests safely

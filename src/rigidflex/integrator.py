@@ -9,6 +9,7 @@ potential in leader-target mode) is monitored step by step.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,7 +17,7 @@ from scipy.integrate import solve_ivp
 
 from .control import LeaderSpec, _edge_kernel, _ignore_fp, _lyapunov, gradient_control
 from .graph import FormationGraph, as_positions
-from .potentials import PotentialFamily, check_domain
+from .potentials import PotentialFamily
 
 
 class IntegrationError(RuntimeError):
@@ -107,16 +108,24 @@ class Trajectory:
             fh.write("\n")
 
 
-def _rk4_step(f, t, p, h, k1):
-    """One classical RK4 step; ``k1`` = f(t, p), supplied by the caller, is overwritten."""
-    k2 = f(t + 0.5 * h, p + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, p + 0.5 * h * k2)
-    k4 = f(t + h, p + h * k3)
-    k1 += 2.0 * k2
-    k1 += 2.0 * k3
-    k1 += k4
-    k1 *= h / 6.0
-    return np.add(p, k1, out=k1)
+_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
+
+
+def _rk4_step(f, t, p, h, k, s):
+    """One classical RK4 step from the (N+1, d) state ``p``; returns a new array.
+
+    ``k`` is the (4, N+1, d) stage stack: the caller supplies k[0] = f(t, p),
+    and ``f(t, state, out)`` writes each later stage into its slot.  Every
+    stage state p + c k is built in the scratch buffer ``s``.
+    """
+    half = 0.5 * h
+    np.multiply(k[0], half, out=s)
+    f(t + half, np.add(p, s, out=s), k[1])
+    np.multiply(k[1], half, out=s)
+    f(t + half, np.add(p, s, out=s), k[2])
+    np.multiply(k[2], h, out=s)
+    f(t + h, np.add(p, s, out=s), k[3])
+    return p + (h / 6.0) * np.dot(_RK4_WEIGHTS, k.reshape(4, -1)).reshape(p.shape)
 
 
 @_ignore_fp
@@ -133,18 +142,28 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
 
     The state is an (N+1, d) array, the edge kernel's layout.  The
     fixed-step loop runs the kernel once per accepted state and reuses that
-    pass as the next step's first RK4 stage and for the domain check, the
-    Lyapunov value, the record and the equilibrium check: four kernel passes
-    per step, plus one at the start of each segment.  The whole call ignores
-    floating-point divide/invalid errors once.  A non-finite state, or a
-    segment start (p0 or a perturbed state) where V is not finite, raises.
+    pass as the next step's first RK4 stage and for the Lyapunov value, the
+    record and the equilibrium check: four kernel passes per step, plus one
+    at the start of each segment.  The kernel writes the four stages into
+    one (4, N+1, d) stage stack, which the step combines in one product.
+    The whole call ignores floating-point divide/invalid errors once.
+
+    One guard per step: the Lyapunov value at the new state must be finite.
+    A non-finite coordinate makes every squared error, hence V, non-finite,
+    and the kernel cannot leave the potential's domain (e >= -dbar^2 by
+    construction), so this also covers a state that blows up.  It raises
+    IntegrationError with the time and state before the failed step; a
+    segment start (p0 or a perturbed state) where V is not finite raises
+    the same way.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     leader = leader or LeaderSpec()
     n, d = graph.num_nodes, graph.dimension
     p = as_positions(p0, graph).astype(float)
-    lowest_e = -graph._dbar2
+    stack = np.empty((4, n, d))     # RK4 stages; slot 0 holds the accepted state's pass
+    scratch = np.empty((n, d))      # RK4 stage state
+    k1 = stack[0]
 
     def drive(t, state, u):
         """Closed-loop velocity: adds the leader input to u in place."""
@@ -152,24 +171,28 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             u[-1] += leader.flex_input(t, state[-1])
         return u
 
-    def stage(t, state):
-        return drive(t, state, _edge_kernel(state, graph, family)[3])
+    def stage(t, state, out=None):
+        return drive(t, state, _edge_kernel(state, graph, family, out)[3])
 
     def evaluate(state):
-        """Kernel pass at an accepted state: squared errors, control, Lyapunov value."""
-        _, e, _, u = _edge_kernel(state, graph, family)
-        if (e < lowest_e).any():
-            check_domain(e, graph._dbar)
+        """Kernel pass at an accepted state, its control written into ``k1``:
+        squared errors, control, Lyapunov value."""
+        _, e, _, u = _edge_kernel(state, graph, family, k1)
         return e, u, _lyapunov(state, e, graph, family, leader)
+
+    def guard(w, t_w, t, state):
+        """Raise unless the Lyapunov value w reached at t_w is finite; the
+        error carries the last accepted time and state."""
+        if not math.isfinite(w):
+            raise IntegrationError(
+                f"Lyapunov value {w!r} at t={t_w:g} is not finite (coincident "
+                "agents on the potential's boundary, or a non-finite state)",
+                time=t, last_state=state)
 
     def start(t, state):
         """``evaluate`` at the start of a segment, where V must be finite."""
         e, u, w = evaluate(state)
-        if not np.isfinite(w):
-            raise IntegrationError(
-                f"Lyapunov value {w!r} at t={t:g} is not finite (coincident "
-                "agents on the potential's boundary, or a non-finite state)",
-                time=t, last_state=state)
+        guard(w, t, t, state)
         return e, u, w
 
     schedule = sorted(events, key=lambda ev: ev.time)
@@ -228,13 +251,11 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             step_count = 0
             while boundary - t > 1e-12:
                 h = min(dt, boundary - t)
-                p_new = _rk4_step(stage, t, p, h, drive(t, p, u))
-                if not np.isfinite(p_new).all():
-                    raise IntegrationError(
-                        "state became non-finite (potential-domain blow-up?)",
-                        time=t, last_state=p)
+                drive(t, p, k1)
+                p_new = _rk4_step(stage, t, p, h, stack, scratch)
+                e, u, w = evaluate(p_new)
+                guard(w, t + h, t, p)
                 p, t = p_new, t + h
-                e, u, w = evaluate(p)
                 max_dv = max(max_dv, w - w_prev)
                 w_prev = w
                 step_count += 1

@@ -14,7 +14,7 @@ from rigidflex.integrator import (
     random_perturbation,
 )
 from rigidflex.oracle import desired_equilibrium
-from rigidflex.potentials import QUADRATIC, RATIONAL
+from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
 
 
 def test_desired_start_is_constant_trajectory():
@@ -244,3 +244,38 @@ def test_integrate_matches_reference_rk4_on_public_control(graph, family, mode):
     assert len(ref_states) == 301 and traj.states.shape == ref_states.shape
     assert np.abs(traj.states - ref_states).max() <= 1e-12 * np.abs(ref_states).max()
     assert traj.events == ref_log
+
+
+def test_non_finite_leader_input_mid_run_raises_at_the_last_finite_state():
+    """A windowed leader whose v(t) is NaN from t = 0.15 on: the step that
+    reaches it raises with the time and state before that step."""
+    g = triangle_flex()
+    p0 = desired_equilibrium(g)
+    spec = LeaderSpec(mode="windowed", t0=0.1, tf=0.2,
+                      v=lambda t: np.full(2, np.nan if t >= 0.15 else 0.5))
+    with pytest.raises(IntegrationError, match="not finite") as info:
+        integrate(p0, g, QUADRATIC, t_end=0.3, dt=1e-3, leader=spec)
+    t = info.value.time
+    assert 0.15 - 1e-3 < t < 0.15
+    last = info.value.last_state
+    assert last.shape == (4, 2) and np.isfinite(last).all()
+    held = integrate(p0, g, QUADRATIC, t_end=t, dt=1e-3, leader=spec).final_state
+    np.testing.assert_allclose(last.reshape(-1), held, rtol=1e-12, atol=0)
+
+
+def test_infinite_lyapunov_value_at_finite_positions_raises():
+    """V = inf at finite positions stops the run like a non-finite state: a
+    family whose energy is infinite past e = 5, with the flex agent pushed
+    out by a windowed leader until its edge crosses that level."""
+    def phi(e, dbar):
+        return np.where(e > 5.0, np.inf, QUADRATIC.phi(e, dbar))
+
+    capped = PotentialFamily("capped", phi, QUADRATIC.g, QUADRATIC.rho)
+    g = triangle_flex()
+    spec = LeaderSpec(mode="windowed", v=lambda t: np.array([50.0, 0.0]), t0=0.0, tf=1.0)
+    with pytest.raises(IntegrationError, match="inf") as info:
+        integrate(desired_equilibrium(g), g, capped, t_end=1.0, dt=1e-3, leader=spec)
+    assert 0.0 < info.value.time < 1.0
+    last = info.value.last_state
+    assert np.isfinite(last).all()
+    assert np.isfinite(potential_value(last, g, capped))

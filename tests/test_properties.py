@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidflex.control import _edge_kernel
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.oracle import build_catalog
 from rigidflex.potentials import QUADRATIC, RATIONAL
@@ -56,3 +57,29 @@ def test_witness_is_invariant_under_rigid_motions(graph_name, family_name, angle
         assert w.quadratic_form < 0
         q_full = float(w.full_vector @ h @ w.full_vector)
         assert q_full == pytest.approx(w.quadratic_form, rel=1e-9, abs=1e-9)
+
+
+# finite coordinates from about 1e-300 to 1e151 in magnitude, zero included
+coordinates = st.builds(lambda m, k: m * 10.0**k, st.floats(-10.0, 10.0), st.integers(-300, 150))
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("family_name", sorted(FAMILIES))
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(data=st.data())
+def test_edge_kernel_never_leaves_the_domain(graph_name, family_name, data):
+    """e = fl(||z||^2 - dbar^2) >= -dbar^2 at every finite realization, with
+    equality on exactly coincident pairs: the integrator relies on this and
+    checks no domain bound per step."""
+    graph, family = GRAPHS[graph_name], FAMILIES[family_name]
+    n, d = graph.num_nodes, graph.dimension
+    p = np.array(data.draw(st.lists(coordinates, min_size=n * d, max_size=n * d))).reshape(n, d)
+    node = st.integers(0, n - 1)
+    for i, j in data.draw(st.lists(st.tuples(node, node), max_size=2)):
+        p[j] = p[i]
+    with np.errstate(all="ignore"):
+        z, e, _, _ = _edge_kernel(p, graph, family)
+    assert not np.isnan(e).any()
+    assert (e >= -graph._dbar2).all()
+    coincident = ~z.any(axis=1)
+    assert (e[coincident] == -graph._dbar2[coincident]).all()
