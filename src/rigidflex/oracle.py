@@ -10,7 +10,9 @@ layout in a table that follows ``stability.SUBFORMS_2D/3D``:
     with the family's g.  A lone gap whose crossing edges share one desired
     length is exactly that length for every family (coincidence-construct);
     any other lone gap is bracketed by brentq, and two or more gaps go to
-    hybr from several seeds (rootfind-collinear);
+    hybr from several seeds (rootfind-collinear).  A layout with a rigid
+    edge inside one slot is refused before any solving when the family's g
+    diverges at zero length;
   * planar layouts are the square and the triangle with its centroid, each
     from one bracketed scalar balance, polished with the rigid agents held
     in their plane (rootfind-coplanar);
@@ -191,12 +193,17 @@ def _bracketed_root(f, lo, hi, what):
 
 
 def _multi_root(fun, seeds, names):
-    """Try hybr from several seeds; return the first positive solution."""
+    """Try hybr from several seeds; return the first positive solution.
+
+    A solution is judged by its gaps and residual alone: hybr may stop short
+    of its own tolerance (status 3, "xtol too small") on a root it has
+    already found to rounding level.
+    """
     tried = []
     for seed in seeds:
         sol = root(fun, np.asarray(seed, dtype=float), method="hybr", tol=1e-14)
         tried.append((seed, float(np.abs(sol.fun).max())))
-        if sol.success and np.all(sol.x > 1e-9) and np.abs(sol.fun).max() < 1e-10:
+        if np.all(sol.x > 1e-9) and np.abs(sol.fun).max() < 1e-10:
             return sol.x
     raise OracleError(f"gap root-finder did not converge for {names}; "
                       f"seeds and residuals tried: {tried}")
@@ -218,12 +225,46 @@ class _Line:
     slots: tuple
     seeds: tuple = ()
 
-    def __call__(self, graph: FormationGraph, family: PotentialFamily):
+    def _edges(self, graph: FormationGraph):
+        """Slot array, rigid edges joining distinct slots, rigid edges inside one."""
         slots = np.array(self.slots)
+        edges = [k for k in range(graph.num_edges) if k != graph.flex_edge_index]
+        cross = [k for k in edges if slots[graph._tails[k]] != slots[graph._heads[k]]]
+        return slots, cross, [k for k in edges if k not in cross]
+
+    def admit(self, graph: FormationGraph, family: PotentialFamily):
+        """Refuse the layout before any solving.
+
+        Agents in one slot must reach every other slot along edges of the
+        same desired lengths; otherwise their balances differ and the layout
+        has no equilibrium.  A rigid edge inside one slot has zero length
+        whatever the gaps, so neither has a family whose g is not finite at
+        e = -dbar^2.
+        """
+        slots, cross, inner = self._edges(graph)
+        reach = [[] for _ in slots]
+        for k in cross:
+            i, j = graph._tails[k], graph._heads[k]
+            reach[i].append((slots[j], graph._dbar[k]))
+            reach[j].append((slots[i], graph._dbar[k]))
+        for a in range(len(slots)):
+            b = int(np.argmax(slots == slots[a]))
+            ra, rb = sorted(reach[a]), sorted(reach[b])
+            if [s for s, _ in ra] != [s for s, _ in rb] or any(
+                    abs(x - y) > 1e-12 for (_, x), (_, y) in zip(ra, rb)):
+                raise OracleError(
+                    f"construction needs equal desired distances: coincident agents "
+                    f"{b + 1} and {a + 1} have desired lengths "
+                    f"{[round(float(x), 12) for _, x in rb]} and "
+                    f"{[round(float(x), 12) for _, x in ra]} to the other points")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if not np.isfinite(family.g(-graph._dbar2[inner], graph._dbar[inner])).all():
+                raise OracleError(_BOUNDARY)
+
+    def __call__(self, graph: FormationGraph, family: PotentialFamily):
+        """Solve the gaps of a layout that ``admit`` accepts."""
+        slots, cross, _ = self._edges(graph)
         tails, heads = graph._tails, graph._heads
-        cross = [k for k in range(graph.num_edges) if k != graph.flex_edge_index
-                 and slots[tails[k]] != slots[heads[k]]]
-        _require_equal_reach(graph, slots, cross)
         n_gaps = int(slots.max())
         dbar, dbar2 = graph._dbar[cross], graph._dbar2[cross]
         # diff = x_tail - x_head of each crossing edge, linear in the gaps
@@ -255,27 +296,6 @@ class _Line:
         rigid = np.zeros((len(slots), graph.dimension))
         rigid[:, 0] = np.concatenate([[0.0], np.cumsum(gaps)])[slots]
         return rigid, method
-
-
-def _require_equal_reach(graph: FormationGraph, slots, cross):
-    """Agents in one slot must reach every other slot along edges of the same
-    desired lengths; otherwise their balances differ and the layout has no
-    equilibrium."""
-    reach = [[] for _ in slots]
-    for k in cross:
-        i, j = graph._tails[k], graph._heads[k]
-        reach[i].append((slots[j], graph._dbar[k]))
-        reach[j].append((slots[i], graph._dbar[k]))
-    for a in range(len(slots)):
-        b = int(np.argmax(slots == slots[a]))
-        ra, rb = sorted(reach[a]), sorted(reach[b])
-        if [s for s, _ in ra] != [s for s, _ in rb] or any(
-                abs(x - y) > 1e-12 for (_, x), (_, y) in zip(ra, rb)):
-            raise OracleError(
-                f"construction needs equal desired distances: coincident agents "
-                f"{b + 1} and {a + 1} have desired lengths "
-                f"{[round(float(x), 12) for _, x in rb]} and "
-                f"{[round(float(x), 12) for _, x in ra]} to the other points")
 
 
 def _square(graph: FormationGraph, family: PotentialFamily):
@@ -392,7 +412,10 @@ def construct_equilibrium(graph: FormationGraph, family: PotentialFamily,
     Raises OracleError when the desired distances do not admit the layout,
     the root-finder fails, or the point leaves the family's domain.
     """
-    rigid, method = _layout(graph, subform)(graph, family)
+    layout = _layout(graph, subform)
+    if isinstance(layout, _Line):
+        layout.admit(graph, family)
+    rigid, method = layout(graph, family)
     flex = rigid[-1].copy()
     flex[-1] += graph.desired[graph.flex_edge_index]
     return _finalize(np.vstack([rigid, flex]), graph, family, method,

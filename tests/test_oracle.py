@@ -293,3 +293,49 @@ def test_newton_polish_runs_two_kernel_passes_per_iteration(monkeypatch):
     assert counts["hessian"] >= 2
     assert counts["kernel"] == 2 * counts["hessian"] + 1
     assert balance_residuals(polished, g, QUADRATIC).max() < 1e-12
+
+
+def counted_root(monkeypatch):
+    """Count the hybr runs the oracle makes."""
+    import rigidflex.oracle as oracle
+
+    calls = []
+    root = oracle.root
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return root(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "root", counted)
+    return calls
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()], ids=["2d", "3d"])
+def test_rational_collinear_distinct_succeeds_on_its_first_seed(graph, monkeypatch):
+    """hybr ends the first seed with status 3 at a residual near 1e-15; that
+    root is accepted, and it is the one the later seeds converge to."""
+    from rigidflex.oracle import _Line
+
+    calls = counted_root(monkeypatch)
+    layout = _LAYOUTS[graph.dimension]["collinear_distinct"]
+    first, _ = layout(graph, RATIONAL)
+    assert len(calls) == 1
+    later, _ = _Line(layout.slots, layout.seeds[1:])(graph, RATIONAL)
+    np.testing.assert_allclose(first, later, rtol=0, atol=1e-12)
+    assert np.all(np.diff(first[:, 0]) > 0)
+
+
+@pytest.mark.parametrize("subform", ["pair_endpoint_collinear", "pair_interior_collinear"])
+def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
+    """A rigid edge inside one slot has zero length, where the rational g
+    diverges: the boundary failure comes before any hybr run.  The quadratic
+    family is finite there and still solves the layout."""
+    calls = counted_root(monkeypatch)
+    with pytest.raises(OracleError, match="coincidence boundary"):
+        construct_equilibrium(tetrahedron_flex(), RATIONAL, subform)
+    assert calls == []
+    _, failures = build_catalog(tetrahedron_flex(), RATIONAL, subforms=[subform])
+    assert "coincidence boundary" in failures[subform]
+    assert calls == []
+    build_catalog(tetrahedron_flex(), QUADRATIC, subforms=[subform])
+    assert calls
