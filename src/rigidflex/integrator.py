@@ -148,13 +148,11 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     one (4, N+1, d) stage stack, which the step combines in one product.
     The whole call ignores floating-point divide/invalid errors once.
 
-    One guard per step: the Lyapunov value at the new state must be finite.
-    A non-finite coordinate makes every squared error, hence V, non-finite,
-    and the kernel cannot leave the potential's domain (e >= -dbar^2 by
-    construction), so this also covers a state that blows up.  It raises
-    IntegrationError with the time and state before the failed step; a
-    segment start (p0 or a perturbed state) where V is not finite raises
-    the same way.
+    One guard per step: V at the new state must be finite, else
+    IntegrationError carries the time and state before that step.  A
+    non-finite coordinate makes V non-finite, and the kernel cannot leave
+    the potential's domain, so no other check is needed.  A segment start
+    (p0 or a perturbed state) where V is not finite raises too.
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
