@@ -201,10 +201,12 @@ def _cmd_catalog(args) -> int:
             report = analyze(entry.positions, graph, family, eig_tol=args.tol_eig)
             if report.witness is not None:
                 witness_ok += 1
+            claims = report.claims
         except (WitnessNotFoundError, np.linalg.LinAlgError):
-            report = None
+            claims = None
         if entry.kind == "degenerate_rigid":
-            claims = verify_sign_properties(entry.positions, graph, family)
+            if claims is None:
+                claims = verify_sign_properties(entry.positions, graph, family)
             sign_table.append({
                 "subform": entry.subform,
                 "claims": [{"claim": c.description, "value": c.value,

@@ -4,10 +4,11 @@ The constructions stay apart from the simulator and the edge kernel, so
 their outputs can serve as ground truth.  Each undesired subform has one
 layout in a table that follows ``stability.SUBFORMS_2D/3D``:
 
-  * line layouts put each rigid agent in a slot on the first axis; agents
-    in one slot coincide.  The unknowns are the gaps between consecutive
-    slots and the equations are the balances of one agent per slot, written
-    with the family's g.  A lone gap whose crossing edges share one desired
+  * line layouts put rigid agent r + 1 in the slot of role r in
+    ``stability.LINE_SLOTS``, on the first axis; agents in one slot
+    coincide.  The unknowns are the gaps between consecutive slots and the
+    equations are the balances of one agent per slot, written with the
+    family's g.  A lone gap whose crossing edges share one desired
     length is exactly that length for every family (coincidence-construct);
     any other lone gap is bracketed by brentq, and two or more gaps go to
     hybr from several seeds (rootfind-collinear).  A layout with a rigid
@@ -36,7 +37,7 @@ from .control import gradient_control
 from .graph import FormationGraph, as_positions
 from .integrator import detect_equilibrium, integrate
 from .potentials import PotentialFamily
-from .stability import SUBFORMS_2D, SUBFORMS_3D, assemble_hessian, classify, family_admits
+from .stability import LINE_SLOTS, assemble_hessian, classify, family_admits
 
 
 class OracleError(RuntimeError):
@@ -197,16 +198,22 @@ def _multi_root(fun, seeds, names):
 
     A solution is judged by its gaps and residual alone: hybr may stop short
     of its own tolerance (status 3, "xtol too small") on a root it has
-    already found to rounding level.
+    already found to rounding level.  When every seed reaches a root but no
+    root has all gaps positive, the error says so and lists the gaps.
     """
     tried = []
     for seed in seeds:
         sol = root(fun, np.asarray(seed, dtype=float), method="hybr", tol=1e-14)
-        tried.append((seed, float(np.abs(sol.fun).max())))
-        if np.all(sol.x > 1e-9) and np.abs(sol.fun).max() < 1e-10:
+        residual = float(np.abs(sol.fun).max())
+        tried.append((seed, residual, sol.x))
+        if np.all(sol.x > 1e-9) and residual < 1e-10:
             return sol.x
-    raise OracleError(f"gap root-finder did not converge for {names}; "
-                      f"seeds and residuals tried: {tried}")
+    if all(residual < 1e-10 for _, residual, _ in tried):
+        raise OracleError(f"every gap root-finder seed converged for {names}, but no "
+                          f"root has all gaps positive; gaps of the roots found: "
+                          f"{[gaps.tolist() for _, _, gaps in tried]}")
+    raise OracleError(f"gap root-finder did not converge for {names}; seeds and "
+                      f"residuals tried: {[(seed, res) for seed, res, _ in tried]}")
 
 
 # ---------------------------------------------------------------------------
@@ -336,24 +343,22 @@ def _interior_point(graph: FormationGraph, family: PotentialFamily):
     return rigid, "rootfind-coplanar"
 
 
-# One layout per subform, in the order of stability.SUBFORMS_2D / _3D.
+# hybr starting gaps of the line layouts with two or more gaps
+_SEEDS = {
+    (2, "collinear_distinct"): ((0.577, 0.577), (0.4, 0.7), (0.7, 0.4)),
+    (3, "pair_endpoint_collinear"): ((0.6, 0.6), (0.4, 0.8), (0.8, 0.4), (0.3, 0.5)),
+    (3, "pair_interior_collinear"): ((0.6, 0.6), (0.9, 0.5), (0.5, 0.9), (1.1, 1.1)),
+    (3, "collinear_distinct"): ((0.5, 0.5, 0.5), (0.4, 0.6, 0.4), (0.6, 0.3, 0.6),
+                                (0.3, 0.8, 0.3), (0.7, 0.7, 0.7), (0.25, 0.4, 0.55)),
+}
+
+# One layout per subform, in the order of stability.SUBFORMS_2D / _3D: the
+# planar constructions, then the line layouts of stability.LINE_SLOTS.
+_PLANAR = {2: {}, 3: {"convex_quadrilateral": _square, "interior_point": _interior_point}}
 _LAYOUTS = {
-    2: dict(zip(SUBFORMS_2D, (
-        _Line((0, 1, 2), ((0.577, 0.577), (0.4, 0.7), (0.7, 0.4))),
-        _Line((1, 0, 0)),
-        _Line((0, 0, 0)),
-    ))),
-    3: dict(zip(SUBFORMS_3D, (
-        _square,
-        _interior_point,
-        _Line((0, 0, 0, 0)),
-        _Line((0, 0, 0, 1)),
-        _Line((0, 0, 1, 1)),
-        _Line((0, 0, 1, 2), ((0.6, 0.6), (0.4, 0.8), (0.8, 0.4), (0.3, 0.5))),
-        _Line((1, 1, 0, 2), ((0.6, 0.6), (0.9, 0.5), (0.5, 0.9), (1.1, 1.1))),
-        _Line((0, 1, 2, 3), ((0.5, 0.5, 0.5), (0.4, 0.6, 0.4), (0.6, 0.3, 0.6),
-                             (0.3, 0.8, 0.3), (0.7, 0.7, 0.7), (0.25, 0.4, 0.55))),
-    ))),
+    dim: {**_PLANAR[dim], **{name: _Line(slots, _SEEDS.get((dim, name), ()))
+                             for name, slots in table.items()}}
+    for dim, table in LINE_SLOTS.items()
 }
 
 # Subforms with at most one gap: exact for every admissible potential family

@@ -8,6 +8,13 @@ r (the last axis of the aligning frame).  For node weights v the direction
 v (x) r has curvature (v (x) r)^T H (v (x) r) = v^T H_r v, where the aligned
 last-axis block is H_r[i, j] = r^T H_ij r.  A v with v^T H_r v < 0 certifies
 that the equilibrium is a saddle of the potential and hence unstable.
+
+``classify`` decides the layout of a degenerate-rigid equilibrium once: its
+subform and its roles, the rigid agents' labels in role order i, j, k, l.
+Line forms are looked up in LINE_SLOTS, the slot table the oracle builds its
+line equilibria from; planar forms come from the signs of the agents' affine
+dependence.  The paper's sign claims are data over those roles
+(SIGN_CLAIMS), which ``verify_sign_properties`` evaluates.
 """
 
 from __future__ import annotations
@@ -94,30 +101,21 @@ def psd_check(matrix: np.ndarray, eig_tol: float | None = None):
 # Geometry helpers
 
 
-def _thinness(points: np.ndarray) -> float:
-    """Smallest singular value of the centered point cloud (0 = degenerate)."""
-    x = points - points.mean(axis=0)
-    return float(np.linalg.svd(x, compute_uv=False)[-1])
+def _coincidence_clusters(points: np.ndarray, tol: float) -> list[int]:
+    """Each point's cluster, named by its lowest member index.
 
-
-def _coincidence_clusters(points: np.ndarray, tol: float) -> list[list[int]]:
-    """Group point indices whose pairwise distances are below tol."""
-    n = len(points)
-    unassigned = list(range(n))
-    clusters = []
-    while unassigned:
-        seed = unassigned.pop(0)
-        cluster = [seed]
-        changed = True
-        while changed:
-            changed = False
-            for j in list(unassigned):
-                if any(np.linalg.norm(points[j] - points[i]) < tol for i in cluster):
-                    cluster.append(j)
-                    unassigned.remove(j)
-                    changed = True
-        clusters.append(sorted(cluster))
-    return clusters
+    Points closer than tol, directly or through a chain of such pairs, share
+    a cluster.
+    """
+    diff = points[:, None] - points
+    near = (np.sqrt(np.vecdot(diff, diff)) < tol).tolist()
+    cluster = list(range(len(points)))
+    for a, row in enumerate(near):
+        for b in range(a):
+            if row[b] and cluster[a] != cluster[b]:
+                lo, hi = sorted((cluster[a], cluster[b]))
+                cluster = [lo if c == hi else c for c in cluster]
+    return cluster
 
 
 def alignment_rotation(p, graph: FormationGraph) -> np.ndarray:
@@ -142,21 +140,33 @@ def alignment_rotation(p, graph: FormationGraph) -> np.ndarray:
     return q
 
 
-def _in_triangle(point, tri, tol=1e-9) -> bool:
-    """Strict interior test via barycentric coordinates (2-D inputs)."""
-    a, b, c = tri
-    t = np.column_stack([b - a, c - a])
-    det = np.linalg.det(t)
-    if abs(det) < tol:
-        return False
-    lam = np.linalg.solve(t, point - a)
-    l1, l2 = lam
-    l0 = 1.0 - l1 - l2
-    return l0 > tol and l1 > tol and l2 > tol
-
-
 # ---------------------------------------------------------------------------
 # Classification
+
+
+# Line forms: role r of a subform sits in slot LINE_SLOTS[d][subform][r].
+# Slots are numbered along the line from 0, and the agents of one slot
+# coincide.  The oracle builds each line equilibrium from these vectors, and
+# classify reads the subform and its roles back from the slots it finds.
+LINE_SLOTS = {
+    2: {"collinear_distinct": (0, 1, 2), "coincident_pair": (1, 0, 0),
+        "all_coincident": (0, 0, 0)},
+    3: {"all_coincident": (0, 0, 0, 0), "triple_coincident": (0, 0, 0, 1),
+        "double_pair": (0, 0, 1, 1), "pair_endpoint_collinear": (0, 0, 1, 2),
+        "pair_interior_collinear": (1, 1, 0, 2), "collinear_distinct": (0, 1, 2, 3)},
+}
+
+# Subform tags, by geometry of the rigid agents.
+SUBFORMS_2D = tuple(LINE_SLOTS[2])
+SUBFORMS_3D = ("convex_quadrilateral", "interior_point", *LINE_SLOTS[3])
+
+# slot sizes along the line -> (subform, its roles sorted by slot)
+_LINE_FORMS = {
+    d: {tuple(slots.count(s) for s in range(max(slots) + 1)):
+        (name, sorted(range(len(slots)), key=slots.__getitem__))
+        for name, slots in table.items()}
+    for d, table in LINE_SLOTS.items()
+}
 
 
 @dataclass(frozen=True)
@@ -166,19 +176,19 @@ class EquilibriumClass:
     subform: str | None = None
     diagnostics: dict = field(default_factory=dict)
     ambiguous: bool = False
-
-
-# Subform tags, by geometry of the rigid agents.
-SUBFORMS_2D = ("collinear_distinct", "coincident_pair", "all_coincident")
-SUBFORMS_3D = ("convex_quadrilateral", "interior_point", "all_coincident",
-               "triple_coincident", "double_pair", "pair_endpoint_collinear",
-               "pair_interior_collinear", "collinear_distinct")
+    roles: tuple = ()              # degenerate_rigid: the rigid agents' labels
+                                   # in role order i, j, k, l
 
 
 def classify(p, graph: FormationGraph, family: PotentialFamily,
              eq_tol: float = EQ_TOL, shape_tol: float = SHAPE_TOL,
              pos_tol: float = POS_TOL, geom_tol: float = GEOM_TOL) -> EquilibriumClass:
-    """Classify a realization among desired / undesired equilibrium sets."""
+    """Classify a realization among desired / undesired equilibrium sets.
+
+    A degenerate-rigid class carries its subform and the roles that its sign
+    claims read, both decided here from the rigid agents' singular values and
+    one array of their pairwise distances.
+    """
     pos = as_positions(p, graph)
     st = edge_states(pos, graph, family)
     residual = float(np.linalg.norm(st.u, axis=1).max())
@@ -199,70 +209,73 @@ def classify(p, graph: FormationGraph, family: PotentialFamily,
                                 ambiguous=ambiguous)
 
     rigid = pos[list(graph.rigid_nodes)]
-    thin = _thinness(rigid)
+    x = rigid - rigid.mean(axis=0)
+    sv = np.linalg.svd(x, compute_uv=False)
+    thin = float(sv[-1])                    # 0 = degenerate
     diag["degeneracy"] = thin
     if thin >= geom_tol:
         return EquilibriumClass(kind="unrecognized", diagnostics=diag, ambiguous=True)
     ambiguous = ambiguous or thin > 0.1 * geom_tol
 
-    subform = _subform(rigid, graph.dimension, pos_tol, geom_tol)
-    diag["clusters"] = [
-        [i + 1 for i in c] for c in _coincidence_clusters(rigid, pos_tol)
-    ]
-    return EquilibriumClass(kind="degenerate_rigid", subform=subform,
-                            diagnostics=diag, ambiguous=ambiguous)
+    cluster = _coincidence_clusters(rigid, pos_tol)
+    diag["clusters"] = [[a + 1 for a, c in enumerate(cluster) if c == head]
+                        for head in sorted(set(cluster))]
+    # four distinct tetrahedron agents that do not share one line
+    if x.shape == (4, 3) and len(set(cluster)) == 4 and sv[-2] >= geom_tol * max(1.0, sv[0]):
+        subform, roles = _planar_layout(x)
+    else:
+        subform, roles = _line_layout(x, cluster)
+    return EquilibriumClass(kind="degenerate_rigid", subform=subform, diagnostics=diag,
+                            ambiguous=ambiguous, roles=roles)
 
 
-def _subform(rigid: np.ndarray, dimension: int, pos_tol: float, geom_tol: float) -> str:
-    clusters = _coincidence_clusters(rigid, pos_tol)
-    sizes = sorted(len(c) for c in clusters)
+def _line_layout(x: np.ndarray, cluster: list[int]):
+    """Subform and roles of centred points x on a line, by LINE_SLOTS.
 
-    if dimension == 2:
-        if sizes == [3]:
-            return "all_coincident"
-        if sizes == [1, 2]:
-            return "coincident_pair"
-        return "collinear_distinct"
-
-    if sizes == [4]:
-        return "all_coincident"
-    if sizes == [1, 3]:
-        return "triple_coincident"
-    if sizes == [2, 2]:
-        return "double_pair"
-    if sizes == [1, 1, 2]:
-        centers = np.array([rigid[c].mean(axis=0) for c in clusters])
-        pair_idx = next(k for k, c in enumerate(clusters) if len(c) == 2)
-        axis = _line_axis(centers)
-        s = centers @ axis
-        order = np.argsort(s)
-        if order[0] == pair_idx or order[-1] == pair_idx:
-            return "pair_endpoint_collinear"
-        return "pair_interior_collinear"
-    # four distinct coplanar agents
-    x = rigid - rigid.mean(axis=0)
-    sv = np.linalg.svd(x, compute_uv=False)
-    if sv[-2] < geom_tol * max(1.0, sv[0]):
-        return "collinear_distinct"
-    plane = _plane_coordinates(rigid)
-    for k in range(4):
-        others = [plane[i] for i in range(4) if i != k]
-        if _in_triangle(plane[k], others):
-            return "interior_point"
-    return "convex_quadrilateral"
+    The slot sizes along the line, or their reflection, name the subform.
+    Where both orientations fit, the lexicographically smallest role tuple
+    wins.  A layout that fits no row (a graph other than the triangle or the
+    tetrahedron) has no subform.
+    """
+    n, d = x.shape
+    # the points lie on a line through their centroid, so any nonzero point
+    # orders them along it
+    along = (x @ x[np.abs(x).argmax() // d]).tolist()
+    heads = sorted(set(cluster), key=along.__getitem__)
+    slots = [heads.index(c) for c in cluster]
+    found = []
+    for side in (slots, [len(heads) - 1 - s for s in slots]):
+        form = _LINE_FORMS[d].get(tuple(side.count(s) for s in range(len(heads))))
+        if form is not None:
+            subform, by_slot = form
+            roles = [0] * n
+            for r, a in zip(by_slot, sorted(range(n), key=side.__getitem__)):
+                roles[r] = a + 1
+            found.append((tuple(roles), subform))
+    if not found:
+        return None, ()
+    roles, subform = min(found)
+    return subform, roles
 
 
-def _line_axis(points: np.ndarray) -> np.ndarray:
-    x = points - points.mean(axis=0)
-    _, _, vt = np.linalg.svd(x)
-    return vt[0]
+def _planar_layout(x: np.ndarray):
+    """Subform and roles of four distinct coplanar centred points x.
 
-
-def _plane_coordinates(points: np.ndarray) -> np.ndarray:
-    """Project (nearly) coplanar 3-D points onto their best-fit plane."""
-    x = points - points.mean(axis=0)
-    _, _, vt = np.linalg.svd(x)
-    return x @ vt[:2].T
+    The signs of the affine dependence sum_a w_a x_a = 0, sum_a w_a = 0
+    (Radon's partition) split the agents 3:1, one inside the triangle of the
+    others and listed last, or 2:2, the diagonals of a convex quadrilateral,
+    listed as the hull cycle from the lowest label toward its smaller
+    neighbour.
+    """
+    # w spans the left null space of [1 | x]; agent t, if w_t != 0, has the
+    # barycentric coordinates -w_a / w_t in the triangle of the others
+    w = np.linalg.svd(np.hstack([np.ones((4, 1)), x]))[0][:, -1].tolist()
+    for t in range(4):
+        if w[t] and all(-w[a] / w[t] > 1e-9 for a in range(4) if a != t):
+            return "interior_point", (*(a + 1 for a in range(4) if a != t), t + 1)
+    across = max((1, 2, 3), key=lambda a: w[0] * w[a])
+    j, l = (a for a in (1, 2, 3) if a != across)
+    return "convex_quadrilateral", (1, j + 1, across + 1, l + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -350,22 +363,59 @@ class Claim:
     passed: bool
 
 
-def _g_lookup(p, graph: FormationGraph, family: PotentialFamily):
-    st = edge_states(p, graph, family)
+# The sign claims of each subform, over the roles i, j, k, l that classify
+# assigns.  "ij+ik < 0" claims g_ij + g_ik < 0, and "@i" is the sum of g over
+# the rigid edges at i.  "A or B" holds when either claim does.
+# "ij ? A : B : C" makes claim A, B or C as g_ij is negative, zero or positive.
+SIGN_CLAIMS = {
+    2: {
+        "collinear_distinct": ("ij < 0", "jk < 0", "ik > 0", "ij+ik < 0", "jk+ik < 0"),
+        "coincident_pair": ("jk < 0", "ij = 0", "ik = 0"),
+        "all_coincident": ("ij < 0", "ik < 0", "jk < 0"),
+    },
+    3: {
+        "convex_quadrilateral": ("ij < 0", "jk < 0", "kl < 0", "il < 0", "ik > 0", "jl > 0",
+                                 "@i < 0", "@j < 0", "@k < 0", "@l < 0"),
+        "interior_point": ("il < 0", "jl < 0", "kl < 0", "ij > 0", "ik > 0", "jk > 0"),
+        "all_coincident": ("ij < 0", "ik < 0", "il < 0", "jk < 0", "jl < 0", "kl < 0"),
+        "triple_coincident": ("il = 0", "jl = 0", "kl = 0", "ij < 0", "ik < 0", "jk < 0"),
+        "double_pair": ("ik+il = 0", "jk+jl = 0", "ik+jk = 0", "il+jl = 0", "ij < 0", "kl < 0"),
+        "pair_endpoint_collinear": ("il+jl+kl < 0", "@i < 0 or @j < 0"),
+        "pair_interior_collinear": ("il+jl+kl < 0", "ik+jk+kl < 0"),
+        "collinear_distinct": ("il+jl+kl < 0", "ij ? ij+ik+il : ij+jk+jl : ik+jk+kl < 0"),
+    },
+}
 
-    def g(i, j):
-        return float(st.g[graph.edge_index(i, j)])
 
-    return g
+def _g_sum(terms: str, roles: tuple, g: dict):
+    """Description and value of a '+'-joined sum of g terms over roles."""
+    names, value = [], 0.0
+    for term in terms.split("+"):
+        if term[0] == "@":
+            a = roles["ijkl".index(term[1])]
+            names.append(f"sum_g at {a}")
+            value += sum(g[min(a, b), max(a, b)] for b in roles if b != a)
+        else:
+            a, b = sorted(roles["ijkl".index(r)] for r in term)
+            names.append(f"g_{a}{b}")
+            value += g[a, b]
+    return "+".join(names), value
 
 
-def _role_order_collinear(points: np.ndarray, labels: list[int]) -> list[int]:
-    axis = _line_axis(points)
-    s = points @ axis
-    order = [labels[k] for k in np.argsort(s)]
-    if order[0] > order[-1]:
-        order = order[::-1]
-    return order
+def _claim(spec: str, roles: tuple, g: dict, zero_tol: float) -> Claim:
+    """One row of SIGN_CLAIMS at the given roles; g maps label pairs to g."""
+    if " or " in spec:
+        claims = [_claim(part, roles, g, zero_tol) for part in spec.split(" or ")]
+        return Claim(" or ".join(c.description for c in claims),
+                     min(c.value for c in claims), any(c.passed for c in claims))
+    terms, relation, _ = spec.rsplit(" ", 2)
+    if " ? " in terms:
+        pivot, options = terms.split(" ? ")
+        gp = _g_sum(pivot, roles, g)[1]
+        terms = options.split(" : ")[(gp >= -zero_tol) + (gp > zero_tol)]
+    name, value = _g_sum(terms, roles, g)
+    passed = {"<": value < 0, ">": value > 0, "=": abs(value) <= zero_tol}[relation]
+    return Claim(f"{name} {relation} 0", value, passed)
 
 
 def verify_sign_properties(p, graph: FormationGraph, family: PotentialFamily,
@@ -373,156 +423,18 @@ def verify_sign_properties(p, graph: FormationGraph, family: PotentialFamily,
                            zero_tol: float = 1e-9) -> list[Claim]:
     """Evaluate every sign claim attached to the identified undesired subform.
 
-    Role labels (which agent plays i, j, k, l) are assigned from the geometry;
-    for fully distinct collinear 3-D forms both line orientations are tried
-    and the better-scoring one reported.
+    The claims are the subform's SIGN_CLAIMS rows, read at the roles that
+    ``classify`` assigned (``cls.roles``).  Every g term names its labels in
+    ascending order.
     """
-    pos = as_positions(p, graph)
     if cls is None:
         cls = classify(p, graph, family)
-    if cls.kind != "degenerate_rigid":
-        raise ValueError("sign properties are defined for degenerate-rigid equilibria")
-    g = _g_lookup(pos, graph, family)
-    rigid = pos[list(graph.rigid_nodes)]
-    labels = [i + 1 for i in graph.rigid_nodes]
-    clusters = _coincidence_clusters(rigid, POS_TOL)
-    sub = cls.subform
-
-    def lt(name, val):
-        return Claim(f"{name} < 0", val, val < 0)
-
-    def gt(name, val):
-        return Claim(f"{name} > 0", val, val > 0)
-
-    def zero(name, val):
-        return Claim(f"{name} = 0", val, abs(val) <= zero_tol)
-
-    if graph.dimension == 2:
-        if sub == "collinear_distinct":
-            i, j, k = _role_order_collinear(rigid, labels)
-            return [
-                lt(f"g_{i}{j}", g(i, j)),
-                lt(f"g_{j}{k}", g(j, k)),
-                gt(f"g_{i}{k}", g(i, k)),
-                lt(f"g_{i}{j}+g_{i}{k}", g(i, j) + g(i, k)),
-                lt(f"g_{j}{k}+g_{i}{k}", g(j, k) + g(i, k)),
-            ]
-        if sub == "coincident_pair":
-            pair = next(c for c in clusters if len(c) == 2)
-            single = next(c for c in clusters if len(c) == 1)
-            j, k = [labels[x] for x in pair]
-            i = labels[single[0]]
-            return [
-                lt(f"g_{j}{k}", g(j, k)),
-                zero(f"g_{i}{j}", g(i, j)),
-                zero(f"g_{i}{k}", g(i, k)),
-            ]
-        if sub == "all_coincident":
-            return [lt(f"g_{a}{b}", g(a, b))
-                    for a, b in itertools.combinations(labels, 2)]
-        raise ValueError(f"unknown 2-D subform {sub!r}")
-
-    # 3-D forms
-    if sub == "convex_quadrilateral":
-        plane = _plane_coordinates(rigid)
-        center = plane.mean(axis=0)
-        ang = np.arctan2(plane[:, 1] - center[1], plane[:, 0] - center[0])
-        i, j, k, l = [labels[x] for x in np.argsort(ang)]  # cyclic hull order
-        claims = [
-            lt(f"g_{i}{j}", g(i, j)), lt(f"g_{j}{k}", g(j, k)),
-            lt(f"g_{k}{l}", g(k, l)), lt(f"g_{i}{l}", g(i, l)),
-            gt(f"g_{i}{k}", g(i, k)), gt(f"g_{j}{l}", g(j, l)),
-        ]
-        for a in (i, j, k, l):
-            others = [x for x in (i, j, k, l) if x != a]
-            s = sum(g(a, b) for b in others)
-            claims.append(lt(f"sum_g at {a}", s))
-        return claims
-    if sub == "interior_point":
-        plane = _plane_coordinates(rigid)
-        interior = None
-        for idx in range(4):
-            others = [plane[x] for x in range(4) if x != idx]
-            if _in_triangle(plane[idx], others):
-                interior = idx
-        k = labels[interior]
-        outer = [x for x in labels if x != k]
-        claims = [lt(f"g_{min(a, k)}{max(a, k)}", g(a, k)) for a in outer]
-        claims += [gt(f"g_{a}{b}", g(a, b))
-                   for a, b in itertools.combinations(outer, 2)]
-        return claims
-    if sub == "all_coincident":
-        return [lt(f"g_{a}{b}", g(a, b))
-                for a, b in itertools.combinations(labels, 2)]
-    if sub == "triple_coincident":
-        triple = next(c for c in clusters if len(c) == 3)
-        single = next(c for c in clusters if len(c) == 1)
-        l = labels[single[0]]
-        ijk = [labels[x] for x in triple]
-        claims = [zero(f"g_{min(a, l)}{max(a, l)}", g(a, l)) for a in ijk]
-        claims += [lt(f"g_{a}{b}", g(a, b))
-                   for a, b in itertools.combinations(ijk, 2)]
-        return claims
-    if sub == "double_pair":
-        pair1, pair2 = [c for c in clusters if len(c) == 2]
-        i, j = [labels[x] for x in pair1]
-        k, l = [labels[x] for x in pair2]
-        return [
-            zero(f"g_{i}{k}+g_{i}{l}", g(i, k) + g(i, l)),
-            zero(f"g_{j}{k}+g_{j}{l}", g(j, k) + g(j, l)),
-            zero(f"g_{i}{k}+g_{j}{k}", g(i, k) + g(j, k)),
-            zero(f"g_{i}{l}+g_{j}{l}", g(i, l) + g(j, l)),
-            lt(f"g_{i}{j}", g(i, j)),
-            lt(f"g_{k}{l}", g(k, l)),
-        ]
-    if sub in ("pair_endpoint_collinear", "pair_interior_collinear"):
-        pair = next(c for c in clusters if len(c) == 2)
-        singles = [c[0] for c in clusters if len(c) == 1]
-        i, j = [labels[x] for x in pair]
-        centers = {labels[s]: rigid[s] for s in singles}
-        axis = _line_axis(rigid)
-        pair_s = float(rigid[pair[0]] @ axis)
-        ordered = sorted(centers, key=lambda lab: abs(float(centers[lab] @ axis) - pair_s))
-        if sub == "pair_endpoint_collinear":
-            k, l = ordered                    # k nearer the coincident pair
-            sum_l = g(i, l) + g(j, l) + g(k, l)
-            opt1 = g(i, j) + g(i, k) + g(i, l)
-            opt2 = g(i, j) + g(j, k) + g(j, l)
-            return [
-                lt(f"g_{i}{l}+g_{j}{l}+g_{k}{l}", sum_l),
-                Claim(f"sum_g at {i} < 0 or sum_g at {j} < 0",
-                      min(opt1, opt2), opt1 < 0 or opt2 < 0),
-            ]
-        k, l = ordered[0], ordered[1]
-        # pair interior: both singles flank the pair
-        sum_l = g(i, l) + g(j, l) + g(k, l)
-        sum_k = g(i, k) + g(j, k) + g(k, l)
-        return [
-            lt(f"g_{i}{l}+g_{j}{l}+g_{k}{l}", sum_l),
-            lt(f"g_{i}{k}+g_{j}{k}+g_{k}{l}", sum_k),
-        ]
-    if sub == "collinear_distinct":
-        best = None
-        for order in (_role_order_collinear(rigid, labels),
-                      _role_order_collinear(rigid, labels)[::-1]):
-            i, j, k, l = order
-            sum_l = g(i, l) + g(j, l) + g(k, l)
-            claims = [lt(f"g_{i}{l}+g_{j}{l}+g_{k}{l}", sum_l)]
-            gij = g(i, j)
-            if gij < -zero_tol:
-                claims.append(lt(f"g_{i}{j}+g_{i}{k}+g_{i}{l}",
-                                 gij + g(i, k) + g(i, l)))
-            elif gij > zero_tol:
-                claims.append(lt(f"g_{i}{k}+g_{j}{k}+g_{k}{l}",
-                                 g(i, k) + g(j, k) + g(k, l)))
-            else:
-                claims.append(lt(f"g_{i}{j}+g_{j}{k}+g_{j}{l}",
-                                 gij + g(j, k) + g(j, l)))
-            score = sum(c.passed for c in claims)
-            if best is None or score > best[0]:
-                best = (score, claims)
-        return best[1]
-    raise ValueError(f"unknown 3-D subform {sub!r}")
+    if cls.kind != "degenerate_rigid" or not cls.roles:
+        raise ValueError("sign properties are defined for degenerate-rigid "
+                         "equilibria of a recognised subform")
+    g = dict(zip(graph.edges, edge_states(p, graph, family).g.tolist()))
+    return [_claim(spec, cls.roles, g, zero_tol)
+            for spec in SIGN_CLAIMS[graph.dimension][cls.subform]]
 
 
 # ---------------------------------------------------------------------------

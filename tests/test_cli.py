@@ -121,6 +121,35 @@ def test_catalog_full_witness_rate(tmp_path, graph_file, capsys):
     assert all(c["passed"] for row in table for c in row["claims"])
 
 
+def test_catalog_computes_each_sign_table_row_once(tmp_path, graph_file, monkeypatch):
+    """The sign table takes the claims of analyze's report: one claim
+    evaluation per degenerate entry, and the same rows as a fresh call."""
+    import rigidflex.cli as cli
+    import rigidflex.stability as stability
+
+    calls = []
+    verify = stability.verify_sign_properties
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(stability, "verify_sign_properties", counted)
+    monkeypatch.setattr(cli, "verify_sign_properties", counted)
+    assert main(["catalog", str(graph_file), "--out", str(tmp_path / "cat")]) == EXIT_OK
+    entries = [json.loads(x) for x in
+               (tmp_path / "cat" / "catalog.jsonl").read_text().splitlines()]
+    degenerate = [e for e in entries if e["kind"] == "degenerate_rigid"]
+    assert len(calls) == len(degenerate) == 3
+    table = json.loads((tmp_path / "cat" / "sign_table.json").read_text())
+    g = triangle_flex()
+    assert table == [
+        {"subform": e["subform"],
+         "claims": [{"claim": c.description, "value": c.value, "passed": c.passed}
+                    for c in verify(np.array(e["positions"]), g, QUADRATIC)]}
+        for e in degenerate]
+
+
 def test_catalog_subform_selection(tmp_path, graph_file):
     assert main(["catalog", str(graph_file), "--subforms", "all_coincident",
                  "--out", str(tmp_path / "cat")]) == EXIT_OK

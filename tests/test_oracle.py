@@ -1,5 +1,6 @@
 """Equilibrium constructions: residuals, classifications, family dependence."""
 
+import ast
 import math
 import warnings
 
@@ -10,6 +11,7 @@ from rigidflex.control import balance_residuals
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     _LAYOUTS,
+    _multi_root,
     FAMILY_INDEPENDENT_SUBFORMS,
     OracleError,
     build_catalog,
@@ -339,3 +341,38 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
     assert calls == []
     build_catalog(tetrahedron_flex(), QUADRATIC, subforms=[subform])
     assert calls
+
+
+def test_gap_solver_failures_say_what_happened():
+    """On the equal tetrahedron with the quadratic family every hybr seed of
+    these two layouts converges, to roots with a zero gap: the failure says
+    so and lists the gaps.  A system with no real root keeps the
+    non-convergence message."""
+    names = ["pair_endpoint_collinear", "collinear_distinct"]
+    _, failures = build_catalog(tetrahedron_flex(), QUADRATIC, subforms=names)
+    assert sorted(failures) == sorted(names)
+    for name in names:
+        head, found = failures[name].split("; gaps of the roots found: ")
+        assert head.startswith("every gap root-finder seed converged")
+        assert head.endswith("but no root has all gaps positive")
+        gaps = ast.literal_eval(found)
+        assert len(gaps) == len(_LAYOUTS[3][name].seeds)
+        assert all(min(root) < 1e-9 for root in gaps)
+    with pytest.raises(OracleError, match="gap root-finder did not converge for x"):
+        _multi_root(lambda x: x * x + 1.0, [(1.0,)], "x")
+
+
+def test_line_layouts_read_the_stability_slot_table():
+    """Each line layout of the oracle is the slot vector of stability's
+    LINE_SLOTS, and classify reads the roles back in label order."""
+    from rigidflex.oracle import _Line
+    from rigidflex.stability import LINE_SLOTS
+
+    for g in (triangle_flex(), tetrahedron_flex()):
+        lines = {name: layout.slots for name, layout in _LAYOUTS[g.dimension].items()
+                 if isinstance(layout, _Line)}
+        assert lines == LINE_SLOTS[g.dimension]
+        entries, _ = build_catalog(g, QUADRATIC)
+        for entry in entries[1:]:
+            cls = classify(entry.positions, g, QUADRATIC)
+            assert cls.roles == tuple(range(1, g.num_nodes)), entry.subform

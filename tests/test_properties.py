@@ -11,7 +11,12 @@ from rigidflex.control import _edge_kernel
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.oracle import build_catalog
 from rigidflex.potentials import QUADRATIC, RATIONAL
-from rigidflex.stability import assemble_hessian, classify, instability_witness
+from rigidflex.stability import (
+    assemble_hessian,
+    classify,
+    instability_witness,
+    verify_sign_properties,
+)
 
 GRAPHS = {"triangle": triangle_flex(), "tetrahedron": tetrahedron_flex()}
 FAMILIES = {"quadratic": QUADRATIC, "rational": RATIONAL}
@@ -20,6 +25,14 @@ FAMILIES = {"quadratic": QUADRATIC, "rational": RATIONAL}
 @functools.cache
 def catalog(graph_name, family_name):
     return build_catalog(GRAPHS[graph_name], FAMILIES[family_name])[0]
+
+
+@functools.cache
+def raw_claims(graph_name, family_name):
+    """The sign claims of each degenerate catalog entry, by subform."""
+    graph, family = GRAPHS[graph_name], FAMILIES[family_name]
+    return {e.subform: verify_sign_properties(e.positions, graph, family)
+            for e in catalog(graph_name, family_name) if e.kind == "degenerate_rigid"}
 
 
 def rotation(angles, d):
@@ -43,8 +56,9 @@ shifts = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
 @given(angles=angle_triples, shift=shifts)
 def test_witness_is_invariant_under_rigid_motions(graph_name, family_name, angles, shift):
     """Every catalog entry keeps its class and subform after a rotation and
-    a shift, its witness stays strictly negative, and the embedded direction
-    v (x) r has the same curvature in the full Hessian."""
+    a shift, its witness stays strictly negative, the embedded direction
+    v (x) r has the same curvature in the full Hessian, and its sign claims
+    keep their descriptions and verdicts, with values within 1e-9."""
     graph, family = GRAPHS[graph_name], FAMILIES[family_name]
     d = graph.dimension
     rot = rotation(np.array(angles), d)
@@ -57,6 +71,13 @@ def test_witness_is_invariant_under_rigid_motions(graph_name, family_name, angle
         assert w.quadratic_form < 0
         q_full = float(w.full_vector @ h @ w.full_vector)
         assert q_full == pytest.approx(w.quadratic_form, rel=1e-9, abs=1e-9)
+        if cls.kind == "degenerate_rigid":
+            raw = raw_claims(graph_name, family_name)[entry.subform]
+            moved = verify_sign_properties(p, graph, family, cls=cls)
+            assert [(c.description, c.passed) for c in moved] == \
+                [(c.description, c.passed) for c in raw]
+            np.testing.assert_allclose([c.value for c in moved], [c.value for c in raw],
+                                       rtol=0, atol=1e-9)
 
 
 # finite coordinates from about 1e-300 to 1e151 in magnitude, zero included

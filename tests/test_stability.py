@@ -12,6 +12,7 @@ from rigidflex.oracle import (
     construct_equilibrium,
     desired_equilibrium,
     flex_coincident_equilibrium,
+    newton_polish,
 )
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialDomainError
 from rigidflex.stability import (
@@ -256,6 +257,92 @@ def test_sign_properties_pass_on_catalog():
             assert all(c.passed for c in claims), (entry.subform,
                                                    [c.description for c in claims
                                                     if not c.passed])
+
+
+def test_coincidence_clusters_match_a_pairwise_loop():
+    """The clusters from one distance array equal those of a loop over pairs
+    (single linkage below tol, each cluster named by its lowest index), on
+    grids of spacing 0.7 tol that form pairs, chains and loners."""
+    from rigidflex.stability import _coincidence_clusters
+
+    rng = np.random.default_rng(11)
+    tol = 1e-3
+    for _ in range(300):
+        n, d = int(rng.integers(3, 6)), int(rng.integers(2, 4))
+        pts = 0.7 * tol * rng.integers(0, 4, (n, d)) + rng.uniform(-1e-6, 1e-6, (n, d))
+        ref = list(range(n))
+        changed = True
+        while changed:
+            changed = False
+            for a, b in itertools.permutations(range(n), 2):
+                if np.linalg.norm(pts[a] - pts[b]) < tol and ref[b] < ref[a]:
+                    ref[a], changed = ref[b], True
+        assert _coincidence_clusters(pts, tol) == ref
+
+
+def relabelled(p, perm):
+    """Agent perm[a] + 1 takes the place of rigid agent a + 1; the flex agent
+    keeps its offset from its anchor, the last rigid agent."""
+    q = p.copy()
+    q[list(perm)] = p[:-1]
+    q[-1] = q[-2] + (p[-1] - p[-2])
+    return q
+
+
+def test_planar_roles_are_the_canonical_hull_cycle():
+    """Under every relabelling of the equal tetrahedron's planar entries the
+    square's roles are its hull cycle from label 1 toward the smaller
+    neighbour, and the centred triangle lists the centre last."""
+    g = tetrahedron_flex()
+    for subform in ("convex_quadrilateral", "interior_point"):
+        p = construct_equilibrium(g, QUADRATIC, subform).positions
+        for perm in itertools.permutations(range(4)):
+            labels = [a + 1 for a in perm]       # in the construction's order
+            if subform == "interior_point":
+                expected = (*sorted(labels[:3]), labels[3])
+            else:
+                start = labels.index(1)
+                cycle = labels[start:] + labels[:start]
+                if cycle[1] > cycle[3]:
+                    cycle = [cycle[0], *cycle[:0:-1]]
+                expected = tuple(cycle)
+            cls = classify(relabelled(p, perm), g, QUADRATIC)
+            assert (cls.subform, cls.roles) == (subform, expected), perm
+
+
+def test_line_roles_follow_the_slots_under_relabelling():
+    """Relabelled line layouts of the equal tetrahedron: the distinct
+    collinear roles run along the line from the smaller end label, and the
+    pair-interior roles are the pair, then the singles, each ascending."""
+    g = tetrahedron_flex()
+    distinct = construct_equilibrium(g, RATIONAL, "collinear_distinct").positions
+    interior = construct_equilibrium(g, QUADRATIC, "pair_interior_collinear").positions
+    for perm in itertools.permutations(range(4)):
+        labels = [a + 1 for a in perm]           # in the construction's order
+        cls = classify(relabelled(distinct, perm), g, RATIONAL)
+        line = labels if labels[0] < labels[3] else labels[::-1]
+        assert (cls.subform, cls.roles) == ("collinear_distinct", tuple(line)), perm
+        cls = classify(relabelled(interior, perm), g, QUADRATIC)
+        expected = (*sorted(labels[:2]), *sorted(labels[2:]))
+        assert (cls.subform, cls.roles) == ("pair_interior_collinear", expected), perm
+
+
+def test_sign_claims_use_the_roles_of_the_given_classification():
+    """A coincident pair pushed 1e-5 along its line polishes onto a collinear
+    equilibrium with the pair about 1e-5 apart.  Classified with pos_tol 1e-3
+    it is still a coincident pair, and its claims are read at that
+    classification's roles: the two g = 0 claims fail, as they should."""
+    g = triangle_flex()
+    p = construct_equilibrium(g, QUADRATIC, "coincident_pair").positions.copy()
+    p[1, 0] += 1e-5
+    p = newton_polish(p, g, QUADRATIC).reshape(p.shape)
+    assert 1e-6 < np.linalg.norm(p[1] - p[2]) < 1e-3
+    assert classify(p, g, QUADRATIC).subform == "collinear_distinct"
+    cls = classify(p, g, QUADRATIC, pos_tol=1e-3)
+    claims = verify_sign_properties(p, g, QUADRATIC, cls=cls)
+    assert [(c.description, c.passed) for c in claims] == [
+        ("g_23 < 0", True), ("g_12 = 0", False), ("g_13 = 0", False)]
+    assert (cls.subform, cls.roles) == ("coincident_pair", (1, 2, 3))
 
 
 def test_analyze_report_serializes():
