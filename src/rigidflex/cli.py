@@ -68,7 +68,10 @@ def _parse_graph(doc) -> FormationGraph:
         if doc not in builtin:
             raise ScenarioError(f"unknown builtin graph {doc!r}")
         return builtin[doc]()
-    return graph_from_json(doc)
+    try:
+        return graph_from_json(doc)
+    except TypeError as exc:                # not an object, or a field of the wrong type
+        raise ScenarioError(f"invalid graph: {exc}")
 
 
 def _parse_events(docs, dimension, default_seed):
@@ -89,7 +92,10 @@ def _parse_events(docs, dimension, default_seed):
 
 
 def _positions_from_doc(doc, graph):
-    arr = np.asarray(doc, dtype=float)
+    try:
+        arr = np.asarray(doc, dtype=float)
+    except TypeError as exc:
+        raise ScenarioError(f"realization is not an array of numbers: {exc}")
     if arr.shape not in ((graph.num_nodes, graph.dimension),
                          (graph.num_nodes * graph.dimension,)):
         raise ScenarioError(f"initial realization has shape {arr.shape}")
@@ -103,16 +109,16 @@ def _cmd_run(args) -> int:
         family = get_family(doc.get("family", "quadratic"))
         p0 = _positions_from_doc(doc["initial"], graph)
         t_end = float(doc["t_end"])
+        dt, record_every = float(doc.get("dt", 1e-3)), int(doc.get("record_every", 10))
         events = _parse_events(doc.get("events"), graph.dimension, args.seed)
         leader = leader_spec_from_json(doc.get("leader"), graph.dimension)
-    except (KeyError, ValueError, GraphError) as exc:
+        analyze_equilibria = bool(doc.get("analysis", {}).get("hessian_at_equilibria"))
+    except (AttributeError, KeyError, TypeError, ValueError, GraphError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}")
 
     traj = integrate(
-        p0, graph, family, t_end,
-        dt=float(doc.get("dt", 1e-3)),
-        leader=leader, events=events,
-        record_every=int(doc.get("record_every", 10)),
+        p0, graph, family, t_end, dt=dt, leader=leader, events=events,
+        record_every=record_every,
         eq_tol=args.tol_eq if args.tol_eq is not None else float(doc.get("eq_tol", 1e-9)),
         adaptive=bool(doc.get("adaptive", False)),
         rtol=float(doc.get("rtol", 1e-8)),
@@ -130,8 +136,7 @@ def _cmd_run(args) -> int:
         })
     traj.events_to_json(out / f"{stem}_events.json")
 
-    analysis = doc.get("analysis", {})
-    if analysis.get("hessian_at_equilibria"):
+    if analyze_equilibria:
         hits = [t for t, kind in traj.events if kind == "equilibrium_detected"]
         for k, t_hit in enumerate(hits):
             idx = int(np.argmin(np.abs(traj.times - t_hit)))

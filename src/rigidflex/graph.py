@@ -68,10 +68,16 @@ class FormationGraph:
         incidence = np.zeros((n, m))
         incidence[tails, np.arange(m)] = 1.0
         incidence[heads, np.arange(m)] = -1.0
+        # flat ((N+1)d)^2 Hessian index of each entry of the edge blocks at
+        # node blocks (i,i), (j,j), (i,j), (j,i), in edge order
+        axis = np.arange(d)
+        rows = np.stack([tails, heads, tails, heads], 1)[..., None, None] * d + axis[:, None]
+        cols = np.stack([tails, heads, heads, tails], 1)[..., None, None] * d + axis
         for name, arr in (("_tails", tails), ("_heads", heads), ("_dbar", dbar),
                           ("_dbar2", dbar**2), ("_incidence", incidence),
                           ("_incidence_t", np.ascontiguousarray(incidence.T)),
-                          ("_neg_incidence", -incidence)):
+                          ("_neg_incidence", -incidence),
+                          ("_hessian_index", (rows * (n * d) + cols).ravel())):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

@@ -156,6 +156,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     """
     if t_end <= 0:
         raise ValueError("t_end must be positive")
+    if not (dt > 0 and record_every >= 1):
+        raise ValueError("dt must be positive and record_every at least 1")
     leader = leader or LeaderSpec()
     n, d = graph.num_nodes, graph.dimension
     p = as_positions(p0, graph).astype(float)

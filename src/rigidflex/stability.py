@@ -15,16 +15,22 @@ Line forms are looked up in LINE_SLOTS, the slot table the oracle builds its
 line equilibria from; planar forms come from the signs of the agents' affine
 dependence.  The paper's sign claims are data over those roles
 (SIGN_CLAIMS), which ``verify_sign_properties`` evaluates.
+
+``analyze`` makes one edge pass (``control.edge_states``) and hands it to
+the private ``_classify``, ``_hessian`` and ``_claims``; the public
+``classify``, ``assemble_hessian`` and ``verify_sign_properties`` are each
+one pass plus the same private function.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import edge_states, potential_value
+from .control import EdgeState, edge_states, potential_value
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialDomainError, PotentialFamily
 
@@ -53,25 +59,26 @@ def family_admits(p, graph: FormationGraph, family: PotentialFamily) -> bool:
 # Hessian assembly
 
 
-@np.errstate(invalid="ignore", over="ignore")
 def assemble_hessian(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
-    """((N+1)d)^2 symmetric Hessian of the shape potential.
+    """((N+1)d)^2 symmetric Hessian of the shape potential."""
+    return _hessian(edge_states(p, graph, family), graph)
 
-    The edge blocks are scattered by index, in edge order, rather than
-    multiplied by the incidence matrix: a non-finite block (a coincident
-    edge of a family that diverges there) then reaches only its own four
-    node blocks, where a product with B would spread 0 * inf to all of them.
+
+@np.errstate(invalid="ignore", over="ignore")
+def _hessian(st: EdgeState, graph: FormationGraph) -> np.ndarray:
+    """The Hessian from one edge pass ``st``.
+
+    The edge blocks are summed into the flat array by the graph's cached
+    index, in edge order, rather than multiplied by the incidence matrix: a
+    non-finite block (a coincident edge of a family that diverges there)
+    then reaches only its own four node blocks, where a product with B would
+    spread 0 * inf to all of them.
     """
-    n, d = graph.num_nodes, graph.dimension
-    st = edge_states(p, graph, family)
+    nd = graph.num_nodes * graph.dimension
     m = 2.0 * st.rho[:, None, None] * (st.z[:, :, None] * st.z[:, None, :]) \
-        + st.g[:, None, None] * np.eye(d)
-    tails, heads = graph._tails, graph._heads
-    rows = np.stack([tails, heads, tails, heads], axis=1).ravel()
-    cols = np.stack([tails, heads, heads, tails], axis=1).ravel()
-    h = np.zeros((n, n, d, d))
-    np.add.at(h, (rows, cols), np.stack([m, m, -m, -m], axis=1).reshape(-1, d, d))
-    return h.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+        + st.g[:, None, None] * np.eye(graph.dimension)
+    blocks = np.stack([m, m, -m, -m], axis=1).ravel()
+    return np.bincount(graph._hessian_index, blocks, nd * nd).reshape(nd, nd)
 
 
 def _aligned_last_block(h: np.ndarray, rotation: np.ndarray) -> np.ndarray:
@@ -190,7 +197,14 @@ def classify(p, graph: FormationGraph, family: PotentialFamily,
     one array of their pairwise distances.
     """
     pos = as_positions(p, graph)
-    st = edge_states(pos, graph, family)
+    return _classify(pos, edge_states(pos, graph, family), graph,
+                     eq_tol, shape_tol, pos_tol, geom_tol)
+
+
+def _classify(pos: np.ndarray, st: EdgeState, graph: FormationGraph,
+              eq_tol: float = EQ_TOL, shape_tol: float = SHAPE_TOL,
+              pos_tol: float = POS_TOL, geom_tol: float = GEOM_TOL) -> EquilibriumClass:
+    """``classify`` at the (N+1, d) realization ``pos`` from its edge pass ``st``."""
     residual = float(np.linalg.norm(st.u, axis=1).max())
     diag = {"residual": residual}
     if not residual < eq_tol:               # also a NaN residual
@@ -311,45 +325,47 @@ def instability_witness(p, graph: FormationGraph, family: PotentialFamily,
         raise ValueError(f"witness requested for class {cls.kind!r}")
     if hessian is None:
         hessian = assemble_hessian(p, graph, family)
+    rotation = (np.eye(graph.dimension) if cls.kind == "flex_coincident"
+                else alignment_rotation(p, graph))
+    return _witness(_aligned_last_block(hessian, rotation), rotation, cls, margin_scale)
 
-    n, d = graph.num_nodes, graph.dimension
-    if cls.kind == "flex_coincident":
-        rotation = np.eye(d)
-    else:
-        rotation = alignment_rotation(p, graph)
-    block = _aligned_last_block(hessian, rotation)
+
+def _witness(block: np.ndarray, rotation: np.ndarray, cls: EquilibriumClass,
+             margin_scale: float = 1e-10) -> Witness:
+    """``instability_witness`` at the aligned last-axis block of the frame
+    ``rotation``.  The eigendecomposition runs only if every cheaper
+    candidate fails."""
+    n = len(block)
     finite = np.isfinite(block)
     scale = max(1.0, float(np.abs(block[finite]).max())) if finite.any() else 1.0
     threshold = -margin_scale * scale
 
-    candidates: list[tuple[str, np.ndarray]] = []
-    ones_no_flex = np.ones(n)
-    ones_no_flex[-1] = 0.0
-    if cls.kind == "flex_coincident":
-        candidates.append(("flex_sum", ones_no_flex))
-    for i in range(n - 1):
-        v = np.zeros(n)
-        v[i] = 1.0
-        candidates.append(("agent_indicator", v))
-    if finite.all():
-        w, vecs = np.linalg.eigh(block)
-        candidates.append(("eigenvector", vecs[:, 0]))
-    else:
-        # unbounded curvature at a coincidence boundary; only candidates
-        # touching finite entries are meaningful, and -inf forms certify
-        w = np.array([-np.inf])
-
-    for tag, v in candidates:
+    def form(v):
         nz = v != 0.0          # restrict to the candidate's support so that
         sub = block[np.ix_(nz, nz)]   # untouched non-finite entries cannot
         with np.errstate(invalid="ignore"):    # poison the quadratic form
-            q = float(v[nz] @ sub @ v[nz])
-        if q < threshold and not np.isnan(q):
+            return float(v[nz] @ sub @ v[nz])
+
+    def candidates():
+        if cls.kind == "flex_coincident":
+            v = np.ones(n)
+            v[-1] = 0.0
+            yield "flex_sum", v, form(v)
+        for i, q in enumerate(block.diagonal()[:-1].tolist()):
+            yield "agent_indicator", np.eye(n)[i], q    # its form 1 * b_ii * 1, exactly
+        if finite.all():
+            v = np.linalg.eigh(block)[1][:, 0]
+            yield "eigenvector", v, form(v)
+
+    for tag, v, q in candidates():
+        if q < threshold:                   # False for a NaN form
             return Witness(vector=v, full_vector=np.outer(v, rotation[-1]).ravel(),
                            quadratic_form=q, tag=tag, rotation=rotation)
+    # unbounded curvature at a coincidence boundary has no eigendecomposition
+    lowest = np.linalg.eigh(block)[0][0] if finite.all() else -np.inf
     raise WitnessNotFoundError(
         f"no negative direction found (class {cls.kind}/{cls.subform}, "
-        f"min block eigenvalue {w[0]:.3e})")
+        f"min block eigenvalue {lowest:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -387,35 +403,60 @@ SIGN_CLAIMS = {
 }
 
 
-def _g_sum(terms: str, roles: tuple, g: dict):
-    """Description and value of a '+'-joined sum of g terms over roles."""
-    names, value = [], 0.0
+def _g_terms(terms: str, roles: tuple):
+    """Description of a '+'-joined sum of g terms over roles, and its terms,
+    each a tuple of label pairs ("@" terms sum several)."""
+    names, parts = [], []
     for term in terms.split("+"):
         if term[0] == "@":
             a = roles["ijkl".index(term[1])]
             names.append(f"sum_g at {a}")
-            value += sum(g[min(a, b), max(a, b)] for b in roles if b != a)
+            parts.append(tuple((min(a, b), max(a, b)) for b in roles if b != a))
         else:
             a, b = sorted(roles["ijkl".index(r)] for r in term)
             names.append(f"g_{a}{b}")
-            value += g[a, b]
-    return "+".join(names), value
+            parts.append(((a, b),))
+    return "+".join(names), tuple(parts)
+
+
+def _g_total(parts: tuple, g: dict) -> float:
+    value = 0.0
+    for part in parts:
+        value += g[part[0]] if len(part) == 1 else sum(g[pair] for pair in part)
+    return value
+
+
+@functools.lru_cache(maxsize=None)
+def _parsed_claim(spec: str, roles: tuple) -> tuple:
+    """One SIGN_CLAIMS row at the given roles, parsed once: per alternative
+    its relation, pivot terms ("" if none) and options, each a (description,
+    terms) pair."""
+    parsed = []
+    for part in spec.split(" or "):
+        terms, relation, _ = part.rsplit(" ", 2)
+        pivot, _, terms = terms.rpartition(" ? ")
+        options = [_g_terms(option, roles) for option in terms.split(" : ")]
+        parsed.append((relation, pivot and _g_terms(pivot, roles)[1],
+                       tuple((f"{name} {relation} 0", parts) for name, parts in options)))
+    return tuple(parsed)
 
 
 def _claim(spec: str, roles: tuple, g: dict, zero_tol: float) -> Claim:
-    """One row of SIGN_CLAIMS at the given roles; g maps label pairs to g."""
-    if " or " in spec:
-        claims = [_claim(part, roles, g, zero_tol) for part in spec.split(" or ")]
-        return Claim(" or ".join(c.description for c in claims),
-                     min(c.value for c in claims), any(c.passed for c in claims))
-    terms, relation, _ = spec.rsplit(" ", 2)
-    if " ? " in terms:
-        pivot, options = terms.split(" ? ")
-        gp = _g_sum(pivot, roles, g)[1]
-        terms = options.split(" : ")[(gp >= -zero_tol) + (gp > zero_tol)]
-    name, value = _g_sum(terms, roles, g)
-    passed = {"<": value < 0, ">": value > 0, "=": abs(value) <= zero_tol}[relation]
-    return Claim(f"{name} {relation} 0", value, passed)
+    """One row of SIGN_CLAIMS at the given roles; g maps label pairs to g.
+    "A or B" holds when either alternative does, with the smaller value."""
+    descriptions, values, passed = [], [], False
+    for relation, pivot, options in _parsed_claim(spec, roles):
+        option = 0
+        if pivot:
+            gp = _g_total(pivot, g)
+            option = (gp >= -zero_tol) + (gp > zero_tol)
+        description, parts = options[option]
+        value = _g_total(parts, g)
+        descriptions.append(description)
+        values.append(value)
+        passed = passed or (value < 0 if relation == "<" else
+                            value > 0 if relation == ">" else abs(value) <= zero_tol)
+    return Claim(" or ".join(descriptions), min(values), passed)
 
 
 def verify_sign_properties(p, graph: FormationGraph, family: PotentialFamily,
@@ -427,12 +468,18 @@ def verify_sign_properties(p, graph: FormationGraph, family: PotentialFamily,
     ``classify`` assigned (``cls.roles``).  Every g term names its labels in
     ascending order.
     """
-    if cls is None:
-        cls = classify(p, graph, family)
+    pos = as_positions(p, graph)
+    st = edge_states(pos, graph, family)
+    return _claims(st, graph, _classify(pos, st, graph) if cls is None else cls, zero_tol)
+
+
+def _claims(st: EdgeState, graph: FormationGraph, cls: EquilibriumClass,
+            zero_tol: float = 1e-9) -> list[Claim]:
+    """``verify_sign_properties`` from the edge pass ``st``."""
     if cls.kind != "degenerate_rigid" or not cls.roles:
         raise ValueError("sign properties are defined for degenerate-rigid "
                          "equilibria of a recognised subform")
-    g = dict(zip(graph.edges, edge_states(p, graph, family).g.tolist()))
+    g = dict(zip(graph.edges, st.g.tolist()))
     return [_claim(spec, cls.roles, g, zero_tol)
             for spec in SIGN_CLAIMS[graph.dimension][cls.subform]]
 
@@ -549,35 +596,37 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
 
     Witness construction and sign-property tables are only attempted for the
     two certified topologies; other graphs get spectrum and class only.
-    Raises PotentialDomainError at finite positions where V is not finite
+    One edge pass serves the class, the Hessian and the sign claims, and one
+    aligned last-axis block serves the witness and the block spectrum, so
+    the report equals the one the public calls build separately, bit for
+    bit.  Raises PotentialDomainError at finite positions where V is not finite
     (the coincidence boundary of a family that diverges there).
     """
-    cls = classify(p, graph, family, eq_tol=eq_tol)
-    h = assemble_hessian(p, graph, family)
+    pos = as_positions(p, graph)
+    st = edge_states(pos, graph, family)
+    cls = _classify(pos, st, graph, eq_tol=eq_tol)
+    h = _hessian(st, graph)
     finite_h = bool(np.isfinite(h).all())
     # V diverges only where some g does, so only a non-finite H needs the check
-    if (not finite_h and np.isfinite(as_positions(p, graph)).all()
-            and not family_admits(p, graph, family)):
+    if (not finite_h and np.isfinite(pos).all()
+            and not family_admits(pos, graph, family)):
         raise PotentialDomainError(f"realization lies on the coincidence boundary, where "
                                    f"the {family.name} potential diverges (outside its domain)")
     certified = graph.certified_topology() is not None
+    rotation = (alignment_rotation(pos, graph) if cls.kind == "degenerate_rigid"
+                else np.eye(graph.dimension))
+    block = _aligned_last_block(h, rotation)
 
     witness = None
     claims: list = []
     if certified and cls.kind in ("flex_coincident", "degenerate_rigid"):
-        witness = instability_witness(p, graph, family, cls=cls, hessian=h)
+        witness = _witness(block, rotation, cls)
         if cls.kind == "degenerate_rigid":
-            claims = verify_sign_properties(p, graph, family, cls=cls)
-    if witness is not None:
-        rotation = witness.rotation
-    elif cls.kind == "degenerate_rigid":
-        rotation = alignment_rotation(p, graph)
-    else:
-        rotation = np.eye(graph.dimension)
+            claims = _claims(st, graph, cls)
 
     if finite_h:
         spectrum = np.linalg.eigvalsh(h)
-        block_spectrum = np.linalg.eigvalsh(_aligned_last_block(h, rotation))
+        block_spectrum = np.linalg.eigvalsh(block)
         min_eig, is_psd = _psd_verdict(spectrum, eig_tol)
     else:
         # non-finite coordinates: no finite spectrum exists

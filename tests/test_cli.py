@@ -10,6 +10,7 @@ from rigidflex.graph import graph_to_json, triangle_flex
 from rigidflex.oracle import (construct_equilibrium, desired_equilibrium,
                               flex_coincident_equilibrium)
 from rigidflex.potentials import QUADRATIC
+from rigidflex.stability import verify_sign_properties
 
 
 @pytest.fixture
@@ -78,6 +79,35 @@ def test_run_bad_scenario_is_config_error(tmp_path):
     assert main(["run", "no_such_scenario"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("verb, field, doc", [
+    ("analyze", "graph", 5),
+    ("analyze", "graph", {"edges": 3}),
+    ("analyze", "realization", {"positions": {"a": 1}}),
+    ("run", "scenario", []),
+    ("run", "events", 5),
+    ("run", "leader", 5),
+    ("run", "analysis", 5),
+    ("run", "dt", -1),
+    ("run", "record_every", 0),
+])
+def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, field, doc):
+    """Malformed input exits 2 with a one-line message, never a traceback."""
+    bad = tmp_path / "bad.json"
+    if verb == "analyze":
+        real = tmp_path / "real.json"
+        real.write_text(json.dumps({"positions": desired_equilibrium(triangle_flex()).tolist()}))
+        bad.write_text(json.dumps(doc))
+        files = [bad, graph_file] if field == "realization" else [real, bad]
+    elif field == "scenario":
+        bad.write_text(json.dumps(doc))
+        files = [bad]
+    else:
+        files = [small_scenario(tmp_path, **{field: doc})]
+    assert main([verb, *map(str, files), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error")
+
+
 def test_run_rational_start_on_coincidence_boundary_exits_numeric(tmp_path, capsys):
     p0 = desired_equilibrium(triangle_flex())
     p0[-1] = p0[-2]
@@ -124,18 +154,16 @@ def test_catalog_full_witness_rate(tmp_path, graph_file, capsys):
 def test_catalog_computes_each_sign_table_row_once(tmp_path, graph_file, monkeypatch):
     """The sign table takes the claims of analyze's report: one claim
     evaluation per degenerate entry, and the same rows as a fresh call."""
-    import rigidflex.cli as cli
     import rigidflex.stability as stability
 
     calls = []
-    verify = stability.verify_sign_properties
+    claims = stability._claims
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return verify(*args, **kwargs)
+        return claims(*args, **kwargs)
 
-    monkeypatch.setattr(stability, "verify_sign_properties", counted)
-    monkeypatch.setattr(cli, "verify_sign_properties", counted)
+    monkeypatch.setattr(stability, "_claims", counted)
     assert main(["catalog", str(graph_file), "--out", str(tmp_path / "cat")]) == EXIT_OK
     entries = [json.loads(x) for x in
                (tmp_path / "cat" / "catalog.jsonl").read_text().splitlines()]
@@ -146,7 +174,7 @@ def test_catalog_computes_each_sign_table_row_once(tmp_path, graph_file, monkeyp
     assert table == [
         {"subform": e["subform"],
          "claims": [{"claim": c.description, "value": c.value, "passed": c.passed}
-                    for c in verify(np.array(e["positions"]), g, QUADRATIC)]}
+                    for c in verify_sign_properties(np.array(e["positions"]), g, QUADRATIC)]}
         for e in degenerate]
 
 

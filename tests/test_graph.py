@@ -76,6 +76,15 @@ def test_incidence_matrix_signs():
     np.testing.assert_allclose(z[0], [-1.0, 0.0])
 
 
+def test_cached_arrays_are_read_only():
+    g = tetrahedron_flex()
+    for arr in (g._tails, g._heads, g._dbar, g._dbar2, g._incidence, g._incidence_t,
+                g._neg_incidence, g._hessian_index):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError):
+        g._hessian_index[0] = 0
+
+
 def test_json_round_trip():
     g = tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))
     doc = graph_to_json(g)

@@ -97,6 +97,20 @@ def test_event_outside_horizon_rejected():
         integrate(desired_equilibrium(g), g, QUADRATIC, t_end=1.0, events=[ev])
 
 
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("settings, match", [
+    ({"t_end": 0.0}, "t_end"), ({"dt": 0.0}, "dt"), ({"dt": -1.0}, "dt"),
+    ({"dt": float("nan")}, "dt"), ({"record_every": 0}, "record_every"),
+])
+def test_step_settings_rejected(settings, match, adaptive):
+    """A zero step would never advance (the fixed-step loop hangs), a
+    negative one runs backwards, and record_every 0 divides by zero."""
+    g = triangle_flex()
+    with pytest.raises(ValueError, match=match):
+        integrate(desired_equilibrium(g), g, QUADRATIC, **{"t_end": 1.0, **settings},
+                  adaptive=adaptive)
+
+
 def test_adaptive_mode_matches_fixed_step():
     g = triangle_flex()
     p0 = np.array([[5.0, 0.5], [-4.0, 1.0], [0.3, -3.0], [1.0, 4.0]])

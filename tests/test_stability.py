@@ -1,12 +1,13 @@
 """Hessian assembly, classification, witnesses, and sign-table verification."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from rigidflex.control import balance_residuals, edge_states, gradient_control
-from rigidflex.graph import tetrahedron_flex, triangle_flex
+from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     build_catalog,
     construct_equilibrium,
@@ -16,10 +17,13 @@ from rigidflex.oracle import (
 )
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialDomainError
 from rigidflex.stability import (
+    SIGN_CLAIMS,
+    StabilityReport,
     WitnessNotFoundError,
     alignment_rotation,
     analyze,
     _aligned_last_block,
+    _claim,
     assemble_hessian,
     classify,
     instability_witness,
@@ -82,6 +86,22 @@ def reference_hessian(p, graph, family):
     return h
 
 
+def add_at_hessian(p, graph, family):
+    """The Hessian scattered with np.add.at into (N+1, N+1, d, d) node blocks,
+    the edge blocks at (i, i), (j, j), (i, j), (j, i) in edge order."""
+    st = edge_states(p, graph, family)
+    n, d = graph.num_nodes, graph.dimension
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = 2.0 * st.rho[:, None, None] * (st.z[:, :, None] * st.z[:, None, :]) \
+            + st.g[:, None, None] * np.eye(d)
+        tails, heads = graph.edge_tails, graph.edge_heads
+        rows = np.stack([tails, heads, tails, heads], axis=1).ravel()
+        cols = np.stack([tails, heads, heads, tails], axis=1).ravel()
+        h = np.zeros((n, n, d, d))
+        np.add.at(h, (rows, cols), np.stack([m, m, -m, -m], axis=1).reshape(-1, d, d))
+    return h.transpose(0, 2, 1, 3).reshape(n * d, n * d)
+
+
 def random_rotation(rng, d):
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
@@ -96,12 +116,18 @@ def test_hessian_matches_per_edge_loop(graph, family):
         h, ref = assemble_hessian(p, graph, family), reference_hessian(p, graph, family)
         assert h.shape == ref.shape
         assert np.abs(h - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert h.tobytes() == add_at_hessian(p, graph, family).tobytes()
     # a coincident rational edge makes its four node blocks non-finite, no others
     p[-1] = p[-2]
     h, ref = assemble_hessian(p, graph, family), reference_hessian(p, graph, family)
+    assert h.tobytes() == add_at_hessian(p, graph, family).tobytes()
     finite = np.isfinite(ref)
     np.testing.assert_array_equal(np.isfinite(h), finite)
     assert finite.all() == (family is QUADRATIC)
+    d = graph.dimension
+    flex_blocks = np.zeros_like(finite)
+    flex_blocks[-2 * d:, -2 * d:] = True
+    assert not (~finite & ~flex_blocks).any()
     assert np.abs(h[finite] - ref[finite]).max() <= 1e-13 * np.abs(ref[finite]).max()
 
 
@@ -405,35 +431,133 @@ def test_classify_runs_one_kernel_pass(monkeypatch):
 
 
 def test_analyze_assembles_once_and_aligns_once(monkeypatch):
-    """One analyze at a moved 3-D catalog point: one Hessian, at most one
-    aligning rotation, and one kernel pass each for classify, the Hessian
-    and the sign claims."""
+    """One analyze at a moved 3-D catalog point or the desired shape: one
+    edge-kernel pass, shared by the class, the Hessian and the sign claims,
+    one Hessian, and an aligning rotation only for a degenerate-rigid class."""
+    import rigidflex.control as control
     import rigidflex.stability as stability
 
-    counts = dict.fromkeys(("assemble_hessian", "alignment_rotation", "edge_states"), 0)
+    counts = dict.fromkeys(("_edge_kernel", "_hessian", "alignment_rotation"), 0)
 
-    def counted(name):
-        fn = getattr(stability, name)
+    def counted(module, name):
+        fn = getattr(module, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
 
-        return wrapper
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in counts:
-        monkeypatch.setattr(stability, name, counted(name))
+    for module, name in ((control, "_edge_kernel"), (stability, "_hessian"),
+                         (stability, "alignment_rotation")):
+        counted(module, name)
     g = tetrahedron_flex()
     entries, _ = build_catalog(g, QUADRATIC)
     rng = np.random.default_rng(13)
-    for entry in entries:
-        p = entry.positions @ random_rotation(rng, 3).T + rng.standard_normal(3)
+    targets = [(e.kind, e.positions) for e in entries] + [("desired", desired_equilibrium(g))]
+    for kind, pos in targets:
+        p = pos @ random_rotation(rng, 3).T + rng.standard_normal(3)
         counts.update(dict.fromkeys(counts, 0))
         report = analyze(p, g, QUADRATIC)
-        assert report.witness is not None
-        assert counts["assemble_hessian"] == 1
-        assert counts["alignment_rotation"] <= 1
-        assert counts["edge_states"] == (3 if entry.kind == "degenerate_rigid" else 2)
+        assert report.classification.kind == kind
+        assert (report.witness is not None) == (kind != "desired")
+        assert counts == {"_edge_kernel": 1, "_hessian": 1,
+                          "alignment_rotation": int(kind == "degenerate_rigid")}
+
+
+def reference_claim(spec, roles, g, zero_tol=1e-9):
+    """Reference evaluator that parses a SIGN_CLAIMS row on every call:
+    (description, value, passed)."""
+    if " or " in spec:
+        parts = [reference_claim(part, roles, g, zero_tol) for part in spec.split(" or ")]
+        return (" or ".join(p[0] for p in parts), min(p[1] for p in parts),
+                any(p[2] for p in parts))
+
+    def g_sum(terms):
+        names, value = [], 0.0
+        for term in terms.split("+"):
+            if term[0] == "@":
+                a = roles["ijkl".index(term[1])]
+                names.append(f"sum_g at {a}")
+                value += sum(g[min(a, b), max(a, b)] for b in roles if b != a)
+            else:
+                a, b = sorted(roles["ijkl".index(r)] for r in term)
+                names.append(f"g_{a}{b}")
+                value += g[a, b]
+        return "+".join(names), value
+
+    terms, relation, _ = spec.rsplit(" ", 2)
+    if " ? " in terms:
+        pivot, options = terms.split(" ? ")
+        gp = g_sum(pivot)[1]
+        terms = options.split(" : ")[(gp >= -zero_tol) + (gp > zero_tol)]
+    name, value = g_sum(terms)
+    passed = {"<": value < 0, ">": value > 0, "=": abs(value) <= zero_tol}[relation]
+    return f"{name} {relation} 0", value, passed
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_parsed_sign_claims_equal_the_per_call_parser(d):
+    """Every SIGN_CLAIMS row, at every role order, over g values that hit
+    each branch of a pivot (negative, zero to the tolerance's edge, positive):
+    the cached parse gives the reference's description, value bits and
+    verdict."""
+    rng = np.random.default_rng(23)
+    labels = range(1, d + 2)
+    for subform, specs in SIGN_CLAIMS[d].items():
+        for roles in itertools.permutations(labels):
+            for _ in range(4):
+                g = {pair: float(rng.choice([0.0, 1e-9, -1e-9, rng.standard_normal()]))
+                     for pair in itertools.combinations(labels, 2)}
+                for spec in specs:
+                    c = _claim(spec, roles, g, 1e-9)
+                    ref = reference_claim(spec, roles, g)
+                    assert (c.description, c.value.hex(), c.passed) == (ref[0], ref[1].hex(), ref[2])
+
+
+def separate_report(p, graph, family):
+    """The stability report from the public calls, each with its own edge pass."""
+    cls = classify(p, graph, family)
+    h = assemble_hessian(p, graph, family)
+    certified = graph.certified_topology() is not None
+    witness, claims = None, []
+    if certified and cls.kind in ("flex_coincident", "degenerate_rigid"):
+        witness = instability_witness(p, graph, family)
+        if cls.kind == "degenerate_rigid":
+            claims = verify_sign_properties(p, graph, family)
+    if witness is not None:
+        rotation = witness.rotation
+    elif cls.kind == "degenerate_rigid":
+        rotation = alignment_rotation(p, graph)
+    else:
+        rotation = np.eye(graph.dimension)
+    min_eig, is_psd = psd_check(h)
+    return StabilityReport(
+        classification=cls, spectrum=np.linalg.eigvalsh(h),
+        block_spectrum=np.linalg.eigvalsh(_aligned_last_block(h, rotation)),
+        min_eigenvalue=min_eig, positive_semidefinite=is_psd,
+        witness=witness, claims=claims, certified=certified)
+
+
+TAILORED_TETRAHEDRON = FormationGraph(
+    num_nodes=5, dimension=3, edges=((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5)),
+    desired=(4.0, 26.5 ** 0.5, 4.0, 26.5 ** 0.5, 4.0, 39.0 ** 0.5, 4.0), flex_edge=(4, 5))
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED_TETRAHEDRON])
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+def test_analyze_equals_the_separate_public_calls(graph, family):
+    """analyze shares one edge pass and one aligned block among its parts;
+    its report is bit for bit the one the public calls build separately, at
+    rigid motions of every catalog entry and of the desired shape."""
+    entries, _ = build_catalog(graph, family)
+    rng = np.random.default_rng(19)
+    d = graph.dimension
+    for pos in [e.positions for e in entries] + [desired_equilibrium(graph)]:
+        for _ in range(2):
+            p = pos @ random_rotation(rng, d).T + rng.uniform(-10, 10, d)
+            assert (json.dumps(analyze(p, graph, family).to_json_dict())
+                    == json.dumps(separate_report(p, graph, family).to_json_dict()))
 
 
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
