@@ -1,7 +1,7 @@
 """Command-line front end: scenario runs, stability analysis, catalogs.
 
 Verbs:
-  run                simulate a scenario JSON file, emit trajectory + events
+  run                simulate a scenario JSON file, emit a trajectory CSV + events
   analyze            classify a realization and report spectrum/witness
   catalog            construct the undesired-equilibrium catalog for a graph
   validate-potential check a built-in potential family's defining conditions
@@ -32,6 +32,9 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 
 LYAPUNOV_SLACK = 1e-10              # largest tolerated per-step increase
+
+SCENARIO_KEYS = frozenset({"graph", "family", "initial", "t_end", "dt", "record_every",
+                           "eq_tol", "events", "leader", "analysis"})
 
 
 class ScenarioError(ValueError):
@@ -105,6 +108,9 @@ def _positions_from_doc(doc, graph):
 def _cmd_run(args) -> int:
     doc = _resolve_scenario(args.scenario)
     try:
+        unknown = sorted(doc.keys() - SCENARIO_KEYS)
+        if unknown:
+            raise ScenarioError(f"unknown key(s) {', '.join(unknown)}")
         graph = _parse_graph(doc["graph"])
         family = get_family(doc.get("family", "quadratic"))
         p0 = _positions_from_doc(doc["initial"], graph)
@@ -120,20 +126,12 @@ def _cmd_run(args) -> int:
         p0, graph, family, t_end, dt=dt, leader=leader, events=events,
         record_every=record_every,
         eq_tol=args.tol_eq if args.tol_eq is not None else float(doc.get("eq_tol", 1e-9)),
-        adaptive=bool(doc.get("adaptive", False)),
-        rtol=float(doc.get("rtol", 1e-8)),
     )
 
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     stem = Path(args.scenario).stem
-    if args.format == "csv":
-        traj.to_csv(out / f"{stem}_trajectory.csv")
-    else:
-        _write_json(out / f"{stem}_trajectory.json", {
-            "times": [float(t) for t in traj.times],
-            "states": [[float(x) for x in row] for row in traj.states],
-        })
+    traj.to_csv(out / f"{stem}_trajectory.csv")
     traj.events_to_json(out / f"{stem}_events.json")
 
     if analyze_equilibria:
@@ -257,25 +255,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Formation-control simulation and stability analysis")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def common(sp):
-        sp.add_argument("--out", default=None, help="output directory")
-        sp.add_argument("--seed", type=int, default=0, help="default RNG seed")
-        sp.add_argument("--tol-eig", type=float, default=None,
-                        help="eigenvalue tolerance (default 1e-8 * ||H||)")
-        sp.add_argument("--tol-eq", type=float, default=None,
-                        help="equilibrium balance tolerance")
-        sp.add_argument("--format", choices=("csv", "json"), default="csv")
+    def options(sp, *names):
+        """Add the shared options ``names``: each verb takes only those it reads."""
+        shared = {
+            "--out": dict(default=None, help="output directory"),
+            "--seed": dict(type=int, default=0, help="default RNG seed"),
+            "--tol-eig": dict(type=float, default=None,
+                              help="eigenvalue tolerance (default 1e-8 * ||H||)"),
+            "--tol-eq": dict(type=float, default=None,
+                             help="equilibrium balance tolerance"),
+        }
+        for name in names:
+            sp.add_argument(name, **shared[name])
 
     sp = sub.add_parser("run", help="simulate a scenario file or bundled name")
     sp.add_argument("scenario")
-    common(sp)
+    options(sp, "--out", "--seed", "--tol-eig", "--tol-eq")
     sp.set_defaults(func=_cmd_run)
 
     sp = sub.add_parser("analyze", help="stability report for a realization")
     sp.add_argument("realization", help="JSON file with positions")
     sp.add_argument("graph", help="graph JSON file")
     sp.add_argument("--family", default="quadratic", choices=sorted(FAMILIES))
-    common(sp)
+    options(sp, "--out", "--tol-eig", "--tol-eq")
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("catalog", help="undesired-equilibrium catalog")
@@ -283,13 +285,13 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", default="quadratic", choices=sorted(FAMILIES))
     sp.add_argument("--subforms", default=None,
                     help="comma-separated subform names (default: all)")
-    common(sp)
+    options(sp, "--out", "--tol-eig")
     sp.set_defaults(func=_cmd_catalog)
 
     sp = sub.add_parser("validate-potential", help="check family conditions")
     sp.add_argument("family", choices=sorted(FAMILIES))
     sp.add_argument("--dbar", type=float, default=4.0)
-    common(sp)
+    options(sp, "--out")
     sp.set_defaults(func=_cmd_validate_potential)
     return parser
 

@@ -1,9 +1,9 @@
 """Closed-loop simulation of the single-integrator formation dynamics.
 
-Fixed-step classical Runge-Kutta (RK4) by default, with exact clamping onto
-scheduled event times; an optional adaptive mode delegates to scipy's RK45.
-Along every run the relevant Lyapunov quantity (V, or the composite target
-potential in leader-target mode) is monitored step by step.
+A single fixed-step classical Runge-Kutta (RK4) loop, with exact clamping
+onto scheduled event times.  Along every run the relevant Lyapunov quantity
+(V, or the composite target potential in leader-target mode) is monitored
+step by step.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .control import LeaderSpec, _edge_kernel, _ignore_fp, _lyapunov, gradient_control
 from .graph import FormationGraph, as_positions
@@ -131,22 +130,21 @@ def _rk4_step(f, t, p, h, k, s):
 @_ignore_fp
 def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
               dt: float = 1e-3, leader: LeaderSpec | None = None,
-              events=(), record_every: int = 10, eq_tol: float = 1e-9,
-              adaptive: bool = False, rtol: float = 1e-8) -> Trajectory:
-    """Integrate the closed loop from p0 to t_end.
+              events=(), record_every: int = 10, eq_tol: float = 1e-9) -> Trajectory:
+    """Integrate the closed loop from p0 to t_end with fixed-step RK4.
 
     Scheduled perturbations are applied as instantaneous state jumps at
     exactly their stated times (step clamping).  The returned trajectory
     carries an event log (equilibrium detection, perturbations, target
     arrival) and the worst per-step increase of the Lyapunov quantity.
 
-    The state is an (N+1, d) array, the edge kernel's layout.  The
-    fixed-step loop runs the kernel once per accepted state and reuses that
-    pass as the next step's first RK4 stage and for the Lyapunov value, the
-    record and the equilibrium check: four kernel passes per step, plus one
-    at the start of each segment.  The kernel writes the four stages into
-    one (4, N+1, d) stage stack, which the step combines in one product.
-    The whole call ignores floating-point divide/invalid errors once.
+    The state is an (N+1, d) array, the edge kernel's layout.  The loop
+    runs the kernel once per accepted state and reuses that pass as the next
+    step's first RK4 stage and for the Lyapunov value, the record and the
+    equilibrium check: four kernel passes per step, plus one at the start of
+    each segment.  The kernel writes the four stages into one (4, N+1, d)
+    stage stack, which the step combines in one product.  The whole call
+    ignores floating-point divide/invalid errors once.
 
     One guard per step: V at the new state must be finite, else
     IntegrationError carries the time and state before that step.  A
@@ -171,7 +169,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             u[-1] += leader.flex_input(t, state[-1])
         return u
 
-    def stage(t, state, out=None):
+    def stage(t, state, out):
         return drive(t, state, _edge_kernel(state, graph, family, out)[3])
 
     def evaluate(state):
@@ -230,39 +228,21 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     ev_idx = 0
     for boundary in boundaries:
         w_prev = w
-        if adaptive:
-            span = boundary - t
-            if span > 1e-15:
-                n_rec = max(int(round(span / (dt * record_every))), 1)
-                t_eval = np.linspace(t, boundary, n_rec + 1)[1:]
-                sol = solve_ivp(lambda tk, y: stage(tk, y.reshape(n, d)).ravel(),
-                                (t, boundary), p.ravel(), method="RK45", rtol=rtol,
-                                atol=rtol * 1e-3, t_eval=t_eval, dense_output=False)
-                if not sol.success:
-                    raise IntegrationError(sol.message, time=t, last_state=p)
-                for tk, yk in zip(sol.t, sol.y.T.reshape(-1, n, d)):
-                    e, u, w = evaluate(yk)
-                    max_dv = max(max_dv, w - w_prev)
-                    w_prev = w
-                    record(tk, yk, e, u)
-                    check_events(tk, yk, u)
-                p, t = sol.y[:, -1].reshape(n, d).copy(), boundary
-        else:
-            step_count = 0
-            while boundary - t > 1e-12:
-                h = min(dt, boundary - t)
-                drive(t, p, k1)
-                p_new = _rk4_step(stage, t, p, h, stack, scratch)
-                e, u, w = evaluate(p_new)
-                guard(w, t + h, t, p)
-                p, t = p_new, t + h
-                max_dv = max(max_dv, w - w_prev)
-                w_prev = w
-                step_count += 1
-                if step_count % record_every == 0 or boundary - t <= 1e-12:
-                    record(t, p, e, u)
-                    check_events(t, p, u)
-            t = boundary
+        step_count = 0
+        while boundary - t > 1e-12:
+            h = min(dt, boundary - t)
+            drive(t, p, k1)
+            p_new = _rk4_step(stage, t, p, h, stack, scratch)
+            e, u, w = evaluate(p_new)
+            guard(w, t + h, t, p)
+            p, t = p_new, t + h
+            max_dv = max(max_dv, w - w_prev)
+            w_prev = w
+            step_count += 1
+            if step_count % record_every == 0 or boundary - t <= 1e-12:
+                record(t, p, e, u)
+                check_events(t, p, u)
+        t = boundary
         if ev_idx < len(schedule) and abs(schedule[ev_idx].time - boundary) < 1e-12:
             p = apply_perturbation(p, schedule[ev_idx], graph).reshape(n, d)
             log.append((boundary, "perturbation_applied"))
@@ -271,7 +251,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             record(t, p, e, u)
             ev_idx += 1
 
-    traj = Trajectory(
+    return Trajectory(
         times=np.asarray(times),
         states=np.asarray(states).reshape(len(states), n * d),
         edge_errors=np.asarray(errors),
@@ -280,4 +260,3 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         max_lyapunov_increase=float(max_dv),
         graph=graph,
     )
-    return traj

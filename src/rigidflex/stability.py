@@ -137,11 +137,8 @@ def alignment_rotation(p, graph: FormationGraph) -> np.ndarray:
     rigid = pos[list(graph.rigid_nodes)]
     x = rigid - rigid.mean(axis=0)
     _, _, vt = np.linalg.svd(x, full_matrices=True)
-    q = vt.copy()
-    for row in range(q.shape[0]):
-        lead = np.argmax(np.abs(q[row]))
-        if q[row, lead] < 0:
-            q[row] = -q[row]
+    flip = vt[np.arange(len(vt)), np.abs(vt).argmax(axis=1)] < 0
+    q = np.where(flip[:, None], -vt, vt)
     if np.linalg.det(q) < 0:
         q[-1] = -q[-1]
     return q
@@ -317,16 +314,20 @@ def instability_witness(p, graph: FormationGraph, family: PotentialFamily,
     eigenvector of the most negative eigenvalue of the aligned last-axis
     block.  The first candidate whose quadratic form clears the strictness
     margin wins; raises WitnessNotFoundError if none does.  ``hessian`` is
-    the assembled Hessian at ``p``, if the caller already has it.
+    the assembled Hessian at ``p``, if the caller already has it.  One edge
+    pass serves a missing ``cls`` and ``hessian`` both.
     """
+    pos = as_positions(p, graph)
+    st = None
     if cls is None:
-        cls = classify(p, graph, family)
+        st = edge_states(pos, graph, family)
+        cls = _classify(pos, st, graph)
     if cls.kind not in ("flex_coincident", "degenerate_rigid", "unrecognized"):
         raise ValueError(f"witness requested for class {cls.kind!r}")
     if hessian is None:
-        hessian = assemble_hessian(p, graph, family)
+        hessian = _hessian(st or edge_states(pos, graph, family), graph)
     rotation = (np.eye(graph.dimension) if cls.kind == "flex_coincident"
-                else alignment_rotation(p, graph))
+                else alignment_rotation(pos, graph))
     return _witness(_aligned_last_block(hessian, rotation), rotation, cls, margin_scale)
 
 

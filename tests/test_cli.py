@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from rigidflex.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, bundled_scenario_names, main
+from rigidflex.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, SCENARIO_KEYS,
+                           bundled_scenario_names, main)
 from rigidflex.graph import graph_to_json, triangle_flex
 from rigidflex.oracle import (construct_equilibrium, desired_equilibrium,
                               flex_coincident_equilibrium)
@@ -89,9 +90,14 @@ def test_run_bad_scenario_is_config_error(tmp_path):
     ("run", "analysis", 5),
     ("run", "dt", -1),
     ("run", "record_every", 0),
+    ("run", "adaptive", True),
+    ("run", "rtol", 1e-8),
+    ("run", "t_ned", 1.0),
 ])
 def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, field, doc):
-    """Malformed input exits 2 with a one-line message, never a traceback."""
+    """Malformed input exits 2 with a one-line message, never a traceback.
+    An unknown scenario key (a removed or misspelt one) is named, not run
+    with its default."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":
         real = tmp_path / "real.json"
@@ -106,6 +112,9 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
     assert main([verb, *map(str, files), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error")
+    if verb == "run" and field not in SCENARIO_KEYS | {"scenario"}:
+        assert f"unknown key(s) {field}" in err[0]
+        assert not (tmp_path / "out").exists()
 
 
 def test_run_rational_start_on_coincidence_boundary_exits_numeric(tmp_path, capsys):
@@ -194,6 +203,26 @@ def test_validate_potential_ok(capsys):
 
 def test_unknown_verb_is_config_error(capsys):
     assert main(["frobnicate"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "SCENARIO", "--format", "json"],
+    ["analyze", "REALIZATION", "GRAPH", "--seed", "1"],
+    ["catalog", "GRAPH", "--tol-eq", "0"],
+    ["catalog", "GRAPH", "--seed", "1"],
+    ["validate-potential", "quadratic", "--seed", "1"],
+    ["validate-potential", "quadratic", "--tol-eig", "1e-6"],
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_verb_rejects_options_it_does_not_read(tmp_path, graph_file, capsys, argv):
+    """Each verb takes only the options it reads; any other exits 2 before
+    the verb runs."""
+    real = tmp_path / "real.json"
+    real.write_text(json.dumps({"positions": desired_equilibrium(triangle_flex()).tolist()}))
+    files = {"SCENARIO": small_scenario(tmp_path), "REALIZATION": real, "GRAPH": graph_file}
+    argv = [str(files.get(a, a)) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_rejects_event_after_horizon(tmp_path):

@@ -12,6 +12,7 @@ from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.oracle import build_catalog
 from rigidflex.potentials import QUADRATIC, RATIONAL
 from rigidflex.stability import (
+    alignment_rotation,
     assemble_hessian,
     classify,
     instability_witness,
@@ -46,6 +47,18 @@ def rotation(angles, d):
     return rz @ ry @ rx
 
 
+def loop_alignment_rotation(p, graph):
+    """Reference frame with the row signs fixed one row at a time."""
+    rigid = p[list(graph.rigid_nodes)]
+    _, _, q = np.linalg.svd(rigid - rigid.mean(axis=0), full_matrices=True)
+    for row in range(q.shape[0]):
+        if q[row, np.argmax(np.abs(q[row]))] < 0:
+            q[row] = -q[row]
+    if np.linalg.det(q) < 0:
+        q[-1] = -q[-1]
+    return q
+
+
 angle_triples = st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3)
 shifts = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
 
@@ -58,7 +71,8 @@ def test_witness_is_invariant_under_rigid_motions(graph_name, family_name, angle
     """Every catalog entry keeps its class and subform after a rotation and
     a shift, its witness stays strictly negative, the embedded direction
     v (x) r has the same curvature in the full Hessian, and its sign claims
-    keep their descriptions and verdicts, with values within 1e-9."""
+    keep their descriptions and verdicts, with values within 1e-9.  The
+    aligning frame equals the per-row reference bit for bit."""
     graph, family = GRAPHS[graph_name], FAMILIES[family_name]
     d = graph.dimension
     rot = rotation(np.array(angles), d)
@@ -66,6 +80,8 @@ def test_witness_is_invariant_under_rigid_motions(graph_name, family_name, angle
         p = entry.positions @ rot.T + np.array(shift[:d])
         cls = classify(p, graph, family)
         assert (cls.kind, cls.subform) == (entry.kind, entry.subform)
+        np.testing.assert_array_equal(alignment_rotation(p, graph),
+                                      loop_alignment_rotation(p, graph))
         h = assemble_hessian(p, graph, family)
         w = instability_witness(p, graph, family, cls=cls, hessian=h)
         assert w.quadratic_form < 0

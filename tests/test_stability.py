@@ -465,6 +465,37 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
                           "alignment_rotation": int(kind == "degenerate_rigid")}
 
 
+def test_witness_runs_at_most_one_kernel_pass(monkeypatch):
+    """instability_witness makes one edge-kernel pass for whichever of the
+    class and the Hessian it is not given, none when given both, and finds
+    the same witness bit for bit either way."""
+    import rigidflex.control as control
+
+    calls = []
+    kernel = control._edge_kernel
+
+    def counted_kernel(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    g = tetrahedron_flex()
+    entries, _ = build_catalog(g, QUADRATIC)
+    rng = np.random.default_rng(23)
+    monkeypatch.setattr(control, "_edge_kernel", counted_kernel)
+    for entry in entries:
+        p = entry.positions @ random_rotation(rng, 3).T + rng.standard_normal(3)
+        cls, h = classify(p, g, QUADRATIC), assemble_hessian(p, g, QUADRATIC)
+        found = []
+        for given, passes in (({}, 1), ({"cls": cls}, 1), ({"hessian": h}, 1),
+                              ({"cls": cls, "hessian": h}, 0)):
+            calls.clear()
+            found.append(instability_witness(p, g, QUADRATIC, **given))
+            assert len(calls) == passes
+        for w in found[1:]:
+            assert (w.tag, w.quadratic_form.hex()) == (found[0].tag, found[0].quadratic_form.hex())
+            np.testing.assert_array_equal(w.full_vector, found[0].full_vector)
+
+
 def reference_claim(spec, roles, g, zero_tol=1e-9):
     """Reference evaluator that parses a SIGN_CLAIMS row on every call:
     (description, value, passed)."""
