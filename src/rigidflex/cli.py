@@ -23,7 +23,7 @@ import numpy as np
 from .control import leader_spec_from_json
 from .graph import FormationGraph, GraphError, graph_from_json, triangle_flex, tetrahedron_flex
 from .integrator import IntegrationError, PerturbationEvent, integrate, random_perturbation
-from .oracle import OracleError, build_catalog, newton_polish
+from .oracle import OracleError, build_catalog, newton_polish, write_catalog
 from .potentials import FAMILIES, get_family, validate_family
 from .stability import WitnessNotFoundError, analyze, verify_sign_properties
 
@@ -186,16 +186,17 @@ def _cmd_catalog(args) -> int:
     graph = _parse_graph(_load_json(args.graph))
     family = get_family(args.family)
     subforms = args.subforms.split(",") if args.subforms else None
-    entries, failures = build_catalog(graph, family, subforms=subforms)
+    try:
+        entries, failures = build_catalog(graph, family, subforms=subforms)
+    except OracleError as exc:              # an unknown subform or an uncertified graph
+        raise ScenarioError(str(exc))
 
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     sign_table = []
     witness_ok = 0
     undesired = 0
-    with open(out / "catalog.jsonl", "w") as fh:
-        for entry in entries:
-            fh.write(json.dumps(entry.to_json_dict()) + "\n")
+    write_catalog(entries, out / "catalog.jsonl")
     for entry in entries:
         if entry.kind not in ("flex_coincident", "degenerate_rigid"):
             continue

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .graph import FormationGraph, as_positions
-from .potentials import PotentialFamily, check_domain
+from .potentials import PotentialFamily
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,6 @@ _ignore_fp = np.errstate(divide="ignore", invalid="ignore")   # used as a decora
 @_ignore_fp
 def edge_states(p, graph: FormationGraph, family: PotentialFamily) -> EdgeState:
     z, e, g, u = _edge_kernel(as_positions(p, graph), graph, family)
-    check_domain(e, graph._dbar)
     rho = np.asarray(family.rho(e, graph._dbar), dtype=float)
     return EdgeState(z=z, e=e, g=g, rho=rho, u=u)
 

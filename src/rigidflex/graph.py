@@ -96,11 +96,6 @@ class FormationGraph:
         return self._heads
 
     @property
-    def desired_array(self) -> np.ndarray:
-        """Desired distance per edge; read-only."""
-        return self._dbar
-
-    @property
     def flex_edge_index(self) -> int:
         return self.edges.index(tuple(self.flex_edge))
 
@@ -108,11 +103,6 @@ class FormationGraph:
     def rigid_nodes(self) -> range:
         """0-based indices of the rigid-subgraph nodes 1..N."""
         return range(self.num_nodes - 1)
-
-    def edge_index(self, i: int, j: int) -> int:
-        """Position of edge (i, j) (1-based labels, either order)."""
-        a, b = min(i, j), max(i, j)
-        return self.edges.index((a, b))
 
     def neighbors(self, i: int) -> list[int]:
         """1-based neighbor labels of node i."""

@@ -2,27 +2,19 @@
 
 The constructions stay apart from the simulator and the edge kernel, so
 their outputs can serve as ground truth.  Each undesired subform has one
-layout in a table that follows ``stability.SUBFORMS_2D/3D``:
-
-  * line layouts put rigid agent r + 1 in the slot of role r in
-    ``stability.LINE_SLOTS``, on the first axis; agents in one slot
-    coincide.  The unknowns are the gaps between consecutive slots and the
-    equations are the balances of one agent per slot, written with the
-    family's g.  A lone gap whose crossing edges share one desired
-    length is exactly that length for every family (coincidence-construct);
-    any other lone gap is bracketed by brentq, and two or more gaps go to
-    hybr from several seeds (rootfind-collinear).  A layout with a rigid
-    edge inside one slot is refused before any solving when the family's g
-    diverges at zero length;
-  * planar layouts are the square and the triangle with its centroid, each
-    from one bracketed scalar balance, polished with the rigid agents held
-    in their plane (rootfind-coplanar);
-  * flow capture integrates the closed loop until an equilibrium is
-    detected, then Newton-polishes the full balance system.
+``_Layout`` in a table that follows ``stability.SUBFORMS_2D/3D``.  Its rigid
+agents sit at a combination of fixed templates: the slots of
+``stability.LINE_SLOTS`` on the first axis, the unit square, or the unit
+triangle with its centroid.  The unknown scales solve the balance along the
+templates: one by brentq on a proved bracket, two or more by hybr from
+several seeds (rootfind-collinear, rootfind-coplanar).  No scale, or one
+whose bracket closes to a point, is exact for every family
+(coincidence-construct).  Flow capture integrates the closed loop until an
+equilibrium is detected.
 
 The flex agent sits at its desired length from its anchor along the last
-axis.  ``_finalize`` builds every CatalogEntry: it polishes where asked,
-rejects points outside the family's domain and classifies.
+axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes where
+asked, rejects points outside the family's domain and classifies.
 """
 
 from __future__ import annotations
@@ -83,19 +75,16 @@ def read_catalog(path) -> list[dict]:
 
 
 def newton_polish(p, graph: FormationGraph, family: PotentialFamily,
-                  tol: float = 1e-12, max_iter: int = 50,
-                  pinned=()) -> np.ndarray:
+                  tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
     """Drive the balance residual below tol by Newton iteration.
 
     The balance map is the potential gradient, so its Jacobian is the
     assembled Hessian; least-squares steps take the minimal-norm correction,
     leaving the rigid-motion (and flex-orbit) null directions untouched.
-    ``pinned`` lists flat coordinate indices to hold fixed (e.g. all third
-    coordinates, for planar-constrained polishing).  Each iteration makes
-    one control pass, which also gives the residual, and one Hessian.
+    Each iteration makes one control pass, which also gives the residual,
+    and one Hessian.
     """
     p = as_positions(p, graph).reshape(-1).astype(float)
-    free = np.setdiff1d(np.arange(p.size), np.asarray(pinned, dtype=int))
     for it in range(max_iter + 1):
         u = gradient_control(p, graph, family)
         res = float(np.linalg.norm(u.reshape(graph.num_nodes, -1), axis=1).max())
@@ -107,8 +96,8 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily,
         if not np.all(np.isfinite(h)):
             raise OracleError("balance Jacobian is non-finite; cannot polish "
                               "(coincident agents with a singular family?)")
-        step, *_ = np.linalg.lstsq(h[np.ix_(free, free)], u[free], rcond=1e-10)
-        p[free] += step
+        step, *_ = np.linalg.lstsq(h, u, rcond=1e-10)
+        p += step
 
 
 # ---------------------------------------------------------------------------
@@ -178,17 +167,10 @@ def flex_coincident_equilibrium(graph: FormationGraph) -> np.ndarray:
 # Root-finding helpers
 
 
-def _require_equal(values, what):
-    values = list(values)
-    if any(abs(v - values[0]) > 1e-12 for v in values[1:]):
-        raise OracleError(f"construction needs equal desired distances: {what}")
-    return values[0]
-
-
-def _bracketed_root(f, lo, hi, what):
+def _bracketed_root(f, lo, hi):
     """brentq on [lo, hi], with a readable error when the ends share a sign."""
     if f(lo) * f(hi) > 0:
-        raise OracleError(f"{what} bracket failed: f({lo:.4g})={f(lo):.4g}, "
+        raise OracleError(f"layout scale bracket failed: f({lo:.4g})={f(lo):.4g}, "
                           f"f({hi:.4g})={f(hi):.4g}")
     return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
 
@@ -217,46 +199,66 @@ def _multi_root(fun, seeds, names):
 
 
 # ---------------------------------------------------------------------------
-# Layouts: each returns the rigid agents' positions and the method label
+# Layouts: the rigid agents as a combination of fixed templates
 
 
 @dataclass(frozen=True)
-class _Line:
-    """Rigid agent k sits in slot ``slots[k]`` on the first axis.
+class _Layout:
+    """The rigid agents sit at sum_k x_k T_k for k unknown scales x > 0.
 
-    Slots are numbered along the line from 0; the gap between consecutive
-    slots is unknown.  ``seeds`` are hybr starting gaps, as fractions of the
-    mean desired length over slot pairs, for layouts with two or more gaps.
+    ``templates`` stacks the T_k as a (k, N, d) array.  In a line layout,
+    rigid agent r + 1 sits in slot ``slots[r]`` (numbered along the first
+    axis from 0; agents of one slot coincide) and T_k is the first unit
+    vector for the agents whose slot lies past gap k, so x_k is the k-th
+    gap.  A planar layout has one unit-side template, and ``equal`` names
+    the edge groups whose desired lengths its symmetry needs to agree.
+    ``seeds`` are hybr starting gaps, as fractions of the mean desired
+    length over slot pairs.  Every layout solves the balance
+
+        F_k(x) = sum_e g(|z_e|^2 - dbar_e^2) <z_e, t_ek>,  z_e = sum_k x_k t_ek,
+
+    over the rigid edges e = (i, j) with t_ek = T_k[i] - T_k[j] not all
+    zero: F is the derivative of V along the layout.
+
+    One scale: <z_e, t_e> = x c_e^2 with c_e = |t_e|, and g has the sign of
+    e, so each term has the sign of x c_e - dbar_e.  All terms are <= 0 at
+    lo = min dbar_e / c_e and >= 0 at hi = max dbar_e / c_e, so F(lo) <= 0
+    <= F(hi); when lo = hi, every edge has its desired length there.
+
+    Box bound, two or more gaps: with every gap positive, an edge crossing
+    gap k has <z_e, t_ek> = |z_e| >= x_k, and any other edge has t_ek = 0.
+    A gap longer than the largest desired length among its crossing edges
+    makes every term of F_k positive, so no root has one.
     """
 
-    slots: tuple
+    templates: np.ndarray
+    method: str
+    slots: tuple = ()
     seeds: tuple = ()
+    equal: tuple = ()
 
     def _edges(self, graph: FormationGraph):
-        """Slot array, rigid edges joining distinct slots, rigid edges inside one."""
-        slots = np.array(self.slots)
-        edges = [k for k in range(graph.num_edges) if k != graph.flex_edge_index]
-        cross = [k for k in edges if slots[graph._tails[k]] != slots[graph._heads[k]]]
-        return slots, cross, [k for k in edges if k not in cross]
+        """Rigid edges, their template vectors t (k, m, d), and which move."""
+        edges = np.array([e for e in range(graph.num_edges) if e != graph.flex_edge_index])
+        t = self.templates[:, graph._tails[edges]] - self.templates[:, graph._heads[edges]]
+        return edges, t, t.any(axis=(0, 2))
 
     def admit(self, graph: FormationGraph, family: PotentialFamily):
         """Refuse the layout before any solving.
 
         Agents in one slot must reach every other slot along edges of the
-        same desired lengths; otherwise their balances differ and the layout
-        has no equilibrium.  A rigid edge inside one slot has zero length
-        whatever the gaps, so neither has a family whose g is not finite at
-        e = -dbar^2.
+        same desired lengths, and each ``equal`` group must share one
+        length; otherwise the agents' balances differ and F = 0 is no
+        equilibrium.  A rigid edge with a zero template vector has zero
+        length whatever the scales, so neither has a family whose g is not
+        finite at e = -dbar^2.
         """
-        slots, cross, inner = self._edges(graph)
-        reach = [[] for _ in slots]
-        for k in cross:
-            i, j = graph._tails[k], graph._heads[k]
-            reach[i].append((slots[j], graph._dbar[k]))
-            reach[j].append((slots[i], graph._dbar[k]))
-        for a in range(len(slots)):
-            b = int(np.argmax(slots == slots[a]))
-            ra, rb = sorted(reach[a]), sorted(reach[b])
+        edges, _, moving = self._edges(graph)
+        cross = [(e, graph._tails[e], graph._heads[e]) for e in edges[moving]]
+        reach = [sorted((self.slots[i + j - a], graph._dbar[e]) for e, i, j in cross if a in (i, j))
+                 for a in range(len(self.slots))]
+        for a, slot in enumerate(self.slots):
+            ra, rb = reach[a], reach[b := self.slots.index(slot)]
             if [s for s, _ in ra] != [s for s, _ in rb] or any(
                     abs(x - y) > 1e-12 for (_, x), (_, y) in zip(ra, rb)):
                 raise OracleError(
@@ -264,84 +266,70 @@ class _Line:
                     f"{b + 1} and {a + 1} have desired lengths "
                     f"{[round(float(x), 12) for _, x in rb]} and "
                     f"{[round(float(x), 12) for _, x in ra]} to the other points")
+        d = _distance_table(graph)
+        for what, group in self.equal:
+            if any(abs(d[e] - d[group[0]]) > 1e-12 for e in group):
+                raise OracleError(f"construction needs equal desired distances: {what}")
+        inner = edges[~moving]
         with np.errstate(divide="ignore", invalid="ignore"):
             if not np.isfinite(family.g(-graph._dbar2[inner], graph._dbar[inner])).all():
                 raise OracleError(_BOUNDARY)
 
     def __call__(self, graph: FormationGraph, family: PotentialFamily):
-        """Solve the gaps of a layout that ``admit`` accepts."""
-        slots, cross, _ = self._edges(graph)
-        tails, heads = graph._tails, graph._heads
-        n_gaps = int(slots.max())
+        """Solve a layout that ``admit`` accepts: (rigid positions, method)."""
+        k, _, d = self.templates.shape
+        edges, t, moving = self._edges(graph)
+        cross = edges[moving]
+        flat = t[:, moving].reshape(k, len(cross) * d)
         dbar, dbar2 = graph._dbar[cross], graph._dbar2[cross]
-        # diff = x_tail - x_head of each crossing edge, linear in the gaps
-        cols = np.arange(n_gaps)
-        a = (cols < slots[tails[cross], None]).astype(float) - (cols < slots[heads[cross], None])
-        # one member per slot; the second-to-last slot's balance follows from
-        # the others, as the balances of all agents sum to zero
-        members = [int(np.argmax(slots == s)) for s in range(n_gaps + 1) if s != n_gaps - 1]
-        r = graph._incidence[np.ix_(members, cross)]
 
-        def balances(gaps):
-            diff = a @ gaps
-            return r @ (family.g(diff * diff - dbar2, dbar) * diff)
+        def balance(x):
+            z = np.dot(x, flat).reshape(-1, d)
+            gz = family.g(np.vecdot(z, z) - dbar2, dbar)[:, None] * z
+            return np.dot(flat, gz.ravel())
 
-        if n_gaps > 1:
-            per_pair = {}
-            for k in cross:
-                per_pair.setdefault(frozenset(slots[[tails[k], heads[k]]]), graph._dbar[k])
-            scale = np.mean(list(per_pair.values()))
-            gaps = _multi_root(balances, [np.array(s) * scale for s in self.seeds],
-                               f"the gaps of line layout {self.slots}")
-            method = "rootfind-collinear"
-        elif n_gaps and dbar.max() - dbar.min() > 1e-12:
-            gaps = [_bracketed_root(lambda x: float(balances([x])[0]),
-                                    dbar.min(), dbar.max(), "gap")]
-            method = "rootfind-collinear"
+        method = self.method
+        if k == 0:
+            x, method = np.zeros(0), "coincidence-construct"
+        elif k == 1:
+            ends = dbar / np.linalg.norm(flat.reshape(-1, d), axis=1)
+            lo, hi = ends.min(), ends.max()
+            if hi - lo > 1e-12:
+                x = [_bracketed_root(lambda s: float(balance([s])[0]), lo, hi)]
+            else:
+                x, method = [lo], "coincidence-construct"
         else:
-            gaps, method = dbar[:1], "coincidence-construct"
-        rigid = np.zeros((len(slots), graph.dimension))
-        rigid[:, 0] = np.concatenate([[0.0], np.cumsum(gaps)])[slots]
-        return rigid, method
+            slots = np.array(self.slots)
+            per_pair = {frozenset(slots[[graph._tails[e], graph._heads[e]]]): graph._dbar[e]
+                        for e in cross}
+            scale = np.mean(list(per_pair.values()))
+            x = _multi_root(balance, [np.array(s) * scale for s in self.seeds],
+                            f"the gaps of line layout {self.slots}")
+        return np.tensordot(x, self.templates, 1), method
 
 
-def _square(graph: FormationGraph, family: PotentialFamily):
-    """Planar square: side balance g(s^2 - dside^2) + g(2 s^2 - ddiag^2) = 0."""
-    d = _distance_table(graph)
-    side = _require_equal([d[(1, 2)], d[(2, 3)], d[(3, 4)], d[(1, 4)]],
-                          "the four square sides")
-    diag = _require_equal([d[(1, 3)], d[(2, 4)]], "the two diagonals")
-
-    def f(s2):
-        return (float(family.g(s2 - side**2, side))
-                + float(family.g(2 * s2 - diag**2, diag)))
-
-    h = np.sqrt(_bracketed_root(f, diag**2 / 2 * (1 + 1e-9), side**2, "square")) / 2.0
-    rigid = np.array([[h, h, 0.0], [-h, h, 0.0], [-h, -h, 0.0], [h, -h, 0.0]])
-    return rigid, "rootfind-coplanar"
+def _line(slots, dim, seeds=()):
+    """The line layout of a LINE_SLOTS vector: T_k moves the agents past gap k."""
+    templates = np.zeros((max(slots), len(slots), dim))
+    templates[..., 0] = np.array(slots) > np.arange(max(slots))[:, None]
+    return _Layout(templates, "rootfind-collinear", slots, seeds)
 
 
-def _interior_point(graph: FormationGraph, family: PotentialFamily):
-    """Equilateral triangle 1,2,3 with agent 4 at the centroid.
-
-    Radial balance on a vertex: 3 g(s^2 - dout^2) + g(s^2/3 - dc^2) = 0,
-    with s the triangle side; the centroid's balance holds by symmetry.
-    """
-    d = _distance_table(graph)
-    dout = _require_equal([d[(1, 2)], d[(1, 3)], d[(2, 3)]], "outer triangle sides")
-    dc = _require_equal([d[(1, 4)], d[(2, 4)], d[(3, 4)]], "vertex-to-center edges")
-
-    def f(s2):
-        return (3 * float(family.g(s2 - dout**2, dout))
-                + float(family.g(s2 / 3 - dc**2, dc)))
-
-    s = np.sqrt(_bracketed_root(f, dout**2, 3 * dc**2, "interior-point"))
-    ang = np.array([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
-    rigid = np.zeros((4, 3))
-    rigid[:3, 0] = s / np.sqrt(3.0) * np.cos(ang)
-    rigid[:3, 1] = s / np.sqrt(3.0) * np.sin(ang)
-    return rigid, "rootfind-coplanar"
-
+# The tetrahedron's planar layouts: the unit square 1-2-3-4, and the unit
+# equilateral triangle 1-2-3 with agent 4 at its centroid.
+_PLANAR = {2: {}, 3: {
+    "convex_quadrilateral": _Layout(
+        np.array([[[0.5, 0.5, 0.0], [-0.5, 0.5, 0.0], [-0.5, -0.5, 0.0], [0.5, -0.5, 0.0]]]),
+        "rootfind-coplanar",
+        equal=(("the four square sides", ((1, 2), (2, 3), (3, 4), (1, 4))),
+               ("the two diagonals", ((1, 3), (2, 4))))),
+    "interior_point": _Layout(
+        np.array([[[np.cos(a) / np.sqrt(3.0), np.sin(a) / np.sqrt(3.0), 0.0]
+                    for a in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)] + [[0.0, 0.0, 0.0]]]),
+        "rootfind-coplanar",
+        equal=(("outer triangle sides", ((1, 2), (1, 3), (2, 3))),
+               ("vertex-to-center edges", ((1, 4), (2, 4), (3, 4))))),
+}}
 
 # hybr starting gaps of the line layouts with two or more gaps
 _SEEDS = {
@@ -353,10 +341,9 @@ _SEEDS = {
 }
 
 # One layout per subform, in the order of stability.SUBFORMS_2D / _3D: the
-# planar constructions, then the line layouts of stability.LINE_SLOTS.
-_PLANAR = {2: {}, 3: {"convex_quadrilateral": _square, "interior_point": _interior_point}}
+# planar layouts, then the line layouts of stability.LINE_SLOTS.
 _LAYOUTS = {
-    dim: {**_PLANAR[dim], **{name: _Line(slots, _SEEDS.get((dim, name), ()))
+    dim: {**_PLANAR[dim], **{name: _line(slots, dim, _SEEDS.get((dim, name), ()))
                              for name, slots in table.items()}}
     for dim, table in LINE_SLOTS.items()
 }
@@ -365,7 +352,7 @@ _LAYOUTS = {
 # whenever the crossing edges share one desired length.
 FAMILY_INDEPENDENT_SUBFORMS = {
     dim: tuple(name for name, layout in table.items()
-               if isinstance(layout, _Line) and max(layout.slots) <= 1)
+               if layout.slots and max(layout.slots) <= 1)
     for dim, table in _LAYOUTS.items()
 }
 
@@ -379,25 +366,19 @@ def _layout(graph: FormationGraph, subform: str):
     return table[subform]
 
 
-def _z_pins(graph: FormationGraph):
-    """Flat indices of every third coordinate of the rigid agents."""
-    d = graph.dimension
-    return [i * d + (d - 1) for i in graph.rigid_nodes]
-
-
 _BOUNDARY = ("construction lies on the coincidence boundary, where this "
              "potential family diverges (outside its domain)")
 
 
 def _finalize(positions, graph: FormationGraph, family: PotentialFamily, method: str,
-              expect=None, polish=False, pinned=()) -> CatalogEntry:
+              expect=None, polish=False) -> CatalogEntry:
     """Polish (if asked), check the domain, classify, and build the entry.
 
     ``expect`` is the (kind, subform) the point must classify as, if any.
     """
     p = as_positions(positions, graph)
     if polish:
-        p = newton_polish(p, graph, family, pinned=pinned).reshape(p.shape)
+        p = newton_polish(p, graph, family).reshape(p.shape)
     if not family_admits(p, graph, family):
         raise OracleError(_BOUNDARY)
     cls = classify(p, graph, family)
@@ -418,15 +399,13 @@ def construct_equilibrium(graph: FormationGraph, family: PotentialFamily,
     the root-finder fails, or the point leaves the family's domain.
     """
     layout = _layout(graph, subform)
-    if isinstance(layout, _Line):
-        layout.admit(graph, family)
+    layout.admit(graph, family)
     rigid, method = layout(graph, family)
     flex = rigid[-1].copy()
     flex[-1] += graph.desired[graph.flex_edge_index]
     return _finalize(np.vstack([rigid, flex]), graph, family, method,
                      ("degenerate_rigid", subform),
-                     polish=method != "coincidence-construct",
-                     pinned=_z_pins(graph) if method == "rootfind-coplanar" else ())
+                     polish=method != "coincidence-construct")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from rigidflex.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, SCENARIO_KEYS,
                            bundled_scenario_names, main)
-from rigidflex.graph import graph_to_json, triangle_flex
+from rigidflex.graph import FormationGraph, graph_to_json, triangle_flex
 from rigidflex.oracle import (construct_equilibrium, desired_equilibrium,
                               flex_coincident_equilibrium)
 from rigidflex.potentials import QUADRATIC
@@ -193,6 +193,23 @@ def test_catalog_subform_selection(tmp_path, graph_file):
     lines = (tmp_path / "cat" / "catalog.jsonl").read_text().splitlines()
     subforms = {json.loads(x)["subform"] for x in lines}
     assert subforms == {None, "all_coincident"}
+
+
+@pytest.mark.parametrize("case", ["unknown_subform", "uncertified_graph"])
+def test_catalog_malformed_input_is_config_error(tmp_path, graph_file, capsys, case):
+    """An unknown subform name or a graph outside the certified topologies
+    exits 2 before any output is written."""
+    argv = [str(graph_file), "--subforms", "square"]
+    if case == "uncertified_graph":
+        path = tmp_path / "path.json"
+        path.write_text(json.dumps(graph_to_json(FormationGraph(
+            num_nodes=3, dimension=2, edges=((1, 2), (2, 3)), desired=(4.0, 4.0),
+            flex_edge=(2, 3)))))
+        argv = [str(path)]
+    assert main(["catalog", *argv, "--out", str(tmp_path / "cat")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert not (tmp_path / "cat").exists()
 
 
 def test_validate_potential_ok(capsys):

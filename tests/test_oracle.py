@@ -1,6 +1,7 @@
 """Equilibrium constructions: residuals, classifications, family dependence."""
 
 import ast
+import dataclasses
 import math
 import warnings
 
@@ -316,13 +317,11 @@ def counted_root(monkeypatch):
 def test_rational_collinear_distinct_succeeds_on_its_first_seed(graph, monkeypatch):
     """hybr ends the first seed with status 3 at a residual near 1e-15; that
     root is accepted, and it is the one the later seeds converge to."""
-    from rigidflex.oracle import _Line
-
     calls = counted_root(monkeypatch)
     layout = _LAYOUTS[graph.dimension]["collinear_distinct"]
     first, _ = layout(graph, RATIONAL)
     assert len(calls) == 1
-    later, _ = _Line(layout.slots, layout.seeds[1:])(graph, RATIONAL)
+    later, _ = dataclasses.replace(layout, seeds=layout.seeds[1:])(graph, RATIONAL)
     np.testing.assert_allclose(first, later, rtol=0, atol=1e-12)
     assert np.all(np.diff(first[:, 0]) > 0)
 
@@ -365,14 +364,75 @@ def test_gap_solver_failures_say_what_happened():
 def test_line_layouts_read_the_stability_slot_table():
     """Each line layout of the oracle is the slot vector of stability's
     LINE_SLOTS, and classify reads the roles back in label order."""
-    from rigidflex.oracle import _Line
     from rigidflex.stability import LINE_SLOTS
 
     for g in (triangle_flex(), tetrahedron_flex()):
         lines = {name: layout.slots for name, layout in _LAYOUTS[g.dimension].items()
-                 if isinstance(layout, _Line)}
+                 if layout.slots}
         assert lines == LINE_SLOTS[g.dimension]
         entries, _ = build_catalog(g, QUADRATIC)
         for entry in entries[1:]:
             cls = classify(entry.positions, g, QUADRATIC)
             assert cls.roles == tuple(range(1, g.num_nodes)), entry.subform
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED],
+                         ids=["triangle", "tetrahedron", "tailored"])
+def test_one_scale_layouts_bracket_their_root(graph, family, monkeypatch):
+    """Every admitted one-scale layout either has coinciding bracket ends
+    (an exact construction) or hands brentq ends with F(lo) <= 0 <= F(hi),
+    and its root lies between them."""
+    import rigidflex.oracle as oracle
+
+    brackets = []
+    bracketed_root = oracle._bracketed_root
+
+    def recorded(f, lo, hi):
+        x = bracketed_root(f, lo, hi)
+        brackets.append((f(lo), f(hi), lo, x, hi))
+        return x
+
+    monkeypatch.setattr(oracle, "_bracketed_root", recorded)
+    for name, layout in _LAYOUTS[graph.dimension].items():
+        if len(layout.templates) != 1:
+            continue
+        try:
+            layout.admit(graph, family)
+        except OracleError:
+            continue
+        brackets.clear()
+        _, method = layout(graph, family)
+        if method == "coincidence-construct":
+            assert brackets == [], name
+            continue
+        [(f_lo, f_hi, lo, x, hi)] = brackets
+        assert f_lo <= 0.0 <= f_hi, name
+        assert lo <= x <= hi, name
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED],
+                         ids=["triangle", "tetrahedron", "tailored"])
+def test_multi_gap_roots_lie_in_the_box(graph, family):
+    """At every line root with two or more gaps, each gap is at most the
+    largest desired length among the rigid edges crossing it."""
+    roots = 0
+    for name, layout in _LAYOUTS[graph.dimension].items():
+        if not layout.slots or max(layout.slots) < 2:
+            continue
+        try:
+            layout.admit(graph, family)
+            rigid, _ = layout(graph, family)
+        except OracleError:
+            continue
+        roots += 1
+        slots = np.array(layout.slots)
+        x = rigid[:, 0]
+        for k in range(max(layout.slots)):
+            gap = x[slots == k + 1][0] - x[slots == k][0]
+            crossing = [db for e, ((i, j), db) in enumerate(zip(graph.edges, graph.desired))
+                        if e != graph.flex_edge_index
+                        and min(slots[i - 1], slots[j - 1]) <= k < max(slots[i - 1], slots[j - 1])]
+            assert 0.0 < gap <= max(crossing), (name, k)
+    assert roots
