@@ -21,11 +21,8 @@ from .control import (
 from .graph import (
     FormationGraph,
     GraphError,
-    build_incidence,
-    check_feasible,
     graph_from_json,
     graph_to_json,
-    relative_positions,
     tetrahedron_flex,
     triangle_flex,
 )
@@ -47,7 +44,6 @@ from .oracle import (
     desired_equilibrium,
     flex_coincident_equilibrium,
     newton_polish,
-    read_catalog,
     write_catalog,
 )
 from .potentials import (
@@ -64,7 +60,6 @@ from .stability import (
     StabilityReport,
     Witness,
     WitnessNotFoundError,
-    alignment_rotation,
     analyze,
     assemble_hessian,
     classify,

@@ -1,4 +1,4 @@
-"""Formation graphs: node/edge structure, incidence matrices, relative positions.
+"""Formation graphs: node/edge structure, cached incidence arrays, realizations.
 
 A formation graph is a rigid interaction graph on nodes 1..N plus one flex
 node N+1 attached by a single edge (N, N+1).  Edges are stored in
@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -179,15 +179,6 @@ def graph_to_json(graph: FormationGraph) -> dict:
     }
 
 
-def build_incidence(graph: FormationGraph) -> np.ndarray:
-    """(N+1) x m incidence matrix B.
-
-    For edge (i, j) with i < j the column carries +1 at row i (sink) and -1
-    at row j (source), so that (B^T p)_edge = p_i - p_j.
-    """
-    return graph._incidence.astype(int)
-
-
 def as_positions(p, graph: FormationGraph) -> np.ndarray:
     """Validate a realization and return it as an (N+1, d) array."""
     arr = np.asarray(p, dtype=float)
@@ -197,32 +188,3 @@ def as_positions(p, graph: FormationGraph) -> np.ndarray:
     if arr.shape == (n * d,):
         return arr.reshape(n, d)
     raise GraphError(f"realization has shape {arr.shape}, expected ({n},{d}) or ({n*d},)")
-
-
-def relative_positions(p, graph: FormationGraph) -> np.ndarray:
-    """(m, d) array of edge vectors z_ij = p_i - p_j, in edge order."""
-    pos = as_positions(p, graph)
-    return pos[graph._tails] - pos[graph._heads]
-
-
-@dataclass(frozen=True)
-class Feasibility:
-    feasible: bool
-    violations: tuple[tuple[int, int, int], ...] = ()
-
-
-def check_feasible(graph: FormationGraph) -> Feasibility:
-    """Strict triangle inequalities on every 3-cycle present in the edge set."""
-    dist = {e: db for e, db in zip(graph.edges, graph.desired)}
-
-    def d(a, b):
-        return dist.get((min(a, b), max(a, b)))
-
-    bad = []
-    for i, j, k in itertools.combinations(range(1, graph.num_nodes + 1), 3):
-        dij, djk, dki = d(i, j), d(j, k), d(k, i)
-        if dij is None or djk is None or dki is None:
-            continue
-        if not (dij + djk > dki and djk + dki > dij and dki + dij > djk):
-            bad.append((i, j, k))
-    return Feasibility(feasible=not bad, violations=tuple(bad))

@@ -65,11 +65,6 @@ def write_catalog(entries, path):
             fh.write(json.dumps(entry.to_json_dict()) + "\n")
 
 
-def read_catalog(path) -> list[dict]:
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
-
-
 # ---------------------------------------------------------------------------
 # Newton polish on the full balance system
 
@@ -180,22 +175,29 @@ def _multi_root(fun, seeds, names):
 
     A solution is judged by its gaps and residual alone: hybr may stop short
     of its own tolerance (status 3, "xtol too small") on a root it has
-    already found to rounding level.  When every seed reaches a root but no
-    root has all gaps positive, the error says so and lists the gaps.
+    already found to rounding level.  When no root has all gaps positive,
+    the error lists the gaps of the roots the seeds reached apart from the
+    seeds that did not converge, with their residuals.
     """
     tried = []
     for seed in seeds:
-        sol = root(fun, np.asarray(seed, dtype=float), method="hybr", tol=1e-14)
+        seed = np.asarray(seed, dtype=float)
+        sol = root(fun, seed, method="hybr", tol=1e-14)
         residual = float(np.abs(sol.fun).max())
         tried.append((seed, residual, sol.x))
         if np.all(sol.x > 1e-9) and residual < 1e-10:
             return sol.x
-    if all(residual < 1e-10 for _, residual, _ in tried):
-        raise OracleError(f"every gap root-finder seed converged for {names}, but no "
-                          f"root has all gaps positive; gaps of the roots found: "
-                          f"{[gaps.tolist() for _, _, gaps in tried]}")
-    raise OracleError(f"gap root-finder did not converge for {names}; seeds and "
-                      f"residuals tried: {[(seed, res) for seed, res, _ in tried]}")
+    roots = [gaps.tolist() for _, res, gaps in tried if res < 1e-10]
+    failed = [(seed.tolist(), res) for seed, res, _ in tried if not res < 1e-10]
+    if not roots:
+        raise OracleError(f"gap root-finder did not converge for {names}; seeds and "
+                          f"residuals tried: {failed}")
+    head = (f"every gap root-finder seed converged for {names}, but no root has all "
+            f"gaps positive" if not failed else
+            f"no root with all gaps positive for {names}: {len(failed)} of {len(tried)} "
+            f"seeds did not converge, the others reached roots with a gap <= 1e-9; "
+            f"seeds and residuals that did not converge: {failed}")
+    raise OracleError(f"{head}; gaps of the roots found: {roots}")
 
 
 # ---------------------------------------------------------------------------

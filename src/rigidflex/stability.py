@@ -4,17 +4,18 @@ The shape potential's Hessian H is assembled from per-edge blocks
 M_e = 2 rho_e z_e z_e^T + g_e I_d, added to the two diagonal node blocks of
 edge e = (i, j) and subtracted from its two off-diagonal node blocks.  At an
 undesired equilibrium the collapsed rigid subformation has a degenerate axis
-r (the last axis of the aligning frame).  For node weights v the direction
-v (x) r has curvature (v (x) r)^T H (v (x) r) = v^T H_r v, where the aligned
-last-axis block is H_r[i, j] = r^T H_ij r.  A v with v^T H_r v < 0 certifies
-that the equilibrium is a saddle of the potential and hence unstable.
+r.  For node weights v the direction v (x) r has curvature
+(v (x) r)^T H (v (x) r) = v^T H_r v, where the aligned block is
+H_r[i, j] = r^T H_ij r.  A v with v^T H_r v < 0 certifies that the
+equilibrium is a saddle of the potential and hence unstable.
 
-``classify`` decides the layout of a degenerate-rigid equilibrium once: its
-subform and its roles, the rigid agents' labels in role order i, j, k, l.
-Line forms are looked up in LINE_SLOTS, the slot table the oracle builds its
-line equilibria from; planar forms come from the signs of the agents' affine
-dependence.  The paper's sign claims are data over those roles
-(SIGN_CLAIMS), which ``verify_sign_properties`` evaluates.
+``classify`` decides the layout of an undesired equilibrium once: its axis
+r, and for a degenerate-rigid one its subform and its roles, the rigid
+agents' labels in role order i, j, k, l.  Line forms are looked up in
+LINE_SLOTS, the slot table the oracle builds its line equilibria from;
+planar forms come from the signs of the agents' affine dependence.  The
+paper's sign claims are data over those roles (SIGN_CLAIMS), which
+``verify_sign_properties`` evaluates.
 
 ``analyze`` makes one edge pass (``control.edge_states``) and hands it to
 the private ``_classify``, ``_hessian`` and ``_claims``; the public
@@ -81,11 +82,11 @@ def _hessian(st: EdgeState, graph: FormationGraph) -> np.ndarray:
     return np.bincount(graph._hessian_index, blocks, nd * nd).reshape(nd, nd)
 
 
-def _aligned_last_block(h: np.ndarray, rotation: np.ndarray) -> np.ndarray:
-    """(N+1)^2 block r^T H_ij r for the last axis r of the frame ``rotation``."""
-    d = len(rotation)
+def _aligned_last_block(h: np.ndarray, r) -> np.ndarray:
+    """(N+1)^2 block r^T H_ij r along the unit vector r."""
+    d = len(r)
     n = len(h) // d
-    return np.einsum("a,iajb,b->ij", rotation[-1], h.reshape(n, d, n, d), rotation[-1])
+    return np.einsum("a,iajb,b->ij", r, h.reshape(n, d, n, d), r)
 
 
 def _psd_verdict(spectrum: np.ndarray, eig_tol: float | None):
@@ -123,25 +124,6 @@ def _coincidence_clusters(points: np.ndarray, tol: float) -> list[int]:
                 lo, hi = sorted((cluster[a], cluster[b]))
                 cluster = [lo if c == hi else c for c in cluster]
     return cluster
-
-
-def alignment_rotation(p, graph: FormationGraph) -> np.ndarray:
-    """Deterministic orthogonal frame from the rigid-subgraph geometry.
-
-    Principal axes of the rigid agents' positions, ordered by decreasing
-    variance, become the new coordinate axes; the most degenerate direction
-    lands on the last axis.  Row signs are canonicalized and the determinant
-    made positive so the choice is reproducible.
-    """
-    pos = as_positions(p, graph)
-    rigid = pos[list(graph.rigid_nodes)]
-    x = rigid - rigid.mean(axis=0)
-    _, _, vt = np.linalg.svd(x, full_matrices=True)
-    flip = vt[np.arange(len(vt)), np.abs(vt).argmax(axis=1)] < 0
-    q = np.where(flip[:, None], -vt, vt)
-    if np.linalg.det(q) < 0:
-        q[-1] = -q[-1]
-    return q
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +164,8 @@ class EquilibriumClass:
     ambiguous: bool = False
     roles: tuple = ()              # degenerate_rigid: the rigid agents' labels
                                    # in role order i, j, k, l
+    axis: tuple = ()               # flex_coincident, degenerate_rigid: the unit
+                                   # degenerate axis r that the witness reads
 
 
 def classify(p, graph: FormationGraph, family: PotentialFamily,
@@ -191,7 +175,8 @@ def classify(p, graph: FormationGraph, family: PotentialFamily,
 
     A degenerate-rigid class carries its subform and the roles that its sign
     claims read, both decided here from the rigid agents' singular values and
-    one array of their pairwise distances.
+    one array of their pairwise distances.  Both undesired classes carry
+    their axis r (see ``_axis``), the only frame the analysis reads.
     """
     pos = as_positions(p, graph)
     return _classify(pos, edge_states(pos, graph, family), graph,
@@ -213,15 +198,16 @@ def _classify(pos: np.ndarray, st: EdgeState, graph: FormationGraph,
     if shape_err < shape_tol:
         return EquilibriumClass(kind="desired", diagnostics=diag, ambiguous=ambiguous)
 
-    flex_gap = float(np.linalg.norm(st.z[graph.flex_edge_index]))
+    z_flex = st.z[graph.flex_edge_index]
+    flex_gap = float(np.linalg.norm(z_flex))
     diag["flex_gap"] = flex_gap
-    if flex_gap < pos_tol:
-        return EquilibriumClass(kind="flex_coincident", diagnostics=diag,
-                                ambiguous=ambiguous)
-
     rigid = pos[list(graph.rigid_nodes)]
+    if flex_gap < pos_tol:
+        return EquilibriumClass(kind="flex_coincident", diagnostics=diag, ambiguous=ambiguous,
+                                axis=_flex_axis(rigid, z_flex, geom_tol))
+
     x = rigid - rigid.mean(axis=0)
-    sv = np.linalg.svd(x, compute_uv=False)
+    sv, normal = _normal_space(x, geom_tol)
     thin = float(sv[-1])                    # 0 = degenerate
     diag["degeneracy"] = thin
     if thin >= geom_tol:
@@ -232,12 +218,49 @@ def _classify(pos: np.ndarray, st: EdgeState, graph: FormationGraph,
     diag["clusters"] = [[a + 1 for a, c in enumerate(cluster) if c == head]
                         for head in sorted(set(cluster))]
     # four distinct tetrahedron agents that do not share one line
-    if x.shape == (4, 3) and len(set(cluster)) == 4 and sv[-2] >= geom_tol * max(1.0, sv[0]):
+    if x.shape == (4, 3) and len(set(cluster)) == 4 and len(normal) == 1:
         subform, roles = _planar_layout(x)
     else:
         subform, roles = _line_layout(x, cluster)
     return EquilibriumClass(kind="degenerate_rigid", subform=subform, diagnostics=diag,
-                            ambiguous=ambiguous, roles=roles)
+                            ambiguous=ambiguous, roles=roles, axis=_axis(normal, z_flex))
+
+
+def _axis(normal: np.ndarray, z_flex: np.ndarray) -> tuple:
+    """The degenerate axis r of an undesired class, from the orthonormal rows
+    ``normal`` spanning the normal space of the rigid agents' affine span S.
+
+    Where S fills the space (a flex-coincident point at a full-rank shape),
+    the span of the first d agents, all but the anchor on the certified
+    graphs, stands in for S (``_flex_axis``).  Where the normal space has
+    room (a line in 3-D, coincident agents), r is also orthogonal to the
+    flex edge z_flex: then every edge is orthogonal to r on a line form, and
+    the aligned block is the g-weighted Laplacian whatever r is.  r's
+    largest-magnitude component is positive.
+    """
+    if len(normal) > 1:
+        normal = np.linalg.svd((normal @ z_flex)[None])[2][-1:] @ normal
+    r = normal[0]
+    return tuple((r if r[np.abs(r).argmax()] > 0 else -r).tolist())
+
+
+def _normal_space(rows: np.ndarray, geom_tol: float):
+    """(singular values of ``rows``, orthonormal rows spanning the
+    complement of their row space)."""
+    _, sv, vt = np.linalg.svd(rows)
+    return sv, vt[int((sv >= geom_tol * max(1.0, sv[0])).sum()):]
+
+
+def _flex_axis(rigid: np.ndarray, z_flex: np.ndarray, geom_tol: float) -> tuple:
+    """``_axis`` at a flex-coincident point.  Where the first d agents span a
+    hyperplane, S is that hyperplane or the whole space, so the hyperplane's
+    normal is r either way and S needs no decomposition."""
+    d = rigid.shape[1]
+    normal = _normal_space(rigid[1:d] - rigid[0], geom_tol)[1]
+    if len(normal) > 1:
+        span = _normal_space(rigid[1:] - rigid[0], geom_tol)[1]
+        normal = span if len(span) else normal
+    return _axis(normal, z_flex)
 
 
 def _line_layout(x: np.ndarray, cluster: list[int]):
@@ -296,10 +319,10 @@ def _planar_layout(x: np.ndarray):
 @dataclass(frozen=True)
 class Witness:
     vector: np.ndarray             # node weights v, length N+1
-    full_vector: np.ndarray        # v (x) r, r = rotation[-1], in the original frame
+    full_vector: np.ndarray        # v (x) r
     quadratic_form: float
     tag: str                       # flex_sum | agent_indicator | eigenvector
-    rotation: np.ndarray           # aligning frame; its last row is r
+    axis: tuple                    # the class's degenerate axis r
 
 
 def instability_witness(p, graph: FormationGraph, family: PotentialFamily,
@@ -309,33 +332,30 @@ def instability_witness(p, graph: FormationGraph, family: PotentialFamily,
     """Certified negative direction of the Hessian at an undesired equilibrium.
 
     Candidate order: the all-ones-except-flex vector (flex-coincident case),
-    per-agent indicator vectors in index order (degenerate-rigid case, in the
-    frame that aligns the rigid agents with the leading axes), then the
-    eigenvector of the most negative eigenvalue of the aligned last-axis
-    block.  The first candidate whose quadratic form clears the strictness
-    margin wins; raises WitnessNotFoundError if none does.  ``hessian`` is
-    the assembled Hessian at ``p``, if the caller already has it.  One edge
-    pass serves a missing ``cls`` and ``hessian`` both.
+    per-agent indicator vectors in index order, then the eigenvector of the
+    most negative eigenvalue of the block aligned with the class's axis r.
+    The first candidate whose quadratic form clears the strictness margin
+    wins; raises WitnessNotFoundError if none does, and ValueError for a
+    class without an axis.  ``hessian`` is the assembled Hessian at ``p``,
+    if the caller already has it.  One edge pass serves a missing ``cls``
+    and ``hessian`` both.
     """
     pos = as_positions(p, graph)
     st = None
     if cls is None:
         st = edge_states(pos, graph, family)
         cls = _classify(pos, st, graph)
-    if cls.kind not in ("flex_coincident", "degenerate_rigid", "unrecognized"):
+    if not cls.axis:
         raise ValueError(f"witness requested for class {cls.kind!r}")
     if hessian is None:
         hessian = _hessian(st or edge_states(pos, graph, family), graph)
-    rotation = (np.eye(graph.dimension) if cls.kind == "flex_coincident"
-                else alignment_rotation(pos, graph))
-    return _witness(_aligned_last_block(hessian, rotation), rotation, cls, margin_scale)
+    return _witness(_aligned_last_block(hessian, cls.axis), cls, margin_scale)
 
 
-def _witness(block: np.ndarray, rotation: np.ndarray, cls: EquilibriumClass,
+def _witness(block: np.ndarray, cls: EquilibriumClass,
              margin_scale: float = 1e-10) -> Witness:
-    """``instability_witness`` at the aligned last-axis block of the frame
-    ``rotation``.  The eigendecomposition runs only if every cheaper
-    candidate fails."""
+    """``instability_witness`` at the block aligned with ``cls.axis``.  The
+    eigendecomposition runs only if every cheaper candidate fails."""
     n = len(block)
     finite = np.isfinite(block)
     scale = max(1.0, float(np.abs(block[finite]).max())) if finite.any() else 1.0
@@ -360,8 +380,8 @@ def _witness(block: np.ndarray, rotation: np.ndarray, cls: EquilibriumClass,
 
     for tag, v, q in candidates():
         if q < threshold:                   # False for a NaN form
-            return Witness(vector=v, full_vector=np.outer(v, rotation[-1]).ravel(),
-                           quadratic_form=q, tag=tag, rotation=rotation)
+            return Witness(vector=v, full_vector=np.outer(v, cls.axis).ravel(),
+                           quadratic_form=q, tag=tag, axis=cls.axis)
     # unbounded curvature at a coincidence boundary has no eigendecomposition
     lowest = np.linalg.eigh(block)[0][0] if finite.all() else -np.inf
     raise WitnessNotFoundError(
@@ -559,7 +579,7 @@ def _json_floats(arr):
 class StabilityReport:
     classification: EquilibriumClass
     spectrum: np.ndarray
-    block_spectrum: np.ndarray
+    block_spectrum: np.ndarray | None
     min_eigenvalue: float
     positive_semidefinite: bool
     witness: Witness | None
@@ -597,11 +617,12 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
 
     Witness construction and sign-property tables are only attempted for the
     two certified topologies; other graphs get spectrum and class only.
-    One edge pass serves the class, the Hessian and the sign claims, and one
-    aligned last-axis block serves the witness and the block spectrum, so
-    the report equals the one the public calls build separately, bit for
-    bit.  Raises PotentialDomainError at finite positions where V is not finite
-    (the coincidence boundary of a family that diverges there).
+    A class without an axis has no block spectrum.  One edge pass serves the
+    class, the Hessian and the sign claims, and one aligned block serves the
+    witness and the block spectrum, so the report equals the one the public
+    calls build separately, bit for bit.  Raises PotentialDomainError at
+    finite positions where V is not finite (the coincidence boundary of a
+    family that diverges there).
     """
     pos = as_positions(p, graph)
     st = edge_states(pos, graph, family)
@@ -614,20 +635,18 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
         raise PotentialDomainError(f"realization lies on the coincidence boundary, where "
                                    f"the {family.name} potential diverges (outside its domain)")
     certified = graph.certified_topology() is not None
-    rotation = (alignment_rotation(pos, graph) if cls.kind == "degenerate_rigid"
-                else np.eye(graph.dimension))
-    block = _aligned_last_block(h, rotation)
+    block = _aligned_last_block(h, cls.axis) if cls.axis else None
 
     witness = None
     claims: list = []
-    if certified and cls.kind in ("flex_coincident", "degenerate_rigid"):
-        witness = _witness(block, rotation, cls)
+    if certified and block is not None:
+        witness = _witness(block, cls)
         if cls.kind == "degenerate_rigid":
             claims = _claims(st, graph, cls)
 
     if finite_h:
         spectrum = np.linalg.eigvalsh(h)
-        block_spectrum = np.linalg.eigvalsh(block)
+        block_spectrum = None if block is None else np.linalg.eigvalsh(block)
         min_eig, is_psd = _psd_verdict(spectrum, eig_tol)
     else:
         # non-finite coordinates: no finite spectrum exists

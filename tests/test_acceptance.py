@@ -171,7 +171,9 @@ def test_criterion_04_hessian_correctness():
 
 
 def test_criterion_05_spectral_structure_at_desired_set():
-    """(N+1)d - m zero eigenvalues, remainder strictly positive."""
+    """(N+1)d - rank R zero eigenvalues, R the rigidity matrix, remainder
+    strictly positive.  H = 2 R^T diag(rho(0)) R at the desired shape; the
+    count equals (N+1)d - m only for a minimally rigid graph."""
     for graph, expected_zero in [(TRIANGLE, 4), (TETRA, 8)]:
         p = desired_equilibrium(graph)
         w = np.linalg.eigvalsh(assemble_hessian(p, graph, QUADRATIC))

@@ -3,17 +3,16 @@
 import numpy as np
 import pytest
 
+from rigidflex.control import edge_states
 from rigidflex.graph import (
     FormationGraph,
     GraphError,
-    build_incidence,
-    check_feasible,
     graph_from_json,
     graph_to_json,
-    relative_positions,
     tetrahedron_flex,
     triangle_flex,
 )
+from rigidflex.potentials import QUADRATIC
 
 
 def test_triangle_flex_structure():
@@ -65,13 +64,13 @@ def test_desired_distances_positive():
 
 def test_incidence_matrix_signs():
     g = triangle_flex()
-    b = build_incidence(g)
+    b = g._incidence
     assert b.shape == (4, 4)
     # column of edge (1,2): +1 at node 1, -1 at node 2
     assert b[0, 0] == 1 and b[1, 0] == -1
     # edge vectors are p_i - p_j
     p = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
-    z = relative_positions(p, g)
+    z = edge_states(p, g, QUADRATIC).z
     np.testing.assert_allclose(z, b.T @ p)
     np.testing.assert_allclose(z[0], [-1.0, 0.0])
 
@@ -90,12 +89,3 @@ def test_json_round_trip():
     doc = graph_to_json(g)
     g2 = graph_from_json(doc)
     assert g2 == g
-
-
-def test_feasibility_triangle_inequalities():
-    ok = triangle_flex()
-    assert check_feasible(ok).feasible
-    bad = triangle_flex(desired=(10.0, 1.0, 1.0, 4.0))
-    result = check_feasible(bad)
-    assert not result.feasible
-    assert (1, 2, 3) in result.violations

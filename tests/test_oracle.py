@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import json
 import math
 import warnings
 
@@ -21,7 +22,6 @@ from rigidflex.oracle import (
     desired_equilibrium,
     flex_coincident_equilibrium,
     newton_polish,
-    read_catalog,
     write_catalog,
 )
 from rigidflex.potentials import QUADRATIC, RATIONAL
@@ -166,7 +166,8 @@ def test_catalog_round_trip(tmp_path):
     entries, _ = build_catalog(triangle_flex(), QUADRATIC)
     path = tmp_path / "catalog.jsonl"
     write_catalog(entries, path)
-    docs = read_catalog(path)
+    with open(path) as fh:
+        docs = [json.loads(line) for line in fh]
     assert len(docs) == len(entries)
     assert docs[1]["subform"] == entries[1].subform
     np.testing.assert_allclose(np.array(docs[1]["positions"]),
@@ -345,7 +346,10 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
 def test_gap_solver_failures_say_what_happened():
     """On the equal tetrahedron with the quadratic family every hybr seed of
     these two layouts converges, to roots with a zero gap: the failure says
-    so and lists the gaps.  A system with no real root keeps the
+    so and lists the gaps.  On the tailored tetrahedron four seeds of the
+    distinct collinear layout reach the zero-gap root (0, 2, 3) and two do
+    not converge: the failure lists the roots apart from the failed seeds
+    and their residuals.  A system with no real root keeps the
     non-convergence message."""
     names = ["pair_endpoint_collinear", "collinear_distinct"]
     _, failures = build_catalog(tetrahedron_flex(), QUADRATIC, subforms=names)
@@ -357,6 +361,16 @@ def test_gap_solver_failures_say_what_happened():
         gaps = ast.literal_eval(found)
         assert len(gaps) == len(_LAYOUTS[3][name].seeds)
         assert all(min(root) < 1e-9 for root in gaps)
+    _, failures = build_catalog(TAILORED, QUADRATIC, subforms=["collinear_distinct"])
+    head, found = failures["collinear_distinct"].split("; gaps of the roots found: ")
+    head, failed = head.split("; seeds and residuals that did not converge: ")
+    assert head.startswith("no root with all gaps positive for the gaps of line layout")
+    assert head.endswith("2 of 6 seeds did not converge, the others reached roots "
+                         "with a gap <= 1e-9")
+    failed = ast.literal_eval(failed)
+    assert len(failed) == 2
+    assert all(len(seed) == 3 and residual > 1e-10 for seed, residual in failed)
+    np.testing.assert_allclose(ast.literal_eval(found), [[0.0, 2.0, 3.0]] * 4, atol=1e-12)
     with pytest.raises(OracleError, match="gap root-finder did not converge for x"):
         _multi_root(lambda x: x * x + 1.0, [(1.0,)], "x")
 

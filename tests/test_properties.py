@@ -9,15 +9,9 @@ from hypothesis import strategies as st
 
 from rigidflex.control import _edge_kernel
 from rigidflex.graph import tetrahedron_flex, triangle_flex
-from rigidflex.oracle import build_catalog
+from rigidflex.oracle import build_catalog, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
-from rigidflex.stability import (
-    alignment_rotation,
-    assemble_hessian,
-    classify,
-    instability_witness,
-    verify_sign_properties,
-)
+from rigidflex.stability import analyze, assemble_hessian
 
 GRAPHS = {"triangle": triangle_flex(), "tetrahedron": tetrahedron_flex()}
 FAMILIES = {"quadratic": QUADRATIC, "rational": RATIONAL}
@@ -29,11 +23,21 @@ def catalog(graph_name, family_name):
 
 
 @functools.cache
-def raw_claims(graph_name, family_name):
-    """The sign claims of each degenerate catalog entry, by subform."""
+def raw_reports(graph_name, family_name):
+    """(positions, analyze report) at each catalog entry and the desired shape."""
     graph, family = GRAPHS[graph_name], FAMILIES[family_name]
-    return {e.subform: verify_sign_properties(e.positions, graph, family)
-            for e in catalog(graph_name, family_name) if e.kind == "degenerate_rigid"}
+    points = [e.positions for e in catalog(graph_name, family_name)]
+    return [(p, analyze(p, graph, family)) for p in points + [desired_equilibrium(graph)]]
+
+
+def axis_is_unique(p, kind):
+    """Whether the agents fix the axis r up to sign: the span of the rigid
+    agents (of all but the anchor at a flex-coincident point) and the flex
+    edge has dimension d - 1 or d.  Four coincident agents in 3-D leave r
+    free on the circle orthogonal to the flex edge."""
+    d = p.shape[1]
+    span = p[:d] if kind == "flex_coincident" else p[:-1]
+    return np.linalg.matrix_rank(np.vstack([span - span[0], p[-1] - p[-2]]), 1e-9) >= d - 1
 
 
 def rotation(angles, d):
@@ -47,18 +51,6 @@ def rotation(angles, d):
     return rz @ ry @ rx
 
 
-def loop_alignment_rotation(p, graph):
-    """Reference frame with the row signs fixed one row at a time."""
-    rigid = p[list(graph.rigid_nodes)]
-    _, _, q = np.linalg.svd(rigid - rigid.mean(axis=0), full_matrices=True)
-    for row in range(q.shape[0]):
-        if q[row, np.argmax(np.abs(q[row]))] < 0:
-            q[row] = -q[row]
-    if np.linalg.det(q) < 0:
-        q[-1] = -q[-1]
-    return q
-
-
 angle_triples = st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3)
 shifts = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
 
@@ -68,32 +60,51 @@ shifts = st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3)
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(angles=angle_triples, shift=shifts)
 def test_witness_is_invariant_under_rigid_motions(graph_name, family_name, angles, shift):
-    """Every catalog entry keeps its class and subform after a rotation and
-    a shift, its witness stays strictly negative, the embedded direction
-    v (x) r has the same curvature in the full Hessian, and its sign claims
-    keep their descriptions and verdicts, with values within 1e-9.  The
-    aligning frame equals the per-row reference bit for bit."""
+    """analyze at every catalog entry and at the desired shape, after a
+    rotation R and a shift: the class and subform stay, the spectra, the
+    minimum eigenvalue, the witness tag, vector and form agree within 1e-9
+    of the largest |eigenvalue|, and the sign claims keep their descriptions
+    and verdicts, with values within 1e-9.  The witness is strictly
+    negative, v (x) r has the same curvature in the full Hessian, and the
+    full vector is (I (x) R) times the unmoved one, up to one sign, wherever
+    the agents fix r; where they do not, r is still a unit vector
+    orthogonal to the flex edge."""
     graph, family = GRAPHS[graph_name], FAMILIES[family_name]
     d = graph.dimension
     rot = rotation(np.array(angles), d)
-    for entry in catalog(graph_name, family_name):
-        p = entry.positions @ rot.T + np.array(shift[:d])
-        cls = classify(p, graph, family)
-        assert (cls.kind, cls.subform) == (entry.kind, entry.subform)
-        np.testing.assert_array_equal(alignment_rotation(p, graph),
-                                      loop_alignment_rotation(p, graph))
-        h = assemble_hessian(p, graph, family)
-        w = instability_witness(p, graph, family, cls=cls, hessian=h)
+    for pos, raw in raw_reports(graph_name, family_name):
+        p = pos @ rot.T + np.array(shift[:d])
+        report = analyze(p, graph, family)
+        cls, raw_cls = report.classification, raw.classification
+        assert (cls.kind, cls.subform) == (raw_cls.kind, raw_cls.subform)
+        tol = 1e-9 * np.abs(raw.spectrum).max()
+        np.testing.assert_allclose(report.spectrum, raw.spectrum, rtol=0, atol=tol)
+        assert report.min_eigenvalue == pytest.approx(raw.min_eigenvalue, rel=0, abs=tol)
+        w, raw_w = report.witness, raw.witness
+        if cls.kind == "desired":
+            assert report.block_spectrum is raw.block_spectrum is w is raw_w is None
+            assert report.positive_semidefinite
+            continue
+        np.testing.assert_allclose(report.block_spectrum, raw.block_spectrum, rtol=0, atol=tol)
+        assert w.tag == raw_w.tag
+        np.testing.assert_allclose(w.vector, raw_w.vector, rtol=0, atol=tol)
+        assert w.quadratic_form == pytest.approx(raw_w.quadratic_form, rel=0, abs=tol)
         assert w.quadratic_form < 0
+        h = assemble_hessian(p, graph, family)
         q_full = float(w.full_vector @ h @ w.full_vector)
         assert q_full == pytest.approx(w.quadratic_form, rel=1e-9, abs=1e-9)
-        if cls.kind == "degenerate_rigid":
-            raw = raw_claims(graph_name, family_name)[entry.subform]
-            moved = verify_sign_properties(p, graph, family, cls=cls)
-            assert [(c.description, c.passed) for c in moved] == \
-                [(c.description, c.passed) for c in raw]
-            np.testing.assert_allclose([c.value for c in moved], [c.value for c in raw],
-                                       rtol=0, atol=1e-9)
+        np.testing.assert_array_equal(w.full_vector, np.outer(w.vector, w.axis).ravel())
+        if axis_is_unique(pos, cls.kind):
+            moved = raw_w.full_vector.reshape(-1, d) @ rot.T
+            sign = 1.0 if moved.ravel() @ w.full_vector > 0 else -1.0
+            np.testing.assert_allclose(w.full_vector, sign * moved.ravel(), rtol=0, atol=1e-9)
+        else:
+            assert abs(np.linalg.norm(w.axis) - 1.0) < 1e-15
+            assert abs(np.dot(w.axis, p[-1] - p[-2])) < 1e-9
+        assert [(c.description, c.passed) for c in report.claims] == \
+            [(c.description, c.passed) for c in raw.claims]
+        np.testing.assert_allclose([c.value for c in report.claims],
+                                   [c.value for c in raw.claims], rtol=0, atol=1e-9)
 
 
 # finite coordinates from about 1e-300 to 1e151 in magnitude, zero included

@@ -20,7 +20,6 @@ from rigidflex.stability import (
     SIGN_CLAIMS,
     StabilityReport,
     WitnessNotFoundError,
-    alignment_rotation,
     analyze,
     _aligned_last_block,
     _claim,
@@ -134,14 +133,15 @@ def test_hessian_matches_per_edge_loop(graph, family):
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
 def test_aligned_last_block_equals_block_at_rotated_positions(graph, family):
-    """r^T H_ij r for the last row r of R is the last-axis block of the
-    Hessian re-assembled at the rotated realization p R^T."""
+    """r^T H_ij r for the unit vector r, the last row of a rotation R, is the
+    last-axis block of the Hessian re-assembled at the rotated realization
+    p R^T."""
     rng = np.random.default_rng(12)
     d = graph.dimension
     for _ in range(10):
         p = rng.uniform(-5, 5, (graph.num_nodes, d))
         rot = random_rotation(rng, d)
-        block = _aligned_last_block(assemble_hessian(p, graph, family), rot)
+        block = _aligned_last_block(assemble_hessian(p, graph, family), rot[-1])
         moved = assemble_hessian(p @ rot.T, graph, family)[d - 1::d, d - 1::d]
         assert np.abs(block - moved).max() <= 1e-12 * np.abs(moved).max()
 
@@ -206,17 +206,41 @@ def test_classify_collinear_subform():
     assert cls.subform == "collinear_distinct"
 
 
-def test_alignment_rotation_moves_degeneracy_to_last_axis():
-    g = triangle_flex()
-    entry = construct_equilibrium(g, QUADRATIC, "collinear_distinct")
-    th = 0.7
-    r = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-    p = entry.positions @ r.T
-    q = alignment_rotation(p, g)
-    aligned = p @ q.T
-    # rigid agents collinear along the first axis after alignment
-    assert np.ptp(aligned[:3, 1]) < 1e-8
-    assert abs(np.linalg.det(q) - 1.0) < 1e-12
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
+def test_classify_axis_is_a_normal_of_the_layout(graph):
+    """At every rotated catalog entry the class's axis r is a unit vector
+    with its largest component positive, orthogonal to the rigid agents'
+    span (to the face of all agents but the anchor at a flex-coincident
+    point), also with the flex agent moved onto its anchor, which makes a
+    flex-coincident point at a degenerate shape.  Where that span leaves
+    room (a line in 3-D, coincident agents) r is orthogonal to the flex edge
+    too, and the aligned block is the g-weighted Laplacian of the edges."""
+    rng = np.random.default_rng(5)
+    d = graph.dimension
+    laid = 0
+    for entry in build_catalog(graph, QUADRATIC)[0]:
+        p = entry.positions @ random_rotation(rng, d).T + rng.standard_normal(d)
+        span = p[:d] if entry.kind == "flex_coincident" else p[:-1]
+        collapsed = np.vstack([p[:-1], p[-2]])
+        for q, kind in ((collapsed, "flex_coincident"), (p, entry.kind)):
+            cls = classify(q, graph, QUADRATIC)
+            r = np.array(cls.axis)
+            assert cls.kind == kind
+            assert abs(np.linalg.norm(r) - 1.0) < 1e-15
+            assert r[np.abs(r).argmax()] > 0
+            assert np.abs((span - span[0]) @ r).max() < 1e-12
+        if np.linalg.matrix_rank(span - span[0], 1e-9) < d - 1:
+            laid += 1
+            st = edge_states(p, graph, QUADRATIC)
+            assert np.abs(st.z @ r).max() < 1e-12
+            laplacian = np.zeros((graph.num_nodes,) * 2)
+            for (i, j), g in zip(graph.edges, st.g):
+                laplacian[np.ix_([i - 1, j - 1], [i - 1, j - 1])] += [[g, -g], [-g, g]]
+            block = _aligned_last_block(assemble_hessian(p, graph, QUADRATIC), r)
+            np.testing.assert_allclose(block, laplacian, rtol=0, atol=1e-12)
+    # all_coincident in 2-D; the four line forms the quadratic family
+    # builds on the equal tetrahedron
+    assert laid == (1 if d == 2 else 4)
 
 
 def test_flex_sum_witness_form_equals_flex_gradient():
@@ -255,9 +279,14 @@ def test_witness_full_vector_is_negative_direction_of_full_hessian():
 
 
 def test_witness_refused_for_desired_equilibrium():
+    """A class without an axis, desired or unrecognized, has no witness."""
     g = triangle_flex()
+    p = desired_equilibrium(g)
     with pytest.raises(ValueError):
-        instability_witness(desired_equilibrium(g), g, QUADRATIC)
+        instability_witness(p, g, QUADRATIC)
+    unrecognized = type(classify(p, g, QUADRATIC))(kind="unrecognized")
+    with pytest.raises(ValueError, match="unrecognized"):
+        instability_witness(p, g, QUADRATIC, cls=unrecognized)
 
 
 def test_witness_not_found_is_raised_not_faked():
@@ -266,7 +295,7 @@ def test_witness_not_found_is_raised_not_faked():
     p = desired_equilibrium(g)
     cls = classify(p, g, QUADRATIC)
     forged = type(cls)(kind="degenerate_rigid", subform="collinear_distinct",
-                       diagnostics={}, ambiguous=False)
+                       diagnostics={}, ambiguous=False, axis=(0.0, 1.0))
     with pytest.raises(WitnessNotFoundError):
         instability_witness(p, g, QUADRATIC, cls=forged)
 
@@ -433,11 +462,12 @@ def test_classify_runs_one_kernel_pass(monkeypatch):
 def test_analyze_assembles_once_and_aligns_once(monkeypatch):
     """One analyze at a moved 3-D catalog point or the desired shape: one
     edge-kernel pass, shared by the class, the Hessian and the sign claims,
-    one Hessian, and an aligning rotation only for a degenerate-rigid class."""
+    one Hessian, and one aligned block, none for the desired class, which
+    has no axis."""
     import rigidflex.control as control
     import rigidflex.stability as stability
 
-    counts = dict.fromkeys(("_edge_kernel", "_hessian", "alignment_rotation"), 0)
+    counts = dict.fromkeys(("_edge_kernel", "_hessian", "_aligned_last_block"), 0)
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -449,7 +479,7 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     for module, name in ((control, "_edge_kernel"), (stability, "_hessian"),
-                         (stability, "alignment_rotation")):
+                         (stability, "_aligned_last_block")):
         counted(module, name)
     g = tetrahedron_flex()
     entries, _ = build_catalog(g, QUADRATIC)
@@ -462,7 +492,7 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         assert report.classification.kind == kind
         assert (report.witness is not None) == (kind != "desired")
         assert counts == {"_edge_kernel": 1, "_hessian": 1,
-                          "alignment_rotation": int(kind == "degenerate_rigid")}
+                          "_aligned_last_block": int(kind != "desired")}
 
 
 def test_witness_runs_at_most_one_kernel_pass(monkeypatch):
@@ -556,16 +586,12 @@ def separate_report(p, graph, family):
         witness = instability_witness(p, graph, family)
         if cls.kind == "degenerate_rigid":
             claims = verify_sign_properties(p, graph, family)
-    if witness is not None:
-        rotation = witness.rotation
-    elif cls.kind == "degenerate_rigid":
-        rotation = alignment_rotation(p, graph)
-    else:
-        rotation = np.eye(graph.dimension)
+    block_spectrum = None
+    if cls.axis:
+        block_spectrum = np.linalg.eigvalsh(_aligned_last_block(h, cls.axis))
     min_eig, is_psd = psd_check(h)
     return StabilityReport(
-        classification=cls, spectrum=np.linalg.eigvalsh(h),
-        block_spectrum=np.linalg.eigvalsh(_aligned_last_block(h, rotation)),
+        classification=cls, spectrum=np.linalg.eigvalsh(h), block_spectrum=block_spectrum,
         min_eigenvalue=min_eig, positive_semidefinite=is_psd,
         witness=witness, claims=claims, certified=certified)
 
