@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .control import leader_spec_from_json
+from .control import EQ_TOL, leader_spec_from_json
 from .graph import FormationGraph, GraphError, graph_from_json, triangle_flex, tetrahedron_flex
 from .integrator import IntegrationError, PerturbationEvent, integrate, random_perturbation
 from .oracle import OracleError, build_catalog, newton_polish, write_catalog
@@ -125,7 +125,7 @@ def _cmd_run(args) -> int:
     traj = integrate(
         p0, graph, family, t_end, dt=dt, leader=leader, events=events,
         record_every=record_every,
-        eq_tol=args.tol_eq if args.tol_eq is not None else float(doc.get("eq_tol", 1e-9)),
+        eq_tol=args.tol_eq if args.tol_eq is not None else float(doc.get("eq_tol", EQ_TOL)),
     )
 
     out = Path(args.out or ".")
@@ -165,7 +165,7 @@ def _cmd_analyze(args) -> int:
     p = _positions_from_doc(doc["positions"] if isinstance(doc, dict) else doc, graph)
     family = get_family(args.family)
     try:
-        eq_tol = args.tol_eq if args.tol_eq is not None else 1e-9
+        eq_tol = args.tol_eq if args.tol_eq is not None else EQ_TOL
         report = analyze(p, graph, family, eq_tol=eq_tol, eig_tol=args.tol_eig)
     except WitnessNotFoundError as exc:
         print(f"analysis FAILED: classified undesired but no instability "
@@ -195,17 +195,12 @@ def _cmd_catalog(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     sign_table = []
     witness_ok = 0
-    undesired = 0
+    undesired = len(entries)                # build_catalog makes undesired entries only
     write_catalog(entries, out / "catalog.jsonl")
     for entry in entries:
-        if entry.kind not in ("flex_coincident", "degenerate_rigid"):
-            continue
-        undesired += 1
-        try:
-            report = analyze(entry.positions, graph, family, eig_tol=args.tol_eig)
-            if report.witness is not None:
-                witness_ok += 1
-            claims = report.claims
+        try:                                # on a certified graph: a witness, or raises
+            claims = analyze(entry.positions, graph, family, eig_tol=args.tol_eig).claims
+            witness_ok += 1
         except (WitnessNotFoundError, np.linalg.LinAlgError):
             claims = None
         if entry.kind == "degenerate_rigid":

@@ -8,13 +8,17 @@ Scaling V leaves trajectories, equilibria, and stability verdicts unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
+
+# Balance residual max_i ||u_i|| below which a realization is an equilibrium:
+# the default of integrate, detect_equilibrium, classify, analyze and the CLI.
+EQ_TOL = 1e-9
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,8 +52,8 @@ class FormationGraph:
                 raise GraphError(f"edge ({i},{j}) out of range or not i<j")
         if len(self.desired) != len(pairs):
             raise GraphError("desired distances must align with edges")
-        if any(db <= 0 for db in self.desired):
-            raise GraphError("desired distances must be strictly positive")
+        if not all(0 < db < math.inf for db in self.desired):     # False for NaN
+            raise GraphError("desired distances must be finite and strictly positive")
         flex = tuple(self.flex_edge)
         if flex != (n - 1, n):
             raise GraphError(f"flex edge must be ({n-1},{n}), got {flex}")
@@ -103,16 +104,6 @@ class FormationGraph:
     def rigid_nodes(self) -> range:
         """0-based indices of the rigid-subgraph nodes 1..N."""
         return range(self.num_nodes - 1)
-
-    def neighbors(self, i: int) -> list[int]:
-        """1-based neighbor labels of node i."""
-        out = []
-        for (a, b) in self.edges:
-            if a == i:
-                out.append(b)
-            elif b == i:
-                out.append(a)
-        return out
 
     def certified_topology(self) -> str | None:
         """'triangle' / 'tetrahedron' when the instability theory applies, else None."""

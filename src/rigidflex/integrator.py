@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import LeaderSpec, _edge_kernel, _ignore_fp, _lyapunov, gradient_control
+from .control import EQ_TOL, LeaderSpec, _edge_kernel, _ignore_fp, _lyapunov, gradient_control
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
@@ -66,7 +66,7 @@ class EquilibriumCheck:
 
 
 def detect_equilibrium(p, graph: FormationGraph, family: PotentialFamily,
-                       tol: float = 1e-9) -> EquilibriumCheck:
+                       tol: float = EQ_TOL) -> EquilibriumCheck:
     """Equilibrium iff max_i ||sum_j g_ij z_ij|| < tol."""
     u = gradient_control(p, graph, family).reshape(graph.num_nodes, -1)
     r = float(np.linalg.norm(u, axis=1).max())
@@ -130,7 +130,7 @@ def _rk4_step(f, t, p, h, k, s):
 @_ignore_fp
 def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
               dt: float = 1e-3, leader: LeaderSpec | None = None,
-              events=(), record_every: int = 10, eq_tol: float = 1e-9) -> Trajectory:
+              events=(), record_every: int = 10, eq_tol: float = EQ_TOL) -> Trajectory:
     """Integrate the closed loop from p0 to t_end with fixed-step RK4.
 
     Scheduled perturbations are applied as instantaneous state jumps at

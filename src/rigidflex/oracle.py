@@ -32,6 +32,13 @@ from .potentials import PotentialFamily
 from .stability import LINE_SLOTS, assemble_hessian, classify, family_admits
 
 
+POLISH_TOL = 1e-12        # balance residual that ends a Newton polish
+POLISH_MAX_ITER = 50      # Newton iterations before a polish stalls
+CAPTURE_T_MAX = 20.0      # flow capture: integration horizon,
+CAPTURE_DT = 1e-3         # its RK4 step,
+CAPTURE_TOL = 1e-6        # and the residual that detects an equilibrium
+
+
 class OracleError(RuntimeError):
     """Equilibrium construction failed (non-convergence or unmet symmetry)."""
 
@@ -69,9 +76,8 @@ def write_catalog(entries, path):
 # Newton polish on the full balance system
 
 
-def newton_polish(p, graph: FormationGraph, family: PotentialFamily,
-                  tol: float = 1e-12, max_iter: int = 50) -> np.ndarray:
-    """Drive the balance residual below tol by Newton iteration.
+def newton_polish(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
+    """Drive the balance residual below POLISH_TOL in POLISH_MAX_ITER Newton steps.
 
     The balance map is the potential gradient, so its Jacobian is the
     assembled Hessian; least-squares steps take the minimal-norm correction,
@@ -80,12 +86,12 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily,
     and one Hessian.
     """
     p = as_positions(p, graph).reshape(-1).astype(float)
-    for it in range(max_iter + 1):
+    for it in range(POLISH_MAX_ITER + 1):
         u = gradient_control(p, graph, family)
         res = float(np.linalg.norm(u.reshape(graph.num_nodes, -1), axis=1).max())
-        if res < tol:
+        if res < POLISH_TOL:
             return p
-        if it == max_iter:
+        if it == POLISH_MAX_ITER:
             raise OracleError(f"Newton polish stalled at residual {res:.3e}")
         h = assemble_hessian(p, graph, family)
         if not np.all(np.isfinite(h)):
@@ -414,18 +420,19 @@ def construct_equilibrium(graph: FormationGraph, family: PotentialFamily,
 # Flow capture
 
 
-def capture_equilibrium_from_flow(p0, graph: FormationGraph, family: PotentialFamily,
-                                  t_max: float = 20.0, dt: float = 1e-3,
-                                  detect_tol: float = 1e-6) -> CatalogEntry:
-    """Integrate until an equilibrium is detected, then polish and classify."""
+def capture_equilibrium_from_flow(p0, graph: FormationGraph,
+                                  family: PotentialFamily) -> CatalogEntry:
+    """Integrate until an equilibrium is detected, then polish and classify:
+    RK4 steps of CAPTURE_DT up to CAPTURE_T_MAX, detection at CAPTURE_TOL."""
     p0 = as_positions(p0, graph).reshape(-1)
-    if detect_equilibrium(p0, graph, family, detect_tol).at_equilibrium:
+    if detect_equilibrium(p0, graph, family, CAPTURE_TOL).at_equilibrium:
         p = p0
     else:
-        traj = integrate(p0, graph, family, t_end=t_max, dt=dt, eq_tol=detect_tol)
+        traj = integrate(p0, graph, family, t_end=CAPTURE_T_MAX, dt=CAPTURE_DT,
+                         eq_tol=CAPTURE_TOL)
         hit = next((t for t, kind in traj.events if kind == "equilibrium_detected"), None)
         if hit is None:
-            raise OracleError(f"no equilibrium detected before t = {t_max}")
+            raise OracleError(f"no equilibrium detected before t = {CAPTURE_T_MAX}")
         idx = int(np.argmin(np.abs(traj.times - hit)))
         p = traj.states[idx]
     return _finalize(p, graph, family, "flow-capture", polish=True)

@@ -19,24 +19,8 @@ import numpy as np
 
 
 class PotentialDomainError(ValueError):
-    """Squared error below -dbar^2, outside any family's domain."""
-
-
-def check_domain(e, dbar):
-    """Reject squared errors below -dbar^2.
-
-    The boundary e == -dbar^2 (coincident agents) is admitted: coincidence
-    equilibria live there, and the zero edge vector annihilates the force
-    contribution even when a family's g diverges at the boundary.
-    """
-    e = np.asarray(e, dtype=float)
-    lo = -np.asarray(dbar, dtype=float) ** 2
-    below = e < lo
-    if below.any():
-        k = int(np.argmax(below))           # first offending edge
-        e, lo = np.broadcast_arrays(e, lo)
-        raise PotentialDomainError(f"squared error below -dbar^2 on edge {k}: "
-                                   f"e={float(e.flat[k])!r} < bound {float(lo.flat[k])!r}")
+    """A point outside a family's domain, or a desired length that admits no
+    sample grid inside it."""
 
 
 @dataclass(frozen=True)
@@ -88,24 +72,23 @@ def get_family(tag: str) -> PotentialFamily:
         raise KeyError(f"unknown potential family {tag!r}; known: {sorted(FAMILIES)}")
 
 
-def validate_family(family: PotentialFamily, dbar: float, grid=None) -> list[str]:
+def validate_family(family: PotentialFamily, dbar: float) -> list[str]:
     """Check the potential-family conditions on a sample grid.
 
     Verifies phi >= 0 with phi = 0 only at e = 0, g strictly increasing with
-    sign(g) = sign(e), and rho > 0, over ``grid`` (default: a grid spanning
-    (-dbar^2, large)).  Analyticity near 0 cannot be checked from point
-    evaluations and is not attempted.  Returns a list of violation messages;
-    empty means the family passed.
+    sign(g) = sign(e), and rho > 0, over a grid of (-dbar^2, 100 dbar^2)
+    whose innermost samples are +-1e-6.  Analyticity near 0 cannot be
+    checked from point evaluations and is not attempted.  Returns a list of
+    violation messages; empty means the family passed.  A dbar whose grid is
+    not finite or leaves the domain raises PotentialDomainError.
     """
     dbar = float(dbar)
-    if grid is None:
-        lo = -(dbar**2) * (1 - 1e-3)
-        grid = np.concatenate(
-            [np.linspace(lo, -1e-6, 400), [0.0], np.linspace(1e-6, 100.0 * dbar**2, 400)]
-        )
-    grid = np.sort(np.asarray(grid, dtype=float))
-    if grid.min() <= -(dbar**2):
-        raise PotentialDomainError("validation grid leaves the domain e > -dbar^2")
+    dbar2 = dbar * dbar                     # inf, not OverflowError, for a huge dbar
+    if not (dbar > 0 and 1e-6 < dbar2 and np.isfinite(100.0 * dbar2)):
+        raise PotentialDomainError(f"dbar must be finite and positive with 1e-6 < dbar^2 "
+                                   f"and 100 dbar^2 finite, got {dbar!r}")
+    grid = np.sort(np.concatenate([np.linspace(-dbar2 * (1 - 1e-3), -1e-6, 400), [0.0],
+                                   np.linspace(1e-6, 100.0 * dbar2, 400)]))
 
     phi = np.asarray(family.phi(grid, dbar), dtype=float)
     g = np.asarray(family.g(grid, dbar), dtype=float)

@@ -18,9 +18,13 @@ paper's sign claims are data over those roles (SIGN_CLAIMS), which
 ``verify_sign_properties`` evaluates.
 
 ``analyze`` makes one edge pass (``control.edge_states``) and hands it to
-the private ``_classify``, ``_hessian`` and ``_claims``; the public
-``classify``, ``assemble_hessian`` and ``verify_sign_properties`` are each
-one pass plus the same private function.
+the private ``_classify``, ``_hessian``, ``_witness`` and ``_claims``; the
+public ``classify``, ``assemble_hessian``, ``instability_witness`` and
+``verify_sign_properties`` are each one pass plus the same private
+functions.  Tolerances are module constants: EQ_TOL from ``control``, and
+SHAPE_TOL, POS_TOL, GEOM_TOL, WITNESS_MARGIN and ZERO_TOL here, read at call
+time.  Only ``analyze`` takes tolerances per call, the CLI's ``--tol-eq``
+and ``--tol-eig``.
 """
 
 from __future__ import annotations
@@ -31,15 +35,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EdgeState, edge_states, potential_value
+from .control import EQ_TOL, EdgeState, edge_states, potential_value
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialDomainError, PotentialFamily
 
-# Default tolerances (overridable per call).
-EQ_TOL = 1e-9          # balance residual for equilibrium membership
-SHAPE_TOL = 1e-6       # max |e| for the desired-shape set
-POS_TOL = 1e-6         # coincidence detection
-GEOM_TOL = 1e-7        # collinearity/coplanarity via smallest singular value
+SHAPE_TOL = 1e-6        # max |e| for the desired-shape set
+POS_TOL = 1e-6          # coincidence detection
+GEOM_TOL = 1e-7         # collinearity/coplanarity via smallest singular value
+WITNESS_MARGIN = 1e-10  # a witness form must lie below -WITNESS_MARGIN * max |block|
+ZERO_TOL = 1e-9         # |value| at most this satisfies an "= 0" sign claim
 
 
 class WitnessNotFoundError(RuntimeError):
@@ -89,34 +93,33 @@ def _aligned_last_block(h: np.ndarray, r) -> np.ndarray:
     return np.einsum("a,iajb,b->ij", r, h.reshape(n, d, n, d), r)
 
 
-def _psd_verdict(spectrum: np.ndarray, eig_tol: float | None):
+def _psd_verdict(spectrum: np.ndarray, eig_tol: float | None = None):
     """(min eigenvalue, PSD verdict) of an ascending spectrum."""
-    scale = max(abs(spectrum[0]), abs(spectrum[-1]), 1.0)
     if eig_tol is None:
-        eig_tol = 1e-8 * scale
+        eig_tol = 1e-8 * max(abs(spectrum[0]), abs(spectrum[-1]), 1.0)
     return float(spectrum[0]), bool(spectrum[0] >= -eig_tol)
 
 
-def psd_check(matrix: np.ndarray, eig_tol: float | None = None):
-    """(min eigenvalue, PSD verdict).  Default tolerance 1e-8 * ||H||_2."""
+def psd_check(matrix: np.ndarray):
+    """(min eigenvalue, PSD verdict) at the tolerance 1e-8 * ||H||_2."""
     matrix = np.asarray(matrix, dtype=float)
     if not np.allclose(matrix, matrix.T, atol=1e-10 * max(1.0, np.abs(matrix).max())):
         raise ValueError("psd_check expects a symmetric matrix")
-    return _psd_verdict(np.linalg.eigvalsh(matrix), eig_tol)
+    return _psd_verdict(np.linalg.eigvalsh(matrix))
 
 
 # ---------------------------------------------------------------------------
 # Geometry helpers
 
 
-def _coincidence_clusters(points: np.ndarray, tol: float) -> list[int]:
+def _coincidence_clusters(points: np.ndarray) -> list[int]:
     """Each point's cluster, named by its lowest member index.
 
-    Points closer than tol, directly or through a chain of such pairs, share
-    a cluster.
+    Points closer than POS_TOL, directly or through a chain of such pairs,
+    share a cluster.
     """
     diff = points[:, None] - points
-    near = (np.sqrt(np.vecdot(diff, diff)) < tol).tolist()
+    near = (np.sqrt(np.vecdot(diff, diff)) < POS_TOL).tolist()
     cluster = list(range(len(points)))
     for a, row in enumerate(near):
         for b in range(a):
@@ -168,9 +171,7 @@ class EquilibriumClass:
                                    # degenerate axis r that the witness reads
 
 
-def classify(p, graph: FormationGraph, family: PotentialFamily,
-             eq_tol: float = EQ_TOL, shape_tol: float = SHAPE_TOL,
-             pos_tol: float = POS_TOL, geom_tol: float = GEOM_TOL) -> EquilibriumClass:
+def classify(p, graph: FormationGraph, family: PotentialFamily) -> EquilibriumClass:
     """Classify a realization among desired / undesired equilibrium sets.
 
     A degenerate-rigid class carries its subform and the roles that its sign
@@ -179,13 +180,11 @@ def classify(p, graph: FormationGraph, family: PotentialFamily,
     their axis r (see ``_axis``), the only frame the analysis reads.
     """
     pos = as_positions(p, graph)
-    return _classify(pos, edge_states(pos, graph, family), graph,
-                     eq_tol, shape_tol, pos_tol, geom_tol)
+    return _classify(pos, edge_states(pos, graph, family), graph)
 
 
 def _classify(pos: np.ndarray, st: EdgeState, graph: FormationGraph,
-              eq_tol: float = EQ_TOL, shape_tol: float = SHAPE_TOL,
-              pos_tol: float = POS_TOL, geom_tol: float = GEOM_TOL) -> EquilibriumClass:
+              eq_tol: float = EQ_TOL) -> EquilibriumClass:
     """``classify`` at the (N+1, d) realization ``pos`` from its edge pass ``st``."""
     residual = float(np.linalg.norm(st.u, axis=1).max())
     diag = {"residual": residual}
@@ -195,26 +194,26 @@ def _classify(pos: np.ndarray, st: EdgeState, graph: FormationGraph,
     shape_err = float(np.abs(st.e).max())
     diag["shape_error"] = shape_err
     ambiguous = 0.1 * eq_tol < residual < 10.0 * eq_tol
-    if shape_err < shape_tol:
+    if shape_err < SHAPE_TOL:
         return EquilibriumClass(kind="desired", diagnostics=diag, ambiguous=ambiguous)
 
     z_flex = st.z[graph.flex_edge_index]
     flex_gap = float(np.linalg.norm(z_flex))
     diag["flex_gap"] = flex_gap
     rigid = pos[list(graph.rigid_nodes)]
-    if flex_gap < pos_tol:
+    if flex_gap < POS_TOL:
         return EquilibriumClass(kind="flex_coincident", diagnostics=diag, ambiguous=ambiguous,
-                                axis=_flex_axis(rigid, z_flex, geom_tol))
+                                axis=_flex_axis(rigid, z_flex))
 
     x = rigid - rigid.mean(axis=0)
-    sv, normal = _normal_space(x, geom_tol)
+    sv, normal = _normal_space(x)
     thin = float(sv[-1])                    # 0 = degenerate
     diag["degeneracy"] = thin
-    if thin >= geom_tol:
+    if thin >= GEOM_TOL:
         return EquilibriumClass(kind="unrecognized", diagnostics=diag, ambiguous=True)
-    ambiguous = ambiguous or thin > 0.1 * geom_tol
+    ambiguous = ambiguous or thin > 0.1 * GEOM_TOL
 
-    cluster = _coincidence_clusters(rigid, pos_tol)
+    cluster = _coincidence_clusters(rigid)
     diag["clusters"] = [[a + 1 for a, c in enumerate(cluster) if c == head]
                         for head in sorted(set(cluster))]
     # four distinct tetrahedron agents that do not share one line
@@ -244,21 +243,21 @@ def _axis(normal: np.ndarray, z_flex: np.ndarray) -> tuple:
     return tuple((r if r[np.abs(r).argmax()] > 0 else -r).tolist())
 
 
-def _normal_space(rows: np.ndarray, geom_tol: float):
+def _normal_space(rows: np.ndarray):
     """(singular values of ``rows``, orthonormal rows spanning the
     complement of their row space)."""
     _, sv, vt = np.linalg.svd(rows)
-    return sv, vt[int((sv >= geom_tol * max(1.0, sv[0])).sum()):]
+    return sv, vt[int((sv >= GEOM_TOL * max(1.0, sv[0])).sum()):]
 
 
-def _flex_axis(rigid: np.ndarray, z_flex: np.ndarray, geom_tol: float) -> tuple:
+def _flex_axis(rigid: np.ndarray, z_flex: np.ndarray) -> tuple:
     """``_axis`` at a flex-coincident point.  Where the first d agents span a
     hyperplane, S is that hyperplane or the whole space, so the hyperplane's
     normal is r either way and S needs no decomposition."""
     d = rigid.shape[1]
-    normal = _normal_space(rigid[1:d] - rigid[0], geom_tol)[1]
+    normal = _normal_space(rigid[1:d] - rigid[0])[1]
     if len(normal) > 1:
-        span = _normal_space(rigid[1:] - rigid[0], geom_tol)[1]
+        span = _normal_space(rigid[1:] - rigid[0])[1]
         normal = span if len(span) else normal
     return _axis(normal, z_flex)
 
@@ -325,41 +324,32 @@ class Witness:
     axis: tuple                    # the class's degenerate axis r
 
 
-def instability_witness(p, graph: FormationGraph, family: PotentialFamily,
-                        cls: EquilibriumClass | None = None,
-                        hessian: np.ndarray | None = None,
-                        margin_scale: float = 1e-10) -> Witness:
+def instability_witness(p, graph: FormationGraph, family: PotentialFamily) -> Witness:
     """Certified negative direction of the Hessian at an undesired equilibrium.
 
     Candidate order: the all-ones-except-flex vector (flex-coincident case),
     per-agent indicator vectors in index order, then the eigenvector of the
     most negative eigenvalue of the block aligned with the class's axis r.
-    The first candidate whose quadratic form clears the strictness margin
-    wins; raises WitnessNotFoundError if none does, and ValueError for a
-    class without an axis.  ``hessian`` is the assembled Hessian at ``p``,
-    if the caller already has it.  One edge pass serves a missing ``cls``
-    and ``hessian`` both.
+    The first candidate whose quadratic form lies below -WITNESS_MARGIN
+    times the block's largest finite |entry| (at least 1) wins; raises
+    WitnessNotFoundError if none does, and ValueError for a class without
+    an axis.
     """
     pos = as_positions(p, graph)
-    st = None
-    if cls is None:
-        st = edge_states(pos, graph, family)
-        cls = _classify(pos, st, graph)
+    st = edge_states(pos, graph, family)
+    cls = _classify(pos, st, graph)
     if not cls.axis:
         raise ValueError(f"witness requested for class {cls.kind!r}")
-    if hessian is None:
-        hessian = _hessian(st or edge_states(pos, graph, family), graph)
-    return _witness(_aligned_last_block(hessian, cls.axis), cls, margin_scale)
+    return _witness(_aligned_last_block(_hessian(st, graph), cls.axis), cls)
 
 
-def _witness(block: np.ndarray, cls: EquilibriumClass,
-             margin_scale: float = 1e-10) -> Witness:
+def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
     """``instability_witness`` at the block aligned with ``cls.axis``.  The
     eigendecomposition runs only if every cheaper candidate fails."""
     n = len(block)
     finite = np.isfinite(block)
     scale = max(1.0, float(np.abs(block[finite]).max())) if finite.any() else 1.0
-    threshold = -margin_scale * scale
+    threshold = -WITNESS_MARGIN * scale
 
     def form(v):
         nz = v != 0.0          # restrict to the candidate's support so that
@@ -462,27 +452,26 @@ def _parsed_claim(spec: str, roles: tuple) -> tuple:
     return tuple(parsed)
 
 
-def _claim(spec: str, roles: tuple, g: dict, zero_tol: float) -> Claim:
+def _claim(spec: str, roles: tuple, g: dict) -> Claim:
     """One row of SIGN_CLAIMS at the given roles; g maps label pairs to g.
-    "A or B" holds when either alternative does, with the smaller value."""
+    "A or B" holds when either alternative does, with the smaller value.
+    A value within ZERO_TOL of 0 counts as zero."""
     descriptions, values, passed = [], [], False
     for relation, pivot, options in _parsed_claim(spec, roles):
         option = 0
         if pivot:
             gp = _g_total(pivot, g)
-            option = (gp >= -zero_tol) + (gp > zero_tol)
+            option = (gp >= -ZERO_TOL) + (gp > ZERO_TOL)
         description, parts = options[option]
         value = _g_total(parts, g)
         descriptions.append(description)
         values.append(value)
         passed = passed or (value < 0 if relation == "<" else
-                            value > 0 if relation == ">" else abs(value) <= zero_tol)
+                            value > 0 if relation == ">" else abs(value) <= ZERO_TOL)
     return Claim(" or ".join(descriptions), min(values), passed)
 
 
-def verify_sign_properties(p, graph: FormationGraph, family: PotentialFamily,
-                           cls: EquilibriumClass | None = None,
-                           zero_tol: float = 1e-9) -> list[Claim]:
+def verify_sign_properties(p, graph: FormationGraph, family: PotentialFamily) -> list[Claim]:
     """Evaluate every sign claim attached to the identified undesired subform.
 
     The claims are the subform's SIGN_CLAIMS rows, read at the roles that
@@ -491,17 +480,16 @@ def verify_sign_properties(p, graph: FormationGraph, family: PotentialFamily,
     """
     pos = as_positions(p, graph)
     st = edge_states(pos, graph, family)
-    return _claims(st, graph, _classify(pos, st, graph) if cls is None else cls, zero_tol)
+    return _claims(st, graph, _classify(pos, st, graph))
 
 
-def _claims(st: EdgeState, graph: FormationGraph, cls: EquilibriumClass,
-            zero_tol: float = 1e-9) -> list[Claim]:
+def _claims(st: EdgeState, graph: FormationGraph, cls: EquilibriumClass) -> list[Claim]:
     """``verify_sign_properties`` from the edge pass ``st``."""
     if cls.kind != "degenerate_rigid" or not cls.roles:
         raise ValueError("sign properties are defined for degenerate-rigid "
                          "equilibria of a recognised subform")
     g = dict(zip(graph.edges, st.g.tolist()))
-    return [_claim(spec, cls.roles, g, zero_tol)
+    return [_claim(spec, cls.roles, g)
             for spec in SIGN_CLAIMS[graph.dimension][cls.subform]]
 
 
@@ -626,7 +614,7 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     """
     pos = as_positions(p, graph)
     st = edge_states(pos, graph, family)
-    cls = _classify(pos, st, graph, eq_tol=eq_tol)
+    cls = _classify(pos, st, graph, eq_tol)
     h = _hessian(st, graph)
     finite_h = bool(np.isfinite(h).all())
     # V diverges only where some g does, so only a non-finite H needs the check

@@ -12,7 +12,6 @@ which the saddle visits occur at the expected times.
 """
 
 import itertools
-import json
 import time
 
 import numpy as np
@@ -25,7 +24,6 @@ from rigidflex.integrator import integrate, random_perturbation
 from rigidflex.oracle import build_catalog, construct_equilibrium, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
 from rigidflex.stability import (
-    analyze,
     assemble_hessian,
     instability_witness,
     verify_angle_inequalities,

@@ -21,6 +21,13 @@ def graph_file(tmp_path):
     return path
 
 
+def triangle_doc(desired):
+    """The triangle graph's JSON with its first desired distance replaced."""
+    doc = graph_to_json(triangle_flex())
+    doc["edges"][0][2] = desired
+    return doc
+
+
 def small_scenario(tmp_path, **overrides):
     doc = {
         "graph": "triangle_flex",
@@ -93,11 +100,14 @@ def test_run_bad_scenario_is_config_error(tmp_path):
     ("run", "adaptive", True),
     ("run", "rtol", 1e-8),
     ("run", "t_ned", 1.0),
+    *(pytest.param(verb, "graph", triangle_doc(value), id=f"{verb}-graph-{value}")
+      for verb in ("analyze", "run") for value in (float("nan"), float("inf"))),
 ])
 def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, field, doc):
     """Malformed input exits 2 with a one-line message, never a traceback.
     An unknown scenario key (a removed or misspelt one) is named, not run
-    with its default."""
+    with its default.  A graph with a NaN or infinite desired distance is
+    malformed."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":
         real = tmp_path / "real.json"
@@ -112,6 +122,8 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
     assert main([verb, *map(str, files), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error")
+    if isinstance(doc, dict) and "flex_edge" in doc:
+        assert "desired distances must be finite" in err[0]
     if verb == "run" and field not in SCENARIO_KEYS | {"scenario"}:
         assert f"unknown key(s) {field}" in err[0]
         assert not (tmp_path / "out").exists()
@@ -195,20 +207,26 @@ def test_catalog_subform_selection(tmp_path, graph_file):
     assert subforms == {None, "all_coincident"}
 
 
-@pytest.mark.parametrize("case", ["unknown_subform", "uncertified_graph"])
+@pytest.mark.parametrize("case", ["unknown_subform", "uncertified_graph", "nan_desired",
+                                  "infinite_desired"])
 def test_catalog_malformed_input_is_config_error(tmp_path, graph_file, capsys, case):
-    """An unknown subform name or a graph outside the certified topologies
-    exits 2 before any output is written."""
+    """An unknown subform name, a graph outside the certified topologies or
+    a NaN or infinite desired distance exits 2 before any output is
+    written."""
     argv = [str(graph_file), "--subforms", "square"]
+    path = tmp_path / "bad.json"
     if case == "uncertified_graph":
-        path = tmp_path / "path.json"
         path.write_text(json.dumps(graph_to_json(FormationGraph(
             num_nodes=3, dimension=2, edges=((1, 2), (2, 3)), desired=(4.0, 4.0),
             flex_edge=(2, 3)))))
         argv = [str(path)]
+    elif case != "unknown_subform":
+        path.write_text(json.dumps(triangle_doc(float("nan" if case == "nan_desired" else "inf"))))
+        argv = [str(path)]
     assert main(["catalog", *argv, "--out", str(tmp_path / "cat")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert case.endswith("graph") or case.endswith("subform") or "desired distances" in err[0]
     assert not (tmp_path / "cat").exists()
 
 
@@ -216,6 +234,19 @@ def test_validate_potential_ok(capsys):
     assert main(["validate-potential", "quadratic"]) == EXIT_OK
     out = json.loads(capsys.readouterr().out)
     assert out["violations"] == []
+
+
+@pytest.mark.parametrize("dbar", ["-1", "nan", "inf", "0", "1e-300", "1e-4", "1e200"])
+def test_validate_potential_rejects_bad_dbar(tmp_path, capsys, dbar):
+    """A desired length that is not finite and positive, or whose sample
+    grid would leave the domain or overflow, exits 2 with one message line
+    and no payload."""
+    out = tmp_path / "out"
+    assert main(["validate-potential", "rational", "--dbar", dbar, "--out", str(out)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: dbar must be")
+    assert captured.out == "" and not out.exists()
 
 
 def test_unknown_verb_is_config_error(capsys):

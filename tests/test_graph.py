@@ -30,8 +30,6 @@ def test_tetrahedron_flex_structure():
     g = tetrahedron_flex()
     assert g.num_nodes == 5
     assert g.num_edges == 7
-    assert g.neighbors(4) == [1, 2, 3, 5]
-    assert g.neighbors(5) == [4]
     assert g.certified_topology() == "tetrahedron"
 
 
@@ -60,6 +58,10 @@ def test_flex_edge_must_join_last_two_nodes():
 def test_desired_distances_positive():
     with pytest.raises(GraphError):
         triangle_flex(desired=(4.0, 4.0, -1.0, 4.0))
+    # NaN compares False with everything, so it needs its own rejection
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0):
+        with pytest.raises(GraphError, match="finite and strictly positive"):
+            triangle_flex(desired=(4.0, bad, 4.0, 4.0))
 
 
 def test_incidence_matrix_signs():

@@ -20,7 +20,6 @@ from rigidflex.oracle import (
     capture_equilibrium_from_flow,
     construct_equilibrium,
     desired_equilibrium,
-    flex_coincident_equilibrium,
     newton_polish,
     write_catalog,
 )
@@ -137,14 +136,16 @@ def test_newton_polish_restores_perturbed_equilibrium():
     assert balance_residuals(polished, g, QUADRATIC).max() < 1e-12
 
 
-def test_newton_polish_reports_stall():
+def test_newton_polish_reports_stall(monkeypatch):
+    import rigidflex.oracle as oracle
+
     g = triangle_flex()
     p = desired_equilibrium(g).reshape(-1) + 2.0  # translated: still desired
     polished = newton_polish(p, g, QUADRATIC)
     assert balance_residuals(polished, g, QUADRATIC).max() < 1e-12
-    with pytest.raises(OracleError):
-        newton_polish(np.array([[9.0, 0], [0, 0], [0, 9.0], [5, 5]]),
-                      g, QUADRATIC, max_iter=1)
+    monkeypatch.setattr(oracle, "POLISH_MAX_ITER", 1)
+    with pytest.raises(OracleError, match="stalled"):
+        newton_polish(np.array([[9.0, 0], [0, 0], [0, 9.0], [5, 5]]), g, QUADRATIC)
 
 
 def test_capture_from_desired_start_is_immediate():
@@ -155,11 +156,14 @@ def test_capture_from_desired_start_is_immediate():
     assert entry.residual < 1e-12
 
 
-def test_capture_reports_no_equilibrium():
+def test_capture_reports_no_equilibrium(monkeypatch):
+    import rigidflex.oracle as oracle
+
     g = triangle_flex()
     p0 = np.array([[5.0, 0.5], [-4.0, 1.0], [0.3, -3.0], [1.0, 4.0]])
-    with pytest.raises(OracleError):
-        capture_equilibrium_from_flow(p0, g, QUADRATIC, t_max=0.01)
+    monkeypatch.setattr(oracle, "CAPTURE_T_MAX", 0.01)
+    with pytest.raises(OracleError, match="no equilibrium detected before t = 0.01"):
+        capture_equilibrium_from_flow(p0, g, QUADRATIC)
 
 
 def test_catalog_round_trip(tmp_path):

@@ -6,9 +6,7 @@ import pytest
 from rigidflex.potentials import (
     QUADRATIC,
     RATIONAL,
-    PotentialDomainError,
     PotentialFamily,
-    check_domain,
     get_family,
     validate_family,
 )
@@ -54,14 +52,6 @@ def test_rational_values():
     assert RATIONAL.rho(0.0, DBAR) == pytest.approx(2.0 / DBAR**2)
 
 
-def test_domain_check_rejects_impossible_errors():
-    with pytest.raises(PotentialDomainError):
-        check_domain(-17.0, DBAR)
-    # the coincidence boundary itself is admitted
-    check_domain(-16.0, DBAR)
-    check_domain(np.array([-16.0, 0.0, 5.0]), np.array([4.0, 4.0, 4.0]))
-
-
 def test_get_family():
     assert get_family("quadratic") is QUADRATIC
     assert get_family("rational") is RATIONAL
@@ -91,16 +81,6 @@ def test_validator_catches_wrong_sign_g():
     )
     problems = validate_family(bad, DBAR)
     assert problems  # not increasing and wrong sign
-
-
-def test_domain_error_names_the_offending_edge():
-    e = np.array([-16.0, 0.0, -17.5, 5.0])
-    dbar = np.array([4.0, 4.0, 4.0, 4.0])
-    with pytest.raises(PotentialDomainError,
-                       match=r"on edge 2: e=-17\.5 < bound -16\.0$"):
-        check_domain(e, dbar)
-    with pytest.raises(PotentialDomainError, match=r"on edge 0: e=-17\.0 < bound -16\.0$"):
-        check_domain(-17.0, DBAR)
 
 
 def closed_forms(e, dbar):

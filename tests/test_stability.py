@@ -23,6 +23,8 @@ from rigidflex.stability import (
     analyze,
     _aligned_last_block,
     _claim,
+    _claims,
+    _witness,
     assemble_hessian,
     classify,
     instability_witness,
@@ -278,15 +280,21 @@ def test_witness_full_vector_is_negative_direction_of_full_hessian():
         assert q_full < 0
 
 
-def test_witness_refused_for_desired_equilibrium():
-    """A class without an axis, desired or unrecognized, has no witness."""
+def test_witness_refused_for_desired_equilibrium(monkeypatch):
+    """A class without an axis, desired or unrecognized, has no witness.
+    With GEOM_TOL at 0 no rigid layout counts as degenerate, so a
+    collinear equilibrium classifies as unrecognized."""
+    import rigidflex.stability as stability
+
     g = triangle_flex()
     p = desired_equilibrium(g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="desired"):
         instability_witness(p, g, QUADRATIC)
-    unrecognized = type(classify(p, g, QUADRATIC))(kind="unrecognized")
+    p = construct_equilibrium(g, QUADRATIC, "collinear_distinct").positions
+    monkeypatch.setattr(stability, "GEOM_TOL", 0.0)
+    assert classify(p, g, QUADRATIC).kind == "unrecognized"
     with pytest.raises(ValueError, match="unrecognized"):
-        instability_witness(p, g, QUADRATIC, cls=unrecognized)
+        instability_witness(p, g, QUADRATIC)
 
 
 def test_witness_not_found_is_raised_not_faked():
@@ -296,8 +304,9 @@ def test_witness_not_found_is_raised_not_faked():
     cls = classify(p, g, QUADRATIC)
     forged = type(cls)(kind="degenerate_rigid", subform="collinear_distinct",
                        diagnostics={}, ambiguous=False, axis=(0.0, 1.0))
+    block = _aligned_last_block(assemble_hessian(p, g, QUADRATIC), forged.axis)
     with pytest.raises(WitnessNotFoundError):
-        instability_witness(p, g, QUADRATIC, cls=forged)
+        _witness(block, forged)
 
 
 def test_sign_properties_pass_on_catalog():
@@ -314,14 +323,15 @@ def test_sign_properties_pass_on_catalog():
                                                     if not c.passed])
 
 
-def test_coincidence_clusters_match_a_pairwise_loop():
+def test_coincidence_clusters_match_a_pairwise_loop(monkeypatch):
     """The clusters from one distance array equal those of a loop over pairs
-    (single linkage below tol, each cluster named by its lowest index), on
-    grids of spacing 0.7 tol that form pairs, chains and loners."""
-    from rigidflex.stability import _coincidence_clusters
+    (single linkage below POS_TOL, each cluster named by its lowest index),
+    on grids of spacing 0.7 POS_TOL that form pairs, chains and loners."""
+    import rigidflex.stability as stability
 
     rng = np.random.default_rng(11)
     tol = 1e-3
+    monkeypatch.setattr(stability, "POS_TOL", tol)
     for _ in range(300):
         n, d = int(rng.integers(3, 6)), int(rng.integers(2, 4))
         pts = 0.7 * tol * rng.integers(0, 4, (n, d)) + rng.uniform(-1e-6, 1e-6, (n, d))
@@ -332,7 +342,7 @@ def test_coincidence_clusters_match_a_pairwise_loop():
             for a, b in itertools.permutations(range(n), 2):
                 if np.linalg.norm(pts[a] - pts[b]) < tol and ref[b] < ref[a]:
                     ref[a], changed = ref[b], True
-        assert _coincidence_clusters(pts, tol) == ref
+        assert stability._coincidence_clusters(pts) == ref
 
 
 def relabelled(p, perm):
@@ -382,19 +392,22 @@ def test_line_roles_follow_the_slots_under_relabelling():
         assert (cls.subform, cls.roles) == ("pair_interior_collinear", expected), perm
 
 
-def test_sign_claims_use_the_roles_of_the_given_classification():
+def test_sign_claims_use_the_roles_of_the_given_classification(monkeypatch):
     """A coincident pair pushed 1e-5 along its line polishes onto a collinear
-    equilibrium with the pair about 1e-5 apart.  Classified with pos_tol 1e-3
-    it is still a coincident pair, and its claims are read at that
+    equilibrium with the pair about 1e-5 apart.  Classified with POS_TOL
+    1e-3 it is still a coincident pair, and its claims are read at that
     classification's roles: the two g = 0 claims fail, as they should."""
+    import rigidflex.stability as stability
+
     g = triangle_flex()
     p = construct_equilibrium(g, QUADRATIC, "coincident_pair").positions.copy()
     p[1, 0] += 1e-5
     p = newton_polish(p, g, QUADRATIC).reshape(p.shape)
     assert 1e-6 < np.linalg.norm(p[1] - p[2]) < 1e-3
     assert classify(p, g, QUADRATIC).subform == "collinear_distinct"
-    cls = classify(p, g, QUADRATIC, pos_tol=1e-3)
-    claims = verify_sign_properties(p, g, QUADRATIC, cls=cls)
+    monkeypatch.setattr(stability, "POS_TOL", 1e-3)
+    cls = classify(p, g, QUADRATIC)
+    claims = _claims(edge_states(p, g, QUADRATIC), g, cls)
     assert [(c.description, c.passed) for c in claims] == [
         ("g_23 < 0", True), ("g_12 = 0", False), ("g_13 = 0", False)]
     assert (cls.subform, cls.roles) == ("coincident_pair", (1, 2, 3))
@@ -496,9 +509,8 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
 
 
 def test_witness_runs_at_most_one_kernel_pass(monkeypatch):
-    """instability_witness makes one edge-kernel pass for whichever of the
-    class and the Hessian it is not given, none when given both, and finds
-    the same witness bit for bit either way."""
+    """instability_witness makes one edge-kernel pass, which serves both the
+    class and the Hessian."""
     import rigidflex.control as control
 
     calls = []
@@ -514,16 +526,9 @@ def test_witness_runs_at_most_one_kernel_pass(monkeypatch):
     monkeypatch.setattr(control, "_edge_kernel", counted_kernel)
     for entry in entries:
         p = entry.positions @ random_rotation(rng, 3).T + rng.standard_normal(3)
-        cls, h = classify(p, g, QUADRATIC), assemble_hessian(p, g, QUADRATIC)
-        found = []
-        for given, passes in (({}, 1), ({"cls": cls}, 1), ({"hessian": h}, 1),
-                              ({"cls": cls, "hessian": h}, 0)):
-            calls.clear()
-            found.append(instability_witness(p, g, QUADRATIC, **given))
-            assert len(calls) == passes
-        for w in found[1:]:
-            assert (w.tag, w.quadratic_form.hex()) == (found[0].tag, found[0].quadratic_form.hex())
-            np.testing.assert_array_equal(w.full_vector, found[0].full_vector)
+        calls.clear()
+        instability_witness(p, g, QUADRATIC)
+        assert len(calls) == 1
 
 
 def reference_claim(spec, roles, g, zero_tol=1e-9):
@@ -571,7 +576,7 @@ def test_parsed_sign_claims_equal_the_per_call_parser(d):
                 g = {pair: float(rng.choice([0.0, 1e-9, -1e-9, rng.standard_normal()]))
                      for pair in itertools.combinations(labels, 2)}
                 for spec in specs:
-                    c = _claim(spec, roles, g, 1e-9)
+                    c = _claim(spec, roles, g)
                     ref = reference_claim(spec, roles, g)
                     assert (c.description, c.value.hex(), c.passed) == (ref[0], ref[1].hex(), ref[2])
 
