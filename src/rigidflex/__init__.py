@@ -10,7 +10,6 @@ from .control import (
     EdgeState,
     LeaderSpec,
     balance_residuals,
-    composite_potential,
     edge_states,
     gradient_control,
     leader_control,
@@ -31,7 +30,6 @@ from .integrator import (
     PerturbationEvent,
     Trajectory,
     apply_perturbation,
-    detect_equilibrium,
     integrate,
     random_perturbation,
 )
@@ -63,10 +61,8 @@ from .stability import (
     analyze,
     assemble_hessian,
     classify,
-    instability_witness,
     psd_check,
     verify_angle_inequalities,
-    verify_sign_properties,
 )
 
 __version__ = "0.1.0"

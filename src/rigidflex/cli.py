@@ -25,7 +25,7 @@ from .graph import FormationGraph, GraphError, graph_from_json, triangle_flex, t
 from .integrator import IntegrationError, PerturbationEvent, integrate, random_perturbation
 from .oracle import OracleError, build_catalog, newton_polish, write_catalog
 from .potentials import FAMILIES, get_family, validate_family
-from .stability import WitnessNotFoundError, analyze, verify_sign_properties
+from .stability import WitnessNotFoundError, analyze
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -122,11 +122,9 @@ def _cmd_run(args) -> int:
     except (AttributeError, KeyError, TypeError, ValueError, GraphError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}")
 
-    traj = integrate(
-        p0, graph, family, t_end, dt=dt, leader=leader, events=events,
-        record_every=record_every,
-        eq_tol=args.tol_eq if args.tol_eq is not None else float(doc.get("eq_tol", EQ_TOL)),
-    )
+    eq_tol = args.tol_eq if args.tol_eq is not None else float(doc.get("eq_tol", EQ_TOL))
+    traj = integrate(p0, graph, family, t_end, dt=dt, leader=leader, events=events,
+                     record_every=record_every, eq_tol=eq_tol)
 
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -145,7 +143,7 @@ def _cmd_run(args) -> int:
                 polished = False
                 print(f"equilibrium at t={t_hit:g}: Newton polish failed, analysing "
                       f"the recorded state: {exc}", file=sys.stderr)
-            report = analyze(state, graph, family, eig_tol=args.tol_eig)
+            report = analyze(state, graph, family, eq_tol=eq_tol, eig_tol=args.tol_eig)
             _write_json(out / f"{stem}_equilibrium_{k:03d}.json",
                         {"time": float(t_hit), "polished": polished,
                          **report.to_json_dict()})
@@ -164,13 +162,8 @@ def _cmd_analyze(args) -> int:
     doc = _load_json(args.realization)
     p = _positions_from_doc(doc["positions"] if isinstance(doc, dict) else doc, graph)
     family = get_family(args.family)
-    try:
-        eq_tol = args.tol_eq if args.tol_eq is not None else EQ_TOL
-        report = analyze(p, graph, family, eq_tol=eq_tol, eig_tol=args.tol_eig)
-    except WitnessNotFoundError as exc:
-        print(f"analysis FAILED: classified undesired but no instability "
-              f"witness found: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    eq_tol = args.tol_eq if args.tol_eq is not None else EQ_TOL
+    report = analyze(p, graph, family, eq_tol=eq_tol, eig_tol=args.tol_eig)
     payload = report.to_json_dict()
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -200,12 +193,11 @@ def _cmd_catalog(args) -> int:
     for entry in entries:
         try:                                # on a certified graph: a witness, or raises
             claims = analyze(entry.positions, graph, family, eig_tol=args.tol_eig).claims
-            witness_ok += 1
-        except (WitnessNotFoundError, np.linalg.LinAlgError):
-            claims = None
+        except (WitnessNotFoundError, np.linalg.LinAlgError) as exc:
+            print(f"catalog entry {entry.subform or entry.kind}: {exc}", file=sys.stderr)
+            continue
+        witness_ok += 1
         if entry.kind == "degenerate_rigid":
-            if claims is None:
-                claims = verify_sign_properties(entry.positions, graph, family)
             sign_table.append({
                 "subform": entry.subform,
                 "claims": [{"claim": c.description, "value": c.value,
@@ -221,10 +213,9 @@ def _cmd_catalog(args) -> int:
     _write_json(out / "sign_table.json", sign_table)
     _write_json(out / "summary.json", summary)
     print(json.dumps(summary, indent=2))
-    if undesired and witness_ok != undesired:
-        print("catalog FAILED: some undesired entries lack an instability "
-              "witness", file=sys.stderr)
-        return EXIT_NUMERIC
+    if witness_ok != undesired:
+        raise WitnessNotFoundError(f"{undesired - witness_ok} of {undesired} undesired "
+                                   f"catalog entries lack an instability witness")
     return EXIT_OK
 
 
@@ -300,7 +291,7 @@ def main(argv=None) -> int:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (IntegrationError, OracleError, np.linalg.LinAlgError) as exc:
+    except (IntegrationError, OracleError, WitnessNotFoundError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ScenarioError, GraphError, KeyError, ValueError) as exc:

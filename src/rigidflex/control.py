@@ -17,7 +17,7 @@ from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
 # Balance residual max_i ||u_i|| below which a realization is an equilibrium:
-# the default of integrate, detect_equilibrium, classify, analyze and the CLI.
+# the default of integrate, classify, analyze and the CLI.
 EQ_TOL = 1e-9
 
 
@@ -187,16 +187,3 @@ def leader_control(p, t: float, graph: FormationGraph, family: PotentialFamily,
         pos = as_positions(p, graph)
         u[-d:] += spec.flex_input(t, pos[-1])
     return u
-
-
-@_ignore_fp
-def composite_potential(p, graph: FormationGraph, family: PotentialFamily,
-                        spec: LeaderSpec) -> float:
-    """Lyapunov quantity for target mode: V + (k_f/2) ||p_t - p_flex||^2.
-
-    With V = 1/2 sum phi (so that u = -grad V exactly), the time derivative is
-    -sum_{i<=N} ||u_i||^2 - ||g_f z_f + v_f||^2 <= 0.  Reduces to V for the
-    other modes.
-    """
-    pos = as_positions(p, graph)
-    return _lyapunov(pos, _edge_kernel(pos, graph, family)[1], graph, family, spec)

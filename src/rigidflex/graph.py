@@ -52,8 +52,10 @@ class FormationGraph:
                 raise GraphError(f"edge ({i},{j}) out of range or not i<j")
         if len(self.desired) != len(pairs):
             raise GraphError("desired distances must align with edges")
-        if not all(0 < db < math.inf for db in self.desired):     # False for NaN
-            raise GraphError("desired distances must be finite and strictly positive")
+        # every kernel pass subtracts the cached squares; False for NaN
+        if not all(db > 0 and 0 < db * db < math.inf for db in self.desired):
+            raise GraphError("desired distances must be finite and strictly positive, "
+                             "with a finite nonzero square")
         flex = tuple(self.flex_edge)
         if flex != (n - 1, n):
             raise GraphError(f"flex edge must be ({n-1},{n}), got {flex}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _edge_kernel, _ignore_fp, _lyapunov, gradient_control
+from .control import EQ_TOL, LeaderSpec, _edge_kernel, _ignore_fp, _lyapunov
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
@@ -49,28 +49,19 @@ def random_perturbation(time: float, agent: int, dimension: int, magnitude: floa
     return PerturbationEvent(time=time, agent=agent, displacement=v)
 
 
-def apply_perturbation(p, event: PerturbationEvent, graph: FormationGraph) -> np.ndarray:
-    pos = as_positions(p, graph).copy()
+def _check_event(event: PerturbationEvent, graph: FormationGraph):
+    """Raise ValueError unless the event's agent and displacement fit the graph."""
     if event.agent > graph.num_nodes:
         raise ValueError(f"agent {event.agent} out of range for {graph.num_nodes} nodes")
     if event.displacement.shape != (graph.dimension,):
         raise ValueError("displacement does not match the ambient dimension")
+
+
+def apply_perturbation(p, event: PerturbationEvent, graph: FormationGraph) -> np.ndarray:
+    _check_event(event, graph)
+    pos = as_positions(p, graph).copy()
     pos[event.agent - 1] += event.displacement
     return pos.reshape(-1)
-
-
-@dataclass(frozen=True)
-class EquilibriumCheck:
-    at_equilibrium: bool
-    residual: float
-
-
-def detect_equilibrium(p, graph: FormationGraph, family: PotentialFamily,
-                       tol: float = EQ_TOL) -> EquilibriumCheck:
-    """Equilibrium iff max_i ||sum_j g_ij z_ij|| < tol."""
-    u = gradient_control(p, graph, family).reshape(graph.num_nodes, -1)
-    r = float(np.linalg.norm(u, axis=1).max())
-    return EquilibriumCheck(at_equilibrium=r < tol, residual=r)
 
 
 @dataclass
@@ -196,6 +187,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     schedule = sorted(events, key=lambda ev: ev.time)
     if any(not (0.0 <= ev.time <= t_end) for ev in schedule):
         raise ValueError("perturbation events must lie inside [0, t_end]")
+    for ev in schedule:                 # every event, before the first step
+        _check_event(ev, graph)
     boundaries = [ev.time for ev in schedule] + [t_end]
 
     times, states, errors, gnorms = [], [], [], []

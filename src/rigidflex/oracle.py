@@ -25,9 +25,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq, root
 
-from .control import gradient_control
+from .control import balance_residuals, gradient_control
 from .graph import FormationGraph, as_positions
-from .integrator import detect_equilibrium, integrate
+from .integrator import integrate
 from .potentials import PotentialFamily
 from .stability import LINE_SLOTS, assemble_hessian, classify, family_admits
 
@@ -356,14 +356,6 @@ _LAYOUTS = {
     for dim, table in LINE_SLOTS.items()
 }
 
-# Subforms with at most one gap: exact for every admissible potential family
-# whenever the crossing edges share one desired length.
-FAMILY_INDEPENDENT_SUBFORMS = {
-    dim: tuple(name for name, layout in table.items()
-               if layout.slots and max(layout.slots) <= 1)
-    for dim, table in _LAYOUTS.items()
-}
-
 
 def _layout(graph: FormationGraph, subform: str):
     _require_certified(graph)
@@ -425,7 +417,7 @@ def capture_equilibrium_from_flow(p0, graph: FormationGraph,
     """Integrate until an equilibrium is detected, then polish and classify:
     RK4 steps of CAPTURE_DT up to CAPTURE_T_MAX, detection at CAPTURE_TOL."""
     p0 = as_positions(p0, graph).reshape(-1)
-    if detect_equilibrium(p0, graph, family, CAPTURE_TOL).at_equilibrium:
+    if balance_residuals(p0, graph, family).max() < CAPTURE_TOL:
         p = p0
     else:
         traj = integrate(p0, graph, family, t_end=CAPTURE_T_MAX, dt=CAPTURE_DT,

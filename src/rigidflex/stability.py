@@ -15,13 +15,13 @@ agents' labels in role order i, j, k, l.  Line forms are looked up in
 LINE_SLOTS, the slot table the oracle builds its line equilibria from;
 planar forms come from the signs of the agents' affine dependence.  The
 paper's sign claims are data over those roles (SIGN_CLAIMS), which
-``verify_sign_properties`` evaluates.
+``_claims`` evaluates.
 
-``analyze`` makes one edge pass (``control.edge_states``) and hands it to
-the private ``_classify``, ``_hessian``, ``_witness`` and ``_claims``; the
-public ``classify``, ``assemble_hessian``, ``instability_witness`` and
-``verify_sign_properties`` are each one pass plus the same private
-functions.  Tolerances are module constants: EQ_TOL from ``control``, and
+``analyze`` is the one entry point for the witness and the sign claims.  It
+makes one edge pass (``control.edge_states``) and hands it to the private
+``_classify``, ``_hessian``, ``_witness`` and ``_claims``; the public
+``classify`` and ``assemble_hessian`` are each one pass plus their private
+counterpart.  Tolerances are module constants: EQ_TOL from ``control``, and
 SHAPE_TOL, POS_TOL, GEOM_TOL, WITNESS_MARGIN and ZERO_TOL here, read at call
 time.  Only ``analyze`` takes tolerances per call, the CLI's ``--tol-eq``
 and ``--tol-eig``.
@@ -324,28 +324,16 @@ class Witness:
     axis: tuple                    # the class's degenerate axis r
 
 
-def instability_witness(p, graph: FormationGraph, family: PotentialFamily) -> Witness:
-    """Certified negative direction of the Hessian at an undesired equilibrium.
+def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
+    """Certified negative direction of the block aligned with ``cls.axis``.
 
     Candidate order: the all-ones-except-flex vector (flex-coincident case),
     per-agent indicator vectors in index order, then the eigenvector of the
-    most negative eigenvalue of the block aligned with the class's axis r.
-    The first candidate whose quadratic form lies below -WITNESS_MARGIN
-    times the block's largest finite |entry| (at least 1) wins; raises
-    WitnessNotFoundError if none does, and ValueError for a class without
-    an axis.
+    most negative eigenvalue of the block; the eigendecomposition runs only
+    if every cheaper candidate fails.  The first candidate whose quadratic
+    form lies below -WITNESS_MARGIN times the block's largest finite |entry|
+    (at least 1) wins; raises WitnessNotFoundError if none does.
     """
-    pos = as_positions(p, graph)
-    st = edge_states(pos, graph, family)
-    cls = _classify(pos, st, graph)
-    if not cls.axis:
-        raise ValueError(f"witness requested for class {cls.kind!r}")
-    return _witness(_aligned_last_block(_hessian(st, graph), cls.axis), cls)
-
-
-def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
-    """``instability_witness`` at the block aligned with ``cls.axis``.  The
-    eigendecomposition runs only if every cheaper candidate fails."""
     n = len(block)
     finite = np.isfinite(block)
     scale = max(1.0, float(np.abs(block[finite]).max())) if finite.any() else 1.0
@@ -471,23 +459,13 @@ def _claim(spec: str, roles: tuple, g: dict) -> Claim:
     return Claim(" or ".join(descriptions), min(values), passed)
 
 
-def verify_sign_properties(p, graph: FormationGraph, family: PotentialFamily) -> list[Claim]:
-    """Evaluate every sign claim attached to the identified undesired subform.
+def _claims(st: EdgeState, graph: FormationGraph, cls: EquilibriumClass) -> list[Claim]:
+    """Every sign claim of a degenerate-rigid class, from the edge pass ``st``.
 
     The claims are the subform's SIGN_CLAIMS rows, read at the roles that
     ``classify`` assigned (``cls.roles``).  Every g term names its labels in
     ascending order.
     """
-    pos = as_positions(p, graph)
-    st = edge_states(pos, graph, family)
-    return _claims(st, graph, _classify(pos, st, graph))
-
-
-def _claims(st: EdgeState, graph: FormationGraph, cls: EquilibriumClass) -> list[Claim]:
-    """``verify_sign_properties`` from the edge pass ``st``."""
-    if cls.kind != "degenerate_rigid" or not cls.roles:
-        raise ValueError("sign properties are defined for degenerate-rigid "
-                         "equilibria of a recognised subform")
     g = dict(zip(graph.edges, st.g.tolist()))
     return [_claim(spec, cls.roles, g)
             for spec in SIGN_CLAIMS[graph.dimension][cls.subform]]
@@ -607,10 +585,10 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     two certified topologies; other graphs get spectrum and class only.
     A class without an axis has no block spectrum.  One edge pass serves the
     class, the Hessian and the sign claims, and one aligned block serves the
-    witness and the block spectrum, so the report equals the one the public
-    calls build separately, bit for bit.  Raises PotentialDomainError at
-    finite positions where V is not finite (the coincidence boundary of a
-    family that diverges there).
+    witness and the block spectrum.  Raises WitnessNotFoundError when an
+    undesired class on a certified graph has no witness, never a silent
+    pass, and PotentialDomainError at finite positions where V is not finite
+    (the coincidence boundary of a family that diverges there).
     """
     pos = as_positions(p, graph)
     st = edge_states(pos, graph, family)

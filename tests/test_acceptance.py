@@ -23,12 +23,7 @@ from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.integrator import integrate, random_perturbation
 from rigidflex.oracle import build_catalog, construct_equilibrium, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
-from rigidflex.stability import (
-    assemble_hessian,
-    instability_witness,
-    verify_angle_inequalities,
-    verify_sign_properties,
-)
+from rigidflex.stability import analyze, assemble_hessian, verify_angle_inequalities
 
 EPS_EIG_REL = 1e-8
 WITNESS_MARGIN = 1e-10
@@ -188,7 +183,7 @@ def _certify_catalog(graph, family):
     certified = []
     for entry in entries:
         h = assemble_hessian(entry.positions, graph, family)
-        w = instability_witness(entry.positions, graph, family)
+        w = analyze(entry.positions, graph, family).witness
         if np.all(np.isfinite(h)):
             norm = float(np.linalg.norm(h, 2))
             assert np.linalg.eigvalsh(h)[0] < 0, entry.subform
@@ -225,7 +220,7 @@ def test_criterion_07_instability_certificates_3d():
                               desired=tuple(des[e] for e in edges),
                               flex_edge=(4, 5))
     entry = construct_equilibrium(tailored, QUADRATIC, "pair_endpoint_collinear")
-    w = instability_witness(entry.positions, tailored, QUADRATIC)
+    w = analyze(entry.positions, tailored, QUADRATIC).witness
     assert w.quadratic_form < 0
 
     covered = set(certified_q) | set(certified_r) | {entry.subform}
@@ -247,7 +242,7 @@ def test_criterion_08_sign_tables_and_angle_inequalities():
         for entry in entries:
             if entry.kind != "degenerate_rigid":
                 continue
-            claims = verify_sign_properties(entry.positions, graph, family)
+            claims = analyze(entry.positions, graph, family).claims
             assert all(c.passed for c in claims), (entry.subform, family.name)
             total += len(claims)
 

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from rigidflex.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, SCENARIO_KEYS,
-                           bundled_scenario_names, main)
+                           _resolve_scenario, bundled_scenario_names, main)
 from rigidflex.graph import FormationGraph, graph_to_json, triangle_flex
 from rigidflex.oracle import (construct_equilibrium, desired_equilibrium,
                               flex_coincident_equilibrium)
 from rigidflex.potentials import QUADRATIC
-from rigidflex.stability import verify_sign_properties
+from rigidflex.stability import analyze
 
 
 @pytest.fixture
@@ -39,6 +39,17 @@ def small_scenario(tmp_path, **overrides):
     }
     doc.update(overrides)
     path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def saddle_scenario(tmp_path):
+    """triangle_flex_2d for 0.5 s without its event: the flow detects the
+    collinear saddle at t = 0.32 (eq_tol 1e-6) and analyses it."""
+    doc = _resolve_scenario("triangle_flex_2d")
+    del doc["events"]
+    doc["t_end"] = 0.5
+    path = tmp_path / "saddle_scenario.json"
     path.write_text(json.dumps(doc))
     return path
 
@@ -101,13 +112,13 @@ def test_run_bad_scenario_is_config_error(tmp_path):
     ("run", "rtol", 1e-8),
     ("run", "t_ned", 1.0),
     *(pytest.param(verb, "graph", triangle_doc(value), id=f"{verb}-graph-{value}")
-      for verb in ("analyze", "run") for value in (float("nan"), float("inf"))),
+      for verb in ("analyze", "run") for value in (float("nan"), float("inf"), 1e160)),
 ])
 def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, field, doc):
     """Malformed input exits 2 with a one-line message, never a traceback.
     An unknown scenario key (a removed or misspelt one) is named, not run
-    with its default.  A graph with a NaN or infinite desired distance is
-    malformed."""
+    with its default.  A graph with a NaN or infinite desired distance, or
+    one whose square overflows, is malformed."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":
         real = tmp_path / "real.json"
@@ -195,7 +206,7 @@ def test_catalog_computes_each_sign_table_row_once(tmp_path, graph_file, monkeyp
     assert table == [
         {"subform": e["subform"],
          "claims": [{"claim": c.description, "value": c.value, "passed": c.passed}
-                    for c in verify_sign_properties(np.array(e["positions"]), g, QUADRATIC)]}
+                    for c in analyze(np.array(e["positions"]), g, QUADRATIC).claims]}
         for e in degenerate]
 
 
@@ -207,12 +218,15 @@ def test_catalog_subform_selection(tmp_path, graph_file):
     assert subforms == {None, "all_coincident"}
 
 
-@pytest.mark.parametrize("case", ["unknown_subform", "uncertified_graph", "nan_desired",
-                                  "infinite_desired"])
+BAD_DESIRED = {"nan_desired": float("nan"), "infinite_desired": float("inf"),
+               "huge_desired": 1e160}
+
+
+@pytest.mark.parametrize("case", ["unknown_subform", "uncertified_graph", *BAD_DESIRED])
 def test_catalog_malformed_input_is_config_error(tmp_path, graph_file, capsys, case):
     """An unknown subform name, a graph outside the certified topologies or
-    a NaN or infinite desired distance exits 2 before any output is
-    written."""
+    a NaN, infinite or overflowing-square desired distance exits 2 before
+    any output is written."""
     argv = [str(graph_file), "--subforms", "square"]
     path = tmp_path / "bad.json"
     if case == "uncertified_graph":
@@ -221,7 +235,7 @@ def test_catalog_malformed_input_is_config_error(tmp_path, graph_file, capsys, c
             flex_edge=(2, 3)))))
         argv = [str(path)]
     elif case != "unknown_subform":
-        path.write_text(json.dumps(triangle_doc(float("nan" if case == "nan_desired" else "inf"))))
+        path.write_text(json.dumps(triangle_doc(BAD_DESIRED[case])))
         argv = [str(path)]
     assert main(["catalog", *argv, "--out", str(tmp_path / "cat")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
@@ -279,6 +293,32 @@ def test_run_rejects_event_after_horizon(tmp_path):
     assert main(["run", str(scen)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("event", [
+    {"time": 0.04, "agent": 9, "displacement": [0.1, 0.0]},
+    {"time": 0.04, "agent": 1, "displacement": [0.1, 0.0, 0.0]},
+], ids=["unknown_agent", "wrong_dimension"])
+def test_run_rejects_bad_event_before_the_first_step(tmp_path, monkeypatch, capsys, event):
+    """An event whose agent or displacement does not fit the graph exits 2
+    before any kernel pass, not when the run reaches it."""
+    import rigidflex.control as control
+    import rigidflex.integrator as integrator
+
+    calls = []
+    kernel = control._edge_kernel
+
+    def counted_kernel(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(control, "_edge_kernel", counted_kernel)
+    monkeypatch.setattr(integrator, "_edge_kernel", counted_kernel)
+    scen = small_scenario(tmp_path, events=[event])
+    assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert calls == []
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error")
+
+
 def test_analyze_honours_zero_equilibrium_tolerance(tmp_path, graph_file, capsys):
     real = tmp_path / "desired.json"
     real.write_text(json.dumps({"positions": desired_equilibrium(triangle_flex()).tolist()}))
@@ -309,6 +349,49 @@ def test_run_reports_failed_newton_polish(tmp_path, monkeypatch, capsys):
     report = json.loads((tmp_path / "bad" / "scenario_equilibrium_000.json").read_text())
     assert report["polished"] is False
     assert report["class"] == "desired"
+
+
+def test_run_classifies_an_unpolished_state_at_the_run_tolerance(tmp_path, monkeypatch):
+    """Where Newton polish fails, the recorded state is classified at the
+    tolerance that detected it (the scenario's eq_tol), not at EQ_TOL."""
+    import rigidflex.oracle as oracle
+
+    monkeypatch.setattr(oracle, "POLISH_MAX_ITER", 0)
+    assert main(["run", str(saddle_scenario(tmp_path)), "--out", str(tmp_path)]) == EXIT_OK
+    report = json.loads((tmp_path / "saddle_scenario_equilibrium_000.json").read_text())
+    assert report["polished"] is False
+    assert (report["class"], report["subform"]) == ("degenerate_rigid", "collinear_distinct")
+    assert report["witness"]["quadratic_form"] < 0
+    assert all(c["passed"] for c in report["claims"])
+
+
+@pytest.mark.parametrize("verb", ["run", "analyze", "catalog"])
+def test_missing_witness_exits_numeric_in_every_verb(tmp_path, graph_file, monkeypatch,
+                                                     capsys, verb):
+    """With the witness search made to fail, each verb exits 3 with one
+    'numeric failure:' line and no traceback; catalog also names each entry
+    it could not certify."""
+    import rigidflex.stability as stability
+
+    monkeypatch.setattr(stability, "WITNESS_MARGIN", 1e12)
+    if verb == "run":
+        argv = ["run", str(saddle_scenario(tmp_path))]
+    elif verb == "analyze":
+        entry = construct_equilibrium(triangle_flex(), QUADRATIC, "collinear_distinct")
+        real = tmp_path / "saddle.json"
+        real.write_text(json.dumps({"positions": entry.positions.tolist()}))
+        argv = ["analyze", str(real), str(graph_file)]
+    else:
+        argv = ["catalog", str(graph_file)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    err = capsys.readouterr().err.strip().splitlines()
+    failures = [line for line in err if line.startswith("numeric failure: ")]
+    assert len(failures) == 1
+    if verb == "catalog":
+        assert len(err) == 1 + json.loads((tmp_path / "out" / "summary.json").read_text())["entries"]
+        assert json.loads((tmp_path / "out" / "sign_table.json").read_text()) == []
+    else:
+        assert err == failures
 
 
 def test_analyze_rational_coincidence_point_is_config_error(tmp_path, graph_file, capsys):

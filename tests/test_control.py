@@ -8,7 +8,6 @@ import pytest
 from rigidflex.control import (
     LeaderSpec,
     balance_residuals,
-    composite_potential,
     edge_states,
     gradient_control,
     leader_control,
@@ -138,13 +137,6 @@ def test_leader_only_drives_flex_agent():
     assert not np.allclose(u_led[-2:], u_plain[-2:])
 
 
-def test_composite_potential_reduces_to_shape_potential():
-    g = triangle_flex()
-    p = random_positions(g)
-    assert composite_potential(p, g, QUADRATIC, LeaderSpec()) == pytest.approx(
-        potential_value(p, g, QUADRATIC))
-
-
 def test_leader_mode_validation():
     with pytest.raises(ValueError):
         LeaderSpec(mode="target", k_f=0.0, p_t=np.zeros(2))
@@ -267,8 +259,9 @@ def test_public_entry_points_raise_no_runtime_warning(graph, case):
         warnings.simplefilter("error")
         gradient_control(p, graph, RATIONAL)
         potential_value(p, graph, RATIONAL)
-        composite_potential(p, graph, RATIONAL, spec)
         edge_states(p, graph, RATIONAL)
         assemble_hessian(p, graph, RATIONAL)
         with pytest.raises(IntegrationError):
             integrate(p, graph, RATIONAL, t_end=0.01)
+        with pytest.raises(IntegrationError):       # V plus the target-mode term
+            integrate(p, graph, RATIONAL, t_end=0.01, leader=spec)

@@ -14,7 +14,6 @@ from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     _LAYOUTS,
     _multi_root,
-    FAMILY_INDEPENDENT_SUBFORMS,
     OracleError,
     build_catalog,
     capture_equilibrium_from_flow,
@@ -24,7 +23,13 @@ from rigidflex.oracle import (
     write_catalog,
 )
 from rigidflex.potentials import QUADRATIC, RATIONAL
-from rigidflex.stability import EQ_TOL, SUBFORMS_2D, SUBFORMS_3D, classify
+from rigidflex.stability import EQ_TOL, LINE_SLOTS, SUBFORMS_2D, SUBFORMS_3D, classify
+
+
+def one_gap_subforms(d):
+    """Line subforms with at most one gap: exact for every admissible family
+    whenever the crossing edges share one desired length."""
+    return tuple(name for name, slots in LINE_SLOTS[d].items() if max(slots) <= 1)
 
 
 def test_desired_equilibrium_hits_all_distances():
@@ -111,7 +116,7 @@ def test_family_independence_of_coincidence_constructions():
     """Coincidence-built equilibria balance for every admissible family."""
     for g in (triangle_flex(), tetrahedron_flex()):
         entries, _ = build_catalog(g, QUADRATIC)
-        independent = FAMILY_INDEPENDENT_SUBFORMS[g.dimension]
+        independent = one_gap_subforms(g.dimension)
         for entry in entries:
             if entry.subform not in independent:
                 continue
@@ -264,7 +269,7 @@ def test_layout_table_follows_the_subform_tags():
             np.testing.assert_allclose(offset, np.eye(g.dimension)[-1] * 4.0, atol=1e-9)
         exact = tuple(e.subform for e in entries
                       if e.kind == "degenerate_rigid" and e.method == "coincidence-construct")
-        assert FAMILY_INDEPENDENT_SUBFORMS[g.dimension] == exact
+        assert one_gap_subforms(g.dimension) == exact
 
 
 def test_construct_rejects_unknown_subform():

@@ -27,10 +27,8 @@ from rigidflex.stability import (
     _witness,
     assemble_hessian,
     classify,
-    instability_witness,
     psd_check,
     verify_angle_inequalities,
-    verify_sign_properties,
 )
 
 RNG = np.random.default_rng(7)
@@ -250,7 +248,7 @@ def test_flex_sum_witness_form_equals_flex_gradient():
     form equals the flex edge's potential gradient exactly."""
     for g in (triangle_flex(), tetrahedron_flex()):
         p = flex_coincident_equilibrium(g)
-        w = instability_witness(p, g, QUADRATIC)
+        w = analyze(p, g, QUADRATIC).witness
         assert w.tag == "flex_sum"
         dbar_f = g.desired[g.flex_edge_index]
         assert w.quadratic_form == pytest.approx(float(QUADRATIC.g(-dbar_f**2, dbar_f)),
@@ -260,7 +258,7 @@ def test_flex_sum_witness_form_equals_flex_gradient():
 def test_indicator_witness_form_equals_incident_gradient_sum():
     g = triangle_flex()
     entry = construct_equilibrium(g, QUADRATIC, "collinear_distinct")
-    w = instability_witness(entry.positions, g, QUADRATIC)
+    w = analyze(entry.positions, g, QUADRATIC).witness
     assert w.tag == "agent_indicator"
     agent = int(np.argmax(np.abs(w.vector))) + 1
     from rigidflex.control import edge_states
@@ -274,27 +272,27 @@ def test_witness_full_vector_is_negative_direction_of_full_hessian():
     entries, _ = build_catalog(g, QUADRATIC)
     for entry in entries:
         h = assemble_hessian(entry.positions, g, QUADRATIC)
-        w = instability_witness(entry.positions, g, QUADRATIC)
+        w = analyze(entry.positions, g, QUADRATIC).witness
         q_full = float(w.full_vector @ h @ w.full_vector)
         assert q_full == pytest.approx(w.quadratic_form, rel=1e-9, abs=1e-9)
         assert q_full < 0
 
 
 def test_witness_refused_for_desired_equilibrium(monkeypatch):
-    """A class without an axis, desired or unrecognized, has no witness.
-    With GEOM_TOL at 0 no rigid layout counts as degenerate, so a
-    collinear equilibrium classifies as unrecognized."""
+    """A class without an axis, desired or unrecognized, gets no witness
+    from analyze.  With GEOM_TOL at 0 no rigid layout counts as degenerate,
+    so a collinear equilibrium classifies as unrecognized."""
     import rigidflex.stability as stability
 
     g = triangle_flex()
-    p = desired_equilibrium(g)
-    with pytest.raises(ValueError, match="desired"):
-        instability_witness(p, g, QUADRATIC)
+    report = analyze(desired_equilibrium(g), g, QUADRATIC)
+    assert report.classification.kind == "desired"
+    assert report.witness is None and report.claims == []
     p = construct_equilibrium(g, QUADRATIC, "collinear_distinct").positions
     monkeypatch.setattr(stability, "GEOM_TOL", 0.0)
-    assert classify(p, g, QUADRATIC).kind == "unrecognized"
-    with pytest.raises(ValueError, match="unrecognized"):
-        instability_witness(p, g, QUADRATIC)
+    report = analyze(p, g, QUADRATIC)
+    assert report.classification.kind == "unrecognized"
+    assert report.witness is None and report.claims == []
 
 
 def test_witness_not_found_is_raised_not_faked():
@@ -316,7 +314,7 @@ def test_sign_properties_pass_on_catalog():
         for entry in entries:
             if entry.kind != "degenerate_rigid":
                 continue
-            claims = verify_sign_properties(entry.positions, g, fam)
+            claims = analyze(entry.positions, g, fam).claims
             assert claims, entry.subform
             assert all(c.passed for c in claims), (entry.subform,
                                                    [c.description for c in claims
@@ -508,29 +506,6 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
                           "_aligned_last_block": int(kind != "desired")}
 
 
-def test_witness_runs_at_most_one_kernel_pass(monkeypatch):
-    """instability_witness makes one edge-kernel pass, which serves both the
-    class and the Hessian."""
-    import rigidflex.control as control
-
-    calls = []
-    kernel = control._edge_kernel
-
-    def counted_kernel(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    g = tetrahedron_flex()
-    entries, _ = build_catalog(g, QUADRATIC)
-    rng = np.random.default_rng(23)
-    monkeypatch.setattr(control, "_edge_kernel", counted_kernel)
-    for entry in entries:
-        p = entry.positions @ random_rotation(rng, 3).T + rng.standard_normal(3)
-        calls.clear()
-        instability_witness(p, g, QUADRATIC)
-        assert len(calls) == 1
-
-
 def reference_claim(spec, roles, g, zero_tol=1e-9):
     """Reference evaluator that parses a SIGN_CLAIMS row on every call:
     (description, value, passed)."""
@@ -582,15 +557,16 @@ def test_parsed_sign_claims_equal_the_per_call_parser(d):
 
 
 def separate_report(p, graph, family):
-    """The stability report from the public calls, each with its own edge pass."""
+    """The stability report from ``classify``, ``assemble_hessian`` and the
+    private witness and claims, each public call with its own edge pass."""
     cls = classify(p, graph, family)
     h = assemble_hessian(p, graph, family)
     certified = graph.certified_topology() is not None
     witness, claims = None, []
     if certified and cls.kind in ("flex_coincident", "degenerate_rigid"):
-        witness = instability_witness(p, graph, family)
+        witness = _witness(_aligned_last_block(h, cls.axis), cls)
         if cls.kind == "degenerate_rigid":
-            claims = verify_sign_properties(p, graph, family)
+            claims = _claims(edge_states(p, graph, family), graph, cls)
     block_spectrum = None
     if cls.axis:
         block_spectrum = np.linalg.eigvalsh(_aligned_last_block(h, cls.axis))
@@ -610,8 +586,9 @@ TAILORED_TETRAHEDRON = FormationGraph(
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
 def test_analyze_equals_the_separate_public_calls(graph, family):
     """analyze shares one edge pass and one aligned block among its parts;
-    its report is bit for bit the one the public calls build separately, at
-    rigid motions of every catalog entry and of the desired shape."""
+    its report is bit for bit the one ``separate_report`` builds with a pass
+    per public call, at rigid motions of every catalog entry and of the
+    desired shape."""
     entries, _ = build_catalog(graph, family)
     rng = np.random.default_rng(19)
     d = graph.dimension
