@@ -192,7 +192,7 @@ def _cmd_catalog(args) -> int:
     write_catalog(entries, out / "catalog.jsonl")
     for entry in entries:
         try:                                # on a certified graph: a witness, or raises
-            claims = analyze(entry.positions, graph, family, eig_tol=args.tol_eig).claims
+            claims = analyze(entry.positions, graph, family).claims
         except (WitnessNotFoundError, np.linalg.LinAlgError) as exc:
             print(f"catalog entry {entry.subform or entry.kind}: {exc}", file=sys.stderr)
             continue
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", default="quadratic", choices=sorted(FAMILIES))
     sp.add_argument("--subforms", default=None,
                     help="comma-separated subform names (default: all)")
-    options(sp, "--out", "--tol-eig")
+    options(sp, "--out")
     sp.set_defaults(func=_cmd_catalog)
 
     sp = sub.add_parser("validate-potential", help="check family conditions")

@@ -136,11 +136,11 @@ class LeaderSpec:
         if self.mode not in ("none", "windowed", "target"):
             raise ValueError(f"unknown leader mode {self.mode!r}")
         if self.mode == "windowed":
-            if self.v is None or not np.isfinite(self.tf) or self.tf < self.t0:
+            if self.v is None or not np.isfinite([self.t0, self.tf]).all() or self.tf < self.t0:
                 raise ValueError("windowed mode needs v(t) and a finite window [t0, tf]")
         if self.mode == "target":
-            if self.k_f <= 0 or self.p_t is None:
-                raise ValueError("target mode needs k_f > 0 and a target point")
+            if not 0 < self.k_f < np.inf or self.p_t is None:      # False for NaN
+                raise ValueError("target mode needs a finite k_f > 0 and a target point")
             object.__setattr__(self, "p_t", np.asarray(self.p_t, dtype=float))
 
     def flex_input(self, t: float, p_flex: np.ndarray) -> np.ndarray:
@@ -162,12 +162,16 @@ def leader_spec_from_json(doc, dimension: int) -> LeaderSpec:
     if mode == "none":
         return LeaderSpec()
     if mode == "target":
-        return LeaderSpec(mode="target", k_f=float(doc["k_f"]), p_t=np.asarray(doc["p_t"], dtype=float))
+        p_t = np.asarray(doc["p_t"], dtype=float)
+        if p_t.shape != (dimension,) or not np.isfinite(p_t).all():
+            raise ValueError(f"target p_t must be {dimension} finite coordinates")
+        return LeaderSpec(mode="target", k_f=float(doc["k_f"]), p_t=p_t)
     if mode == "windowed":
         samples = np.asarray(doc["v"], dtype=float)
+        if samples.ndim != 2 or samples.shape[1] != 1 + dimension or not np.isfinite(samples).all():
+            raise ValueError(f"windowed v must be a non-empty list of finite [t, {dimension} "
+                             f"velocity components] rows")
         times, values = samples[:, 0], samples[:, 1:]
-        if values.shape[1] != dimension:
-            raise ValueError("windowed samples do not match the ambient dimension")
 
         def v(t, times=times, values=values):
             k = int(np.searchsorted(times, t, side="right")) - 1

@@ -172,6 +172,18 @@ def graph_to_json(graph: FormationGraph) -> dict:
     }
 
 
+def simplex_gram(sq) -> np.ndarray:
+    """Gram matrix G_ab = (sq_0a + sq_0b - sq_ab) / 2 at vertex 1 of a
+    (..., k, k) stack of squared distances, over the other k - 1 vertices
+    (halved first, so no finite ``sq`` overflows).  The lengths form a
+    non-degenerate simplex exactly when ``np.linalg.cholesky(G)`` succeeds
+    (Blumenthal 1953); the factor's rows then place vertex a + 1 in the span
+    of the first a axes with a positive last coordinate, vertex 1 at 0.
+    """
+    half = np.asarray(sq, dtype=float) / 2
+    return half[..., 0, 1:, None] + half[..., 0, None, 1:] - half[..., 1:, 1:]
+
+
 def as_positions(p, graph: FormationGraph) -> np.ndarray:
     """Validate a realization and return it as an (N+1, d) array."""
     arr = np.asarray(p, dtype=float)

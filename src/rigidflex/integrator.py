@@ -143,8 +143,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     the potential's domain, so no other check is needed.  A segment start
     (p0 or a perturbed state) where V is not finite raises too.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not 0 < t_end < math.inf:       # False for NaN
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if not (dt > 0 and record_every >= 1):
         raise ValueError("dt must be positive and record_every at least 1")
     leader = leader or LeaderSpec()

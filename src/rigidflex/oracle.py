@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq, root
 
 from .control import balance_residuals, gradient_control
-from .graph import FormationGraph, as_positions
+from .graph import FormationGraph, as_positions, simplex_gram
 from .integrator import integrate
 from .potentials import PotentialFamily
 from .stability import LINE_SLOTS, assemble_hessian, classify, family_admits
@@ -105,34 +105,6 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarr
 # Desired-shape embeddings
 
 
-def _triangle_points(d12, d13, d23):
-    x3 = (d12**2 + d13**2 - d23**2) / (2 * d12)
-    y3sq = d13**2 - x3**2
-    if y3sq <= 0:
-        raise OracleError("triangle distances are not realizable")
-    return np.array([[0.0, 0.0], [d12, 0.0], [x3, np.sqrt(y3sq)]])
-
-
-def _tetrahedron_points(d):
-    """Embed nodes 1..4 from the six pairwise distances d[(i, j)]."""
-    tri = _triangle_points(d[(1, 2)], d[(1, 3)], d[(2, 3)])
-    x3, y3 = tri[2]
-    x4 = (d[(1, 2)]**2 + d[(1, 4)]**2 - d[(2, 4)]**2) / (2 * d[(1, 2)])
-    y4 = (d[(1, 4)]**2 + d[(1, 3)]**2 - d[(3, 4)]**2 - 2 * x3 * x4) / (2 * y3)
-    z4sq = d[(1, 4)]**2 - x4**2 - y4**2
-    if z4sq <= 0:
-        raise OracleError("tetrahedron distances are not realizable")
-    pts = np.zeros((4, 3))
-    pts[1, 0] = d[(1, 2)]
-    pts[2, :2] = tri[2]
-    pts[3] = (x4, y4, np.sqrt(z4sq))
-    return pts
-
-
-def _distance_table(graph: FormationGraph) -> dict:
-    return {e: db for e, db in zip(graph.edges, graph.desired)}
-
-
 def _require_certified(graph: FormationGraph) -> str:
     topo = graph.certified_topology()
     if topo is None:
@@ -142,11 +114,17 @@ def _require_certified(graph: FormationGraph) -> str:
 
 
 def _rigid_embedding(graph: FormationGraph) -> np.ndarray:
+    """The rigid agents at their desired distances, in ``simplex_gram``'s frame."""
     topo = _require_certified(graph)
-    d = _distance_table(graph)
-    if topo == "triangle":
-        return _triangle_points(d[(1, 2)], d[(1, 3)], d[(2, 3)])
-    return _tetrahedron_points(d)
+    k = graph.num_nodes - 1
+    rigid = [e for e in range(graph.num_edges) if e != graph.flex_edge_index]
+    sq = np.zeros((k, k))
+    sq[graph._tails[rigid], graph._heads[rigid]] = graph._dbar2[rigid]
+    try:
+        low = np.linalg.cholesky(simplex_gram(sq + sq.T))
+    except np.linalg.LinAlgError:
+        raise OracleError(f"{topo} distances are not realizable") from None
+    return np.vstack([np.zeros(k - 1), low])
 
 
 def desired_equilibrium(graph: FormationGraph) -> np.ndarray:
@@ -274,7 +252,7 @@ class _Layout:
                     f"{b + 1} and {a + 1} have desired lengths "
                     f"{[round(float(x), 12) for _, x in rb]} and "
                     f"{[round(float(x), 12) for _, x in ra]} to the other points")
-        d = _distance_table(graph)
+        d = dict(zip(graph.edges, graph.desired))
         for what, group in self.equal:
             if any(abs(d[e] - d[group[0]]) > 1e-12 for e in group):
                 raise OracleError(f"construction needs equal desired distances: {what}")

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import EQ_TOL, EdgeState, edge_states, potential_value
-from .graph import FormationGraph, as_positions
+from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialDomainError, PotentialFamily
 
 SHAPE_TOL = 1e-6        # max |e| for the desired-shape set
@@ -374,7 +374,7 @@ def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
 @dataclass(frozen=True)
 class Claim:
     description: str
-    value: float
+    value: float                    # arrays, from a stacked verify_angle_inequalities
     passed: bool
 
 
@@ -475,52 +475,48 @@ def _claims(st: EdgeState, graph: FormationGraph, cls: EquilibriumClass) -> list
 # Tetrahedron angle inequalities
 
 
+_APEX_FIRST = np.array([[apex, *(x for x in range(4) if x != apex)] for apex in range(4)])
+
+
 def verify_angle_inequalities(lengths) -> list[Claim]:
-    """Vertex-angle inequalities for a realizable tetrahedron.
+    """Vertex-angle inequalities for realizable tetrahedra.
 
-    ``lengths`` maps unordered vertex pairs from {1,2,3,4} to edge lengths.
-    At every vertex the three face angles satisfy each pairwise sum exceeding
-    the third and a total below 360 degrees.
+    ``lengths`` maps unordered vertex pairs from {1,2,3,4} to edge lengths,
+    each a float or an array, all of one shape; each claim's value and
+    verdict take that shape.  At every vertex the three face angles satisfy
+    each pairwise sum exceeding the third and a total below 360 degrees.
+    Each angle comes from the Gram matrix at its apex (``simplex_gram``),
+    cos = G_bc / (sqrt(G_bb) sqrt(G_cc)).  Raises ValueError unless every
+    length set embeds as a non-degenerate tetrahedron: a finite Cholesky
+    factor of the Gram matrix at vertex 1.
     """
-    dist = {}
-    for (a, b), val in dict(lengths).items():
-        dist[(min(a, b), max(a, b))] = float(val)
-    if sorted(dist) != sorted(itertools.combinations(range(1, 5), 2)):
+    dist = {tuple(sorted(pair)): val for pair, val in dict(lengths).items()}
+    if sorted(dist) != list(itertools.combinations(range(1, 5), 2)):
         raise ValueError("need all six edge lengths of a tetrahedron on nodes 1..4")
-    if _cayley_menger(dist) <= 0:
-        raise ValueError("edge lengths do not embed as a non-degenerate tetrahedron")
-
-    def angle(apex, a, b):
-        da, db = dist[(min(apex, a), max(apex, a))], dist[(min(apex, b), max(apex, b))]
-        dab = dist[(min(a, b), max(a, b))]
-        c = (da**2 + db**2 - dab**2) / (2 * da * db)
-        return float(np.degrees(np.arccos(np.clip(c, -1.0, 1.0))))
-
+    sq = np.zeros(np.broadcast_shapes(*map(np.shape, dist.values())) + (4, 4))
+    for (a, b), val in dist.items():
+        sq[..., a - 1, b - 1] = sq[..., b - 1, a - 1] = np.square(val)
+    # the Gram matrix at each apex, the other vertices in ascending order
+    gram = simplex_gram(sq[..., _APEX_FIRST[:, :, None], _APEX_FIRST[:, None, :]])
+    try:
+        if not np.isfinite(np.linalg.cholesky(gram[..., 0, :, :])).all():
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise ValueError("edge lengths do not embed as a non-degenerate tetrahedron") from None
+    b, c = [0, 0, 1], [1, 2, 2]
+    norm = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))       # edge lengths at the apex
+    cos = gram[..., b, c] / (norm[..., b] * norm[..., c])
+    th = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+    th = np.moveaxis(th, (-2, -1), (0, 1))                      # (apex, pair, ...)
+    total = th.sum(axis=1)
     claims = []
-    for apex in range(1, 5):
-        others = [x for x in range(1, 5) if x != apex]
-        th = [angle(apex, others[0], others[1]),
-              angle(apex, others[0], others[2]),
-              angle(apex, others[1], others[2])]
-        total = sum(th)
-        claims.append(Claim(f"angle sum at {apex} < 360", total, total < 360.0))
+    for apex in range(4):
+        claims.append(Claim(f"angle sum at {apex + 1} < 360", total[apex], total[apex] < 360.0))
         for a in range(3):
-            rest = sum(th) - th[a]
-            claims.append(Claim(f"vertex {apex}: pair sum > third (drop {a})",
-                                rest - th[a], rest > th[a]))
+            rest = total[apex] - th[apex, a]
+            claims.append(Claim(f"vertex {apex + 1}: pair sum > third (drop {a})",
+                                rest - th[apex, a], rest > th[apex, a]))
     return claims
-
-
-def _cayley_menger(dist) -> float:
-    m = np.ones((5, 5))
-    m[0, 0] = 0.0
-    for a in range(1, 5):
-        for b in range(1, 5):
-            if a == b:
-                m[a, b] = 0.0
-            else:
-                m[a, b] = dist[(min(a, b), max(a, b))] ** 2
-    return float(np.linalg.det(m))
 
 
 # ---------------------------------------------------------------------------

@@ -113,12 +113,24 @@ def test_run_bad_scenario_is_config_error(tmp_path):
     ("run", "t_ned", 1.0),
     *(pytest.param(verb, "graph", triangle_doc(value), id=f"{verb}-graph-{value}")
       for verb in ("analyze", "run") for value in (float("nan"), float("inf"), 1e160)),
+    *(pytest.param("run", "t_end", value, id=f"run-t_end-{value}")
+      for value in (float("nan"), float("inf"))),
+    *(pytest.param("run", "leader", doc, id=f"run-leader-{name}") for name, doc in (
+        ("empty_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": []}),
+        ("flat_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [1, 2, 3]}),
+        ("nan_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [[0.0, float("nan"), 0.0]]}),
+        ("nan_t0", {"mode": "windowed", "t0": float("nan"), "tf": 0.01, "v": [[0.0, 1.0, 0.0]]}),
+        ("nan_k_f", {"mode": "target", "k_f": float("nan"), "p_t": [0.0, 0.0]}),
+        ("scalar_p_t", {"mode": "target", "k_f": 1.0, "p_t": 1}),
+        ("3d_p_t", {"mode": "target", "k_f": 1.0, "p_t": [0.0, 0.0, 0.0]}))),
 ])
 def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, field, doc):
     """Malformed input exits 2 with a one-line message, never a traceback.
     An unknown scenario key (a removed or misspelt one) is named, not run
     with its default.  A graph with a NaN or infinite desired distance, or
-    one whose square overflows, is malformed."""
+    one whose square overflows, is malformed; so are a NaN or infinite
+    t_end and a leader document whose samples, gain or target do not fit
+    the graph.  Each exits before the first step, with no output written."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":
         real = tmp_path / "real.json"
@@ -137,6 +149,7 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
         assert "desired distances must be finite" in err[0]
     if verb == "run" and field not in SCENARIO_KEYS | {"scenario"}:
         assert f"unknown key(s) {field}" in err[0]
+    if verb == "run":
         assert not (tmp_path / "out").exists()
 
 
@@ -250,11 +263,23 @@ def test_validate_potential_ok(capsys):
     assert out["violations"] == []
 
 
-@pytest.mark.parametrize("dbar", ["-1", "nan", "inf", "0", "1e-300", "1e-4", "1e200"])
+@pytest.mark.parametrize("dbar", ["3e5", "1e7", "1e40"])
+def test_validate_potential_passes_at_large_dbar(capsys, dbar):
+    """The sample grid scales with dbar^2, so the rational family is not
+    reported as violating its conditions where e + dbar^2 would round to
+    dbar^2 on a grid of fixed innermost samples."""
+    assert main(["validate-potential", "rational", "--dbar", dbar]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["violations"] == [] and captured.err == ""
+
+
+@pytest.mark.parametrize("dbar", ["-1", "nan", "inf", "0", "1e-300", "1e-4", "1e200",
+                                  "1e80"])
 def test_validate_potential_rejects_bad_dbar(tmp_path, capsys, dbar):
-    """A desired length that is not finite and positive, or whose sample
-    grid would leave the domain or overflow, exits 2 with one message line
-    and no payload."""
+    """A desired length that is not finite and positive, whose sample grid
+    would leave the domain or overflow, or at which the family's values
+    overflow on that grid (1e80: dbar^4), exits 2 with one message line and
+    no payload."""
     out = tmp_path / "out"
     assert main(["validate-potential", "rational", "--dbar", dbar, "--out", str(out)]) == EXIT_CONFIG
     captured = capsys.readouterr()
@@ -272,6 +297,7 @@ def test_unknown_verb_is_config_error(capsys):
     ["analyze", "REALIZATION", "GRAPH", "--seed", "1"],
     ["catalog", "GRAPH", "--tol-eq", "0"],
     ["catalog", "GRAPH", "--seed", "1"],
+    ["catalog", "GRAPH", "--tol-eig", "1e-6"],
     ["validate-potential", "quadratic", "--seed", "1"],
     ["validate-potential", "quadratic", "--tol-eig", "1e-6"],
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")

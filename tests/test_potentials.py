@@ -6,6 +6,7 @@ import pytest
 from rigidflex.potentials import (
     QUADRATIC,
     RATIONAL,
+    PotentialDomainError,
     PotentialFamily,
     get_family,
     validate_family,
@@ -36,6 +37,20 @@ def test_rho_is_derivative_of_g(family):
 def test_families_satisfy_conditions(family):
     assert validate_family(family, DBAR) == []
     assert validate_family(family, 1.7) == []
+
+
+@pytest.mark.parametrize("name, dbar, passes", [
+    ("quadratic", 1e76, True), ("quadratic", 1e77, False),
+    ("rational", 1e50, True), ("rational", 1e51, False)])
+def test_validator_rejects_dbar_where_family_overflows(name, dbar, passes):
+    """The grid reaches 100 dbar^2, where the quadratic phi = e^2 / 2
+    overflows from about dbar = 1e77 and the rational rho's cube from 1e51;
+    such a dbar is rejected, not reported as passing (phi = inf) or failing."""
+    if passes:
+        assert validate_family(get_family(name), dbar) == []
+    else:
+        with pytest.raises(PotentialDomainError, match="stay finite"):
+            validate_family(get_family(name), dbar)
 
 
 def test_quadratic_values():

@@ -445,6 +445,45 @@ def test_angle_inequalities_reject_degenerate_lengths():
         verify_angle_inequalities(lengths)
 
 
+# Cayley-Menger determinant 468 > 0, yet the Gram matrix at vertex 1 has
+# eigenvalues (-3.67, -1.02, 15.69) and every face breaks the triangle
+# inequality: a positive determinant does not prove the lengths embed
+NON_EMBEDDING = {(1, 2): 1.0, (1, 3): 1.0, (1, 4): 3.0, (2, 3): 3.0, (2, 4): 1.0, (3, 4): 5.0}
+
+
+def test_angle_inequalities_reject_lengths_with_positive_determinant():
+    with pytest.raises(ValueError, match="do not embed"):
+        verify_angle_inequalities(NON_EMBEDDING)
+    regular = {pair: 4.0 for pair in NON_EMBEDDING}
+    stack = {pair: np.array([regular[pair], NON_EMBEDDING[pair], regular[pair]])
+             for pair in NON_EMBEDDING}
+    with pytest.raises(ValueError, match="do not embed"):
+        verify_angle_inequalities(stack)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_angle_inequalities_reject_non_finite_length(bad):
+    lengths = {pair: 4.0 for pair in NON_EMBEDDING}
+    lengths[(2, 4)] = bad
+    with pytest.raises(ValueError, match="do not embed"):
+        verify_angle_inequalities(lengths)
+
+
+def test_angle_inequalities_of_a_stack_match_one_at_a_time():
+    """Each claim of a stacked call has the stack's shape, and each member
+    equals the claim of the one-set call."""
+    pts = np.random.default_rng(3).uniform(-5, 5, (2, 3, 4, 3))
+    lengths = {(i + 1, j + 1): np.linalg.norm(pts[..., i, :] - pts[..., j, :], axis=-1)
+               for i, j in itertools.combinations(range(4), 2)}
+    stacked = verify_angle_inequalities(lengths)
+    for idx in np.ndindex(2, 3):
+        single = verify_angle_inequalities({k: float(v[idx]) for k, v in lengths.items()})
+        assert [c.description for c in single] == [c.description for c in stacked]
+        for one, many in zip(single, stacked):
+            assert many.value.shape == many.passed.shape == (2, 3)
+            assert one.value == many.value[idx] and one.passed == many.passed[idx]
+
+
 def test_classify_runs_one_kernel_pass(monkeypatch):
     """classify takes the edge states and the balance residual from one pass."""
     import rigidflex.control as control
