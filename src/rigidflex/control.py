@@ -32,38 +32,48 @@ class EdgeState:
     u: np.ndarray      # (N+1, d) control of the same pass, u_i = -sum_j g_ij z_ij
 
 
-def _edge_kernel(pos: np.ndarray, graph: FormationGraph, family: PotentialFamily,
-                 u: np.ndarray | None = None):
-    """The one pass over the edges shared by the control, the potential and
-    the Hessian, at an (N+1, d) realization ``pos``.
+def _workspace(graph: FormationGraph) -> tuple:
+    """``_edge_kernel``'s buffers at one graph: z, squared lengths, e, g z."""
+    m, d = graph.num_edges, graph.dimension
+    return np.empty((m, d)), np.empty((m, 1)), np.empty((m, 1)), np.empty((m, d))
 
-    Returns edge vectors z = B^T p (m, d), squared errors e, gradients g and
-    the control u = (-B)(g z) as (N+1, d) blocks, from the graph's cached
-    B^T and -B.  The control is written into ``u`` when a C-contiguous
-    (N+1, d) float buffer is given, else into a fresh array.  An
-    exactly-zero edge vector contributes no force, even for families whose
-    g diverges at the coincidence boundary: zeroing its g z changes nothing
-    unless that product is non-finite.  There is no domain check here:
-    ||z||^2 is a sum of squares, so it is >= 0 (or NaN), and rounding is
-    monotone, so e = fl(||z||^2 - dbar^2) >= -dbar^2 also in floating
-    point.  The kernel sets no floating-point error state (g may
-    divide by zero at the coincidence boundary; non-finite input gives
-    invalid products): each public entry point that runs it enters
-    ``_ignore_fp`` once per call.
+
+def _edge_kernel(pos: np.ndarray, graph: FormationGraph, bound: tuple,
+                 u: np.ndarray | None = None, ws: tuple | None = None):
+    """The one pass over the edges shared by the control, the potential and
+    the Hessian, at an (N+1, d) realization ``pos``, with ``bound`` the
+    family bound to the graph's desired lengths, ``family.bind(graph._dbar_col)``.
+
+    Returns edge vectors z = B^T p (m, d), squared errors e and gradients g
+    as (m, 1) columns (so g z needs no broadcast view) and the control
+    u = (-B)(g z) as (N+1, d) blocks, from the graph's cached B^T and -B.
+    u goes into a given C-contiguous (N+1, d) float buffer, the rest into
+    the buffers of ``ws``, a ``_workspace`` made once per ``integrate``
+    call (a caller that keeps them past the next pass copies them); without
+    these, into fresh arrays.  An exactly-zero edge vector contributes no
+    force, even for families whose g diverges at the coincidence boundary:
+    zeroing its g z changes nothing unless that product is non-finite.
+    There is no domain check here: ||z||^2 is a sum of squares, so it is
+    >= 0 (or NaN), and rounding is monotone, so e = fl(||z||^2 - dbar^2)
+    >= -dbar^2 also in floating point.  The kernel sets no floating-point
+    error state (g may divide by zero at the coincidence boundary;
+    non-finite input gives invalid products): each public entry point that
+    runs it enters ``_ignore_fp`` once per call.
 
     z = B^T p is exact for finite positions.  A non-finite coordinate of
     one node makes that coordinate of every edge vector non-finite
     (0 * inf = NaN), hence every e, g and block of u, not only those of
     the node's own edges.
     """
-    z = np.dot(graph._incidence_t, pos)
-    sq = np.vecdot(z, z)
-    e = sq - graph._dbar2
-    g = np.asarray(family.g(e, graph._dbar), dtype=float)
-    f = g[:, None] * z
+    z, sq, e, f = ws or (None, None, None, None)
+    z = np.dot(graph._incidence_t, pos, z)
+    sq = np.vecdot(z, z, out=sq, keepdims=True)
+    e = np.subtract(sq, graph._dbar2_col, e)
+    g = bound[1](e)
+    f = np.multiply(g, z, f)
     if np.count_nonzero(sq) < len(sq):
-        f[sq == 0.0] = 0.0
-    return z, e, g, np.dot(graph._neg_incidence, f, out=u)
+        f[sq[:, 0] == 0.0] = 0.0
+    return z, e, g, np.dot(graph._neg_incidence, f, u)
 
 
 _ignore_fp = np.errstate(divide="ignore", invalid="ignore")   # used as a decorator; nests safely
@@ -71,15 +81,15 @@ _ignore_fp = np.errstate(divide="ignore", invalid="ignore")   # used as a decora
 
 @_ignore_fp
 def edge_states(p, graph: FormationGraph, family: PotentialFamily) -> EdgeState:
-    z, e, g, u = _edge_kernel(as_positions(p, graph), graph, family)
-    rho = np.asarray(family.rho(e, graph._dbar), dtype=float)
-    return EdgeState(z=z, e=e, g=g, rho=rho, u=u)
+    bound = family.bind(graph._dbar_col)
+    z, e, g, u = _edge_kernel(as_positions(p, graph), graph, bound)
+    return EdgeState(z=z, e=e.ravel(), g=g.ravel(), rho=bound[2](e).ravel(), u=u)
 
 
-def _lyapunov(pos: np.ndarray, e: np.ndarray, graph: FormationGraph,
-              family: PotentialFamily, spec: LeaderSpec | None) -> float:
-    """V = 1/2 sum phi(e), plus (k_f/2) ||p_t - p_flex||^2 in target mode."""
-    v = 0.5 * float(family.phi(e, graph._dbar).sum())
+def _lyapunov(pos: np.ndarray, e: np.ndarray, phi, spec: LeaderSpec | None) -> float:
+    """V = 1/2 sum phi(e) for the (m, 1) column e and the bound phi, plus
+    (k_f/2) ||p_t - p_flex||^2 in target mode."""
+    v = 0.5 * float(phi(e).sum())
     if spec is not None and spec.mode == "target":
         v += 0.5 * spec.k_f * float(((spec.p_t - pos[-1]) ** 2).sum())
     return v
@@ -87,8 +97,8 @@ def _lyapunov(pos: np.ndarray, e: np.ndarray, graph: FormationGraph,
 
 @_ignore_fp
 def potential_value(p, graph: FormationGraph, family: PotentialFamily) -> float:
-    pos = as_positions(p, graph)
-    return _lyapunov(pos, _edge_kernel(pos, graph, family)[1], graph, family, None)
+    pos, bound = as_positions(p, graph), family.bind(graph._dbar_col)
+    return _lyapunov(pos, _edge_kernel(pos, graph, bound)[1], bound[0], None)
 
 
 def balance_residuals(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
@@ -100,7 +110,7 @@ def balance_residuals(p, graph: FormationGraph, family: PotentialFamily) -> np.n
 @_ignore_fp
 def gradient_control(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
     """Stacked control u with blocks u_i = -sum_j g_ij z_ij."""
-    return _edge_kernel(as_positions(p, graph), graph, family)[3].reshape(-1)
+    return _edge_kernel(as_positions(p, graph), graph, family.bind(graph._dbar_col))[3].reshape(-1)
 
 
 def local_frame_control(neighbor_offsets, g_values) -> np.ndarray:

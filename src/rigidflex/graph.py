@@ -52,10 +52,13 @@ class FormationGraph:
                 raise GraphError(f"edge ({i},{j}) out of range or not i<j")
         if len(self.desired) != len(pairs):
             raise GraphError("desired distances must align with edges")
-        # every kernel pass subtracts the cached squares; False for NaN
-        if not all(db > 0 and 0 < db * db < math.inf for db in self.desired):
+        # kernel passes subtract the cached squares; the potentials reach
+        # e^2 ~ dbar^4 at the catalog's points and at validate_family's
+        # e = 100 dbar^2, so (100 dbar^2)^2 must be finite; False for NaN
+        if not all(db > 0 and 0 < db * db and 1e4 * db * db * db * db < math.inf
+                   for db in self.desired):
             raise GraphError("desired distances must be finite and strictly positive, "
-                             "with a finite nonzero square")
+                             "with a nonzero square and a finite (100 dbar^2)^2")
         flex = tuple(self.flex_edge)
         if flex != (n - 1, n):
             raise GraphError(f"flex edge must be ({n-1},{n}), got {flex}")
@@ -67,7 +70,8 @@ class FormationGraph:
         m = len(pairs)
         tails = np.array([i - 1 for i, _ in pairs], dtype=int)
         heads = np.array([j - 1 for _, j in pairs], dtype=int)
-        dbar = np.array(self.desired, dtype=float)
+        dbar = np.array(self.desired, dtype=float)[:, None]     # (m, 1) columns for the
+        dbar2 = dbar**2         # edge kernel; _dbar and _dbar2 are (m,) views of them
         incidence = np.zeros((n, m))
         incidence[tails, np.arange(m)] = 1.0
         incidence[heads, np.arange(m)] = -1.0
@@ -76,8 +80,9 @@ class FormationGraph:
         axis = np.arange(d)
         rows = np.stack([tails, heads, tails, heads], 1)[..., None, None] * d + axis[:, None]
         cols = np.stack([tails, heads, heads, tails], 1)[..., None, None] * d + axis
-        for name, arr in (("_tails", tails), ("_heads", heads), ("_dbar", dbar),
-                          ("_dbar2", dbar**2), ("_incidence", incidence),
+        for name, arr in (("_tails", tails), ("_heads", heads), ("_dbar", dbar[:, 0]),
+                          ("_dbar_col", dbar), ("_dbar2", dbar2[:, 0]), ("_dbar2_col", dbar2),
+                          ("_incidence", incidence),
                           ("_incidence_t", np.ascontiguousarray(incidence.T)),
                           ("_neg_incidence", -incidence),
                           ("_hessian_index", (rows * (n * d) + cols).ravel())):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _edge_kernel, _ignore_fp, _lyapunov
+from .control import EQ_TOL, LeaderSpec, _edge_kernel, _ignore_fp, _lyapunov, _workspace
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
@@ -101,21 +101,21 @@ class Trajectory:
 _RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
 
 
-def _rk4_step(f, t, p, h, k, s):
-    """One classical RK4 step from the (N+1, d) state ``p``; returns a new array.
+def _rk4_step(f, t, p, h, k, s, out):
+    """One classical RK4 step from the (N+1, d) state ``p`` into C-contiguous ``out``.
 
-    ``k`` is the (4, N+1, d) stage stack: the caller supplies k[0] = f(t, p),
-    and ``f(t, state, out)`` writes each later stage into its slot.  Every
-    stage state p + c k is built in the scratch buffer ``s``.
+    ``k`` is the four rows of the stage stack, then the stack as a (4, -1)
+    view K: the caller supplies row 1 = f(t, p), and ``f(t, state, row)``
+    writes each later stage into its row.  Stage states p + c k are built in
+    the scratch buffer ``s``; ``out`` takes p + (h / 6) (1, 2, 2, 1) K.
     """
+    k1, k2, k3, k4, stack = k
     half = 0.5 * h
-    np.multiply(k[0], half, out=s)
-    f(t + half, np.add(p, s, out=s), k[1])
-    np.multiply(k[1], half, out=s)
-    f(t + half, np.add(p, s, out=s), k[2])
-    np.multiply(k[2], h, out=s)
-    f(t + h, np.add(p, s, out=s), k[3])
-    return p + (h / 6.0) * np.dot(_RK4_WEIGHTS, k.reshape(4, -1)).reshape(p.shape)
+    f(t + half, np.add(p, np.multiply(k1, half, s), s), k2)
+    f(t + half, np.add(p, np.multiply(k2, half, s), s), k3)
+    f(t + h, np.add(p, np.multiply(k3, h, s), s), k4)
+    np.dot(_RK4_WEIGHTS, stack, out.ravel())
+    return np.add(p, np.multiply(out, h / 6.0, out), out)
 
 
 @_ignore_fp
@@ -133,9 +133,12 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     runs the kernel once per accepted state and reuses that pass as the next
     step's first RK4 stage and for the Lyapunov value, the record and the
     equilibrium check: four kernel passes per step, plus one at the start of
-    each segment.  The kernel writes the four stages into one (4, N+1, d)
-    stage stack, which the step combines in one product.  The whole call
-    ignores floating-point divide/invalid errors once.
+    each segment.  The family is bound to the desired lengths once per
+    call.  Each pass writes into one workspace made per call, its
+    control into a row of the (4, N+1, d) stage stack, which the step
+    combines in one product into the spare of two state buffers; records
+    and IntegrationError.last_state are copies.  The whole call ignores
+    floating-point divide/invalid errors once.
 
     One guard per step: V at the new state must be finite, else
     IntegrationError carries the time and state before that step.  A
@@ -149,25 +152,33 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         raise ValueError("dt must be positive and record_every at least 1")
     leader = leader or LeaderSpec()
     n, d = graph.num_nodes, graph.dimension
-    p = as_positions(p0, graph).astype(float)
-    stack = np.empty((4, n, d))     # RK4 stages; slot 0 holds the accepted state's pass
+    p = as_positions(p0, graph).astype(float, order="C")
+    spare = np.empty((n, d))        # the state buffer the next step writes
+    stack = np.empty((4, n, d))     # RK4 stages; row 0 holds the accepted state's pass
+    rows = (*stack, stack.reshape(4, -1))     # its rows, and K for _rk4_step
     scratch = np.empty((n, d))      # RK4 stage state
+    pull = np.empty(d)              # target mode's leader input
+    bound, ws = family.bind(graph._dbar_col), _workspace(graph)    # once per call
     k1 = stack[0]
 
     def drive(t, state, u):
-        """Closed-loop velocity: adds the leader input to u in place."""
-        if leader.mode != "none":
-            u[-1] += leader.flex_input(t, state[-1])
+        """Closed-loop velocity: adds the leader input to u in place, in
+        target mode as u + k_f (p_t - p_flex)."""
+        if leader.mode == "target":
+            np.multiply(leader.k_f, np.subtract(leader.p_t, state[-1], pull), pull)
+            np.add(u[-1], pull, u[-1])
+        elif leader.mode == "windowed" and leader.t0 <= t <= leader.tf:
+            np.add(u[-1], leader.v(t), u[-1])
         return u
 
     def stage(t, state, out):
-        return drive(t, state, _edge_kernel(state, graph, family, out)[3])
+        return drive(t, state, _edge_kernel(state, graph, bound, out, ws)[3])
 
     def evaluate(state):
         """Kernel pass at an accepted state, its control written into ``k1``:
-        squared errors, control, Lyapunov value."""
-        _, e, _, u = _edge_kernel(state, graph, family, k1)
-        return e, u, _lyapunov(state, e, graph, family, leader)
+        squared errors (a workspace column), control, Lyapunov value."""
+        _, e, _, u = _edge_kernel(state, graph, bound, k1, ws)
+        return e, u, _lyapunov(state, e, bound[0], leader)
 
     def guard(w, t_w, t, state):
         """Raise unless the Lyapunov value w reached at t_w is finite; the
@@ -176,7 +187,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             raise IntegrationError(
                 f"Lyapunov value {w!r} at t={t_w:g} is not finite (coincident "
                 "agents on the potential's boundary, or a non-finite state)",
-                time=t, last_state=state)
+                time=t, last_state=state.copy())
 
     def start(t, state):
         """``evaluate`` at the start of a segment, where V must be finite."""
@@ -200,7 +211,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     def record(t, state, e, u):
         times.append(t)
         states.append(state.copy())
-        errors.append(e)
+        errors.append(e.copy())
         gnorms.append(np.linalg.norm(u))
 
     def check_events(t, state, u):
@@ -225,10 +236,10 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         while boundary - t > 1e-12:
             h = min(dt, boundary - t)
             drive(t, p, k1)
-            p_new = _rk4_step(stage, t, p, h, stack, scratch)
+            p_new = _rk4_step(stage, t, p, h, rows, scratch, spare)
             e, u, w = evaluate(p_new)
             guard(w, t + h, t, p)
-            p, t = p_new, t + h
+            p, spare, t = p_new, p, t + h
             max_dv = max(max_dv, w - w_prev)
             w_prev = w
             step_count += 1
@@ -247,7 +258,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     return Trajectory(
         times=np.asarray(times),
         states=np.asarray(states).reshape(len(states), n * d),
-        edge_errors=np.asarray(errors),
+        edge_errors=np.asarray(errors).reshape(len(errors), -1),
         grad_norms=np.asarray(gnorms),
         events=log,
         max_lyapunov_increase=float(max_dv),

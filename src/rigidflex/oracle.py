@@ -268,10 +268,11 @@ class _Layout:
         cross = edges[moving]
         flat = t[:, moving].reshape(k, len(cross) * d)
         dbar, dbar2 = graph._dbar[cross], graph._dbar2[cross]
+        g = family.bind(dbar)[1]      # bound once per solve, not per balance
 
         def balance(x):
             z = np.dot(x, flat).reshape(-1, d)
-            gz = family.g(np.vecdot(z, z) - dbar2, dbar)[:, None] * z
+            gz = g(np.vecdot(z, z) - dbar2)[:, None] * z
             return np.dot(flat, gz.ravel())
 
         method = self.method

@@ -25,42 +25,44 @@ class PotentialDomainError(ValueError):
 
 @dataclass(frozen=True)
 class PotentialFamily:
+    """An edge potential given by ``bind(dbar)``: its (phi, g, rho) as
+    functions of a float array e alone at the float array ``dbar`` of
+    desired lengths (broadcast against e), with the constants the family
+    derives from dbar computed once.  ``phi``, ``g`` and ``rho`` evaluate
+    at e and dbar together."""
+
     name: str
-    phi: Callable
-    g: Callable
-    rho: Callable
+    bind: Callable
+
+    def phi(self, e, dbar):
+        return self.bind(np.asarray(dbar, dtype=float))[0](np.asarray(e, dtype=float))
+
+    def g(self, e, dbar):
+        return self.bind(np.asarray(dbar, dtype=float))[1](np.asarray(e, dtype=float))
+
+    def rho(self, e, dbar):
+        return self.bind(np.asarray(dbar, dtype=float))[2](np.asarray(e, dtype=float))
 
 
-def _quadratic_phi(e, dbar):
-    return 0.5 * np.asarray(e, dtype=float) ** 2
+_QUADRATIC = (lambda e: 0.5 * e**2, lambda e: e, np.ones_like)
 
 
-def _quadratic_g(e, dbar):
-    return np.asarray(e, dtype=float)
+def _quadratic(dbar):
+    """phi = e^2 / 2; g and rho are its exact derivatives."""
+    return _QUADRATIC
 
 
-def _quadratic_rho(e, dbar):
-    return np.ones_like(np.asarray(e, dtype=float))
+def _rational(dbar):
+    """phi = e^2 / (e + dbar^2); g and rho are its exact derivatives.  dbar^4
+    stays ``dbar**4``: (dbar^2)^2 differs from it in the last bit for about
+    half of all lengths."""
+    d2, d4 = dbar**2, dbar**4
+    return (lambda e: e**2 / (e + d2), lambda e: 1.0 - d4 / (e + d2) ** 2,
+            lambda e: 2.0 * d4 / (e + d2) ** 3)
 
 
-# phi = e^2 / (e + dbar^2); g and rho are its exact derivatives.
-def _rational_phi(e, dbar):
-    e = np.asarray(e, dtype=float)
-    return e**2 / (e + np.asarray(dbar, dtype=float) ** 2)
-
-
-def _rational_g(e, dbar):
-    dbar = np.asarray(dbar, dtype=float)
-    return 1.0 - dbar**4 / (np.asarray(e, dtype=float) + dbar**2) ** 2
-
-
-def _rational_rho(e, dbar):
-    dbar = np.asarray(dbar, dtype=float)
-    return 2.0 * dbar**4 / (np.asarray(e, dtype=float) + dbar**2) ** 3
-
-
-QUADRATIC = PotentialFamily("quadratic", _quadratic_phi, _quadratic_g, _quadratic_rho)
-RATIONAL = PotentialFamily("rational", _rational_phi, _rational_g, _rational_rho)
+QUADRATIC = PotentialFamily("quadratic", _quadratic)
+RATIONAL = PotentialFamily("rational", _rational)
 
 FAMILIES = {f.name: f for f in (QUADRATIC, RATIONAL)}
 

@@ -112,7 +112,8 @@ def test_run_bad_scenario_is_config_error(tmp_path):
     ("run", "rtol", 1e-8),
     ("run", "t_ned", 1.0),
     *(pytest.param(verb, "graph", triangle_doc(value), id=f"{verb}-graph-{value}")
-      for verb in ("analyze", "run") for value in (float("nan"), float("inf"), 1e160)),
+      for verb in ("analyze", "run")
+      for value in (float("nan"), float("inf"), 1e77, 1e100, 1e154, 1e160)),
     *(pytest.param("run", "t_end", value, id=f"run-t_end-{value}")
       for value in (float("nan"), float("inf"))),
     *(pytest.param("run", "leader", doc, id=f"run-leader-{name}") for name, doc in (
@@ -128,7 +129,7 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
     """Malformed input exits 2 with a one-line message, never a traceback.
     An unknown scenario key (a removed or misspelt one) is named, not run
     with its default.  A graph with a NaN or infinite desired distance, or
-    one whose square overflows, is malformed; so are a NaN or infinite
+    one whose square or (100 dbar^2)^2 overflows, is malformed; so are a NaN or infinite
     t_end and a leader document whose samples, gain or target do not fit
     the graph.  Each exits before the first step, with no output written."""
     bad = tmp_path / "bad.json"
@@ -232,14 +233,15 @@ def test_catalog_subform_selection(tmp_path, graph_file):
 
 
 BAD_DESIRED = {"nan_desired": float("nan"), "infinite_desired": float("inf"),
-               "huge_desired": 1e160}
+               "huge_desired": 1e160, "huge_fourth_power_1e100": 1e100,
+               "huge_fourth_power_1e154": 1e154, "huge_phi_1e77": 1e77}
 
 
 @pytest.mark.parametrize("case", ["unknown_subform", "uncertified_graph", *BAD_DESIRED])
 def test_catalog_malformed_input_is_config_error(tmp_path, graph_file, capsys, case):
     """An unknown subform name, a graph outside the certified topologies or
-    a NaN, infinite or overflowing-square desired distance exits 2 before
-    any output is written."""
+    a NaN or infinite desired distance, or one whose square or (100 dbar^2)^2
+    overflows, exits 2 before any output is written."""
     argv = [str(graph_file), "--subforms", "square"]
     path = tmp_path / "bad.json"
     if case == "uncertified_graph":

@@ -59,7 +59,8 @@ def test_desired_distances_positive():
     with pytest.raises(GraphError):
         triangle_flex(desired=(4.0, 4.0, -1.0, 4.0))
     # NaN compares False with everything, so it needs its own rejection
-    for bad in (float("nan"), float("inf"), -float("inf"), 0.0):
+    # so is a length whose square, fourth power or (100 dbar^2)^2 overflows
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, 1e77, 1e100, 1e154, 1e160):
         with pytest.raises(GraphError, match="finite and strictly positive"):
             triangle_flex(desired=(4.0, bad, 4.0, 4.0))
 

@@ -197,9 +197,60 @@ def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     assert calls["kernel"] == 4 * calls["steps"] + 1 + len(events)
 
 
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL], ids=lambda f: f.name)
+def test_results_share_no_memory_with_buffers_of_later_calls(monkeypatch, family):
+    """No array that integrate, edge_states, gradient_control or
+    potential_value returns shares memory with a buffer that a later kernel
+    pass writes (its outputs, its workspace and its control buffer), and a
+    second integrate call leaves the first trajectory unchanged.  Each
+    record holds the errors and gradient norm of its own state, not of a
+    later pass through the same workspace."""
+    import rigidflex.control as control
+    import rigidflex.integrator as integrator
+
+    written = []
+    kernel = control._edge_kernel
+
+    def recording_kernel(*args):
+        out = kernel(*args)
+        written.extend(a for a in (*out, *args[3:4], *(args[4] if len(args) > 4 else ()))
+                       if isinstance(a, np.ndarray))
+        return out
+
+    monkeypatch.setattr(control, "_edge_kernel", recording_kernel)
+    monkeypatch.setattr(integrator, "_edge_kernel", recording_kernel)
+    g = tetrahedron_flex()
+    rng = np.random.default_rng(11)
+    starts = [desired_equilibrium(g) + 0.1 * rng.standard_normal((g.num_nodes, 3))
+              for _ in range(2)]
+    spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([6.0, 6.0, 6.0]))
+
+    def results(p0):
+        traj = integrate(p0, g, family, t_end=0.02, dt=1e-3, leader=spec, record_every=3)
+        st = control.edge_states(p0, g, family)
+        return [traj.times, traj.states, traj.edge_errors, traj.grad_norms, traj.final_state,
+                st.z, st.e, st.g, st.rho, st.u, control.gradient_control(p0, g, family),
+                np.asarray(potential_value(p0, g, family))]
+
+    first = results(starts[0])
+    kept = [a.copy() for a in first]
+    for state, e, gnorm in zip(*first[1:4]):
+        np.testing.assert_array_equal(e, control.edge_states(state, g, family).e, strict=True)
+        assert gnorm == np.linalg.norm(control.gradient_control(state, g, family))
+    mark = len(written)
+    results(starts[1])
+    assert len(written) > mark
+    for a in first:
+        assert not any(np.shares_memory(a, b) for b in written[mark:])
+    for a, b in zip(first, kept):
+        np.testing.assert_array_equal(a, b, strict=True)
+
+
 def reference_rk4(p0, graph, family, t_end, dt, leader, eq_tol):
     """Fixed-step classical RK4 on the public leader_control, with the event
-    rules of integrate checked after every step: (states, event log)."""
+    rules of integrate checked after every step: (states, event log).  The
+    stages are combined as (h / 6) (1, 2, 2, 1) K, one product over the
+    stage stack K, so the states match integrate's bit for bit."""
     d = graph.dimension
     p, t = np.asarray(p0, dtype=float).reshape(-1), 0.0
     states, log = [p], []
@@ -214,7 +265,7 @@ def reference_rk4(p0, graph, family, t_end, dt, leader, eq_tol):
         k2 = f(t + 0.5 * h, p + 0.5 * h * k1)
         k3 = f(t + 0.5 * h, p + 0.5 * h * k2)
         k4 = f(t + h, p + h * k3)
-        p, t = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), t + h
+        p, t = p + (h / 6.0) * np.dot((1.0, 2.0, 2.0, 1.0), np.stack([k1, k2, k3, k4])), t + h
         states.append(p)
         residual = float(balance_residuals(p, graph, family).max())
         if eq_armed and residual < eq_tol:
@@ -243,8 +294,8 @@ def test_integrate_matches_reference_rk4_on_public_control(graph, family, mode):
     ref_states, ref_log = reference_rk4(p0, graph, family, 0.3, 1e-3, leader, eq_tol=0.1)
     traj = integrate(p0, graph, family, t_end=0.3, dt=1e-3, leader=leader,
                      record_every=1, eq_tol=0.1)
-    assert len(ref_states) == 301 and traj.states.shape == ref_states.shape
-    assert np.abs(traj.states - ref_states).max() <= 1e-12 * np.abs(ref_states).max()
+    assert len(ref_states) == 301
+    np.testing.assert_array_equal(traj.states, ref_states, strict=True)
     assert traj.events == ref_log
 
 
@@ -269,10 +320,11 @@ def test_infinite_lyapunov_value_at_finite_positions_raises():
     """V = inf at finite positions stops the run like a non-finite state: a
     family whose energy is infinite past e = 5, with the flex agent pushed
     out by a windowed leader until its edge crosses that level."""
-    def phi(e, dbar):
-        return np.where(e > 5.0, np.inf, QUADRATIC.phi(e, dbar))
+    def bind(dbar):
+        phi, g, rho = QUADRATIC.bind(dbar)
+        return (lambda e: np.where(e > 5.0, np.inf, phi(e)), g, rho)
 
-    capped = PotentialFamily("capped", phi, QUADRATIC.g, QUADRATIC.rho)
+    capped = PotentialFamily("capped", bind)
     g = triangle_flex()
     spec = LeaderSpec(mode="windowed", v=lambda t: np.array([50.0, 0.0]), t0=0.0, tf=1.0)
     with pytest.raises(IntegrationError, match="inf") as info:

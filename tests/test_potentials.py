@@ -1,5 +1,7 @@
 """Potential-family conditions and derivative consistency."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -77,23 +79,15 @@ def test_get_family():
 def test_validator_catches_sign_violation():
     # g = e^3 has rho = 3e^2 which vanishes at 0 and g is not strictly
     # increasing in the derivative sense; the validator must flag it
-    bad = PotentialFamily(
-        name="cubic",
-        phi=lambda e, dbar: 0.25 * np.asarray(e) ** 4,
-        g=lambda e, dbar: np.asarray(e) ** 3,
-        rho=lambda e, dbar: 3.0 * np.asarray(e) ** 2,
-    )
+    bad = PotentialFamily("cubic", lambda dbar: (lambda e: 0.25 * e**4, lambda e: e**3,
+                                                 lambda e: 3.0 * e**2))
     problems = validate_family(bad, DBAR)
     assert any("rho" in p for p in problems)
 
 
 def test_validator_catches_wrong_sign_g():
-    bad = PotentialFamily(
-        name="flipped",
-        phi=lambda e, dbar: 0.5 * np.asarray(e) ** 2,
-        g=lambda e, dbar: -np.asarray(e),
-        rho=lambda e, dbar: np.ones_like(np.asarray(e, dtype=float)),
-    )
+    bad = PotentialFamily("flipped", lambda dbar: (lambda e: 0.5 * e**2, lambda e: -e,
+                                                   np.ones_like))
     problems = validate_family(bad, DBAR)
     assert problems  # not increasing and wrong sign
 
@@ -107,7 +101,8 @@ def closed_forms(e, dbar):
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
 def test_evaluators_equal_closed_forms_exactly(family):
-    """Array, per-edge dbar and scalar evaluation, including the coincidence
+    """Array, per-edge dbar and scalar evaluation, and the evaluators bound
+    to fixed desired lengths as a column, including the coincidence
     boundary e = -dbar^2, reproduce the closed forms bit for bit.  Scalars
     are compared with the closed forms on scalars: numpy rounds a scalar
     power differently from an array power."""
@@ -117,11 +112,23 @@ def test_evaluators_equal_closed_forms_exactly(family):
     assert np.count_nonzero(e == -(dbar**2)) == len(bars)
     with np.errstate(divide="ignore", invalid="ignore"):
         expected = closed_forms(e, dbar)[family.name]
+        bound = family.bind(dbar[:, None])
         for k, (fn, want) in enumerate(zip((family.phi, family.g, family.rho), expected)):
             np.testing.assert_array_equal(fn(e, dbar), want)
+            np.testing.assert_array_equal(bound[k](e[:, None]), want[:, None], strict=True)
             np.testing.assert_array_equal(fn(e[41:82], DBAR), want[41:82])
             for i in range(0, len(e), 5):
                 got = fn(float(e[i]), float(dbar[i]))
                 assert np.ndim(got) == 0
                 np.testing.assert_array_equal(
                     got, closed_forms(np.asarray(e[i]), np.asarray(dbar[i]))[family.name][k])
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+def test_family_survives_pickling(family):
+    """A built-in family pickles by reference, so it can be sent to a worker
+    process, and evaluates the same after the round trip."""
+    copy = pickle.loads(pickle.dumps(family))
+    e = np.linspace(-0.9, 3.0, 9) * DBAR**2
+    for a, b in zip((family.phi, family.g, family.rho), (copy.phi, copy.g, copy.rho)):
+        np.testing.assert_array_equal(a(e, DBAR), b(e, DBAR))
