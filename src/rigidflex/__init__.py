@@ -12,9 +12,7 @@ from .control import (
     balance_residuals,
     edge_states,
     gradient_control,
-    leader_control,
     leader_spec_from_json,
-    local_frame_control,
     potential_value,
 )
 from .graph import (
@@ -61,7 +59,6 @@ from .stability import (
     analyze,
     assemble_hessian,
     classify,
-    psd_check,
     verify_angle_inequalities,
 )
 

@@ -1,9 +1,11 @@
-"""Gradient control law, local-frame form, and the leader-augmented variant.
+"""Gradient control law and the flex agent's leader input.
 
 Convention: the shape potential is V(p) = 1/2 * sum_edges phi(e), chosen so
 that the per-agent control u_i = -sum_j g_ij z_ij is exactly the negative
 gradient of V (with e = ||z||^2 - dbar^2, grad_p_i phi(e_ij) = 2 g_ij z_ij).
 Scaling V leaves trajectories, equilibria, and stability verdicts unchanged.
+``LeaderSpec`` owns the closed loop's one leader law: the input it adds to
+the flex agent's control, its target potential and its arrival test.
 """
 
 from __future__ import annotations
@@ -86,19 +88,11 @@ def edge_states(p, graph: FormationGraph, family: PotentialFamily) -> EdgeState:
     return EdgeState(z=z, e=e.ravel(), g=g.ravel(), rho=bound[2](e).ravel(), u=u)
 
 
-def _lyapunov(pos: np.ndarray, e: np.ndarray, phi, spec: LeaderSpec | None) -> float:
-    """V = 1/2 sum phi(e) for the (m, 1) column e and the bound phi, plus
-    (k_f/2) ||p_t - p_flex||^2 in target mode."""
-    v = 0.5 * float(phi(e).sum())
-    if spec is not None and spec.mode == "target":
-        v += 0.5 * spec.k_f * float(((spec.p_t - pos[-1]) ** 2).sum())
-    return v
-
-
 @_ignore_fp
 def potential_value(p, graph: FormationGraph, family: PotentialFamily) -> float:
+    """V = 1/2 sum phi(e) at a realization."""
     pos, bound = as_positions(p, graph), family.bind(graph._dbar_col)
-    return _lyapunov(pos, _edge_kernel(pos, graph, bound)[1], bound[0], None)
+    return 0.5 * float(bound[0](_edge_kernel(pos, graph, bound)[1]).sum())
 
 
 def balance_residuals(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
@@ -113,22 +107,10 @@ def gradient_control(p, graph: FormationGraph, family: PotentialFamily) -> np.nd
     return _edge_kernel(as_positions(p, graph), graph, family.bind(graph._dbar_col))[3].reshape(-1)
 
 
-def local_frame_control(neighbor_offsets, g_values) -> np.ndarray:
-    """Control of one agent from measurements in its own frame.
-
-    ``neighbor_offsets`` holds the relative positions p_i - p_j expressed in
-    the agent's rotated frame, one row per neighbor; ``g_values`` the matching
-    potential gradients.  No alignment between agents' frames is needed: the
-    result equals the rotated global-frame control block.
-    """
-    offsets = np.atleast_2d(np.asarray(neighbor_offsets, dtype=float))
-    g = np.asarray(g_values, dtype=float)
-    return -(g[:, None] * offsets).sum(axis=0)
-
-
 @dataclass(frozen=True)
 class LeaderSpec:
-    """Additional flex-agent input.
+    """Additional flex-agent input, the one leader law of the closed loop.
+    Its methods take an (N+1, d) state or a (..., N+1, d) stack of them.
 
     mode 'none'     : plain gradient law.
     mode 'windowed' : v(t) active only on [t0, tf], zero outside.
@@ -149,18 +131,40 @@ class LeaderSpec:
             if self.v is None or not np.isfinite([self.t0, self.tf]).all() or self.tf < self.t0:
                 raise ValueError("windowed mode needs v(t) and a finite window [t0, tf]")
         if self.mode == "target":
-            if not 0 < self.k_f < np.inf or self.p_t is None:      # False for NaN
-                raise ValueError("target mode needs a finite k_f > 0 and a target point")
-            object.__setattr__(self, "p_t", np.asarray(self.p_t, dtype=float))
+            object.__setattr__(self, "p_t", np.asarray(self.p_t, dtype=float))    # NaN for None
+            if not (0 < self.k_f < np.inf and np.isfinite(self.p_t).all()):     # False for NaN
+                raise ValueError("target mode needs a finite k_f > 0 and a finite target point")
 
-    def flex_input(self, t: float, p_flex: np.ndarray) -> np.ndarray:
-        if self.mode == "windowed":
-            if self.t0 <= t <= self.tf:
-                return np.asarray(self.v(t), dtype=float)
-            return np.zeros_like(p_flex)
+    def check(self, dimension: int) -> LeaderSpec:
+        """This spec; ValueError unless a target point has ``dimension`` coordinates."""
+        if self.mode == "target" and self.p_t.shape != (dimension,):
+            raise ValueError(f"target p_t must be {dimension} finite coordinates")
+        return self
+
+    def add_input(self, t: float, state: np.ndarray, u: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
+        """Add the input at time t in place to the flex rows of the control ``u``
+        at ``state`` and return ``u``: target mode as u + k_f (p_t - p_flex),
+        its pull formed in the (..., d) scratch ``out`` when given."""
         if self.mode == "target":
-            return self.k_f * (self.p_t - p_flex)
-        return np.zeros_like(p_flex)
+            flex, pull = u[..., -1, :], np.subtract(self.p_t, state[..., -1, :], out)
+            np.add(flex, np.multiply(self.k_f, pull, pull), flex)
+        elif self.mode == "windowed" and self.t0 <= t <= self.tf:
+            flex = u[..., -1, :]
+            np.add(flex, self.v(t), flex)
+        return u
+
+    def potential(self, state: np.ndarray):
+        """(k_f/2) ||p_t - p_flex||^2 per state in target mode, else 0.0."""
+        if self.mode != "target":
+            return 0.0
+        return 0.5 * self.k_f * ((self.p_t - state[..., -1, :]) ** 2).sum(axis=-1)
+
+    def arrived(self, state: np.ndarray):
+        """Per state, whether the flex agent is within 1e-3 of p_t; False outside target mode."""
+        if self.mode != "target":
+            return False
+        return np.linalg.norm(state[..., -1, :] - self.p_t, axis=-1) < 1e-3
 
 
 def leader_spec_from_json(doc, dimension: int) -> LeaderSpec:
@@ -172,15 +176,13 @@ def leader_spec_from_json(doc, dimension: int) -> LeaderSpec:
     if mode == "none":
         return LeaderSpec()
     if mode == "target":
-        p_t = np.asarray(doc["p_t"], dtype=float)
-        if p_t.shape != (dimension,) or not np.isfinite(p_t).all():
-            raise ValueError(f"target p_t must be {dimension} finite coordinates")
-        return LeaderSpec(mode="target", k_f=float(doc["k_f"]), p_t=p_t)
+        return LeaderSpec(mode="target", k_f=float(doc["k_f"]), p_t=doc["p_t"]).check(dimension)
     if mode == "windowed":
         samples = np.asarray(doc["v"], dtype=float)
-        if samples.ndim != 2 or samples.shape[1] != 1 + dimension or not np.isfinite(samples).all():
+        if (samples.ndim != 2 or samples.shape[1] != 1 + dimension
+                or not np.isfinite(samples).all() or (np.diff(samples[:, 0]) <= 0).any()):
             raise ValueError(f"windowed v must be a non-empty list of finite [t, {dimension} "
-                             f"velocity components] rows")
+                             f"velocity components] rows, t strictly increasing")
         times, values = samples[:, 0], samples[:, 1:]
 
         def v(t, times=times, values=values):
@@ -191,13 +193,3 @@ def leader_spec_from_json(doc, dimension: int) -> LeaderSpec:
         return LeaderSpec(mode="windowed", v=v, t0=float(doc["t0"]), tf=float(doc["tf"]))
     raise ValueError(f"unknown leader mode {mode!r}")
 
-
-def leader_control(p, t: float, graph: FormationGraph, family: PotentialFamily,
-                   spec: LeaderSpec) -> np.ndarray:
-    """Gradient control plus the leader input injected into the flex block."""
-    u = gradient_control(p, graph, family)
-    if spec.mode != "none":
-        d = graph.dimension
-        pos = as_positions(p, graph)
-        u[-d:] += spec.flex_input(t, pos[-1])
-    return u

@@ -1,9 +1,8 @@
 """Closed-loop simulation of the single-integrator formation dynamics.
 
 A single fixed-step classical Runge-Kutta (RK4) loop, with exact clamping
-onto scheduled event times.  Along every run the relevant Lyapunov quantity
-(V, or the composite target potential in leader-target mode) is monitored
-step by step.
+onto scheduled event times.  Along every run the Lyapunov quantity, V plus
+the leader's target potential, is monitored step by step.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _edge_kernel, _ignore_fp, _lyapunov, _workspace
+from .control import EQ_TOL, LeaderSpec, _edge_kernel, _ignore_fp, _workspace
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
@@ -127,7 +126,9 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     Scheduled perturbations are applied as instantaneous state jumps at
     exactly their stated times (step clamping).  The returned trajectory
     carries an event log (equilibrium detection, perturbations, target
-    arrival) and the worst per-step increase of the Lyapunov quantity.
+    arrival) and the worst per-step increase of V + ``leader.potential``.
+    The velocity is the gradient control plus ``leader.add_input``; a target
+    point that is not d coordinates raises ValueError before the first step.
 
     The state is an (N+1, d) array, the edge kernel's layout.  The loop
     runs the kernel once per accepted state and reuses that pass as the next
@@ -150,35 +151,25 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if not (dt > 0 and record_every >= 1):
         raise ValueError("dt must be positive and record_every at least 1")
-    leader = leader or LeaderSpec()
     n, d = graph.num_nodes, graph.dimension
+    leader = (leader or LeaderSpec()).check(d)
     p = as_positions(p0, graph).astype(float, order="C")
     spare = np.empty((n, d))        # the state buffer the next step writes
     stack = np.empty((4, n, d))     # RK4 stages; row 0 holds the accepted state's pass
     rows = (*stack, stack.reshape(4, -1))     # its rows, and K for _rk4_step
     scratch = np.empty((n, d))      # RK4 stage state
-    pull = np.empty(d)              # target mode's leader input
+    pull = np.empty(d)              # scratch of leader.add_input
     bound, ws = family.bind(graph._dbar_col), _workspace(graph)    # once per call
     k1 = stack[0]
 
-    def drive(t, state, u):
-        """Closed-loop velocity: adds the leader input to u in place, in
-        target mode as u + k_f (p_t - p_flex)."""
-        if leader.mode == "target":
-            np.multiply(leader.k_f, np.subtract(leader.p_t, state[-1], pull), pull)
-            np.add(u[-1], pull, u[-1])
-        elif leader.mode == "windowed" and leader.t0 <= t <= leader.tf:
-            np.add(u[-1], leader.v(t), u[-1])
-        return u
-
     def stage(t, state, out):
-        return drive(t, state, _edge_kernel(state, graph, bound, out, ws)[3])
+        return leader.add_input(t, state, _edge_kernel(state, graph, bound, out, ws)[3], pull)
 
     def evaluate(state):
         """Kernel pass at an accepted state, its control written into ``k1``:
         squared errors (a workspace column), control, Lyapunov value."""
         _, e, _, u = _edge_kernel(state, graph, bound, k1, ws)
-        return e, u, _lyapunov(state, e, bound[0], leader)
+        return e, u, 0.5 * float(bound[0](e).sum()) + leader.potential(state)
 
     def guard(w, t_w, t, state):
         """Raise unless the Lyapunov value w reached at t_w is finite; the
@@ -206,7 +197,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     log: list[tuple[float, str]] = []
     max_dv = -np.inf
     eq_armed = True
-    target_armed = leader.mode == "target"
+    target_armed = True
 
     def record(t, state, e, u):
         times.append(t)
@@ -222,7 +213,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             eq_armed = False
         elif not eq_armed and residual > 100.0 * eq_tol:
             eq_armed = True
-        if target_armed and np.linalg.norm(state[-1] - leader.p_t) < 1e-3:
+        if target_armed and leader.arrived(state):
             log.append((t, "target_reached"))
             target_armed = False
 
@@ -235,7 +226,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         step_count = 0
         while boundary - t > 1e-12:
             h = min(dt, boundary - t)
-            drive(t, p, k1)
+            leader.add_input(t, p, k1, pull)
             p_new = _rk4_step(stage, t, p, h, rows, scratch, spare)
             e, u, w = evaluate(p_new)
             guard(w, t + h, t, p)

@@ -93,21 +93,6 @@ def _aligned_last_block(h: np.ndarray, r) -> np.ndarray:
     return np.einsum("a,iajb,b->ij", r, h.reshape(n, d, n, d), r)
 
 
-def _psd_verdict(spectrum: np.ndarray, eig_tol: float | None = None):
-    """(min eigenvalue, PSD verdict) of an ascending spectrum."""
-    if eig_tol is None:
-        eig_tol = 1e-8 * max(abs(spectrum[0]), abs(spectrum[-1]), 1.0)
-    return float(spectrum[0]), bool(spectrum[0] >= -eig_tol)
-
-
-def psd_check(matrix: np.ndarray):
-    """(min eigenvalue, PSD verdict) at the tolerance 1e-8 * ||H||_2."""
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.allclose(matrix, matrix.T, atol=1e-10 * max(1.0, np.abs(matrix).max())):
-        raise ValueError("psd_check expects a symmetric matrix")
-    return _psd_verdict(np.linalg.eigvalsh(matrix))
-
-
 # ---------------------------------------------------------------------------
 # Geometry helpers
 
@@ -609,7 +594,9 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     if finite_h:
         spectrum = np.linalg.eigvalsh(h)
         block_spectrum = None if block is None else np.linalg.eigvalsh(block)
-        min_eig, is_psd = _psd_verdict(spectrum, eig_tol)
+        if eig_tol is None:
+            eig_tol = 1e-8 * max(abs(spectrum[0]), abs(spectrum[-1]), 1.0)
+        min_eig, is_psd = float(spectrum[0]), bool(spectrum[0] >= -eig_tol)
     else:
         # non-finite coordinates: no finite spectrum exists
         spectrum = None

@@ -18,12 +18,13 @@ import numpy as np
 import pytest
 
 from rigidflex.cli import _resolve_scenario
-from rigidflex.control import edge_states, gradient_control, local_frame_control, leader_spec_from_json
+from rigidflex.control import edge_states, gradient_control, leader_spec_from_json
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.integrator import integrate, random_perturbation
 from rigidflex.oracle import build_catalog, construct_equilibrium, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
 from rigidflex.stability import analyze, assemble_hessian, verify_angle_inequalities
+from references import local_frame_control
 
 EPS_EIG_REL = 1e-8
 WITNESS_MARGIN = 1e-10

@@ -121,6 +121,8 @@ def test_run_bad_scenario_is_config_error(tmp_path):
         ("flat_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [1, 2, 3]}),
         ("nan_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [[0.0, float("nan"), 0.0]]}),
         ("nan_t0", {"mode": "windowed", "t0": float("nan"), "tf": 0.01, "v": [[0.0, 1.0, 0.0]]}),
+        ("unsorted_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01,
+                        "v": [[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 5.0, 5.0]]}),
         ("nan_k_f", {"mode": "target", "k_f": float("nan"), "p_t": [0.0, 0.0]}),
         ("scalar_p_t", {"mode": "target", "k_f": 1.0, "p_t": 1}),
         ("3d_p_t", {"mode": "target", "k_f": 1.0, "p_t": [0.0, 0.0, 0.0]}))),
@@ -131,7 +133,7 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
     with its default.  A graph with a NaN or infinite desired distance, or
     one whose square or (100 dbar^2)^2 overflows, is malformed; so are a NaN or infinite
     t_end and a leader document whose samples, gain or target do not fit
-    the graph.  Each exits before the first step, with no output written."""
+    the graph, or whose sample times do not increase strictly.  Each exits before the first step, with no output written."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":
         real = tmp_path / "real.json"

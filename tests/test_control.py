@@ -10,13 +10,12 @@ from rigidflex.control import (
     balance_residuals,
     edge_states,
     gradient_control,
-    leader_control,
     leader_spec_from_json,
-    local_frame_control,
     potential_value,
 )
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.potentials import QUADRATIC, RATIONAL
+from references import leader_control, local_frame_control
 
 RNG = np.random.default_rng(42)
 
@@ -112,29 +111,62 @@ def test_coincident_edge_contributes_no_force():
     assert np.all(np.isfinite(u))
 
 
+def leader_input(spec, t, state):
+    """The input that ``spec.add_input`` adds to a zero control at ``state``."""
+    return spec.add_input(t, state, np.zeros_like(state))
+
+
 def test_target_leader_input_value():
     spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([10.0, 10.0]))
-    v = spec.flex_input(0.0, np.array([0.0, 9.228]))
-    np.testing.assert_allclose(v, [50.0, 3.86])
+    state = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [0.0, 9.228]])
+    np.testing.assert_allclose(leader_input(spec, 0.0, state)[-1], [50.0, 3.86])
+    assert spec.potential(state) == pytest.approx(0.5 * 5.0 * (10.0**2 + 0.772**2))
+    assert not spec.arrived(state)
+    state[-1] = [10.0, 10.0 - 9e-4]
+    assert spec.arrived(state)
 
 
 def test_windowed_leader_switches_off():
     spec = leader_spec_from_json(
         {"mode": "windowed", "t0": 1.0, "tf": 2.0,
          "v": [[1.0, 0.5, -0.5], [1.5, 1.0, 0.0]]}, 2)
-    np.testing.assert_allclose(spec.flex_input(1.2, np.zeros(2)), [0.5, -0.5])
-    np.testing.assert_allclose(spec.flex_input(1.7, np.zeros(2)), [1.0, 0.0])
-    np.testing.assert_allclose(spec.flex_input(2.5, np.zeros(2)), [0.0, 0.0])
+    state = np.zeros((4, 2))
+    np.testing.assert_allclose(leader_input(spec, 1.2, state)[-1], [0.5, -0.5])
+    np.testing.assert_allclose(leader_input(spec, 1.7, state)[-1], [1.0, 0.0])
+    np.testing.assert_allclose(leader_input(spec, 2.5, state)[-1], [0.0, 0.0])
+    assert spec.potential(state) == 0.0 and not spec.arrived(state)
 
 
 def test_leader_only_drives_flex_agent():
     g = triangle_flex()
     p = random_positions(g)
     spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([10.0, 10.0]))
-    u_plain = gradient_control(p, g, QUADRATIC)
-    u_led = leader_control(p, 0.0, g, QUADRATIC, spec)
-    np.testing.assert_allclose(u_led[:-2], u_plain[:-2], atol=1e-12)
-    assert not np.allclose(u_led[-2:], u_plain[-2:])
+    u_plain = gradient_control(p, g, QUADRATIC).reshape(4, 2)
+    u_led = spec.add_input(0.0, p, u_plain.copy())
+    np.testing.assert_array_equal(u_led[:-1], u_plain[:-1])
+    np.testing.assert_array_equal(u_led.reshape(-1), leader_control(p, 0.0, g, QUADRATIC, spec))
+    assert not np.allclose(u_led[-1], u_plain[-1])
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()], ids=["2d", "3d"])
+@pytest.mark.parametrize("mode", ["windowed", "target"])
+def test_leader_law_on_a_stack_matches_single_states(graph, mode):
+    """On a (K, N+1, d) stack the leader law equals K single-state calls
+    bit for bit, and leaves every non-flex row untouched."""
+    rng = np.random.default_rng(11)
+    d = graph.dimension
+    spec = {"windowed": LeaderSpec(mode="windowed", v=lambda t: np.full(d, 0.25 * t), t0=0.0,
+                                   tf=1.0),
+            "target": LeaderSpec(mode="target", k_f=5.0, p_t=rng.uniform(-5, 5, d))}[mode]
+    states = rng.uniform(-5, 5, (7, graph.num_nodes, d))
+    controls = rng.standard_normal(states.shape)
+    stacked = spec.add_input(0.5, states, controls.copy(), np.empty((7, d)))
+    single = np.array([spec.add_input(0.5, s, c.copy()) for s, c in zip(states, controls)])
+    np.testing.assert_array_equal(stacked, single, strict=True)
+    np.testing.assert_array_equal(stacked[:, :-1], controls[:, :-1], strict=True)
+    np.testing.assert_array_equal(spec.potential(states),
+                                  [spec.potential(s) for s in states], strict=mode == "target")
+    np.testing.assert_array_equal(spec.arrived(states), [spec.arrived(s) for s in states])
 
 
 def test_leader_mode_validation():

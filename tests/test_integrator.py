@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from rigidflex.control import LeaderSpec, balance_residuals, leader_control, potential_value
+from rigidflex.control import LeaderSpec, balance_residuals, potential_value
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.integrator import (
     IntegrationError,
@@ -18,6 +18,7 @@ from rigidflex.integrator import (
 )
 from rigidflex.oracle import desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
+from references import leader_control
 
 
 def test_desired_start_is_constant_trajectory():
@@ -99,6 +100,16 @@ def test_step_settings_rejected(settings, match):
     g = triangle_flex()
     with pytest.raises(ValueError, match=match):
         integrate(desired_equilibrium(g), g, QUADRATIC, **{"t_end": 1.0, **settings})
+
+
+@pytest.mark.parametrize("p_t", [[10.0], 10.0, [10.0, 10.0, 10.0], [[10.0, 10.0]]])
+def test_target_point_of_the_wrong_shape_rejected(p_t):
+    """A target point that is not d coordinates is refused before the first
+    step, not broadcast against the flex agent's position."""
+    g = triangle_flex()
+    spec = LeaderSpec(mode="target", k_f=5.0, p_t=p_t)
+    with pytest.raises(ValueError, match="target p_t"):
+        integrate(desired_equilibrium(g), g, QUADRATIC, t_end=1.0, leader=spec)
 
 
 def test_import_leaves_scipy_integrate_unloaded():
@@ -247,7 +258,7 @@ def test_results_share_no_memory_with_buffers_of_later_calls(monkeypatch, family
 
 
 def reference_rk4(p0, graph, family, t_end, dt, leader, eq_tol):
-    """Fixed-step classical RK4 on the public leader_control, with the event
+    """Fixed-step classical RK4 on the reference leader_control, with the event
     rules of integrate checked after every step: (states, event log).  The
     stages are combined as (h / 6) (1, 2, 2, 1) K, one product over the
     stage stack K, so the states match integrate's bit for bit."""

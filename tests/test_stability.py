@@ -27,9 +27,9 @@ from rigidflex.stability import (
     _witness,
     assemble_hessian,
     classify,
-    psd_check,
     verify_angle_inequalities,
 )
+from references import psd_check
 
 RNG = np.random.default_rng(7)
 
