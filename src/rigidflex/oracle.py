@@ -15,15 +15,24 @@ equilibrium is detected.
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes where
 asked, rejects points outside the family's domain and classifies.
+
+Only the two root-finders need scipy, so ``scipy.optimize`` is imported on
+the first call of ``brentq`` or ``root``, not with this module: importing
+rigidflex, running a scenario, ``analyze``, ``newton_polish`` and flow
+capture load no scipy.  ``brentq`` and ``root`` are fixed module attributes
+that never rebind themselves, and every solve looks them up at call time, so
+a caller may wrap ``oracle.root`` to count hybr seeds.  They are partials,
+not functions, so a tracer that wraps every public function of this module
+and then ``oracle.root`` counts each seed once.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq, root
 
 from .control import balance_residuals, gradient_control
 from .graph import FormationGraph, as_positions, simplex_gram
@@ -144,6 +153,16 @@ def flex_coincident_equilibrium(graph: FormationGraph) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Root-finding helpers
+
+
+def _scipy_optimize(name, *args, **kwargs):
+    """``scipy.optimize.<name>(*args, **kwargs)``, importing scipy on first use."""
+    import scipy.optimize
+    return getattr(scipy.optimize, name)(*args, **kwargs)
+
+
+brentq = partial(_scipy_optimize, "brentq")
+root = partial(_scipy_optimize, "root")
 
 
 def _bracketed_root(f, lo, hi):

@@ -1,8 +1,10 @@
 """Closed-loop integration: events, equilibrium detection, monotonicity."""
 
+import json
 import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from rigidflex.integrator import (
     integrate,
     random_perturbation,
 )
-from rigidflex.oracle import desired_equilibrium
+from rigidflex.oracle import build_catalog, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
 from references import leader_control
 
@@ -112,13 +114,36 @@ def test_target_point_of_the_wrong_shape_rejected(p_t):
         integrate(desired_equilibrium(g), g, QUADRATIC, t_end=1.0, leader=spec)
 
 
-def test_import_leaves_scipy_integrate_unloaded():
-    """The one RK4 loop needs no ODE solver: importing the package (and its
-    integrator) loads no scipy.integrate."""
-    code = ("import sys, rigidflex, rigidflex.integrator; "
-            "sys.exit('scipy.integrate' in sys.modules)")
+def test_scipy_loads_only_with_the_first_catalog():
+    """The one RK4 loop needs no ODE solver and only the oracle's root-finders
+    need scipy: in a fresh interpreter, importing the package and its CLI,
+    validate-potential, a short integrate, analyze and a Newton polish load
+    no scipy module; the first build_catalog then loads scipy.optimize and
+    returns its usual entries."""
+    code = textwrap.dedent("""\
+        import contextlib, io, json, sys
+        import rigidflex, rigidflex.cli
+        from rigidflex import analyze, build_catalog, desired_equilibrium, integrate
+        from rigidflex import newton_polish, triangle_flex
+        from rigidflex.potentials import QUADRATIC
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert rigidflex.cli.main(["validate-potential", "quadratic"]) == 0
+        g = triangle_flex()
+        p = desired_equilibrium(g)
+        integrate(p, g, QUADRATIC, t_end=0.05)
+        assert analyze(p, g, QUADRATIC).classification.kind == "desired"
+        newton_polish(p, g, QUADRATIC)
+        loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        assert not loaded, loaded
+        entries, failures = build_catalog(g, QUADRATIC)
+        assert "scipy.optimize" in sys.modules
+        print(json.dumps([[e.subform or e.kind for e in entries], sorted(failures)]))
+    """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    entries, failures = build_catalog(triangle_flex(), QUADRATIC)
+    assert json.loads(proc.stdout) == [[e.subform or e.kind for e in entries], sorted(failures)]
 
 
 def test_target_leader_run_reaches_target():

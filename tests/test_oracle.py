@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import json
 import math
 import warnings
@@ -459,3 +460,24 @@ def test_multi_gap_roots_lie_in_the_box(graph, family):
                         and min(slots[i - 1], slots[j - 1]) <= k < max(slots[i - 1], slots[j - 1])]
             assert 0.0 < gap <= max(crossing), (name, k)
     assert roots
+
+
+@pytest.mark.parametrize("graph, family, seeds", [
+    (triangle_flex(), QUADRATIC, 1), (triangle_flex(), RATIONAL, 1),
+    (tetrahedron_flex(), QUADRATIC, 11), (tetrahedron_flex(), RATIONAL, 1),
+    (TAILORED, QUADRATIC, 8), (TAILORED, RATIONAL, 1),
+], ids=["triangle-quadratic", "triangle-rational", "tetrahedron-quadratic",
+        "tetrahedron-rational", "tailored-quadratic", "tailored-rational"])
+def test_catalog_seeds_go_through_oracle_root(graph, family, seeds, monkeypatch):
+    """bench/spans.py wraps every public function of rigidflex.oracle and then
+    wraps ``oracle.root`` again, to count one span per hybr seed.  So every
+    seed must look ``oracle.root`` up at call time, and ``oracle.root`` must
+    not be a plain function, or the first pass would wrap it too and every
+    seed would count twice."""
+    import rigidflex.oracle as oracle
+
+    assert not inspect.isfunction(oracle.root)
+    assert not inspect.isfunction(oracle.brentq)
+    calls = counted_root(monkeypatch)
+    build_catalog(graph, family)
+    assert len(calls) == seeds
