@@ -77,7 +77,8 @@ def _parse_graph(doc) -> FormationGraph:
         raise ScenarioError(f"invalid graph: {exc}")
 
 
-def _parse_events(docs, dimension, default_seed):
+def _parse_events(docs, dimension):
+    """Perturbation events; a random one without a ``seed`` takes its index."""
     events = []
     for k, doc in enumerate(docs or ()):
         if "displacement" in doc:
@@ -85,7 +86,7 @@ def _parse_events(docs, dimension, default_seed):
                                             agent=int(doc["agent"]),
                                             displacement=np.asarray(doc["displacement"], dtype=float)))
         else:
-            seed = int(doc.get("seed", default_seed + k))
+            seed = int(doc.get("seed", k))
             events.append(random_perturbation(time=float(doc["time"]),
                                               agent=int(doc["agent"]),
                                               dimension=dimension,
@@ -116,13 +117,13 @@ def _cmd_run(args) -> int:
         p0 = _positions_from_doc(doc["initial"], graph)
         t_end = float(doc["t_end"])
         dt, record_every = float(doc.get("dt", 1e-3)), int(doc.get("record_every", 10))
-        events = _parse_events(doc.get("events"), graph.dimension, args.seed)
+        eq_tol = float(doc.get("eq_tol", EQ_TOL))
+        events = _parse_events(doc.get("events"), graph.dimension)
         leader = leader_spec_from_json(doc.get("leader"), graph.dimension)
         analyze_equilibria = bool(doc.get("analysis", {}).get("hessian_at_equilibria"))
     except (AttributeError, KeyError, TypeError, ValueError, GraphError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}")
 
-    eq_tol = args.tol_eq if args.tol_eq is not None else float(doc.get("eq_tol", EQ_TOL))
     traj = integrate(p0, graph, family, t_end, dt=dt, leader=leader, events=events,
                      record_every=record_every, eq_tol=eq_tol)
 
@@ -143,7 +144,7 @@ def _cmd_run(args) -> int:
                 polished = False
                 print(f"equilibrium at t={t_hit:g}: Newton polish failed, analysing "
                       f"the recorded state: {exc}", file=sys.stderr)
-            report = analyze(state, graph, family, eq_tol=eq_tol, eig_tol=args.tol_eig)
+            report = analyze(state, graph, family, eq_tol=eq_tol)
             _write_json(out / f"{stem}_equilibrium_{k:03d}.json",
                         {"time": float(t_hit), "polished": polished,
                          **report.to_json_dict()})
@@ -161,9 +162,7 @@ def _cmd_analyze(args) -> int:
     graph = _parse_graph(_load_json(args.graph))
     doc = _load_json(args.realization)
     p = _positions_from_doc(doc["positions"] if isinstance(doc, dict) else doc, graph)
-    family = get_family(args.family)
-    eq_tol = args.tol_eq if args.tol_eq is not None else EQ_TOL
-    report = analyze(p, graph, family, eq_tol=eq_tol, eig_tol=args.tol_eig)
+    report = analyze(p, graph, get_family(args.family))
     payload = report.to_json_dict()
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)
@@ -178,10 +177,9 @@ def _cmd_analyze(args) -> int:
 def _cmd_catalog(args) -> int:
     graph = _parse_graph(_load_json(args.graph))
     family = get_family(args.family)
-    subforms = args.subforms.split(",") if args.subforms else None
     try:
-        entries, failures = build_catalog(graph, family, subforms=subforms)
-    except OracleError as exc:              # an unknown subform or an uncertified graph
+        entries, failures = build_catalog(graph, family)
+    except OracleError as exc:              # an uncertified graph
         raise ScenarioError(str(exc))
 
     out = Path(args.out or ".")
@@ -242,43 +240,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Formation-control simulation and stability analysis")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def options(sp, *names):
-        """Add the shared options ``names``: each verb takes only those it reads."""
-        shared = {
-            "--out": dict(default=None, help="output directory"),
-            "--seed": dict(type=int, default=0, help="default RNG seed"),
-            "--tol-eig": dict(type=float, default=None,
-                              help="eigenvalue tolerance (default 1e-8 * ||H||)"),
-            "--tol-eq": dict(type=float, default=None,
-                             help="equilibrium balance tolerance"),
-        }
-        for name in names:
-            sp.add_argument(name, **shared[name])
-
     sp = sub.add_parser("run", help="simulate a scenario file or bundled name")
     sp.add_argument("scenario")
-    options(sp, "--out", "--seed", "--tol-eig", "--tol-eq")
+    sp.add_argument("--out", help="output directory")
     sp.set_defaults(func=_cmd_run)
 
     sp = sub.add_parser("analyze", help="stability report for a realization")
     sp.add_argument("realization", help="JSON file with positions")
     sp.add_argument("graph", help="graph JSON file")
     sp.add_argument("--family", default="quadratic", choices=sorted(FAMILIES))
-    options(sp, "--out", "--tol-eig", "--tol-eq")
+    sp.add_argument("--out", help="output directory (default: the report to stdout)")
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("catalog", help="undesired-equilibrium catalog")
     sp.add_argument("graph", help="graph JSON file")
     sp.add_argument("--family", default="quadratic", choices=sorted(FAMILIES))
-    sp.add_argument("--subforms", default=None,
-                    help="comma-separated subform names (default: all)")
-    options(sp, "--out")
+    sp.add_argument("--out", help="output directory")
     sp.set_defaults(func=_cmd_catalog)
 
     sp = sub.add_parser("validate-potential", help="check family conditions")
     sp.add_argument("family", choices=sorted(FAMILIES))
     sp.add_argument("--dbar", type=float, default=4.0)
-    options(sp, "--out")
+    sp.add_argument("--out", help="output directory")
     sp.set_defaults(func=_cmd_validate_potential)
     return parser
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,11 +55,12 @@ class FormationGraph:
             raise GraphError("desired distances must align with edges")
         # kernel passes subtract the cached squares; the potentials reach
         # e^2 ~ dbar^4 at the catalog's points and at validate_family's
-        # e = 100 dbar^2, so (100 dbar^2)^2 must be finite; False for NaN
-        if not all(db > 0 and 0 < db * db and 1e4 * db * db * db * db < math.inf
-                   for db in self.desired):
+        # e = 100 dbar^2, so dbar^4 must be a normal float (the rational g
+        # divides by it) and (100 dbar^2)^2 finite; False for NaN
+        if not all(db > 0 and sys.float_info.min <= db * db * db * db
+                   and 1e4 * db * db * db * db < math.inf for db in self.desired):
             raise GraphError("desired distances must be finite and strictly positive, "
-                             "with a nonzero square and a finite (100 dbar^2)^2")
+                             "with a normal dbar^4 and a finite (100 dbar^2)^2")
         flex = tuple(self.flex_edge)
         if flex != (n - 1, n):
             raise GraphError(f"flex edge must be ({n-1},{n}), got {flex}")
@@ -82,7 +84,6 @@ class FormationGraph:
         cols = np.stack([tails, heads, heads, tails], 1)[..., None, None] * d + axis
         for name, arr in (("_tails", tails), ("_heads", heads), ("_dbar", dbar[:, 0]),
                           ("_dbar_col", dbar), ("_dbar2", dbar2[:, 0]), ("_dbar2_col", dbar2),
-                          ("_incidence", incidence),
                           ("_incidence_t", np.ascontiguousarray(incidence.T)),
                           ("_neg_incidence", -incidence),
                           ("_hessian_index", (rows * (n * d) + cols).ravel())):

@@ -432,20 +432,17 @@ def capture_equilibrium_from_flow(p0, graph: FormationGraph,
 # Catalog assembly
 
 
-def build_catalog(graph: FormationGraph, family: PotentialFamily, subforms=None):
-    """Construct the flex-coincident and every requested degenerate equilibrium.
+def build_catalog(graph: FormationGraph, family: PotentialFamily):
+    """Construct the flex-coincident equilibrium and one of every subform.
 
     Returns (entries, failures): entries in a deterministic order, failures a
     name -> message map for constructions that did not succeed with this
-    distance set / family (reported, not raised).  An unknown subform name
-    raises OracleError.
+    distance set / family (reported, not raised).  An uncertified graph
+    raises OracleError; ``construct_equilibrium`` builds a single subform.
     """
     _require_certified(graph)
-    names = list(_LAYOUTS[graph.dimension]) if subforms is None else list(subforms)
-    for name in names:
-        _layout(graph, name)
     entries, failures = [], {}
-    for name in ["flex_coincident", *names]:
+    for name in ["flex_coincident", *_LAYOUTS[graph.dimension]]:
         try:
             if name == "flex_coincident":
                 entry = _finalize(flex_coincident_equilibrium(graph), graph, family,

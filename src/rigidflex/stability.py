@@ -23,8 +23,8 @@ makes one edge pass (``control.edge_states``) and hands it to the private
 ``classify`` and ``assemble_hessian`` are each one pass plus their private
 counterpart.  Tolerances are module constants: EQ_TOL from ``control``, and
 SHAPE_TOL, POS_TOL, GEOM_TOL, WITNESS_MARGIN and ZERO_TOL here, read at call
-time.  Only ``analyze`` takes tolerances per call, the CLI's ``--tol-eq``
-and ``--tol-eig``.
+time.  Only ``analyze`` takes one per call, ``eq_tol``, which a run reads
+from its scenario; the PSD tolerance is derived from H.
 """
 
 from __future__ import annotations
@@ -559,7 +559,7 @@ class StabilityReport:
 
 
 def analyze(p, graph: FormationGraph, family: PotentialFamily,
-            eq_tol: float = EQ_TOL, eig_tol: float | None = None) -> StabilityReport:
+            eq_tol: float = EQ_TOL) -> StabilityReport:
     """Full stability workup: classification, spectra, witness, sign claims.
 
     Witness construction and sign-property tables are only attempted for the
@@ -569,7 +569,8 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     witness and the block spectrum.  Raises WitnessNotFoundError when an
     undesired class on a certified graph has no witness, never a silent
     pass, and PotentialDomainError at finite positions where V is not finite
-    (the coincidence boundary of a family that diverges there).
+    (the coincidence boundary of a family that diverges there).  H is PSD
+    when lambda_min >= -1e-8 * max(|lambda_min|, |lambda_max|, 1).
     """
     pos = as_positions(p, graph)
     st = edge_states(pos, graph, family)
@@ -594,8 +595,7 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     if finite_h:
         spectrum = np.linalg.eigvalsh(h)
         block_spectrum = None if block is None else np.linalg.eigvalsh(block)
-        if eig_tol is None:
-            eig_tol = 1e-8 * max(abs(spectrum[0]), abs(spectrum[-1]), 1.0)
+        eig_tol = 1e-8 * max(abs(spectrum[0]), abs(spectrum[-1]), 1.0)
         min_eig, is_psd = float(spectrum[0]), bool(spectrum[0] >= -eig_tol)
     else:
         # non-finite coordinates: no finite spectrum exists

@@ -82,8 +82,8 @@ def test_run_constant_trajectory_from_desired_start(tmp_path):
 def test_run_outputs_are_deterministic(tmp_path):
     scen = small_scenario(tmp_path, events=[
         {"time": 0.02, "agent": 4, "magnitude": 0.01}])
-    main(["run", str(scen), "--out", str(tmp_path / "a"), "--seed", "3"])
-    main(["run", str(scen), "--out", str(tmp_path / "b"), "--seed", "3"])
+    main(["run", str(scen), "--out", str(tmp_path / "a")])
+    main(["run", str(scen), "--out", str(tmp_path / "b")])
     a = (tmp_path / "a" / "scenario_trajectory.csv").read_bytes()
     b = (tmp_path / "b" / "scenario_trajectory.csv").read_bytes()
     assert a == b
@@ -113,9 +113,11 @@ def test_run_bad_scenario_is_config_error(tmp_path):
     ("run", "t_ned", 1.0),
     *(pytest.param(verb, "graph", triangle_doc(value), id=f"{verb}-graph-{value}")
       for verb in ("analyze", "run")
-      for value in (float("nan"), float("inf"), 1e77, 1e100, 1e154, 1e160)),
+      for value in (float("nan"), float("inf"), 1e77, 1e100, 1e154, 1e160, 1e-78, 1e-90)),
     *(pytest.param("run", "t_end", value, id=f"run-t_end-{value}")
       for value in (float("nan"), float("inf"))),
+    *(pytest.param("run", "eq_tol", doc, id=f"run-eq_tol-{name}")
+      for name, doc in (("null", None), ("list", [1]), ("object", {"a": 1}))),
     *(pytest.param("run", "leader", doc, id=f"run-leader-{name}") for name, doc in (
         ("empty_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": []}),
         ("flat_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [1, 2, 3]}),
@@ -130,10 +132,12 @@ def test_run_bad_scenario_is_config_error(tmp_path):
 def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, field, doc):
     """Malformed input exits 2 with a one-line message, never a traceback.
     An unknown scenario key (a removed or misspelt one) is named, not run
-    with its default.  A graph with a NaN or infinite desired distance, or
-    one whose square or (100 dbar^2)^2 overflows, is malformed; so are a NaN or infinite
-    t_end and a leader document whose samples, gain or target do not fit
-    the graph, or whose sample times do not increase strictly.  Each exits before the first step, with no output written."""
+    with its default.  A graph with a NaN or infinite desired distance, or one
+    whose fourth power is not a normal float or whose (100 dbar^2)^2 overflows,
+    is malformed; so are a NaN or infinite t_end, an eq_tol that is not a
+    number and a leader document whose samples, gain or target do not fit
+    the graph, or whose sample times do not increase strictly.  Each exits
+    before the first step, with no output written."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":
         real = tmp_path / "real.json"
@@ -150,6 +154,8 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
     assert len(err) == 1 and err[0].startswith("configuration error")
     if isinstance(doc, dict) and "flex_edge" in doc:
         assert "desired distances must be finite" in err[0]
+    if field == "eq_tol":
+        assert err[0].startswith("configuration error: invalid scenario")
     if verb == "run" and field not in SCENARIO_KEYS | {"scenario"}:
         assert f"unknown key(s) {field}" in err[0]
     if verb == "run":
@@ -226,38 +232,28 @@ def test_catalog_computes_each_sign_table_row_once(tmp_path, graph_file, monkeyp
         for e in degenerate]
 
 
-def test_catalog_subform_selection(tmp_path, graph_file):
-    assert main(["catalog", str(graph_file), "--subforms", "all_coincident",
-                 "--out", str(tmp_path / "cat")]) == EXIT_OK
-    lines = (tmp_path / "cat" / "catalog.jsonl").read_text().splitlines()
-    subforms = {json.loads(x)["subform"] for x in lines}
-    assert subforms == {None, "all_coincident"}
-
-
 BAD_DESIRED = {"nan_desired": float("nan"), "infinite_desired": float("inf"),
                "huge_desired": 1e160, "huge_fourth_power_1e100": 1e100,
-               "huge_fourth_power_1e154": 1e154, "huge_phi_1e77": 1e77}
+               "huge_fourth_power_1e154": 1e154, "huge_phi_1e77": 1e77,
+               "subnormal_fourth_power_1e-78": 1e-78, "zero_fourth_power_1e-90": 1e-90}
 
 
-@pytest.mark.parametrize("case", ["unknown_subform", "uncertified_graph", *BAD_DESIRED])
-def test_catalog_malformed_input_is_config_error(tmp_path, graph_file, capsys, case):
-    """An unknown subform name, a graph outside the certified topologies or
-    a NaN or infinite desired distance, or one whose square or (100 dbar^2)^2
-    overflows, exits 2 before any output is written."""
-    argv = [str(graph_file), "--subforms", "square"]
+@pytest.mark.parametrize("case", ["uncertified_graph", *BAD_DESIRED])
+def test_catalog_malformed_input_is_config_error(tmp_path, capsys, case):
+    """A graph outside the certified topologies or a NaN or infinite desired
+    distance, or one whose fourth power is not a normal float or whose
+    (100 dbar^2)^2 overflows, exits 2 before any output is written."""
     path = tmp_path / "bad.json"
     if case == "uncertified_graph":
         path.write_text(json.dumps(graph_to_json(FormationGraph(
             num_nodes=3, dimension=2, edges=((1, 2), (2, 3)), desired=(4.0, 4.0),
             flex_edge=(2, 3)))))
-        argv = [str(path)]
-    elif case != "unknown_subform":
+    else:
         path.write_text(json.dumps(triangle_doc(BAD_DESIRED[case])))
-        argv = [str(path)]
-    assert main(["catalog", *argv, "--out", str(tmp_path / "cat")]) == EXIT_CONFIG
+    assert main(["catalog", str(path), "--out", str(tmp_path / "cat")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: ")
-    assert case.endswith("graph") or case.endswith("subform") or "desired distances" in err[0]
+    assert case.endswith("graph") or "desired distances" in err[0]
     assert not (tmp_path / "cat").exists()
 
 
@@ -298,6 +294,12 @@ def test_unknown_verb_is_config_error(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["run", "SCENARIO", "--format", "json"],
+    ["run", "SCENARIO", "--seed", "1"],
+    ["run", "SCENARIO", "--tol-eq", "0"],
+    ["run", "SCENARIO", "--tol-eig", "1e-6"],
+    ["analyze", "REALIZATION", "GRAPH", "--tol-eq", "0"],
+    ["analyze", "REALIZATION", "GRAPH", "--tol-eig", "1e-6"],
+    ["catalog", "GRAPH", "--subforms", "all_coincident"],
     ["analyze", "REALIZATION", "GRAPH", "--seed", "1"],
     ["catalog", "GRAPH", "--tol-eq", "0"],
     ["catalog", "GRAPH", "--seed", "1"],
@@ -307,7 +309,9 @@ def test_unknown_verb_is_config_error(capsys):
 ], ids=lambda argv: f"{argv[0]}{argv[-2]}")
 def test_verb_rejects_options_it_does_not_read(tmp_path, graph_file, capsys, argv):
     """Each verb takes only the options it reads; any other exits 2 before
-    the verb runs."""
+    the verb runs.  A run reads its tolerance and event seeds from its
+    scenario, analyze derives its PSD tolerance from H, and a catalog holds
+    every subform."""
     real = tmp_path / "real.json"
     real.write_text(json.dumps({"positions": desired_equilibrium(triangle_flex()).tolist()}))
     files = {"SCENARIO": small_scenario(tmp_path), "REALIZATION": real, "GRAPH": graph_file}
@@ -347,16 +351,6 @@ def test_run_rejects_bad_event_before_the_first_step(tmp_path, monkeypatch, caps
     assert calls == []
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error")
-
-
-def test_analyze_honours_zero_equilibrium_tolerance(tmp_path, graph_file, capsys):
-    real = tmp_path / "desired.json"
-    real.write_text(json.dumps({"positions": desired_equilibrium(triangle_flex()).tolist()}))
-    assert main(["analyze", str(real), str(graph_file)]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["class"] == "desired"
-    # a zero tolerance admits no realization as an equilibrium
-    assert main(["analyze", str(real), str(graph_file), "--tol-eq", "0"]) == EXIT_OK
-    assert json.loads(capsys.readouterr().out)["class"] == "not_equilibrium"
 
 
 def test_run_reports_failed_newton_polish(tmp_path, monkeypatch, capsys):

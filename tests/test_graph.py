@@ -59,15 +59,17 @@ def test_desired_distances_positive():
     with pytest.raises(GraphError):
         triangle_flex(desired=(4.0, 4.0, -1.0, 4.0))
     # NaN compares False with everything, so it needs its own rejection
-    # so is a length whose square, fourth power or (100 dbar^2)^2 overflows
-    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, 1e77, 1e100, 1e154, 1e160):
+    # so is a length whose square, fourth power or (100 dbar^2)^2 overflows,
+    # and one whose fourth power is subnormal (from about 1.22e-77 down) or 0
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, 1e77, 1e100, 1e154, 1e160,
+                1e-78, 1e-90):
         with pytest.raises(GraphError, match="finite and strictly positive"):
             triangle_flex(desired=(4.0, bad, 4.0, 4.0))
 
 
 def test_incidence_matrix_signs():
     g = triangle_flex()
-    b = g._incidence
+    b = -g._neg_incidence
     assert b.shape == (4, 4)
     # column of edge (1,2): +1 at node 1, -1 at node 2
     assert b[0, 0] == 1 and b[1, 0] == -1
@@ -80,8 +82,8 @@ def test_incidence_matrix_signs():
 
 def test_cached_arrays_are_read_only():
     g = tetrahedron_flex()
-    for arr in (g._tails, g._heads, g._dbar, g._dbar2, g._incidence, g._incidence_t,
-                g._neg_incidence, g._hessian_index):
+    for arr in (g._tails, g._heads, g._dbar, g._dbar2, g._incidence_t, g._neg_incidence,
+                g._hessian_index):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         g._hessian_index[0] = 0

@@ -277,7 +277,7 @@ def test_construct_rejects_unknown_subform():
     with pytest.raises(OracleError, match="unknown subform"):
         construct_equilibrium(triangle_flex(), QUADRATIC, "double_pair")
     with pytest.raises(OracleError, match="unknown subform"):
-        build_catalog(tetrahedron_flex(), QUADRATIC, subforms=["square"])
+        construct_equilibrium(tetrahedron_flex(), QUADRATIC, "square")
 
 
 def test_newton_polish_runs_two_kernel_passes_per_iteration(monkeypatch):
@@ -340,17 +340,31 @@ def test_rational_collinear_distinct_succeeds_on_its_first_seed(graph, monkeypat
 @pytest.mark.parametrize("subform", ["pair_endpoint_collinear", "pair_interior_collinear"])
 def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
     """A rigid edge inside one slot has zero length, where the rational g
-    diverges: the boundary failure comes before any hybr run.  The quadratic
-    family is finite there and still solves the layout."""
+    diverges: the boundary failure comes before any hybr run, alone and in
+    the full catalog.  The quadratic family is finite there and still solves
+    the layout."""
+    import rigidflex.oracle as oracle
+
     calls = counted_root(monkeypatch)
     with pytest.raises(OracleError, match="coincidence boundary"):
         construct_equilibrium(tetrahedron_flex(), RATIONAL, subform)
     assert calls == []
-    _, failures = build_catalog(tetrahedron_flex(), RATIONAL, subforms=[subform])
+    solves = {}                             # hybr runs per subform within build_catalog
+    construct = oracle.construct_equilibrium
+
+    def counted_construct(graph, family, name):
+        before = len(calls)
+        try:
+            return construct(graph, family, name)
+        finally:
+            solves[name] = len(calls) - before
+
+    monkeypatch.setattr(oracle, "construct_equilibrium", counted_construct)
+    _, failures = build_catalog(tetrahedron_flex(), RATIONAL)
     assert "coincidence boundary" in failures[subform]
-    assert calls == []
-    build_catalog(tetrahedron_flex(), QUADRATIC, subforms=[subform])
-    assert calls
+    assert solves[subform] == 0
+    _, failures = build_catalog(tetrahedron_flex(), QUADRATIC)
+    assert solves[subform] > 0
 
 
 def test_gap_solver_failures_say_what_happened():
@@ -362,7 +376,7 @@ def test_gap_solver_failures_say_what_happened():
     and their residuals.  A system with no real root keeps the
     non-convergence message."""
     names = ["pair_endpoint_collinear", "collinear_distinct"]
-    _, failures = build_catalog(tetrahedron_flex(), QUADRATIC, subforms=names)
+    _, failures = build_catalog(tetrahedron_flex(), QUADRATIC)
     assert sorted(failures) == sorted(names)
     for name in names:
         head, found = failures[name].split("; gaps of the roots found: ")
@@ -371,7 +385,7 @@ def test_gap_solver_failures_say_what_happened():
         gaps = ast.literal_eval(found)
         assert len(gaps) == len(_LAYOUTS[3][name].seeds)
         assert all(min(root) < 1e-9 for root in gaps)
-    _, failures = build_catalog(TAILORED, QUADRATIC, subforms=["collinear_distinct"])
+    _, failures = build_catalog(TAILORED, QUADRATIC)
     head, found = failures["collinear_distinct"].split("; gaps of the roots found: ")
     head, failed = head.split("; seeds and residuals that did not converge: ")
     assert head.startswith("no root with all gaps positive for the gaps of line layout")
