@@ -6,24 +6,20 @@ their outputs can serve as ground truth.  Each undesired subform has one
 agents sit at a combination of fixed templates: the slots of
 ``stability.LINE_SLOTS`` on the first axis, the unit square, or the unit
 triangle with its centroid.  The unknown scales solve the balance along the
-templates: one by brentq on a proved bracket, two or more by hybr from
-several seeds (rootfind-collinear, rootfind-coplanar).  No scale, or one
-whose bracket closes to a point, is exact for every family
-(coincidence-construct).  Flow capture integrates the closed loop until an
-equilibrium is detected.
+templates: one by Brent's method on a proved bracket, two or more by damped
+Newton on the balance's analytic Jacobian from several seeds
+(rootfind-collinear, rootfind-coplanar).  No scale, or one whose bracket
+closes to a point, is exact for every family (coincidence-construct).  Flow
+capture integrates the closed loop until an equilibrium is detected.
 
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes where
 asked, rejects points outside the family's domain and classifies.
 
-Only the two root-finders need scipy, so ``scipy.optimize`` is imported on
-the first call of ``brentq`` or ``root``, not with this module: importing
-rigidflex, running a scenario, ``analyze``, ``newton_polish`` and flow
-capture load no scipy.  ``brentq`` and ``root`` are fixed module attributes
-that never rebind themselves, and every solve looks them up at call time, so
-a caller may wrap ``oracle.root`` to count hybr seeds.  They are partials,
-not functions, so a tracer that wraps every public function of this module
-and then ``oracle.root`` counts each seed once.
+``root``, one Newton solve from one seed, is a module attribute that every
+seed looks up at call time, so a caller may wrap it to count seeds.  It is a
+partial, not a function, so a tracer that wraps every public function of
+this module and then ``oracle.root`` counts each seed once.
 """
 
 from __future__ import annotations
@@ -46,6 +42,9 @@ POLISH_MAX_ITER = 50      # Newton iterations before a polish stalls
 CAPTURE_T_MAX = 20.0      # flow capture: integration horizon,
 CAPTURE_DT = 1e-3         # its RK4 step,
 CAPTURE_TOL = 1e-6        # and the residual that detects an equilibrium
+BRENT_MAX_ITER = 100      # Brent iterations on a one-scale bracket
+NEWTON_MAX_STEPS = 20     # Newton steps per seed,
+NEWTON_HALVINGS = 10      # and the halvings a step may take to reduce max|F|
 
 
 class OracleError(RuntimeError):
@@ -155,41 +154,102 @@ def flex_coincident_equilibrium(graph: FormationGraph) -> np.ndarray:
 # Root-finding helpers
 
 
-def _scipy_optimize(name, *args, **kwargs):
-    """``scipy.optimize.<name>(*args, **kwargs)``, importing scipy on first use."""
-    import scipy.optimize
-    return getattr(scipy.optimize, name)(*args, **kwargs)
-
-
-brentq = partial(_scipy_optimize, "brentq")
-root = partial(_scipy_optimize, "root")
+def _brent(f, xpre, xcur, fpre, fcur):
+    """The root of f on [xpre, xcur], where f has the values fpre and fcur of
+    opposite signs, by Brent's method (Brent 1973, ch. 4) to within
+    (1e-15 + 8.9e-16 |x|) / 2.  The arithmetic follows SciPy's C routine
+    ``brentq.c`` line for line, so both return the same float."""
+    xblk = fblk = spre = scur = 0.0
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    for _ in range(BRENT_MAX_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (1e-15 + 8.9e-16 * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if short := abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:                           # extrapolate
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
+        spre, scur = (scur, stry) if short else (sbis, sbis)    # short step, or bisect
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise OracleError(f"layout scale root-finder did not converge in {BRENT_MAX_ITER} iterations")
 
 
 def _bracketed_root(f, lo, hi):
-    """brentq on [lo, hi], with a readable error when the ends share a sign."""
-    if f(lo) * f(hi) > 0:
-        raise OracleError(f"layout scale bracket failed: f({lo:.4g})={f(lo):.4g}, "
-                          f"f({hi:.4g})={f(hi):.4g}")
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    """Brent's method on [lo, hi], with a readable error when the ends share a sign."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo * f_hi > 0:
+        raise OracleError(f"layout scale bracket failed: f({lo:.4g})={f_lo:.4g}, "
+                          f"f({hi:.4g})={f_hi:.4g}")
+    return _brent(f, lo, hi, f_lo, f_hi)
+
+
+def _newton(fun, x):
+    """Damped Newton from the seed array x0 = x: the x and F it ends at.
+
+    ``fun(x)`` gives F(x) and a function that gives J(x), so a trial point
+    that is not taken costs F alone.  Each step s solves J s = F, is cut to
+    |x0| and halved until max|F| falls.  A seed ends once s, or Deuflhard's
+    estimate |s| |F_new| / |F_old| of the distance left, is below 1e-15 |x0|;
+    when J is singular or s not finite; when no halving reduces max|F|; when
+    max|F| fell by less than 10 % over three steps; or after NEWTON_MAX_STEPS.
+    """
+    with np.errstate(all="ignore"):          # a non-finite F is judged, not warned
+        f, jac = fun(x)
+        history, bound = [np.abs(f).max()], np.dot(x, x)
+        for _ in range(NEWTON_MAX_STEPS):
+            try:
+                step = np.linalg.solve(jac(), f)
+            except np.linalg.LinAlgError:
+                break
+            if not 1e-30 * bound < (size := np.dot(step, step)) < np.inf:
+                break
+            step *= min(1.0, (bound / size) ** 0.5)
+            for _ in range(NEWTON_HALVINGS + 1):
+                f_t, jac_t = fun(trial := x - step)
+                if (res := np.abs(f_t).max()) < history[-1]:
+                    break
+                step /= 2
+            else:
+                break
+            x, f, jac = trial, f_t, jac_t
+            history.append(res)
+            if (np.dot(step, step) * res**2 <= 1e-30 * bound * history[-2]**2
+                    or len(history) > 3 and res > 0.9 * history[-4]):
+                break
+    return x, f
+
+
+root = partial(_newton)         # a partial, for tracers: see the module docstring
 
 
 def _multi_root(fun, seeds, names):
-    """Try hybr from several seeds; return the first positive solution.
-
-    A solution is judged by its gaps and residual alone: hybr may stop short
-    of its own tolerance (status 3, "xtol too small") on a root it has
-    already found to rounding level.  When no root has all gaps positive,
-    the error lists the gaps of the roots the seeds reached apart from the
-    seeds that did not converge, with their residuals.
+    """Try ``root`` on ``fun`` from several seeds; return the first positive
+    solution.  A seed's end point is judged by its gaps and residual alone.
+    When no root has all gaps positive, the error lists the gaps of the
+    roots the seeds reached apart from the seeds that did not converge,
+    with their residuals.
     """
     tried = []
     for seed in seeds:
         seed = np.asarray(seed, dtype=float)
-        sol = root(fun, seed, method="hybr", tol=1e-14)
-        residual = float(np.abs(sol.fun).max())
-        tried.append((seed, residual, sol.x))
-        if np.all(sol.x > 1e-9) and residual < 1e-10:
-            return sol.x
+        x, f = root(fun, seed)
+        residual = float(np.abs(f).max())
+        tried.append((seed, residual, x))
+        if np.all(x > 1e-9) and residual < 1e-10:
+            return x
     roots = [gaps.tolist() for _, res, gaps in tried if res < 1e-10]
     failed = [(seed.tolist(), res) for seed, res, _ in tried if not res < 1e-10]
     if not roots:
@@ -217,13 +277,14 @@ class _Layout:
     vector for the agents whose slot lies past gap k, so x_k is the k-th
     gap.  A planar layout has one unit-side template, and ``equal`` names
     the edge groups whose desired lengths its symmetry needs to agree.
-    ``seeds`` are hybr starting gaps, as fractions of the mean desired
-    length over slot pairs.  Every layout solves the balance
+    ``seeds`` are the Newton seeds of the gaps, as fractions of the mean
+    desired length over slot pairs.  Every layout solves the balance
 
         F_k(x) = sum_e g(|z_e|^2 - dbar_e^2) <z_e, t_ek>,  z_e = sum_k x_k t_ek,
 
     over the rigid edges e = (i, j) with t_ek = T_k[i] - T_k[j] not all
-    zero: F is the derivative of V along the layout.
+    zero: F is the derivative of V along the layout, and its Jacobian
+    J_kl = sum_e 2 rho_e a_ek a_el + g_e <t_ek, t_el>, a_ek = <z_e, t_ek>.
 
     One scale: <z_e, t_e> = x c_e^2 with c_e = |t_e|, and g has the sign of
     e, so each term has the sign of x c_e - dbar_e.  All terms are <= 0 at
@@ -244,7 +305,8 @@ class _Layout:
 
     def _edges(self, graph: FormationGraph):
         """Rigid edges, their template vectors t (k, m, d), and which move."""
-        edges = np.array([e for e in range(graph.num_edges) if e != graph.flex_edge_index])
+        flex = graph.flex_edge_index
+        edges = np.array([e for e in range(graph.num_edges) if e != flex])
         t = self.templates[:, graph._tails[edges]] - self.templates[:, graph._heads[edges]]
         return edges, t, t.any(axis=(0, 2))
 
@@ -259,8 +321,9 @@ class _Layout:
         finite at e = -dbar^2.
         """
         edges, _, moving = self._edges(graph)
-        cross = [(e, graph._tails[e], graph._heads[e]) for e in edges[moving]]
-        reach = [sorted((self.slots[i + j - a], graph._dbar[e]) for e, i, j in cross if a in (i, j))
+        dbar, tails, heads = (graph._dbar.tolist(), graph._tails.tolist(), graph._heads.tolist())
+        cross = [(e, tails[e], heads[e]) for e in edges[moving].tolist()]
+        reach = [sorted((self.slots[i + j - a], dbar[e]) for e, i, j in cross if a in (i, j))
                  for a in range(len(self.slots))]
         for a, slot in enumerate(self.slots):
             ra, rb = reach[a], reach[b := self.slots.index(slot)]
@@ -282,26 +345,33 @@ class _Layout:
 
     def __call__(self, graph: FormationGraph, family: PotentialFamily):
         """Solve a layout that ``admit`` accepts: (rigid positions, method)."""
-        k, _, d = self.templates.shape
+        k, n, d = self.templates.shape
         edges, t, moving = self._edges(graph)
-        cross = edges[moving]
-        flat = t[:, moving].reshape(k, len(cross) * d)
+        cross, t = edges[moving], t[:, moving]
+        flat = t.reshape(k, len(cross) * d)
         dbar, dbar2 = graph._dbar[cross], graph._dbar2[cross]
-        g = family.bind(dbar)[1]      # bound once per solve, not per balance
+        _, g, rho = family.bind(dbar)     # bound once per solve, not per balance
+        gram = np.einsum("kmd,lmd->mkl", t, t)     # <t_ek, t_el>, as (m, k, k)
 
         def balance(x):
+            """F at the scales x, and a function that gives its Jacobian there."""
             z = np.dot(x, flat).reshape(-1, d)
-            gz = g(np.vecdot(z, z) - dbar2)[:, None] * z
-            return np.dot(flat, gz.ravel())
+            e = np.vecdot(z, z) - dbar2
+            ge = g(e)
+
+            def jacobian():                         # J_kl of the class docstring
+                a = np.dot(gram, x)                 # a_ek = <z_e, t_ek>, as (m, k)
+                return 2.0 * np.dot(a.T * rho(e), a) + np.dot(gram.T, ge)
+            return np.dot(flat, (ge[:, None] * z).ravel()), jacobian
 
         method = self.method
         if k == 0:
             x, method = np.zeros(0), "coincidence-construct"
         elif k == 1:
             ends = dbar / np.linalg.norm(flat.reshape(-1, d), axis=1)
-            lo, hi = ends.min(), ends.max()
+            lo, hi = float(ends.min()), float(ends.max())
             if hi - lo > 1e-12:
-                x = [_bracketed_root(lambda s: float(balance([s])[0]), lo, hi)]
+                x = [_bracketed_root(lambda s: float(balance([s])[0][0]), lo, hi)]
             else:
                 x, method = [lo], "coincidence-construct"
         else:
@@ -311,7 +381,7 @@ class _Layout:
             scale = np.mean(list(per_pair.values()))
             x = _multi_root(balance, [np.array(s) * scale for s in self.seeds],
                             f"the gaps of line layout {self.slots}")
-        return np.tensordot(x, self.templates, 1), method
+        return np.dot(x, self.templates.reshape(k, n * d)).reshape(n, d), method
 
 
 def _line(slots, dim, seeds=()):
@@ -337,7 +407,7 @@ _PLANAR = {2: {}, 3: {
                ("vertex-to-center edges", ((1, 4), (2, 4), (3, 4))))),
 }}
 
-# hybr starting gaps of the line layouts with two or more gaps
+# Newton seeds of the line layouts with two or more gaps
 _SEEDS = {
     (2, "collinear_distinct"): ((0.577, 0.577), (0.4, 0.7), (0.7, 0.4)),
     (3, "pair_endpoint_collinear"): ((0.6, 0.6), (0.4, 0.8), (0.8, 0.4), (0.3, 0.5)),

@@ -114,36 +114,40 @@ def test_target_point_of_the_wrong_shape_rejected(p_t):
         integrate(desired_equilibrium(g), g, QUADRATIC, t_end=1.0, leader=spec)
 
 
-def test_scipy_loads_only_with_the_first_catalog():
-    """The one RK4 loop needs no ODE solver and only the oracle's root-finders
-    need scipy: in a fresh interpreter, importing the package and its CLI,
-    validate-potential, a short integrate, analyze and a Newton polish load
-    no scipy module; the first build_catalog then loads scipy.optimize and
-    returns its usual entries."""
+def test_no_scipy_module_loads(tmp_path):
+    """The package needs no scipy: in a fresh interpreter, importing the CLI,
+    ``rigidflex catalog`` on both certified graphs with both families,
+    analyze of a catalog entry, validate-potential and a short integrate
+    load no module whose top-level name is scipy."""
     code = textwrap.dedent("""\
-        import contextlib, io, json, sys
-        import rigidflex, rigidflex.cli
-        from rigidflex import analyze, build_catalog, desired_equilibrium, integrate
-        from rigidflex import newton_polish, triangle_flex
+        import contextlib, io, sys
+        import rigidflex.cli
+        from rigidflex import desired_equilibrium, integrate, triangle_flex
         from rigidflex.potentials import QUADRATIC
+        main = rigidflex.cli.main
         with contextlib.redirect_stdout(io.StringIO()):
-            assert rigidflex.cli.main(["validate-potential", "quadratic"]) == 0
+            for graph in ("triangle_flex", "tetrahedron_flex"):
+                with open(f"{graph}.json", "w") as fh:
+                    fh.write(f'"{graph}"')
+                for family in ("quadratic", "rational"):
+                    out = f"{graph}-{family}"
+                    assert main(["catalog", f"{graph}.json", "--family", family,
+                                 "--out", out]) == 0
+            with open("triangle_flex-rational/catalog.jsonl") as fh, \\
+                    open("entry.json", "w") as entry:
+                entry.write(fh.readline())
+            assert main(["analyze", "entry.json", "triangle_flex.json",
+                         "--family", "rational"]) == 0
+            assert main(["validate-potential", "quadratic"]) == 0
         g = triangle_flex()
-        p = desired_equilibrium(g)
-        integrate(p, g, QUADRATIC, t_end=0.05)
-        assert analyze(p, g, QUADRATIC).classification.kind == "desired"
-        newton_polish(p, g, QUADRATIC)
+        integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.05)
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not loaded, loaded
-        entries, failures = build_catalog(g, QUADRATIC)
-        assert "scipy.optimize" in sys.modules
-        print(json.dumps([[e.subform or e.kind for e in entries], sorted(failures)]))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    entries, failures = build_catalog(triangle_flex(), QUADRATIC)
-    assert json.loads(proc.stdout) == [[e.subform or e.kind for e in entries], sorted(failures)]
 
 
 def test_target_leader_run_reaches_target():

@@ -310,7 +310,7 @@ def test_newton_polish_runs_two_kernel_passes_per_iteration(monkeypatch):
 
 
 def counted_root(monkeypatch):
-    """Count the hybr runs the oracle makes."""
+    """Count the Newton seeds the oracle tries."""
     import rigidflex.oracle as oracle
 
     calls = []
@@ -326,7 +326,7 @@ def counted_root(monkeypatch):
 
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()], ids=["2d", "3d"])
 def test_rational_collinear_distinct_succeeds_on_its_first_seed(graph, monkeypatch):
-    """hybr ends the first seed with status 3 at a residual near 1e-15; that
+    """Newton converges from the first seed to a residual near 1e-15; that
     root is accepted, and it is the one the later seeds converge to."""
     calls = counted_root(monkeypatch)
     layout = _LAYOUTS[graph.dimension]["collinear_distinct"]
@@ -340,8 +340,8 @@ def test_rational_collinear_distinct_succeeds_on_its_first_seed(graph, monkeypat
 @pytest.mark.parametrize("subform", ["pair_endpoint_collinear", "pair_interior_collinear"])
 def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
     """A rigid edge inside one slot has zero length, where the rational g
-    diverges: the boundary failure comes before any hybr run, alone and in
-    the full catalog.  The quadratic family is finite there and still solves
+    diverges: the boundary failure comes before any Newton seed, alone and
+    in the full catalog.  The quadratic family is finite there and still solves
     the layout."""
     import rigidflex.oracle as oracle
 
@@ -349,7 +349,7 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
     with pytest.raises(OracleError, match="coincidence boundary"):
         construct_equilibrium(tetrahedron_flex(), RATIONAL, subform)
     assert calls == []
-    solves = {}                             # hybr runs per subform within build_catalog
+    solves = {}                             # Newton seeds per subform within build_catalog
     construct = oracle.construct_equilibrium
 
     def counted_construct(graph, family, name):
@@ -368,13 +368,13 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
 
 
 def test_gap_solver_failures_say_what_happened():
-    """On the equal tetrahedron with the quadratic family every hybr seed of
+    """On the equal tetrahedron with the quadratic family every Newton seed of
     these two layouts converges, to roots with a zero gap: the failure says
     so and lists the gaps.  On the tailored tetrahedron four seeds of the
     distinct collinear layout reach the zero-gap root (0, 2, 3) and two do
     not converge: the failure lists the roots apart from the failed seeds
     and their residuals.  A system with no real root keeps the
-    non-convergence message."""
+    non-convergence message: Newton stops where its Jacobian is singular."""
     names = ["pair_endpoint_collinear", "collinear_distinct"]
     _, failures = build_catalog(tetrahedron_flex(), QUADRATIC)
     assert sorted(failures) == sorted(names)
@@ -396,7 +396,7 @@ def test_gap_solver_failures_say_what_happened():
     assert all(len(seed) == 3 and residual > 1e-10 for seed, residual in failed)
     np.testing.assert_allclose(ast.literal_eval(found), [[0.0, 2.0, 3.0]] * 4, atol=1e-12)
     with pytest.raises(OracleError, match="gap root-finder did not converge for x"):
-        _multi_root(lambda x: x * x + 1.0, [(1.0,)], "x")
+        _multi_root(lambda x: (x * x + 1.0, lambda: np.diag(2.0 * x)), [(1.0,)], "x")
 
 
 def test_line_layouts_read_the_stability_slot_table():
@@ -419,7 +419,7 @@ def test_line_layouts_read_the_stability_slot_table():
                          ids=["triangle", "tetrahedron", "tailored"])
 def test_one_scale_layouts_bracket_their_root(graph, family, monkeypatch):
     """Every admitted one-scale layout either has coinciding bracket ends
-    (an exact construction) or hands brentq ends with F(lo) <= 0 <= F(hi),
+    (an exact construction) or hands Brent's method ends with F(lo) <= 0 <= F(hi),
     and its root lies between them."""
     import rigidflex.oracle as oracle
 
@@ -484,14 +484,148 @@ def test_multi_gap_roots_lie_in_the_box(graph, family):
         "tetrahedron-rational", "tailored-quadratic", "tailored-rational"])
 def test_catalog_seeds_go_through_oracle_root(graph, family, seeds, monkeypatch):
     """bench/spans.py wraps every public function of rigidflex.oracle and then
-    wraps ``oracle.root`` again, to count one span per hybr seed.  So every
+    wraps ``oracle.root`` again, to count one span per Newton seed.  So every
     seed must look ``oracle.root`` up at call time, and ``oracle.root`` must
     not be a plain function, or the first pass would wrap it too and every
     seed would count twice."""
     import rigidflex.oracle as oracle
 
     assert not inspect.isfunction(oracle.root)
-    assert not inspect.isfunction(oracle.brentq)
     calls = counted_root(monkeypatch)
     build_catalog(graph, family)
     assert len(calls) == seeds
+
+
+def one_scale_brackets(monkeypatch, graph, family):
+    """(f, lo, hi) of every one-scale bracket the catalog of graph x family solves."""
+    import rigidflex.oracle as oracle
+
+    brackets = []
+    bracketed_root = oracle._bracketed_root
+
+    def recorded(f, lo, hi):
+        brackets.append((f, lo, hi))
+        return bracketed_root(f, lo, hi)
+
+    monkeypatch.setattr(oracle, "_bracketed_root", recorded)
+    build_catalog(graph, family)
+    return brackets
+
+
+def test_brent_matches_the_reference_brentq_bit_for_bit(monkeypatch):
+    """``_brent`` ports SciPy's brentq.c line for line: on every one-scale
+    bracket of the three certified graphs x both families, on seeded
+    monotone cubics and rationals, and with an exact zero at either end, it
+    returns the very float ``scipy.optimize.brentq`` returns at the
+    oracle's tolerances."""
+    from scipy.optimize import brentq
+
+    from rigidflex.oracle import _brent
+
+    cases = [case for graph in (triangle_flex(), tetrahedron_flex(), TAILORED)
+             for family in (QUADRATIC, RATIONAL)
+             for case in one_scale_brackets(monkeypatch, graph, family)]
+    assert len(cases) >= 4
+    rng = np.random.default_rng(19)
+    for _ in range(50):
+        lo, r, hi = np.sort(rng.uniform(0.1, 10.0, 3)).tolist()
+        a, b, c, sign = *rng.uniform(0.1, 5.0, 3).tolist(), rng.choice([-1.0, 1.0])
+        cases.append((lambda x, a=a, b=b, r=r, s=sign: s * (a * (x - r) + b * (x - r) ** 3),
+                      lo, hi))
+        cases.append((lambda x, c=c, r=r, s=sign: s * (x - r) / (x + c), lo, hi))
+    cases += [(lambda x: x - 2.0, 2.0, 3.0), (lambda x: x - 3.0, 2.0, 3.0)]
+    for f, lo, hi in cases:
+        lo, hi = float(lo), float(hi)
+        expected = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        assert _brent(f, lo, hi, f(lo), f(hi)).hex() == expected.hex()
+
+
+def test_brent_raises_after_100_iterations():
+    """A step function on a huge bracket needs about a thousand bisections;
+    Brent stops after 100 further evaluations with an OracleError."""
+    from rigidflex.oracle import _brent
+
+    calls = []
+
+    def step(x):
+        calls.append(x)
+        return -1.0 if x < 0.5 else 1.0
+
+    with pytest.raises(OracleError, match="did not converge in 100 iterations"):
+        _brent(step, -1e300, 1e300, -1.0, 1.0)
+    assert len(calls) == 100
+
+
+def layout_balances(monkeypatch, graph, family):
+    """(name, balance, box) of every multi-gap line layout of graph x family:
+    the function the layout hands the Newton seeds, and the bound each gap
+    of a root lies below (test_multi_gap_roots_lie_in_the_box)."""
+    import rigidflex.oracle as oracle
+
+    found = []
+
+    def recorded(fun, seeds, names):
+        found.append(fun)
+        raise OracleError("recorded")
+
+    monkeypatch.setattr(oracle, "_multi_root", recorded)
+    out = []
+    for name, layout in _LAYOUTS[graph.dimension].items():
+        if not layout.slots or max(layout.slots) < 2:
+            continue
+        with pytest.raises(OracleError, match="recorded"):
+            layout(graph, family)
+        slots = np.array(layout.slots)
+        box = [max(db for e, ((i, j), db) in enumerate(zip(graph.edges, graph.desired))
+                   if e != graph.flex_edge_index
+                   and min(slots[i - 1], slots[j - 1]) <= k < max(slots[i - 1], slots[j - 1]))
+               for k in range(max(layout.slots))]
+        out.append((name, found[-1], np.array(box)))
+    return out
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED],
+                         ids=["triangle", "tetrahedron", "tailored"])
+def test_layout_jacobian_matches_central_differences(graph, family, monkeypatch):
+    """The analytic Jacobian of every multi-gap line layout equals central
+    differences of F to 1e-6 of its largest entry, at seeded gaps inside
+    the box and at gaps of 1 % to 5 % of it, where the shortest edges sit
+    near e = -dbar^2 and the rational g exceeds 1e5 in size.  The
+    difference step is 1e-5 of the smallest gap: a smaller one would show
+    the rounding of e = |z|^2 - dbar^2 there, not the Jacobian."""
+    rng = np.random.default_rng(7)
+    balances = layout_balances(monkeypatch, graph, family)
+    assert len(balances) == {2: 1, 3: 3}[graph.dimension]
+    for name, balance, box in balances:
+        points = [rng.uniform(0.05, 1.0, len(box)) * box for _ in range(5)]
+        points += [rng.uniform(0.01, 0.05, len(box)) * box for _ in range(3)]
+        for x in points:
+            f, jacobian = balance(x)
+            jac = jacobian()
+            h = 1e-5 * x.min()
+            fd = np.column_stack([(balance(x + h * u)[0] - balance(x - h * u)[0]) / (2 * h)
+                                  for u in np.eye(len(x))])
+            assert np.isfinite(f).all() and np.isfinite(jac).all(), (name, x)
+            assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max(), (name, x)
+
+
+@pytest.mark.parametrize("fun, seed", [
+    (lambda x: (x * x + 1.0, lambda: np.diag(2.0 * x)), (0.0,)),
+    (lambda x: (np.array([x.sum() - 1.0, x.sum() - 3.0]), lambda: np.ones((2, 2))),
+     (0.5, 0.5)),
+    (lambda x: (np.log(x - 2.0), lambda: np.diag(1.0 / (x - 2.0))), (1.0,)),
+    (lambda x: (1.0 / (x - x), lambda: np.eye(len(x))), (1.0, 2.0)),
+    (lambda x: (x - 3.0, lambda: np.diag(np.inf * x)), (1.0,)),
+], ids=["singular-J-at-seed", "singular-J-everywhere", "nan-F", "inf-F", "inf-J"])
+def test_singular_or_nonfinite_seeds_do_not_converge(fun, seed):
+    """A singular Jacobian or a non-finite F or J ends the seed: the seed
+    counts as not converged, with no exception and no RuntimeWarning."""
+    import rigidflex.oracle as oracle
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, f = oracle.root(fun, np.array(seed))
+        assert not np.abs(f).max() < 1e-10
+        with pytest.raises(OracleError, match="gap root-finder did not converge for t"):
+            _multi_root(fun, [seed], "t")
