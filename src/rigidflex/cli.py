@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -83,12 +84,12 @@ def _parse_events(docs, dimension):
     for k, doc in enumerate(docs or ()):
         if "displacement" in doc:
             events.append(PerturbationEvent(time=float(doc["time"]),
-                                            agent=int(doc["agent"]),
+                                            agent=doc["agent"],
                                             displacement=np.asarray(doc["displacement"], dtype=float)))
         else:
             seed = int(doc.get("seed", k))
             events.append(random_perturbation(time=float(doc["time"]),
-                                              agent=int(doc["agent"]),
+                                              agent=doc["agent"],
                                               dimension=dimension,
                                               magnitude=float(doc["magnitude"]),
                                               seed=seed))
@@ -116,8 +117,11 @@ def _cmd_run(args) -> int:
         family = get_family(doc.get("family", "quadratic"))
         p0 = _positions_from_doc(doc["initial"], graph)
         t_end = float(doc["t_end"])
-        dt, record_every = float(doc.get("dt", 1e-3)), int(doc.get("record_every", 10))
+        dt, record_every = float(doc.get("dt", 1e-3)), float(doc.get("record_every", 10))
         eq_tol = float(doc.get("eq_tol", EQ_TOL))
+        if not (record_every.is_integer() and 0 <= eq_tol < math.inf):   # False for NaN
+            raise ValueError(f"record_every must be an integer and eq_tol finite and "
+                             f"non-negative, got {record_every!r} and {eq_tol!r}")
         events = _parse_events(doc.get("events"), graph.dimension)
         leader = leader_spec_from_json(doc.get("leader"), graph.dimension)
         analyze_equilibria = bool(doc.get("analysis", {}).get("hessian_at_equilibria"))
@@ -125,7 +129,7 @@ def _cmd_run(args) -> int:
         raise ScenarioError(f"invalid scenario: {exc}")
 
     traj = integrate(p0, graph, family, t_end, dt=dt, leader=leader, events=events,
-                     record_every=record_every, eq_tol=eq_tol)
+                     record_every=int(record_every), eq_tol=eq_tol)
 
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)

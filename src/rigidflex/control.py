@@ -58,9 +58,9 @@ def _edge_kernel(pos: np.ndarray, graph: FormationGraph, bound: tuple,
     There is no domain check here: ||z||^2 is a sum of squares, so it is
     >= 0 (or NaN), and rounding is monotone, so e = fl(||z||^2 - dbar^2)
     >= -dbar^2 also in floating point.  The kernel sets no floating-point
-    error state (g may divide by zero at the coincidence boundary;
-    non-finite input gives invalid products): each public entry point that
-    runs it enters ``_ignore_fp`` once per call.
+    error state (g may divide by zero at the coincidence boundary, a
+    diverging step overflows, non-finite input gives invalid products): each
+    public entry point that runs it enters ``_ignore_fp`` once per call.
 
     z = B^T p is exact for finite positions.  A non-finite coordinate of
     one node makes that coordinate of every edge vector non-finite
@@ -78,7 +78,8 @@ def _edge_kernel(pos: np.ndarray, graph: FormationGraph, bound: tuple,
     return z, e, g, np.dot(graph._neg_incidence, f, u)
 
 
-_ignore_fp = np.errstate(divide="ignore", invalid="ignore")   # used as a decorator; nests safely
+# used as a decorator; nests safely
+_ignore_fp = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 @_ignore_fp

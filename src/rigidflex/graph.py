@@ -68,7 +68,8 @@ class FormationGraph:
         if incident_to_flex != [flex]:
             raise GraphError("flex node must have degree exactly 1 via the flex edge")
 
-        # derived arrays, computed once and cached read-only on the instance
+        # derived arrays, computed once and cached read-only on the instance;
+        # the flex edge (N, N+1) sorts last, so the rigid edges are 0..m-2
         m = len(pairs)
         tails = np.array([i - 1 for i, _ in pairs], dtype=int)
         heads = np.array([j - 1 for _, j in pairs], dtype=int)
@@ -82,10 +83,10 @@ class FormationGraph:
         axis = np.arange(d)
         rows = np.stack([tails, heads, tails, heads], 1)[..., None, None] * d + axis[:, None]
         cols = np.stack([tails, heads, heads, tails], 1)[..., None, None] * d + axis
-        for name, arr in (("_tails", tails), ("_heads", heads), ("_dbar", dbar[:, 0]),
-                          ("_dbar_col", dbar), ("_dbar2", dbar2[:, 0]), ("_dbar2_col", dbar2),
+        for name, arr in (("_tails", tails), ("_heads", heads), ("_rigid", np.arange(m - 1)),
+                          ("_dbar", dbar[:, 0]), ("_dbar_col", dbar), ("_dbar2", dbar2[:, 0]),
+                          ("_dbar2_col", dbar2), ("_neg_incidence", -incidence),
                           ("_incidence_t", np.ascontiguousarray(incidence.T)),
-                          ("_neg_incidence", -incidence),
                           ("_hessian_index", (rows * (n * d) + cols).ravel())):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -106,7 +107,7 @@ class FormationGraph:
 
     @property
     def flex_edge_index(self) -> int:
-        return self.edges.index(tuple(self.flex_edge))
+        return self.num_edges - 1
 
     @property
     def rigid_nodes(self) -> range:
@@ -115,8 +116,7 @@ class FormationGraph:
 
     def certified_topology(self) -> str | None:
         """'triangle' / 'tetrahedron' when the instability theory applies, else None."""
-        n = self.num_nodes
-        rigid = [e for e in self.edges if e != tuple(self.flex_edge)]
+        n, rigid = self.num_nodes, list(self.edges[:-1])
         if n == 4 and self.dimension == 2 and rigid == [(1, 2), (1, 3), (2, 3)]:
             return "triangle"
         k4 = sorted(itertools.combinations(range(1, 5), 2))

@@ -35,8 +35,12 @@ class PerturbationEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "displacement", np.asarray(self.displacement, dtype=float))
-        if self.agent < 1:
-            raise ValueError("agent labels are 1-based")
+        agent = float(self.agent)
+        if not (agent.is_integer() and agent >= 1):         # False for NaN and infinities
+            raise ValueError(f"agent labels are 1-based integers, got {self.agent!r}")
+        object.__setattr__(self, "agent", int(agent))
+        if not np.isfinite(self.displacement).all():
+            raise ValueError("perturbation displacements (and random magnitudes) must be finite")
 
 
 def random_perturbation(time: float, agent: int, dimension: int, magnitude: float,
@@ -139,7 +143,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     control into a row of the (4, N+1, d) stage stack, which the step
     combines in one product into the spare of two state buffers; records
     and IntegrationError.last_state are copies.  The whole call ignores
-    floating-point divide/invalid errors once.
+    floating-point divide, invalid and overflow errors once: the guard
+    judges the non-finite values they leave.
 
     One guard per step: V at the new state must be finite, else
     IntegrationError carries the time and state before that step.  A
@@ -149,8 +154,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     """
     if not 0 < t_end < math.inf:       # False for NaN
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
-    if not (dt > 0 and record_every >= 1):
-        raise ValueError("dt must be positive and record_every at least 1")
+    if not (0 < dt < math.inf and record_every >= 1):
+        raise ValueError("dt must be positive and finite and record_every at least 1")
     n, d = graph.num_nodes, graph.dimension
     leader = (leader or LeaderSpec()).check(d)
     p = as_positions(p0, graph).astype(float, order="C")

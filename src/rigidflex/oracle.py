@@ -5,12 +5,14 @@ their outputs can serve as ground truth.  Each undesired subform has one
 ``_Layout`` in a table that follows ``stability.SUBFORMS_2D/3D``.  Its rigid
 agents sit at a combination of fixed templates: the slots of
 ``stability.LINE_SLOTS`` on the first axis, the unit square, or the unit
-triangle with its centroid.  The unknown scales solve the balance along the
-templates: one by Brent's method on a proved bracket, two or more by damped
-Newton on the balance's analytic Jacobian from several seeds
-(rootfind-collinear, rootfind-coplanar).  No scale, or one whose bracket
-closes to a point, is exact for every family (coincidence-construct).  Flow
-capture integrates the closed loop until an equilibrium is detected.
+triangle with its centroid.  One method, ``_Layout.solve``, checks that the
+desired lengths and the family admit the layout and then solves the balance
+along the templates for the unknown scales: one by Brent's method on a
+proved bracket, two or more by damped Newton on the balance's analytic
+Jacobian from several seeds (rootfind-collinear, rootfind-coplanar).  No
+scale, or one whose bracket closes to a point, is exact for every family
+(coincidence-construct).  Flow capture integrates the closed loop until an
+equilibrium is detected.
 
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes where
@@ -30,11 +32,11 @@ from functools import partial
 
 import numpy as np
 
-from .control import balance_residuals, gradient_control
+from .control import balance_residuals, gradient_control, potential_value
 from .graph import FormationGraph, as_positions, simplex_gram
 from .integrator import integrate
 from .potentials import PotentialFamily
-from .stability import LINE_SLOTS, assemble_hessian, classify, family_admits
+from .stability import LINE_SLOTS, assemble_hessian, classify
 
 
 POLISH_TOL = 1e-12        # balance residual that ends a Newton polish
@@ -124,8 +126,7 @@ def _require_certified(graph: FormationGraph) -> str:
 def _rigid_embedding(graph: FormationGraph) -> np.ndarray:
     """The rigid agents at their desired distances, in ``simplex_gram``'s frame."""
     topo = _require_certified(graph)
-    k = graph.num_nodes - 1
-    rigid = [e for e in range(graph.num_edges) if e != graph.flex_edge_index]
+    k, rigid = graph.num_nodes - 1, graph._rigid
     sq = np.zeros((k, k))
     sq[graph._tails[rigid], graph._heads[rigid]] = graph._dbar2[rigid]
     try:
@@ -278,12 +279,14 @@ class _Layout:
     gap.  A planar layout has one unit-side template, and ``equal`` names
     the edge groups whose desired lengths its symmetry needs to agree.
     ``seeds`` are the Newton seeds of the gaps, as fractions of the mean
-    desired length over slot pairs.  Every layout solves the balance
+    desired length over slot pairs.  ``solve`` checks and solves a layout
+    in one pass over the rigid edges e = (i, j) and their template vectors
+    t_ek = T_k[i] - T_k[j].  The edges whose t_ek are not all zero are the
+    crossing edges, and the scales solve the balance over them
 
-        F_k(x) = sum_e g(|z_e|^2 - dbar_e^2) <z_e, t_ek>,  z_e = sum_k x_k t_ek,
+        F_k(x) = sum_e g(|z_e|^2 - dbar_e^2) <z_e, t_ek>,  z_e = sum_k x_k t_ek:
 
-    over the rigid edges e = (i, j) with t_ek = T_k[i] - T_k[j] not all
-    zero: F is the derivative of V along the layout, and its Jacobian
+    F is the derivative of V along the layout, and its Jacobian is
     J_kl = sum_e 2 rho_e a_ek a_el + g_e <t_ek, t_el>, a_ek = <z_e, t_ek>.
 
     One scale: <z_e, t_e> = x c_e^2 with c_e = |t_e|, and g has the sign of
@@ -303,27 +306,24 @@ class _Layout:
     seeds: tuple = ()
     equal: tuple = ()
 
-    def _edges(self, graph: FormationGraph):
-        """Rigid edges, their template vectors t (k, m, d), and which move."""
-        flex = graph.flex_edge_index
-        edges = np.array([e for e in range(graph.num_edges) if e != flex])
-        t = self.templates[:, graph._tails[edges]] - self.templates[:, graph._heads[edges]]
-        return edges, t, t.any(axis=(0, 2))
+    def solve(self, graph: FormationGraph, family: PotentialFamily):
+        """(rigid positions, method), or OracleError.
 
-    def admit(self, graph: FormationGraph, family: PotentialFamily):
-        """Refuse the layout before any solving.
-
-        Agents in one slot must reach every other slot along edges of the
-        same desired lengths, and each ``equal`` group must share one
-        length; otherwise the agents' balances differ and F = 0 is no
-        equilibrium.  A rigid edge with a zero template vector has zero
-        length whatever the scales, so neither has a family whose g is not
-        finite at e = -dbar^2.
+        Three refusals come before any solving.  Agents in one slot must
+        reach every other slot along edges of the same desired lengths, and
+        each ``equal`` group must share one length; otherwise the agents'
+        balances differ and F = 0 is no equilibrium.  A rigid edge with a
+        zero template vector has zero length whatever the scales, so neither
+        has a family whose g is not finite at e = -dbar^2.
         """
-        edges, _, moving = self._edges(graph)
-        dbar, tails, heads = (graph._dbar.tolist(), graph._tails.tolist(), graph._heads.tolist())
-        cross = [(e, tails[e], heads[e]) for e in edges[moving].tolist()]
-        reach = [sorted((self.slots[i + j - a], dbar[e]) for e, i, j in cross if a in (i, j))
+        k, n, d = self.templates.shape
+        rigid = graph._rigid
+        t = self.templates[:, graph._tails[rigid]] - self.templates[:, graph._heads[rigid]]
+        moving = t.any(axis=(0, 2))
+        cross, inner, t = rigid[moving], rigid[~moving], t[:, moving]
+        length, tails, heads = graph._dbar.tolist(), graph._tails.tolist(), graph._heads.tolist()
+        edges = [(e, tails[e], heads[e]) for e in cross.tolist()]
+        reach = [sorted((self.slots[i + j - a], length[e]) for e, i, j in edges if a in (i, j))
                  for a in range(len(self.slots))]
         for a, slot in enumerate(self.slots):
             ra, rb = reach[a], reach[b := self.slots.index(slot)]
@@ -334,20 +334,15 @@ class _Layout:
                     f"{b + 1} and {a + 1} have desired lengths "
                     f"{[round(float(x), 12) for _, x in rb]} and "
                     f"{[round(float(x), 12) for _, x in ra]} to the other points")
-        d = dict(zip(graph.edges, graph.desired))
+        desired = dict(zip(graph.edges, graph.desired))
         for what, group in self.equal:
-            if any(abs(d[e] - d[group[0]]) > 1e-12 for e in group):
+            if any(abs(desired[e] - desired[group[0]]) > 1e-12 for e in group):
                 raise OracleError(f"construction needs equal desired distances: {what}")
-        inner = edges[~moving]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if not np.isfinite(family.g(-graph._dbar2[inner], graph._dbar[inner])).all():
-                raise OracleError(_BOUNDARY)
+        if inner.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                if not np.isfinite(family.bind(graph._dbar[inner])[1](-graph._dbar2[inner])).all():
+                    raise OracleError(_BOUNDARY)
 
-    def __call__(self, graph: FormationGraph, family: PotentialFamily):
-        """Solve a layout that ``admit`` accepts: (rigid positions, method)."""
-        k, n, d = self.templates.shape
-        edges, t, moving = self._edges(graph)
-        cross, t = edges[moving], t[:, moving]
         flat = t.reshape(k, len(cross) * d)
         dbar, dbar2 = graph._dbar[cross], graph._dbar2[cross]
         _, g, rho = family.bind(dbar)     # bound once per solve, not per balance
@@ -375,9 +370,7 @@ class _Layout:
             else:
                 x, method = [lo], "coincidence-construct"
         else:
-            slots = np.array(self.slots)
-            per_pair = {frozenset(slots[[graph._tails[e], graph._heads[e]]]): graph._dbar[e]
-                        for e in cross}
+            per_pair = {frozenset((self.slots[i], self.slots[j])): length[e] for e, i, j in edges}
             scale = np.mean(list(per_pair.values()))
             x = _multi_root(balance, [np.array(s) * scale for s in self.seeds],
                             f"the gaps of line layout {self.slots}")
@@ -425,15 +418,6 @@ _LAYOUTS = {
 }
 
 
-def _layout(graph: FormationGraph, subform: str):
-    _require_certified(graph)
-    table = _LAYOUTS[graph.dimension]
-    if subform not in table:
-        raise OracleError(f"unknown subform {subform!r} for dimension "
-                          f"{graph.dimension}; known: {sorted(table)}")
-    return table[subform]
-
-
 _BOUNDARY = ("construction lies on the coincidence boundary, where this "
              "potential family diverges (outside its domain)")
 
@@ -447,7 +431,7 @@ def _finalize(positions, graph: FormationGraph, family: PotentialFamily, method:
     p = as_positions(positions, graph)
     if polish:
         p = newton_polish(p, graph, family).reshape(p.shape)
-    if not family_admits(p, graph, family):
+    if not np.isfinite(potential_value(p, graph, family)):
         raise OracleError(_BOUNDARY)
     cls = classify(p, graph, family)
     residual = cls.diagnostics["residual"]
@@ -466,9 +450,12 @@ def construct_equilibrium(graph: FormationGraph, family: PotentialFamily,
     Raises OracleError when the desired distances do not admit the layout,
     the root-finder fails, or the point leaves the family's domain.
     """
-    layout = _layout(graph, subform)
-    layout.admit(graph, family)
-    rigid, method = layout(graph, family)
+    _require_certified(graph)
+    table = _LAYOUTS[graph.dimension]
+    if subform not in table:
+        raise OracleError(f"unknown subform {subform!r} for dimension "
+                          f"{graph.dimension}; known: {sorted(table)}")
+    rigid, method = table[subform].solve(graph, family)
     flex = rigid[-1].copy()
     flex[-1] += graph.desired[graph.flex_edge_index]
     return _finalize(np.vstack([rigid, flex]), graph, family, method,

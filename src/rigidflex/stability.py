@@ -50,16 +50,6 @@ class WitnessNotFoundError(RuntimeError):
     """No strictly negative direction found for a claimed undesired equilibrium."""
 
 
-def family_admits(p, graph: FormationGraph, family: PotentialFamily) -> bool:
-    """True when the family's potential V is finite at this realization.
-
-    Families that blow up at the coincidence boundary (phi -> inf as
-    ||z|| -> 0) exclude coincidence configurations from their domain, so
-    those points are not equilibria for them.
-    """
-    return bool(np.isfinite(potential_value(p, graph, family)))
-
-
 # ---------------------------------------------------------------------------
 # Hessian assembly
 
@@ -579,7 +569,7 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     finite_h = bool(np.isfinite(h).all())
     # V diverges only where some g does, so only a non-finite H needs the check
     if (not finite_h and np.isfinite(pos).all()
-            and not family_admits(pos, graph, family)):
+            and not np.isfinite(potential_value(pos, graph, family))):
         raise PotentialDomainError(f"realization lies on the coincidence boundary, where "
                                    f"the {family.name} potential diverges (outside its domain)")
     certified = graph.certified_topology() is not None

@@ -1,6 +1,7 @@
 """Command-line interface: verbs, artifacts, exit codes, determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -117,7 +118,16 @@ def test_run_bad_scenario_is_config_error(tmp_path):
     *(pytest.param("run", "t_end", value, id=f"run-t_end-{value}")
       for value in (float("nan"), float("inf"))),
     *(pytest.param("run", "eq_tol", doc, id=f"run-eq_tol-{name}")
-      for name, doc in (("null", None), ("list", [1]), ("object", {"a": 1}))),
+      for name, doc in (("null", None), ("list", [1]), ("object", {"a": 1}),
+                        ("nan", float("nan")), ("negative", -1.0))),
+    pytest.param("run", "dt", float("inf"), id="run-dt-inf"),
+    pytest.param("run", "record_every", 2.5, id="run-record_every-2.5"),
+    *(pytest.param("run", "events", [{"time": 0.02, **event}], id=f"run-events-{name}")
+      for name, event in (
+        ("fractional_agent", {"agent": 1.7, "displacement": [0.1, 0.0]}),
+        ("fractional_random_agent", {"agent": 1.7, "magnitude": 0.01}),
+        ("nan_displacement", {"agent": 4, "displacement": [float("nan"), 0.0]}),
+        ("nan_magnitude", {"agent": 4, "magnitude": float("nan")}))),
     *(pytest.param("run", "leader", doc, id=f"run-leader-{name}") for name, doc in (
         ("empty_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": []}),
         ("flat_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [1, 2, 3]}),
@@ -134,10 +144,12 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
     An unknown scenario key (a removed or misspelt one) is named, not run
     with its default.  A graph with a NaN or infinite desired distance, or one
     whose fourth power is not a normal float or whose (100 dbar^2)^2 overflows,
-    is malformed; so are a NaN or infinite t_end, an eq_tol that is not a
-    number and a leader document whose samples, gain or target do not fit
-    the graph, or whose sample times do not increase strictly.  Each exits
-    before the first step, with no output written."""
+    is malformed; so are a NaN or infinite t_end or dt, an eq_tol that is
+    not a finite non-negative number, a record_every that is not an integer,
+    an event whose agent is not an integer or whose displacement or
+    magnitude is not finite, and a leader document whose samples, gain or
+    target do not fit the graph, or whose sample times do not increase
+    strictly.  Each exits before the first step, with no output written."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":
         real = tmp_path / "real.json"
@@ -160,6 +172,20 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
         assert f"unknown key(s) {field}" in err[0]
     if verb == "run":
         assert not (tmp_path / "out").exists()
+
+
+def test_run_whose_step_diverges_exits_numeric_without_warnings(tmp_path, capsys):
+    """triangle_flex_2d in one step of 1 s overflows; the Lyapunov guard
+    turns the non-finite state into exit 3, with no RuntimeWarning on the
+    way, even with warnings as errors."""
+    doc = _resolve_scenario("triangle_flex_2d")
+    doc.update(dt=5.0, t_end=1.0, events=[])
+    path = tmp_path / "diverge.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
+    assert "Lyapunov value inf at t=1 is not finite" in capsys.readouterr().err
 
 
 def test_run_rational_start_on_coincidence_boundary_exits_numeric(tmp_path, capsys):

@@ -95,10 +95,12 @@ def test_event_outside_horizon_rejected():
 @pytest.mark.parametrize("settings, match", [
     ({"t_end": 0.0}, "t_end"), ({"dt": 0.0}, "dt"), ({"dt": -1.0}, "dt"),
     ({"dt": float("nan")}, "dt"), ({"record_every": 0}, "record_every"),
+    ({"dt": float("inf")}, "dt"),
 ])
 def test_step_settings_rejected(settings, match):
     """A zero step would never advance (the fixed-step loop hangs), a
-    negative one runs backwards, and record_every 0 divides by zero."""
+    negative one runs backwards, an infinite one takes all of t_end at once,
+    and record_every 0 divides by zero."""
     g = triangle_flex()
     with pytest.raises(ValueError, match=match):
         integrate(desired_equilibrium(g), g, QUADRATIC, **{"t_end": 1.0, **settings})

@@ -5,6 +5,7 @@ import dataclasses
 import inspect
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -23,7 +24,7 @@ from rigidflex.oracle import (
     newton_polish,
     write_catalog,
 )
-from rigidflex.potentials import QUADRATIC, RATIONAL
+from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
 from rigidflex.stability import EQ_TOL, LINE_SLOTS, SUBFORMS_2D, SUBFORMS_3D, classify
 
 
@@ -212,23 +213,31 @@ TAILORED = tetrahedron_with({(1, 3): math.sqrt(26.5), (2, 3): math.sqrt(26.5),
 
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
-def test_double_pair_with_crossed_unequal_distances(family):
+def test_double_pair_with_crossed_unequal_distances(family, monkeypatch):
     """Pairs (1,2) and (3,4) balance when d13 = d24 and d14 = d23: each agent
     sees one edge of each length across the gap, so g(r, d13) + g(r, d14) = 0
-    holds at every agent (quadratic: 2 r^2 = 16 + 25).  The rational family
-    balances there too, but the coincident pairs lie outside its domain."""
+    holds at every agent (quadratic: 2 r^2 = 16 + 25).  The coincident pairs
+    lie outside the rational family's domain, so its layout is refused at
+    the boundary before any root is sought."""
     g = tetrahedron_with({(1, 4): 5.0, (2, 3): 5.0})
-    rigid, method = _LAYOUTS[3]["double_pair"](g, family)
-    assert method == "rootfind-collinear"
-    p = np.vstack([rigid, rigid[-1] + [0.0, 0.0, 4.0]])
-    assert balance_residuals(p, g, family).max() < 1e-12
     if family is QUADRATIC:
+        rigid, method = _LAYOUTS[3]["double_pair"].solve(g, family)
+        assert method == "rootfind-collinear"
+        p = np.vstack([rigid, rigid[-1] + [0.0, 0.0, 4.0]])
+        assert balance_residuals(p, g, family).max() < 1e-12
         entry = construct_equilibrium(g, family, "double_pair")
         assert (entry.kind, entry.subform) == ("degenerate_rigid", "double_pair")
         assert entry.residual < 1e-12
         r = np.linalg.norm(entry.positions[2] - entry.positions[0])
         assert r**2 == pytest.approx(20.5, rel=1e-12)
-    else:
+    else:                                   # no Newton seed and no bracket is tried
+        import rigidflex.oracle as oracle
+
+        calls = counted_root(monkeypatch)
+        monkeypatch.setattr(oracle, "_bracketed_root", lambda *args: calls.append(args))
+        with pytest.raises(OracleError, match="coincidence boundary"):
+            _LAYOUTS[3]["double_pair"].solve(g, family)
+        assert calls == []
         with pytest.raises(OracleError, match="boundary"):
             construct_equilibrium(g, family, "double_pair")
     # the unbalanced pairing (d13 = d23, d14 = d24) is refused up front
@@ -309,6 +318,10 @@ def test_newton_polish_runs_two_kernel_passes_per_iteration(monkeypatch):
     assert balance_residuals(polished, g, QUADRATIC).max() < 1e-12
 
 
+# the messages of the refusals ``_Layout.solve`` makes before any root solve
+REFUSALS = re.compile("needs equal desired distances|coincidence boundary")
+
+
 def counted_root(monkeypatch):
     """Count the Newton seeds the oracle tries."""
     import rigidflex.oracle as oracle
@@ -330,9 +343,9 @@ def test_rational_collinear_distinct_succeeds_on_its_first_seed(graph, monkeypat
     root is accepted, and it is the one the later seeds converge to."""
     calls = counted_root(monkeypatch)
     layout = _LAYOUTS[graph.dimension]["collinear_distinct"]
-    first, _ = layout(graph, RATIONAL)
+    first, _ = layout.solve(graph, RATIONAL)
     assert len(calls) == 1
-    later, _ = dataclasses.replace(layout, seeds=layout.seeds[1:])(graph, RATIONAL)
+    later, _ = dataclasses.replace(layout, seeds=layout.seeds[1:]).solve(graph, RATIONAL)
     np.testing.assert_allclose(first, later, rtol=0, atol=1e-12)
     assert np.all(np.diff(first[:, 0]) > 0)
 
@@ -365,6 +378,30 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
     assert solves[subform] == 0
     _, failures = build_catalog(tetrahedron_flex(), QUADRATIC)
     assert solves[subform] > 0
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED],
+                         ids=["triangle", "tetrahedron", "tailored"])
+def test_solve_binds_the_family_once_per_edge_set(graph, family):
+    """``solve`` binds the family once for the balance over the crossing
+    edges, and once before that for the boundary test when some rigid edge
+    has a zero template vector.  A layout refused at the boundary binds it
+    once; one refused for its desired lengths, never."""
+    binds = []
+    counted = PotentialFamily(family.name, lambda dbar: binds.append(dbar) or family.bind(dbar))
+    for name, layout in _LAYOUTS[graph.dimension].items():
+        t = layout.templates[:, graph.edge_tails[:-1]] - layout.templates[:, graph.edge_heads[:-1]]
+        expected = 1 + (not t.any(axis=(0, 2)).all())
+        binds.clear()
+        try:
+            layout.solve(graph, counted)
+        except OracleError as exc:
+            if "needs equal desired distances" in str(exc):
+                expected = 0
+            elif "coincidence boundary" in str(exc):
+                expected = 1
+        assert len(binds) == expected, name
 
 
 def test_gap_solver_failures_say_what_happened():
@@ -435,12 +472,13 @@ def test_one_scale_layouts_bracket_their_root(graph, family, monkeypatch):
     for name, layout in _LAYOUTS[graph.dimension].items():
         if len(layout.templates) != 1:
             continue
-        try:
-            layout.admit(graph, family)
-        except OracleError:
-            continue
         brackets.clear()
-        _, method = layout(graph, family)
+        try:
+            _, method = layout.solve(graph, family)
+        except OracleError as exc:
+            assert REFUSALS.search(str(exc)), name
+            assert brackets == [], name
+            continue
         if method == "coincidence-construct":
             assert brackets == [], name
             continue
@@ -460,8 +498,7 @@ def test_multi_gap_roots_lie_in_the_box(graph, family):
         if not layout.slots or max(layout.slots) < 2:
             continue
         try:
-            layout.admit(graph, family)
-            rigid, _ = layout(graph, family)
+            rigid, _ = layout.solve(graph, family)
         except OracleError:
             continue
         roots += 1
@@ -558,8 +595,12 @@ def test_brent_raises_after_100_iterations():
 
 def layout_balances(monkeypatch, graph, family):
     """(name, balance, box) of every multi-gap line layout of graph x family:
-    the function the layout hands the Newton seeds, and the bound each gap
-    of a root lies below (test_multi_gap_roots_lie_in_the_box)."""
+    the function ``solve`` hands the Newton seeds, and the bound each gap of
+    a root lies below (test_multi_gap_roots_lie_in_the_box).  A layout with
+    a shared slot has a zero-length rigid edge, where ``solve`` binds the
+    family once for its boundary test before it binds it for the balance;
+    the rational family fails that test, so the first bind of such a layout
+    is the quadratic family's, and the balance binds the family itself."""
     import rigidflex.oracle as oracle
 
     found = []
@@ -573,8 +614,12 @@ def layout_balances(monkeypatch, graph, family):
     for name, layout in _LAYOUTS[graph.dimension].items():
         if not layout.slots or max(layout.slots) < 2:
             continue
+        binds = [QUADRATIC.bind] * (len(set(layout.slots)) < len(layout.slots))
+        balance_family = PotentialFamily(
+            family.name, lambda dbar: (binds.pop() if binds else family.bind)(dbar))
         with pytest.raises(OracleError, match="recorded"):
-            layout(graph, family)
+            layout.solve(graph, balance_family)
+        assert binds == [], name
         slots = np.array(layout.slots)
         box = [max(db for e, ((i, j), db) in enumerate(zip(graph.edges, graph.desired))
                    if e != graph.flex_edge_index
