@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .control import EQ_TOL, leader_spec_from_json
-from .graph import FormationGraph, GraphError, graph_from_json, triangle_flex, tetrahedron_flex
+from .graph import (FormationGraph, GraphError, as_positions, graph_from_json, triangle_flex,
+                    tetrahedron_flex)
 from .integrator import IntegrationError, PerturbationEvent, integrate, random_perturbation
 from .oracle import OracleError, build_catalog, newton_polish, write_catalog
 from .potentials import FAMILIES, get_family, validate_family
@@ -87,24 +88,12 @@ def _parse_events(docs, dimension):
                                             agent=doc["agent"],
                                             displacement=np.asarray(doc["displacement"], dtype=float)))
         else:
-            seed = int(doc.get("seed", k))
             events.append(random_perturbation(time=float(doc["time"]),
                                               agent=doc["agent"],
                                               dimension=dimension,
                                               magnitude=float(doc["magnitude"]),
-                                              seed=seed))
+                                              seed=doc.get("seed", k)))
     return events
-
-
-def _positions_from_doc(doc, graph):
-    try:
-        arr = np.asarray(doc, dtype=float)
-    except TypeError as exc:
-        raise ScenarioError(f"realization is not an array of numbers: {exc}")
-    if arr.shape not in ((graph.num_nodes, graph.dimension),
-                         (graph.num_nodes * graph.dimension,)):
-        raise ScenarioError(f"initial realization has shape {arr.shape}")
-    return arr.reshape(graph.num_nodes, graph.dimension)
 
 
 def _cmd_run(args) -> int:
@@ -115,7 +104,7 @@ def _cmd_run(args) -> int:
             raise ScenarioError(f"unknown key(s) {', '.join(unknown)}")
         graph = _parse_graph(doc["graph"])
         family = get_family(doc.get("family", "quadratic"))
-        p0 = _positions_from_doc(doc["initial"], graph)
+        p0 = as_positions(doc["initial"], graph)
         t_end = float(doc["t_end"])
         dt, record_every = float(doc.get("dt", 1e-3)), float(doc.get("record_every", 10))
         eq_tol = float(doc.get("eq_tol", EQ_TOL))
@@ -165,7 +154,7 @@ def _cmd_run(args) -> int:
 def _cmd_analyze(args) -> int:
     graph = _parse_graph(_load_json(args.graph))
     doc = _load_json(args.realization)
-    p = _positions_from_doc(doc["positions"] if isinstance(doc, dict) else doc, graph)
+    p = as_positions(doc["positions"] if isinstance(doc, dict) else doc, graph)
     report = analyze(p, graph, get_family(args.family))
     payload = report.to_json_dict()
     if args.out:

@@ -171,11 +171,7 @@ class LeaderSpec:
 def leader_spec_from_json(doc, dimension: int) -> LeaderSpec:
     """Parse {"mode": ...} leader documents; piecewise-constant samples for
     windowed mode as {"t0":, "tf":, "v": [[t, vx, vy(, vz)], ...]}."""
-    if doc is None:
-        return LeaderSpec()
-    mode = doc.get("mode", "none")
-    if mode == "none":
-        return LeaderSpec()
+    mode = "none" if doc is None else doc.get("mode", "none")
     if mode == "target":
         return LeaderSpec(mode="target", k_f=float(doc["k_f"]), p_t=doc["p_t"]).check(dimension)
     if mode == "windowed":
@@ -192,5 +188,5 @@ def leader_spec_from_json(doc, dimension: int) -> LeaderSpec:
             return values[k]
 
         return LeaderSpec(mode="windowed", v=v, t0=float(doc["t0"]), tf=float(doc["tf"]))
-    raise ValueError(f"unknown leader mode {mode!r}")
+    return LeaderSpec(mode=mode)            # "none", or LeaderSpec's unknown-mode error
 

@@ -109,11 +109,6 @@ class FormationGraph:
     def flex_edge_index(self) -> int:
         return self.num_edges - 1
 
-    @property
-    def rigid_nodes(self) -> range:
-        """0-based indices of the rigid-subgraph nodes 1..N."""
-        return range(self.num_nodes - 1)
-
     def certified_topology(self) -> str | None:
         """'triangle' / 'tetrahedron' when the instability theory applies, else None."""
         n, rigid = self.num_nodes, list(self.edges[:-1])
@@ -191,8 +186,12 @@ def simplex_gram(sq) -> np.ndarray:
 
 
 def as_positions(p, graph: FormationGraph) -> np.ndarray:
-    """Validate a realization and return it as an (N+1, d) array."""
-    arr = np.asarray(p, dtype=float)
+    """Validate a realization and return it as an (N+1, d) array; GraphError
+    unless ``p`` is an array of numbers of that shape or flattened."""
+    try:
+        arr = np.asarray(p, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise GraphError(f"realization is not an array of numbers: {exc}") from None
     n, d = graph.num_nodes, graph.dimension
     if arr.shape == (n, d):
         return arr

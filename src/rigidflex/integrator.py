@@ -35,18 +35,25 @@ class PerturbationEvent:
 
     def __post_init__(self):
         object.__setattr__(self, "displacement", np.asarray(self.displacement, dtype=float))
-        agent = float(self.agent)
-        if not (agent.is_integer() and agent >= 1):         # False for NaN and infinities
-            raise ValueError(f"agent labels are 1-based integers, got {self.agent!r}")
-        object.__setattr__(self, "agent", int(agent))
+        object.__setattr__(self, "agent", _integer(self.agent, 1, "agent labels"))
         if not np.isfinite(self.displacement).all():
             raise ValueError("perturbation displacements (and random magnitudes) must be finite")
 
 
+def _integer(value, least: int, what: str) -> int:
+    """``value`` as an int, 7.0 as 7; ValueError unless it is an integer >= ``least``.
+    An int is taken exactly, not rounded through a float."""
+    whole = int(value) if isinstance(value, (int, np.integer)) else float(value)
+    if not (whole >= least and whole % 1 == 0):     # False for NaN and infinities
+        raise ValueError(f"{what} are integers >= {least}, got {value!r}")
+    return int(whole)
+
+
 def random_perturbation(time: float, agent: int, dimension: int, magnitude: float,
                         seed: int) -> PerturbationEvent:
-    """Seeded random-direction displacement of fixed magnitude."""
-    rng = np.random.default_rng(seed)
+    """Seeded random-direction displacement of fixed magnitude; ValueError
+    unless the seed is a non-negative integer."""
+    rng = np.random.default_rng(_integer(seed, 0, "random seeds"))
     v = rng.standard_normal(dimension)
     v *= magnitude / np.linalg.norm(v)
     return PerturbationEvent(time=time, agent=agent, displacement=v)
@@ -130,7 +137,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     Scheduled perturbations are applied as instantaneous state jumps at
     exactly their stated times (step clamping).  The returned trajectory
     carries an event log (equilibrium detection, perturbations, target
-    arrival) and the worst per-step increase of V + ``leader.potential``.
+    arrival) and the worst per-step increase of V + ``leader.potential``
+    over the steps that do not meet a windowed leader's [t0, tf].
     The velocity is the gradient control plus ``leader.add_input``; a target
     point that is not d coordinates raises ValueError before the first step.
 
@@ -196,7 +204,9 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         raise ValueError("perturbation events must lie inside [0, t_end]")
     for ev in schedule:                 # every event, before the first step
         _check_event(ev, graph)
-    boundaries = [ev.time for ev in schedule] + [t_end]
+    # V is no Lyapunov function while a windowed input acts: a step that
+    # meets [t0, tf] is left out of the worst increase
+    t0, tf = (leader.t0, leader.tf) if leader.mode == "windowed" else (math.inf, -math.inf)
 
     times, states, errors, gnorms = [], [], [], []
     log: list[tuple[float, str]] = []
@@ -225,8 +235,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     t = 0.0
     e, u, w = start(t, p)
     record(t, p, e, u)
-    ev_idx = 0
-    for boundary in boundaries:
+    for event, boundary in [*((ev, ev.time) for ev in schedule), (None, t_end)]:
         w_prev = w
         step_count = 0
         while boundary - t > 1e-12:
@@ -235,21 +244,21 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             p_new = _rk4_step(stage, t, p, h, rows, scratch, spare)
             e, u, w = evaluate(p_new)
             guard(w, t + h, t, p)
+            if not (t <= tf and t0 <= t + h):
+                max_dv = max(max_dv, w - w_prev)
             p, spare, t = p_new, p, t + h
-            max_dv = max(max_dv, w - w_prev)
             w_prev = w
             step_count += 1
             if step_count % record_every == 0 or boundary - t <= 1e-12:
                 record(t, p, e, u)
                 check_events(t, p, u)
         t = boundary
-        if ev_idx < len(schedule) and abs(schedule[ev_idx].time - boundary) < 1e-12:
-            p = apply_perturbation(p, schedule[ev_idx], graph).reshape(n, d)
+        if event is not None:
+            p = apply_perturbation(p, event, graph).reshape(n, d)
             log.append((boundary, "perturbation_applied"))
             eq_armed = True
             e, u, w = start(t, p)
             record(t, p, e, u)
-            ev_idx += 1
 
     return Trajectory(
         times=np.asarray(times),

@@ -1,22 +1,24 @@
 """Independent construction of equilibria for the certified topologies.
 
-The constructions stay apart from the simulator and the edge kernel, so
-their outputs can serve as ground truth.  Each undesired subform has one
-``_Layout`` in a table that follows ``stability.SUBFORMS_2D/3D``.  Its rigid
-agents sit at a combination of fixed templates: the slots of
-``stability.LINE_SLOTS`` on the first axis, the unit square, or the unit
-triangle with its centroid.  One method, ``_Layout.solve``, checks that the
-desired lengths and the family admit the layout and then solves the balance
-along the templates for the unknown scales: one by Brent's method on a
-proved bracket, two or more by damped Newton on the balance's analytic
-Jacobian from several seeds (rootfind-collinear, rootfind-coplanar).  No
-scale, or one whose bracket closes to a point, is exact for every family
-(coincidence-construct).  Flow capture integrates the closed loop until an
-equilibrium is detected.
+Each undesired subform has one ``_Layout`` in ``_LAYOUTS``, in the order the
+catalog walks.  Its rigid agents sit at a combination of fixed templates:
+the slots of ``stability.LINE_SLOTS`` on the first axis, the unit square, or
+the unit triangle with its centroid.  One method, ``_Layout.solve``, checks
+that the desired lengths and the family admit the layout and then solves
+the balance along the templates for the unknown scales: one by Brent's
+method on a proved bracket, two or more by damped Newton on the balance's
+analytic Jacobian from several seeds (rootfind-collinear,
+rootfind-coplanar).  No scale, or one whose bracket closes to a point, is
+exact for every family (coincidence-construct).  The layout solve
+evaluates the family on its own edge set, apart from the simulator and the
+edge kernel, so its roots are an independent construction.
 
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes where
-asked, rejects points outside the family's domain and classifies.
+asked, rejects points outside the family's domain and classifies; polish and
+classification run the edge kernel.  ``capture_equilibrium_from_flow``, a
+standalone cross-check that ``build_catalog`` does not call, integrates the
+closed loop until an equilibrium is detected and finalizes that state.
 
 ``root``, one Newton solve from one seed, is a module attribute that every
 seed looks up at call time, so a caller may wrap it to count seeds.  It is a
@@ -409,8 +411,8 @@ _SEEDS = {
                                 (0.3, 0.8, 0.3), (0.7, 0.7, 0.7), (0.25, 0.4, 0.55)),
 }
 
-# One layout per subform, in the order of stability.SUBFORMS_2D / _3D: the
-# planar layouts, then the line layouts of stability.LINE_SLOTS.
+# One layout per subform, in the order build_catalog walks them: the planar
+# layouts, then the line layouts of stability.LINE_SLOTS.
 _LAYOUTS = {
     dim: {**_PLANAR[dim], **{name: _line(slots, dim, _SEEDS.get((dim, name), ()))
                              for name, slots in table.items()}}

@@ -1,13 +1,11 @@
 """Edge potential families.
 
-Each family supplies three evaluators over the squared distance error
-e = ||z||^2 - dbar^2 on the domain e > -dbar^2:
+Each family, bound to desired lengths dbar, supplies three evaluators over
+the squared distance error e = ||z||^2 - dbar^2 on the domain e > -dbar^2:
 
-    phi(e, dbar)  -- nonnegative edge energy, zero iff e == 0
-    g(e, dbar)    -- d phi / d e, strictly increasing, sign(g) == sign(e)
-    rho(e, dbar)  -- d g / d e, strictly positive
-
-All evaluators accept scalars or numpy arrays.
+    phi(e)  -- nonnegative edge energy, zero iff e == 0
+    g(e)    -- d phi / d e, strictly increasing, sign(g) == sign(e)
+    rho(e)  -- d g / d e, strictly positive
 """
 
 from __future__ import annotations
@@ -28,20 +26,10 @@ class PotentialFamily:
     """An edge potential given by ``bind(dbar)``: its (phi, g, rho) as
     functions of a float array e alone at the float array ``dbar`` of
     desired lengths (broadcast against e), with the constants the family
-    derives from dbar computed once.  ``phi``, ``g`` and ``rho`` evaluate
-    at e and dbar together."""
+    derives from dbar computed once."""
 
     name: str
     bind: Callable
-
-    def phi(self, e, dbar):
-        return self.bind(np.asarray(dbar, dtype=float))[0](np.asarray(e, dtype=float))
-
-    def g(self, e, dbar):
-        return self.bind(np.asarray(dbar, dtype=float))[1](np.asarray(e, dtype=float))
-
-    def rho(self, e, dbar):
-        return self.bind(np.asarray(dbar, dtype=float))[2](np.asarray(e, dtype=float))
 
 
 _QUADRATIC = (lambda e: 0.5 * e**2, lambda e: e, np.ones_like)
@@ -94,8 +82,8 @@ def validate_family(family: PotentialFamily, dbar: float) -> list[str]:
                                    np.linspace(1e-6, 100.0, 400)])
     try:
         with np.errstate(over="raise"):
-            phi, g, rho = (np.asarray(f(grid, dbar), dtype=float)
-                           for f in (family.phi, family.g, family.rho))
+            phi, g, rho = (np.asarray(f(grid), dtype=float)
+                           for f in family.bind(np.asarray(dbar)))
     except FloatingPointError as exc:
         raise PotentialDomainError(f"dbar must be small enough that phi, g and rho stay "
                                    f"finite on the sample grid, got {dbar!r}: {exc}") from None

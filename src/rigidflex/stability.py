@@ -120,10 +120,6 @@ LINE_SLOTS = {
         "pair_interior_collinear": (1, 1, 0, 2), "collinear_distinct": (0, 1, 2, 3)},
 }
 
-# Subform tags, by geometry of the rigid agents.
-SUBFORMS_2D = tuple(LINE_SLOTS[2])
-SUBFORMS_3D = ("convex_quadrilateral", "interior_point", *LINE_SLOTS[3])
-
 # slot sizes along the line -> (subform, its roles sorted by slot)
 _LINE_FORMS = {
     d: {tuple(slots.count(s) for s in range(max(slots) + 1)):
@@ -175,7 +171,7 @@ def _classify(pos: np.ndarray, st: EdgeState, graph: FormationGraph,
     z_flex = st.z[graph.flex_edge_index]
     flex_gap = float(np.linalg.norm(z_flex))
     diag["flex_gap"] = flex_gap
-    rigid = pos[list(graph.rigid_nodes)]
+    rigid = pos[:-1]
     if flex_gap < POS_TOL:
         return EquilibriumClass(kind="flex_coincident", diagnostics=diag, ambiguous=ambiguous,
                                 axis=_flex_axis(rigid, z_flex))

@@ -127,7 +127,8 @@ def test_run_bad_scenario_is_config_error(tmp_path):
         ("fractional_agent", {"agent": 1.7, "displacement": [0.1, 0.0]}),
         ("fractional_random_agent", {"agent": 1.7, "magnitude": 0.01}),
         ("nan_displacement", {"agent": 4, "displacement": [float("nan"), 0.0]}),
-        ("nan_magnitude", {"agent": 4, "magnitude": float("nan")}))),
+        ("nan_magnitude", {"agent": 4, "magnitude": float("nan")}),
+        ("fractional_seed", {"agent": 4, "magnitude": 0.01, "seed": 7.9}))),
     *(pytest.param("run", "leader", doc, id=f"run-leader-{name}") for name, doc in (
         ("empty_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": []}),
         ("flat_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [1, 2, 3]}),
@@ -137,19 +138,27 @@ def test_run_bad_scenario_is_config_error(tmp_path):
                         "v": [[2.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 5.0, 5.0]]}),
         ("nan_k_f", {"mode": "target", "k_f": float("nan"), "p_t": [0.0, 0.0]}),
         ("scalar_p_t", {"mode": "target", "k_f": 1.0, "p_t": 1}),
-        ("3d_p_t", {"mode": "target", "k_f": 1.0, "p_t": [0.0, 0.0, 0.0]}))),
+        ("3d_p_t", {"mode": "target", "k_f": 1.0, "p_t": [0.0, 0.0, 0.0]}),
+        ("zero", 0), ("false", False), ("empty_list", []))),
+    pytest.param("run", "graph", "square_flex", id="run-graph-unknown_builtin"),
+    pytest.param("run", "initial", [[0.0, 0.0]], id="run-initial-wrong_shape"),
+    pytest.param("analyze", "realization", {"positions": [[0.0, 0.0]]},
+                 id="analyze-realization-wrong_shape"),
 ])
 def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, field, doc):
     """Malformed input exits 2 with a one-line message, never a traceback.
     An unknown scenario key (a removed or misspelt one) is named, not run
     with its default.  A graph with a NaN or infinite desired distance, or one
     whose fourth power is not a normal float or whose (100 dbar^2)^2 overflows,
-    is malformed; so are a NaN or infinite t_end or dt, an eq_tol that is
-    not a finite non-negative number, a record_every that is not an integer,
-    an event whose agent is not an integer or whose displacement or
-    magnitude is not finite, and a leader document whose samples, gain or
-    target do not fit the graph, or whose sample times do not increase
-    strictly.  Each exits before the first step, with no output written."""
+    is malformed; so are an unknown builtin graph name, a realization that
+    is not an array of numbers of the graph's shape, a NaN or infinite
+    t_end or dt, an eq_tol that is not a finite non-negative number, a
+    record_every that is not an integer, an event whose agent is not an
+    integer or whose displacement or magnitude is not finite, a random
+    event whose seed is not a non-negative integer, and a leader document
+    that is not an object or whose samples, gain or target do not fit the
+    graph, or whose sample times do not increase strictly.  Each exits
+    before the first step, with no output written."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":
         real = tmp_path / "real.json"
@@ -186,6 +195,21 @@ def test_run_whose_step_diverges_exits_numeric_without_warnings(tmp_path, capsys
         warnings.simplefilter("error")
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_NUMERIC
     assert "Lyapunov value inf at t=1 is not finite" in capsys.readouterr().err
+
+
+def test_run_over_the_lyapunov_slack_exits_numeric_after_writing(tmp_path, monkeypatch,
+                                                                  capsys):
+    """A run whose worst per-step rise of V exceeds LYAPUNOV_SLACK exits 3
+    with one 'run FAILED' line, after writing its trajectory and events."""
+    import rigidflex.cli as cli
+
+    monkeypatch.setattr(cli, "LYAPUNOV_SLACK", -1.0)
+    assert main(["run", str(small_scenario(tmp_path)), "--out", str(tmp_path / "out")]) \
+        == EXIT_NUMERIC
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("run FAILED: Lyapunov quantity increased")
+    assert (tmp_path / "out" / "scenario_trajectory.csv").exists()
+    assert (tmp_path / "out" / "scenario_events.json").exists()
 
 
 def test_run_rational_start_on_coincidence_boundary_exits_numeric(tmp_path, capsys):
@@ -258,28 +282,38 @@ def test_catalog_computes_each_sign_table_row_once(tmp_path, graph_file, monkeyp
         for e in degenerate]
 
 
+# graph document -> the words of the error it must give
+BAD_GRAPHS = {
+    "uncertified_graph": (graph_to_json(FormationGraph(
+        num_nodes=3, dimension=2, edges=((1, 2), (2, 3)), desired=(4.0, 4.0), flex_edge=(2, 3))),
+        "only the certified triangle and tetrahedron"),
+    "dimension_4_graph": ({**graph_to_json(triangle_flex()), "dimension": 4},
+                          "dimension must be 2 or 3"),
+    "two_node_graph": ({"dimension": 2, "nodes": 2, "edges": [[1, 2, 4.0]], "flex_edge": [1, 2]},
+                       "need at least 2 rigid nodes"),
+    "out_of_range_edge_graph": ({**graph_to_json(triangle_flex()), "edges": [
+        [1, 2, 4.0], [1, 3, 4.0], [1, 5, 4.0], [2, 3, 4.0], [3, 4, 4.0]]}, "edge (1,5) out of range"),
+}
 BAD_DESIRED = {"nan_desired": float("nan"), "infinite_desired": float("inf"),
                "huge_desired": 1e160, "huge_fourth_power_1e100": 1e100,
                "huge_fourth_power_1e154": 1e154, "huge_phi_1e77": 1e77,
                "subnormal_fourth_power_1e-78": 1e-78, "zero_fourth_power_1e-90": 1e-90}
 
 
-@pytest.mark.parametrize("case", ["uncertified_graph", *BAD_DESIRED])
+@pytest.mark.parametrize("case", [*BAD_GRAPHS, *BAD_DESIRED])
 def test_catalog_malformed_input_is_config_error(tmp_path, capsys, case):
-    """A graph outside the certified topologies or a NaN or infinite desired
-    distance, or one whose fourth power is not a normal float or whose
-    (100 dbar^2)^2 overflows, exits 2 before any output is written."""
+    """A graph outside the certified topologies, one that is no formation
+    graph (dimension 4, two nodes, an edge past the last node), or a NaN or
+    infinite desired distance, or one whose fourth power is not a normal
+    float or whose (100 dbar^2)^2 overflows, exits 2 before any output is
+    written."""
     path = tmp_path / "bad.json"
-    if case == "uncertified_graph":
-        path.write_text(json.dumps(graph_to_json(FormationGraph(
-            num_nodes=3, dimension=2, edges=((1, 2), (2, 3)), desired=(4.0, 4.0),
-            flex_edge=(2, 3)))))
-    else:
-        path.write_text(json.dumps(triangle_doc(BAD_DESIRED[case])))
+    doc, words = BAD_GRAPHS.get(case) or (triangle_doc(BAD_DESIRED[case]), "desired distances")
+    path.write_text(json.dumps(doc))
     assert main(["catalog", str(path), "--out", str(tmp_path / "cat")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: ")
-    assert case.endswith("graph") or "desired distances" in err[0]
+    assert words in err[0]
     assert not (tmp_path / "cat").exists()
 
 

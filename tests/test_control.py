@@ -191,7 +191,7 @@ def reference_control(p, graph, family):
     sq = np.einsum("ij,ij->i", z, z)
     dbar = np.array(graph.desired)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = family.g(sq - dbar**2, dbar)[:, None] * z
+        f = family.bind(dbar)[1](sq - dbar**2)[:, None] * z
     f[sq == 0.0] = 0.0
     u = np.zeros_like(pos)
     np.subtract.at(u, tails, f)

@@ -22,7 +22,6 @@ def test_triangle_flex_structure():
     assert g.edges == ((1, 2), (1, 3), (2, 3), (3, 4))
     assert g.flex_edge == (3, 4)
     assert g.flex_edge_index == 3
-    assert list(g.rigid_nodes) == [0, 1, 2]
     assert g.certified_topology() == "triangle"
 
 
@@ -38,6 +37,10 @@ def test_edge_order_is_contractual():
         FormationGraph(num_nodes=4, dimension=2,
                        edges=((1, 3), (1, 2), (2, 3), (3, 4)),
                        desired=(4.0,) * 4, flex_edge=(3, 4))
+    with pytest.raises(GraphError, match="must align with edges"):
+        FormationGraph(num_nodes=4, dimension=2,
+                       edges=((1, 2), (1, 3), (2, 3), (3, 4)),
+                       desired=(4.0,) * 3, flex_edge=(3, 4))
 
 
 def test_flex_node_degree_enforced():

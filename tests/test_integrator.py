@@ -74,6 +74,11 @@ def test_random_perturbation_is_seeded_and_normalized():
     b = random_perturbation(1.0, 3, 3, 0.01, seed=5)
     np.testing.assert_array_equal(a.displacement, b.displacement)
     assert np.linalg.norm(a.displacement) == pytest.approx(0.01)
+    np.testing.assert_array_equal(random_perturbation(1.0, 3, 3, 0.01, seed=5.0).displacement,
+                                  a.displacement)
+    for seed in (5.5, -1, float("nan")):
+        with pytest.raises(ValueError, match="random seeds are integers >= 0"):
+            random_perturbation(1.0, 3, 3, 0.01, seed=seed)
 
 
 def test_apply_perturbation_bounds_checked():
@@ -161,6 +166,21 @@ def test_target_leader_run_reaches_target():
     assert np.linalg.norm(pos[-1] - spec.p_t) < 1e-3
     assert any(kind == "target_reached" for _, kind in traj.events)
     assert traj.max_lyapunov_increase <= 1e-10
+
+
+def test_lyapunov_increase_leaves_out_the_steps_of_a_windowed_input():
+    """While a windowed input acts V may rise, so the worst increase is taken
+    over the steps that do not meet [t0, tf]: recomputed from every step's
+    state it is the largest rise outside the window, and a step inside it
+    rose by more than the CLI's 1e-10 slack."""
+    g = triangle_flex()
+    spec = LeaderSpec(mode="windowed", v=lambda t: np.array([1.0, 0.0]), t0=0.5, tf=1.0)
+    traj = integrate(desired_equilibrium(g), g, QUADRATIC, t_end=2.0, dt=1e-3, leader=spec,
+                     record_every=1)
+    rise = np.diff([potential_value(s, g, QUADRATIC) for s in traj.states])
+    meets = (traj.times[:-1] <= spec.tf) & (traj.times[1:] >= spec.t0)
+    assert traj.max_lyapunov_increase == rise[~meets].max()
+    assert rise[meets].max() > 1e-10
 
 
 def test_trajectory_csv_round_trip(tmp_path):

@@ -25,7 +25,7 @@ from rigidflex.oracle import (
     write_catalog,
 )
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
-from rigidflex.stability import EQ_TOL, LINE_SLOTS, SUBFORMS_2D, SUBFORMS_3D, classify
+from rigidflex.stability import EQ_TOL, LINE_SLOTS, classify
 
 
 def one_gap_subforms(d):
@@ -163,6 +163,30 @@ def test_capture_from_desired_start_is_immediate():
     assert entry.residual < 1e-12
 
 
+@pytest.mark.parametrize("scenario, graph, subform", [
+    ("triangle_flex_2d", triangle_flex(), "collinear_distinct"),
+    ("tetra_flex_3d", tetrahedron_flex(), "interior_point")])
+def test_capture_from_flow_reaches_the_constructed_saddle(monkeypatch, scenario, graph, subform):
+    """From a bundled scenario's start the flow reaches a saddle within 0.5 s;
+    capture polishes and classifies it, and it matches the layout solve's
+    entry in V and in its sorted edge lengths."""
+    import rigidflex.oracle as oracle
+    from rigidflex.cli import _resolve_scenario
+    from rigidflex.control import edge_states, potential_value
+
+    monkeypatch.setattr(oracle, "CAPTURE_T_MAX", 0.5)
+    entry = capture_equilibrium_from_flow(_resolve_scenario(scenario)["initial"], graph,
+                                          QUADRATIC)
+    ref = construct_equilibrium(graph, QUADRATIC, subform)
+    assert (entry.kind, entry.subform, entry.method) == ("degenerate_rigid", subform,
+                                                         "flow-capture")
+    assert potential_value(entry.positions, graph, QUADRATIC) == pytest.approx(
+        potential_value(ref.positions, graph, QUADRATIC), rel=0, abs=1e-12)
+    lengths = [np.sort(np.linalg.norm(edge_states(e.positions, graph, QUADRATIC).z, axis=1))
+               for e in (entry, ref)]
+    np.testing.assert_allclose(*lengths, rtol=0, atol=1e-12)
+
+
 def test_capture_reports_no_equilibrium(monkeypatch):
     import rigidflex.oracle as oracle
 
@@ -270,9 +294,11 @@ def test_layout_table_follows_the_subform_tags():
     """One layout per subform tag, in tag order, each with the flex agent at
     its desired length along the last axis; the family-independent subforms
     are exactly those built without a root-finder."""
-    for g, tags in ((triangle_flex(), SUBFORMS_2D), (tetrahedron_flex(), SUBFORMS_3D)):
+    for g, planar in ((triangle_flex(), ()),
+                      (tetrahedron_flex(), ("convex_quadrilateral", "interior_point"))):
         entries, failures = build_catalog(g, QUADRATIC)
-        assert tuple(_LAYOUTS[g.dimension]) == tags
+        tags = tuple(_LAYOUTS[g.dimension])
+        assert tags == (*planar, *LINE_SLOTS[g.dimension])
         assert [e.subform for e in entries[1:]] == [t for t in tags if t not in failures]
         for e in entries[1:]:
             offset = e.positions[-1] - e.positions[-2]

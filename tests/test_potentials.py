@@ -18,21 +18,23 @@ DBAR = 4.0
 
 
 def finite_difference(f, e, h=1e-6):
-    return (f(e + h, DBAR) - f(e - h, DBAR)) / (2 * h)
+    return (f(e + h) - f(e - h)) / (2 * h)
 
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
 def test_g_is_derivative_of_phi(family):
+    phi, g, _ = family.bind(np.asarray(DBAR))
     grid = np.linspace(-0.9 * DBAR**2, 50.0, 200)
-    fd = np.array([finite_difference(family.phi, e) for e in grid])
-    np.testing.assert_allclose(family.g(grid, DBAR), fd, rtol=1e-6, atol=1e-6)
+    fd = np.array([finite_difference(phi, e) for e in grid])
+    np.testing.assert_allclose(g(grid), fd, rtol=1e-6, atol=1e-6)
 
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
 def test_rho_is_derivative_of_g(family):
+    _, g, rho = family.bind(np.asarray(DBAR))
     grid = np.linspace(-0.9 * DBAR**2, 50.0, 200)
-    fd = np.array([finite_difference(family.g, e) for e in grid])
-    np.testing.assert_allclose(family.rho(grid, DBAR), fd, rtol=1e-5, atol=1e-8)
+    fd = np.array([finite_difference(g, e) for e in grid])
+    np.testing.assert_allclose(rho(grid), fd, rtol=1e-5, atol=1e-8)
 
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
@@ -56,17 +58,19 @@ def test_validator_rejects_dbar_where_family_overflows(name, dbar, passes):
 
 
 def test_quadratic_values():
-    assert QUADRATIC.phi(2.0, DBAR) == 2.0
-    assert QUADRATIC.g(-3.0, DBAR) == -3.0
-    assert QUADRATIC.rho(123.0, DBAR) == 1.0
+    phi, g, rho = QUADRATIC.bind(np.asarray(DBAR))
+    assert phi(np.asarray(2.0)) == 2.0
+    assert g(np.asarray(-3.0)) == -3.0
+    assert rho(np.asarray(123.0)) == 1.0
 
 
 def test_rational_values():
     # phi(e) = e^2/(e + dbar^2): g is bounded above by 1 and negative below 0
-    assert RATIONAL.g(0.0, DBAR) == 0.0
-    assert RATIONAL.g(1e9, DBAR) < 1.0
-    assert RATIONAL.g(-8.0, DBAR) < 0.0
-    assert RATIONAL.rho(0.0, DBAR) == pytest.approx(2.0 / DBAR**2)
+    _, g, rho = RATIONAL.bind(np.asarray(DBAR))
+    assert g(np.asarray(0.0)) == 0.0
+    assert g(np.asarray(1e9)) < 1.0
+    assert g(np.asarray(-8.0)) < 0.0
+    assert rho(np.asarray(0.0)) == pytest.approx(2.0 / DBAR**2)
 
 
 def test_get_family():
@@ -112,13 +116,13 @@ def test_evaluators_equal_closed_forms_exactly(family):
     assert np.count_nonzero(e == -(dbar**2)) == len(bars)
     with np.errstate(divide="ignore", invalid="ignore"):
         expected = closed_forms(e, dbar)[family.name]
-        bound = family.bind(dbar[:, None])
-        for k, (fn, want) in enumerate(zip((family.phi, family.g, family.rho), expected)):
-            np.testing.assert_array_equal(fn(e, dbar), want)
+        bound, flat, at_dbar = (family.bind(b) for b in (dbar[:, None], dbar, np.asarray(DBAR)))
+        for k, want in enumerate(expected):
+            np.testing.assert_array_equal(flat[k](e), want)
             np.testing.assert_array_equal(bound[k](e[:, None]), want[:, None], strict=True)
-            np.testing.assert_array_equal(fn(e[41:82], DBAR), want[41:82])
+            np.testing.assert_array_equal(at_dbar[k](e[41:82]), want[41:82])
             for i in range(0, len(e), 5):
-                got = fn(float(e[i]), float(dbar[i]))
+                got = family.bind(np.asarray(dbar[i]))[k](np.asarray(e[i]))
                 assert np.ndim(got) == 0
                 np.testing.assert_array_equal(
                     got, closed_forms(np.asarray(e[i]), np.asarray(dbar[i]))[family.name][k])
@@ -130,5 +134,5 @@ def test_family_survives_pickling(family):
     process, and evaluates the same after the round trip."""
     copy = pickle.loads(pickle.dumps(family))
     e = np.linspace(-0.9, 3.0, 9) * DBAR**2
-    for a, b in zip((family.phi, family.g, family.rho), (copy.phi, copy.g, copy.rho)):
-        np.testing.assert_array_equal(a(e, DBAR), b(e, DBAR))
+    for a, b in zip(family.bind(np.asarray(DBAR)), copy.bind(np.asarray(DBAR))):
+        np.testing.assert_array_equal(a(e), b(e))

@@ -251,8 +251,8 @@ def test_flex_sum_witness_form_equals_flex_gradient():
         w = analyze(p, g, QUADRATIC).witness
         assert w.tag == "flex_sum"
         dbar_f = g.desired[g.flex_edge_index]
-        assert w.quadratic_form == pytest.approx(float(QUADRATIC.g(-dbar_f**2, dbar_f)),
-                                                 abs=1e-12)
+        g_f = QUADRATIC.bind(np.asarray(dbar_f))[1](np.asarray(-dbar_f**2))
+        assert w.quadratic_form == pytest.approx(float(g_f), abs=1e-12)
 
 
 def test_indicator_witness_form_equals_incident_gradient_sum():
