@@ -35,7 +35,6 @@ from .oracle import (
     CatalogEntry,
     OracleError,
     build_catalog,
-    capture_equilibrium_from_flow,
     construct_equilibrium,
     desired_equilibrium,
     flex_coincident_equilibrium,

@@ -75,7 +75,7 @@ def _parse_graph(doc) -> FormationGraph:
         return builtin[doc]()
     try:
         return graph_from_json(doc)
-    except TypeError as exc:                # not an object, or a field of the wrong type
+    except (OverflowError, TypeError) as exc:   # not an object, a wrong type, a huge int
         raise ScenarioError(f"invalid graph: {exc}")
 
 
@@ -114,7 +114,7 @@ def _cmd_run(args) -> int:
         events = _parse_events(doc.get("events"), graph.dimension)
         leader = leader_spec_from_json(doc.get("leader"), graph.dimension)
         analyze_equilibria = bool(doc.get("analysis", {}).get("hessian_at_equilibria"))
-    except (AttributeError, KeyError, TypeError, ValueError, GraphError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError, ValueError, GraphError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}")
 
     traj = integrate(p0, graph, family, t_end, dt=dt, leader=leader, events=events,
@@ -183,17 +183,14 @@ def _cmd_catalog(args) -> int:
     write_catalog(entries, out / "catalog.jsonl")
     for entry in entries:
         try:                                # on a certified graph: a witness, or raises
-            claims = analyze(entry.positions, graph, family).claims
+            report = analyze(entry.positions, graph, family)
         except (WitnessNotFoundError, np.linalg.LinAlgError) as exc:
             print(f"catalog entry {entry.subform or entry.kind}: {exc}", file=sys.stderr)
             continue
         witness_ok += 1
         if entry.kind == "degenerate_rigid":
-            sign_table.append({
-                "subform": entry.subform,
-                "claims": [{"claim": c.description, "value": c.value,
-                            "passed": c.passed} for c in claims],
-            })
+            sign_table.append({"subform": entry.subform,
+                               "claims": report.to_json_dict()["claims"]})
     summary = {
         "entries": len(entries),
         "undesired": undesired,

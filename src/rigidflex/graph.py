@@ -190,7 +190,7 @@ def as_positions(p, graph: FormationGraph) -> np.ndarray:
     unless ``p`` is an array of numbers of that shape or flattened."""
     try:
         arr = np.asarray(p, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (OverflowError, TypeError, ValueError) as exc:
         raise GraphError(f"realization is not an array of numbers: {exc}") from None
     n, d = graph.num_nodes, graph.dimension
     if arr.shape == (n, d):

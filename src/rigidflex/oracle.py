@@ -14,11 +14,11 @@ evaluates the family on its own edge set, apart from the simulator and the
 edge kernel, so its roots are an independent construction.
 
 The flex agent sits at its desired length from its anchor along the last
-axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes where
-asked, rejects points outside the family's domain and classifies; polish and
-classification run the edge kernel.  ``capture_equilibrium_from_flow``, a
-standalone cross-check that ``build_catalog`` does not call, integrates the
-closed loop until an equilibrium is detected and finalizes that state.
+axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes every
+point but an exact (coincidence-construct) one, rejects points outside the
+family's domain and classifies; polish and classification run the edge
+kernel.  Every point is constructed, never simulated: nothing here
+integrates the closed loop.
 
 ``root``, one Newton solve from one seed, is a module attribute that every
 seed looks up at call time, so a caller may wrap it to count seeds.  It is a
@@ -34,18 +34,14 @@ from functools import partial
 
 import numpy as np
 
-from .control import balance_residuals, gradient_control, potential_value
+from .control import gradient_control, potential_value
 from .graph import FormationGraph, as_positions, simplex_gram
-from .integrator import integrate
 from .potentials import PotentialFamily
 from .stability import LINE_SLOTS, assemble_hessian, classify
 
 
 POLISH_TOL = 1e-12        # balance residual that ends a Newton polish
 POLISH_MAX_ITER = 50      # Newton iterations before a polish stalls
-CAPTURE_T_MAX = 20.0      # flow capture: integration horizon,
-CAPTURE_DT = 1e-3         # its RK4 step,
-CAPTURE_TOL = 1e-6        # and the residual that detects an equilibrium
 BRENT_MAX_ITER = 100      # Brent iterations on a one-scale bracket
 NEWTON_MAX_STEPS = 20     # Newton steps per seed,
 NEWTON_HALVINGS = 10      # and the halvings a step may take to reduce max|F|
@@ -64,7 +60,7 @@ class CatalogEntry:
     subform: str | None
     residual: float                # max_i ||sum_j g_ij z_ij||
     method: str                    # rootfind-collinear | rootfind-coplanar |
-                                   # coincidence-construct | flow-capture
+                                   # coincidence-construct
     family_name: str
 
     def to_json_dict(self) -> dict:
@@ -425,19 +421,17 @@ _BOUNDARY = ("construction lies on the coincidence boundary, where this "
 
 
 def _finalize(positions, graph: FormationGraph, family: PotentialFamily, method: str,
-              expect=None, polish=False) -> CatalogEntry:
-    """Polish (if asked), check the domain, classify, and build the entry.
-
-    ``expect`` is the (kind, subform) the point must classify as, if any.
-    """
+              expect) -> CatalogEntry:
+    """Polish a root-found point, check the domain, classify, and build the
+    entry; ``expect`` is the (kind, subform) the point must classify as."""
     p = as_positions(positions, graph)
-    if polish:
+    if method != "coincidence-construct":
         p = newton_polish(p, graph, family).reshape(p.shape)
     if not np.isfinite(potential_value(p, graph, family)):
         raise OracleError(_BOUNDARY)
     cls = classify(p, graph, family)
     residual = cls.diagnostics["residual"]
-    if expect is not None and (cls.kind, cls.subform) != expect:
+    if (cls.kind, cls.subform) != expect:
         raise OracleError(
             f"constructed point classifies as {cls.kind}/{cls.subform}, "
             f"expected {expect[0]}/{expect[1]} (residual {residual:.3e})")
@@ -461,30 +455,7 @@ def construct_equilibrium(graph: FormationGraph, family: PotentialFamily,
     flex = rigid[-1].copy()
     flex[-1] += graph.desired[graph.flex_edge_index]
     return _finalize(np.vstack([rigid, flex]), graph, family, method,
-                     ("degenerate_rigid", subform),
-                     polish=method != "coincidence-construct")
-
-
-# ---------------------------------------------------------------------------
-# Flow capture
-
-
-def capture_equilibrium_from_flow(p0, graph: FormationGraph,
-                                  family: PotentialFamily) -> CatalogEntry:
-    """Integrate until an equilibrium is detected, then polish and classify:
-    RK4 steps of CAPTURE_DT up to CAPTURE_T_MAX, detection at CAPTURE_TOL."""
-    p0 = as_positions(p0, graph).reshape(-1)
-    if balance_residuals(p0, graph, family).max() < CAPTURE_TOL:
-        p = p0
-    else:
-        traj = integrate(p0, graph, family, t_end=CAPTURE_T_MAX, dt=CAPTURE_DT,
-                         eq_tol=CAPTURE_TOL)
-        hit = next((t for t, kind in traj.events if kind == "equilibrium_detected"), None)
-        if hit is None:
-            raise OracleError(f"no equilibrium detected before t = {CAPTURE_T_MAX}")
-        idx = int(np.argmin(np.abs(traj.times - hit)))
-        p = traj.states[idx]
-    return _finalize(p, graph, family, "flow-capture", polish=True)
+                     ("degenerate_rigid", subform))
 
 
 # ---------------------------------------------------------------------------

@@ -292,7 +292,6 @@ class Witness:
     full_vector: np.ndarray        # v (x) r
     quadratic_form: float
     tag: str                       # flex_sum | agent_indicator | eigenvector
-    axis: tuple                    # the class's degenerate axis r
 
 
 def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
@@ -330,7 +329,7 @@ def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
     for tag, v, q in candidates():
         if q < threshold:                   # False for a NaN form
             return Witness(vector=v, full_vector=np.outer(v, cls.axis).ravel(),
-                           quadratic_form=q, tag=tag, axis=cls.axis)
+                           quadratic_form=q, tag=tag)
     # unbounded curvature at a coincidence boundary has no eigendecomposition
     lowest = np.linalg.eigh(block)[0][0] if finite.all() else -np.inf
     raise WitnessNotFoundError(

@@ -3,6 +3,9 @@
 import numpy as np
 
 from rigidflex.control import gradient_control
+from rigidflex.integrator import integrate
+from rigidflex.oracle import newton_polish
+from rigidflex.stability import classify
 
 
 def leader_control(p, t, graph, family, spec):
@@ -40,3 +43,15 @@ def psd_check(matrix):
     spectrum = np.linalg.eigvalsh(matrix)
     eig_tol = 1e-8 * max(abs(spectrum[0]), abs(spectrum[-1]), 1.0)
     return float(spectrum[0]), bool(spectrum[0] >= -eig_tol)
+
+
+def capture_from_flow(p0, graph, family, t_end):
+    """The flow cross-check of the oracle's constructions: integrate from p0
+    for t_end in RK4 steps of 1e-3, take the recorded state nearest the
+    first equilibrium detected at residual 1e-6, Newton-polish it, and
+    return its positions and class."""
+    traj = integrate(p0, graph, family, t_end=t_end, dt=1e-3, eq_tol=1e-6)
+    hit = next(t for t, kind in traj.events if kind == "equilibrium_detected")
+    p = newton_polish(traj.states[np.argmin(np.abs(traj.times - hit))], graph, family)
+    p = p.reshape(graph.num_nodes, graph.dimension)
+    return p, classify(p, graph, family)

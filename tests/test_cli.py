@@ -29,6 +29,16 @@ def triangle_doc(desired):
     return doc
 
 
+HUGE_INT = 10**400                  # a JSON integer that no float can hold
+
+
+def huge_realization():
+    """The desired triangle with one coordinate replaced by HUGE_INT."""
+    p = desired_equilibrium(triangle_flex()).tolist()
+    p[0][0] = HUGE_INT
+    return p
+
+
 def small_scenario(tmp_path, **overrides):
     doc = {
         "graph": "triangle_flex",
@@ -144,6 +154,10 @@ def test_run_bad_scenario_is_config_error(tmp_path):
     pytest.param("run", "initial", [[0.0, 0.0]], id="run-initial-wrong_shape"),
     pytest.param("analyze", "realization", {"positions": [[0.0, 0.0]]},
                  id="analyze-realization-wrong_shape"),
+    *(pytest.param("run", field, doc, id=f"run-{field}-400_digits") for field, doc in (
+        ("t_end", HUGE_INT), ("dt", HUGE_INT), ("initial", huge_realization()))),
+    pytest.param("analyze", "realization", {"positions": huge_realization()},
+                 id="analyze-realization-400_digits"),
 ])
 def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, field, doc):
     """Malformed input exits 2 with a one-line message, never a traceback.
@@ -155,10 +169,11 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
     t_end or dt, an eq_tol that is not a finite non-negative number, a
     record_every that is not an integer, an event whose agent is not an
     integer or whose displacement or magnitude is not finite, a random
-    event whose seed is not a non-negative integer, and a leader document
+    event whose seed is not a non-negative integer, a leader document
     that is not an object or whose samples, gain or target do not fit the
-    graph, or whose sample times do not increase strictly.  Each exits
-    before the first step, with no output written."""
+    graph, or whose sample times do not increase strictly, and a JSON
+    integer beyond the float range in t_end, dt or a realization.  Each
+    exits before the first step, with no output written."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":
         real = tmp_path / "real.json"
@@ -293,6 +308,9 @@ BAD_GRAPHS = {
                        "need at least 2 rigid nodes"),
     "out_of_range_edge_graph": ({**graph_to_json(triangle_flex()), "edges": [
         [1, 2, 4.0], [1, 3, 4.0], [1, 5, 4.0], [2, 3, 4.0], [3, 4, 4.0]]}, "edge (1,5) out of range"),
+    "infinite_nodes_graph": ({**graph_to_json(triangle_flex()), "nodes": float("inf")},
+                             "invalid graph"),
+    "desired_400_digits_graph": (triangle_doc(HUGE_INT), "invalid graph"),
 }
 BAD_DESIRED = {"nan_desired": float("nan"), "infinite_desired": float("inf"),
                "huge_desired": 1e160, "huge_fourth_power_1e100": 1e100,
@@ -303,10 +321,11 @@ BAD_DESIRED = {"nan_desired": float("nan"), "infinite_desired": float("inf"),
 @pytest.mark.parametrize("case", [*BAD_GRAPHS, *BAD_DESIRED])
 def test_catalog_malformed_input_is_config_error(tmp_path, capsys, case):
     """A graph outside the certified topologies, one that is no formation
-    graph (dimension 4, two nodes, an edge past the last node), or a NaN or
-    infinite desired distance, or one whose fourth power is not a normal
-    float or whose (100 dbar^2)^2 overflows, exits 2 before any output is
-    written."""
+    graph (dimension 4, two nodes, an edge past the last node), one whose
+    node count is infinite or whose desired distance is an integer beyond
+    the float range, or a NaN or infinite desired distance, or one whose
+    fourth power is not a normal float or whose (100 dbar^2)^2 overflows,
+    exits 2 before any output is written."""
     path = tmp_path / "bad.json"
     doc, words = BAD_GRAPHS.get(case) or (triangle_doc(BAD_DESIRED[case]), "desired distances")
     path.write_text(json.dumps(doc))

@@ -18,7 +18,6 @@ from rigidflex.oracle import (
     _multi_root,
     OracleError,
     build_catalog,
-    capture_equilibrium_from_flow,
     construct_equilibrium,
     desired_equilibrium,
     newton_polish,
@@ -26,6 +25,7 @@ from rigidflex.oracle import (
 )
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
 from rigidflex.stability import EQ_TOL, LINE_SLOTS, classify
+from references import capture_from_flow
 
 
 def one_gap_subforms(d):
@@ -155,46 +155,25 @@ def test_newton_polish_reports_stall(monkeypatch):
         newton_polish(np.array([[9.0, 0], [0, 0], [0, 9.0], [5, 5]]), g, QUADRATIC)
 
 
-def test_capture_from_desired_start_is_immediate():
-    g = triangle_flex()
-    entry = capture_equilibrium_from_flow(desired_equilibrium(g), g, QUADRATIC)
-    assert entry.kind == "desired"
-    assert entry.method == "flow-capture"
-    assert entry.residual < 1e-12
-
-
 @pytest.mark.parametrize("scenario, graph, subform", [
     ("triangle_flex_2d", triangle_flex(), "collinear_distinct"),
     ("tetra_flex_3d", tetrahedron_flex(), "interior_point")])
-def test_capture_from_flow_reaches_the_constructed_saddle(monkeypatch, scenario, graph, subform):
+def test_capture_from_flow_reaches_the_constructed_saddle(scenario, graph, subform):
     """From a bundled scenario's start the flow reaches a saddle within 0.5 s;
-    capture polishes and classifies it, and it matches the layout solve's
-    entry in V and in its sorted edge lengths."""
-    import rigidflex.oracle as oracle
+    polished and classified, it matches the layout solve's entry in class,
+    in V and in its sorted edge lengths."""
     from rigidflex.cli import _resolve_scenario
     from rigidflex.control import edge_states, potential_value
 
-    monkeypatch.setattr(oracle, "CAPTURE_T_MAX", 0.5)
-    entry = capture_equilibrium_from_flow(_resolve_scenario(scenario)["initial"], graph,
-                                          QUADRATIC)
-    ref = construct_equilibrium(graph, QUADRATIC, subform)
-    assert (entry.kind, entry.subform, entry.method) == ("degenerate_rigid", subform,
-                                                         "flow-capture")
-    assert potential_value(entry.positions, graph, QUADRATIC) == pytest.approx(
-        potential_value(ref.positions, graph, QUADRATIC), rel=0, abs=1e-12)
-    lengths = [np.sort(np.linalg.norm(edge_states(e.positions, graph, QUADRATIC).z, axis=1))
-               for e in (entry, ref)]
+    p, cls = capture_from_flow(_resolve_scenario(scenario)["initial"], graph, QUADRATIC,
+                               t_end=0.5)
+    ref = construct_equilibrium(graph, QUADRATIC, subform).positions
+    assert (cls.kind, cls.subform) == ("degenerate_rigid", subform)
+    assert potential_value(p, graph, QUADRATIC) == pytest.approx(
+        potential_value(ref, graph, QUADRATIC), rel=0, abs=1e-12)
+    lengths = [np.sort(np.linalg.norm(edge_states(q, graph, QUADRATIC).z, axis=1))
+               for q in (p, ref)]
     np.testing.assert_allclose(*lengths, rtol=0, atol=1e-12)
-
-
-def test_capture_reports_no_equilibrium(monkeypatch):
-    import rigidflex.oracle as oracle
-
-    g = triangle_flex()
-    p0 = np.array([[5.0, 0.5], [-4.0, 1.0], [0.3, -3.0], [1.0, 4.0]])
-    monkeypatch.setattr(oracle, "CAPTURE_T_MAX", 0.01)
-    with pytest.raises(OracleError, match="no equilibrium detected before t = 0.01"):
-        capture_equilibrium_from_flow(p0, g, QUADRATIC)
 
 
 def test_catalog_round_trip(tmp_path):

@@ -93,14 +93,14 @@ def test_witness_is_invariant_under_rigid_motions(graph_name, family_name, angle
         h = assemble_hessian(p, graph, family)
         q_full = float(w.full_vector @ h @ w.full_vector)
         assert q_full == pytest.approx(w.quadratic_form, rel=1e-9, abs=1e-9)
-        np.testing.assert_array_equal(w.full_vector, np.outer(w.vector, w.axis).ravel())
+        np.testing.assert_array_equal(w.full_vector, np.outer(w.vector, cls.axis).ravel())
         if axis_is_unique(pos, cls.kind):
             moved = raw_w.full_vector.reshape(-1, d) @ rot.T
             sign = 1.0 if moved.ravel() @ w.full_vector > 0 else -1.0
             np.testing.assert_allclose(w.full_vector, sign * moved.ravel(), rtol=0, atol=1e-9)
         else:
-            assert abs(np.linalg.norm(w.axis) - 1.0) < 1e-15
-            assert abs(np.dot(w.axis, p[-1] - p[-2])) < 1e-9
+            assert abs(np.linalg.norm(cls.axis) - 1.0) < 1e-15
+            assert abs(np.dot(cls.axis, p[-1] - p[-2])) < 1e-9
         assert [(c.description, c.passed) for c in report.claims] == \
             [(c.description, c.passed) for c in raw.claims]
         np.testing.assert_allclose([c.value for c in report.claims],
