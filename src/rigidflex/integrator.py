@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _edge_kernel, _ignore_fp, _workspace
+from .control import EQ_TOL, LeaderSpec, _float_pass, _ignore_fp
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
@@ -89,6 +90,9 @@ class Trajectory:
         return self.states[-1]
 
     def to_csv(self, path):
+        """One header line, then one line per record: each value as
+        ``repr(float(x))``.  Rows are formatted from Python floats, 256 at a
+        time, so the whole table never exists as float objects."""
         g = self.graph
         coords = "xyz"[: g.dimension]
         header = ["t"]
@@ -99,33 +103,14 @@ class Trajectory:
         data = np.column_stack([self.times, self.states, self.edge_errors, self.grad_norms])
         with open(path, "w") as fh:
             fh.write(",".join(header) + "\n")
-            for row in data:
-                fh.write(",".join(repr(float(x)) for x in row) + "\n")
+            for start in range(0, len(data), 256):
+                for row in data[start:start + 256].tolist():
+                    fh.write(",".join(map(repr, row)) + "\n")
 
     def events_to_json(self, path):
         with open(path, "w") as fh:
             json.dump([{"time": t, "kind": k} for t, k in self.events], fh, indent=2)
             fh.write("\n")
-
-
-_RK4_WEIGHTS = np.array([1.0, 2.0, 2.0, 1.0])
-
-
-def _rk4_step(f, t, p, h, k, s, out):
-    """One classical RK4 step from the (N+1, d) state ``p`` into C-contiguous ``out``.
-
-    ``k`` is the four rows of the stage stack, then the stack as a (4, -1)
-    view K: the caller supplies row 1 = f(t, p), and ``f(t, state, row)``
-    writes each later stage into its row.  Stage states p + c k are built in
-    the scratch buffer ``s``; ``out`` takes p + (h / 6) (1, 2, 2, 1) K.
-    """
-    k1, k2, k3, k4, stack = k
-    half = 0.5 * h
-    f(t + half, np.add(p, np.multiply(k1, half, s), s), k2)
-    f(t + half, np.add(p, np.multiply(k2, half, s), s), k3)
-    f(t + h, np.add(p, np.multiply(k3, h, s), s), k4)
-    np.dot(_RK4_WEIGHTS, stack, out.ravel())
-    return np.add(p, np.multiply(out, h / 6.0, out), out)
 
 
 @_ignore_fp
@@ -142,21 +127,23 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     The velocity is the gradient control plus ``leader.add_input``; a target
     point that is not d coordinates raises ValueError before the first step.
 
-    The state is an (N+1, d) array, the edge kernel's layout.  The loop
-    runs the kernel once per accepted state and reuses that pass as the next
-    step's first RK4 stage and for the Lyapunov value, the record and the
-    equilibrium check: four kernel passes per step, plus one at the start of
-    each segment.  The family is bound to the desired lengths once per
-    call.  Each pass writes into one workspace made per call, its
-    control into a row of the (4, N+1, d) stage stack, which the step
-    combines in one product into the spare of two state buffers; records
-    and IntegrationError.last_state are copies.  The whole call ignores
-    floating-point divide, invalid and overflow errors once: the guard
-    judges the non-finite values they leave.
+    The state is one flat, node-major list of (N+1) d Python floats, and
+    each RK4 stage is one ``_float_pass`` over the edges, bound to the graph
+    and the family once per call: on states this small, numpy's per-call
+    cost would be most of the work.  The loop runs the pass once per
+    accepted state and reuses it as the next step's first stage and for the
+    Lyapunov value, the record and the equilibrium check: four passes per
+    step, plus one at the start of each segment.  The stage states and
+    p + (h/6) (((k1 + 2 k2) + 2 k3) + k4) are formed per coordinate, in the
+    order of numpy's product of (1, 2, 2, 1) with the stage stack.  Records
+    go into compact ``array('d')`` buffers; the equilibrium check and the
+    recorded gradient norm take numpy's norms of the recorded control.  The
+    whole call ignores floating-point divide, invalid and overflow errors
+    once: the guard judges the non-finite values they leave.
 
     One guard per step: V at the new state must be finite, else
     IntegrationError carries the time and state before that step.  A
-    non-finite coordinate makes V non-finite, and the kernel cannot leave
+    non-finite coordinate makes V non-finite, and the pass cannot leave
     the potential's domain, so no other check is needed.  A segment start
     (p0 or a perturbed state) where V is not finite raises too.
     """
@@ -166,23 +153,18 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         raise ValueError("dt must be positive and finite and record_every at least 1")
     n, d = graph.num_nodes, graph.dimension
     leader = (leader or LeaderSpec()).check(d)
-    p = as_positions(p0, graph).astype(float, order="C")
-    spare = np.empty((n, d))        # the state buffer the next step writes
-    stack = np.empty((4, n, d))     # RK4 stages; row 0 holds the accepted state's pass
-    rows = (*stack, stack.reshape(4, -1))     # its rows, and K for _rk4_step
-    scratch = np.empty((n, d))      # RK4 stage state
-    pull = np.empty(d)              # scratch of leader.add_input
-    bound, ws = family.bind(graph._dbar_col), _workspace(graph)    # once per call
-    k1 = stack[0]
-
-    def stage(t, state, out):
-        return leader.add_input(t, state, _edge_kernel(state, graph, bound, out, ws)[3], pull)
+    p = as_positions(p0, graph).ravel().tolist()
+    schedule = sorted(events, key=lambda ev: ev.time)
+    if any(not (0.0 <= ev.time <= t_end) for ev in schedule):
+        raise ValueError("perturbation events must lie inside [0, t_end]")
+    for ev in schedule:                 # every event, before the first step
+        _check_event(ev, graph)
+    run, potential = _float_pass(graph, family)      # once per call
 
     def evaluate(state):
-        """Kernel pass at an accepted state, its control written into ``k1``:
-        squared errors (a workspace column), control, Lyapunov value."""
-        _, e, _, u = _edge_kernel(state, graph, bound, k1, ws)
-        return e, u, 0.5 * float(bound[0](e).sum()) + leader.potential(state)
+        """The pass at an accepted state: control, squared errors, Lyapunov value."""
+        u, e = run(state)
+        return u, e, potential(e) + leader.potential(state)
 
     def guard(w, t_w, t, state):
         """Raise unless the Lyapunov value w reached at t_w is finite; the
@@ -191,38 +173,36 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             raise IntegrationError(
                 f"Lyapunov value {w!r} at t={t_w:g} is not finite (coincident "
                 "agents on the potential's boundary, or a non-finite state)",
-                time=t, last_state=state.copy())
+                time=t, last_state=np.array(state).reshape(n, d))
 
     def start(t, state):
         """``evaluate`` at the start of a segment, where V must be finite."""
-        e, u, w = evaluate(state)
+        u, e, w = evaluate(state)
         guard(w, t, t, state)
-        return e, u, w
+        return u, e, w
 
-    schedule = sorted(events, key=lambda ev: ev.time)
-    if any(not (0.0 <= ev.time <= t_end) for ev in schedule):
-        raise ValueError("perturbation events must lie inside [0, t_end]")
-    for ev in schedule:                 # every event, before the first step
-        _check_event(ev, graph)
     # V is no Lyapunov function while a windowed input acts: a step that
     # meets [t0, tf] is left out of the worst increase
     t0, tf = (leader.t0, leader.tf) if leader.mode == "windowed" else (math.inf, -math.inf)
 
-    times, states, errors, gnorms = [], [], [], []
+    times, states, errors, gnorms = array("d"), array("d"), array("d"), array("d")
     log: list[tuple[float, str]] = []
-    max_dv = -np.inf
+    max_dv = -math.inf
     eq_armed = True
     target_armed = True
 
     def record(t, state, e, u):
+        """Append a sample; return its control as an array."""
         times.append(t)
-        states.append(state.copy())
-        errors.append(e.copy())
+        states.extend(state)
+        errors.extend(e)
+        u = np.array(u)
         gnorms.append(np.linalg.norm(u))
+        return u
 
     def check_events(t, state, u):
         nonlocal eq_armed, target_armed
-        residual = float(np.linalg.norm(u, axis=1).max())
+        residual = float(np.linalg.norm(u.reshape(n, d), axis=1).max())
         if eq_armed and residual < eq_tol:
             log.append((t, "equilibrium_detected"))
             eq_armed = False
@@ -233,38 +213,46 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             target_armed = False
 
     t = 0.0
-    e, u, w = start(t, p)
-    record(t, p, e, u)
+    k1, e, w = start(t, p)
+    record(t, p, e, k1)
     for event, boundary in [*((ev, ev.time) for ev in schedule), (None, t_end)]:
         w_prev = w
         step_count = 0
         while boundary - t > 1e-12:
             h = min(dt, boundary - t)
-            leader.add_input(t, p, k1, pull)
-            p_new = _rk4_step(stage, t, p, h, rows, scratch, spare)
-            e, u, w = evaluate(p_new)
+            half, t_half, sixth = 0.5 * h, t + 0.5 * h, h / 6.0
+            leader.add_input(t, p, k1)
+            s = [x + k * half for x, k in zip(p, k1)]
+            k2 = leader.add_input(t_half, s, run(s)[0])
+            s = [x + k * half for x, k in zip(p, k2)]
+            k3 = leader.add_input(t_half, s, run(s)[0])
+            s = [x + k * h for x, k in zip(p, k3)]
+            k4 = leader.add_input(t + h, s, run(s)[0])
+            p_new = [x + (((a + 2.0 * b) + 2.0 * c) + k) * sixth
+                     for x, a, b, c, k in zip(p, k1, k2, k3, k4)]
+            k1, e, w = evaluate(p_new)
             guard(w, t + h, t, p)
             if not (t <= tf and t0 <= t + h):
                 max_dv = max(max_dv, w - w_prev)
-            p, spare, t = p_new, p, t + h
+            p, t = p_new, t + h
             w_prev = w
             step_count += 1
             if step_count % record_every == 0 or boundary - t <= 1e-12:
-                record(t, p, e, u)
-                check_events(t, p, u)
+                check_events(t, p, record(t, p, e, k1))
         t = boundary
         if event is not None:
-            p = apply_perturbation(p, event, graph).reshape(n, d)
+            p = apply_perturbation(p, event, graph).tolist()
             log.append((boundary, "perturbation_applied"))
             eq_armed = True
-            e, u, w = start(t, p)
-            record(t, p, e, u)
+            k1, e, w = start(t, p)
+            record(t, p, e, k1)
 
+    k = len(times)
     return Trajectory(
-        times=np.asarray(times),
-        states=np.asarray(states).reshape(len(states), n * d),
-        edge_errors=np.asarray(errors).reshape(len(errors), -1),
-        grad_norms=np.asarray(gnorms),
+        times=np.frombuffer(times),
+        states=np.frombuffer(states).reshape(k, n * d),
+        edge_errors=np.frombuffer(errors).reshape(k, -1),
+        grad_norms=np.frombuffer(gnorms),
         events=log,
         max_lyapunov_increase=float(max_dv),
         graph=graph,

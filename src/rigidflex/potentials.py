@@ -24,15 +24,18 @@ class PotentialDomainError(ValueError):
 @dataclass(frozen=True)
 class PotentialFamily:
     """An edge potential given by ``bind(dbar)``: its (phi, g, rho) as
-    functions of a float array e alone at the float array ``dbar`` of
-    desired lengths (broadcast against e), with the constants the family
-    derives from dbar computed once."""
+    functions of e alone at the desired lengths ``dbar``, a float array
+    (broadcast against e) or one Python float, with the constants the family
+    derives from dbar computed once.  The built-in families write phi and g
+    with products, which round alike on floats and arrays (Python's ``**``
+    calls libm's ``pow``), so their float evaluators at one length equal
+    their array evaluators bit for bit."""
 
     name: str
     bind: Callable
 
 
-_QUADRATIC = (lambda e: 0.5 * e**2, lambda e: e, np.ones_like)
+_QUADRATIC = (lambda e: 0.5 * (e * e), lambda e: e, np.ones_like)
 
 
 def _quadratic(dbar):
@@ -42,11 +45,18 @@ def _quadratic(dbar):
 
 def _rational(dbar):
     """phi = e^2 / (e + dbar^2); g and rho are its exact derivatives.  dbar^4
-    stays ``dbar**4``: (dbar^2)^2 differs from it in the last bit for about
-    half of all lengths."""
-    d2, d4 = dbar**2, dbar**4
-    return (lambda e: e**2 / (e + d2), lambda e: 1.0 - d4 / (e + d2) ** 2,
-            lambda e: 2.0 * d4 / (e + d2) ** 3)
+    is numpy's ``dbar**4``, for a float dbar too: (dbar^2)^2 differs from it
+    in the last bit for about half of all lengths, and libm's ``pow`` for
+    about one in twenty where numpy's power is vectorized."""
+    d2, d4 = dbar * dbar, np.power(dbar, 4.0)
+    if isinstance(dbar, float):
+        d4 = float(d4)
+
+    def g(e):
+        s = e + d2
+        return 1.0 - d4 / (s * s)
+
+    return (lambda e: (e * e) / (e + d2), g, lambda e: 2.0 * d4 / (e + d2) ** 3)
 
 
 QUADRATIC = PotentialFamily("quadratic", _quadratic)

@@ -412,19 +412,28 @@ def test_run_rejects_event_after_horizon(tmp_path):
 ], ids=["unknown_agent", "wrong_dimension"])
 def test_run_rejects_bad_event_before_the_first_step(tmp_path, monkeypatch, capsys, event):
     """An event whose agent or displacement does not fit the graph exits 2
-    before any kernel pass, not when the run reaches it."""
+    before any edge pass, array or float, not when the run reaches it."""
     import rigidflex.control as control
     import rigidflex.integrator as integrator
 
     calls = []
-    kernel = control._edge_kernel
+    kernel, float_pass = control._edge_kernel, integrator._float_pass
 
     def counted_kernel(*args):
         calls.append(args)
         return kernel(*args)
 
+    def counted_float_pass(*args):
+        run, potential = float_pass(*args)
+
+        def counted_run(p):
+            calls.append(p)
+            return run(p)
+
+        return counted_run, potential
+
     monkeypatch.setattr(control, "_edge_kernel", counted_kernel)
-    monkeypatch.setattr(integrator, "_edge_kernel", counted_kernel)
+    monkeypatch.setattr(integrator, "_float_pass", counted_float_pass)
     scen = small_scenario(tmp_path, events=[event])
     assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert calls == []

@@ -112,18 +112,20 @@ def test_coincident_edge_contributes_no_force():
 
 
 def leader_input(spec, t, state):
-    """The input that ``spec.add_input`` adds to a zero control at ``state``."""
-    return spec.add_input(t, state, np.zeros_like(state))
+    """The input that ``spec.add_input`` adds to a zero control at the
+    (N+1, d) ``state``, as (N+1, d) rows."""
+    flat = state.reshape(-1)
+    return np.asarray(spec.add_input(t, flat, np.zeros_like(flat))).reshape(state.shape)
 
 
 def test_target_leader_input_value():
     spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([10.0, 10.0]))
     state = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [0.0, 9.228]])
     np.testing.assert_allclose(leader_input(spec, 0.0, state)[-1], [50.0, 3.86])
-    assert spec.potential(state) == pytest.approx(0.5 * 5.0 * (10.0**2 + 0.772**2))
-    assert not spec.arrived(state)
+    assert spec.potential(state.reshape(-1)) == pytest.approx(0.5 * 5.0 * (10.0**2 + 0.772**2))
+    assert not spec.arrived(state.reshape(-1))
     state[-1] = [10.0, 10.0 - 9e-4]
-    assert spec.arrived(state)
+    assert spec.arrived(state.reshape(-1).tolist())
 
 
 def test_windowed_leader_switches_off():
@@ -134,39 +136,18 @@ def test_windowed_leader_switches_off():
     np.testing.assert_allclose(leader_input(spec, 1.2, state)[-1], [0.5, -0.5])
     np.testing.assert_allclose(leader_input(spec, 1.7, state)[-1], [1.0, 0.0])
     np.testing.assert_allclose(leader_input(spec, 2.5, state)[-1], [0.0, 0.0])
-    assert spec.potential(state) == 0.0 and not spec.arrived(state)
+    assert spec.potential(state.reshape(-1)) == 0.0 and not spec.arrived(state.reshape(-1))
 
 
 def test_leader_only_drives_flex_agent():
     g = triangle_flex()
-    p = random_positions(g)
+    p = random_positions(g).reshape(-1)
     spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([10.0, 10.0]))
-    u_plain = gradient_control(p, g, QUADRATIC).reshape(4, 2)
-    u_led = spec.add_input(0.0, p, u_plain.copy())
-    np.testing.assert_array_equal(u_led[:-1], u_plain[:-1])
-    np.testing.assert_array_equal(u_led.reshape(-1), leader_control(p, 0.0, g, QUADRATIC, spec))
-    assert not np.allclose(u_led[-1], u_plain[-1])
-
-
-@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()], ids=["2d", "3d"])
-@pytest.mark.parametrize("mode", ["windowed", "target"])
-def test_leader_law_on_a_stack_matches_single_states(graph, mode):
-    """On a (K, N+1, d) stack the leader law equals K single-state calls
-    bit for bit, and leaves every non-flex row untouched."""
-    rng = np.random.default_rng(11)
-    d = graph.dimension
-    spec = {"windowed": LeaderSpec(mode="windowed", v=lambda t: np.full(d, 0.25 * t), t0=0.0,
-                                   tf=1.0),
-            "target": LeaderSpec(mode="target", k_f=5.0, p_t=rng.uniform(-5, 5, d))}[mode]
-    states = rng.uniform(-5, 5, (7, graph.num_nodes, d))
-    controls = rng.standard_normal(states.shape)
-    stacked = spec.add_input(0.5, states, controls.copy(), np.empty((7, d)))
-    single = np.array([spec.add_input(0.5, s, c.copy()) for s, c in zip(states, controls)])
-    np.testing.assert_array_equal(stacked, single, strict=True)
-    np.testing.assert_array_equal(stacked[:, :-1], controls[:, :-1], strict=True)
-    np.testing.assert_array_equal(spec.potential(states),
-                                  [spec.potential(s) for s in states], strict=mode == "target")
-    np.testing.assert_array_equal(spec.arrived(states), [spec.arrived(s) for s in states])
+    u_plain = gradient_control(p, g, QUADRATIC)
+    u_led = spec.add_input(0.0, p.tolist(), u_plain.tolist())
+    np.testing.assert_array_equal(u_led[:-2], u_plain[:-2])
+    np.testing.assert_array_equal(u_led, leader_control(p, 0.0, g, QUADRATIC, spec))
+    assert not np.allclose(u_led[-2:], u_plain[-2:])
 
 
 def test_leader_mode_validation():

@@ -14,6 +14,7 @@ from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.integrator import (
     IntegrationError,
     PerturbationEvent,
+    Trajectory,
     apply_perturbation,
     integrate,
     random_perturbation,
@@ -121,6 +122,16 @@ def test_target_point_of_the_wrong_shape_rejected(p_t):
         integrate(desired_equilibrium(g), g, QUADRATIC, t_end=1.0, leader=spec)
 
 
+@pytest.mark.parametrize("v", [[1.0], 1.0, [1.0, 1.0, 1.0]])
+def test_windowed_velocity_of_the_wrong_shape_rejected(v):
+    """A windowed velocity that is not d components is refused before the
+    first step: on the flat state, three components would move agent 3 too."""
+    g = triangle_flex()
+    spec = LeaderSpec(mode="windowed", v=lambda t: np.asarray(v), t0=0.0, tf=0.5)
+    with pytest.raises(ValueError, match="windowed v"):
+        integrate(desired_equilibrium(g), g, QUADRATIC, t_end=1.0, leader=spec)
+
+
 def test_no_scipy_module_loads(tmp_path):
     """The package needs no scipy: in a fresh interpreter, importing the CLI,
     ``rigidflex catalog`` on both certified graphs with both families,
@@ -196,6 +207,23 @@ def test_trajectory_csv_round_trip(tmp_path):
     assert data.shape[1] == len(header)
 
 
+def test_trajectory_csv_bytes_are_those_of_repr_per_value(tmp_path):
+    """to_csv writes each value as repr(float(x)): signed zeros, subnormals,
+    huge values and non-finite values included, over several blocks of rows."""
+    g = triangle_flex()
+    rng = np.random.default_rng(5)
+    k = 600
+    values = rng.standard_normal((k, 1 + 8 + 4 + 1)) * 10.0 ** rng.integers(-310, 300, (k, 14))
+    values[:4, 1] = [-0.0, np.inf, -np.inf, np.nan]
+    traj = Trajectory(times=values[:, 0], states=values[:, 1:9], edge_errors=values[:, 9:13],
+                      grad_norms=values[:, 13], graph=g)
+    path = tmp_path / "traj.csv"
+    traj.to_csv(path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + k
+    assert lines[1:] == [",".join(repr(float(x)) for x in row) for row in values]
+
+
 def test_nonpositive_horizon_rejected():
     g = triangle_flex()
     with pytest.raises(ValueError):
@@ -225,27 +253,30 @@ def test_rational_start_on_coincidence_boundary_is_rejected(graph):
 
 
 def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
-    """Four kernel passes per accepted RK4 step (three stages plus the new
-    state, reused as the next step's first stage), plus one at t = 0 and one
-    after each perturbation; the public gradient_control is not called."""
+    """Four float edge passes per accepted RK4 step (three stages plus the
+    new state, reused as the next step's first stage), plus one at t = 0 and
+    one after each perturbation; neither the public gradient_control nor the
+    array kernel is called."""
+    import rigidflex.control as control
     import rigidflex.integrator as integrator
 
-    calls = {"kernel": 0, "steps": 0}
-    kernel, step = integrator._edge_kernel, integrator._rk4_step
+    calls = {"kernel": 0}
+    float_pass = integrator._float_pass
 
-    def counted_kernel(*args):
-        calls["kernel"] += 1
-        return kernel(*args)
+    def counted_float_pass(*args):
+        run, potential = float_pass(*args)
 
-    def counted_step(*args):
-        calls["steps"] += 1
-        return step(*args)
+        def counted_run(p):
+            calls["kernel"] += 1
+            return run(p)
+
+        return counted_run, potential
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("public control function called in the fixed-step loop")
+        raise AssertionError("public control function or array kernel called in the loop")
 
-    monkeypatch.setattr(integrator, "_edge_kernel", counted_kernel)
-    monkeypatch.setattr(integrator, "_rk4_step", counted_step)
+    monkeypatch.setattr(integrator, "_float_pass", counted_float_pass)
+    monkeypatch.setattr(control, "_edge_kernel", forbidden)
     # the integrator imports no gradient_control; one added later is caught
     monkeypatch.setattr(integrator, "gradient_control", forbidden, raising=False)
     g = triangle_flex()
@@ -253,42 +284,42 @@ def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     events = [PerturbationEvent(time=0.1234, agent=2, displacement=np.array([0.1, 0.0])),
               PerturbationEvent(time=0.25, agent=4, displacement=np.array([0.0, -0.2]))]
     traj = integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.4, dt=1e-3,
-                     leader=spec, events=events)
+                     leader=spec, events=events, record_every=1)
     assert [k for _, k in traj.events].count("perturbation_applied") == 2
-    assert calls["steps"] == 124 + 127 + 150      # dt = 1e-3, clamped onto 0.1234 and 0.25
-    assert calls["kernel"] == 4 * calls["steps"] + 1 + len(events)
+    # one record per step, plus one at t = 0 and one after each perturbation
+    steps = len(traj.times) - 1 - len(events)
+    assert steps == 124 + 127 + 150      # dt = 1e-3, clamped onto 0.1234 and 0.25
+    assert calls["kernel"] == 4 * steps + 1 + len(events)
 
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL], ids=lambda f: f.name)
 def test_results_share_no_memory_with_buffers_of_later_calls(monkeypatch, family):
     """No array that integrate, edge_states, gradient_control or
-    potential_value returns shares memory with a buffer that a later kernel
-    pass writes (its outputs, its workspace and its control buffer), and a
-    second integrate call leaves the first trajectory unchanged.  Each
-    record holds the errors and gradient norm of its own state, not of a
-    later pass through the same workspace."""
+    potential_value returns shares memory with an array that a later kernel
+    pass or integrate call returns, and a second integrate call leaves the
+    first trajectory unchanged.  Each record holds the errors and gradient norm of its own
+    state, not of a later pass."""
     import rigidflex.control as control
-    import rigidflex.integrator as integrator
 
     written = []
     kernel = control._edge_kernel
 
     def recording_kernel(*args):
         out = kernel(*args)
-        written.extend(a for a in (*out, *args[3:4], *(args[4] if len(args) > 4 else ()))
-                       if isinstance(a, np.ndarray))
+        written.extend(out)
         return out
 
     monkeypatch.setattr(control, "_edge_kernel", recording_kernel)
-    monkeypatch.setattr(integrator, "_edge_kernel", recording_kernel)
     g = tetrahedron_flex()
     rng = np.random.default_rng(11)
     starts = [desired_equilibrium(g) + 0.1 * rng.standard_normal((g.num_nodes, 3))
               for _ in range(2)]
     spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([6.0, 6.0, 6.0]))
+    later = []
 
     def results(p0):
         traj = integrate(p0, g, family, t_end=0.02, dt=1e-3, leader=spec, record_every=3)
+        later.extend((traj.times, traj.states, traj.edge_errors, traj.grad_norms))
         st = control.edge_states(p0, g, family)
         return [traj.times, traj.states, traj.edge_errors, traj.grad_norms, traj.final_state,
                 st.z, st.e, st.g, st.rho, st.u, control.gradient_control(p0, g, family),
@@ -299,11 +330,11 @@ def test_results_share_no_memory_with_buffers_of_later_calls(monkeypatch, family
     for state, e, gnorm in zip(*first[1:4]):
         np.testing.assert_array_equal(e, control.edge_states(state, g, family).e, strict=True)
         assert gnorm == np.linalg.norm(control.gradient_control(state, g, family))
-    mark = len(written)
+    mark, mark_later = len(written), len(later)
     results(starts[1])
     assert len(written) > mark
     for a in first:
-        assert not any(np.shares_memory(a, b) for b in written[mark:])
+        assert not any(np.shares_memory(a, b) for b in written[mark:] + later[mark_later:])
     for a, b in zip(first, kept):
         np.testing.assert_array_equal(a, b, strict=True)
 

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidflex.control import _edge_kernel
+from rigidflex.control import (
+    _edge_kernel,
+    _float_pass,
+    edge_states,
+    gradient_control,
+    potential_value,
+)
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.oracle import build_catalog, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
@@ -132,3 +138,43 @@ def test_edge_kernel_never_leaves_the_domain(graph_name, family_name, data):
     assert (e >= -graph._dbar2).all()
     coincident = ~z.any(axis=1)
     assert (e[coincident] == -graph._dbar2[coincident]).all()
+
+
+# the offset of an edge's head from its tail in each coordinate: at, next to
+# or far from coincidence
+offsets = st.sampled_from([0.0, 1e-300, 1e-12, 1e-7, 1e-3, 1.0, 1e3])
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("family_name", sorted(FAMILIES))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_float_pass_equals_the_array_kernel(graph_name, family_name, data):
+    """The integrator's float edge pass gives the control, the squared
+    errors and V of gradient_control, edge_states and potential_value bit
+    for bit, at drawn desired lengths and realizations, far from the desired
+    shape and at or next to coincidence.  Where an edge's e rounds to
+    -dbar^2 off coincidence, the rational g is infinite: the array kernel's
+    0 * inf then spreads NaN to every node, and the float control is not
+    finite either."""
+    base = GRAPHS[graph_name]
+    n, d, m = base.num_nodes, base.dimension, base.num_edges
+    lengths = data.draw(st.lists(st.floats(0.5, 10.0), min_size=m, max_size=m))
+    graph = (triangle_flex if d == 2 else tetrahedron_flex)(lengths)
+    family = FAMILIES[family_name]
+    scale = data.draw(st.sampled_from([1e-3, 1.0, 1e4]))
+    p = scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * d,
+                                            max_size=n * d))).reshape(n, d)
+    for k, offset in data.draw(st.lists(st.tuples(st.integers(0, m - 1), offsets), max_size=2)):
+        p[graph.edge_heads[k]] = p[graph.edge_tails[k]] + offset
+    run, potential = _float_pass(graph, family)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        u, e = run(p.ravel().tolist())
+        v = potential(e)
+    np.testing.assert_array_equal(e, edge_states(p, graph, family).e, strict=True)
+    assert v == potential_value(p, graph, family)
+    want = gradient_control(p, graph, family)
+    if np.isfinite(want).all():
+        np.testing.assert_array_equal(u, want, strict=True)
+    else:
+        assert not np.isfinite(u).all()
