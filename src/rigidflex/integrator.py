@@ -7,14 +7,18 @@ the leader's target potential, is monitored step by step.
 
 from __future__ import annotations
 
+import builtins
+import functools
 import json
+import linecache
 import math
 from array import array
 from dataclasses import dataclass, field
+from types import FunctionType
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _float_pass, _ignore_fp
+from .control import EQ_TOL, LeaderSpec, _ignore_fp
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
@@ -113,6 +117,145 @@ class Trajectory:
             fh.write("\n")
 
 
+def _on_numpy(f, e: float) -> float:
+    """An evaluator ``f`` at ``e`` as a numpy float, for where Python floats
+    raise (a division by zero at the coincidence boundary): it rounds alike
+    and returns the array evaluator's infinity.  Callers ignore numpy's
+    divide warning."""
+    return float(f(np.float64(e)))
+
+
+def _edge_pass(x, u, errors, tails, heads, d) -> list[str]:
+    """Source lines of one edge pass from the state names ``x`` to the
+    control names ``u``, with edge k's squared error in ``errors[k]``: per
+    edge z = p_i - p_j, ||z||^2 left to right, e, g(e), then u_i -= g z and
+    u_j += g z, skipping an exactly-zero edge; an evaluator that raises
+    runs ``_on_numpy``."""
+    lines = [" = ".join(u) + " = 0.0"]
+    for k, (i, j, e) in enumerate(zip(tails, heads, errors)):
+        a, b = [x[d * i + c] for c in range(d)], [x[d * j + c] for c in range(d)]
+        lines += [f"z{c} = {a[c]} - {b[c]}" for c in range(d)]
+        lines += ["sq = " + " + ".join(f"z{c} * z{c}" for c in range(d)),
+                  f"{e} = sq - D2_{k}",
+                  "if sq:",
+                  "    try:",
+                  f"        f = G_{k}({e})",
+                  "    except (ZeroDivisionError, OverflowError):",
+                  f"        f = _on_numpy(G_{k}, {e})"]
+        lines += [f"    f{c} = f * z{c}" for c in range(d)]
+        lines += [f"    {u[d * i + c]} -= f{c}" for c in range(d)]
+        lines += [f"    {u[d * j + c]} += f{c}" for c in range(d)]
+    return lines
+
+
+def _leader_input(mode, time, x, u, flex) -> list[str]:
+    """Source lines that add the leader input at ``time`` to the flex
+    agent's control names: k_f (p_t - p_flex) in target mode, v(time) on
+    [t0, tf] in windowed mode."""
+    if mode == "target":
+        return [f"{u[c]} += K_F * (PT_{k} - {x[c]})" for k, c in enumerate(flex)]
+    if mode == "windowed":
+        return [f"if T0 <= {time} <= TF:",
+                f"    [{', '.join(f'v{k}' for k in range(len(flex)))}] = V({time})",
+                *(f"    {u[c]} += v{k}" for k, c in enumerate(flex))]
+    return []
+
+
+def _step_source(tails, heads, n, d, mode) -> str:
+    """Python source of ``step(p, k1, t, h)`` and ``evaluate(p)`` for one
+    graph shape and leader mode (see ``_compiled_step``)."""
+    size = n * d
+    flex = range(size - d, size)
+    p, s, a, b, c, r, q, u = ([f"{x}{k}" for k in range(size)] for x in "psabcrqu")
+    errors = [f"e{k}" for k in range(len(tails))]
+
+    def closing(x):
+        """The pass at an accepted state x and its Lyapunov value w: V =
+        1/2 sum phi(e) left to right, plus (k_f/2) ||p_t - p_flex||^2 in
+        target mode."""
+        lines = _edge_pass(x, u, errors, tails, heads, d) + ["v = 0.0"]
+        for k, e in enumerate(errors):
+            lines += ["try:", f"    v += PHI_{k}({e})",
+                      "except (ZeroDivisionError, OverflowError):",
+                      f"    v += _on_numpy(PHI_{k}, {e})"]
+        if mode != "target":
+            return lines + ["w = 0.5 * v"]
+        lines += [f"o{k} = PT_{k} - {x[i]}" for k, i in enumerate(flex)]
+        return lines + ["w = 0.5 * v + 0.5 * K_F * ("
+                        + " + ".join(f"o{k} * o{k}" for k in range(d)) + ")"]
+
+    def stage(k, out, scale, time):
+        """The stage state p + scale k and the velocity ``out`` there."""
+        return [*(f"{s[i]} = {p[i]} + {k[i]} * {scale}" for i in range(size)),
+                *_edge_pass(s, out, ["e"] * len(tails), tails, heads, d),
+                *_leader_input(mode, time, s, out, flex)]
+
+    step = [f"{', '.join(p)}, = p", f"{', '.join(a)}, = k1",
+            "half = 0.5 * h", "th = t + half", "sixth = h / 6.0",
+            *_leader_input(mode, "t", p, a, flex),
+            *stage(a, b, "half", "th"), *stage(b, c, "half", "th"), *stage(c, r, "h", "t + h"),
+            *(f"{q[i]} = {p[i]} + ((({a[i]} + 2.0 * {b[i]}) + 2.0 * {c[i]}) + {r[i]}) * sixth"
+              for i in range(size)),
+            *closing(q),
+            f"return [{', '.join(q)}], [{', '.join(u)}], [{', '.join(errors)}], w"]
+    evaluate = [f"{', '.join(p)}, = p", *closing(p),
+                f"return [{', '.join(u)}], [{', '.join(errors)}], w"]
+    return ("def step(p, k1, t, h):\n" + "".join(f"    {line}\n" for line in step)
+            + "\n\ndef evaluate(p):\n" + "".join(f"    {line}\n" for line in evaluate))
+
+
+@functools.lru_cache(maxsize=32)
+def _step_code(tails: tuple, heads: tuple, n: int, d: int, mode: str):
+    """The code objects of ``step`` and ``evaluate`` for one graph shape and
+    leader mode, compiled on first use and kept for the 32 shapes and modes
+    used last; the source is registered with ``linecache``, so tracebacks
+    and profilers show the generated lines."""
+    source = _step_source(tails, heads, n, d, mode)
+    filename = f"<rigidflex RK4 step: {n} nodes in {d}-D, edges {list(zip(tails, heads))}, " \
+               f"{mode} leader>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["step"].__code__, namespace["evaluate"].__code__
+
+
+def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec):
+    """``(step, evaluate)`` for one integrate call: the cached code of the
+    graph's shape and the leader's mode, bound to globals that hold each
+    edge's dbar^2 and its phi and g bound to its length as a float, and the
+    leader's k_f and p_t, or t0, tf and v.
+
+    ``evaluate(p)`` maps a flat, node-major list of (N+1) d floats to the
+    gradient control u, a new list of that layout, the squared errors e in
+    edge order and the Lyapunov value w = V + the target potential.
+    ``step(p, k1, t, h)``, with k1 the control that ``evaluate`` gave at p,
+    takes one RK4 step of length h from time t and returns the new state
+    and ``evaluate``'s three values there.  Both are straight-line code
+    over local floats, unrolled over the edges and coordinates: the stage
+    states and p + (h/6) (((k1 + 2 k2) + 2 k3) + k4) are formed per
+    coordinate, each stage is the pass plus the leader input at t, t + h/2,
+    t + h/2 and t + h.  These are ``_edge_kernel``'s operations in its
+    order, so u and e equal ``gradient_control`` and ``edge_states(...).e``
+    bit for bit, and V equals ``potential_value`` up to the last bits from
+    8 edges on (numpy sums 8 or more terms pairwise); a non-finite g z
+    reaches only its edge's two nodes, not every node as through the
+    kernel's 0 * inf.
+    """
+    code = _step_code(tuple(graph._tails.tolist()), tuple(graph._heads.tolist()),
+                      graph.num_nodes, graph.dimension, leader.mode)
+    names = {"__builtins__": builtins, "_on_numpy": _on_numpy}
+    for k, (dbar, dbar2) in enumerate(zip(graph._dbar.tolist(), graph._dbar2.tolist())):
+        names[f"PHI_{k}"], names[f"G_{k}"] = family.bind(dbar)[:2]
+        names[f"D2_{k}"] = dbar2
+    if leader.mode == "target":
+        names["K_F"] = leader.k_f
+        names.update((f"PT_{k}", x) for k, x in enumerate(leader.p_t.tolist()))
+    elif leader.mode == "windowed":
+        names.update(T0=leader.t0, TF=leader.tf,
+                     V=lambda t: np.asarray(leader.v(t), dtype=float).tolist())
+    return tuple(FunctionType(c, names) for c in code)
+
+
 @_ignore_fp
 def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
               dt: float = 1e-3, leader: LeaderSpec | None = None,
@@ -122,24 +265,25 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     Scheduled perturbations are applied as instantaneous state jumps at
     exactly their stated times (step clamping).  The returned trajectory
     carries an event log (equilibrium detection, perturbations, target
-    arrival) and the worst per-step increase of V + ``leader.potential``
-    over the steps that do not meet a windowed leader's [t0, tf].
-    The velocity is the gradient control plus ``leader.add_input``; a target
-    point that is not d coordinates raises ValueError before the first step.
+    arrival) and the worst per-step increase of V plus the target potential
+    (k_f/2) ||p_t - p_flex||^2 over the steps that do not meet a windowed
+    leader's [t0, tf].  The velocity is the gradient control plus the
+    leader's input on the flex agent; a target point that is not d
+    coordinates raises ValueError before the first step.
 
-    The state is one flat, node-major list of (N+1) d Python floats, and
-    each RK4 stage is one ``_float_pass`` over the edges, bound to the graph
-    and the family once per call: on states this small, numpy's per-call
-    cost would be most of the work.  The loop runs the pass once per
-    accepted state and reuses it as the next step's first stage and for the
-    Lyapunov value, the record and the equilibrium check: four passes per
-    step, plus one at the start of each segment.  The stage states and
-    p + (h/6) (((k1 + 2 k2) + 2 k3) + k4) are formed per coordinate, in the
-    order of numpy's product of (1, 2, 2, 1) with the stage stack.  Records
-    go into compact ``array('d')`` buffers; the equilibrium check and the
-    recorded gradient norm take numpy's norms of the recorded control.  The
-    whole call ignores floating-point divide, invalid and overflow errors
-    once: the guard judges the non-finite values they leave.
+    The state is one flat, node-major list of (N+1) d Python floats: on
+    states this small, numpy's per-call cost would be most of the work.
+    Each accepted step is one call of the straight-line RK4 step that
+    ``_compiled_step`` binds to the graph, the family and the leader once
+    per call (the code is compiled once per graph shape and leader mode).
+    The step returns the control, the squared errors and the Lyapunov value
+    at the new state, which serve as the next step's first stage, the
+    record and the equilibrium check; ``evaluate`` gives them at the start
+    of each segment.  Records go into compact ``array('d')`` buffers; the
+    equilibrium check and the recorded gradient norm take numpy's norms of
+    the recorded control.  The whole call ignores floating-point divide,
+    invalid and overflow errors once: the guard judges the non-finite
+    values they leave.
 
     One guard per step: V at the new state must be finite, else
     IntegrationError carries the time and state before that step.  A
@@ -159,12 +303,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         raise ValueError("perturbation events must lie inside [0, t_end]")
     for ev in schedule:                 # every event, before the first step
         _check_event(ev, graph)
-    run, potential = _float_pass(graph, family)      # once per call
-
-    def evaluate(state):
-        """The pass at an accepted state: control, squared errors, Lyapunov value."""
-        u, e = run(state)
-        return u, e, potential(e) + leader.potential(state)
+    step, evaluate = _compiled_step(graph, family, leader)     # once per call
 
     def guard(w, t_w, t, state):
         """Raise unless the Lyapunov value w reached at t_w is finite; the
@@ -220,17 +359,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         step_count = 0
         while boundary - t > 1e-12:
             h = min(dt, boundary - t)
-            half, t_half, sixth = 0.5 * h, t + 0.5 * h, h / 6.0
-            leader.add_input(t, p, k1)
-            s = [x + k * half for x, k in zip(p, k1)]
-            k2 = leader.add_input(t_half, s, run(s)[0])
-            s = [x + k * half for x, k in zip(p, k2)]
-            k3 = leader.add_input(t_half, s, run(s)[0])
-            s = [x + k * h for x, k in zip(p, k3)]
-            k4 = leader.add_input(t + h, s, run(s)[0])
-            p_new = [x + (((a + 2.0 * b) + 2.0 * c) + k) * sixth
-                     for x, a, b, c, k in zip(p, k1, k2, k3, k4)]
-            k1, e, w = evaluate(p_new)
+            p_new, k1, e, w = step(p, k1, t, h)
             guard(w, t + h, t, p)
             if not (t <= tf and t0 <= t + h):
                 max_dv = max(max_dv, w - w_prev)

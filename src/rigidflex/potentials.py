@@ -45,12 +45,11 @@ def _quadratic(dbar):
 
 def _rational(dbar):
     """phi = e^2 / (e + dbar^2); g and rho are its exact derivatives.  dbar^4
-    is numpy's ``dbar**4``, for a float dbar too: (dbar^2)^2 differs from it
-    in the last bit for about half of all lengths, and libm's ``pow`` for
-    about one in twenty where numpy's power is vectorized."""
-    d2, d4 = dbar * dbar, np.power(dbar, 4.0)
-    if isinstance(dbar, float):
-        d4 = float(d4)
+    is (dbar^2)^2, a product, so a float, a 0-d and a column dbar give the
+    same bits on every CPU (numpy's vectorized power may round differently
+    from libm's ``pow``)."""
+    d2 = dbar * dbar
+    d4 = d2 * d2
 
     def g(e):
         s = e + d2

@@ -9,8 +9,8 @@ from rigidflex.stability import classify
 
 
 def leader_control(p, t, graph, family, spec):
-    """Gradient control plus the leader input on the flex block, written
-    from the spec's fields apart from ``LeaderSpec.add_input``."""
+    """Gradient control plus the leader input on the flex block, on numpy
+    arrays, written from the spec's fields apart from ``leader_input``."""
     u = gradient_control(p, graph, family)
     d = graph.dimension
     p_flex = np.asarray(p, dtype=float).reshape(-1)[-d:]
@@ -19,6 +19,97 @@ def leader_control(p, t, graph, family, spec):
     elif spec.mode == "windowed" and spec.t0 <= t <= spec.tf:
         u[-d:] += np.asarray(spec.v(t), dtype=float)
     return u
+
+
+def leader_input(spec, t, state, u):
+    """The reference leader law on a flat, node-major state (flex agent
+    last): add the input at time t in place to the flex entries of the
+    control list ``u`` and return ``u``, k_f (p_t - p_flex) in target mode
+    and v(t) on [t0, tf] in windowed mode."""
+    if spec.mode == "target":
+        k_f, flex = spec.k_f, len(u) - len(spec.p_t)
+        for c, target in enumerate(spec.p_t.tolist(), flex):
+            u[c] += k_f * (target - state[c])
+    elif spec.mode == "windowed" and spec.t0 <= t <= spec.tf:
+        v = np.asarray(spec.v(t), dtype=float).tolist()
+        for c, vc in enumerate(v, len(u) - len(v)):
+            u[c] += vc
+    return u
+
+
+def leader_potential(spec, state):
+    """(k_f/2) ||p_t - p_flex||^2, summed left to right, in target mode;
+    0.0 otherwise."""
+    if spec.mode != "target":
+        return 0.0
+    total = 0.0
+    for target, x in zip(spec.p_t.tolist(), state[len(state) - len(spec.p_t):]):
+        total += (target - x) * (target - x)
+    return 0.5 * spec.k_f * total
+
+
+def float_pass(graph, family):
+    """The edge pass on Python floats as loops over the edges and
+    coordinates: ``(run, potential)``.  ``run(p)`` maps a flat, node-major
+    list of floats to the control list and the squared errors, per edge
+    z = p_i - p_j, ||z||^2 left to right, e, g(e), then u_i -= g z and
+    u_j += g z, skipping an exactly-zero edge; ``potential(e)`` is
+    V = 1/2 sum phi(e) left to right.  An evaluator that raises runs on a
+    numpy float."""
+    d, size = graph.dimension, graph.num_nodes * graph.dimension
+    phis, gs = zip(*(family.bind(dbar)[:2] for dbar in graph._dbar.tolist()))
+    edges = list(zip(graph._tails.tolist(), graph._heads.tolist(), graph._dbar2.tolist(), gs))
+
+    def call(f, e):
+        try:
+            return f(e)
+        except (ZeroDivisionError, OverflowError):
+            return float(f(np.float64(e)))
+
+    def run(p):
+        u, errors = [0.0] * size, []
+        for i, j, dbar2, g in edges:
+            z = [p[d * i + c] - p[d * j + c] for c in range(d)]
+            sq = z[0] * z[0]
+            for zc in z[1:]:
+                sq += zc * zc
+            e = sq - dbar2
+            errors.append(e)
+            if sq:
+                f = call(g, e)
+                for c in range(d):
+                    u[d * i + c] -= f * z[c]
+                    u[d * j + c] += f * z[c]
+        return u, errors
+
+    def potential(errors):
+        v = 0.0
+        for phi, e in zip(phis, errors):
+            v += call(phi, e)
+        return 0.5 * v
+
+    return run, potential
+
+
+def rk4_step(graph, family, spec, p, k1, t, h):
+    """One classical RK4 step as per-stage lists over ``float_pass``, k1
+    being the gradient control at p: (new state, gradient control, squared
+    errors, V plus the target potential), all at the new state.  The stage
+    states and p + (h/6) (((k1 + 2 k2) + 2 k3) + k4) are formed per
+    coordinate."""
+    run, potential = float_pass(graph, family)
+    half, t_half, sixth = 0.5 * h, t + 0.5 * h, h / 6.0
+    k1 = leader_input(spec, t, p, list(k1))
+    s = [x + k * half for x, k in zip(p, k1)]
+    k2 = leader_input(spec, t_half, s, run(s)[0])
+    s = [x + k * half for x, k in zip(p, k2)]
+    k3 = leader_input(spec, t_half, s, run(s)[0])
+    s = [x + k * h for x, k in zip(p, k3)]
+    k4 = leader_input(spec, t + h, s, run(s)[0])
+    p_new = [x + (((a + 2.0 * b) + 2.0 * c) + k) * sixth
+             for x, a, b, c, k in zip(p, k1, k2, k3, k4)]
+    u, e = run(p_new)
+    return p_new, u, e, potential(e) + leader_potential(spec, p_new)
 
 
 def local_frame_control(neighbor_offsets, g_values):

@@ -412,31 +412,24 @@ def test_run_rejects_event_after_horizon(tmp_path):
 ], ids=["unknown_agent", "wrong_dimension"])
 def test_run_rejects_bad_event_before_the_first_step(tmp_path, monkeypatch, capsys, event):
     """An event whose agent or displacement does not fit the graph exits 2
-    before any edge pass, array or float, not when the run reaches it."""
+    before any edge pass, array or float: no array kernel pass, no call of
+    the compiled step or of ``evaluate``, not when the run reaches it."""
     import rigidflex.control as control
     import rigidflex.integrator as integrator
+    from test_integrator import counting_compiled_step
 
-    calls = []
-    kernel, float_pass = control._edge_kernel, integrator._float_pass
+    calls = {"kernel": 0, "step": 0, "evaluate": 0}
+    kernel = control._edge_kernel
 
     def counted_kernel(*args):
-        calls.append(args)
+        calls["kernel"] += 1
         return kernel(*args)
 
-    def counted_float_pass(*args):
-        run, potential = float_pass(*args)
-
-        def counted_run(p):
-            calls.append(p)
-            return run(p)
-
-        return counted_run, potential
-
     monkeypatch.setattr(control, "_edge_kernel", counted_kernel)
-    monkeypatch.setattr(integrator, "_float_pass", counted_float_pass)
+    monkeypatch.setattr(integrator, "_compiled_step", counting_compiled_step(calls))
     scen = small_scenario(tmp_path, events=[event])
     assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert calls == []
+    assert calls == {"kernel": 0, "step": 0, "evaluate": 0}
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error")
 

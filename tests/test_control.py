@@ -15,7 +15,7 @@ from rigidflex.control import (
 )
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.potentials import QUADRATIC, RATIONAL
-from references import leader_control, local_frame_control
+from references import leader_control, leader_input, leader_potential, local_frame_control
 
 RNG = np.random.default_rng(42)
 
@@ -111,18 +111,19 @@ def test_coincident_edge_contributes_no_force():
     assert np.all(np.isfinite(u))
 
 
-def leader_input(spec, t, state):
-    """The input that ``spec.add_input`` adds to a zero control at the
-    (N+1, d) ``state``, as (N+1, d) rows."""
+def input_rows(spec, t, state):
+    """The input that the reference ``leader_input`` adds to a zero control
+    at the (N+1, d) ``state``, as (N+1, d) rows."""
     flat = state.reshape(-1)
-    return np.asarray(spec.add_input(t, flat, np.zeros_like(flat))).reshape(state.shape)
+    return np.asarray(leader_input(spec, t, flat, np.zeros_like(flat))).reshape(state.shape)
 
 
 def test_target_leader_input_value():
     spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([10.0, 10.0]))
     state = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0], [0.0, 9.228]])
-    np.testing.assert_allclose(leader_input(spec, 0.0, state)[-1], [50.0, 3.86])
-    assert spec.potential(state.reshape(-1)) == pytest.approx(0.5 * 5.0 * (10.0**2 + 0.772**2))
+    np.testing.assert_allclose(input_rows(spec, 0.0, state)[-1], [50.0, 3.86])
+    assert leader_potential(spec, state.reshape(-1)) == \
+        pytest.approx(0.5 * 5.0 * (10.0**2 + 0.772**2))
     assert not spec.arrived(state.reshape(-1))
     state[-1] = [10.0, 10.0 - 9e-4]
     assert spec.arrived(state.reshape(-1).tolist())
@@ -133,10 +134,10 @@ def test_windowed_leader_switches_off():
         {"mode": "windowed", "t0": 1.0, "tf": 2.0,
          "v": [[1.0, 0.5, -0.5], [1.5, 1.0, 0.0]]}, 2)
     state = np.zeros((4, 2))
-    np.testing.assert_allclose(leader_input(spec, 1.2, state)[-1], [0.5, -0.5])
-    np.testing.assert_allclose(leader_input(spec, 1.7, state)[-1], [1.0, 0.0])
-    np.testing.assert_allclose(leader_input(spec, 2.5, state)[-1], [0.0, 0.0])
-    assert spec.potential(state.reshape(-1)) == 0.0 and not spec.arrived(state.reshape(-1))
+    np.testing.assert_allclose(input_rows(spec, 1.2, state)[-1], [0.5, -0.5])
+    np.testing.assert_allclose(input_rows(spec, 1.7, state)[-1], [1.0, 0.0])
+    np.testing.assert_allclose(input_rows(spec, 2.5, state)[-1], [0.0, 0.0])
+    assert leader_potential(spec, state.reshape(-1)) == 0.0 and not spec.arrived(state.reshape(-1))
 
 
 def test_leader_only_drives_flex_agent():
@@ -144,7 +145,7 @@ def test_leader_only_drives_flex_agent():
     p = random_positions(g).reshape(-1)
     spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([10.0, 10.0]))
     u_plain = gradient_control(p, g, QUADRATIC)
-    u_led = spec.add_input(0.0, p.tolist(), u_plain.tolist())
+    u_led = leader_input(spec, 0.0, p.tolist(), u_plain.tolist())
     np.testing.assert_array_equal(u_led[:-2], u_plain[:-2])
     np.testing.assert_array_equal(u_led, leader_control(p, 0.0, g, QUADRATIC, spec))
     assert not np.allclose(u_led[-2:], u_plain[-2:])

@@ -132,6 +132,15 @@ def test_windowed_velocity_of_the_wrong_shape_rejected(v):
         integrate(desired_equilibrium(g), g, QUADRATIC, t_end=1.0, leader=spec)
 
 
+def run_fresh(code, tmp_path):
+    """Run ``code`` in a new interpreter on this package; return its stdout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_no_scipy_module_loads(tmp_path):
     """The package needs no scipy: in a fresh interpreter, importing the CLI,
     ``rigidflex catalog`` on both certified graphs with both families,
@@ -162,10 +171,7 @@ def test_no_scipy_module_loads(tmp_path):
         loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
         assert not loaded, loaded
     """)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(code, tmp_path)
 
 
 def test_target_leader_run_reaches_target():
@@ -252,30 +258,42 @@ def test_rational_start_on_coincidence_boundary_is_rejected(graph):
     np.testing.assert_array_equal(info.value.last_state, p0)
 
 
+def counting_compiled_step(calls):
+    """A stand-in for ``integrator._compiled_step`` that counts the calls of
+    the step and of ``evaluate`` in ``calls``."""
+    import rigidflex.integrator as integrator
+
+    compiled_step = integrator._compiled_step
+
+    def counted(*args):
+        step, evaluate = compiled_step(*args)
+
+        def counted_step(*a):
+            calls["step"] += 1
+            return step(*a)
+
+        def counted_evaluate(*a):
+            calls["evaluate"] += 1
+            return evaluate(*a)
+
+        return counted_step, counted_evaluate
+
+    return counted
+
+
 def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
-    """Four float edge passes per accepted RK4 step (three stages plus the
-    new state, reused as the next step's first stage), plus one at t = 0 and
-    one after each perturbation; neither the public gradient_control nor the
-    array kernel is called."""
+    """One compiled step call per accepted RK4 step, plus one ``evaluate``
+    at t = 0 and one after each perturbation; neither the public
+    gradient_control nor the array kernel is called."""
     import rigidflex.control as control
     import rigidflex.integrator as integrator
 
-    calls = {"kernel": 0}
-    float_pass = integrator._float_pass
-
-    def counted_float_pass(*args):
-        run, potential = float_pass(*args)
-
-        def counted_run(p):
-            calls["kernel"] += 1
-            return run(p)
-
-        return counted_run, potential
+    calls = {"step": 0, "evaluate": 0}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("public control function or array kernel called in the loop")
 
-    monkeypatch.setattr(integrator, "_float_pass", counted_float_pass)
+    monkeypatch.setattr(integrator, "_compiled_step", counting_compiled_step(calls))
     monkeypatch.setattr(control, "_edge_kernel", forbidden)
     # the integrator imports no gradient_control; one added later is caught
     monkeypatch.setattr(integrator, "gradient_control", forbidden, raising=False)
@@ -289,7 +307,80 @@ def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     # one record per step, plus one at t = 0 and one after each perturbation
     steps = len(traj.times) - 1 - len(events)
     assert steps == 124 + 127 + 150      # dt = 1e-3, clamped onto 0.1234 and 0.25
-    assert calls["kernel"] == 4 * steps + 1 + len(events)
+    assert calls == {"step": steps, "evaluate": 1 + len(events)}
+
+
+def test_import_compiles_no_step(tmp_path):
+    """Importing the package and its CLI compiles no RK4 step."""
+    run_fresh(textwrap.dedent("""
+        import linecache
+        import rigidflex, rigidflex.cli, rigidflex.integrator as integrator
+        assert integrator._step_code.cache_info().currsize == 0
+        assert not [name for name in linecache.cache if name.startswith("<rigidflex")]
+    """), tmp_path)
+
+
+@pytest.mark.parametrize("mode", ["none", "target", "windowed"])
+def test_second_integrate_of_a_shape_compiles_nothing(monkeypatch, mode):
+    """After one run of a graph shape and leader mode, runs at other
+    lengths, with the other family and other leader constants generate and
+    compile no code."""
+    import rigidflex.integrator as integrator
+
+    def leader(k):
+        return {"none": LeaderSpec(),
+                "target": LeaderSpec(mode="target", k_f=5.0 + k, p_t=[k, -k]),
+                "windowed": LeaderSpec(mode="windowed", v=lambda t: np.full(2, k),
+                                       t0=0.01 * k, tf=0.02 * k)}[mode]
+
+    g = triangle_flex()
+    integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.01, leader=leader(1.0))
+    misses = integrator._step_code.cache_info().misses
+
+    def forbidden(*args):
+        raise AssertionError("step source generated for a shape already compiled")
+
+    monkeypatch.setattr(integrator, "_step_source", forbidden)
+    for k, (lengths, family) in enumerate([((3.0, 4.0, 5.0, 2.0), RATIONAL),
+                                           ((1.5, 2.5, 2.0, 7.0), QUADRATIC)], 2):
+        g = triangle_flex(lengths)
+        integrate(desired_equilibrium(g), g, family, t_end=0.01, leader=leader(k))
+    assert integrator._step_code.cache_info().misses == misses
+
+
+DIGEST = textwrap.dedent("""
+    import hashlib
+    import numpy as np
+    from rigidflex.control import LeaderSpec
+    from rigidflex.graph import triangle_flex
+    from rigidflex.integrator import integrate
+    from rigidflex.oracle import desired_equilibrium
+    from rigidflex.potentials import RATIONAL
+
+    def digest(lengths):
+        g = triangle_flex(lengths)
+        rng = np.random.default_rng(5)
+        p0 = desired_equilibrium(g) + 0.05 * rng.standard_normal((4, 2))
+        spec = LeaderSpec(mode="target", k_f=5.0, p_t=[3.0, 3.0])
+        traj = integrate(p0, g, RATIONAL, t_end=0.05, leader=spec, record_every=1)
+        h = hashlib.sha256()
+        for a in (traj.times, traj.states, traj.edge_errors, traj.grad_norms):
+            h.update(a.tobytes())
+        h.update(repr((traj.events, traj.max_lyapunov_increase)).encode())
+        return h.hexdigest()
+""")
+
+
+def test_graphs_of_one_shape_in_one_process_match_fresh_processes(tmp_path):
+    """Two triangles at different lengths, run one after the other in this
+    process, give the bytes that each gives in a new interpreter: the
+    shared code keeps no constants of an earlier call."""
+    lengths = [(4.0, 4.0, 4.0, 4.0), (3.0, 4.0, 5.0, 2.5)]
+    namespace = {}
+    exec(DIGEST, namespace)
+    here = [namespace["digest"](x) for x in lengths]
+    fresh = [run_fresh(DIGEST + f"print(digest({x!r}))", tmp_path).strip() for x in lengths]
+    assert here == fresh and here[0] != here[1]
 
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL], ids=lambda f: f.name)

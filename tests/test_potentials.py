@@ -1,5 +1,6 @@
 """Potential-family conditions and derivative consistency."""
 
+import inspect
 import pickle
 
 import numpy as np
@@ -97,10 +98,11 @@ def test_validator_catches_wrong_sign_g():
 
 
 def closed_forms(e, dbar):
-    """(phi, g, rho) of both families written out on float64 arrays."""
-    s = e + dbar**2
+    """(phi, g, rho) of both families written out on float64 arrays, with
+    dbar^4 as dbar^2 dbar^2."""
+    s, d4 = e + dbar**2, dbar**2 * dbar**2
     return {"quadratic": (0.5 * e**2, e, np.ones_like(e)),
-            "rational": (e**2 / s, 1.0 - dbar**4 / s**2, 2.0 * dbar**4 / s**3)}
+            "rational": (e**2 / s, 1.0 - d4 / s**2, 2.0 * d4 / s**3)}
 
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
@@ -136,3 +138,19 @@ def test_family_survives_pickling(family):
     e = np.linspace(-0.9, 3.0, 9) * DBAR**2
     for a, b in zip(family.bind(np.asarray(DBAR)), copy.bind(np.asarray(DBAR))):
         np.testing.assert_array_equal(a(e), b(e))
+
+
+def test_rational_dbar4_is_the_same_for_float_0d_and_column_binds():
+    """The rational family's dbar^4 is (dbar^2)^2 for a Python float, a 0-d
+    array and a column of lengths alike, so it does not hang on numpy's
+    vectorized power: on seeded lengths all three give the same bits."""
+    lengths = np.random.default_rng(24).uniform(1e-3, 100.0, 2000)
+
+    def d4(dbar):
+        return inspect.getclosurevars(RATIONAL.bind(dbar)[1]).nonlocals["d4"]
+
+    column = d4(lengths[:, None])[:, 0]
+    floats = np.array([d4(x) for x in lengths.tolist()])
+    zero_d = np.array([d4(np.asarray(x)) for x in lengths])
+    np.testing.assert_array_equal(column, lengths * lengths * (lengths * lengths), strict=True)
+    assert column.tobytes() == floats.tobytes() == zero_d.tobytes()

@@ -8,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rigidflex.control import (
+    LeaderSpec,
     _edge_kernel,
-    _float_pass,
     edge_states,
     gradient_control,
+    leader_spec_from_json,
     potential_value,
 )
 from rigidflex.graph import tetrahedron_flex, triangle_flex
+from rigidflex.integrator import _compiled_step
 from rigidflex.oracle import build_catalog, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
 from rigidflex.stability import analyze, assemble_hessian
+from references import float_pass, leader_potential, rk4_step
 
 GRAPHS = {"triangle": triangle_flex(), "tetrahedron": tetrahedron_flex()}
 FAMILIES = {"quadratic": QUADRATIC, "rational": RATIONAL}
@@ -145,32 +148,39 @@ def test_edge_kernel_never_leaves_the_domain(graph_name, family_name, data):
 offsets = st.sampled_from([0.0, 1e-300, 1e-12, 1e-7, 1e-3, 1.0, 1e3])
 
 
-@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
-@pytest.mark.parametrize("family_name", sorted(FAMILIES))
-@settings(derandomize=True, max_examples=25, deadline=None)
-@given(data=st.data())
-def test_float_pass_equals_the_array_kernel(graph_name, family_name, data):
-    """The integrator's float edge pass gives the control, the squared
-    errors and V of gradient_control, edge_states and potential_value bit
-    for bit, at drawn desired lengths and realizations, far from the desired
-    shape and at or next to coincidence.  Where an edge's e rounds to
-    -dbar^2 off coincidence, the rational g is infinite: the array kernel's
-    0 * inf then spreads NaN to every node, and the float control is not
-    finite either."""
+def draw_realization(data, graph_name):
+    """A graph of the named shape at drawn desired lengths in [0.5, 10] and
+    a realization of it at scale 1e-3, 1 or 1e4, with up to two edges put
+    at, next to or far from coincidence."""
     base = GRAPHS[graph_name]
     n, d, m = base.num_nodes, base.dimension, base.num_edges
     lengths = data.draw(st.lists(st.floats(0.5, 10.0), min_size=m, max_size=m))
     graph = (triangle_flex if d == 2 else tetrahedron_flex)(lengths)
-    family = FAMILIES[family_name]
     scale = data.draw(st.sampled_from([1e-3, 1.0, 1e4]))
     p = scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * d,
                                             max_size=n * d))).reshape(n, d)
     for k, offset in data.draw(st.lists(st.tuples(st.integers(0, m - 1), offsets), max_size=2)):
         p[graph.edge_heads[k]] = p[graph.edge_tails[k]] + offset
-    run, potential = _float_pass(graph, family)
+    return graph, p
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("family_name", sorted(FAMILIES))
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(data=st.data())
+def test_float_pass_equals_the_array_kernel(graph_name, family_name, data):
+    """The compiled ``evaluate`` gives the control, the squared errors and
+    V of gradient_control, edge_states and potential_value bit for bit, at
+    drawn desired lengths and realizations, far from the desired shape and
+    at or next to coincidence.  Where an edge's e rounds to -dbar^2 off
+    coincidence, the rational g is infinite: the array kernel's 0 * inf
+    then spreads NaN to every node, and the float control is not finite
+    either."""
+    graph, p = draw_realization(data, graph_name)
+    family = FAMILIES[family_name]
+    evaluate = _compiled_step(graph, family, LeaderSpec())[1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u, e = run(p.ravel().tolist())
-        v = potential(e)
+        u, e, v = evaluate(p.ravel().tolist())
     np.testing.assert_array_equal(e, edge_states(p, graph, family).e, strict=True)
     assert v == potential_value(p, graph, family)
     want = gradient_control(p, graph, family)
@@ -178,3 +188,50 @@ def test_float_pass_equals_the_array_kernel(graph_name, family_name, data):
         np.testing.assert_array_equal(u, want, strict=True)
     else:
         assert not np.isfinite(u).all()
+
+
+def bits(values):
+    """The float64 bytes of ``values``: signed zeros and NaN payloads count."""
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def leader(mode, d):
+    """A leader of each mode in d dimensions; the windowed velocity changes
+    at t0 = 0.5, at 0.5005 and at tf = 1.0."""
+    if mode == "target":
+        return LeaderSpec(mode="target", k_f=200.0, p_t=[10.0, -10.0, 0.25][:d])
+    if mode == "windowed":
+        samples = [[0.5] + [1.0] * d, [0.5005] + [-0.3] * d, [1.0] + [2.5] * d]
+        return leader_spec_from_json({"mode": "windowed", "t0": 0.5, "tf": 1.0, "v": samples}, d)
+    return LeaderSpec()
+
+
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("family_name", sorted(FAMILIES))
+@pytest.mark.parametrize("mode", ["none", "target", "windowed"])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data(),
+       t=st.sampled_from([0.0, 0.4995, 0.49975, 0.5, 0.50025, 0.7, 0.9995, 0.99975, 1.0]),
+       h=st.sampled_from([1e-3, 5e-4, 2.5e-4]))
+def test_compiled_step_equals_the_reference_step(graph_name, family_name, mode, data, t, h):
+    """One compiled RK4 step equals the per-stage list RK4 over the float
+    pass of ``tests/references.py`` bit for bit (state, control, squared
+    errors and V plus the target potential at the new state), for each
+    leader mode, at steps that start on, straddle or end on a window's t0
+    or tf, from drawn realizations with edges at or next to coincidence (a
+    rational edge at e = -dbar^2 runs the numpy fallback); ``evaluate``
+    equals the reference pass and potential at the start."""
+    graph, p = draw_realization(data, graph_name)
+    family = FAMILIES[family_name]
+    spec = leader(mode, graph.dimension)
+    step, evaluate = _compiled_step(graph, family, spec)
+    run, potential = float_pass(graph, family)
+    p = p.ravel().tolist()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        k1, e, w = evaluate(p)
+        want_k1, want_e = run(p)
+        assert (bits(k1), bits(e)) == (bits(want_k1), bits(want_e))
+        assert bits(w) == bits(potential(want_e) + leader_potential(spec, p))
+        got = step(p, k1, t, h)
+        want = rk4_step(graph, family, spec, p, k1, t, h)
+    assert [bits(x) for x in got] == [bits(x) for x in want]
