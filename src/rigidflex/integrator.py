@@ -136,12 +136,12 @@ def _edge_pass(x, u, errors, tails, heads, d) -> list[str]:
         a, b = [x[d * i + c] for c in range(d)], [x[d * j + c] for c in range(d)]
         lines += [f"z{c} = {a[c]} - {b[c]}" for c in range(d)]
         lines += ["sq = " + " + ".join(f"z{c} * z{c}" for c in range(d)),
-                  f"{e} = sq - D2_{k}",
+                  f"{e} = sq - d2_{k}",
                   "if sq:",
                   "    try:",
-                  f"        f = G_{k}({e})",
+                  f"        f = g_{k}({e})",
                   "    except (ZeroDivisionError, OverflowError):",
-                  f"        f = _on_numpy(G_{k}, {e})"]
+                  f"        f = _on_numpy(g_{k}, {e})"]
         lines += [f"    f{c} = f * z{c}" for c in range(d)]
         lines += [f"    {u[d * i + c]} -= f{c}" for c in range(d)]
         lines += [f"    {u[d * j + c]} += f{c}" for c in range(d)]
@@ -153,35 +153,43 @@ def _leader_input(mode, time, x, u, flex) -> list[str]:
     agent's control names: k_f (p_t - p_flex) in target mode, v(time) on
     [t0, tf] in windowed mode."""
     if mode == "target":
-        return [f"{u[c]} += K_F * (PT_{k} - {x[c]})" for k, c in enumerate(flex)]
+        return [f"{u[c]} += k_f * (pt_{k} - {x[c]})" for k, c in enumerate(flex)]
     if mode == "windowed":
-        return [f"if T0 <= {time} <= TF:",
-                f"    [{', '.join(f'v{k}' for k in range(len(flex)))}] = V({time})",
+        return [f"if t0 <= {time} <= tf:",
+                f"    [{', '.join(f'v{k}' for k in range(len(flex)))}] = vel({time})",
                 *(f"    {u[c]} += v{k}" for k, c in enumerate(flex))]
     return []
 
 
 def _step_source(tails, heads, n, d, mode) -> str:
-    """Python source of ``step(p, k1, t, h)`` and ``evaluate(p)`` for one
-    graph shape and leader mode (see ``_compiled_step``)."""
+    """Python source of ``advance(p, k1, w, t, boundary, dt, n, dv)`` and
+    ``evaluate(p)`` for one graph shape and leader mode (see
+    ``_compiled_step``)."""
     size = n * d
     flex = range(size - d, size)
-    p, s, a, b, c, r, q, u = ([f"{x}{k}" for k in range(size)] for x in "psabcrqu")
+    p, s, a, b, c, r, q = ([f"{x}{k}" for k in range(size)] for x in "psabcrq")
     errors = [f"e{k}" for k in range(len(tails))]
+    # the call's constants, read into locals once per call
+    bound = {f"{x}_{k}": f"{x.upper()}_{k}" for k in range(len(tails)) for x in ("d2", "g", "phi")}
+    if mode == "target":
+        bound.update(k_f="K_F", **{f"pt_{k}": f"PT_{k}" for k in range(d)})
+    elif mode == "windowed":
+        bound.update(t0="T0", tf="TF", vel="V")
+    constants = f"{', '.join(bound)}, = {', '.join(bound.values())},"
 
-    def closing(x):
-        """The pass at an accepted state x and its Lyapunov value w: V =
-        1/2 sum phi(e) left to right, plus (k_f/2) ||p_t - p_flex||^2 in
-        target mode."""
-        lines = _edge_pass(x, u, errors, tails, heads, d) + ["v = 0.0"]
+    def closing(x, u):
+        """The pass at an accepted state x into the control names u and its
+        Lyapunov value w: V = 1/2 sum phi(e) left to right, plus (k_f/2)
+        ||p_t - p_flex||^2 in target mode."""
+        lines = _edge_pass(x, u, errors, tails, heads, d) + ["pot = 0.0"]
         for k, e in enumerate(errors):
-            lines += ["try:", f"    v += PHI_{k}({e})",
+            lines += ["try:", f"    pot += phi_{k}({e})",
                       "except (ZeroDivisionError, OverflowError):",
-                      f"    v += _on_numpy(PHI_{k}, {e})"]
+                      f"    pot += _on_numpy(phi_{k}, {e})"]
         if mode != "target":
-            return lines + ["w = 0.5 * v"]
-        lines += [f"o{k} = PT_{k} - {x[i]}" for k, i in enumerate(flex)]
-        return lines + ["w = 0.5 * v + 0.5 * K_F * ("
+            return lines + ["w = 0.5 * pot"]
+        lines += [f"o{k} = pt_{k} - {x[i]}" for k, i in enumerate(flex)]
+        return lines + ["w = 0.5 * pot + 0.5 * k_f * ("
                         + " + ".join(f"o{k} * o{k}" for k in range(d)) + ")"]
 
     def stage(k, out, scale, time):
@@ -190,37 +198,51 @@ def _step_source(tails, heads, n, d, mode) -> str:
                 *_edge_pass(s, out, ["e"] * len(tails), tails, heads, d),
                 *_leader_input(mode, time, s, out, flex)]
 
-    step = [f"{', '.join(p)}, = p", f"{', '.join(a)}, = k1",
+    # V is no Lyapunov function while a windowed input acts: a step that
+    # meets [t0, tf] is left out of the worst increase dv
+    rise = ["dw = w - w_prev", "if dw > dv:", "    dv = dw"]
+    if mode == "windowed":
+        rise = ["if not (t <= tf and t0 <= t + h):", *(f"    {line}" for line in rise)]
+    step = ["h = boundary - t", "if not h > 1e-12:", "    break", "if h > dt:", "    h = dt",
             "half = 0.5 * h", "th = t + half", "sixth = h / 6.0",
             *_leader_input(mode, "t", p, a, flex),
             *stage(a, b, "half", "th"), *stage(b, c, "half", "th"), *stage(c, r, "h", "t + h"),
             *(f"{q[i]} = {p[i]} + ((({a[i]} + 2.0 * {b[i]}) + 2.0 * {c[i]}) + {r[i]}) * sixth"
               for i in range(size)),
-            *closing(q),
-            f"return [{', '.join(q)}], [{', '.join(u)}], [{', '.join(errors)}], w"]
-    evaluate = [f"{', '.join(p)}, = p", *closing(p),
-                f"return [{', '.join(u)}], [{', '.join(errors)}], w"]
-    return ("def step(p, k1, t, h):\n" + "".join(f"    {line}\n" for line in step)
+            "w_prev = w",
+            *closing(q, a),
+            "if not isfinite(w):",
+            f"    return [{', '.join(p)}], None, None, w, t, dv",
+            *rise,
+            *(f"{p[i]} = {q[i]}" for i in range(size)),
+            "t += h"]
+    advance = [constants, f"{', '.join(p)}, = p", f"{', '.join(a)}, = k1",
+               "for _ in range(n):", *(f"    {line}" for line in step),
+               f"return [{', '.join(p)}], [{', '.join(a)}], [{', '.join(errors)}], w, t, dv"]
+    evaluate = [constants, f"{', '.join(p)}, = p", *closing(p, a),
+                f"return [{', '.join(a)}], [{', '.join(errors)}], w"]
+    return ("def advance(p, k1, w, t, boundary, dt, n, dv):\n"
+            + "".join(f"    {line}\n" for line in advance)
             + "\n\ndef evaluate(p):\n" + "".join(f"    {line}\n" for line in evaluate))
 
 
 @functools.lru_cache(maxsize=32)
 def _step_code(tails: tuple, heads: tuple, n: int, d: int, mode: str):
-    """The code objects of ``step`` and ``evaluate`` for one graph shape and
-    leader mode, compiled on first use and kept for the 32 shapes and modes
-    used last; the source is registered with ``linecache``, so tracebacks
-    and profilers show the generated lines."""
+    """The code objects of ``advance`` and ``evaluate`` for one graph shape
+    and leader mode, compiled on first use and kept for the 32 shapes and
+    modes used last; the source is registered with ``linecache``, so
+    tracebacks and profilers show the generated lines."""
     source = _step_source(tails, heads, n, d, mode)
     filename = f"<rigidflex RK4 step: {n} nodes in {d}-D, edges {list(zip(tails, heads))}, " \
                f"{mode} leader>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["step"].__code__, namespace["evaluate"].__code__
+    return namespace["advance"].__code__, namespace["evaluate"].__code__
 
 
 def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec):
-    """``(step, evaluate)`` for one integrate call: the cached code of the
+    """``(advance, evaluate)`` for one integrate call: the cached code of the
     graph's shape and the leader's mode, bound to globals that hold each
     edge's dbar^2 and its phi and g bound to its length as a float, and the
     leader's k_f and p_t, or t0, tf and v.
@@ -228,22 +250,28 @@ def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: Leade
     ``evaluate(p)`` maps a flat, node-major list of (N+1) d floats to the
     gradient control u, a new list of that layout, the squared errors e in
     edge order and the Lyapunov value w = V + the target potential.
-    ``step(p, k1, t, h)``, with k1 the control that ``evaluate`` gave at p,
-    takes one RK4 step of length h from time t and returns the new state
-    and ``evaluate``'s three values there.  Both are straight-line code
-    over local floats, unrolled over the edges and coordinates: the stage
-    states and p + (h/6) (((k1 + 2 k2) + 2 k3) + k4) are formed per
-    coordinate, each stage is the pass plus the leader input at t, t + h/2,
-    t + h/2 and t + h.  These are ``_edge_kernel``'s operations in its
-    order, so u and e equal ``gradient_control`` and ``edge_states(...).e``
-    bit for bit, and V equals ``potential_value`` up to the last bits from
-    8 edges on (numpy sums 8 or more terms pairwise); a non-finite g z
-    reaches only its edge's two nodes, not every node as through the
-    kernel's 0 * inf.
+    ``advance(p, k1, w, t, boundary, dt, n, dv)``, with k1 and w what
+    ``evaluate`` gave at p, takes up to n RK4 steps of length
+    min(dt, boundary - t) from time t while boundary - t > 1e-12 (callers
+    leave it at least one).  It returns the state, ``evaluate``'s first and third values there (u
+    and e as new lists), the time and dv raised to the worst step's
+    increase of w, leaving out the steps that meet a windowed leader's
+    [t0, tf].  A step whose w is not finite is not taken: advance then
+    returns the state before it, None for u and e, that w, the time before
+    it and dv.  Both read the call's constants into locals once and run
+    straight-line code over local floats, unrolled over the edges and
+    coordinates: the stage states and p + (h/6) (((k1 + 2 k2) + 2 k3) + k4)
+    are formed per coordinate, each stage is the pass plus the leader input
+    at t, t + h/2, t + h/2 and t + h.  These are ``_edge_kernel``'s
+    operations in its order, so u and e equal ``gradient_control`` and
+    ``edge_states(...).e`` bit for bit, and V equals ``potential_value`` up
+    to the last bits from 8 edges on (numpy sums 8 or more terms pairwise);
+    a non-finite g z reaches only its edge's two nodes, not every node as
+    through the kernel's 0 * inf.
     """
     code = _step_code(tuple(graph._tails.tolist()), tuple(graph._heads.tolist()),
                       graph.num_nodes, graph.dimension, leader.mode)
-    names = {"__builtins__": builtins, "_on_numpy": _on_numpy}
+    names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "isfinite": math.isfinite}
     for k, (dbar, dbar2) in enumerate(zip(graph._dbar.tolist(), graph._dbar2.tolist())):
         names[f"PHI_{k}"], names[f"G_{k}"] = family.bind(dbar)[:2]
         names[f"D2_{k}"] = dbar2
@@ -254,6 +282,27 @@ def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: Leade
         names.update(T0=leader.t0, TF=leader.tf,
                      V=lambda t: np.asarray(leader.v(t), dtype=float).tolist())
     return tuple(FunctionType(c, names) for c in code)
+
+
+def _norm(u) -> float:
+    """||u|| as the square root of the sum of squares left to right, the
+    rule of ||z||^2 and V, so it does not depend on how a BLAS sums."""
+    sq = 0.0
+    for x in u:
+        sq += x * x
+    return math.sqrt(sq)
+
+
+def _residual(u, d: int) -> float:
+    """The largest ``_norm`` of an agent's d entries in a flat, node-major
+    list u, which sums ((x^2 + y^2) + z^2) as numpy's norm along an axis
+    does; NaN if any is NaN, as numpy's max gives."""
+    worst = 0.0
+    for i in range(0, len(u), d):
+        r = _norm(u[i:i + d])
+        if r > worst or r != r:         # a NaN is taken and then kept
+            worst = r
+    return worst
 
 
 @_ignore_fp
@@ -269,21 +318,26 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     (k_f/2) ||p_t - p_flex||^2 over the steps that do not meet a windowed
     leader's [t0, tf].  The velocity is the gradient control plus the
     leader's input on the flex agent; a target point that is not d
-    coordinates raises ValueError before the first step.
+    coordinates raises ValueError before the first step, and so does a
+    record_every that is not an integer >= 1.
 
     The state is one flat, node-major list of (N+1) d Python floats: on
     states this small, numpy's per-call cost would be most of the work.
-    Each accepted step is one call of the straight-line RK4 step that
-    ``_compiled_step`` binds to the graph, the family and the leader once
-    per call (the code is compiled once per graph shape and leader mode).
-    The step returns the control, the squared errors and the Lyapunov value
-    at the new state, which serve as the next step's first stage, the
-    record and the equilibrium check; ``evaluate`` gives them at the start
-    of each segment.  Records go into compact ``array('d')`` buffers; the
-    equilibrium check and the recorded gradient norm take numpy's norms of
-    the recorded control.  The whole call ignores floating-point divide,
-    invalid and overflow errors once: the guard judges the non-finite
-    values they leave.
+    The loop turns once per record: each turn is one call of the
+    straight-line ``advance`` that ``_compiled_step`` binds to the graph,
+    the family and the leader once per call (the code is compiled once per
+    graph shape and leader mode).  It takes the steps up to the next record
+    (every record_every steps and at each event and t_end), keeping the
+    state in locals, and tracks the worst Lyapunov increase; it returns
+    the control, the squared errors and the Lyapunov value at the record,
+    which serve as the next call's first stage, the record and the
+    equilibrium check; ``evaluate`` gives them at the start of each
+    segment.  Records go into compact ``array('d')`` buffers and make no
+    numpy call: the recorded gradient norm sums the squared control left
+    to right (``_norm``) and the equilibrium check takes the largest
+    per-agent norm (``_residual``).  The whole call ignores floating-point
+    divide, invalid and overflow errors once: the guard judges the
+    non-finite values they leave.
 
     One guard per step: V at the new state must be finite, else
     IntegrationError carries the time and state before that step.  A
@@ -293,8 +347,9 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     """
     if not 0 < t_end < math.inf:       # False for NaN
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
-    if not (0 < dt < math.inf and record_every >= 1):
-        raise ValueError("dt must be positive and finite and record_every at least 1")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    record_every = _integer(record_every, 1, "record_every values")
     n, d = graph.num_nodes, graph.dimension
     leader = (leader or LeaderSpec()).check(d)
     p = as_positions(p0, graph).ravel().tolist()
@@ -303,26 +358,22 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         raise ValueError("perturbation events must lie inside [0, t_end]")
     for ev in schedule:                 # every event, before the first step
         _check_event(ev, graph)
-    step, evaluate = _compiled_step(graph, family, leader)     # once per call
+    advance, evaluate = _compiled_step(graph, family, leader)     # once per call
 
-    def guard(w, t_w, t, state):
-        """Raise unless the Lyapunov value w reached at t_w is finite; the
-        error carries the last accepted time and state."""
-        if not math.isfinite(w):
-            raise IntegrationError(
-                f"Lyapunov value {w!r} at t={t_w:g} is not finite (coincident "
-                "agents on the potential's boundary, or a non-finite state)",
-                time=t, last_state=np.array(state).reshape(n, d))
+    def failure(w, t_w, t, state):
+        """The error for a Lyapunov value w reached at t_w that is not
+        finite; it carries the last accepted time and state."""
+        return IntegrationError(
+            f"Lyapunov value {w!r} at t={t_w:g} is not finite (coincident "
+            "agents on the potential's boundary, or a non-finite state)",
+            time=t, last_state=np.array(state).reshape(n, d))
 
     def start(t, state):
         """``evaluate`` at the start of a segment, where V must be finite."""
         u, e, w = evaluate(state)
-        guard(w, t, t, state)
+        if not math.isfinite(w):
+            raise failure(w, t, t, state)
         return u, e, w
-
-    # V is no Lyapunov function while a windowed input acts: a step that
-    # meets [t0, tf] is left out of the worst increase
-    t0, tf = (leader.t0, leader.tf) if leader.mode == "windowed" else (math.inf, -math.inf)
 
     times, states, errors, gnorms = array("d"), array("d"), array("d"), array("d")
     log: list[tuple[float, str]] = []
@@ -331,17 +382,15 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     target_armed = True
 
     def record(t, state, e, u):
-        """Append a sample; return its control as an array."""
+        """Append a sample."""
         times.append(t)
         states.extend(state)
         errors.extend(e)
-        u = np.array(u)
-        gnorms.append(np.linalg.norm(u))
-        return u
+        gnorms.append(_norm(u))
 
     def check_events(t, state, u):
         nonlocal eq_armed, target_armed
-        residual = float(np.linalg.norm(u.reshape(n, d), axis=1).max())
+        residual = _residual(u, d)
         if eq_armed and residual < eq_tol:
             log.append((t, "equilibrium_detected"))
             eq_armed = False
@@ -355,19 +404,12 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     k1, e, w = start(t, p)
     record(t, p, e, k1)
     for event, boundary in [*((ev, ev.time) for ev in schedule), (None, t_end)]:
-        w_prev = w
-        step_count = 0
         while boundary - t > 1e-12:
-            h = min(dt, boundary - t)
-            p_new, k1, e, w = step(p, k1, t, h)
-            guard(w, t + h, t, p)
-            if not (t <= tf and t0 <= t + h):
-                max_dv = max(max_dv, w - w_prev)
-            p, t = p_new, t + h
-            w_prev = w
-            step_count += 1
-            if step_count % record_every == 0 or boundary - t <= 1e-12:
-                check_events(t, p, record(t, p, e, k1))
+            p, k1, e, w, t, max_dv = advance(p, k1, w, t, boundary, dt, record_every, max_dv)
+            if not math.isfinite(w):
+                raise failure(w, t + min(dt, boundary - t), t, p)
+            record(t, p, e, k1)
+            check_events(t, p, k1)
         t = boundary
         if event is not None:
             p = apply_perturbation(p, event, graph).tolist()

@@ -1,5 +1,7 @@
 """Independent reference implementations that the tests compare the package against."""
 
+import math
+
 import numpy as np
 
 from rigidflex.control import gradient_control
@@ -110,6 +112,39 @@ def rk4_step(graph, family, spec, p, k1, t, h):
              for x, a, b, c, k in zip(p, k1, k2, k3, k4)]
     u, e = run(p_new)
     return p_new, u, e, potential(e) + leader_potential(spec, p_new)
+
+
+def rk4_advance(graph, family, spec, p, k1, e, w, t, boundary, dt, n, dv):
+    """Up to n ``rk4_step`` calls while boundary - t > 1e-12, each of length
+    min(dt, boundary - t), from the state p with its gradient control k1,
+    squared errors e and Lyapunov value w: (state, control, errors, w, t,
+    dv) after the last step, dv raised to the worst increase of w over the
+    steps that do not meet a windowed leader's [t0, tf].  A step whose w is
+    not finite is not taken: (state, None, None, that w, t, dv) before it."""
+    t0, tf = (spec.t0, spec.tf) if spec.mode == "windowed" else (math.inf, -math.inf)
+    for _ in range(n):
+        if not boundary - t > 1e-12:
+            break
+        h = min(dt, boundary - t)
+        p_new, u, e_new, w_new = rk4_step(graph, family, spec, p, k1, t, h)
+        if not math.isfinite(w_new):
+            return p, None, None, w_new, t, dv
+        if not (t <= tf and t0 <= t + h):
+            dv = max(dv, w_new - w)
+        p, k1, e, w, t = p_new, u, e_new, w_new, t + h
+    return p, k1, e, w, t, dv
+
+
+def gradient_norm(u):
+    """||u|| with the squares summed left to right: the square root of the
+    last partial sum of numpy's cumulative sum, which is sequential."""
+    return float(np.sqrt(np.cumsum(np.square(u))[-1]))
+
+
+def balance_residual(u, d):
+    """The largest per-agent norm of a flat, node-major control list, by
+    numpy's norm along an axis and numpy's max."""
+    return float(np.linalg.norm(np.reshape(u, (-1, d)), axis=1).max())
 
 
 def local_frame_control(neighbor_offsets, g_values):

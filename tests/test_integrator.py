@@ -1,6 +1,7 @@
 """Closed-loop integration: events, equilibrium detection, monotonicity."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from rigidflex.integrator import (
 )
 from rigidflex.oracle import build_catalog, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
-from references import leader_control
+from references import gradient_norm, leader_control
 
 
 def test_desired_start_is_constant_trajectory():
@@ -101,12 +102,14 @@ def test_event_outside_horizon_rejected():
 @pytest.mark.parametrize("settings, match", [
     ({"t_end": 0.0}, "t_end"), ({"dt": 0.0}, "dt"), ({"dt": -1.0}, "dt"),
     ({"dt": float("nan")}, "dt"), ({"record_every": 0}, "record_every"),
-    ({"dt": float("inf")}, "dt"),
+    ({"dt": float("inf")}, "dt"), ({"record_every": 2.5}, "record_every"),
+    ({"record_every": 1.5}, "record_every"),
 ])
 def test_step_settings_rejected(settings, match):
     """A zero step would never advance (the fixed-step loop hangs), a
     negative one runs backwards, an infinite one takes all of t_end at once,
-    and record_every 0 divides by zero."""
+    record_every 0 would never record, and a fractional record_every has
+    no whole number of steps between records."""
     g = triangle_flex()
     with pytest.raises(ValueError, match=match):
         integrate(desired_equilibrium(g), g, QUADRATIC, **{"t_end": 1.0, **settings})
@@ -259,36 +262,45 @@ def test_rational_start_on_coincidence_boundary_is_rejected(graph):
 
 
 def counting_compiled_step(calls):
-    """A stand-in for ``integrator._compiled_step`` that counts the calls of
-    the step and of ``evaluate`` in ``calls``."""
+    """A stand-in for ``integrator._compiled_step`` that counts in ``calls``
+    the calls of ``advance`` and of ``evaluate``, and of each edge's phi and
+    g: phi runs once per edge at each accepted state, g once per edge in
+    each edge pass (an exactly-zero edge skips it)."""
     import rigidflex.integrator as integrator
 
     compiled_step = integrator._compiled_step
 
-    def counted(*args):
-        step, evaluate = compiled_step(*args)
+    def counted(key, f):
+        def call(*a):
+            calls[key] += 1
+            return f(*a)
 
-        def counted_step(*a):
-            calls["step"] += 1
-            return step(*a)
+        return call
 
-        def counted_evaluate(*a):
-            calls["evaluate"] += 1
-            return evaluate(*a)
+    def counted_bind(family):
+        def bind(dbar):
+            phi, g, rho = family.bind(dbar)
+            return counted("phi", phi), counted("g", g), rho
 
-        return counted_step, counted_evaluate
+        return PotentialFamily(family.name, bind)
 
-    return counted
+    def stand_in(graph, family, leader):
+        advance, evaluate = compiled_step(graph, counted_bind(family), leader)
+        return counted("advance", advance), counted("evaluate", evaluate)
+
+    return stand_in
 
 
 def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
-    """One compiled step call per accepted RK4 step, plus one ``evaluate``
-    at t = 0 and one after each perturbation; neither the public
+    """One ``advance`` call per record after t = 0 and after each
+    perturbation, one ``evaluate`` at t = 0 and after each perturbation,
+    one V per accepted state and four edge passes per accepted step (the
+    pass at each state is the next step's first stage); neither the public
     gradient_control nor the array kernel is called."""
     import rigidflex.control as control
     import rigidflex.integrator as integrator
 
-    calls = {"step": 0, "evaluate": 0}
+    calls = {"advance": 0, "evaluate": 0, "phi": 0, "g": 0}
 
     def forbidden(*args, **kwargs):
         raise AssertionError("public control function or array kernel called in the loop")
@@ -298,16 +310,21 @@ def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     # the integrator imports no gradient_control; one added later is caught
     monkeypatch.setattr(integrator, "gradient_control", forbidden, raising=False)
     g = triangle_flex()
+    m = len(g.edges)
     spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([6.0, 6.0]))
     events = [PerturbationEvent(time=0.1234, agent=2, displacement=np.array([0.1, 0.0])),
               PerturbationEvent(time=0.25, agent=4, displacement=np.array([0.0, -0.2]))]
     traj = integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.4, dt=1e-3,
-                     leader=spec, events=events, record_every=1)
+                     leader=spec, events=events, record_every=7)
     assert [k for _, k in traj.events].count("perturbation_applied") == 2
-    # one record per step, plus one at t = 0 and one after each perturbation
-    steps = len(traj.times) - 1 - len(events)
-    assert steps == 124 + 127 + 150      # dt = 1e-3, clamped onto 0.1234 and 0.25
-    assert calls == {"step": steps, "evaluate": 1 + len(events)}
+    # dt = 1e-3, clamped onto 0.1234 and 0.25: 124, 127 and 150 steps, and a
+    # record every 7 steps and at each segment's end
+    segments = (124, 127, 150)
+    steps, records = sum(segments), sum(math.ceil(k / 7) for k in segments)
+    assert len(traj.times) == 1 + len(events) + records
+    starts = 1 + len(events)
+    assert calls == {"advance": records, "evaluate": starts,
+                     "phi": m * (steps + starts), "g": m * (4 * steps + starts)}
 
 
 def test_import_compiles_no_step(tmp_path):
@@ -420,7 +437,7 @@ def test_results_share_no_memory_with_buffers_of_later_calls(monkeypatch, family
     kept = [a.copy() for a in first]
     for state, e, gnorm in zip(*first[1:4]):
         np.testing.assert_array_equal(e, control.edge_states(state, g, family).e, strict=True)
-        assert gnorm == np.linalg.norm(control.gradient_control(state, g, family))
+        assert gnorm == gradient_norm(control.gradient_control(state, g, family))
     mark, mark_later = len(written), len(later)
     results(starts[1])
     assert len(written) > mark

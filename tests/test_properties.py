@@ -1,6 +1,7 @@
 """Generated-input properties of the stability analysis (needs hypothesis)."""
 
 import functools
+import math
 
 import numpy as np
 import pytest
@@ -16,11 +17,17 @@ from rigidflex.control import (
     potential_value,
 )
 from rigidflex.graph import tetrahedron_flex, triangle_flex
-from rigidflex.integrator import _compiled_step
+from rigidflex.integrator import _compiled_step, _norm, _residual
 from rigidflex.oracle import build_catalog, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
 from rigidflex.stability import analyze, assemble_hessian
-from references import float_pass, leader_potential, rk4_step
+from references import (
+    balance_residual,
+    float_pass,
+    gradient_norm,
+    leader_potential,
+    rk4_advance,
+)
 
 GRAPHS = {"triangle": triangle_flex(), "tetrahedron": tetrahedron_flex()}
 FAMILIES = {"quadratic": QUADRATIC, "rational": RATIONAL}
@@ -206,32 +213,76 @@ def leader(mode, d):
     return LeaderSpec()
 
 
+def result_bits(result):
+    """``bits`` of each value of an ``advance`` result; None stays None."""
+    return [None if x is None else bits(x) for x in result]
+
+
 @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
 @pytest.mark.parametrize("family_name", sorted(FAMILIES))
-@pytest.mark.parametrize("mode", ["none", "target", "windowed"])
+@pytest.mark.parametrize("mode", ["none", "target", "windowed", "diverging"])
 @settings(derandomize=True, max_examples=15, deadline=None)
 @given(data=st.data(),
        t=st.sampled_from([0.0, 0.4995, 0.49975, 0.5, 0.50025, 0.7, 0.9995, 0.99975, 1.0]),
-       h=st.sampled_from([1e-3, 5e-4, 2.5e-4]))
-def test_compiled_step_equals_the_reference_step(graph_name, family_name, mode, data, t, h):
-    """One compiled RK4 step equals the per-stage list RK4 over the float
-    pass of ``tests/references.py`` bit for bit (state, control, squared
-    errors and V plus the target potential at the new state), for each
-    leader mode, at steps that start on, straddle or end on a window's t0
-    or tf, from drawn realizations with edges at or next to coincidence (a
-    rational edge at e = -dbar^2 runs the numpy fallback); ``evaluate``
-    equals the reference pass and potential at the start."""
+       dt=st.sampled_from([1e-3, 5e-4, 2.5e-4]), n=st.integers(1, 4),
+       left=st.sampled_from([0.4, 1.0, 2.5, 3.0, 5.7]),
+       dv=st.sampled_from([-math.inf, 0.0]))
+def test_compiled_step_equals_the_reference_step(graph_name, family_name, mode, data, t, dt,
+                                                 n, left, dv):
+    """One ``advance`` call of k steps equals k steps of the per-stage list
+    RK4 over the float pass of ``tests/references.py`` bit for bit, for
+    each k up to n: state, control, squared errors, V plus the target
+    potential, time and worst increase of V.  The interval to the boundary
+    is left * dt, so the last step is clamped (0.4, 2.5, 5.7) or not, and n
+    may exceed the steps left; windowed steps start on, straddle or end on
+    t0 or tf and are left out of the worst increase.  Realizations are
+    drawn with edges at or next to coincidence (a rational edge at
+    e = -dbar^2 runs the numpy fallback), and large ones diverge within
+    the interval.  A diverging leader's velocity turns NaN a quarter or
+    one and a half steps in: advance returns the non-finite V with the
+    time and state before the step that reaches it.  ``evaluate`` equals the
+    reference pass and potential at the start."""
     graph, p = draw_realization(data, graph_name)
     family = FAMILIES[family_name]
-    spec = leader(mode, graph.dimension)
-    step, evaluate = _compiled_step(graph, family, spec)
+    if mode == "diverging":
+        steps_to_nan = data.draw(st.sampled_from([0.25, 1.5]))
+        t_nan = t + steps_to_nan * dt
+        spec = LeaderSpec(mode="windowed", t0=0.0, tf=2.0,
+                          v=lambda s: [math.nan if s >= t_nan else 0.5] * graph.dimension)
+    else:
+        spec = leader(mode, graph.dimension)
+    advance, evaluate = _compiled_step(graph, family, spec)
     run, potential = float_pass(graph, family)
     p = p.ravel().tolist()
+    boundary = t + left * dt
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         k1, e, w = evaluate(p)
         want_k1, want_e = run(p)
         assert (bits(k1), bits(e)) == (bits(want_k1), bits(want_e))
         assert bits(w) == bits(potential(want_e) + leader_potential(spec, p))
-        got = step(p, k1, t, h)
-        want = rk4_step(graph, family, spec, p, k1, t, h)
-    assert [bits(x) for x in got] == [bits(x) for x in want]
+        for k in range(1, n + 1):
+            got = advance(p, k1, w, t, boundary, dt, k, dv)
+            want = rk4_advance(graph, family, spec, p, k1, e, w, t, boundary, dt, k, dv)
+            assert result_bits(got) == result_bits(want)
+    if mode == "diverging" and steps_to_nan < min(n, left) and math.isfinite(w):
+        assert not math.isfinite(got[3]) and got[1] is None and got[2] is None
+        assert got[4] <= t_nan
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(d=st.sampled_from([2, 3]), agents=st.integers(1, 5), data=st.data())
+def test_record_norms_equal_numpy_bit_for_bit(d, agents, data):
+    """The recorded gradient norm equals the square root of numpy's
+    sequential cumulative sum of squares, and the equilibrium residual
+    equals numpy's per-agent norm and max, bit for bit, at drawn controls
+    of every scale (squares that overflow among them), and with a NaN at a
+    drawn coordinate, which both carry through.  The coordinates are
+    seeded normal draws, whose sums round differently in each order."""
+    scale = data.draw(st.sampled_from([1e-200, 1e-3, 1.0, 1e3, 1e160]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    u = (scale * rng.standard_normal(agents * d)).tolist()
+    if data.draw(st.booleans()):
+        u[data.draw(st.integers(0, len(u) - 1))] = math.nan
+    with np.errstate(over="ignore"):
+        assert bits(_norm(u)) == bits(gradient_norm(u))
+        assert bits(_residual(u, d)) == bits(balance_residual(u, d))
