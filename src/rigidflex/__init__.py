@@ -9,7 +9,6 @@ tetrahedron topologies.
 from .control import (
     EdgeState,
     LeaderSpec,
-    balance_residuals,
     edge_states,
     gradient_control,
     leader_spec_from_json,

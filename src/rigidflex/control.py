@@ -1,18 +1,29 @@
-"""Gradient control law and the flex agent's leader input.
+"""Gradient control law, the one edge pass, and the flex agent's leader input.
 
 Convention: the shape potential is V(p) = 1/2 * sum_edges phi(e), chosen so
 that the per-agent control u_i = -sum_j g_ij z_ij is exactly the negative
 gradient of V (with e = ||z||^2 - dbar^2, grad_p_i phi(e_ij) = 2 g_ij z_ij).
 Scaling V leaves trajectories, equilibria, and stability verdicts unchanged.
-``LeaderSpec`` holds the flex agent's leader input and its arrival test;
-the integrator's compiled RK4 step states the input and the target
-potential.
+
+Every edge pass of the package is generated here: ``_compiled_step`` binds
+straight-line Python code, compiled once per graph shape and leader mode,
+to a graph, a family and a leader.  Its ``evaluate`` is the pass behind
+``edge_states``, ``gradient_control`` and ``potential_value`` (bound with no
+leader and cached per graph and family) and behind each ``integrate``
+segment start; its ``advance`` is the integrator's RK4 loop.  The pass sums
+on Python floats in edge order, so no result depends on how a BLAS sums.
+``LeaderSpec`` holds the flex agent's leader input and its arrival test.
 """
 
 from __future__ import annotations
 
+import bisect
+import builtins
+import functools
+import linecache
 import math
 from dataclasses import dataclass
+from types import FunctionType
 from typing import Callable
 
 import numpy as np
@@ -27,7 +38,8 @@ EQ_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EdgeState:
-    """Per-edge kinematics and potential derivatives, in edge order."""
+    """Per-edge kinematics and potential derivatives, in edge order, from
+    one edge pass (``evaluate`` of ``_compiled_step``) in fresh arrays."""
 
     z: np.ndarray      # (m, d) edge vectors p_i - p_j
     e: np.ndarray      # (m,) squared distance errors
@@ -36,70 +48,41 @@ class EdgeState:
     u: np.ndarray      # (N+1, d) control of the same pass, u_i = -sum_j g_ij z_ij
 
 
-def _edge_kernel(pos: np.ndarray, graph: FormationGraph, bound: tuple):
-    """The one pass over the edges shared by the control, the potential and
-    the Hessian, at an (N+1, d) realization ``pos``, with ``bound`` the
-    family bound to the graph's desired lengths, ``family.bind(graph._dbar_col)``.
-
-    Returns edge vectors z = B^T p (m, d), squared errors e and gradients g
-    as (m, 1) columns (so g z needs no broadcast view) and the control
-    u = (-B)(g z) as (N+1, d) blocks, from the graph's cached B^T and -B,
-    all in fresh arrays.  ||z||^2 is summed unfused, left to right, as the
-    integrator's compiled step sums it (``np.vecdot`` would fuse
-    multiply-adds).  An exactly-zero edge vector contributes no force, even
-    for families whose g diverges at the coincidence boundary: zeroing its
-    g z changes nothing unless that product is non-finite.  There is no
-    domain check here:
-    ||z||^2 is a sum of squares, so it is >= 0 (or NaN), and rounding is
-    monotone, so e = fl(||z||^2 - dbar^2) >= -dbar^2 also in floating
-    point.  The kernel sets no floating-point error state (g may divide by
-    zero at the coincidence boundary, a diverging step overflows, non-finite
-    input gives invalid products): each public entry point that runs it
-    enters ``_ignore_fp`` once per call.
-
-    z = B^T p is exact for finite positions.  A non-finite coordinate of
-    one node makes that coordinate of every edge vector non-finite
-    (0 * inf = NaN), hence every e, g and block of u, not only those of
-    the node's own edges.
-    """
-    z = np.dot(graph._incidence_t, pos)
-    sq = np.add.reduce(z * z, axis=1, keepdims=True)
-    e = sq - graph._dbar2_col
-    g = bound[1](e)
-    f = g * z
-    if np.count_nonzero(sq) < len(sq):
-        f[sq[:, 0] == 0.0] = 0.0
-    return z, e, g, np.dot(graph._neg_incidence, f)
-
-
 # used as a decorator; nests safely
 _ignore_fp = np.errstate(divide="ignore", invalid="ignore", over="ignore")
 
 
 @_ignore_fp
 def edge_states(p, graph: FormationGraph, family: PotentialFamily) -> EdgeState:
-    bound = family.bind(graph._dbar_col)
-    z, e, g, u = _edge_kernel(as_positions(p, graph), graph, bound)
-    return EdgeState(z=z, e=e.ravel(), g=g.ravel(), rho=bound[2](e).ravel(), u=u)
+    u, e, _, z, g, rho = _evaluate(p, graph, family)
+    d = graph.dimension
+    return EdgeState(z=np.array(z).reshape(-1, d), e=np.array(e), g=np.array(g),
+                     rho=np.array(rho), u=np.array(u).reshape(-1, d))
 
 
 @_ignore_fp
 def potential_value(p, graph: FormationGraph, family: PotentialFamily) -> float:
     """V = 1/2 sum phi(e) at a realization."""
-    pos, bound = as_positions(p, graph), family.bind(graph._dbar_col)
-    return 0.5 * float(bound[0](_edge_kernel(pos, graph, bound)[1]).sum())
-
-
-def balance_residuals(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
-    """(N+1,) array of per-agent balance norms ||sum_j g_ij z_ij||."""
-    u = gradient_control(p, graph, family).reshape(graph.num_nodes, graph.dimension)
-    return np.linalg.norm(u, axis=1)
+    return _evaluate(p, graph, family)[2]
 
 
 @_ignore_fp
 def gradient_control(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
     """Stacked control u with blocks u_i = -sum_j g_ij z_ij."""
-    return _edge_kernel(as_positions(p, graph), graph, family.bind(graph._dbar_col))[3].reshape(-1)
+    return np.array(_evaluate(p, graph, family)[0])
+
+
+def _evaluate(p, graph: FormationGraph, family: PotentialFamily):
+    """The edge pass at a realization ``p``: (u, e, V, z, g, rho) as lists."""
+    return _pass(graph, family)(as_positions(p, graph).ravel().tolist())
+
+
+@functools.lru_cache(maxsize=32)
+def _pass(graph: FormationGraph, family: PotentialFamily):
+    """``evaluate`` with no leader, bound to ``graph`` and ``family`` on
+    first use and kept for the 32 pairs used last: binding costs more than
+    a pass on these small graphs."""
+    return _compiled_step(graph, family, LeaderSpec())[1]
 
 
 @dataclass(frozen=True)
@@ -115,7 +98,7 @@ class LeaderSpec:
     """
 
     mode: str = "none"
-    v: Callable[[float], np.ndarray] | None = None
+    v: Callable[[float], object] | None = None      # d numbers: a tuple, list or array
     t0: float = 0.0
     tf: float = 0.0
     k_f: float = 0.0
@@ -165,13 +148,195 @@ def leader_spec_from_json(doc, dimension: int) -> LeaderSpec:
                 or not np.isfinite(samples).all() or (np.diff(samples[:, 0]) <= 0).any()):
             raise ValueError(f"windowed v must be a non-empty list of finite [t, {dimension} "
                              f"velocity components] rows, t strictly increasing")
-        times, values = samples[:, 0], samples[:, 1:]
+        times, values = samples[:, 0].tolist(), [tuple(row) for row in samples[:, 1:].tolist()]
 
         def v(t, times=times, values=values):
-            k = int(np.searchsorted(times, t, side="right")) - 1
-            k = min(max(k, 0), len(times) - 1)
-            return values[k]
+            """The last sample at or before t, the first before the first."""
+            return values[max(bisect.bisect_right(times, t) - 1, 0)]
 
         return LeaderSpec(mode="windowed", v=v, t0=float(doc["t0"]), tf=float(doc["tf"]))
     return LeaderSpec(mode=mode)            # "none", or LeaderSpec's unknown-mode error
 
+
+
+# ---------------------------------------------------------------------------
+# The generated edge pass and RK4 step
+
+
+def _on_numpy(f, e: float) -> float:
+    """An evaluator ``f`` at ``e`` as a numpy float, for where Python floats
+    raise (a division by zero at the coincidence boundary): it rounds alike
+    and returns the array evaluator's infinity.  Callers ignore numpy's
+    divide warning."""
+    return float(f(np.float64(e)))
+
+
+def _call(assign, f, e) -> list[str]:
+    """Source lines of ``assign f(e)``, the evaluator ``f`` run through
+    ``_on_numpy`` where it raises."""
+    return ["try:", f"    {assign} {f}({e})", "except (ZeroDivisionError, OverflowError):",
+            f"    {assign} _on_numpy({f}, {e})"]
+
+
+def _edge_pass(x, u, tails, heads, d) -> list[str]:
+    """Source lines of one edge pass from the state names ``x`` to the
+    control names ``u``: per edge k, zk_c = p_i - p_j per coordinate,
+    ||z||^2 left to right, ek = ||z||^2 - dbar^2 and gk = g(ek), then
+    u_i -= gk z and u_j += gk z, skipping an exactly-zero edge."""
+    lines = [" = ".join(u) + " = 0.0"]
+    for k, (i, j) in enumerate(zip(tails, heads)):
+        z = [f"z{k}_{c}" for c in range(d)]
+        lines += [f"{z[c]} = {x[d * i + c]} - {x[d * j + c]}" for c in range(d)]
+        lines += ["sq = " + " + ".join(f"{zc} * {zc}" for zc in z), f"e{k} = sq - d2_{k}",
+                  *_call(f"g{k} =", f"g_{k}", f"e{k}"), "if sq:"]
+        lines += [f"    f{c} = g{k} * {z[c]}" for c in range(d)]
+        lines += [f"    {u[d * i + c]} -= f{c}" for c in range(d)]
+        lines += [f"    {u[d * j + c]} += f{c}" for c in range(d)]
+    return lines
+
+
+def _leader_input(mode, time, x, u, flex) -> list[str]:
+    """Source lines that add the leader input at ``time`` to the flex
+    agent's control names: k_f (p_t - p_flex) in target mode, v(time) on
+    [t0, tf] in windowed mode, each component as a float."""
+    if mode == "target":
+        return [f"{u[c]} += k_f * (pt_{k} - {x[c]})" for k, c in enumerate(flex)]
+    if mode == "windowed":
+        return [f"if t0 <= {time} <= tf:",
+                f"    [{', '.join(f'v{k}' for k in range(len(flex)))}] = vel({time})",
+                *(f"    {u[c]} += float(v{k})" for k, c in enumerate(flex))]
+    return []
+
+
+def _step_source(tails, heads, n, d, mode) -> str:
+    """Python source of ``advance(p, k1, w, t, boundary, dt, n, dv)`` and
+    ``evaluate(p)`` for one graph shape and leader mode (see
+    ``_compiled_step``)."""
+    size, m = n * d, len(tails)
+    flex = range(size - d, size)
+    p, s, a, b, c, r, q = ([f"{x}{k}" for k in range(size)] for x in "psabcrq")
+    # the call's constants, read into locals once per call
+    bound = {f"{x}_{k}": f"{x.upper()}_{k}" for k in range(m) for x in ("d2", "g", "phi", "rho")}
+    if mode == "target":
+        bound.update(k_f="K_F", **{f"pt_{k}": f"PT_{k}" for k in range(d)})
+    elif mode == "windowed":
+        bound.update(t0="T0", tf="TF", vel="V")
+    constants = f"{', '.join(bound)}, = {', '.join(bound.values())},"
+
+    def closing(x, u):
+        """The pass at an accepted state x into the control names u and its
+        Lyapunov value w: V = 1/2 sum phi(e) left to right, plus (k_f/2)
+        ||p_t - p_flex||^2 in target mode."""
+        lines = _edge_pass(x, u, tails, heads, d) + ["pot = 0.0"]
+        for k in range(m):
+            lines += _call("pot +=", f"phi_{k}", f"e{k}")
+        if mode != "target":
+            return lines + ["w = 0.5 * pot"]
+        lines += [f"o{k} = pt_{k} - {x[i]}" for k, i in enumerate(flex)]
+        return lines + ["w = 0.5 * pot + 0.5 * k_f * ("
+                        + " + ".join(f"o{k} * o{k}" for k in range(d)) + ")"]
+
+    def stage(k, out, scale, time):
+        """The stage state p + scale k and the velocity ``out`` there."""
+        return [*(f"{s[i]} = {p[i]} + {k[i]} * {scale}" for i in range(size)),
+                *_edge_pass(s, out, tails, heads, d),
+                *_leader_input(mode, time, s, out, flex)]
+
+    # V is no Lyapunov function while a windowed input acts: a step that
+    # meets [t0, tf] is left out of the worst increase dv
+    rise = ["dw = w - w_prev", "if dw > dv:", "    dv = dw"]
+    if mode == "windowed":
+        rise = ["if not (t <= tf and t0 <= t + h):", *(f"    {line}" for line in rise)]
+    errors = ", ".join(f"e{k}" for k in range(m))
+    step = ["h = boundary - t", "if not h > 1e-12:", "    break", "if h > dt:", "    h = dt",
+            "half = 0.5 * h", "th = t + half", "sixth = h / 6.0",
+            *_leader_input(mode, "t", p, a, flex),
+            *stage(a, b, "half", "th"), *stage(b, c, "half", "th"), *stage(c, r, "h", "t + h"),
+            *(f"{q[i]} = {p[i]} + ((({a[i]} + 2.0 * {b[i]}) + 2.0 * {c[i]}) + {r[i]}) * sixth"
+              for i in range(size)),
+            "w_prev = w",
+            *closing(q, a),
+            "if not isfinite(w):",
+            f"    return [{', '.join(p)}], None, None, w, t, dv",
+            *rise,
+            *(f"{p[i]} = {q[i]}" for i in range(size)),
+            "t += h"]
+    advance = [constants, f"{', '.join(p)}, = p", f"{', '.join(a)}, = k1",
+               "for _ in range(n):", *(f"    {line}" for line in step),
+               f"return [{', '.join(p)}], [{', '.join(a)}], [{errors}], w, t, dv"]
+    evaluate = [constants, f"{', '.join(p)}, = p", *closing(p, a)]
+    for k in range(m):
+        evaluate += _call(f"r{k} =", f"rho_{k}", f"e{k}")
+    evaluate.append(f"return [{', '.join(a)}], [{errors}], w, "
+                    f"[{', '.join(f'z{k}_{c}' for k in range(m) for c in range(d))}], "
+                    f"[{', '.join(f'g{k}' for k in range(m))}], "
+                    f"[{', '.join(f'r{k}' for k in range(m))}]")
+    return ("def advance(p, k1, w, t, boundary, dt, n, dv):\n"
+            + "".join(f"    {line}\n" for line in advance)
+            + "\n\ndef evaluate(p):\n" + "".join(f"    {line}\n" for line in evaluate))
+
+
+@functools.lru_cache(maxsize=32)
+def _step_code(tails: tuple, heads: tuple, n: int, d: int, mode: str):
+    """The code objects of ``advance`` and ``evaluate`` for one graph shape
+    and leader mode, compiled on first use and kept for the 32 shapes and
+    modes used last; the source is registered with ``linecache``, so
+    tracebacks and profilers show the generated lines."""
+    source = _step_source(tails, heads, n, d, mode)
+    filename = f"<rigidflex RK4 step: {n} nodes in {d}-D, edges {list(zip(tails, heads))}, " \
+               f"{mode} leader>"
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace["advance"].__code__, namespace["evaluate"].__code__
+
+
+def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec):
+    """``(advance, evaluate)`` bound to a graph, a family and a leader: the
+    cached code of the graph's shape and the leader's mode, bound to
+    globals that hold each edge's dbar^2 and its phi, g and rho bound to its
+    length as a float, and the leader's k_f and p_t, or t0, tf and v.
+
+    ``evaluate(p)`` maps a flat, node-major list of (N+1) d floats to, as
+    new lists, the gradient control u in that layout, the squared errors e
+    in edge order and, in third place, the Lyapunov value w = V + the target
+    potential, then the edge vectors z (edge-major, d entries per edge) and
+    g and rho per edge.  g and rho are evaluated at every edge, an exactly
+    coincident one too, whose force u skips.
+    ``advance(p, k1, w, t, boundary, dt, n, dv)``, with k1 and w what
+    ``evaluate`` gave at p, takes up to n RK4 steps of length
+    min(dt, boundary - t) from time t while boundary - t > 1e-12 (callers
+    leave it at least one).  It returns the state, ``evaluate``'s first and
+    third values there (u and e as new lists), the time and dv raised to
+    the worst step's increase of w, leaving out the steps that meet a
+    windowed leader's [t0, tf].  A step whose w is not finite is not taken:
+    advance then returns the state before it, None for u and e, that w,
+    the time before it and dv.
+
+    Both read the call's constants into locals once and run straight-line
+    code over local floats, unrolled over the edges and coordinates: the
+    stage states and p + (h/6) (((k1 + 2 k2) + 2 k3) + k4) are formed per
+    coordinate, and each stage is the pass plus the leader input at t,
+    t + h/2, t + h/2 and t + h.  Per edge the pass forms z = p_i - p_j,
+    ||z||^2 left to right, e and g(e), and subtracts g z from u_i and adds
+    it to u_j in edge order, so each node's sum has a fixed order on every
+    CPU; V sums phi(e) left to right.  A non-finite coordinate reaches only
+    its own node's edges, and a non-finite g z only its edge's two nodes.
+    There is no domain check: ||z||^2 is a sum of squares, so it is >= 0
+    (or NaN), and rounding is monotone, so e = fl(||z||^2 - dbar^2) >=
+    -dbar^2 in floating point too.  The pass sets no floating-point error
+    state (``_on_numpy`` may divide by zero): ``integrate`` and each public
+    entry point enter ``_ignore_fp`` once per call.
+    """
+    code = _step_code(tuple(graph._tails.tolist()), tuple(graph._heads.tolist()),
+                      graph.num_nodes, graph.dimension, leader.mode)
+    names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "isfinite": math.isfinite}
+    for k, (dbar, dbar2) in enumerate(zip(graph._dbar.tolist(), graph._dbar2.tolist())):
+        names[f"PHI_{k}"], names[f"G_{k}"], names[f"RHO_{k}"] = family.bind(dbar)
+        names[f"D2_{k}"] = dbar2
+    if leader.mode == "target":
+        names["K_F"] = leader.k_f
+        names.update((f"PT_{k}", x) for k, x in enumerate(leader.p_t.tolist()))
+    elif leader.mode == "windowed":
+        names.update(T0=leader.t0, TF=leader.tf, V=leader.v)
+    return tuple(FunctionType(c, names) for c in code)

@@ -1,10 +1,10 @@
-"""Formation graphs: node/edge structure, cached incidence arrays, realizations.
+"""Formation graphs: node/edge structure, cached index arrays, realizations.
 
 A formation graph is a rigid interaction graph on nodes 1..N plus one flex
 node N+1 attached by a single edge (N, N+1).  Edges are stored in
 lexicographic order of their (i, j) pairs with i < j; that order is part of
-the public contract (it fixes the column order of the incidence matrix and
-the block order of every edge-indexed quantity).
+the public contract (it fixes the order of every edge-indexed quantity and
+the order in which the edge pass sums each node's terms).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class FormationGraph:
                 raise GraphError(f"edge ({i},{j}) out of range or not i<j")
         if len(self.desired) != len(pairs):
             raise GraphError("desired distances must align with edges")
-        # kernel passes subtract the cached squares; the potentials reach
+        # edge passes subtract the cached squares; the potentials reach
         # e^2 ~ dbar^4 at the catalog's points and at validate_family's
         # e = 100 dbar^2, so dbar^4 must be a normal float (the rational g
         # divides by it) and (100 dbar^2)^2 finite; False for NaN
@@ -73,20 +73,14 @@ class FormationGraph:
         m = len(pairs)
         tails = np.array([i - 1 for i, _ in pairs], dtype=int)
         heads = np.array([j - 1 for _, j in pairs], dtype=int)
-        dbar = np.array(self.desired, dtype=float)[:, None]     # (m, 1) columns for the
-        dbar2 = dbar**2         # edge kernel; _dbar and _dbar2 are (m,) views of them
-        incidence = np.zeros((n, m))
-        incidence[tails, np.arange(m)] = 1.0
-        incidence[heads, np.arange(m)] = -1.0
+        dbar = np.array(self.desired, dtype=float)
         # flat ((N+1)d)^2 Hessian index of each entry of the edge blocks at
         # node blocks (i,i), (j,j), (i,j), (j,i), in edge order
         axis = np.arange(d)
         rows = np.stack([tails, heads, tails, heads], 1)[..., None, None] * d + axis[:, None]
         cols = np.stack([tails, heads, heads, tails], 1)[..., None, None] * d + axis
         for name, arr in (("_tails", tails), ("_heads", heads), ("_rigid", np.arange(m - 1)),
-                          ("_dbar", dbar[:, 0]), ("_dbar_col", dbar), ("_dbar2", dbar2[:, 0]),
-                          ("_dbar2_col", dbar2), ("_neg_incidence", -incidence),
-                          ("_incidence_t", np.ascontiguousarray(incidence.T)),
+                          ("_dbar", dbar), ("_dbar2", dbar**2),
                           ("_hessian_index", (rows * (n * d) + cols).ravel())):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)

@@ -7,18 +7,14 @@ the leader's target potential, is monitored step by step.
 
 from __future__ import annotations
 
-import builtins
-import functools
 import json
-import linecache
 import math
 from array import array
 from dataclasses import dataclass, field
-from types import FunctionType
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _ignore_fp
+from .control import EQ_TOL, LeaderSpec, _compiled_step, _ignore_fp
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
@@ -117,173 +113,6 @@ class Trajectory:
             fh.write("\n")
 
 
-def _on_numpy(f, e: float) -> float:
-    """An evaluator ``f`` at ``e`` as a numpy float, for where Python floats
-    raise (a division by zero at the coincidence boundary): it rounds alike
-    and returns the array evaluator's infinity.  Callers ignore numpy's
-    divide warning."""
-    return float(f(np.float64(e)))
-
-
-def _edge_pass(x, u, errors, tails, heads, d) -> list[str]:
-    """Source lines of one edge pass from the state names ``x`` to the
-    control names ``u``, with edge k's squared error in ``errors[k]``: per
-    edge z = p_i - p_j, ||z||^2 left to right, e, g(e), then u_i -= g z and
-    u_j += g z, skipping an exactly-zero edge; an evaluator that raises
-    runs ``_on_numpy``."""
-    lines = [" = ".join(u) + " = 0.0"]
-    for k, (i, j, e) in enumerate(zip(tails, heads, errors)):
-        a, b = [x[d * i + c] for c in range(d)], [x[d * j + c] for c in range(d)]
-        lines += [f"z{c} = {a[c]} - {b[c]}" for c in range(d)]
-        lines += ["sq = " + " + ".join(f"z{c} * z{c}" for c in range(d)),
-                  f"{e} = sq - d2_{k}",
-                  "if sq:",
-                  "    try:",
-                  f"        f = g_{k}({e})",
-                  "    except (ZeroDivisionError, OverflowError):",
-                  f"        f = _on_numpy(g_{k}, {e})"]
-        lines += [f"    f{c} = f * z{c}" for c in range(d)]
-        lines += [f"    {u[d * i + c]} -= f{c}" for c in range(d)]
-        lines += [f"    {u[d * j + c]} += f{c}" for c in range(d)]
-    return lines
-
-
-def _leader_input(mode, time, x, u, flex) -> list[str]:
-    """Source lines that add the leader input at ``time`` to the flex
-    agent's control names: k_f (p_t - p_flex) in target mode, v(time) on
-    [t0, tf] in windowed mode."""
-    if mode == "target":
-        return [f"{u[c]} += k_f * (pt_{k} - {x[c]})" for k, c in enumerate(flex)]
-    if mode == "windowed":
-        return [f"if t0 <= {time} <= tf:",
-                f"    [{', '.join(f'v{k}' for k in range(len(flex)))}] = vel({time})",
-                *(f"    {u[c]} += v{k}" for k, c in enumerate(flex))]
-    return []
-
-
-def _step_source(tails, heads, n, d, mode) -> str:
-    """Python source of ``advance(p, k1, w, t, boundary, dt, n, dv)`` and
-    ``evaluate(p)`` for one graph shape and leader mode (see
-    ``_compiled_step``)."""
-    size = n * d
-    flex = range(size - d, size)
-    p, s, a, b, c, r, q = ([f"{x}{k}" for k in range(size)] for x in "psabcrq")
-    errors = [f"e{k}" for k in range(len(tails))]
-    # the call's constants, read into locals once per call
-    bound = {f"{x}_{k}": f"{x.upper()}_{k}" for k in range(len(tails)) for x in ("d2", "g", "phi")}
-    if mode == "target":
-        bound.update(k_f="K_F", **{f"pt_{k}": f"PT_{k}" for k in range(d)})
-    elif mode == "windowed":
-        bound.update(t0="T0", tf="TF", vel="V")
-    constants = f"{', '.join(bound)}, = {', '.join(bound.values())},"
-
-    def closing(x, u):
-        """The pass at an accepted state x into the control names u and its
-        Lyapunov value w: V = 1/2 sum phi(e) left to right, plus (k_f/2)
-        ||p_t - p_flex||^2 in target mode."""
-        lines = _edge_pass(x, u, errors, tails, heads, d) + ["pot = 0.0"]
-        for k, e in enumerate(errors):
-            lines += ["try:", f"    pot += phi_{k}({e})",
-                      "except (ZeroDivisionError, OverflowError):",
-                      f"    pot += _on_numpy(phi_{k}, {e})"]
-        if mode != "target":
-            return lines + ["w = 0.5 * pot"]
-        lines += [f"o{k} = pt_{k} - {x[i]}" for k, i in enumerate(flex)]
-        return lines + ["w = 0.5 * pot + 0.5 * k_f * ("
-                        + " + ".join(f"o{k} * o{k}" for k in range(d)) + ")"]
-
-    def stage(k, out, scale, time):
-        """The stage state p + scale k and the velocity ``out`` there."""
-        return [*(f"{s[i]} = {p[i]} + {k[i]} * {scale}" for i in range(size)),
-                *_edge_pass(s, out, ["e"] * len(tails), tails, heads, d),
-                *_leader_input(mode, time, s, out, flex)]
-
-    # V is no Lyapunov function while a windowed input acts: a step that
-    # meets [t0, tf] is left out of the worst increase dv
-    rise = ["dw = w - w_prev", "if dw > dv:", "    dv = dw"]
-    if mode == "windowed":
-        rise = ["if not (t <= tf and t0 <= t + h):", *(f"    {line}" for line in rise)]
-    step = ["h = boundary - t", "if not h > 1e-12:", "    break", "if h > dt:", "    h = dt",
-            "half = 0.5 * h", "th = t + half", "sixth = h / 6.0",
-            *_leader_input(mode, "t", p, a, flex),
-            *stage(a, b, "half", "th"), *stage(b, c, "half", "th"), *stage(c, r, "h", "t + h"),
-            *(f"{q[i]} = {p[i]} + ((({a[i]} + 2.0 * {b[i]}) + 2.0 * {c[i]}) + {r[i]}) * sixth"
-              for i in range(size)),
-            "w_prev = w",
-            *closing(q, a),
-            "if not isfinite(w):",
-            f"    return [{', '.join(p)}], None, None, w, t, dv",
-            *rise,
-            *(f"{p[i]} = {q[i]}" for i in range(size)),
-            "t += h"]
-    advance = [constants, f"{', '.join(p)}, = p", f"{', '.join(a)}, = k1",
-               "for _ in range(n):", *(f"    {line}" for line in step),
-               f"return [{', '.join(p)}], [{', '.join(a)}], [{', '.join(errors)}], w, t, dv"]
-    evaluate = [constants, f"{', '.join(p)}, = p", *closing(p, a),
-                f"return [{', '.join(a)}], [{', '.join(errors)}], w"]
-    return ("def advance(p, k1, w, t, boundary, dt, n, dv):\n"
-            + "".join(f"    {line}\n" for line in advance)
-            + "\n\ndef evaluate(p):\n" + "".join(f"    {line}\n" for line in evaluate))
-
-
-@functools.lru_cache(maxsize=32)
-def _step_code(tails: tuple, heads: tuple, n: int, d: int, mode: str):
-    """The code objects of ``advance`` and ``evaluate`` for one graph shape
-    and leader mode, compiled on first use and kept for the 32 shapes and
-    modes used last; the source is registered with ``linecache``, so
-    tracebacks and profilers show the generated lines."""
-    source = _step_source(tails, heads, n, d, mode)
-    filename = f"<rigidflex RK4 step: {n} nodes in {d}-D, edges {list(zip(tails, heads))}, " \
-               f"{mode} leader>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace = {}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace["advance"].__code__, namespace["evaluate"].__code__
-
-
-def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec):
-    """``(advance, evaluate)`` for one integrate call: the cached code of the
-    graph's shape and the leader's mode, bound to globals that hold each
-    edge's dbar^2 and its phi and g bound to its length as a float, and the
-    leader's k_f and p_t, or t0, tf and v.
-
-    ``evaluate(p)`` maps a flat, node-major list of (N+1) d floats to the
-    gradient control u, a new list of that layout, the squared errors e in
-    edge order and the Lyapunov value w = V + the target potential.
-    ``advance(p, k1, w, t, boundary, dt, n, dv)``, with k1 and w what
-    ``evaluate`` gave at p, takes up to n RK4 steps of length
-    min(dt, boundary - t) from time t while boundary - t > 1e-12 (callers
-    leave it at least one).  It returns the state, ``evaluate``'s first and third values there (u
-    and e as new lists), the time and dv raised to the worst step's
-    increase of w, leaving out the steps that meet a windowed leader's
-    [t0, tf].  A step whose w is not finite is not taken: advance then
-    returns the state before it, None for u and e, that w, the time before
-    it and dv.  Both read the call's constants into locals once and run
-    straight-line code over local floats, unrolled over the edges and
-    coordinates: the stage states and p + (h/6) (((k1 + 2 k2) + 2 k3) + k4)
-    are formed per coordinate, each stage is the pass plus the leader input
-    at t, t + h/2, t + h/2 and t + h.  These are ``_edge_kernel``'s
-    operations in its order, so u and e equal ``gradient_control`` and
-    ``edge_states(...).e`` bit for bit, and V equals ``potential_value`` up
-    to the last bits from 8 edges on (numpy sums 8 or more terms pairwise);
-    a non-finite g z reaches only its edge's two nodes, not every node as
-    through the kernel's 0 * inf.
-    """
-    code = _step_code(tuple(graph._tails.tolist()), tuple(graph._heads.tolist()),
-                      graph.num_nodes, graph.dimension, leader.mode)
-    names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "isfinite": math.isfinite}
-    for k, (dbar, dbar2) in enumerate(zip(graph._dbar.tolist(), graph._dbar2.tolist())):
-        names[f"PHI_{k}"], names[f"G_{k}"] = family.bind(dbar)[:2]
-        names[f"D2_{k}"] = dbar2
-    if leader.mode == "target":
-        names["K_F"] = leader.k_f
-        names.update((f"PT_{k}", x) for k, x in enumerate(leader.p_t.tolist()))
-    elif leader.mode == "windowed":
-        names.update(T0=leader.t0, TF=leader.tf,
-                     V=lambda t: np.asarray(leader.v(t), dtype=float).tolist())
-    return tuple(FunctionType(c, names) for c in code)
-
-
 def _norm(u) -> float:
     """||u|| as the square root of the sum of squares left to right, the
     rule of ||z||^2 and V, so it does not depend on how a BLAS sums."""
@@ -324,18 +153,19 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     The state is one flat, node-major list of (N+1) d Python floats: on
     states this small, numpy's per-call cost would be most of the work.
     The loop turns once per record: each turn is one call of the
-    straight-line ``advance`` that ``_compiled_step`` binds to the graph,
-    the family and the leader once per call (the code is compiled once per
-    graph shape and leader mode).  It takes the steps up to the next record
-    (every record_every steps and at each event and t_end), keeping the
-    state in locals, and tracks the worst Lyapunov increase; it returns
-    the control, the squared errors and the Lyapunov value at the record,
-    which serve as the next call's first stage, the record and the
-    equilibrium check; ``evaluate`` gives them at the start of each
-    segment.  Records go into compact ``array('d')`` buffers and make no
-    numpy call: the recorded gradient norm sums the squared control left
-    to right (``_norm``) and the equilibrium check takes the largest
-    per-agent norm (``_residual``).  The whole call ignores floating-point
+    straight-line ``advance`` that ``control._compiled_step`` binds to the
+    graph, the family and the leader once per call (the code is compiled
+    once per graph shape and leader mode).  It takes the steps up to the
+    next record (every record_every steps and at each event and t_end),
+    keeping the state in locals, and tracks the worst Lyapunov increase; it
+    returns the control, the squared errors and the Lyapunov value at the
+    record, which serve as the next call's first stage, the record and the
+    equilibrium check; ``evaluate``, the edge pass that the analysis entry
+    points run too, gives them at the start of each segment.  Records go
+    into compact ``array('d')`` buffers and make no numpy call: the
+    recorded gradient norm sums the squared control left to right
+    (``_norm``) and the equilibrium check takes the largest per-agent norm
+    (``_residual``).  The whole call ignores floating-point
     divide, invalid and overflow errors once: the guard judges the
     non-finite values they leave.
 
@@ -370,7 +200,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
 
     def start(t, state):
         """``evaluate`` at the start of a segment, where V must be finite."""
-        u, e, w = evaluate(state)
+        u, e, w = evaluate(state)[:3]
         if not math.isfinite(w):
             raise failure(w, t, t, state)
         return u, e, w

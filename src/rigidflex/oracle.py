@@ -11,13 +11,13 @@ analytic Jacobian from several seeds (rootfind-collinear,
 rootfind-coplanar).  No scale, or one whose bracket closes to a point, is
 exact for every family (coincidence-construct).  The layout solve
 evaluates the family on its own edge set, apart from the simulator and the
-edge kernel, so its roots are an independent construction.
+edge pass, so its roots are an independent construction.
 
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes every
 point but an exact (coincidence-construct) one, rejects points outside the
 family's domain and classifies; polish and classification run the edge
-kernel.  Every point is constructed, never simulated: nothing here
+pass.  Every point is constructed, never simulated: nothing here
 integrates the closed loop.
 
 ``root``, one Newton solve from one seed, is a module attribute that every
@@ -34,10 +34,10 @@ from functools import partial
 
 import numpy as np
 
-from .control import gradient_control, potential_value
+from .control import edge_states, potential_value
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily
-from .stability import LINE_SLOTS, assemble_hessian, classify
+from .stability import LINE_SLOTS, _hessian, classify
 
 
 POLISH_TOL = 1e-12        # balance residual that ends a Newton polish
@@ -90,22 +90,22 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarr
     The balance map is the potential gradient, so its Jacobian is the
     assembled Hessian; least-squares steps take the minimal-norm correction,
     leaving the rigid-motion (and flex-orbit) null directions untouched.
-    Each iteration makes one control pass, which also gives the residual,
-    and one Hessian.
+    Each iteration makes one edge pass, which gives the residual, the
+    right-hand side u and the Hessian.
     """
     p = as_positions(p, graph).reshape(-1).astype(float)
     for it in range(POLISH_MAX_ITER + 1):
-        u = gradient_control(p, graph, family)
-        res = float(np.linalg.norm(u.reshape(graph.num_nodes, -1), axis=1).max())
+        st = edge_states(p, graph, family)
+        res = float(np.linalg.norm(st.u, axis=1).max())
         if res < POLISH_TOL:
             return p
         if it == POLISH_MAX_ITER:
             raise OracleError(f"Newton polish stalled at residual {res:.3e}")
-        h = assemble_hessian(p, graph, family)
+        h = _hessian(st, graph)
         if not np.all(np.isfinite(h)):
             raise OracleError("balance Jacobian is non-finite; cannot polish "
                               "(coincident agents with a singular family?)")
-        step, *_ = np.linalg.lstsq(h, u, rcond=1e-10)
+        step, *_ = np.linalg.lstsq(h, st.u.reshape(-1), rcond=1e-10)
         p += step
 
 

@@ -26,16 +26,18 @@ class PotentialFamily:
     """An edge potential given by ``bind(dbar)``: its (phi, g, rho) as
     functions of e alone at the desired lengths ``dbar``, a float array
     (broadcast against e) or one Python float, with the constants the family
-    derives from dbar computed once.  The built-in families write phi and g
-    with products, which round alike on floats and arrays (Python's ``**``
-    calls libm's ``pow``), so their float evaluators at one length equal
-    their array evaluators bit for bit."""
+    derives from dbar computed once.  The built-in families write phi, g and
+    rho with products and quotients, which round alike on floats and arrays
+    (Python's ``**`` calls libm's ``pow``, numpy's power its own), so their
+    float evaluators at one length equal their array evaluators bit for
+    bit, and return a float for a float e."""
 
     name: str
     bind: Callable
 
 
-_QUADRATIC = (lambda e: 0.5 * (e * e), lambda e: e, np.ones_like)
+# e ** 0 is exactly 1.0 for every e, NaN and infinities included
+_QUADRATIC = (lambda e: 0.5 * (e * e), lambda e: e, lambda e: e ** 0)
 
 
 def _quadratic(dbar):
@@ -45,9 +47,9 @@ def _quadratic(dbar):
 
 def _rational(dbar):
     """phi = e^2 / (e + dbar^2); g and rho are its exact derivatives.  dbar^4
-    is (dbar^2)^2, a product, so a float, a 0-d and a column dbar give the
-    same bits on every CPU (numpy's vectorized power may round differently
-    from libm's ``pow``)."""
+    is (dbar^2)^2 and (e + dbar^2)^3 is (s s) s, products, so a float, a 0-d
+    and a column dbar give the same bits on every CPU (numpy's vectorized
+    power may round differently from libm's ``pow``)."""
     d2 = dbar * dbar
     d4 = d2 * d2
 
@@ -55,7 +57,11 @@ def _rational(dbar):
         s = e + d2
         return 1.0 - d4 / (s * s)
 
-    return (lambda e: (e * e) / (e + d2), g, lambda e: 2.0 * d4 / (e + d2) ** 3)
+    def rho(e):
+        s = e + d2
+        return 2.0 * d4 / ((s * s) * s)
+
+    return (lambda e: (e * e) / (e + d2), g, rho)
 
 
 QUADRATIC = PotentialFamily("quadratic", _quadratic)

@@ -50,6 +50,40 @@ def leader_potential(spec, state):
     return 0.5 * spec.k_f * total
 
 
+def balance_residuals(p, graph, family):
+    """(N+1,) array of per-agent balance norms ||sum_j g_ij z_ij||."""
+    u = gradient_control(p, graph, family).reshape(graph.num_nodes, graph.dimension)
+    return np.linalg.norm(u, axis=1)
+
+
+def array_pass(p, graph, family):
+    """The edge pass on numpy arrays at a realization p: (z, e, g, rho, u,
+    V) with z and u as (m, d) and (N+1, d) rows.  Per edge z = p_i - p_j,
+    ||z||^2 summed left to right, e, and g and rho at every edge; the
+    forces g z of the edges with ||z||^2 != 0 are scattered with
+    ``np.add.at``, -g z to node i and +g z to node j, edge by edge, so each
+    node sums its terms in edge order.  V = 1/2 sum phi(e) left to right
+    (numpy's cumulative sum is sequential)."""
+    d = graph.dimension
+    pos = np.asarray(p, dtype=float).reshape(graph.num_nodes, d)
+    tails, heads = graph.edge_tails, graph.edge_heads
+    phi, g_of, rho_of = family.bind(np.array(graph.desired))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z = pos[tails] - pos[heads]
+        sq = z[:, 0] * z[:, 0]
+        for c in range(1, d):
+            sq = sq + z[:, c] * z[:, c]
+        e = sq - graph._dbar2
+        g, rho = g_of(e), rho_of(e)
+        live = sq != 0
+        f = g[live, None] * z[live]
+        u = np.zeros_like(pos)
+        np.add.at(u, np.stack([tails[live], heads[live]], 1).ravel(),
+                  np.stack([-f, f], 1).reshape(-1, d))
+        v = 0.5 * float(np.cumsum(phi(e))[-1])
+    return z, e, g, rho, u, v
+
+
 def float_pass(graph, family):
     """The edge pass on Python floats as loops over the edges and
     coordinates: ``(run, potential)``.  ``run(p)`` maps a flat, node-major

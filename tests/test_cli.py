@@ -412,25 +412,18 @@ def test_run_rejects_event_after_horizon(tmp_path):
 ], ids=["unknown_agent", "wrong_dimension"])
 def test_run_rejects_bad_event_before_the_first_step(tmp_path, monkeypatch, capsys, event):
     """An event whose agent or displacement does not fit the graph exits 2
-    before any edge pass, array or float: no array kernel pass, no call of
-    ``advance``, ``evaluate`` or a bound phi or g, not when the run reaches
-    it."""
-    import rigidflex.control as control
+    before any edge pass: no run of the analysis entry points' cached pass,
+    no call of ``advance``, ``evaluate`` or a bound phi or g, not when the
+    run reaches it."""
     import rigidflex.integrator as integrator
-    from test_integrator import counting_compiled_step
+    from test_integrator import counting_compiled_step, counting_pass
 
-    calls = {"kernel": 0, "advance": 0, "evaluate": 0, "phi": 0, "g": 0}
-    kernel = control._edge_kernel
-
-    def counted_kernel(*args):
-        calls["kernel"] += 1
-        return kernel(*args)
-
-    monkeypatch.setattr(control, "_edge_kernel", counted_kernel)
+    calls = {"pass": 0, "advance": 0, "evaluate": 0, "phi": 0, "g": 0}
+    counting_pass(monkeypatch, calls)
     monkeypatch.setattr(integrator, "_compiled_step", counting_compiled_step(calls))
     scen = small_scenario(tmp_path, events=[event])
     assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
-    assert calls == {"kernel": 0, "advance": 0, "evaluate": 0, "phi": 0, "g": 0}
+    assert calls == {"pass": 0, "advance": 0, "evaluate": 0, "phi": 0, "g": 0}
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error")
 

@@ -7,7 +7,6 @@ import pytest
 
 from rigidflex.control import (
     LeaderSpec,
-    balance_residuals,
     edge_states,
     gradient_control,
     leader_spec_from_json,
@@ -15,7 +14,13 @@ from rigidflex.control import (
 )
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.potentials import QUADRATIC, RATIONAL
-from references import leader_control, leader_input, leader_potential, local_frame_control
+from references import (
+    balance_residuals,
+    leader_control,
+    leader_input,
+    leader_potential,
+    local_frame_control,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -137,6 +142,9 @@ def test_windowed_leader_switches_off():
     np.testing.assert_allclose(input_rows(spec, 1.2, state)[-1], [0.5, -0.5])
     np.testing.assert_allclose(input_rows(spec, 1.7, state)[-1], [1.0, 0.0])
     np.testing.assert_allclose(input_rows(spec, 2.5, state)[-1], [0.0, 0.0])
+    # v(t) is the last sample at or before t, and the first before the first
+    assert [list(spec.v(t)) for t in (0.2, 1.0, 1.4999, 1.5, 9.0)] == \
+        [[0.5, -0.5]] * 3 + [[1.0, 0.0]] * 2
     assert leader_potential(spec, state.reshape(-1)) == 0.0 and not spec.arrived(state.reshape(-1))
 
 
@@ -233,10 +241,11 @@ def test_integrate_is_bit_reproducible():
     assert a.max_lyapunov_increase == b.max_lyapunov_increase
 
 
-def test_non_finite_coordinate_reaches_every_edge():
-    """z = B^T p: an infinite coordinate on one node makes that coordinate of
-    every edge vector non-finite, and with it every e, g and control block;
-    the other coordinates stay exact, and the point is no equilibrium."""
+def test_non_finite_coordinate_reaches_only_its_nodes_edges():
+    """An infinite coordinate on one node makes that coordinate of its own
+    edges' vectors non-finite, and with them their e and g and the control
+    of every node they join; the other edges and the nodes they alone join
+    stay exact.  V is infinite, and the point is no equilibrium."""
     from rigidflex.stability import analyze
 
     g = tetrahedron_flex()
@@ -244,12 +253,20 @@ def test_non_finite_coordinate_reaches_every_edge():
     finite = edge_states(p, g, QUADRATIC)
     p[0, 0] = np.inf
     s = edge_states(p, g, QUADRATIC)
-    assert not np.any(np.isfinite(s.z[:, 0]))
+    own = (g.edge_tails == 0) | (g.edge_heads == 0)
+    assert own.tolist() == [True] * 3 + [False] * 4
+    assert not np.any(np.isfinite(s.z[own, 0]))
     np.testing.assert_array_equal(s.z[:, 1:], finite.z[:, 1:])
-    assert not np.any(np.isfinite(s.e)) and not np.any(np.isfinite(s.g))
-    assert np.isnan(potential_value(p, g, QUADRATIC))
-    assert not np.any(np.isfinite(gradient_control(p, g, QUADRATIC)))
-    assert not np.any(np.isfinite(balance_residuals(p, g, QUADRATIC)))
+    np.testing.assert_array_equal(s.z[~own], finite.z[~own])
+    assert not np.any(np.isfinite(s.e[own])) and not np.any(np.isfinite(s.g[own]))
+    for name in ("e", "g", "rho"):
+        np.testing.assert_array_equal(getattr(s, name)[~own], getattr(finite, name)[~own])
+    assert potential_value(p, g, QUADRATIC) == np.inf
+    joined = np.isin(np.arange(g.num_nodes), [0, 1, 2, 3])
+    u = gradient_control(p, g, QUADRATIC).reshape(g.num_nodes, g.dimension)
+    assert not np.any(np.isfinite(u[joined]))
+    np.testing.assert_array_equal(u[~joined], finite.u[~joined])
+    assert np.isfinite(balance_residuals(p, g, QUADRATIC)).tolist() == (~joined).tolist()
     with np.errstate(invalid="ignore"):      # the Hessian products see the inf
         assert analyze(p, g, QUADRATIC).classification.kind == "not_equilibrium"
 
@@ -257,8 +274,8 @@ def test_non_finite_coordinate_reaches_every_edge():
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
 @pytest.mark.parametrize("case", ["coincident_edge", "non_finite"])
 def test_public_entry_points_raise_no_runtime_warning(graph, case):
-    """The kernel sets no floating-point error state; every public entry point
-    ignores divide/invalid once per call, so a coincident rational edge
+    """The edge pass sets no floating-point error state; every public entry
+    point ignores divide/invalid once per call, so a coincident rational edge
     (g = -inf) or a non-finite coordinate surfaces no RuntimeWarning."""
     from rigidflex.integrator import IntegrationError, integrate
     from rigidflex.stability import assemble_hessian
@@ -279,3 +296,27 @@ def test_public_entry_points_raise_no_runtime_warning(graph, case):
             integrate(p, graph, RATIONAL, t_end=0.01)
         with pytest.raises(IntegrationError):       # V plus the target-mode term
             integrate(p, graph, RATIONAL, t_end=0.01, leader=spec)
+
+
+def test_second_analysis_call_binds_and_compiles_nothing(monkeypatch):
+    """edge_states, gradient_control and potential_value bind the compiled
+    pass once per graph and family: a second call on the same pair, or on
+    an equal graph, binds, generates and compiles nothing."""
+    import rigidflex.control as control
+
+    g = tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))
+    p = random_positions(g)
+    want = [edge_states(p, g, RATIONAL).u, gradient_control(p, g, RATIONAL),
+            potential_value(p, g, RATIONAL)]
+    misses = control._step_code.cache_info().misses
+
+    def forbidden(*args):
+        raise AssertionError("edge pass bound or compiled again")
+
+    monkeypatch.setattr(control, "_compiled_step", forbidden)
+    monkeypatch.setattr(control, "_step_source", forbidden)
+    for graph in (g, tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))):
+        np.testing.assert_array_equal(edge_states(p, graph, RATIONAL).u, want[0], strict=True)
+        np.testing.assert_array_equal(gradient_control(p, graph, RATIONAL), want[1], strict=True)
+        assert potential_value(p, graph, RATIONAL) == want[2]
+    assert control._step_code.cache_info().misses == misses

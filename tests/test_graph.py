@@ -71,22 +71,18 @@ def test_desired_distances_positive():
 
 
 def test_incidence_matrix_signs():
+    """Edge (i, j) has tail i and head j, in edge order: its edge vector is p_i - p_j."""
     g = triangle_flex()
-    b = -g._neg_incidence
-    assert b.shape == (4, 4)
-    # column of edge (1,2): +1 at node 1, -1 at node 2
-    assert b[0, 0] == 1 and b[1, 0] == -1
-    # edge vectors are p_i - p_j
+    assert g.edge_tails.tolist() == [0, 0, 1, 2] and g.edge_heads.tolist() == [1, 2, 2, 3]
     p = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [2.0, 2.0]])
     z = edge_states(p, g, QUADRATIC).z
-    np.testing.assert_allclose(z, b.T @ p)
+    np.testing.assert_array_equal(z, p[g.edge_tails] - p[g.edge_heads])
     np.testing.assert_allclose(z[0], [-1.0, 0.0])
 
 
 def test_cached_arrays_are_read_only():
     g = tetrahedron_flex()
-    for arr in (g._tails, g._heads, g._dbar, g._dbar2, g._incidence_t, g._neg_incidence,
-                g._hessian_index):
+    for arr in (g._tails, g._heads, g._dbar, g._dbar2, g._hessian_index):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
         g._hessian_index[0] = 0

@@ -10,7 +10,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from rigidflex.control import LeaderSpec, balance_residuals, potential_value
+from rigidflex.control import LeaderSpec, potential_value
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.integrator import (
     IntegrationError,
@@ -22,7 +22,7 @@ from rigidflex.integrator import (
 )
 from rigidflex.oracle import build_catalog, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
-from references import gradient_norm, leader_control
+from references import balance_residuals, gradient_norm, leader_control
 
 
 def test_desired_start_is_constant_trajectory():
@@ -265,7 +265,7 @@ def counting_compiled_step(calls):
     """A stand-in for ``integrator._compiled_step`` that counts in ``calls``
     the calls of ``advance`` and of ``evaluate``, and of each edge's phi and
     g: phi runs once per edge at each accepted state, g once per edge in
-    each edge pass (an exactly-zero edge skips it)."""
+    each edge pass."""
     import rigidflex.integrator as integrator
 
     compiled_step = integrator._compiled_step
@@ -291,22 +291,41 @@ def counting_compiled_step(calls):
     return stand_in
 
 
+def counting_pass(monkeypatch, calls, key="pass"):
+    """Count in ``calls[key]`` the runs of the cached edge pass behind
+    edge_states, gradient_control and potential_value."""
+    import rigidflex.control as control
+
+    cached = control._pass
+
+    def stand_in(graph, family):
+        evaluate = cached(graph, family)
+
+        def counted(p):
+            calls[key] += 1
+            return evaluate(p)
+
+        return counted
+
+    monkeypatch.setattr(control, "_pass", stand_in)
+
+
 def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     """One ``advance`` call per record after t = 0 and after each
     perturbation, one ``evaluate`` at t = 0 and after each perturbation,
     one V per accepted state and four edge passes per accepted step (the
     pass at each state is the next step's first stage); neither the public
-    gradient_control nor the array kernel is called."""
+    gradient_control nor the analysis entry points' cached pass is called."""
     import rigidflex.control as control
     import rigidflex.integrator as integrator
 
     calls = {"advance": 0, "evaluate": 0, "phi": 0, "g": 0}
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("public control function or array kernel called in the loop")
+        raise AssertionError("public control function or analysis pass called in the loop")
 
     monkeypatch.setattr(integrator, "_compiled_step", counting_compiled_step(calls))
-    monkeypatch.setattr(control, "_edge_kernel", forbidden)
+    monkeypatch.setattr(control, "_pass", forbidden)
     # the integrator imports no gradient_control; one added later is caught
     monkeypatch.setattr(integrator, "gradient_control", forbidden, raising=False)
     g = triangle_flex()
@@ -331,8 +350,8 @@ def test_import_compiles_no_step(tmp_path):
     """Importing the package and its CLI compiles no RK4 step."""
     run_fresh(textwrap.dedent("""
         import linecache
-        import rigidflex, rigidflex.cli, rigidflex.integrator as integrator
-        assert integrator._step_code.cache_info().currsize == 0
+        import rigidflex, rigidflex.cli, rigidflex.control as control
+        assert control._step_code.cache_info().currsize == 0
         assert not [name for name in linecache.cache if name.startswith("<rigidflex")]
     """), tmp_path)
 
@@ -342,7 +361,7 @@ def test_second_integrate_of_a_shape_compiles_nothing(monkeypatch, mode):
     """After one run of a graph shape and leader mode, runs at other
     lengths, with the other family and other leader constants generate and
     compile no code."""
-    import rigidflex.integrator as integrator
+    import rigidflex.control as control
 
     def leader(k):
         return {"none": LeaderSpec(),
@@ -352,17 +371,17 @@ def test_second_integrate_of_a_shape_compiles_nothing(monkeypatch, mode):
 
     g = triangle_flex()
     integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.01, leader=leader(1.0))
-    misses = integrator._step_code.cache_info().misses
+    misses = control._step_code.cache_info().misses
 
     def forbidden(*args):
         raise AssertionError("step source generated for a shape already compiled")
 
-    monkeypatch.setattr(integrator, "_step_source", forbidden)
+    monkeypatch.setattr(control, "_step_source", forbidden)
     for k, (lengths, family) in enumerate([((3.0, 4.0, 5.0, 2.0), RATIONAL),
                                            ((1.5, 2.5, 2.0, 7.0), QUADRATIC)], 2):
         g = triangle_flex(lengths)
         integrate(desired_equilibrium(g), g, family, t_end=0.01, leader=leader(k))
-    assert integrator._step_code.cache_info().misses == misses
+    assert control._step_code.cache_info().misses == misses
 
 
 DIGEST = textwrap.dedent("""
@@ -401,33 +420,22 @@ def test_graphs_of_one_shape_in_one_process_match_fresh_processes(tmp_path):
 
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL], ids=lambda f: f.name)
-def test_results_share_no_memory_with_buffers_of_later_calls(monkeypatch, family):
+def test_results_share_no_memory_with_buffers_of_later_calls(family):
     """No array that integrate, edge_states, gradient_control or
-    potential_value returns shares memory with an array that a later kernel
-    pass or integrate call returns, and a second integrate call leaves the
-    first trajectory unchanged.  Each record holds the errors and gradient norm of its own
-    state, not of a later pass."""
+    potential_value returns shares memory with an array that a later call
+    of them returns, and a second integrate call leaves the first
+    trajectory unchanged.  Each record holds the errors and gradient norm
+    of its own state, not of a later pass."""
     import rigidflex.control as control
 
-    written = []
-    kernel = control._edge_kernel
-
-    def recording_kernel(*args):
-        out = kernel(*args)
-        written.extend(out)
-        return out
-
-    monkeypatch.setattr(control, "_edge_kernel", recording_kernel)
     g = tetrahedron_flex()
     rng = np.random.default_rng(11)
     starts = [desired_equilibrium(g) + 0.1 * rng.standard_normal((g.num_nodes, 3))
               for _ in range(2)]
     spec = LeaderSpec(mode="target", k_f=5.0, p_t=np.array([6.0, 6.0, 6.0]))
-    later = []
 
     def results(p0):
         traj = integrate(p0, g, family, t_end=0.02, dt=1e-3, leader=spec, record_every=3)
-        later.extend((traj.times, traj.states, traj.edge_errors, traj.grad_norms))
         st = control.edge_states(p0, g, family)
         return [traj.times, traj.states, traj.edge_errors, traj.grad_norms, traj.final_state,
                 st.z, st.e, st.g, st.rho, st.u, control.gradient_control(p0, g, family),
@@ -438,11 +446,9 @@ def test_results_share_no_memory_with_buffers_of_later_calls(monkeypatch, family
     for state, e, gnorm in zip(*first[1:4]):
         np.testing.assert_array_equal(e, control.edge_states(state, g, family).e, strict=True)
         assert gnorm == gradient_norm(control.gradient_control(state, g, family))
-    mark, mark_later = len(written), len(later)
-    results(starts[1])
-    assert len(written) > mark
+    second = results(starts[1])
     for a in first:
-        assert not any(np.shares_memory(a, b) for b in written[mark:] + later[mark_later:])
+        assert not any(np.shares_memory(a, b) for b in second)
     for a, b in zip(first, kept):
         np.testing.assert_array_equal(a, b, strict=True)
 

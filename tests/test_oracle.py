@@ -11,7 +11,6 @@ import warnings
 import numpy as np
 import pytest
 
-from rigidflex.control import balance_residuals
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     _LAYOUTS,
@@ -25,7 +24,8 @@ from rigidflex.oracle import (
 )
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
 from rigidflex.stability import EQ_TOL, LINE_SLOTS, classify
-from references import capture_from_flow
+from references import balance_residuals, capture_from_flow
+from test_integrator import counting_pass
 
 
 def one_gap_subforms(d):
@@ -294,32 +294,27 @@ def test_construct_rejects_unknown_subform():
         construct_equilibrium(tetrahedron_flex(), QUADRATIC, "square")
 
 
-def test_newton_polish_runs_two_kernel_passes_per_iteration(monkeypatch):
-    """Each iteration takes its residual from the control pass that also
-    gives the Newton right-hand side, and assembles one Hessian."""
-    import rigidflex.control as control
+def test_newton_polish_runs_one_edge_pass_per_iteration(monkeypatch):
+    """Each iteration takes its residual, the Newton right-hand side and the
+    Hessian from one edge pass; the last pass only finds the residual small."""
     import rigidflex.oracle as oracle
 
-    counts = {"kernel": 0, "hessian": 0}
-    kernel, hessian = control._edge_kernel, oracle.assemble_hessian
-
-    def counted_kernel(*args):
-        counts["kernel"] += 1
-        return kernel(*args)
+    counts = {"pass": 0, "hessian": 0}
+    hessian = oracle._hessian
 
     def counted_hessian(*args):
         counts["hessian"] += 1
         return hessian(*args)
 
-    monkeypatch.setattr(control, "_edge_kernel", counted_kernel)
-    monkeypatch.setattr(oracle, "assemble_hessian", counted_hessian)
+    counting_pass(monkeypatch, counts)
+    monkeypatch.setattr(oracle, "_hessian", counted_hessian)
     g = triangle_flex()
     p = construct_equilibrium(g, QUADRATIC, "collinear_distinct").positions
     p = p + 1e-4 * np.random.default_rng(3).standard_normal(p.shape)
-    counts.update(kernel=0, hessian=0)
+    counts.update({"pass": 0, "hessian": 0})
     polished = newton_polish(p, g, QUADRATIC)
     assert counts["hessian"] >= 2
-    assert counts["kernel"] == 2 * counts["hessian"] + 1
+    assert counts["pass"] == counts["hessian"] + 1
     assert balance_residuals(polished, g, QUADRATIC).max() < 1e-12
 
 

@@ -99,10 +99,10 @@ def test_validator_catches_wrong_sign_g():
 
 def closed_forms(e, dbar):
     """(phi, g, rho) of both families written out on float64 arrays, with
-    dbar^4 as dbar^2 dbar^2."""
+    dbar^4 as dbar^2 dbar^2 and s^3 as (s s) s."""
     s, d4 = e + dbar**2, dbar**2 * dbar**2
     return {"quadratic": (0.5 * e**2, e, np.ones_like(e)),
-            "rational": (e**2 / s, 1.0 - d4 / s**2, 2.0 * d4 / s**3)}
+            "rational": (e**2 / s, 1.0 - d4 / s**2, 2.0 * d4 / ((s * s) * s))}
 
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
@@ -141,10 +141,14 @@ def test_family_survives_pickling(family):
 
 
 def test_rational_dbar4_is_the_same_for_float_0d_and_column_binds():
-    """The rational family's dbar^4 is (dbar^2)^2 for a Python float, a 0-d
-    array and a column of lengths alike, so it does not hang on numpy's
-    vectorized power: on seeded lengths all three give the same bits."""
-    lengths = np.random.default_rng(24).uniform(1e-3, 100.0, 2000)
+    """The rational family's dbar^4 is (dbar^2)^2, and its rho's
+    (e + dbar^2)^3 is (s s) s, for a Python float, a 0-d array and a column
+    of lengths alike, so neither hangs on numpy's vectorized power or on
+    libm's ``pow``: on seeded lengths and errors all three give the same
+    bits."""
+    rng = np.random.default_rng(24)
+    lengths = rng.uniform(1e-3, 100.0, 2000)
+    e = lengths * lengths * rng.uniform(-0.999, 100.0, 2000)
 
     def d4(dbar):
         return inspect.getclosurevars(RATIONAL.bind(dbar)[1]).nonlocals["d4"]
@@ -154,3 +158,8 @@ def test_rational_dbar4_is_the_same_for_float_0d_and_column_binds():
     zero_d = np.array([d4(np.asarray(x)) for x in lengths])
     np.testing.assert_array_equal(column, lengths * lengths * (lengths * lengths), strict=True)
     assert column.tobytes() == floats.tobytes() == zero_d.tobytes()
+    rho_column = RATIONAL.bind(lengths[:, None])[2](e[:, None])[:, 0]
+    rho_floats = np.array([RATIONAL.bind(x)[2](y) for x, y in zip(lengths.tolist(), e.tolist())])
+    rho_zero_d = np.array([RATIONAL.bind(np.asarray(x))[2](np.asarray(y))
+                           for x, y in zip(lengths, e)])
+    assert rho_column.tobytes() == rho_floats.tobytes() == rho_zero_d.tobytes()

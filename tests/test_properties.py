@@ -10,18 +10,19 @@ from hypothesis import strategies as st
 
 from rigidflex.control import (
     LeaderSpec,
-    _edge_kernel,
+    _compiled_step,
     edge_states,
     gradient_control,
     leader_spec_from_json,
     potential_value,
 )
 from rigidflex.graph import tetrahedron_flex, triangle_flex
-from rigidflex.integrator import _compiled_step, _norm, _residual
+from rigidflex.integrator import _norm, _residual
 from rigidflex.oracle import build_catalog, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
 from rigidflex.stability import analyze, assemble_hessian
 from references import (
+    array_pass,
     balance_residual,
     float_pass,
     gradient_norm,
@@ -141,9 +142,8 @@ def test_edge_kernel_never_leaves_the_domain(graph_name, family_name, data):
     node = st.integers(0, n - 1)
     for i, j in data.draw(st.lists(st.tuples(node, node), max_size=2)):
         p[j] = p[i]
-    with np.errstate(all="ignore"):
-        z, e, _, _ = _edge_kernel(p, graph, family.bind(graph._dbar_col))
-    e = e.ravel()
+    states = edge_states(p, graph, family)
+    z, e = states.z, states.e
     assert not np.isnan(e).any()
     assert (e >= -graph._dbar2).all()
     coincident = ~z.any(axis=1)
@@ -176,25 +176,20 @@ def draw_realization(data, graph_name):
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(data=st.data())
 def test_float_pass_equals_the_array_kernel(graph_name, family_name, data):
-    """The compiled ``evaluate`` gives the control, the squared errors and
-    V of gradient_control, edge_states and potential_value bit for bit, at
-    drawn desired lengths and realizations, far from the desired shape and
-    at or next to coincidence.  Where an edge's e rounds to -dbar^2 off
-    coincidence, the rational g is infinite: the array kernel's 0 * inf
-    then spreads NaN to every node, and the float control is not finite
-    either."""
+    """The compiled float pass behind edge_states, gradient_control and
+    potential_value gives the edge vectors, squared errors, g, rho, control
+    and V of the numpy reference pass in ``tests/references.py`` exactly,
+    at drawn desired lengths and realizations, far from the desired shape
+    and at or next to coincidence (where the rational g and rho are
+    infinite).  Neither sums through a BLAS, so this holds on every CPU."""
     graph, p = draw_realization(data, graph_name)
     family = FAMILIES[family_name]
-    evaluate = _compiled_step(graph, family, LeaderSpec())[1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        u, e, v = evaluate(p.ravel().tolist())
-    np.testing.assert_array_equal(e, edge_states(p, graph, family).e, strict=True)
-    assert v == potential_value(p, graph, family)
-    want = gradient_control(p, graph, family)
-    if np.isfinite(want).all():
-        np.testing.assert_array_equal(u, want, strict=True)
-    else:
-        assert not np.isfinite(u).all()
+    states = edge_states(p, graph, family)
+    z, e, g, rho, u, v = array_pass(p, graph, family)
+    for got, want in ((states.z, z), (states.e, e), (states.g, g), (states.rho, rho),
+                      (states.u, u), (gradient_control(p, graph, family), u.ravel())):
+        np.testing.assert_array_equal(got, want, strict=True)
+    np.testing.assert_array_equal(potential_value(p, graph, family), v)
 
 
 def bits(values):
@@ -256,7 +251,7 @@ def test_compiled_step_equals_the_reference_step(graph_name, family_name, mode, 
     p = p.ravel().tolist()
     boundary = t + left * dt
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k1, e, w = evaluate(p)
+        k1, e, w = evaluate(p)[:3]
         want_k1, want_e = run(p)
         assert (bits(k1), bits(e)) == (bits(want_k1), bits(want_e))
         assert bits(w) == bits(potential(want_e) + leader_potential(spec, p))

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from rigidflex.control import balance_residuals, edge_states, gradient_control
+from rigidflex.control import edge_states, gradient_control
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     build_catalog,
@@ -29,7 +29,8 @@ from rigidflex.stability import (
     classify,
     verify_angle_inequalities,
 )
-from references import psd_check
+from references import balance_residuals, psd_check
+from test_integrator import counting_pass
 
 RNG = np.random.default_rng(7)
 
@@ -486,16 +487,8 @@ def test_angle_inequalities_of_a_stack_match_one_at_a_time():
 
 def test_classify_runs_one_kernel_pass(monkeypatch):
     """classify takes the edge states and the balance residual from one pass."""
-    import rigidflex.control as control
-
-    calls = []
-    kernel = control._edge_kernel
-
-    def counted_kernel(*args):
-        calls.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(control, "_edge_kernel", counted_kernel)
+    calls = {"pass": 0}
+    counting_pass(monkeypatch, calls)
     g = triangle_flex()
     rng = np.random.default_rng(4)
     points = [desired_equilibrium(g), flex_coincident_equilibrium(g),
@@ -503,34 +496,33 @@ def test_classify_runs_one_kernel_pass(monkeypatch):
               rng.uniform(-3.0, 3.0, (g.num_nodes, g.dimension))]
     for p in points:
         residual = float(balance_residuals(p, g, QUADRATIC).max())
-        calls.clear()
+        calls["pass"] = 0
         cls = classify(p, g, QUADRATIC)
-        assert len(calls) == 1
+        assert calls["pass"] == 1
         assert cls.diagnostics["residual"] == residual
 
 
 def test_analyze_assembles_once_and_aligns_once(monkeypatch):
     """One analyze at a moved 3-D catalog point or the desired shape: one
-    edge-kernel pass, shared by the class, the Hessian and the sign claims,
-    one Hessian, and one aligned block, none for the desired class, which
-    has no axis."""
-    import rigidflex.control as control
+    edge pass, shared by the class, the Hessian and the sign claims, one
+    Hessian, and one aligned block, none for the desired class, which has
+    no axis."""
     import rigidflex.stability as stability
 
-    counts = dict.fromkeys(("_edge_kernel", "_hessian", "_aligned_last_block"), 0)
+    counts = dict.fromkeys(("pass", "_hessian", "_aligned_last_block"), 0)
 
-    def counted(module, name):
-        fn = getattr(module, name)
+    def counted(name):
+        fn = getattr(stability, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
             return fn(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, wrapper)
+        monkeypatch.setattr(stability, name, wrapper)
 
-    for module, name in ((control, "_edge_kernel"), (stability, "_hessian"),
-                         (stability, "_aligned_last_block")):
-        counted(module, name)
+    counting_pass(monkeypatch, counts)
+    for name in ("_hessian", "_aligned_last_block"):
+        counted(name)
     g = tetrahedron_flex()
     entries, _ = build_catalog(g, QUADRATIC)
     rng = np.random.default_rng(13)
@@ -541,7 +533,7 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         report = analyze(p, g, QUADRATIC)
         assert report.classification.kind == kind
         assert (report.witness is not None) == (kind != "desired")
-        assert counts == {"_edge_kernel": 1, "_hessian": 1,
+        assert counts == {"pass": 1, "_hessian": 1,
                           "_aligned_last_block": int(kind != "desired")}
 
 
