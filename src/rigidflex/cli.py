@@ -113,7 +113,10 @@ def _cmd_run(args) -> int:
                              f"non-negative, got {record_every!r} and {eq_tol!r}")
         events = _parse_events(doc.get("events"), graph.dimension)
         leader = leader_spec_from_json(doc.get("leader"), graph.dimension)
-        analyze_equilibria = bool(doc.get("analysis", {}).get("hessian_at_equilibria"))
+        analysis = doc.get("analysis", {"hessian_at_equilibria": False})
+        if not (isinstance(analysis, dict) and list(analysis) == ["hessian_at_equilibria"]
+                and isinstance(analysis["hessian_at_equilibria"], bool)):
+            raise ValueError(f"analysis takes one boolean, hessian_at_equilibria: {analysis!r}")
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError, GraphError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}")
 
@@ -126,7 +129,7 @@ def _cmd_run(args) -> int:
     traj.to_csv(out / f"{stem}_trajectory.csv")
     traj.events_to_json(out / f"{stem}_events.json")
 
-    if analyze_equilibria:
+    if analysis["hessian_at_equilibria"]:
         hits = [t for t, kind in traj.events if kind == "equilibrium_detected"]
         for k, t_hit in enumerate(hits):
             idx = int(np.argmin(np.abs(traj.times - t_hit)))

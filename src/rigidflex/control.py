@@ -5,14 +5,13 @@ that the per-agent control u_i = -sum_j g_ij z_ij is exactly the negative
 gradient of V (with e = ||z||^2 - dbar^2, grad_p_i phi(e_ij) = 2 g_ij z_ij).
 Scaling V leaves trajectories, equilibria, and stability verdicts unchanged.
 
-Every edge pass of the package is generated here: ``_compiled_step`` binds
-straight-line Python code, compiled once per graph shape and leader mode,
-to a graph, a family and a leader.  Its ``evaluate`` is the pass behind
-``edge_states``, ``gradient_control`` and ``potential_value`` (bound with no
-leader and cached per graph and family) and behind each ``integrate``
-segment start; its ``advance`` is the integrator's RK4 loop.  The pass sums
-on Python floats in edge order, so no result depends on how a BLAS sums.
-``LeaderSpec`` holds the flex agent's leader input and its arrival test.
+Every edge pass of the package is generated here, one straight-line Python
+function at a time.  ``evaluate`` is the pass behind ``edge_states``,
+``gradient_control`` and ``potential_value`` (``_pass`` binds it alone) and
+behind each ``integrate`` segment start; ``advance`` is the integrator's RK4
+loop.  The pass sums on Python floats in edge order, so no result depends
+on how a BLAS sums.  ``LeaderSpec`` holds the flex agent's leader input and
+its arrival test.
 """
 
 from __future__ import annotations
@@ -38,35 +37,29 @@ EQ_TOL = 1e-9
 
 @dataclass(frozen=True)
 class EdgeState:
-    """Per-edge kinematics and potential derivatives, in edge order, from
-    one edge pass (``evaluate`` of ``_compiled_step``) in fresh arrays."""
+    """Per-edge kinematics and potential derivatives, in edge order, and V,
+    from one edge pass (``evaluate``) in fresh arrays."""
 
     z: np.ndarray      # (m, d) edge vectors p_i - p_j
     e: np.ndarray      # (m,) squared distance errors
     g: np.ndarray      # (m,) d phi / d e
     rho: np.ndarray    # (m,) d g / d e
     u: np.ndarray      # (N+1, d) control of the same pass, u_i = -sum_j g_ij z_ij
+    v: float           # V = 1/2 sum phi(e) of the same pass, inf on the coincidence boundary
 
 
-# used as a decorator; nests safely
-_ignore_fp = np.errstate(divide="ignore", invalid="ignore", over="ignore")
-
-
-@_ignore_fp
 def edge_states(p, graph: FormationGraph, family: PotentialFamily) -> EdgeState:
-    u, e, _, z, g, rho = _evaluate(p, graph, family)
+    u, e, v, z, g, rho = _evaluate(p, graph, family)
     d = graph.dimension
     return EdgeState(z=np.array(z).reshape(-1, d), e=np.array(e), g=np.array(g),
-                     rho=np.array(rho), u=np.array(u).reshape(-1, d))
+                     rho=np.array(rho), u=np.array(u).reshape(-1, d), v=v)
 
 
-@_ignore_fp
 def potential_value(p, graph: FormationGraph, family: PotentialFamily) -> float:
     """V = 1/2 sum phi(e) at a realization."""
     return _evaluate(p, graph, family)[2]
 
 
-@_ignore_fp
 def gradient_control(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
     """Stacked control u with blocks u_i = -sum_j g_ij z_ij."""
     return np.array(_evaluate(p, graph, family)[0])
@@ -79,10 +72,10 @@ def _evaluate(p, graph: FormationGraph, family: PotentialFamily):
 
 @functools.lru_cache(maxsize=32)
 def _pass(graph: FormationGraph, family: PotentialFamily):
-    """``evaluate`` with no leader, bound to ``graph`` and ``family`` on
-    first use and kept for the 32 pairs used last: binding costs more than
-    a pass on these small graphs."""
-    return _compiled_step(graph, family, LeaderSpec())[1]
+    """``evaluate`` alone with no leader, bound on first use and kept for the
+    32 (graph, family) pairs used last: binding costs more than a pass."""
+    return FunctionType(_step_code(*_shape(graph), "none", "evaluate"),
+                        _constants(graph, family, LeaderSpec()))
 
 
 @dataclass(frozen=True)
@@ -158,7 +151,6 @@ def leader_spec_from_json(doc, dimension: int) -> LeaderSpec:
     return LeaderSpec(mode=mode)            # "none", or LeaderSpec's unknown-mode error
 
 
-
 # ---------------------------------------------------------------------------
 # The generated edge pass and RK4 step
 
@@ -166,9 +158,10 @@ def leader_spec_from_json(doc, dimension: int) -> LeaderSpec:
 def _on_numpy(f, e: float) -> float:
     """An evaluator ``f`` at ``e`` as a numpy float, for where Python floats
     raise (a division by zero at the coincidence boundary): it rounds alike
-    and returns the array evaluator's infinity.  Callers ignore numpy's
-    divide warning."""
-    return float(f(np.float64(e)))
+    and returns the array evaluator's infinity.  It is a pass's only numpy
+    arithmetic and ignores its errors itself, in a fresh errstate per call."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return float(f(np.float64(e)))
 
 
 def _call(assign, f, e) -> list[str]:
@@ -208,9 +201,9 @@ def _leader_input(mode, time, x, u, flex) -> list[str]:
     return []
 
 
-def _step_source(tails, heads, n, d, mode) -> str:
-    """Python source of ``advance(p, k1, w, t, boundary, dt, n, dv)`` and
-    ``evaluate(p)`` for one graph shape and leader mode (see
+def _step_source(tails, heads, n, d, mode, name) -> str:
+    """Python source of one function, ``evaluate(p)`` or ``advance(p, k1,
+    w, t, boundary, dt, n, dv)``, for one graph shape and leader mode (see
     ``_compiled_step``)."""
     size, m = n * d, len(tails)
     flex = range(size - d, size)
@@ -236,6 +229,16 @@ def _step_source(tails, heads, n, d, mode) -> str:
         return lines + ["w = 0.5 * pot + 0.5 * k_f * ("
                         + " + ".join(f"o{k} * o{k}" for k in range(d)) + ")"]
 
+    errors = ", ".join(f"e{k}" for k in range(m))
+    if name == "evaluate":
+        body = [constants, f"{', '.join(p)}, = p", *closing(p, a)]
+        for k in range(m):
+            body += _call(f"r{k} =", f"rho_{k}", f"e{k}")
+        body.append(f"return [{', '.join(a)}], [{errors}], w, "
+                    f"[{', '.join(f'z{k}_{c}' for k in range(m) for c in range(d))}], "
+                    + ", ".join(f"[{', '.join(f'{x}{k}' for k in range(m))}]" for x in "gr"))
+        return "def evaluate(p):\n" + "".join(f"    {line}\n" for line in body)
+
     def stage(k, out, scale, time):
         """The stage state p + scale k and the velocity ``out`` there."""
         return [*(f"{s[i]} = {p[i]} + {k[i]} * {scale}" for i in range(size)),
@@ -247,7 +250,6 @@ def _step_source(tails, heads, n, d, mode) -> str:
     rise = ["dw = w - w_prev", "if dw > dv:", "    dv = dw"]
     if mode == "windowed":
         rise = ["if not (t <= tf and t0 <= t + h):", *(f"    {line}" for line in rise)]
-    errors = ", ".join(f"e{k}" for k in range(m))
     step = ["h = boundary - t", "if not h > 1e-12:", "    break", "if h > dt:", "    h = dt",
             "half = 0.5 * h", "th = t + half", "sixth = h / 6.0",
             *_leader_input(mode, "t", p, a, flex),
@@ -261,75 +263,35 @@ def _step_source(tails, heads, n, d, mode) -> str:
             *rise,
             *(f"{p[i]} = {q[i]}" for i in range(size)),
             "t += h"]
-    advance = [constants, f"{', '.join(p)}, = p", f"{', '.join(a)}, = k1",
-               "for _ in range(n):", *(f"    {line}" for line in step),
-               f"return [{', '.join(p)}], [{', '.join(a)}], [{errors}], w, t, dv"]
-    evaluate = [constants, f"{', '.join(p)}, = p", *closing(p, a)]
-    for k in range(m):
-        evaluate += _call(f"r{k} =", f"rho_{k}", f"e{k}")
-    evaluate.append(f"return [{', '.join(a)}], [{errors}], w, "
-                    f"[{', '.join(f'z{k}_{c}' for k in range(m) for c in range(d))}], "
-                    f"[{', '.join(f'g{k}' for k in range(m))}], "
-                    f"[{', '.join(f'r{k}' for k in range(m))}]")
+    body = [constants, f"{', '.join(p)}, = p", f"{', '.join(a)}, = k1",
+            "for _ in range(n):", *(f"    {line}" for line in step),
+            f"return [{', '.join(p)}], [{', '.join(a)}], [{errors}], w, t, dv"]
     return ("def advance(p, k1, w, t, boundary, dt, n, dv):\n"
-            + "".join(f"    {line}\n" for line in advance)
-            + "\n\ndef evaluate(p):\n" + "".join(f"    {line}\n" for line in evaluate))
+            + "".join(f"    {line}\n" for line in body))
 
 
-@functools.lru_cache(maxsize=32)
-def _step_code(tails: tuple, heads: tuple, n: int, d: int, mode: str):
-    """The code objects of ``advance`` and ``evaluate`` for one graph shape
-    and leader mode, compiled on first use and kept for the 32 shapes and
-    modes used last; the source is registered with ``linecache``, so
-    tracebacks and profilers show the generated lines."""
-    source = _step_source(tails, heads, n, d, mode)
-    filename = f"<rigidflex RK4 step: {n} nodes in {d}-D, edges {list(zip(tails, heads))}, " \
-               f"{mode} leader>"
+@functools.lru_cache(maxsize=64)
+def _step_code(tails: tuple, heads: tuple, n: int, d: int, mode: str, name: str):
+    """The code of ``name`` (``advance`` or ``evaluate``) for one graph shape
+    and leader mode, compiled on first use and kept for the 64 used last; its
+    source goes to ``linecache``, so tracebacks and profilers show it."""
+    source = _step_source(tails, heads, n, d, mode, name)
+    filename = f"<rigidflex {name}, {mode} leader: {n} nodes in {d}-D, {list(zip(tails, heads))}>"
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), namespace)
-    return namespace["advance"].__code__, namespace["evaluate"].__code__
+    return namespace[name].__code__
 
 
-def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec):
-    """``(advance, evaluate)`` bound to a graph, a family and a leader: the
-    cached code of the graph's shape and the leader's mode, bound to
-    globals that hold each edge's dbar^2 and its phi, g and rho bound to its
-    length as a float, and the leader's k_f and p_t, or t0, tf and v.
+def _shape(graph: FormationGraph) -> tuple:
+    """The key of a graph's compiled code: edge tails and heads, N+1 and d."""
+    return (tuple(graph._tails.tolist()), tuple(graph._heads.tolist()),
+            graph.num_nodes, graph.dimension)
 
-    ``evaluate(p)`` maps a flat, node-major list of (N+1) d floats to, as
-    new lists, the gradient control u in that layout, the squared errors e
-    in edge order and, in third place, the Lyapunov value w = V + the target
-    potential, then the edge vectors z (edge-major, d entries per edge) and
-    g and rho per edge.  g and rho are evaluated at every edge, an exactly
-    coincident one too, whose force u skips.
-    ``advance(p, k1, w, t, boundary, dt, n, dv)``, with k1 and w what
-    ``evaluate`` gave at p, takes up to n RK4 steps of length
-    min(dt, boundary - t) from time t while boundary - t > 1e-12 (callers
-    leave it at least one).  It returns the state, ``evaluate``'s first and
-    third values there (u and e as new lists), the time and dv raised to
-    the worst step's increase of w, leaving out the steps that meet a
-    windowed leader's [t0, tf].  A step whose w is not finite is not taken:
-    advance then returns the state before it, None for u and e, that w,
-    the time before it and dv.
 
-    Both read the call's constants into locals once and run straight-line
-    code over local floats, unrolled over the edges and coordinates: the
-    stage states and p + (h/6) (((k1 + 2 k2) + 2 k3) + k4) are formed per
-    coordinate, and each stage is the pass plus the leader input at t,
-    t + h/2, t + h/2 and t + h.  Per edge the pass forms z = p_i - p_j,
-    ||z||^2 left to right, e and g(e), and subtracts g z from u_i and adds
-    it to u_j in edge order, so each node's sum has a fixed order on every
-    CPU; V sums phi(e) left to right.  A non-finite coordinate reaches only
-    its own node's edges, and a non-finite g z only its edge's two nodes.
-    There is no domain check: ||z||^2 is a sum of squares, so it is >= 0
-    (or NaN), and rounding is monotone, so e = fl(||z||^2 - dbar^2) >=
-    -dbar^2 in floating point too.  The pass sets no floating-point error
-    state (``_on_numpy`` may divide by zero): ``integrate`` and each public
-    entry point enter ``_ignore_fp`` once per call.
-    """
-    code = _step_code(tuple(graph._tails.tolist()), tuple(graph._heads.tolist()),
-                      graph.num_nodes, graph.dimension, leader.mode)
+def _constants(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec) -> dict:
+    """The globals of the bound code: each edge's dbar^2 and its phi, g and
+    rho at its length, and the leader's k_f and p_t, or t0, tf and v."""
     names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "isfinite": math.isfinite}
     for k, (dbar, dbar2) in enumerate(zip(graph._dbar.tolist(), graph._dbar2.tolist())):
         names[f"PHI_{k}"], names[f"G_{k}"], names[f"RHO_{k}"] = family.bind(dbar)
@@ -339,4 +301,41 @@ def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: Leade
         names.update((f"PT_{k}", x) for k, x in enumerate(leader.p_t.tolist()))
     elif leader.mode == "windowed":
         names.update(T0=leader.t0, TF=leader.tf, V=leader.v)
-    return tuple(FunctionType(c, names) for c in code)
+    return names
+
+
+def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec):
+    """``(advance, evaluate)`` bound to the ``_constants`` of a graph, a
+    family and a leader: ``advance``'s code is cached per graph shape and
+    leader mode, ``evaluate``'s per shape and whether a target term is added.
+
+    ``evaluate(p)`` maps a flat, node-major list of (N+1) d floats to, as
+    new lists, the gradient control u in that layout, the squared errors e
+    in edge order and, in third place, the Lyapunov value w = V + the target
+    potential, then the edge vectors z (edge-major, d entries per edge) and
+    g and rho per edge, at every edge (an exactly coincident one's force u
+    skips).  ``advance(p, k1, w, t, boundary, dt, n, dv)``, with k1 and w
+    what ``evaluate`` gave at p, takes up to n RK4 steps of length
+    min(dt, boundary - t) from time t while boundary - t > 1e-12 (callers
+    leave it at least one).  It returns the state, u and e there as new
+    lists, w, the time and dv raised to the worst step's increase of w,
+    leaving out the steps that meet a windowed leader's [t0, tf].  A step
+    whose w is not finite is not taken: advance then returns the state,
+    time and dv before it, None for u and e, and that w.
+
+    Both read the call's constants into locals once and run straight-line
+    code over local floats, unrolled over the edges and coordinates: the
+    stage states and p + (h/6) (((k1 + 2 k2) + 2 k3) + k4) are formed per
+    coordinate, and each stage is ``_edge_pass`` plus the leader input at
+    t, t + h/2, t + h/2 and t + h.  Each node sums its terms in edge order
+    and V sums phi(e) left to right, so no sum depends on the CPU.  A
+    non-finite coordinate reaches only its own node's edges, and a
+    non-finite g z only its edge's two nodes.
+    There is no domain check: ||z||^2 >= 0 (or NaN), and rounding is
+    monotone, so e = fl(||z||^2 - dbar^2) >= -dbar^2.  Only ``_on_numpy``
+    does numpy arithmetic, so no caller sets a floating-point error state.
+    """
+    shape, names = _shape(graph), _constants(graph, family, leader)
+    target = "target" if leader.mode == "target" else "none"
+    return (FunctionType(_step_code(*shape, leader.mode, "advance"), names),
+            FunctionType(_step_code(*shape, target, "evaluate"), names))

@@ -74,14 +74,8 @@ class FormationGraph:
         tails = np.array([i - 1 for i, _ in pairs], dtype=int)
         heads = np.array([j - 1 for _, j in pairs], dtype=int)
         dbar = np.array(self.desired, dtype=float)
-        # flat ((N+1)d)^2 Hessian index of each entry of the edge blocks at
-        # node blocks (i,i), (j,j), (i,j), (j,i), in edge order
-        axis = np.arange(d)
-        rows = np.stack([tails, heads, tails, heads], 1)[..., None, None] * d + axis[:, None]
-        cols = np.stack([tails, heads, heads, tails], 1)[..., None, None] * d + axis
         for name, arr in (("_tails", tails), ("_heads", heads), ("_rigid", np.arange(m - 1)),
-                          ("_dbar", dbar), ("_dbar2", dbar**2),
-                          ("_hessian_index", (rows * (n * d) + cols).ravel())):
+                          ("_dbar", dbar), ("_dbar2", dbar**2)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 

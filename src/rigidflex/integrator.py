@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _compiled_step, _ignore_fp
+from .control import EQ_TOL, LeaderSpec, _compiled_step
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
@@ -134,7 +134,6 @@ def _residual(u, d: int) -> float:
     return worst
 
 
-@_ignore_fp
 def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
               dt: float = 1e-3, leader: LeaderSpec | None = None,
               events=(), record_every: int = 10, eq_tol: float = EQ_TOL) -> Trajectory:
@@ -154,20 +153,16 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     states this small, numpy's per-call cost would be most of the work.
     The loop turns once per record: each turn is one call of the
     straight-line ``advance`` that ``control._compiled_step`` binds to the
-    graph, the family and the leader once per call (the code is compiled
-    once per graph shape and leader mode).  It takes the steps up to the
-    next record (every record_every steps and at each event and t_end),
-    keeping the state in locals, and tracks the worst Lyapunov increase; it
-    returns the control, the squared errors and the Lyapunov value at the
-    record, which serve as the next call's first stage, the record and the
-    equilibrium check; ``evaluate``, the edge pass that the analysis entry
-    points run too, gives them at the start of each segment.  Records go
-    into compact ``array('d')`` buffers and make no numpy call: the
-    recorded gradient norm sums the squared control left to right
+    graph, the family and the leader once per call.  It takes the steps up
+    to the next record (every record_every steps and at each event and
+    t_end) and returns the control, squared errors and Lyapunov value
+    there, which serve as the next call's first stage, the record and the
+    equilibrium check; ``evaluate`` gives them at each segment start.
+    Records go into compact ``array('d')`` buffers and make no numpy call:
+    the recorded gradient norm sums the squared control left to right
     (``_norm``) and the equilibrium check takes the largest per-agent norm
-    (``_residual``).  The whole call ignores floating-point
-    divide, invalid and overflow errors once: the guard judges the
-    non-finite values they leave.
+    (``_residual``).  The perturbation add, the loop's only numpy
+    arithmetic, ignores overflow: the guard judges the state it leaves.
 
     One guard per step: V at the new state must be finite, else
     IntegrationError carries the time and state before that step.  A
@@ -242,7 +237,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             check_events(t, p, k1)
         t = boundary
         if event is not None:
-            p = apply_perturbation(p, event, graph).tolist()
+            with np.errstate(over="ignore"):
+                p = apply_perturbation(p, event, graph).tolist()
             log.append((boundary, "perturbation_applied"))
             eq_armed = True
             k1, e, w = start(t, p)

@@ -34,10 +34,10 @@ from functools import partial
 
 import numpy as np
 
-from .control import edge_states, potential_value
+from .control import edge_states
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily
-from .stability import LINE_SLOTS, _hessian, classify
+from .stability import LINE_SLOTS, _classify, _hessian
 
 
 POLISH_TOL = 1e-12        # balance residual that ends a Newton polish
@@ -422,14 +422,15 @@ _BOUNDARY = ("construction lies on the coincidence boundary, where this "
 
 def _finalize(positions, graph: FormationGraph, family: PotentialFamily, method: str,
               expect) -> CatalogEntry:
-    """Polish a root-found point, check the domain, classify, and build the
-    entry; ``expect`` is the (kind, subform) the point must classify as."""
+    """Polish a root-found point, then check the domain, classify and build
+    the entry from one edge pass; ``expect`` is the (kind, subform) to match."""
     p = as_positions(positions, graph)
     if method != "coincidence-construct":
         p = newton_polish(p, graph, family).reshape(p.shape)
-    if not np.isfinite(potential_value(p, graph, family)):
+    st = edge_states(p, graph, family)
+    if not np.isfinite(st.v):
         raise OracleError(_BOUNDARY)
-    cls = classify(p, graph, family)
+    cls = _classify(p, st, graph)
     residual = cls.diagnostics["residual"]
     if (cls.kind, cls.subform) != expect:
         raise OracleError(

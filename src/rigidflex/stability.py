@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, EdgeState, edge_states, potential_value
+from .control import EQ_TOL, EdgeState, _shape, edge_states
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialDomainError, PotentialFamily
 
@@ -61,19 +61,27 @@ def assemble_hessian(p, graph: FormationGraph, family: PotentialFamily) -> np.nd
 
 @np.errstate(invalid="ignore", over="ignore")
 def _hessian(st: EdgeState, graph: FormationGraph) -> np.ndarray:
-    """The Hessian from one edge pass ``st``.
-
-    The edge blocks are summed into the flat array by the graph's cached
-    index, in edge order, rather than multiplied by the incidence matrix: a
-    non-finite block (a coincident edge of a family that diverges there)
-    then reaches only its own four node blocks, where a product with B would
-    spread 0 * inf to all of them.
-    """
+    """The Hessian from one edge pass ``st``, its edge blocks summed in edge
+    order by ``_hessian_index`` rather than multiplied by the incidence
+    matrix: a non-finite block (a coincident edge of a family that diverges
+    there) then reaches only its own four node blocks, where a product with
+    B would spread 0 * inf to all of them."""
     nd = graph.num_nodes * graph.dimension
     m = 2.0 * st.rho[:, None, None] * (st.z[:, :, None] * st.z[:, None, :]) \
         + st.g[:, None, None] * np.eye(graph.dimension)
     blocks = np.stack([m, m, -m, -m], axis=1).ravel()
-    return np.bincount(graph._hessian_index, blocks, nd * nd).reshape(nd, nd)
+    return np.bincount(_hessian_index(*_shape(graph)), blocks, nd * nd).reshape(nd, nd)
+
+
+@functools.lru_cache(maxsize=32)
+def _hessian_index(tails: tuple, heads: tuple, n: int, d: int) -> np.ndarray:
+    """Flat (n d)^2 index of ``_hessian``'s blocks [M, M, -M, -M] at node blocks
+    (i,i), (j,j), (i,j), (j,i), in edge order; read-only, built once per shape."""
+    i, j, axis = np.array(tails), np.array(heads), np.arange(d)
+    rows = np.stack([i, j, i, j], 1)[..., None, None] * d + axis[:, None]
+    index = (rows * (n * d) + np.stack([i, j, j, i], 1)[..., None, None] * d + axis).ravel()
+    index.flags.writeable = False
+    return index
 
 
 def _aligned_last_block(h: np.ndarray, r) -> np.ndarray:
@@ -562,9 +570,9 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     cls = _classify(pos, st, graph, eq_tol)
     h = _hessian(st, graph)
     finite_h = bool(np.isfinite(h).all())
-    # V diverges only where some g does, so only a non-finite H needs the check
-    if (not finite_h and np.isfinite(pos).all()
-            and not np.isfinite(potential_value(pos, graph, family))):
+    # V diverges only where some g does, so only a non-finite H needs the
+    # check (a quadratic V may overflow where H is finite: no domain error)
+    if not finite_h and np.isfinite(pos).all() and not np.isfinite(st.v):
         raise PotentialDomainError(f"realization lies on the coincidence boundary, where "
                                    f"the {family.name} potential diverges (outside its domain)")
     certified = graph.certified_topology() is not None
@@ -584,8 +592,7 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
         min_eig, is_psd = float(spectrum[0]), bool(spectrum[0] >= -eig_tol)
     else:
         # non-finite coordinates: no finite spectrum exists
-        spectrum = None
-        block_spectrum = None
+        spectrum = block_spectrum = None
         min_eig, is_psd = -np.inf, False
     return StabilityReport(
         classification=cls, spectrum=spectrum, block_spectrum=block_spectrum,

@@ -158,6 +158,14 @@ def test_run_bad_scenario_is_config_error(tmp_path):
         ("t_end", HUGE_INT), ("dt", HUGE_INT), ("initial", huge_realization()))),
     pytest.param("analyze", "realization", {"positions": huge_realization()},
                  id="analyze-realization-400_digits"),
+    *(pytest.param("run", "analysis", doc, id=f"run-analysis-{name}") for name, doc in (
+        ("string_false", {"hessian_at_equilibria": "false"}),
+        ("string_no", {"hessian_at_equilibria": "no"}),
+        ("integer", {"hessian_at_equilibria": 1}),
+        ("null", {"hessian_at_equilibria": None}),
+        ("misspelt_key", {"hessian_at_equilibrium": True}),
+        ("extra_key", {"hessian_at_equilibria": True, "witness": True}),
+        ("empty", {}), ("list", [True]))),
 ])
 def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, field, doc):
     """Malformed input exits 2 with a one-line message, never a traceback.
@@ -172,8 +180,10 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
     event whose seed is not a non-negative integer, a leader document
     that is not an object or whose samples, gain or target do not fit the
     graph, or whose sample times do not increase strictly, and a JSON
-    integer beyond the float range in t_end, dt or a realization.  Each
-    exits before the first step, with no output written."""
+    integer beyond the float range in t_end, dt or a realization, and an
+    analysis document other than {"hessian_at_equilibria": true or false}
+    (a string such as "false" is no boolean, a misspelt key is named).
+    Each exits before the first step, with no output written."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":
         real = tmp_path / "real.json"

@@ -1,5 +1,6 @@
 """Gradient control law, leader variants, and frame-independence."""
 
+import contextlib
 import warnings
 
 import numpy as np
@@ -274,9 +275,10 @@ def test_non_finite_coordinate_reaches_only_its_nodes_edges():
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
 @pytest.mark.parametrize("case", ["coincident_edge", "non_finite"])
 def test_public_entry_points_raise_no_runtime_warning(graph, case):
-    """The edge pass sets no floating-point error state; every public entry
-    point ignores divide/invalid once per call, so a coincident rational edge
-    (g = -inf) or a non-finite coordinate surfaces no RuntimeWarning."""
+    """The edge pass runs on Python floats, and its one numpy fallback
+    ignores its own floating-point errors, so a coincident rational edge
+    (g = -inf) or a non-finite coordinate surfaces no RuntimeWarning from
+    a public entry point."""
     from rigidflex.integrator import IntegrationError, integrate
     from rigidflex.stability import assemble_hessian
 
@@ -301,7 +303,8 @@ def test_public_entry_points_raise_no_runtime_warning(graph, case):
 def test_second_analysis_call_binds_and_compiles_nothing(monkeypatch):
     """edge_states, gradient_control and potential_value bind the compiled
     pass once per graph and family: a second call on the same pair, or on
-    an equal graph, binds, generates and compiles nothing."""
+    an equal graph, binds (``_constants``), generates and compiles
+    nothing."""
     import rigidflex.control as control
 
     g = tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))
@@ -313,10 +316,34 @@ def test_second_analysis_call_binds_and_compiles_nothing(monkeypatch):
     def forbidden(*args):
         raise AssertionError("edge pass bound or compiled again")
 
-    monkeypatch.setattr(control, "_compiled_step", forbidden)
+    monkeypatch.setattr(control, "_constants", forbidden)
     monkeypatch.setattr(control, "_step_source", forbidden)
     for graph in (g, tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))):
         np.testing.assert_array_equal(edge_states(p, graph, RATIONAL).u, want[0], strict=True)
         np.testing.assert_array_equal(gradient_control(p, graph, RATIONAL), want[1], strict=True)
         assert potential_value(p, graph, RATIONAL) == want[2]
     assert control._step_code.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
+def test_numpy_fallback_guards_itself(graph):
+    """At a rational coincidence point the pass falls back to numpy, which
+    ignores its own divide error: edge_states gives g = -inf and rho = inf
+    on the coincident edge and V = inf, potential_value V = inf and
+    gradient_control a finite u (the coincident edge exerts no force), and
+    integrate started there raises IntegrationError, with no RuntimeWarning
+    and no FloatingPointError, both outside and inside an enclosing
+    ``np.errstate`` that raises on every error."""
+    from rigidflex.integrator import IntegrationError, integrate
+
+    p = np.random.default_rng(3).uniform(-3.0, 3.0, (graph.num_nodes, graph.dimension))
+    p[-1] = p[-2]
+    for outer in (contextlib.nullcontext(), np.errstate(all="raise")):
+        with warnings.catch_warnings(), outer:
+            warnings.simplefilter("error")
+            st = edge_states(p, graph, RATIONAL)
+            assert (st.g[-1], st.rho[-1], st.v) == (-np.inf, np.inf, np.inf)
+            assert potential_value(p, graph, RATIONAL) == np.inf
+            assert np.isfinite(gradient_control(p, graph, RATIONAL)).all()
+            with pytest.raises(IntegrationError, match="not finite"):
+                integrate(p, graph, RATIONAL, t_end=0.01)

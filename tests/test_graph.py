@@ -81,11 +81,18 @@ def test_incidence_matrix_signs():
 
 
 def test_cached_arrays_are_read_only():
+    """The graph's cached arrays, and the Hessian index that ``stability``
+    caches per graph shape, are read-only."""
+    from rigidflex.control import _shape
+    from rigidflex.stability import _hessian_index
+
     g = tetrahedron_flex()
-    for arr in (g._tails, g._heads, g._dbar, g._dbar2, g._hessian_index):
+    index = _hessian_index(*_shape(g))
+    for arr in (g._tails, g._heads, g._dbar, g._dbar2, index):
         assert not arr.flags.writeable
     with pytest.raises(ValueError):
-        g._hessian_index[0] = 0
+        index[0] = 0
+    assert not hasattr(g, "_hessian_index")
 
 
 def test_json_round_trip():

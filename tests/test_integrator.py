@@ -356,6 +356,47 @@ def test_import_compiles_no_step(tmp_path):
     """), tmp_path)
 
 
+def test_analysis_half_compiles_no_advance(tmp_path):
+    """In a fresh interpreter, the catalogs of both certified graphs with
+    both families and analyze at every entry compile one ``evaluate`` per
+    graph shape and no ``advance``."""
+    out = run_fresh(textwrap.dedent("""
+        import linecache
+        from rigidflex import FAMILIES, analyze, build_catalog, tetrahedron_flex, triangle_flex
+        for g in (triangle_flex(), tetrahedron_flex()):
+            for family in FAMILIES.values():
+                for entry in build_catalog(g, family)[0]:
+                    analyze(entry.positions, g, family)
+        sources = ["".join(lines) for name, (_, _, lines, _) in linecache.cache.items()
+                   if name.startswith("<rigidflex")]
+        print(sum("def evaluate(" in s for s in sources), sum("def advance(" in s for s in sources))
+    """), tmp_path)
+    assert out.split() == ["2", "0"]
+
+
+def test_windowed_run_shares_evaluate_with_a_plain_run(monkeypatch):
+    """``evaluate`` is compiled once per graph shape and whether a target
+    potential is added: a run with no leader and a windowed run of one shape
+    generate two ``advance`` functions and one ``evaluate``."""
+    import rigidflex.control as control
+
+    sources = []
+    step_source = control._step_source
+
+    def recorded(*args):
+        sources.append(step_source(*args))
+        return sources[-1]
+
+    monkeypatch.setattr(control, "_step_source", recorded)
+    control._step_code.cache_clear()
+    g = triangle_flex()
+    integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.01)
+    window = LeaderSpec(mode="windowed", v=lambda t: (1.0, 0.0), t0=0.0, tf=0.005)
+    integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.01, leader=window)
+    assert sum(source.count("def evaluate(") for source in sources) == 1
+    assert sum(source.count("def advance(") for source in sources) == 2
+
+
 @pytest.mark.parametrize("mode", ["none", "target", "windowed"])
 def test_second_integrate_of_a_shape_compiles_nothing(monkeypatch, mode):
     """After one run of a graph shape and leader mode, runs at other

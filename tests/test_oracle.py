@@ -318,6 +318,35 @@ def test_newton_polish_runs_one_edge_pass_per_iteration(monkeypatch):
     assert balance_residuals(polished, g, QUADRATIC).max() < 1e-12
 
 
+@pytest.mark.parametrize("graph, family, subform", [
+    pytest.param(graph(), family, subform, id=f"{graph.__name__}-{family.name}-{subform}")
+    for graph, family, subform in ((triangle_flex, QUADRATIC, "collinear_distinct"),
+                                   (triangle_flex, QUADRATIC, "all_coincident"),
+                                   (tetrahedron_flex, RATIONAL, "interior_point"),
+                                   (tetrahedron_flex, QUADRATIC, "double_pair"))])
+def test_construct_equilibrium_makes_one_pass_after_the_polish(monkeypatch, graph, family,
+                                                                 subform):
+    """After the Newton polish (none for an exact construction), one edge
+    pass gives the entry's domain check, class and residual."""
+    import rigidflex.oracle as oracle
+
+    counts = {"pass": 0}
+    polish_passes = []
+    polish = oracle.newton_polish
+
+    def counted_polish(*args):
+        before = counts["pass"]
+        out = polish(*args)
+        polish_passes.append(counts["pass"] - before)
+        return out
+
+    counting_pass(monkeypatch, counts)
+    monkeypatch.setattr(oracle, "newton_polish", counted_polish)
+    entry = construct_equilibrium(graph, family, subform)
+    assert len(polish_passes) == (entry.method != "coincidence-construct")
+    assert counts["pass"] == sum(polish_passes) + 1
+
+
 # the messages of the refusals ``_Layout.solve`` makes before any root solve
 REFUSALS = re.compile("needs equal desired distances|coincidence boundary")
 

@@ -178,10 +178,11 @@ def draw_realization(data, graph_name):
 def test_float_pass_equals_the_array_kernel(graph_name, family_name, data):
     """The compiled float pass behind edge_states, gradient_control and
     potential_value gives the edge vectors, squared errors, g, rho, control
-    and V of the numpy reference pass in ``tests/references.py`` exactly,
-    at drawn desired lengths and realizations, far from the desired shape
-    and at or next to coincidence (where the rational g and rho are
-    infinite).  Neither sums through a BLAS, so this holds on every CPU."""
+    and V (``EdgeState.v`` and ``potential_value`` alike, bit for bit) of
+    the numpy reference pass in ``tests/references.py`` exactly, at drawn
+    desired lengths and realizations, far from the desired shape and at or
+    next to coincidence (where the rational g and rho are infinite).
+    Neither sums through a BLAS, so this holds on every CPU."""
     graph, p = draw_realization(data, graph_name)
     family = FAMILIES[family_name]
     states = edge_states(p, graph, family)
@@ -190,6 +191,7 @@ def test_float_pass_equals_the_array_kernel(graph_name, family_name, data):
                       (states.u, u), (gradient_control(p, graph, family), u.ravel())):
         np.testing.assert_array_equal(got, want, strict=True)
     np.testing.assert_array_equal(potential_value(p, graph, family), v)
+    assert bits(states.v) == bits(potential_value(p, graph, family)) == bits(v)
 
 
 def bits(values):

@@ -646,3 +646,16 @@ def test_analyze_rejects_rational_coincidence_points(graph):
             with pytest.raises(PotentialDomainError, match="coincidence boundary"):
                 analyze(q, graph, RATIONAL)
         assert analyze(p, graph, QUADRATIC).witness is not None
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
+def test_analyze_on_the_coincidence_boundary_makes_one_pass(monkeypatch, graph):
+    """analyze reads V for its domain check from the edge pass that serves
+    the class and the Hessian: at a rational coincidence point it makes one
+    pass before it raises PotentialDomainError."""
+    calls = {"pass": 0}
+    counting_pass(monkeypatch, calls)
+    p = flex_coincident_equilibrium(graph)
+    with pytest.raises(PotentialDomainError, match="coincidence boundary"):
+        analyze(p, graph, RATIONAL)
+    assert calls["pass"] == 1
