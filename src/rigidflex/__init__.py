@@ -26,7 +26,6 @@ from .integrator import (
     IntegrationError,
     PerturbationEvent,
     Trajectory,
-    apply_perturbation,
     integrate,
     random_perturbation,
 )

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from importlib import resources
 from pathlib import Path
@@ -22,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .control import EQ_TOL, leader_spec_from_json
-from .graph import (FormationGraph, GraphError, as_positions, graph_from_json, triangle_flex,
-                    tetrahedron_flex)
+from .graph import FormationGraph, GraphError, graph_from_json, triangle_flex, tetrahedron_flex
 from .integrator import IntegrationError, PerturbationEvent, integrate, random_perturbation
 from .oracle import OracleError, build_catalog, newton_polish, write_catalog
 from .potentials import FAMILIES, get_family, validate_family
@@ -104,15 +102,11 @@ def _cmd_run(args) -> int:
             raise ScenarioError(f"unknown key(s) {', '.join(unknown)}")
         graph = _parse_graph(doc["graph"])
         family = get_family(doc.get("family", "quadratic"))
-        p0 = as_positions(doc["initial"], graph)
-        t_end = float(doc["t_end"])
+        p0, t_end = doc["initial"], float(doc["t_end"])
         dt, record_every = float(doc.get("dt", 1e-3)), float(doc.get("record_every", 10))
         eq_tol = float(doc.get("eq_tol", EQ_TOL))
-        if not (record_every.is_integer() and 0 <= eq_tol < math.inf):   # False for NaN
-            raise ValueError(f"record_every must be an integer and eq_tol finite and "
-                             f"non-negative, got {record_every!r} and {eq_tol!r}")
         events = _parse_events(doc.get("events"), graph.dimension)
-        leader = leader_spec_from_json(doc.get("leader"), graph.dimension)
+        leader = leader_spec_from_json(doc.get("leader"))
         analysis = doc.get("analysis", {"hessian_at_equilibria": False})
         if not (isinstance(analysis, dict) and list(analysis) == ["hessian_at_equilibria"]
                 and isinstance(analysis["hessian_at_equilibria"], bool)):
@@ -120,8 +114,9 @@ def _cmd_run(args) -> int:
     except (AttributeError, KeyError, OverflowError, TypeError, ValueError, GraphError) as exc:
         raise ScenarioError(f"invalid scenario: {exc}")
 
+    # integrate checks each run input once; its ValueError exits 2
     traj = integrate(p0, graph, family, t_end, dt=dt, leader=leader, events=events,
-                     record_every=int(record_every), eq_tol=eq_tol)
+                     record_every=record_every, eq_tol=eq_tol)
 
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -157,8 +152,8 @@ def _cmd_run(args) -> int:
 def _cmd_analyze(args) -> int:
     graph = _parse_graph(_load_json(args.graph))
     doc = _load_json(args.realization)
-    p = as_positions(doc["positions"] if isinstance(doc, dict) else doc, graph)
-    report = analyze(p, graph, get_family(args.family))
+    report = analyze(doc["positions"] if isinstance(doc, dict) else doc, graph,
+                     get_family(args.family))
     payload = report.to_json_dict()
     if args.out:
         Path(args.out).mkdir(parents=True, exist_ok=True)

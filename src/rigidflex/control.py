@@ -35,10 +35,37 @@ from .potentials import PotentialFamily
 EQ_TOL = 1e-9
 
 
+def _check_eq_tol(eq_tol: float):
+    """ValueError unless ``eq_tol`` is finite and >= 0 (integrate, analyze)."""
+    if not 0 <= eq_tol < math.inf:      # False for NaN
+        raise ValueError(f"eq_tol must be finite and non-negative, got {eq_tol!r}")
+
+
+def _norm(u) -> float:
+    """||u|| as the square root of the sum of squares left to right, the
+    rule of ||z||^2 and V, so it does not depend on how a BLAS sums."""
+    sq = 0.0
+    for x in u:
+        sq += x * x
+    return math.sqrt(sq)
+
+
+def _residual(u, d: int) -> float:
+    """The balance residual: the largest ``_norm`` of an agent's d entries
+    in a flat, node-major list u, which sums ((x^2 + y^2) + z^2) as numpy's
+    norm along an axis does; NaN if any is NaN, as numpy's max gives."""
+    worst = 0.0
+    for i in range(0, len(u), d):
+        r = _norm(u[i:i + d])
+        if r > worst or r != r:         # a NaN is taken and then kept
+            worst = r
+    return worst
+
+
 @dataclass(frozen=True)
 class EdgeState:
-    """Per-edge kinematics and potential derivatives, in edge order, and V,
-    from one edge pass (``evaluate``) in fresh arrays."""
+    """Per-edge kinematics and potential derivatives, in edge order, V and
+    the balance residual, from one edge pass (``evaluate``) in fresh arrays."""
 
     z: np.ndarray      # (m, d) edge vectors p_i - p_j
     e: np.ndarray      # (m,) squared distance errors
@@ -46,13 +73,15 @@ class EdgeState:
     rho: np.ndarray    # (m,) d g / d e
     u: np.ndarray      # (N+1, d) control of the same pass, u_i = -sum_j g_ij z_ij
     v: float           # V = 1/2 sum phi(e) of the same pass, inf on the coincidence boundary
+    residual: float    # max_i ||u_i|| (``_residual``), NaN if any u_i is
 
 
 def edge_states(p, graph: FormationGraph, family: PotentialFamily) -> EdgeState:
     u, e, v, z, g, rho = _evaluate(p, graph, family)
     d = graph.dimension
     return EdgeState(z=np.array(z).reshape(-1, d), e=np.array(e), g=np.array(g),
-                     rho=np.array(rho), u=np.array(u).reshape(-1, d), v=v)
+                     rho=np.array(rho), u=np.array(u).reshape(-1, d), v=v,
+                     residual=_residual(u, d))
 
 
 def potential_value(p, graph: FormationGraph, family: PotentialFamily) -> float:
@@ -129,18 +158,21 @@ class LeaderSpec:
         return math.sqrt(total) < 1e-3
 
 
-def leader_spec_from_json(doc, dimension: int) -> LeaderSpec:
+def leader_spec_from_json(doc) -> LeaderSpec:
     """Parse {"mode": ...} leader documents; piecewise-constant samples for
-    windowed mode as {"t0":, "tf":, "v": [[t, vx, vy(, vz)], ...]}."""
+    windowed mode as {"t0":, "tf":, "v": [[t, vx, vy(, vz)], ...]}, finite,
+    t strictly increasing.  The dimension is ``LeaderSpec.check``'s to test."""
+    if not isinstance(doc, (dict, type(None))):
+        raise ValueError(f"a leader document is an object or null, got {doc!r}")
     mode = "none" if doc is None else doc.get("mode", "none")
     if mode == "target":
-        return LeaderSpec(mode="target", k_f=float(doc["k_f"]), p_t=doc["p_t"]).check(dimension)
+        return LeaderSpec(mode="target", k_f=float(doc["k_f"]), p_t=doc["p_t"])
     if mode == "windowed":
         samples = np.asarray(doc["v"], dtype=float)
-        if (samples.ndim != 2 or samples.shape[1] != 1 + dimension
+        if (samples.ndim != 2 or samples.shape[1] < 2
                 or not np.isfinite(samples).all() or (np.diff(samples[:, 0]) <= 0).any()):
-            raise ValueError(f"windowed v must be a non-empty list of finite [t, {dimension} "
-                             f"velocity components] rows, t strictly increasing")
+            raise ValueError("windowed v must be a non-empty list of finite [t, velocity "
+                             "components] rows, t strictly increasing")
         times, values = samples[:, 0].tolist(), [tuple(row) for row in samples[:, 1:].tolist()]
 
         def v(t, times=times, values=values):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _compiled_step
+from .control import EQ_TOL, LeaderSpec, _check_eq_tol, _compiled_step, _norm, _residual
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
@@ -60,21 +60,6 @@ def random_perturbation(time: float, agent: int, dimension: int, magnitude: floa
     return PerturbationEvent(time=time, agent=agent, displacement=v)
 
 
-def _check_event(event: PerturbationEvent, graph: FormationGraph):
-    """Raise ValueError unless the event's agent and displacement fit the graph."""
-    if event.agent > graph.num_nodes:
-        raise ValueError(f"agent {event.agent} out of range for {graph.num_nodes} nodes")
-    if event.displacement.shape != (graph.dimension,):
-        raise ValueError("displacement does not match the ambient dimension")
-
-
-def apply_perturbation(p, event: PerturbationEvent, graph: FormationGraph) -> np.ndarray:
-    _check_event(event, graph)
-    pos = as_positions(p, graph).copy()
-    pos[event.agent - 1] += event.displacement
-    return pos.reshape(-1)
-
-
 @dataclass
 class Trajectory:
     times: np.ndarray
@@ -113,27 +98,6 @@ class Trajectory:
             fh.write("\n")
 
 
-def _norm(u) -> float:
-    """||u|| as the square root of the sum of squares left to right, the
-    rule of ||z||^2 and V, so it does not depend on how a BLAS sums."""
-    sq = 0.0
-    for x in u:
-        sq += x * x
-    return math.sqrt(sq)
-
-
-def _residual(u, d: int) -> float:
-    """The largest ``_norm`` of an agent's d entries in a flat, node-major
-    list u, which sums ((x^2 + y^2) + z^2) as numpy's norm along an axis
-    does; NaN if any is NaN, as numpy's max gives."""
-    worst = 0.0
-    for i in range(0, len(u), d):
-        r = _norm(u[i:i + d])
-        if r > worst or r != r:         # a NaN is taken and then kept
-            worst = r
-    return worst
-
-
 def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
               dt: float = 1e-3, leader: LeaderSpec | None = None,
               events=(), record_every: int = 10, eq_tol: float = EQ_TOL) -> Trajectory:
@@ -145,9 +109,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     arrival) and the worst per-step increase of V plus the target potential
     (k_f/2) ||p_t - p_flex||^2 over the steps that do not meet a windowed
     leader's [t0, tf].  The velocity is the gradient control plus the
-    leader's input on the flex agent; a target point that is not d
-    coordinates raises ValueError before the first step, and so does a
-    record_every that is not an integer >= 1.
+    leader's input on the flex agent.  Every input, each event's agent and
+    displacement too, is checked once here: ValueError before the first step.
 
     The state is one flat, node-major list of (N+1) d Python floats: on
     states this small, numpy's per-call cost would be most of the work.
@@ -160,9 +123,10 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     equilibrium check; ``evaluate`` gives them at each segment start.
     Records go into compact ``array('d')`` buffers and make no numpy call:
     the recorded gradient norm sums the squared control left to right
-    (``_norm``) and the equilibrium check takes the largest per-agent norm
-    (``_residual``).  The perturbation add, the loop's only numpy
-    arithmetic, ignores overflow: the guard judges the state it leaves.
+    (``_norm``) and the equilibrium check takes the balance residual
+    (``control._residual``).  A perturbation is added to the agent's d
+    floats of the list; an add that overflows gives inf, and the guard
+    judges the state it leaves.  The loop does no numpy arithmetic.
 
     One guard per step: V at the new state must be finite, else
     IntegrationError carries the time and state before that step.  A
@@ -175,14 +139,18 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
     record_every = _integer(record_every, 1, "record_every values")
+    _check_eq_tol(eq_tol)
     n, d = graph.num_nodes, graph.dimension
     leader = (leader or LeaderSpec()).check(d)
     p = as_positions(p0, graph).ravel().tolist()
     schedule = sorted(events, key=lambda ev: ev.time)
-    if any(not (0.0 <= ev.time <= t_end) for ev in schedule):
-        raise ValueError("perturbation events must lie inside [0, t_end]")
     for ev in schedule:                 # every event, before the first step
-        _check_event(ev, graph)
+        if not 0.0 <= ev.time <= t_end:
+            raise ValueError("perturbation events must lie inside [0, t_end]")
+        if ev.agent > n:
+            raise ValueError(f"agent {ev.agent} out of range for {n} nodes")
+        if ev.displacement.shape != (d,):
+            raise ValueError("displacement does not match the ambient dimension")
     advance, evaluate = _compiled_step(graph, family, leader)     # once per call
 
     def failure(w, t_w, t, state):
@@ -237,8 +205,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             check_events(t, p, k1)
         t = boundary
         if event is not None:
-            with np.errstate(over="ignore"):
-                p = apply_perturbation(p, event, graph).tolist()
+            i = d * (event.agent - 1)
+            p[i:i + d] = [x + y for x, y in zip(p[i:i + d], event.displacement.tolist())]
             log.append((boundary, "perturbation_applied"))
             eq_armed = True
             k1, e, w = start(t, p)

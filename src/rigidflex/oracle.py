@@ -90,17 +90,16 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarr
     The balance map is the potential gradient, so its Jacobian is the
     assembled Hessian; least-squares steps take the minimal-norm correction,
     leaving the rigid-motion (and flex-orbit) null directions untouched.
-    Each iteration makes one edge pass, which gives the residual, the
-    right-hand side u and the Hessian.
+    Each iteration makes one edge pass, which gives the balance residual
+    (``EdgeState.residual``), the right-hand side u and the Hessian.
     """
     p = as_positions(p, graph).reshape(-1).astype(float)
     for it in range(POLISH_MAX_ITER + 1):
         st = edge_states(p, graph, family)
-        res = float(np.linalg.norm(st.u, axis=1).max())
-        if res < POLISH_TOL:
+        if st.residual < POLISH_TOL:
             return p
         if it == POLISH_MAX_ITER:
-            raise OracleError(f"Newton polish stalled at residual {res:.3e}")
+            raise OracleError(f"Newton polish stalled at residual {st.residual:.3e}")
         h = _hessian(st, graph)
         if not np.all(np.isfinite(h)):
             raise OracleError("balance Jacobian is non-finite; cannot polish "

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, EdgeState, _shape, edge_states
+from .control import EQ_TOL, EdgeState, _check_eq_tol, _shape, edge_states
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialDomainError, PotentialFamily
 
@@ -164,8 +164,9 @@ def classify(p, graph: FormationGraph, family: PotentialFamily) -> EquilibriumCl
 
 def _classify(pos: np.ndarray, st: EdgeState, graph: FormationGraph,
               eq_tol: float = EQ_TOL) -> EquilibriumClass:
-    """``classify`` at the (N+1, d) realization ``pos`` from its edge pass ``st``."""
-    residual = float(np.linalg.norm(st.u, axis=1).max())
+    """``classify`` at the (N+1, d) realization ``pos`` from its edge pass
+    ``st``, whose balance residual ``st.residual`` decides an equilibrium."""
+    residual = st.residual
     diag = {"residual": residual}
     if not residual < eq_tol:               # also a NaN residual
         return EquilibriumClass(kind="not_equilibrium", diagnostics=diag)
@@ -562,9 +563,11 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     witness and the block spectrum.  Raises WitnessNotFoundError when an
     undesired class on a certified graph has no witness, never a silent
     pass, and PotentialDomainError at finite positions where V is not finite
-    (the coincidence boundary of a family that diverges there).  H is PSD
+    (the coincidence boundary of a family that diverges there), and
+    ValueError for an eq_tol that is not finite and >= 0.  H is PSD
     when lambda_min >= -1e-8 * max(|lambda_min|, |lambda_max|, 1).
     """
+    _check_eq_tol(eq_tol)
     pos = as_positions(p, graph)
     st = edge_states(pos, graph, family)
     cls = _classify(pos, st, graph, eq_tol)

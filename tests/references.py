@@ -50,6 +50,14 @@ def leader_potential(spec, state):
     return 0.5 * spec.k_f * total
 
 
+def apply_perturbation(p, event, graph):
+    """A flat, node-major state p with the event's displacement added to its
+    agent's row on numpy arrays, as a flat array."""
+    pos = np.array(p, dtype=float).reshape(graph.num_nodes, graph.dimension)
+    pos[event.agent - 1] += event.displacement
+    return pos.reshape(-1)
+
+
 def balance_residuals(p, graph, family):
     """(N+1,) array of per-agent balance norms ||sum_j g_ij z_ij||."""
     u = gradient_control(p, graph, family).reshape(graph.num_nodes, graph.dimension)

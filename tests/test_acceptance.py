@@ -92,7 +92,7 @@ def leader_runs():
     for name, graph in [("triangle_flex_leader", TRIANGLE),
                         ("tetra_flex_leader", TETRA)]:
         doc = _resolve_scenario(name)
-        spec = leader_spec_from_json(doc["leader"], graph.dimension)
+        spec = leader_spec_from_json(doc["leader"])
         out[name] = (integrate(np.array(doc["initial"]), graph, QUADRATIC, 20.0,
                                dt=1e-3, leader=spec), spec)
     return out

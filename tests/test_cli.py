@@ -129,7 +129,7 @@ def test_run_bad_scenario_is_config_error(tmp_path):
       for value in (float("nan"), float("inf"))),
     *(pytest.param("run", "eq_tol", doc, id=f"run-eq_tol-{name}")
       for name, doc in (("null", None), ("list", [1]), ("object", {"a": 1}),
-                        ("nan", float("nan")), ("negative", -1.0))),
+                        ("nan", float("nan")), ("negative", -1.0), ("inf", float("inf")))),
     pytest.param("run", "dt", float("inf"), id="run-dt-inf"),
     pytest.param("run", "record_every", 2.5, id="run-record_every-2.5"),
     *(pytest.param("run", "events", [{"time": 0.02, **event}], id=f"run-events-{name}")
@@ -149,7 +149,9 @@ def test_run_bad_scenario_is_config_error(tmp_path):
         ("nan_k_f", {"mode": "target", "k_f": float("nan"), "p_t": [0.0, 0.0]}),
         ("scalar_p_t", {"mode": "target", "k_f": 1.0, "p_t": 1}),
         ("3d_p_t", {"mode": "target", "k_f": 1.0, "p_t": [0.0, 0.0, 0.0]}),
-        ("zero", 0), ("false", False), ("empty_list", []))),
+        ("zero", 0), ("false", False), ("empty_list", []),
+        ("empty_row", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [[]]}),
+        ("narrow_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [[0.0, 1.0]]}))),
     pytest.param("run", "graph", "square_flex", id="run-graph-unknown_builtin"),
     pytest.param("run", "initial", [[0.0, 0.0]], id="run-initial-wrong_shape"),
     pytest.param("analyze", "realization", {"positions": [[0.0, 0.0]]},
@@ -200,8 +202,8 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
     assert len(err) == 1 and err[0].startswith("configuration error")
     if isinstance(doc, dict) and "flex_edge" in doc:
         assert "desired distances must be finite" in err[0]
-    if field == "eq_tol":
-        assert err[0].startswith("configuration error: invalid scenario")
+    if field == "eq_tol":       # a non-number fails to parse; integrate refuses a bad number
+        assert ("eq_tol" if isinstance(doc, float) else "invalid scenario") in err[0]
     if verb == "run" and field not in SCENARIO_KEYS | {"scenario"}:
         assert f"unknown key(s) {field}" in err[0]
     if verb == "run":

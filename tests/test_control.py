@@ -138,7 +138,7 @@ def test_target_leader_input_value():
 def test_windowed_leader_switches_off():
     spec = leader_spec_from_json(
         {"mode": "windowed", "t0": 1.0, "tf": 2.0,
-         "v": [[1.0, 0.5, -0.5], [1.5, 1.0, 0.0]]}, 2)
+         "v": [[1.0, 0.5, -0.5], [1.5, 1.0, 0.0]]})
     state = np.zeros((4, 2))
     np.testing.assert_allclose(input_rows(spec, 1.2, state)[-1], [0.5, -0.5])
     np.testing.assert_allclose(input_rows(spec, 1.7, state)[-1], [1.0, 0.0])
@@ -167,6 +167,11 @@ def test_leader_mode_validation():
         LeaderSpec(mode="windowed", v=None, t0=0.0, tf=1.0)
     with pytest.raises(ValueError):
         LeaderSpec(mode="orbit")
+    # a leader document that is not an object, or a windowed table with no velocity column
+    for doc in (0, False, [], "target", {"mode": "windowed", "t0": 0.0, "tf": 1.0, "v": [[]]},
+                {"mode": "windowed", "t0": 0.0, "tf": 1.0, "v": [[0.0]]}):
+        with pytest.raises(ValueError):
+            leader_spec_from_json(doc)
 
 
 # ---------------------------------------------------------------------------

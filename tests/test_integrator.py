@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -16,13 +17,13 @@ from rigidflex.integrator import (
     IntegrationError,
     PerturbationEvent,
     Trajectory,
-    apply_perturbation,
     integrate,
     random_perturbation,
 )
 from rigidflex.oracle import build_catalog, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
-from references import balance_residuals, gradient_norm, leader_control
+from rigidflex.stability import analyze
+from references import apply_perturbation, balance_residuals, gradient_norm, leader_control
 
 
 def test_desired_start_is_constant_trajectory():
@@ -83,20 +84,67 @@ def test_random_perturbation_is_seeded_and_normalized():
             random_perturbation(1.0, 3, 3, 0.01, seed=seed)
 
 
-def test_apply_perturbation_bounds_checked():
+def _assert_rejected_before_first_step(monkeypatch, events):
+    """Each event alone makes integrate raise ValueError before the first
+    step: the step is never compiled."""
+    import rigidflex.integrator as integrator
+
+    def no_step(*args):
+        raise AssertionError("a step was compiled before the events were checked")
+
+    monkeypatch.setattr(integrator, "_compiled_step", no_step)
+    g = triangle_flex()
+    for ev in events:
+        with pytest.raises(ValueError):
+            integrate(desired_equilibrium(g), g, QUADRATIC, t_end=1.0, events=[ev])
+
+
+def test_apply_perturbation_bounds_checked(monkeypatch):
+    """integrate applies the perturbations itself; an event on agent 9 of
+    the 4-agent triangle, or with a 3-vector displacement in the plane, is
+    rejected before the first step."""
+    _assert_rejected_before_first_step(monkeypatch, [
+        PerturbationEvent(time=0.5, agent=9, displacement=np.zeros(2)),
+        PerturbationEvent(time=0.5, agent=1, displacement=np.zeros(3)),
+    ])
+
+
+def test_event_outside_horizon_rejected(monkeypatch):
+    """An event after t_end is rejected before the first step."""
+    _assert_rejected_before_first_step(monkeypatch, [
+        PerturbationEvent(time=5.0, agent=1, displacement=np.zeros(2)),
+    ])
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()], ids=["triangle", "tetra"])
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL], ids=["quadratic", "rational"])
+def test_perturbation_adds_the_displacement_bit_for_bit(graph, family):
+    """At each event, at t = 0, between steps and at t_end, the record
+    after the jump is the numpy sum of the record before it and the
+    displacement, bit for bit, and the run raises no warning."""
+    d = graph.dimension
+    events = [random_perturbation(t, agent, d, 0.3, seed)
+              for t, agent, seed in ((0.0, 2, 1), (0.1234, graph.num_nodes, 2), (0.25, 1, 3))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(desired_equilibrium(graph), graph, family, t_end=0.25, events=events)
+    assert [t for t, kind in traj.events if kind == "perturbation_applied"] == [0.0, 0.1234, 0.25]
+    for ev in events:
+        j = np.flatnonzero(traj.times == ev.time)[-1]
+        assert traj.states[j].tobytes() == \
+            apply_perturbation(traj.states[j - 1], ev, graph).tobytes()
+
+
+@pytest.mark.parametrize("eq_tol", [float("nan"), -1.0, float("inf")])
+def test_eq_tol_not_finite_and_non_negative_rejected(eq_tol):
+    """integrate and analyze refuse an eq_tol that is NaN (no residual is
+    below it), negative (none is) or infinite (every finite one is)."""
     g = triangle_flex()
     p = desired_equilibrium(g)
-    with pytest.raises(ValueError):
-        apply_perturbation(p, PerturbationEvent(1.0, 9, np.zeros(2)), g)
-    with pytest.raises(ValueError):
-        apply_perturbation(p, PerturbationEvent(1.0, 1, np.zeros(3)), g)
-
-
-def test_event_outside_horizon_rejected():
-    g = triangle_flex()
-    ev = PerturbationEvent(time=5.0, agent=1, displacement=np.zeros(2))
-    with pytest.raises(ValueError):
-        integrate(desired_equilibrium(g), g, QUADRATIC, t_end=1.0, events=[ev])
+    with pytest.raises(ValueError, match="eq_tol"):
+        integrate(p, g, QUADRATIC, t_end=1.0, eq_tol=eq_tol)
+    with pytest.raises(ValueError, match="eq_tol"):
+        analyze(p, g, QUADRATIC, eq_tol=eq_tol)
 
 
 @pytest.mark.parametrize("settings, match", [

@@ -11,16 +11,17 @@ from hypothesis import strategies as st
 from rigidflex.control import (
     LeaderSpec,
     _compiled_step,
+    _norm,
+    _residual,
     edge_states,
     gradient_control,
     leader_spec_from_json,
     potential_value,
 )
 from rigidflex.graph import tetrahedron_flex, triangle_flex
-from rigidflex.integrator import _norm, _residual
 from rigidflex.oracle import build_catalog, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
-from rigidflex.stability import analyze, assemble_hessian
+from rigidflex.stability import analyze, assemble_hessian, classify
 from references import (
     array_pass,
     balance_residual,
@@ -179,7 +180,10 @@ def test_float_pass_equals_the_array_kernel(graph_name, family_name, data):
     """The compiled float pass behind edge_states, gradient_control and
     potential_value gives the edge vectors, squared errors, g, rho, control
     and V (``EdgeState.v`` and ``potential_value`` alike, bit for bit) of
-    the numpy reference pass in ``tests/references.py`` exactly, at drawn
+    the numpy reference pass in ``tests/references.py`` exactly, and the
+    balance residual (``EdgeState.residual`` and ``classify``'s alike) is
+    numpy's per-agent norm and max of that control, or NaN where numpy's is
+    (whose max keeps a NaN's sign and payload or not, by where it sits), at drawn
     desired lengths and realizations, far from the desired shape and at or
     next to coincidence (where the rational g and rho are infinite).
     Neither sums through a BLAS, so this holds on every CPU."""
@@ -192,6 +196,10 @@ def test_float_pass_equals_the_array_kernel(graph_name, family_name, data):
         np.testing.assert_array_equal(got, want, strict=True)
     np.testing.assert_array_equal(potential_value(p, graph, family), v)
     assert bits(states.v) == bits(potential_value(p, graph, family)) == bits(v)
+    with np.errstate(over="ignore"):
+        residual = balance_residual(u, graph.dimension)
+    for got in (states.residual, classify(p, graph, family).diagnostics["residual"]):
+        assert bits(got) == bits(residual) or (math.isnan(got) and math.isnan(residual))
 
 
 def bits(values):
@@ -206,7 +214,7 @@ def leader(mode, d):
         return LeaderSpec(mode="target", k_f=200.0, p_t=[10.0, -10.0, 0.25][:d])
     if mode == "windowed":
         samples = [[0.5] + [1.0] * d, [0.5005] + [-0.3] * d, [1.0] + [2.5] * d]
-        return leader_spec_from_json({"mode": "windowed", "t0": 0.5, "tf": 1.0, "v": samples}, d)
+        return leader_spec_from_json({"mode": "windowed", "t0": 0.5, "tf": 1.0, "v": samples})
     return LeaderSpec()
 
 
