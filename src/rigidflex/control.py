@@ -6,12 +6,12 @@ gradient of V (with e = ||z||^2 - dbar^2, grad_p_i phi(e_ij) = 2 g_ij z_ij).
 Scaling V leaves trajectories, equilibria, and stability verdicts unchanged.
 
 Every edge pass of the package is generated here, one straight-line Python
-function at a time.  ``evaluate`` is the pass behind ``edge_states``,
-``gradient_control`` and ``potential_value`` (``_pass`` binds it alone) and
-behind each ``integrate`` segment start; ``advance`` is the integrator's RK4
-loop.  The pass sums on Python floats in edge order, so no result depends
-on how a BLAS sums.  ``LeaderSpec`` holds the flex agent's leader input and
-its arrival test.
+function at a time with the family's formulas inlined.  ``evaluate`` is the
+pass behind ``edge_states``, ``gradient_control`` and ``potential_value``
+(``_pass`` makes it alone) and behind each ``integrate`` segment start;
+``advance`` is the integrator's RK4 loop.  The pass sums on Python floats
+in edge order, so no result depends on how a BLAS sums.  ``LeaderSpec``
+holds the flex agent's leader input and its arrival test.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import builtins
 import functools
 import linecache
 import math
+import re
 from dataclasses import dataclass
 from types import FunctionType
 from typing import Callable
@@ -28,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .graph import FormationGraph, as_positions
-from .potentials import PotentialFamily
+from .potentials import PotentialFamily, evaluators
 
 # Balance residual max_i ||u_i|| below which a realization is an equilibrium:
 # the default of integrate, classify, analyze and the CLI.
@@ -101,9 +102,9 @@ def _evaluate(p, graph: FormationGraph, family: PotentialFamily):
 
 @functools.lru_cache(maxsize=32)
 def _pass(graph: FormationGraph, family: PotentialFamily):
-    """``evaluate`` alone with no leader, bound on first use and kept for the
-    32 (graph, family) pairs used last: binding costs more than a pass."""
-    return FunctionType(_step_code(*_shape(graph), "none", "evaluate"),
+    """``evaluate`` alone with no leader, made on first use and kept for the
+    32 (graph, family) pairs used last: making it costs more than a pass."""
+    return FunctionType(_step_code(*_shape(graph), family, "none", "evaluate"),
                         _constants(graph, family, LeaderSpec()))
 
 
@@ -187,23 +188,26 @@ def leader_spec_from_json(doc) -> LeaderSpec:
 # The generated edge pass and RK4 step
 
 
-def _on_numpy(f, e: float) -> float:
-    """An evaluator ``f`` at ``e`` as a numpy float, for where Python floats
+def _on_numpy(f, e: float, d2: float) -> float:
+    """An evaluator ``f`` at (e, d2) as a numpy float, for where Python floats
     raise (a division by zero at the coincidence boundary): it rounds alike
     and returns the array evaluator's infinity.  It is a pass's only numpy
     arithmetic and ignores its errors itself, in a fresh errstate per call."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return float(f(np.float64(e)))
+        return float(f(np.float64(e), d2))
 
 
-def _call(assign, f, e) -> list[str]:
-    """Source lines of ``assign f(e)``, the evaluator ``f`` run through
-    ``_on_numpy`` where it raises."""
-    return ["try:", f"    {assign} {f}({e})", "except (ZeroDivisionError, OverflowError):",
-            f"    {assign} _on_numpy({f}, {e})"]
+def _call(assign, family: PotentialFamily, which: str, k: int) -> list[str]:
+    """Source lines of ``assign`` the family's formula ``which`` at edge k,
+    its names e and d2 (not the e of 1e-6) made ``e{k}`` and ``d2_{k}``;
+    where floats raise, ``_on_numpy`` runs the evaluator PHI, G or RHO."""
+    formula = re.sub(r"(?<![\w.])(e|d2)\b", lambda x: f"e{k}" if x[1] == "e" else f"d2_{k}",
+                     getattr(family, which))
+    return ["try:", f"    {assign} {formula}", "except (ZeroDivisionError, OverflowError):",
+            f"    {assign} _on_numpy({which.upper()}, e{k}, d2_{k})"]
 
 
-def _edge_pass(x, u, tails, heads, d) -> list[str]:
+def _edge_pass(x, u, tails, heads, d, family) -> list[str]:
     """Source lines of one edge pass from the state names ``x`` to the
     control names ``u``: per edge k, zk_c = p_i - p_j per coordinate,
     ||z||^2 left to right, ek = ||z||^2 - dbar^2 and gk = g(ek), then
@@ -213,7 +217,7 @@ def _edge_pass(x, u, tails, heads, d) -> list[str]:
         z = [f"z{k}_{c}" for c in range(d)]
         lines += [f"{z[c]} = {x[d * i + c]} - {x[d * j + c]}" for c in range(d)]
         lines += ["sq = " + " + ".join(f"{zc} * {zc}" for zc in z), f"e{k} = sq - d2_{k}",
-                  *_call(f"g{k} =", f"g_{k}", f"e{k}"), "if sq:"]
+                  *_call(f"g{k} =", family, "g", k), "if sq:"]
         lines += [f"    f{c} = g{k} * {z[c]}" for c in range(d)]
         lines += [f"    {u[d * i + c]} -= f{c}" for c in range(d)]
         lines += [f"    {u[d * j + c]} += f{c}" for c in range(d)]
@@ -233,15 +237,15 @@ def _leader_input(mode, time, x, u, flex) -> list[str]:
     return []
 
 
-def _step_source(tails, heads, n, d, mode, name) -> str:
+def _step_source(tails, heads, n, d, family, mode, name) -> str:
     """Python source of one function, ``evaluate(p)`` or ``advance(p, k1,
-    w, t, boundary, dt, n, dv)``, for one graph shape and leader mode (see
-    ``_compiled_step``)."""
+    w, t, boundary, dt, n, dv)``, for one graph shape, family and leader
+    mode (see ``_compiled_step``)."""
     size, m = n * d, len(tails)
     flex = range(size - d, size)
     p, s, a, b, c, r, q = ([f"{x}{k}" for k in range(size)] for x in "psabcrq")
     # the call's constants, read into locals once per call
-    bound = {f"{x}_{k}": f"{x.upper()}_{k}" for k in range(m) for x in ("d2", "g", "phi", "rho")}
+    bound = {f"d2_{k}": f"D2_{k}" for k in range(m)}
     if mode == "target":
         bound.update(k_f="K_F", **{f"pt_{k}": f"PT_{k}" for k in range(d)})
     elif mode == "windowed":
@@ -252,9 +256,9 @@ def _step_source(tails, heads, n, d, mode, name) -> str:
         """The pass at an accepted state x into the control names u and its
         Lyapunov value w: V = 1/2 sum phi(e) left to right, plus (k_f/2)
         ||p_t - p_flex||^2 in target mode."""
-        lines = _edge_pass(x, u, tails, heads, d) + ["pot = 0.0"]
+        lines = _edge_pass(x, u, tails, heads, d, family) + ["pot = 0.0"]
         for k in range(m):
-            lines += _call("pot +=", f"phi_{k}", f"e{k}")
+            lines += _call("pot +=", family, "phi", k)
         if mode != "target":
             return lines + ["w = 0.5 * pot"]
         lines += [f"o{k} = pt_{k} - {x[i]}" for k, i in enumerate(flex)]
@@ -265,7 +269,7 @@ def _step_source(tails, heads, n, d, mode, name) -> str:
     if name == "evaluate":
         body = [constants, f"{', '.join(p)}, = p", *closing(p, a)]
         for k in range(m):
-            body += _call(f"r{k} =", f"rho_{k}", f"e{k}")
+            body += _call(f"r{k} =", family, "rho", k)
         body.append(f"return [{', '.join(a)}], [{errors}], w, "
                     f"[{', '.join(f'z{k}_{c}' for k in range(m) for c in range(d))}], "
                     + ", ".join(f"[{', '.join(f'{x}{k}' for k in range(m))}]" for x in "gr"))
@@ -274,7 +278,7 @@ def _step_source(tails, heads, n, d, mode, name) -> str:
     def stage(k, out, scale, time):
         """The stage state p + scale k and the velocity ``out`` there."""
         return [*(f"{s[i]} = {p[i]} + {k[i]} * {scale}" for i in range(size)),
-                *_edge_pass(s, out, tails, heads, d),
+                *_edge_pass(s, out, tails, heads, d, family),
                 *_leader_input(mode, time, s, out, flex)]
 
     # V is no Lyapunov function while a windowed input acts: a step that
@@ -303,12 +307,14 @@ def _step_source(tails, heads, n, d, mode, name) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _step_code(tails: tuple, heads: tuple, n: int, d: int, mode: str, name: str):
-    """The code of ``name`` (``advance`` or ``evaluate``) for one graph shape
-    and leader mode, compiled on first use and kept for the 64 used last; its
-    source goes to ``linecache``, so tracebacks and profilers show it."""
-    source = _step_source(tails, heads, n, d, mode, name)
-    filename = f"<rigidflex {name}, {mode} leader: {n} nodes in {d}-D, {list(zip(tails, heads))}>"
+def _step_code(tails, heads, n, d, family, mode, name):
+    """The code of ``name`` (``advance`` or ``evaluate``) for one graph
+    shape, family and leader mode, compiled on first use and kept for the 64
+    used last; its source goes to ``linecache``, so tracebacks and profilers
+    show it."""
+    source = _step_source(tails, heads, n, d, family, mode, name)
+    filename = (f"<rigidflex {name}, {family.name} family, {mode} leader: "
+                f"{n} nodes in {d}-D, {list(zip(tails, heads))}>")
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), namespace)
@@ -322,12 +328,12 @@ def _shape(graph: FormationGraph) -> tuple:
 
 
 def _constants(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec) -> dict:
-    """The globals of the bound code: each edge's dbar^2 and its phi, g and
-    rho at its length, and the leader's k_f and p_t, or t0, tf and v."""
+    """The globals of the bound code: the family's numpy evaluators PHI, G
+    and RHO for ``_on_numpy``, each edge's dbar^2 as D2_k, and the leader's
+    k_f and p_t, or t0, tf and v."""
     names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "isfinite": math.isfinite}
-    for k, (dbar, dbar2) in enumerate(zip(graph._dbar.tolist(), graph._dbar2.tolist())):
-        names[f"PHI_{k}"], names[f"G_{k}"], names[f"RHO_{k}"] = family.bind(dbar)
-        names[f"D2_{k}"] = dbar2
+    names["PHI"], names["G"], names["RHO"] = evaluators(family)
+    names.update((f"D2_{k}", dbar2) for k, dbar2 in enumerate(graph._dbar2.tolist()))
     if leader.mode == "target":
         names["K_F"] = leader.k_f
         names.update((f"PT_{k}", x) for k, x in enumerate(leader.p_t.tolist()))
@@ -338,8 +344,9 @@ def _constants(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpe
 
 def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec):
     """``(advance, evaluate)`` bound to the ``_constants`` of a graph, a
-    family and a leader: ``advance``'s code is cached per graph shape and
-    leader mode, ``evaluate``'s per shape and whether a target term is added.
+    family and a leader: ``advance``'s code is cached per graph shape,
+    family and leader mode, ``evaluate``'s per shape, family and whether a
+    target term is added.
 
     ``evaluate(p)`` maps a flat, node-major list of (N+1) d floats to, as
     new lists, the gradient control u in that layout, the squared errors e
@@ -359,9 +366,10 @@ def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: Leade
     code over local floats, unrolled over the edges and coordinates: the
     stage states and p + (h/6) (((k1 + 2 k2) + 2 k3) + k4) are formed per
     coordinate, and each stage is ``_edge_pass`` plus the leader input at
-    t, t + h/2, t + h/2 and t + h.  Each node sums its terms in edge order
-    and V sums phi(e) left to right, so no sum depends on the CPU.  A
-    non-finite coordinate reaches only its own node's edges, and a
+    t, t + h/2, t + h/2 and t + h, with the family's g, phi and rho
+    formulas inlined per edge (``_call``).  Each node sums its terms in
+    edge order and V sums phi(e) left to right, so no sum depends on the
+    CPU.  A non-finite coordinate reaches only its own node's edges, and a
     non-finite g z only its edge's two nodes.
     There is no domain check: ||z||^2 >= 0 (or NaN), and rounding is
     monotone, so e = fl(||z||^2 - dbar^2) >= -dbar^2.  Only ``_on_numpy``
@@ -369,5 +377,5 @@ def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: Leade
     """
     shape, names = _shape(graph), _constants(graph, family, leader)
     target = "target" if leader.mode == "target" else "none"
-    return (FunctionType(_step_code(*shape, leader.mode, "advance"), names),
-            FunctionType(_step_code(*shape, target, "evaluate"), names))
+    return (FunctionType(_step_code(*shape, family, leader.mode, "advance"), names),
+            FunctionType(_step_code(*shape, family, target, "evaluate"), names))

@@ -115,7 +115,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     The state is one flat, node-major list of (N+1) d Python floats: on
     states this small, numpy's per-call cost would be most of the work.
     The loop turns once per record: each turn is one call of the
-    straight-line ``advance`` that ``control._compiled_step`` binds to the
+    straight-line ``advance`` that ``control._compiled_step`` ties to the
     graph, the family and the leader once per call.  It takes the steps up
     to the next record (every record_every steps and at each event and
     t_end) and returns the control, squared errors and Lyapunov value

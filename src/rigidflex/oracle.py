@@ -36,7 +36,7 @@ import numpy as np
 
 from .control import edge_states
 from .graph import FormationGraph, as_positions, simplex_gram
-from .potentials import PotentialFamily
+from .potentials import PotentialFamily, evaluators
 from .stability import LINE_SLOTS, _classify, _hessian
 
 
@@ -311,7 +311,8 @@ class _Layout:
         each ``equal`` group must share one length; otherwise the agents'
         balances differ and F = 0 is no equilibrium.  A rigid edge with a
         zero template vector has zero length whatever the scales, so neither
-        has a family whose g is not finite at e = -dbar^2.
+        has a family whose g is not finite at e = -dbar^2.  That test and the
+        balance call the family's cached ``evaluators``, g(e, dbar^2) and rho.
         """
         k, n, d = self.templates.shape
         rigid = graph._rigid
@@ -336,24 +337,25 @@ class _Layout:
             if any(abs(desired[e] - desired[group[0]]) > 1e-12 for e in group):
                 raise OracleError(f"construction needs equal desired distances: {what}")
         if inner.size:
+            g, d2 = evaluators(family)[1], graph._dbar2[inner]
             with np.errstate(divide="ignore", invalid="ignore"):
-                if not np.isfinite(family.bind(graph._dbar[inner])[1](-graph._dbar2[inner])).all():
+                if not np.isfinite(g(-d2, d2)).all():
                     raise OracleError(_BOUNDARY)
 
         flat = t.reshape(k, len(cross) * d)
         dbar, dbar2 = graph._dbar[cross], graph._dbar2[cross]
-        _, g, rho = family.bind(dbar)     # bound once per solve, not per balance
+        _, g, rho = evaluators(family)
         gram = np.einsum("kmd,lmd->mkl", t, t)     # <t_ek, t_el>, as (m, k, k)
 
         def balance(x):
             """F at the scales x, and a function that gives its Jacobian there."""
             z = np.dot(x, flat).reshape(-1, d)
             e = np.vecdot(z, z) - dbar2
-            ge = g(e)
+            ge = g(e, dbar2)
 
             def jacobian():                         # J_kl of the class docstring
                 a = np.dot(gram, x)                 # a_ek = <z_e, t_ek>, as (m, k)
-                return 2.0 * np.dot(a.T * rho(e), a) + np.dot(gram.T, ge)
+                return 2.0 * np.dot(a.T * rho(e, dbar2), a) + np.dot(gram.T, ge)
             return np.dot(flat, (ge[:, None] * z).ravel()), jacobian
 
         method = self.method

@@ -1,73 +1,58 @@
 """Edge potential families.
 
-Each family, bound to desired lengths dbar, supplies three evaluators over
-the squared distance error e = ||z||^2 - dbar^2 on the domain e > -dbar^2:
+A family states three formulas, Python expressions in the squared distance
+error e = ||z||^2 - dbar^2 and in d2 = dbar^2, on the domain e > -d2:
 
-    phi(e)  -- nonnegative edge energy, zero iff e == 0
-    g(e)    -- d phi / d e, strictly increasing, sign(g) == sign(e)
-    rho(e)  -- d g / d e, strictly positive
+    phi  -- nonnegative edge energy, zero iff e == 0
+    g    -- d phi / d e, strictly increasing, sign(g) == sign(e)
+    rho  -- d g / d e, strictly positive
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 
 class PotentialDomainError(ValueError):
-    """A point outside a family's domain, or a desired length that admits no
-    sample grid inside it."""
+    """A point outside a family's domain or where its potential overflows,
+    or a desired length that admits no sample grid inside it."""
 
 
 @dataclass(frozen=True)
 class PotentialFamily:
-    """An edge potential given by ``bind(dbar)``: its (phi, g, rho) as
-    functions of e alone at the desired lengths ``dbar``, a float array
-    (broadcast against e) or one Python float, with the constants the family
-    derives from dbar computed once.  The built-in families write phi, g and
-    rho with products and quotients, which round alike on floats and arrays
-    (Python's ``**`` calls libm's ``pow``, numpy's power its own), so their
-    float evaluators at one length equal their array evaluators bit for
-    bit, and return a float for a float e."""
+    """An edge potential stated once: phi, g and rho as Python expressions
+    in ``e`` and ``d2`` (= dbar^2) that name nothing of their own, so a
+    shared term such as ``(e + d2)`` is repeated.  ``evaluators`` compiles
+    them for floats and arrays; ``control``'s edge pass inlines them.  The
+    built-in families use products and quotients, which round alike on
+    floats and arrays (a float's ``**`` calls libm's ``pow``, numpy has its
+    own), so their values agree bit for bit; ``e ** 0`` is exactly 1.0, NaN
+    and infinities included."""
 
     name: str
-    bind: Callable
+    phi: str
+    g: str
+    rho: str
 
 
-# e ** 0 is exactly 1.0 for every e, NaN and infinities included
-_QUADRATIC = (lambda e: 0.5 * (e * e), lambda e: e, lambda e: e ** 0)
-
-
-def _quadratic(dbar):
-    """phi = e^2 / 2; g and rho are its exact derivatives."""
-    return _QUADRATIC
-
-
-def _rational(dbar):
-    """phi = e^2 / (e + dbar^2); g and rho are its exact derivatives.  dbar^4
-    is (dbar^2)^2 and (e + dbar^2)^3 is (s s) s, products, so a float, a 0-d
-    and a column dbar give the same bits on every CPU (numpy's vectorized
-    power may round differently from libm's ``pow``)."""
-    d2 = dbar * dbar
-    d4 = d2 * d2
-
-    def g(e):
-        s = e + d2
-        return 1.0 - d4 / (s * s)
-
-    def rho(e):
-        s = e + d2
-        return 2.0 * d4 / ((s * s) * s)
-
-    return (lambda e: (e * e) / (e + d2), g, rho)
-
-
-QUADRATIC = PotentialFamily("quadratic", _quadratic)
-RATIONAL = PotentialFamily("rational", _rational)
+QUADRATIC = PotentialFamily("quadratic", "0.5 * (e * e)", "e", "e ** 0")
+# phi = e^2 / s with s = e + dbar^2; dbar^4 is d2 d2 and s^3 is (s s) s
+RATIONAL = PotentialFamily("rational", "(e * e) / (e + d2)",
+                           "1.0 - (d2 * d2) / ((e + d2) * (e + d2))",
+                           "2.0 * (d2 * d2) / (((e + d2) * (e + d2)) * (e + d2))")
 
 FAMILIES = {f.name: f for f in (QUADRATIC, RATIONAL)}
+
+
+@functools.lru_cache(maxsize=32)
+def evaluators(family: PotentialFamily) -> tuple:
+    """(phi, g, rho) of a family as functions ``f(e, d2)``, compiled once
+    per family; each takes floats or arrays that broadcast together."""
+    return tuple(eval(f"lambda e, d2: {formula}", {})
+                 for formula in (family.phi, family.g, family.rho))
 
 
 def get_family(tag: str) -> PotentialFamily:
@@ -97,8 +82,8 @@ def validate_family(family: PotentialFamily, dbar: float) -> list[str]:
                                    np.linspace(1e-6, 100.0, 400)])
     try:
         with np.errstate(over="raise"):
-            phi, g, rho = (np.asarray(f(grid), dtype=float)
-                           for f in family.bind(np.asarray(dbar)))
+            phi, g, rho = (np.asarray(f(grid, np.float64(dbar2)), dtype=float)
+                           for f in evaluators(family))
     except FloatingPointError as exc:
         raise PotentialDomainError(f"dbar must be small enough that phi, g and rho stay "
                                    f"finite on the sample grid, got {dbar!r}: {exc}") from None

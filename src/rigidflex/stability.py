@@ -531,7 +531,8 @@ class StabilityReport:
         return {
             "class": self.classification.kind,
             "subform": self.classification.subform,
-            "diagnostics": {k: v for k, v in self.classification.diagnostics.items()},
+            "diagnostics": {k: _json_float(v) if isinstance(v, float) else v
+                            for k, v in self.classification.diagnostics.items()},
             "ambiguous": self.classification.ambiguous,
             "spectrum": _json_floats(self.spectrum),
             "block_spectrum": _json_floats(self.block_spectrum),
@@ -563,9 +564,9 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     witness and the block spectrum.  Raises WitnessNotFoundError when an
     undesired class on a certified graph has no witness, never a silent
     pass, and PotentialDomainError at finite positions where V is not finite
-    (the coincidence boundary of a family that diverges there), and
-    ValueError for an eq_tol that is not finite and >= 0.  H is PSD
-    when lambda_min >= -1e-8 * max(|lambda_min|, |lambda_max|, 1).
+    (the coincidence boundary of a family that diverges there, or a V that
+    overflows), and ValueError for an eq_tol that is not finite and >= 0.
+    H is PSD when lambda_min >= -1e-8 * max(|lambda_min|, |lambda_max|, 1).
     """
     _check_eq_tol(eq_tol)
     pos = as_positions(p, graph)
@@ -576,8 +577,11 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     # V diverges only where some g does, so only a non-finite H needs the
     # check (a quadratic V may overflow where H is finite: no domain error)
     if not finite_h and np.isfinite(pos).all() and not np.isfinite(st.v):
-        raise PotentialDomainError(f"realization lies on the coincidence boundary, where "
-                                   f"the {family.name} potential diverges (outside its domain)")
+        if (st.e == -graph._dbar2).any():
+            raise PotentialDomainError(f"realization lies on the coincidence boundary, where the "
+                                       f"{family.name} potential diverges (outside its domain)")
+        raise PotentialDomainError(f"V of the {family.name} potential overflows at this "
+                                   f"realization (no agents coincide): V = {st.v!r}")
     certified = graph.certified_topology() is not None
     block = _aligned_last_block(h, cls.axis) if cls.axis else None
 

@@ -7,7 +7,16 @@ import numpy as np
 from rigidflex.control import gradient_control
 from rigidflex.integrator import integrate
 from rigidflex.oracle import newton_polish
+from rigidflex.potentials import evaluators
 from rigidflex.stability import classify
+
+
+def bind(family, dbar):
+    """A family's (phi, g, rho) as functions of e alone at the desired
+    lengths ``dbar`` (a Python float, or an array broadcast against e),
+    over ``evaluators`` at d2 = dbar * dbar."""
+    d2 = dbar * dbar
+    return tuple(lambda e, f=f: f(e, d2) for f in evaluators(family))
 
 
 def leader_control(p, t, graph, family, spec):
@@ -75,7 +84,7 @@ def array_pass(p, graph, family):
     d = graph.dimension
     pos = np.asarray(p, dtype=float).reshape(graph.num_nodes, d)
     tails, heads = graph.edge_tails, graph.edge_heads
-    phi, g_of, rho_of = family.bind(np.array(graph.desired))
+    phi, g_of, rho_of = bind(family, np.array(graph.desired))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         z = pos[tails] - pos[heads]
         sq = z[:, 0] * z[:, 0]
@@ -101,7 +110,7 @@ def float_pass(graph, family):
     V = 1/2 sum phi(e) left to right.  An evaluator that raises runs on a
     numpy float."""
     d, size = graph.dimension, graph.num_nodes * graph.dimension
-    phis, gs = zip(*(family.bind(dbar)[:2] for dbar in graph._dbar.tolist()))
+    phis, gs = zip(*(bind(family, dbar)[:2] for dbar in graph._dbar.tolist()))
     edges = list(zip(graph._tails.tolist(), graph._heads.tolist(), graph._dbar2.tolist(), gs))
 
     def call(f, e):

@@ -432,7 +432,7 @@ def test_run_rejects_bad_event_before_the_first_step(tmp_path, monkeypatch, caps
 
     calls = {"pass": 0, "advance": 0, "evaluate": 0, "phi": 0, "g": 0}
     counting_pass(monkeypatch, calls)
-    monkeypatch.setattr(integrator, "_compiled_step", counting_compiled_step(calls))
+    monkeypatch.setattr(integrator, "_compiled_step", counting_compiled_step(calls, monkeypatch))
     scen = small_scenario(tmp_path, events=[event])
     assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert calls == {"pass": 0, "advance": 0, "evaluate": 0, "phi": 0, "g": 0}
@@ -514,3 +514,34 @@ def test_analyze_rational_coincidence_point_is_config_error(tmp_path, graph_file
     assert main(["analyze", str(real), str(graph_file), "--family", "rational"]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and "coincidence boundary" in err[0]
+
+
+def test_analyze_overflow_is_not_blamed_on_coincidence(tmp_path, graph_file, capsys):
+    """At the desired triangle scaled by 1e200 no agents coincide, but V of
+    the quadratic family overflows: the one-line error says so, with exit 2,
+    and does not name the coincidence boundary."""
+    real = tmp_path / "huge.json"
+    real.write_text(json.dumps((desired_equilibrium(triangle_flex()) * 1e200).tolist()))
+    assert main(["analyze", str(real), str(graph_file)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "overflows" in err[0] and "coincidence" not in err[0]
+
+
+def test_analyze_report_of_a_nan_realization_is_strict_json(tmp_path, graph_file, capsys):
+    """A realization holding a NaN is no equilibrium; its report writes the
+    NaN residual as the string "nan", as it writes min_eigenvalue "-inf",
+    so stdout is strict JSON."""
+    p = desired_equilibrium(triangle_flex())
+    p[1, 0] = np.nan
+    real = tmp_path / "nan.json"
+    real.write_text(json.dumps({"positions": p.tolist()}))
+    assert main(["analyze", str(real), str(graph_file)]) == EXIT_OK
+
+    def forbidden(name):
+        raise AssertionError(f"{name} in the report")
+
+    report = json.loads(capsys.readouterr().out, parse_constant=forbidden)
+    assert report["class"] == "not_equilibrium"
+    assert report["diagnostics"]["residual"] == "nan"
+    assert report["min_eigenvalue"] == "-inf"
+    json.dumps(analyze(p, triangle_flex(), QUADRATIC).to_json_dict(), allow_nan=False)

@@ -17,6 +17,7 @@ from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.potentials import QUADRATIC, RATIONAL
 from references import (
     balance_residuals,
+    bind,
     leader_control,
     leader_input,
     leader_potential,
@@ -187,7 +188,7 @@ def reference_control(p, graph, family):
     sq = np.einsum("ij,ij->i", z, z)
     dbar = np.array(graph.desired)
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = family.bind(dbar)[1](sq - dbar**2)[:, None] * z
+        f = bind(family, dbar)[1](sq - dbar**2)[:, None] * z
     f[sq == 0.0] = 0.0
     u = np.zeros_like(pos)
     np.subtract.at(u, tails, f)

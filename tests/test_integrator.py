@@ -21,7 +21,7 @@ from rigidflex.integrator import (
     random_perturbation,
 )
 from rigidflex.oracle import build_catalog, desired_equilibrium
-from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
+from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily, evaluators
 from rigidflex.stability import analyze
 from references import apply_perturbation, balance_residuals, gradient_norm, leader_control
 
@@ -309,11 +309,15 @@ def test_rational_start_on_coincidence_boundary_is_rejected(graph):
     np.testing.assert_array_equal(info.value.last_state, p0)
 
 
-def counting_compiled_step(calls):
+def counting_compiled_step(calls, monkeypatch):
     """A stand-in for ``integrator._compiled_step`` that counts in ``calls``
     the calls of ``advance`` and of ``evaluate``, and of each edge's phi and
     g: phi runs once per edge at each accepted state, g once per edge in
-    each edge pass."""
+    each edge pass.  The step it binds is the family's with phi and g
+    wrapped in counters, which the inlined formulas reach through
+    ``builtins``."""
+    import builtins
+
     import rigidflex.integrator as integrator
 
     compiled_step = integrator._compiled_step
@@ -325,15 +329,13 @@ def counting_compiled_step(calls):
 
         return call
 
-    def counted_bind(family):
-        def bind(dbar):
-            phi, g, rho = family.bind(dbar)
-            return counted("phi", phi), counted("g", g), rho
-
-        return PotentialFamily(family.name, bind)
-
     def stand_in(graph, family, leader):
-        advance, evaluate = compiled_step(graph, counted_bind(family), leader)
+        phi, g, _ = evaluators(family)
+        monkeypatch.setattr(builtins, "counted_phi", counted("phi", phi), raising=False)
+        monkeypatch.setattr(builtins, "counted_g", counted("g", g), raising=False)
+        family = PotentialFamily(f"counted {family.name}", "counted_phi(e, d2)",
+                                 "counted_g(e, d2)", family.rho)
+        advance, evaluate = compiled_step(graph, family, leader)
         return counted("advance", advance), counted("evaluate", evaluate)
 
     return stand_in
@@ -372,7 +374,7 @@ def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("public control function or analysis pass called in the loop")
 
-    monkeypatch.setattr(integrator, "_compiled_step", counting_compiled_step(calls))
+    monkeypatch.setattr(integrator, "_compiled_step", counting_compiled_step(calls, monkeypatch))
     monkeypatch.setattr(control, "_pass", forbidden)
     # the integrator imports no gradient_control; one added later is caught
     monkeypatch.setattr(integrator, "gradient_control", forbidden, raising=False)
@@ -407,7 +409,7 @@ def test_import_compiles_no_step(tmp_path):
 def test_analysis_half_compiles_no_advance(tmp_path):
     """In a fresh interpreter, the catalogs of both certified graphs with
     both families and analyze at every entry compile one ``evaluate`` per
-    graph shape and no ``advance``."""
+    graph shape and family and no ``advance``."""
     out = run_fresh(textwrap.dedent("""
         import linecache
         from rigidflex import FAMILIES, analyze, build_catalog, tetrahedron_flex, triangle_flex
@@ -419,7 +421,7 @@ def test_analysis_half_compiles_no_advance(tmp_path):
                    if name.startswith("<rigidflex")]
         print(sum("def evaluate(" in s for s in sources), sum("def advance(" in s for s in sources))
     """), tmp_path)
-    assert out.split() == ["2", "0"]
+    assert out.split() == ["4", "0"]
 
 
 def test_windowed_run_shares_evaluate_with_a_plain_run(monkeypatch):
@@ -447,9 +449,9 @@ def test_windowed_run_shares_evaluate_with_a_plain_run(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["none", "target", "windowed"])
 def test_second_integrate_of_a_shape_compiles_nothing(monkeypatch, mode):
-    """After one run of a graph shape and leader mode, runs at other
-    lengths, with the other family and other leader constants generate and
-    compile no code."""
+    """After one run of a graph shape and leader mode with each family,
+    runs at other lengths, with either family and other leader constants
+    generate and compile no code."""
     import rigidflex.control as control
 
     def leader(k):
@@ -459,7 +461,8 @@ def test_second_integrate_of_a_shape_compiles_nothing(monkeypatch, mode):
                                        t0=0.01 * k, tf=0.02 * k)}[mode]
 
     g = triangle_flex()
-    integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.01, leader=leader(1.0))
+    for family in (QUADRATIC, RATIONAL):
+        integrate(desired_equilibrium(g), g, family, t_end=0.01, leader=leader(1.0))
     misses = control._step_code.cache_info().misses
 
     def forbidden(*args):
@@ -616,11 +619,8 @@ def test_infinite_lyapunov_value_at_finite_positions_raises():
     """V = inf at finite positions stops the run like a non-finite state: a
     family whose energy is infinite past e = 5, with the flex agent pushed
     out by a windowed leader until its edge crosses that level."""
-    def bind(dbar):
-        phi, g, rho = QUADRATIC.bind(dbar)
-        return (lambda e: np.where(e > 5.0, np.inf, phi(e)), g, rho)
-
-    capped = PotentialFamily("capped", bind)
+    capped = PotentialFamily("capped", "float('inf') if e > 5.0 else 0.5 * (e * e)",
+                             QUADRATIC.g, QUADRATIC.rho)
     g = triangle_flex()
     spec = LeaderSpec(mode="windowed", v=lambda t: np.array([50.0, 0.0]), t0=0.0, tf=1.0)
     with pytest.raises(IntegrationError, match="inf") as info:

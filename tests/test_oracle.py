@@ -11,6 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
+from rigidflex import potentials
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     _LAYOUTS,
@@ -22,7 +23,7 @@ from rigidflex.oracle import (
     newton_polish,
     write_catalog,
 )
-from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
+from rigidflex.potentials import QUADRATIC, RATIONAL
 from rigidflex.stability import EQ_TOL, LINE_SLOTS, classify
 from references import balance_residuals, capture_from_flow
 from test_integrator import counting_pass
@@ -412,19 +413,22 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED],
                          ids=["triangle", "tetrahedron", "tailored"])
-def test_solve_binds_the_family_once_per_edge_set(graph, family):
-    """``solve`` binds the family once for the balance over the crossing
-    edges, and once before that for the boundary test when some rigid edge
-    has a zero template vector.  A layout refused at the boundary binds it
-    once; one refused for its desired lengths, never."""
+def test_solve_binds_the_family_once_per_edge_set(graph, family, monkeypatch):
+    """``solve`` looks up the family's evaluators once for the balance over
+    the crossing edges, and once before that for the boundary test when some
+    rigid edge has a zero template vector.  A layout refused at the boundary
+    looks them up once; one refused for its desired lengths, never."""
+    import rigidflex.oracle as oracle
+
     binds = []
-    counted = PotentialFamily(family.name, lambda dbar: binds.append(dbar) or family.bind(dbar))
+    monkeypatch.setattr(oracle, "evaluators",
+                        lambda f: binds.append(f) or potentials.evaluators(f))
     for name, layout in _LAYOUTS[graph.dimension].items():
         t = layout.templates[:, graph.edge_tails[:-1]] - layout.templates[:, graph.edge_heads[:-1]]
         expected = 1 + (not t.any(axis=(0, 2)).all())
         binds.clear()
         try:
-            layout.solve(graph, counted)
+            layout.solve(graph, family)
         except OracleError as exc:
             if "needs equal desired distances" in str(exc):
                 expected = 0
@@ -626,10 +630,11 @@ def layout_balances(monkeypatch, graph, family):
     """(name, balance, box) of every multi-gap line layout of graph x family:
     the function ``solve`` hands the Newton seeds, and the bound each gap of
     a root lies below (test_multi_gap_roots_lie_in_the_box).  A layout with
-    a shared slot has a zero-length rigid edge, where ``solve`` binds the
-    family once for its boundary test before it binds it for the balance;
-    the rational family fails that test, so the first bind of such a layout
-    is the quadratic family's, and the balance binds the family itself."""
+    a shared slot has a zero-length rigid edge, where ``solve`` looks up the
+    family's evaluators once for its boundary test before it looks them up
+    for the balance; the rational family fails that test, so the first
+    lookup of such a layout is steered to the quadratic family's, and the
+    balance gets the family's own."""
     import rigidflex.oracle as oracle
 
     found = []
@@ -643,11 +648,11 @@ def layout_balances(monkeypatch, graph, family):
     for name, layout in _LAYOUTS[graph.dimension].items():
         if not layout.slots or max(layout.slots) < 2:
             continue
-        binds = [QUADRATIC.bind] * (len(set(layout.slots)) < len(layout.slots))
-        balance_family = PotentialFamily(
-            family.name, lambda dbar: (binds.pop() if binds else family.bind)(dbar))
+        binds = [QUADRATIC] * (len(set(layout.slots)) < len(layout.slots))
+        monkeypatch.setattr(oracle, "evaluators",
+                            lambda f: potentials.evaluators(binds.pop() if binds else f))
         with pytest.raises(OracleError, match="recorded"):
-            layout.solve(graph, balance_family)
+            layout.solve(graph, family)
         assert binds == [], name
         slots = np.array(layout.slots)
         box = [max(db for e, ((i, j), db) in enumerate(zip(graph.edges, graph.desired))

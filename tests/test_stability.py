@@ -29,7 +29,7 @@ from rigidflex.stability import (
     classify,
     verify_angle_inequalities,
 )
-from references import balance_residuals, psd_check
+from references import balance_residuals, bind, psd_check
 from test_integrator import counting_pass
 
 RNG = np.random.default_rng(7)
@@ -252,7 +252,7 @@ def test_flex_sum_witness_form_equals_flex_gradient():
         w = analyze(p, g, QUADRATIC).witness
         assert w.tag == "flex_sum"
         dbar_f = g.desired[g.flex_edge_index]
-        g_f = QUADRATIC.bind(np.asarray(dbar_f))[1](np.asarray(-dbar_f**2))
+        g_f = bind(QUADRATIC, np.asarray(dbar_f))[1](np.asarray(-dbar_f**2))
         assert w.quadratic_form == pytest.approx(float(g_f), abs=1e-12)
 
 
