@@ -56,7 +56,6 @@ from .stability import (
     analyze,
     assemble_hessian,
     classify,
-    verify_angle_inequalities,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,8 @@ pass behind ``edge_states``, ``gradient_control`` and ``potential_value``
 (``_pass`` makes it alone) and behind each ``integrate`` segment start;
 ``advance`` is the integrator's RK4 loop.  The pass sums on Python floats
 in edge order, so no result depends on how a BLAS sums.  ``LeaderSpec``
-holds the flex agent's leader input and its arrival test.
+holds the flex agent's leader input as values, a windowed one as a sample
+table that the generated step looks up inline, and its arrival test.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import builtins
 import functools
 import linecache
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from types import FunctionType
-from typing import Callable
 
 import numpy as np
 
@@ -110,42 +111,59 @@ def _pass(graph: FormationGraph, family: PotentialFamily):
 
 @dataclass(frozen=True)
 class LeaderSpec:
-    """Additional flex-agent input of the closed loop.  ``integrate``'s
-    compiled step adds it to the control and its target potential to V;
-    ``arrived`` takes a flat, node-major state: a list or a 1-D array of
-    (N+1) d numbers, the flex agent's d coordinates last.
+    """Additional flex-agent input of the closed loop, as values only, so
+    that equal specs are equal and hash alike.  ``integrate``'s compiled
+    step adds it to the control and its target potential to V; ``arrived``
+    takes a flat, node-major state: a list or a 1-D array of (N+1) d
+    numbers, the flex agent's d coordinates last.
 
     mode 'none'     : plain gradient law.
-    mode 'windowed' : v(t) active only on [t0, tf], zero outside.
+    mode 'windowed' : v(t) on [t0, tf], zero outside; v(t) is the row of
+                      ``values`` at the last of ``times`` at or before t,
+                      the first row before the first time.
     mode 'target'   : v(t) = k_f * (p_t - p_flex), pulls the flex agent to p_t.
     """
 
     mode: str = "none"
-    v: Callable[[float], object] | None = None      # d numbers: a tuple, list or array
     t0: float = 0.0
     tf: float = 0.0
+    times: tuple = ()       # strictly increasing sample times
+    values: tuple = ()      # one tuple of d velocity components per sample time
     k_f: float = 0.0
-    p_t: np.ndarray | None = None
+    p_t: tuple = ()
 
     def __post_init__(self):
         if self.mode not in ("none", "windowed", "target"):
             raise ValueError(f"unknown leader mode {self.mode!r}")
-        if self.mode == "windowed":
-            if self.v is None or not np.isfinite([self.t0, self.tf]).all() or self.tf < self.t0:
-                raise ValueError("windowed mode needs v(t) and a finite window [t0, tf]")
-        if self.mode == "target":
-            object.__setattr__(self, "p_t", np.asarray(self.p_t, dtype=float))    # NaN for None
-            if not (0 < self.k_f < np.inf and np.isfinite(self.p_t).all()):     # False for NaN
-                raise ValueError("target mode needs a finite k_f > 0 and a finite target point")
+        fields = {"t0": float(self.t0), "tf": float(self.tf), "k_f": float(self.k_f),
+                  "times": _floats(self.times, "windowed times"),
+                  "values": tuple(_floats(row, "windowed v rows") for row in self.values),
+                  "p_t": _floats(self.p_t, "target p_t")}
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+        times, values = self.times, self.values
+        if self.mode == "windowed" and not (
+                all(map(math.isfinite, (self.t0, self.tf, *times)))
+                and all(all(map(math.isfinite, row)) for row in values)
+                and self.t0 <= self.tf and times and len(times) == len(values)
+                and all(a < b for a, b in zip(times, times[1:]))
+                and len({len(row) for row in values}) == 1 and values[0]):
+            raise ValueError("windowed mode needs a finite window t0 <= tf and a non-empty "
+                             "table of finite samples, times strictly increasing and rows "
+                             "of equal width")
+        if self.mode == "target" and not (0 < self.k_f < math.inf and self.p_t     # False for NaN
+                                          and all(map(math.isfinite, self.p_t))):
+            raise ValueError("target mode needs a finite k_f > 0 and a target p_t of "
+                             "finite coordinates")
 
     def check(self, dimension: int) -> LeaderSpec:
-        """This spec; ValueError unless a target point, or a windowed
-        velocity at t0, has ``dimension`` coordinates (the flat state has no
-        rows to tell the flex agent's coordinates by)."""
-        if self.mode == "target" and self.p_t.shape != (dimension,):
+        """This spec; ValueError unless a target point, or each windowed
+        sample, has ``dimension`` coordinates (the flat state has no rows to
+        tell the flex agent's coordinates by)."""
+        if self.mode == "target" and len(self.p_t) != dimension:
             raise ValueError(f"target p_t must be {dimension} finite coordinates")
-        if self.mode == "windowed" and np.shape(self.v(self.t0)) != (dimension,):
-            raise ValueError(f"windowed v(t) must be {dimension} velocity components")
+        if self.mode == "windowed" and len(self.values[0]) != dimension:
+            raise ValueError(f"windowed v rows must be {dimension} velocity components")
         return self
 
     def arrived(self, state) -> bool:
@@ -154,34 +172,50 @@ class LeaderSpec:
         if self.mode != "target":
             return False
         total = 0.0
-        for target, x in zip(self.p_t.tolist(), state[len(state) - len(self.p_t):]):
+        for target, x in zip(self.p_t, state[len(state) - len(self.p_t):]):
             total += (target - x) * (target - x)
         return math.sqrt(total) < 1e-3
 
 
+def _floats(xs, what: str) -> tuple:
+    """``xs``, a list, tuple or 1-D array of real numbers, as a tuple of
+    floats; ValueError for anything else (a scalar, a string, nested rows)."""
+    try:
+        row = None if isinstance(xs, str) else tuple(xs)
+    except TypeError:
+        row = None
+    if row is None or not all(isinstance(x, numbers.Real) for x in row):
+        raise ValueError(f"{what} must be a list of numbers, got {xs!r}")
+    return tuple(map(float, row))
+
+
+# the keys of a leader document besides "mode", per mode
+_LEADER_KEYS = {"target": ("k_f", "p_t"), "windowed": ("t0", "tf", "v")}
+
+
 def leader_spec_from_json(doc) -> LeaderSpec:
-    """Parse {"mode": ...} leader documents; piecewise-constant samples for
-    windowed mode as {"t0":, "tf":, "v": [[t, vx, vy(, vz)], ...]}, finite,
-    t strictly increasing.  The dimension is ``LeaderSpec.check``'s to test."""
-    if not isinstance(doc, (dict, type(None))):
+    """The spec of a leader document: null, {} or {"mode": "none"};
+    {"mode": "target", "k_f":, "p_t": [...]}; or {"mode": "windowed",
+    "t0":, "tf":, "v": [[t, vx, vy(, vz)], ...]}, each row a sample time and
+    its velocity.  A document takes exactly its mode's keys, and ValueError
+    names any other; ``LeaderSpec`` checks the values, and
+    ``LeaderSpec.check`` the dimension."""
+    if doc is None:
+        return LeaderSpec()
+    if not isinstance(doc, dict):
         raise ValueError(f"a leader document is an object or null, got {doc!r}")
-    mode = "none" if doc is None else doc.get("mode", "none")
+    mode = doc.get("mode", "none")
+    unknown = sorted(doc.keys() - {"mode", *_LEADER_KEYS.get(mode, ())})
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)} in a leader document "
+                         f"of mode {mode!r}")
     if mode == "target":
-        return LeaderSpec(mode="target", k_f=float(doc["k_f"]), p_t=doc["p_t"])
+        return LeaderSpec(mode, k_f=doc["k_f"], p_t=doc["p_t"])
     if mode == "windowed":
-        samples = np.asarray(doc["v"], dtype=float)
-        if (samples.ndim != 2 or samples.shape[1] < 2
-                or not np.isfinite(samples).all() or (np.diff(samples[:, 0]) <= 0).any()):
-            raise ValueError("windowed v must be a non-empty list of finite [t, velocity "
-                             "components] rows, t strictly increasing")
-        times, values = samples[:, 0].tolist(), [tuple(row) for row in samples[:, 1:].tolist()]
-
-        def v(t, times=times, values=values):
-            """The last sample at or before t, the first before the first."""
-            return values[max(bisect.bisect_right(times, t) - 1, 0)]
-
-        return LeaderSpec(mode="windowed", v=v, t0=float(doc["t0"]), tf=float(doc["tf"]))
-    return LeaderSpec(mode=mode)            # "none", or LeaderSpec's unknown-mode error
+        v = doc["v"]
+        return LeaderSpec(mode, t0=doc["t0"], tf=doc["tf"], times=[t for t, *_ in v],
+                          values=[row for _, *row in v])
+    return LeaderSpec(mode)                 # "none", or LeaderSpec's unknown-mode error
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +260,16 @@ def _edge_pass(x, u, tails, heads, d, family) -> list[str]:
 
 def _leader_input(mode, time, x, u, flex) -> list[str]:
     """Source lines that add the leader input at ``time`` to the flex
-    agent's control names: k_f (p_t - p_flex) in target mode, v(time) on
-    [t0, tf] in windowed mode, each component as a float."""
+    agent's control names: k_f (p_t - p_flex) in target mode; on [t0, tf]
+    in windowed mode, the row of the sample table at the last sample time
+    at or before ``time``, the first row before the first time."""
     if mode == "target":
         return [f"{u[c]} += k_f * (pt_{k} - {x[c]})" for k, c in enumerate(flex)]
     if mode == "windowed":
         return [f"if t0 <= {time} <= tf:",
-                f"    [{', '.join(f'v{k}' for k in range(len(flex)))}] = vel({time})",
-                *(f"    {u[c]} += float(v{k})" for k, c in enumerate(flex))]
+                f"    {', '.join(f'v{k}' for k in range(len(flex)))}, = "
+                f"values[max(bisect_right(times, {time}) - 1, 0)]",
+                *(f"    {u[c]} += v{k}" for k, c in enumerate(flex))]
     return []
 
 
@@ -249,7 +285,7 @@ def _step_source(tails, heads, n, d, family, mode, name) -> str:
     if mode == "target":
         bound.update(k_f="K_F", **{f"pt_{k}": f"PT_{k}" for k in range(d)})
     elif mode == "windowed":
-        bound.update(t0="T0", tf="TF", vel="V")
+        bound.update(t0="T0", tf="TF", times="TIMES", values="VALUES")
     constants = f"{', '.join(bound)}, = {', '.join(bound.values())},"
 
     def closing(x, u):
@@ -330,15 +366,16 @@ def _shape(graph: FormationGraph) -> tuple:
 def _constants(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec) -> dict:
     """The globals of the bound code: the family's numpy evaluators PHI, G
     and RHO for ``_on_numpy``, each edge's dbar^2 as D2_k, and the leader's
-    k_f and p_t, or t0, tf and v."""
-    names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "isfinite": math.isfinite}
+    k_f and p_t, or t0, tf and its sample table as TIMES and VALUES."""
+    names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "isfinite": math.isfinite,
+             "bisect_right": bisect.bisect_right}
     names["PHI"], names["G"], names["RHO"] = evaluators(family)
     names.update((f"D2_{k}", dbar2) for k, dbar2 in enumerate(graph._dbar2.tolist()))
     if leader.mode == "target":
         names["K_F"] = leader.k_f
-        names.update((f"PT_{k}", x) for k, x in enumerate(leader.p_t.tolist()))
+        names.update((f"PT_{k}", x) for k, x in enumerate(leader.p_t))
     elif leader.mode == "windowed":
-        names.update(T0=leader.t0, TF=leader.tf, V=leader.v)
+        names.update(T0=leader.t0, TF=leader.tf, TIMES=leader.times, VALUES=leader.values)
     return names
 
 

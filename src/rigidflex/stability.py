@@ -30,13 +30,12 @@ from its scenario; the PSD tolerance is derived from H.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control import EQ_TOL, EdgeState, _check_eq_tol, _shape, edge_states
-from .graph import FormationGraph, as_positions, simplex_gram
+from .graph import FormationGraph, as_positions
 from .potentials import PotentialDomainError, PotentialFamily
 
 SHAPE_TOL = 1e-6        # max |e| for the desired-shape set
@@ -353,7 +352,7 @@ def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
 @dataclass(frozen=True)
 class Claim:
     description: str
-    value: float                    # arrays, from a stacked verify_angle_inequalities
+    value: float
     passed: bool
 
 
@@ -448,54 +447,6 @@ def _claims(st: EdgeState, graph: FormationGraph, cls: EquilibriumClass) -> list
     g = dict(zip(graph.edges, st.g.tolist()))
     return [_claim(spec, cls.roles, g)
             for spec in SIGN_CLAIMS[graph.dimension][cls.subform]]
-
-
-# ---------------------------------------------------------------------------
-# Tetrahedron angle inequalities
-
-
-_APEX_FIRST = np.array([[apex, *(x for x in range(4) if x != apex)] for apex in range(4)])
-
-
-def verify_angle_inequalities(lengths) -> list[Claim]:
-    """Vertex-angle inequalities for realizable tetrahedra.
-
-    ``lengths`` maps unordered vertex pairs from {1,2,3,4} to edge lengths,
-    each a float or an array, all of one shape; each claim's value and
-    verdict take that shape.  At every vertex the three face angles satisfy
-    each pairwise sum exceeding the third and a total below 360 degrees.
-    Each angle comes from the Gram matrix at its apex (``simplex_gram``),
-    cos = G_bc / (sqrt(G_bb) sqrt(G_cc)).  Raises ValueError unless every
-    length set embeds as a non-degenerate tetrahedron: a finite Cholesky
-    factor of the Gram matrix at vertex 1.
-    """
-    dist = {tuple(sorted(pair)): val for pair, val in dict(lengths).items()}
-    if sorted(dist) != list(itertools.combinations(range(1, 5), 2)):
-        raise ValueError("need all six edge lengths of a tetrahedron on nodes 1..4")
-    sq = np.zeros(np.broadcast_shapes(*map(np.shape, dist.values())) + (4, 4))
-    for (a, b), val in dist.items():
-        sq[..., a - 1, b - 1] = sq[..., b - 1, a - 1] = np.square(val)
-    # the Gram matrix at each apex, the other vertices in ascending order
-    gram = simplex_gram(sq[..., _APEX_FIRST[:, :, None], _APEX_FIRST[:, None, :]])
-    try:
-        if not np.isfinite(np.linalg.cholesky(gram[..., 0, :, :])).all():
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        raise ValueError("edge lengths do not embed as a non-degenerate tetrahedron") from None
-    b, c = [0, 0, 1], [1, 2, 2]
-    norm = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))       # edge lengths at the apex
-    cos = gram[..., b, c] / (norm[..., b] * norm[..., c])
-    th = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
-    th = np.moveaxis(th, (-2, -1), (0, 1))                      # (apex, pair, ...)
-    total = th.sum(axis=1)
-    claims = []
-    for apex in range(4):
-        claims.append(Claim(f"angle sum at {apex + 1} < 360", total[apex], total[apex] < 360.0))
-        for a in range(3):
-            rest = total[apex] - th[apex, a]
-            claims.append(Claim(f"vertex {apex + 1}: pair sum > third (drop {a})",
-                                rest - th[apex, a], rest > th[apex, a]))
-    return claims
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Independent reference implementations that the tests compare the package against."""
 
+import itertools
 import math
 
 import numpy as np
 
 from rigidflex.control import gradient_control
+from rigidflex.graph import simplex_gram
 from rigidflex.integrator import integrate
 from rigidflex.oracle import newton_polish
 from rigidflex.potentials import evaluators
-from rigidflex.stability import classify
+from rigidflex.stability import Claim, classify
 
 
 def bind(family, dbar):
@@ -19,6 +21,16 @@ def bind(family, dbar):
     return tuple(lambda e, f=f: f(e, d2) for f in evaluators(family))
 
 
+def leader_velocity(spec, t):
+    """A windowed spec's sample at t by a scan of its table: the row of the
+    last sample time at or before t, the first row before the first time."""
+    row = spec.values[0]
+    for time, value in zip(spec.times, spec.values):
+        if time <= t:
+            row = value
+    return row
+
+
 def leader_control(p, t, graph, family, spec):
     """Gradient control plus the leader input on the flex block, on numpy
     arrays, written from the spec's fields apart from ``leader_input``."""
@@ -26,9 +38,9 @@ def leader_control(p, t, graph, family, spec):
     d = graph.dimension
     p_flex = np.asarray(p, dtype=float).reshape(-1)[-d:]
     if spec.mode == "target":
-        u[-d:] += spec.k_f * (spec.p_t - p_flex)
+        u[-d:] += spec.k_f * (np.array(spec.p_t) - p_flex)
     elif spec.mode == "windowed" and spec.t0 <= t <= spec.tf:
-        u[-d:] += np.asarray(spec.v(t), dtype=float)
+        u[-d:] += np.array(leader_velocity(spec, t))
     return u
 
 
@@ -36,13 +48,13 @@ def leader_input(spec, t, state, u):
     """The reference leader law on a flat, node-major state (flex agent
     last): add the input at time t in place to the flex entries of the
     control list ``u`` and return ``u``, k_f (p_t - p_flex) in target mode
-    and v(t) on [t0, tf] in windowed mode."""
+    and ``leader_velocity`` on [t0, tf] in windowed mode."""
     if spec.mode == "target":
         k_f, flex = spec.k_f, len(u) - len(spec.p_t)
-        for c, target in enumerate(spec.p_t.tolist(), flex):
+        for c, target in enumerate(spec.p_t, flex):
             u[c] += k_f * (target - state[c])
     elif spec.mode == "windowed" and spec.t0 <= t <= spec.tf:
-        v = np.asarray(spec.v(t), dtype=float).tolist()
+        v = leader_velocity(spec, t)
         for c, vc in enumerate(v, len(u) - len(v)):
             u[c] += vc
     return u
@@ -54,7 +66,7 @@ def leader_potential(spec, state):
     if spec.mode != "target":
         return 0.0
     total = 0.0
-    for target, x in zip(spec.p_t.tolist(), state[len(state) - len(spec.p_t):]):
+    for target, x in zip(spec.p_t, state[len(state) - len(spec.p_t):]):
         total += (target - x) * (target - x)
     return 0.5 * spec.k_f * total
 
@@ -232,3 +244,47 @@ def capture_from_flow(p0, graph, family, t_end):
     p = newton_polish(traj.states[np.argmin(np.abs(traj.times - hit))], graph, family)
     p = p.reshape(graph.num_nodes, graph.dimension)
     return p, classify(p, graph, family)
+
+
+_APEX_FIRST = np.array([[apex, *(x for x in range(4) if x != apex)] for apex in range(4)])
+
+
+def verify_angle_inequalities(lengths) -> list[Claim]:
+    """Vertex-angle inequalities for realizable tetrahedra.
+
+    ``lengths`` maps unordered vertex pairs from {1,2,3,4} to edge lengths,
+    each a float or an array, all of one shape; each claim's value and
+    verdict take that shape.  At every vertex the three face angles satisfy
+    each pairwise sum exceeding the third and a total below 360 degrees.
+    Each angle comes from the Gram matrix at its apex (``simplex_gram``),
+    cos = G_bc / (sqrt(G_bb) sqrt(G_cc)).  Raises ValueError unless every
+    length set embeds as a non-degenerate tetrahedron: a finite Cholesky
+    factor of the Gram matrix at vertex 1.
+    """
+    dist = {tuple(sorted(pair)): val for pair, val in dict(lengths).items()}
+    if sorted(dist) != list(itertools.combinations(range(1, 5), 2)):
+        raise ValueError("need all six edge lengths of a tetrahedron on nodes 1..4")
+    sq = np.zeros(np.broadcast_shapes(*map(np.shape, dist.values())) + (4, 4))
+    for (a, b), val in dist.items():
+        sq[..., a - 1, b - 1] = sq[..., b - 1, a - 1] = np.square(val)
+    # the Gram matrix at each apex, the other vertices in ascending order
+    gram = simplex_gram(sq[..., _APEX_FIRST[:, :, None], _APEX_FIRST[:, None, :]])
+    try:
+        if not np.isfinite(np.linalg.cholesky(gram[..., 0, :, :])).all():
+            raise np.linalg.LinAlgError
+    except np.linalg.LinAlgError:
+        raise ValueError("edge lengths do not embed as a non-degenerate tetrahedron") from None
+    b, c = [0, 0, 1], [1, 2, 2]
+    norm = np.sqrt(np.diagonal(gram, axis1=-2, axis2=-1))       # edge lengths at the apex
+    cos = gram[..., b, c] / (norm[..., b] * norm[..., c])
+    th = np.degrees(np.arccos(np.clip(cos, -1.0, 1.0)))
+    th = np.moveaxis(th, (-2, -1), (0, 1))                      # (apex, pair, ...)
+    total = th.sum(axis=1)
+    claims = []
+    for apex in range(4):
+        claims.append(Claim(f"angle sum at {apex + 1} < 360", total[apex], total[apex] < 360.0))
+        for a in range(3):
+            rest = total[apex] - th[apex, a]
+            claims.append(Claim(f"vertex {apex + 1}: pair sum > third (drop {a})",
+                                rest - th[apex, a], rest > th[apex, a]))
+    return claims

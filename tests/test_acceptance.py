@@ -23,8 +23,8 @@ from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.integrator import integrate, random_perturbation
 from rigidflex.oracle import build_catalog, construct_equilibrium, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
-from rigidflex.stability import analyze, assemble_hessian, verify_angle_inequalities
-from references import local_frame_control
+from rigidflex.stability import analyze, assemble_hessian
+from references import local_frame_control, verify_angle_inequalities
 
 EPS_EIG_REL = 1e-8
 WITNESS_MARGIN = 1e-10
@@ -128,7 +128,7 @@ def test_criterion_02_spatial_reproduction(run_3d):
 def test_criterion_03_leader_scenarios(leader_runs):
     """Flex agent reaches the target point while the shape converges."""
     for name, (traj, spec) in leader_runs.items():
-        pos = traj.final_state.reshape(-1, spec.p_t.size)
+        pos = traj.final_state.reshape(-1, len(spec.p_t))
         gap = np.linalg.norm(pos[-1] - spec.p_t)
         assert gap < 1e-3, name
         assert np.abs(traj.edge_errors[-1]).max() < 1e-6, name

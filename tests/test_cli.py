@@ -210,6 +210,27 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("leader, stray", [
+    ({"k_f": 5.0, "p_t": [10.0, 10.0]}, "k_f, p_t"),
+    ({"mode": "target", "k_f": 5.0, "p_t": [10.0, 10.0], "tf": 1.0}, "tf"),
+    ({"mode": "none", "t0": 0.0}, "t0"),
+    ({"mode": "windowed", "t0": 0.0, "tf": 1.0, "v": [[0.0, 1.0, 0.0]], "p_t": [1.0, 1.0]},
+     "p_t"),
+], ids=["target_without_mode", "target_with_tf", "none_with_t0", "windowed_with_p_t"])
+def test_leader_document_takes_only_its_own_keys(tmp_path, capsys, leader, stray):
+    """triangle_flex_leader whose leader document holds a key that its mode
+    does not take (a target document without its mode is a 'none' one)
+    exits 2 before the first step, naming the key, not run without it."""
+    doc = _resolve_scenario("triangle_flex_leader")
+    doc["leader"] = leader
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and f"unknown key(s) {stray} in a leader document" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_whose_step_diverges_exits_numeric_without_warnings(tmp_path, capsys):
     """triangle_flex_2d in one step of 1 s overflows; the Lyapunov guard
     turns the non-finite state into exit 3, with no RuntimeWarning on the

@@ -1,6 +1,8 @@
 """Gradient control law, leader variants, and frame-independence."""
 
 import contextlib
+import json
+import math
 import warnings
 
 import numpy as np
@@ -21,6 +23,7 @@ from references import (
     leader_control,
     leader_input,
     leader_potential,
+    leader_velocity,
     local_frame_control,
 )
 
@@ -145,8 +148,8 @@ def test_windowed_leader_switches_off():
     np.testing.assert_allclose(input_rows(spec, 1.7, state)[-1], [1.0, 0.0])
     np.testing.assert_allclose(input_rows(spec, 2.5, state)[-1], [0.0, 0.0])
     # v(t) is the last sample at or before t, and the first before the first
-    assert [list(spec.v(t)) for t in (0.2, 1.0, 1.4999, 1.5, 9.0)] == \
-        [[0.5, -0.5]] * 3 + [[1.0, 0.0]] * 2
+    assert [leader_velocity(spec, t) for t in (0.2, 1.0, 1.4999, 1.5, 9.0)] == \
+        [(0.5, -0.5)] * 3 + [(1.0, 0.0)] * 2
     assert leader_potential(spec, state.reshape(-1)) == 0.0 and not spec.arrived(state.reshape(-1))
 
 
@@ -165,7 +168,7 @@ def test_leader_mode_validation():
     with pytest.raises(ValueError):
         LeaderSpec(mode="target", k_f=0.0, p_t=np.zeros(2))
     with pytest.raises(ValueError):
-        LeaderSpec(mode="windowed", v=None, t0=0.0, tf=1.0)
+        LeaderSpec(mode="windowed", t0=0.0, tf=1.0)
     with pytest.raises(ValueError):
         LeaderSpec(mode="orbit")
     # a leader document that is not an object, or a windowed table with no velocity column
@@ -173,6 +176,53 @@ def test_leader_mode_validation():
                 {"mode": "windowed", "t0": 0.0, "tf": 1.0, "v": [[0.0]]}):
         with pytest.raises(ValueError):
             leader_spec_from_json(doc)
+
+
+LEADER_DOCS = [
+    {"mode": "target", "k_f": 5.0, "p_t": [10.0, 10.0]},
+    {"mode": "windowed", "t0": 0.1, "tf": 0.4, "v": [[0.15, 2.0, -1.0], [0.25, -3.0, 0.25]]},
+    None,
+]
+
+
+def plain_values(x):
+    """Whether ``x`` is a str, a float or a tuple of such values, nested."""
+    return type(x) in (str, float) or (type(x) is tuple and all(map(plain_values, x)))
+
+
+def test_leader_spec_is_a_value():
+    """Equal leader documents give equal specs that hash alike and key a
+    dict, and every field is a str, a float or a tuple of floats.  A
+    target point given as a list, a tuple, an array or integers is one
+    spec; null, {} and {"mode": "none"} are the plain law."""
+    specs = [leader_spec_from_json(doc) for doc in LEADER_DOCS]
+    again = [leader_spec_from_json(json.loads(json.dumps(doc))) for doc in LEADER_DOCS]
+    assert specs == again and list(map(hash, specs)) == list(map(hash, again))
+    assert {spec: k for k, spec in enumerate(specs)}[again[1]] == 1 and len(set(specs)) == 3
+    assert all(plain_values(value) for spec in specs for value in vars(spec).values())
+    points = ([10.0, 10.0], (10.0, 10.0), np.array([10.0, 10.0]), [10, 10])
+    assert {LeaderSpec(mode="target", k_f=5, p_t=point) for point in points} == {specs[0]}
+    assert [leader_spec_from_json(doc) for doc in (None, {}, {"mode": "none"})] == \
+        [LeaderSpec()] * 3 == [specs[2]] * 3
+
+
+@pytest.mark.parametrize("times, values", [
+    ([0.0, 1.0], [(1.0, 0.0), (math.nan, 0.0)]),
+    ([0.0, math.inf], [(1.0, 0.0), (0.0, 1.0)]),
+    ([0.0, 1.0], [(1.0, 0.0), (1.0,)]),
+    ([0.0, 0.0], [(1.0, 0.0), (0.0, 1.0)]),
+    ([1.0, 0.5], [(1.0, 0.0), (0.0, 1.0)]),
+    ([], []),
+    ([0.0], [()]),
+    ([0.0, 1.0], [(1.0, 0.0)]),
+], ids=["nan_sample", "inf_time", "ragged", "repeated_time", "decreasing_time", "empty",
+        "no_component", "unpaired_time"])
+def test_windowed_table_refused(times, values):
+    """A non-finite sample, ragged rows, times not strictly increasing, an
+    empty table, rows with no component and a time without a row are
+    refused when the spec is made."""
+    with pytest.raises(ValueError, match="windowed mode needs"):
+        LeaderSpec(mode="windowed", t0=0.0, tf=1.0, times=times, values=values)
 
 
 # ---------------------------------------------------------------------------

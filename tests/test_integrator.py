@@ -1,5 +1,6 @@
 """Closed-loop integration: events, equilibrium detection, monotonicity."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,7 +12,8 @@ import warnings
 import numpy as np
 import pytest
 
-from rigidflex.control import LeaderSpec, potential_value
+from rigidflex.cli import _resolve_scenario
+from rigidflex.control import LeaderSpec, _compiled_step, leader_spec_from_json, potential_value
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.integrator import (
     IntegrationError,
@@ -21,7 +23,7 @@ from rigidflex.integrator import (
     random_perturbation,
 )
 from rigidflex.oracle import build_catalog, desired_equilibrium
-from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily, evaluators
+from rigidflex.potentials import FAMILIES, QUADRATIC, RATIONAL, PotentialFamily, evaluators
 from rigidflex.stability import analyze
 from references import apply_perturbation, balance_residuals, gradient_norm, leader_control
 
@@ -168,18 +170,19 @@ def test_target_point_of_the_wrong_shape_rejected(p_t):
     """A target point that is not d coordinates is refused before the first
     step, not broadcast against the flex agent's position."""
     g = triangle_flex()
-    spec = LeaderSpec(mode="target", k_f=5.0, p_t=p_t)
     with pytest.raises(ValueError, match="target p_t"):
+        spec = LeaderSpec(mode="target", k_f=5.0, p_t=p_t)
         integrate(desired_equilibrium(g), g, QUADRATIC, t_end=1.0, leader=spec)
 
 
 @pytest.mark.parametrize("v", [[1.0], 1.0, [1.0, 1.0, 1.0]])
 def test_windowed_velocity_of_the_wrong_shape_rejected(v):
-    """A windowed velocity that is not d components is refused before the
-    first step: on the flat state, three components would move agent 3 too."""
+    """A windowed velocity sample that is not d components is refused before
+    the first step: on the flat state, three components would move agent 3
+    too."""
     g = triangle_flex()
-    spec = LeaderSpec(mode="windowed", v=lambda t: np.asarray(v), t0=0.0, tf=0.5)
     with pytest.raises(ValueError, match="windowed v"):
+        spec = LeaderSpec(mode="windowed", times=[0.0], values=[v], t0=0.0, tf=0.5)
         integrate(desired_equilibrium(g), g, QUADRATIC, t_end=1.0, leader=spec)
 
 
@@ -242,13 +245,76 @@ def test_lyapunov_increase_leaves_out_the_steps_of_a_windowed_input():
     state it is the largest rise outside the window, and a step inside it
     rose by more than the CLI's 1e-10 slack."""
     g = triangle_flex()
-    spec = LeaderSpec(mode="windowed", v=lambda t: np.array([1.0, 0.0]), t0=0.5, tf=1.0)
+    spec = LeaderSpec(mode="windowed", times=[0.0], values=[(1.0, 0.0)], t0=0.5, tf=1.0)
     traj = integrate(desired_equilibrium(g), g, QUADRATIC, t_end=2.0, dt=1e-3, leader=spec,
                      record_every=1)
     rise = np.diff([potential_value(s, g, QUADRATIC) for s in traj.states])
     meets = (traj.times[:-1] <= spec.tf) & (traj.times[1:] >= spec.t0)
     assert traj.max_lyapunov_increase == rise[~meets].max()
     assert rise[meets].max() > 1e-10
+
+
+# no edge force: a step moves the flex agent by the leader input alone
+INERT = PotentialFamily("inert", "0.0", "0.0", "0.0")
+
+
+@pytest.mark.parametrize("t, rows", [
+    (0.0, (0, 0, 0)),           # every stage before the first sample time
+    (1.0, (0, 0, 0)),           # the first stage at the first sample time
+    (1.5, (0, 0, 1)),           # the last stage at the second sample time
+    (2.0, (1, 1, 1)),           # the first stage at the second sample time
+    (2.25, (1, 1, 1)),          # every stage between two sample times
+    (2.75, (1, 2, 2)),          # the middle stages at the last sample time
+    (3.5, (2, 2, 2)),           # every stage after the last sample time
+])
+def test_windowed_step_looks_up_the_last_sample_at_or_before_each_stage(t, rows):
+    """One RK4 step of h = 0.5 from t, with no edge force, moves the flex
+    agent by (h/6) (((v(t) + 2 v(t + h/2)) + 2 v(t + h/2)) + v(t + h)),
+    where v(s) is the table's row at the last sample time at or before s,
+    the first row before the first time; no other agent moves."""
+    g = triangle_flex()
+    values = [(1.0, -1.0), (16.0, -16.0), (256.0, -256.0)]
+    spec = LeaderSpec(mode="windowed", t0=0.0, tf=10.0, times=[1.0, 2.0, 3.0], values=values)
+    advance, evaluate = _compiled_step(g, INERT, spec)
+    p = desired_equilibrium(g).ravel().tolist()
+    k1, _, w = evaluate(p)[:3]
+    state, _, _, _, time, _ = advance(p, k1, w, t, t + 0.5, 0.5, 1, -math.inf)
+    a, b, c = (values[k] for k in rows)
+    sixth = 0.5 / 6.0
+    assert time == t + 0.5
+    assert state == p[:-2] + [x + (((va + 2.0 * vb) + 2.0 * vb) + vc) * sixth
+                              for x, va, vb, vc in zip(p[-2:], a, b, c)]
+
+
+# SHA-256 of the CSVs of windowed runs, taken before the leader table was
+# looked up inline: window [0.1, 0.4], which starts before the first sample
+# time 0.15 and covers the samples at 0.15, 0.25, 0.3 and 0.35
+WINDOWED_CSV_SHA256 = {
+    ("triangle", "quadratic"): "e50b9396696edaaaca9f922d22330b029aa823fb507f50d3c7d0a33f34f6daf4",
+    ("triangle", "rational"): "5147f62d6fb7a56c5d9a75098ec0a74a7006d698512db75f4b7bc408a76d17ca",
+    ("tetrahedron", "quadratic"):
+        "236f4f1fe4392328da0384fb768a3b933153aeaedc0fa014ae1513c47fc6ad42",
+    ("tetrahedron", "rational"):
+        "3aa45cbfd40fbc9f52afe75222cab1f87f48229489118aafa28af53e1104101a",
+}
+
+
+@pytest.mark.parametrize("graph_name, family_name", sorted(WINDOWED_CSV_SHA256))
+def test_windowed_run_csv_bytes_are_pinned(tmp_path, graph_name, family_name):
+    """A windowed run from the leader scenario's start, recording every
+    step to t = 0.5, writes the pinned CSV bytes."""
+    graph, p0 = {"triangle": (triangle_flex(), _resolve_scenario("triangle_flex_leader")),
+                 "tetrahedron": (tetrahedron_flex(), _resolve_scenario("tetra_flex_leader"))
+                 }[graph_name]
+    rows = [[0.15, 2.0, -1.0, 0.5], [0.25, -3.0, 0.25, 1.5], [0.3, 0.75, 4.0, -2.0],
+            [0.35, 1.0, 1.0, 1.0], [0.5, -8.0, 8.0, -8.0]]
+    spec = leader_spec_from_json({"mode": "windowed", "t0": 0.1, "tf": 0.4,
+                                  "v": [row[:1 + graph.dimension] for row in rows]})
+    traj = integrate(p0["initial"], graph, FAMILIES[family_name], t_end=0.5, leader=spec,
+                     record_every=1)
+    traj.to_csv(tmp_path / "run.csv")
+    digest = hashlib.sha256((tmp_path / "run.csv").read_bytes()).hexdigest()
+    assert digest == WINDOWED_CSV_SHA256[graph_name, family_name]
 
 
 def test_trajectory_csv_round_trip(tmp_path):
@@ -441,7 +507,7 @@ def test_windowed_run_shares_evaluate_with_a_plain_run(monkeypatch):
     control._step_code.cache_clear()
     g = triangle_flex()
     integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.01)
-    window = LeaderSpec(mode="windowed", v=lambda t: (1.0, 0.0), t0=0.0, tf=0.005)
+    window = LeaderSpec(mode="windowed", times=[0.0], values=[(1.0, 0.0)], t0=0.0, tf=0.005)
     integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.01, leader=window)
     assert sum(source.count("def evaluate(") for source in sources) == 1
     assert sum(source.count("def advance(") for source in sources) == 2
@@ -457,7 +523,7 @@ def test_second_integrate_of_a_shape_compiles_nothing(monkeypatch, mode):
     def leader(k):
         return {"none": LeaderSpec(),
                 "target": LeaderSpec(mode="target", k_f=5.0 + k, p_t=[k, -k]),
-                "windowed": LeaderSpec(mode="windowed", v=lambda t: np.full(2, k),
+                "windowed": LeaderSpec(mode="windowed", times=[0.0], values=[(k, k)],
                                        t0=0.01 * k, tf=0.02 * k)}[mode]
 
     g = triangle_flex()
@@ -587,7 +653,8 @@ def test_integrate_matches_reference_rk4_on_public_control(graph, family, mode):
     p0 = desired_equilibrium(graph) + 0.05 * rng.standard_normal((graph.num_nodes, d))
     leader = {
         "none": LeaderSpec(),
-        "windowed": LeaderSpec(mode="windowed", v=lambda t: np.full(d, 0.5), t0=0.1, tf=0.2),
+        "windowed": LeaderSpec(mode="windowed", times=[0.0], values=[(0.5,) * d],
+                               t0=0.1, tf=0.2),
         "target": LeaderSpec(mode="target", k_f=200.0, p_t=p0[-1] + 0.01),
     }[mode]
     ref_states, ref_log = reference_rk4(p0, graph, family, 0.3, 1e-3, leader, eq_tol=0.1)
@@ -598,13 +665,14 @@ def test_integrate_matches_reference_rk4_on_public_control(graph, family, mode):
     assert traj.events == ref_log
 
 
-def test_non_finite_leader_input_mid_run_raises_at_the_last_finite_state():
-    """A windowed leader whose v(t) is NaN from t = 0.15 on: the step that
-    reaches it raises with the time and state before that step."""
+def test_overflowing_leader_input_mid_run_raises_at_the_last_finite_state():
+    """A windowed leader whose velocity is 1e308 from t = 0.15 on: the first
+    step with a stage there overflows V, and it raises with the time and
+    state before that step."""
     g = triangle_flex()
     p0 = desired_equilibrium(g)
-    spec = LeaderSpec(mode="windowed", t0=0.1, tf=0.2,
-                      v=lambda t: np.full(2, np.nan if t >= 0.15 else 0.5))
+    spec = LeaderSpec(mode="windowed", t0=0.1, tf=0.2, times=[0.0, 0.15],
+                      values=[(0.5, 0.5), (1e308, 1e308)])
     with pytest.raises(IntegrationError, match="not finite") as info:
         integrate(p0, g, QUADRATIC, t_end=0.3, dt=1e-3, leader=spec)
     t = info.value.time
@@ -622,7 +690,7 @@ def test_infinite_lyapunov_value_at_finite_positions_raises():
     capped = PotentialFamily("capped", "float('inf') if e > 5.0 else 0.5 * (e * e)",
                              QUADRATIC.g, QUADRATIC.rho)
     g = triangle_flex()
-    spec = LeaderSpec(mode="windowed", v=lambda t: np.array([50.0, 0.0]), t0=0.0, tf=1.0)
+    spec = LeaderSpec(mode="windowed", times=[0.0], values=[(50.0, 0.0)], t0=0.0, tf=1.0)
     with pytest.raises(IntegrationError, match="inf") as info:
         integrate(desired_equilibrium(g), g, capped, t_end=1.0, dt=1e-3, leader=spec)
     assert 0.0 < info.value.time < 1.0

@@ -243,17 +243,17 @@ def test_compiled_step_equals_the_reference_step(graph_name, family_name, mode, 
     t0 or tf and are left out of the worst increase.  Realizations are
     drawn with edges at or next to coincidence (a rational edge at
     e = -dbar^2 runs the numpy fallback), and large ones diverge within
-    the interval.  A diverging leader's velocity turns NaN a quarter or
-    one and a half steps in: advance returns the non-finite V with the
-    time and state before the step that reaches it.  ``evaluate`` equals the
+    the interval.  A diverging leader's velocity jumps to 1e308 a quarter
+    or one and a half steps in, which makes V non-finite: advance returns the
+    non-finite V with the time and state before the step that reaches it.  ``evaluate`` equals the
     reference pass and potential at the start."""
     graph, p = draw_realization(data, graph_name)
     family = FAMILIES[family_name]
     if mode == "diverging":
         steps_to_nan = data.draw(st.sampled_from([0.25, 1.5]))
         t_nan = t + steps_to_nan * dt
-        spec = LeaderSpec(mode="windowed", t0=0.0, tf=2.0,
-                          v=lambda s: [math.nan if s >= t_nan else 0.5] * graph.dimension)
+        spec = LeaderSpec(mode="windowed", t0=0.0, tf=2.0, times=[0.0, t_nan],
+                          values=[(0.5,) * graph.dimension, (1e308,) * graph.dimension])
     else:
         spec = leader(mode, graph.dimension)
     advance, evaluate = _compiled_step(graph, family, spec)

@@ -27,9 +27,8 @@ from rigidflex.stability import (
     _witness,
     assemble_hessian,
     classify,
-    verify_angle_inequalities,
 )
-from references import balance_residuals, bind, psd_check
+from references import balance_residuals, bind, psd_check, verify_angle_inequalities
 from test_integrator import counting_pass
 
 RNG = np.random.default_rng(7)
