@@ -122,6 +122,9 @@ class LeaderSpec:
                       ``values`` at the last of ``times`` at or before t,
                       the first row before the first time.
     mode 'target'   : v(t) = k_f * (p_t - p_flex), pulls the flex agent to p_t.
+
+    A mode takes only its own fields (``_MODE_FIELDS``): ValueError names
+    any field of another mode that differs from its default.
     """
 
     mode: str = "none"
@@ -133,7 +136,7 @@ class LeaderSpec:
     p_t: tuple = ()
 
     def __post_init__(self):
-        if self.mode not in ("none", "windowed", "target"):
+        if self.mode not in _MODE_FIELDS:
             raise ValueError(f"unknown leader mode {self.mode!r}")
         fields = {"t0": float(self.t0), "tf": float(self.tf), "k_f": float(self.k_f),
                   "times": _floats(self.times, "windowed times"),
@@ -141,6 +144,10 @@ class LeaderSpec:
                   "p_t": _floats(self.p_t, "target p_t")}
         for name, value in fields.items():
             object.__setattr__(self, name, value)
+        stray = [name for name, value in fields.items()
+                 if name not in _MODE_FIELDS[self.mode] and value != getattr(LeaderSpec, name)]
+        if stray:
+            raise ValueError(f"leader mode {self.mode!r} takes no {', '.join(stray)}")
         times, values = self.times, self.values
         if self.mode == "windowed" and not (
                 all(map(math.isfinite, (self.t0, self.tf, *times)))
@@ -175,6 +182,10 @@ class LeaderSpec:
         for target, x in zip(self.p_t, state[len(state) - len(self.p_t):]):
             total += (target - x) * (target - x)
         return math.sqrt(total) < 1e-3
+
+
+# the fields of each leader mode besides ``mode``; the others keep their defaults
+_MODE_FIELDS = {"none": (), "target": ("k_f", "p_t"), "windowed": ("t0", "tf", "times", "values")}
 
 
 def _floats(xs, what: str) -> tuple:
@@ -345,12 +356,17 @@ def _step_source(tails, heads, n, d, family, mode, name) -> str:
 @functools.lru_cache(maxsize=64)
 def _step_code(tails, heads, n, d, family, mode, name):
     """The code of ``name`` (``advance`` or ``evaluate``) for one graph
-    shape, family and leader mode, compiled on first use and kept for the 64
-    used last; its source goes to ``linecache``, so tracebacks and profilers
-    show it."""
-    source = _step_source(tails, heads, n, d, family, mode, name)
-    filename = (f"<rigidflex {name}, {family.name} family, {mode} leader: "
-                f"{n} nodes in {d}-D, {list(zip(tails, heads))}>")
+    shape, family and leader mode, compiled on first use (``_compiled``) and
+    kept for the 64 used last."""
+    return _compiled(_step_source(tails, heads, n, d, family, mode, name), name,
+                     f"<rigidflex {name}, {family.name} family, {mode} leader: "
+                     f"{n} nodes in {d}-D, {list(zip(tails, heads))}>")
+
+
+def _compiled(source: str, name: str, filename: str):
+    """The code of the function ``name`` that ``source`` defines, compiled
+    under ``filename``; the source goes to ``linecache``, so tracebacks and
+    profilers show it."""
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
     namespace = {}
     exec(compile(source, filename, "exec"), namespace)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _check_eq_tol, _compiled_step, _norm, _residual
+from .control import EQ_TOL, LeaderSpec, _check_eq_tol, _compiled_step, _floats, _norm, _residual
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialFamily
 
@@ -28,16 +28,17 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PerturbationEvent:
-    """Instantaneous displacement of one agent at a scheduled time."""
+    """Instantaneous displacement of one agent at a scheduled time, as
+    values only, so that equal events are equal and hash alike."""
 
     time: float
     agent: int                      # 1-based agent label
-    displacement: np.ndarray
+    displacement: tuple             # d floats
 
     def __post_init__(self):
-        object.__setattr__(self, "displacement", np.asarray(self.displacement, dtype=float))
+        object.__setattr__(self, "displacement", _floats(self.displacement, "displacements"))
         object.__setattr__(self, "agent", _integer(self.agent, 1, "agent labels"))
-        if not np.isfinite(self.displacement).all():
+        if not all(map(math.isfinite, self.displacement)):
             raise ValueError("perturbation displacements (and random magnitudes) must be finite")
 
 
@@ -149,7 +150,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             raise ValueError("perturbation events must lie inside [0, t_end]")
         if ev.agent > n:
             raise ValueError(f"agent {ev.agent} out of range for {n} nodes")
-        if ev.displacement.shape != (d,):
+        if len(ev.displacement) != d:
             raise ValueError("displacement does not match the ambient dimension")
     advance, evaluate = _compiled_step(graph, family, leader)     # once per call
 
@@ -206,7 +207,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         t = boundary
         if event is not None:
             i = d * (event.agent - 1)
-            p[i:i + d] = [x + y for x, y in zip(p[i:i + d], event.displacement.tolist())]
+            p[i:i + d] = [x + y for x, y in zip(p[i:i + d], event.displacement)]
             log.append((boundary, "perturbation_applied"))
             eq_armed = True
             k1, e, w = start(t, p)

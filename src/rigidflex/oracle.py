@@ -13,6 +13,13 @@ exact for every family (coincidence-construct).  The layout solve
 evaluates the family on its own edge set, apart from the simulator and the
 edge pass, so its roots are an independent construction.
 
+The balance and its Jacobian are generated per layout, graph shape and
+family as one straight-line function on Python floats (``_balance_code``),
+compiled on first use and cached, with each edge's dbar^2 bound per solve.
+Newton, its k x k solve and Brent then run on lists of floats in a fixed
+summation order, so no step calls numpy and no root depends on how a BLAS
+sums.
+
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes every
 point but an exact (coincidence-construct) one, rejects points outside the
@@ -28,13 +35,16 @@ this module and then ``oracle.root`` counts each seed once.
 
 from __future__ import annotations
 
+import builtins
+import functools
 import json
+import math
 from dataclasses import dataclass
-from functools import partial
+from types import FunctionType
 
 import numpy as np
 
-from .control import edge_states
+from .control import _call, _compiled, _norm, _on_numpy, _shape, edge_states
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily, evaluators
 from .stability import LINE_SLOTS, _classify, _hessian
@@ -194,43 +204,84 @@ def _bracketed_root(f, lo, hi):
     return _brent(f, lo, hi, f_lo, f_hi)
 
 
-def _newton(fun, x):
-    """Damped Newton from the seed array x0 = x: the x and F it ends at.
+def _max_abs(f) -> float:
+    """max |F_k|, NaN if any F_k is NaN, as numpy's max gives."""
+    worst = 0.0
+    for v in f:
+        v = abs(v)
+        if v > worst or v != v:         # a NaN is taken and then kept
+            worst = v
+    return worst
 
-    ``fun(x)`` gives F(x) and a function that gives J(x), so a trial point
-    that is not taken costs F alone.  Each step s solves J s = F, is cut to
-    |x0| and halved until max|F| falls.  A seed ends once s, or Deuflhard's
-    estimate |s| |F_new| / |F_old| of the distance left, is below 1e-15 |x0|;
-    when J is singular or s not finite; when no halving reduces max|F|; when
-    max|F| fell by less than 10 % over three steps; or after NEWTON_MAX_STEPS.
+
+def _dot(u, v) -> float:
+    """<u, v> summed left to right."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
+def _solve(jac, f):
+    """s with J s = F for k <= 3 by Cramer's rule, the 3x3 determinants by
+    cofactors along the first row, or None when det J is exactly 0.  For a
+    2x2 J with J_12 == J_21, swapping the unknowns swaps s bit for bit."""
+    if len(f) == 1:
+        ((a,),), (p,) = jac, f
+        return None if a == 0 else [p / a]
+    if len(f) == 2:
+        ((a, b), (c, d)), (p, q) = jac, f
+        det = a * d - b * c
+        return None if det == 0 else [(p * d - b * q) / det, (a * q - p * c) / det]
+    ((a, b, c), (d, e, g), (h, i, j)), (p, q, r) = jac, f
+    ej, dj, di = e * j - g * i, d * j - g * h, d * i - e * h
+    det = a * ej - b * dj + c * di
+    if det == 0:
+        return None
+    qj, dr, er = q * j - g * r, d * r - q * h, e * r - q * i
+    return [(p * ej - b * qj + c * (q * i - e * r)) / det,
+            (a * qj - p * dj + c * dr) / det,
+            (a * er - b * dr + p * di) / det]
+
+
+def _newton(fun, x):
+    """Damped Newton from the seed x0 = x, a list of floats: the x and F it
+    ends at, as lists.
+
+    ``fun(x)`` gives F(x) as a list and a function that gives J(x) as a list
+    of rows, so a trial point that is not taken costs F alone.  Each step s
+    solves J s = F (``_solve``), is cut to |x0| and halved until max|F|
+    falls.  A seed ends once s, or Deuflhard's estimate |s| |F_new| / |F_old|
+    of the distance left, is below 1e-15 |x0|; when J is exactly singular or
+    s not finite; when no halving reduces max|F|; when max|F| fell by less
+    than 10 % over three steps; or after NEWTON_MAX_STEPS.  It runs on
+    Python floats alone: a non-finite F or J is judged, never raised or
+    warned about, and no sum depends on how a BLAS sums.
     """
-    with np.errstate(all="ignore"):          # a non-finite F is judged, not warned
-        f, jac = fun(x)
-        history, bound = [np.abs(f).max()], np.dot(x, x)
-        for _ in range(NEWTON_MAX_STEPS):
-            try:
-                step = np.linalg.solve(jac(), f)
-            except np.linalg.LinAlgError:
+    f, jac = fun(x)
+    history, bound = [_max_abs(f)], _dot(x, x)
+    for _ in range(NEWTON_MAX_STEPS):
+        step = _solve(jac(), f)
+        if step is None or not 1e-30 * bound < (size := _dot(step, step)) < math.inf:
+            break
+        cut = min(1.0, (bound / size) ** 0.5)
+        step = [s * cut for s in step]
+        for _ in range(NEWTON_HALVINGS + 1):
+            f_t, jac_t = fun(trial := [a - s for a, s in zip(x, step)])
+            if (res := _max_abs(f_t)) < history[-1]:
                 break
-            if not 1e-30 * bound < (size := np.dot(step, step)) < np.inf:
-                break
-            step *= min(1.0, (bound / size) ** 0.5)
-            for _ in range(NEWTON_HALVINGS + 1):
-                f_t, jac_t = fun(trial := x - step)
-                if (res := np.abs(f_t).max()) < history[-1]:
-                    break
-                step /= 2
-            else:
-                break
-            x, f, jac = trial, f_t, jac_t
-            history.append(res)
-            if (np.dot(step, step) * res**2 <= 1e-30 * bound * history[-2]**2
-                    or len(history) > 3 and res > 0.9 * history[-4]):
-                break
+            step = [s / 2 for s in step]
+        else:
+            break
+        x, f, jac = trial, f_t, jac_t
+        history.append(res)
+        if (_dot(step, step) * (res * res) <= 1e-30 * bound * (history[-2] * history[-2])
+                or len(history) > 3 and res > 0.9 * history[-4]):
+            break
     return x, f
 
 
-root = partial(_newton)         # a partial, for tracers: see the module docstring
+root = functools.partial(_newton)         # a partial, for tracers: see the module docstring
 
 
 def _multi_root(fun, seeds, names):
@@ -242,14 +293,14 @@ def _multi_root(fun, seeds, names):
     """
     tried = []
     for seed in seeds:
-        seed = np.asarray(seed, dtype=float)
+        seed = [float(v) for v in seed]
         x, f = root(fun, seed)
-        residual = float(np.abs(f).max())
+        residual = _max_abs(f)
         tried.append((seed, residual, x))
-        if np.all(x > 1e-9) and residual < 1e-10:
+        if residual < 1e-10 and all(v > 1e-9 for v in x):
             return x
-    roots = [gaps.tolist() for _, res, gaps in tried if res < 1e-10]
-    failed = [(seed.tolist(), res) for seed, res, _ in tried if not res < 1e-10]
+    roots = [gaps for _, res, gaps in tried if res < 1e-10]
+    failed = [(seed, res) for seed, res, _ in tried if not res < 1e-10]
     if not roots:
         raise OracleError(f"gap root-finder did not converge for {names}; seeds and "
                           f"residuals tried: {failed}")
@@ -265,7 +316,7 @@ def _multi_root(fun, seeds, names):
 # Layouts: the rigid agents as a combination of fixed templates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)         # hashed by identity: a key of the code caches
 class _Layout:
     """The rigid agents sit at sum_k x_k T_k for k unknown scales x > 0.
 
@@ -277,7 +328,7 @@ class _Layout:
     the edge groups whose desired lengths its symmetry needs to agree.
     ``seeds`` are the Newton seeds of the gaps, as fractions of the mean
     desired length over slot pairs.  ``solve`` checks and solves a layout
-    in one pass over the rigid edges e = (i, j) and their template vectors
+    over the rigid edges e = (i, j) and their template vectors
     t_ek = T_k[i] - T_k[j].  The edges whose t_ek are not all zero are the
     crossing edges, and the scales solve the balance over them
 
@@ -285,6 +336,14 @@ class _Layout:
 
     F is the derivative of V along the layout, and its Jacobian is
     J_kl = sum_e 2 rho_e a_ek a_el + g_e <t_ek, t_el>, a_ek = <z_e, t_ek>.
+
+    ``_balance_code`` writes F and J as straight-line code on Python floats
+    for one layout, graph shape and family, with the crossing edges and
+    their t_ek fixed in it and each edge's dbar^2 bound per solve.  It sums
+    in a fixed order: z_e per coordinate over k, then |z_e|^2 and a_ek left
+    to right, then F_k and J_kl edge by edge, each edge's term of J_kl
+    grouped, and J_lk is J_kl.  So a mirror image of a layout has the mirror
+    image of F and J, bit for bit.
 
     One scale: <z_e, t_e> = x c_e^2 with c_e = |t_e|, and g has the sign of
     e, so each term has the sign of x c_e - dbar_e.  All terms are <= 0 at
@@ -311,16 +370,14 @@ class _Layout:
         each ``equal`` group must share one length; otherwise the agents'
         balances differ and F = 0 is no equilibrium.  A rigid edge with a
         zero template vector has zero length whatever the scales, so neither
-        has a family whose g is not finite at e = -dbar^2.  That test and the
-        balance call the family's cached ``evaluators``, g(e, dbar^2) and rho.
+        has a family whose g is not finite at e = -dbar^2.  That test looks
+        up the family's cached ``evaluators``, and so does the balance, for
+        the ``_on_numpy`` fallback of its inlined formulas.
         """
         k, n, d = self.templates.shape
-        rigid = graph._rigid
-        t = self.templates[:, graph._tails[rigid]] - self.templates[:, graph._heads[rigid]]
-        moving = t.any(axis=(0, 2))
-        cross, inner, t = rigid[moving], rigid[~moving], t[:, moving]
-        length, tails, heads = graph._dbar.tolist(), graph._tails.tolist(), graph._heads.tolist()
-        edges = [(e, tails[e], heads[e]) for e in cross.tolist()]
+        shape = _shape(graph)
+        edges, inner, t = _geometry(self, shape)
+        length = graph._dbar.tolist()
         reach = [sorted((self.slots[i + j - a], length[e]) for e, i, j in edges if a in (i, j))
                  for a in range(len(self.slots))]
         for a, slot in enumerate(self.slots):
@@ -336,44 +393,99 @@ class _Layout:
         for what, group in self.equal:
             if any(abs(desired[e] - desired[group[0]]) > 1e-12 for e in group):
                 raise OracleError(f"construction needs equal desired distances: {what}")
-        if inner.size:
-            g, d2 = evaluators(family)[1], graph._dbar2[inner]
+        if inner:
+            g, d2 = evaluators(family)[1], graph._dbar2[list(inner)]
             with np.errstate(divide="ignore", invalid="ignore"):
                 if not np.isfinite(g(-d2, d2)).all():
                     raise OracleError(_BOUNDARY)
 
-        flat = t.reshape(k, len(cross) * d)
-        dbar, dbar2 = graph._dbar[cross], graph._dbar2[cross]
         _, g, rho = evaluators(family)
-        gram = np.einsum("kmd,lmd->mkl", t, t)     # <t_ek, t_el>, as (m, k, k)
-
-        def balance(x):
-            """F at the scales x, and a function that gives its Jacobian there."""
-            z = np.dot(x, flat).reshape(-1, d)
-            e = np.vecdot(z, z) - dbar2
-            ge = g(e, dbar2)
-
-            def jacobian():                         # J_kl of the class docstring
-                a = np.dot(gram, x)                 # a_ek = <z_e, t_ek>, as (m, k)
-                return 2.0 * np.dot(a.T * rho(e, dbar2), a) + np.dot(gram.T, ge)
-            return np.dot(flat, (ge[:, None] * z).ravel()), jacobian
-
-        method = self.method
         if k == 0:
-            x, method = np.zeros(0), "coincidence-construct"
-        elif k == 1:
-            ends = dbar / np.linalg.norm(flat.reshape(-1, d), axis=1)
-            lo, hi = float(ends.min()), float(ends.max())
+            return np.zeros((n, d)), "coincidence-construct"
+        names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "G": g, "RHO": rho}
+        names.update((f"D2_{e}", dbar2) for e, dbar2 in enumerate(graph._dbar2.tolist()))
+        balance = FunctionType(_balance_code(self, shape, family), names)
+        method = self.method
+        if k == 1:
+            ends = [length[e] / _norm(te[0]) for (e, _, _), te in zip(edges, t)]
+            lo, hi = min(ends), max(ends)
             if hi - lo > 1e-12:
-                x = [_bracketed_root(lambda s: float(balance([s])[0][0]), lo, hi)]
+                x = [_bracketed_root(lambda s: balance([s])[0][0], lo, hi)]
             else:
                 x, method = [lo], "coincidence-construct"
         else:
             per_pair = {frozenset((self.slots[i], self.slots[j])): length[e] for e, i, j in edges}
-            scale = np.mean(list(per_pair.values()))
-            x = _multi_root(balance, [np.array(s) * scale for s in self.seeds],
+            scale = float(np.mean(list(per_pair.values())))
+            x = _multi_root(balance, [[v * scale for v in seed] for seed in self.seeds],
                             f"the gaps of line layout {self.slots}")
         return np.dot(x, self.templates.reshape(k, n * d)).reshape(n, d), method
+
+
+@functools.lru_cache(maxsize=64)
+def _geometry(layout: _Layout, shape: tuple):
+    """The crossing edges of a layout on a graph shape as (e, i, j), its
+    other rigid edges, and each crossing edge's t_ek per scale k as tuples
+    of d floats."""
+    tails, heads = shape[:2]
+    rigid = range(len(tails) - 1)           # the flex edge (N, N+1) sorts last
+    t = (layout.templates[:, list(tails[:-1])] - layout.templates[:, list(heads[:-1])])
+    moving = t.any(axis=(0, 2)).tolist()
+    edges = tuple((e, tails[e], heads[e]) for e in rigid if moving[e])
+    return (edges, tuple(e for e in rigid if not moving[e]),
+            tuple(tuple(map(tuple, t[:, e].tolist())) for e, _, _ in edges))
+
+
+def _combination(terms) -> str:
+    """Source of sum_i name_i c_i left to right over the (name, c) with c != 0,
+    +-name where c is +-1; '0.0' when there are none."""
+    parts = [name if c == 1 else f"-{name}" if c == -1 else f"{name} * {c!r}"
+             for name, c in terms if c]
+    return " + ".join(parts) or "0.0"
+
+
+def _balance_source(edges, t, family) -> str:
+    """Python source of ``balance(x)``: F at the scales x as a list and a
+    function that gives J there as a list of rows, in the order of the
+    ``_Layout`` docstring, with the family's g and rho inlined per edge."""
+    k, d = len(t[0]), len(t[0][0])
+    xs = [f"x{l}" for l in range(k)]
+    body = [f"{', '.join(xs)}, = x",
+            f"{', '.join(f'd2_{e}' for e, _, _ in edges)}, = "
+            f"{', '.join(f'D2_{e}' for e, _, _ in edges)},"]
+    rho, force = [], [[] for _ in range(k)]
+    jac = {(l, m): [] for l in range(k) for m in range(l, k)}
+    for (e, _, _), te in zip(edges, t):
+        coords = [c for c in range(d) if any(tl[c] for tl in te)]
+        z = [f"z{e}_{c}" for c in coords]
+        body += [f"{zc} = {_combination((x, tl[c]) for x, tl in zip(xs, te))}"
+                 for zc, c in zip(z, coords)]
+        body += [f"e{e} = {' + '.join(f'{zc} * {zc}' for zc in z)} - d2_{e}",
+                 *_call(f"g{e} =", family, "g", e)]
+        moved = [l for l in range(k) if any(te[l])]
+        body += [f"a{e}_{l} = {_combination(zip(z, (te[l][c] for c in coords)))}" for l in moved]
+        rho += _call(f"r{e} =", family, "rho", e)
+        for i, l in enumerate(moved):
+            force[l].append(f"g{e} * a{e}_{l}")
+            for m in moved[i:]:
+                jac[l, m].append(f"(2.0 * r{e} * a{e}_{l} * a{e}_{m} + "
+                                 f"{_combination([(f'g{e}', _dot(te[l], te[m]))])})")
+    rows = (", ".join(f"j{min(l, m)}_{max(l, m)}" for m in range(k)) for l in range(k))
+    body += ["def jacobian():", *(f"    {line}" for line in rho),
+             *(f"    j{l}_{m} = {' + '.join(terms) or '0.0'}" for (l, m), terms in jac.items()),
+             f"    return [{', '.join(f'[{row}]' for row in rows)}]",
+             f"return [{', '.join(' + '.join(terms) for terms in force)}], jacobian"]
+    return "def balance(x):\n" + "".join(f"    {line}\n" for line in body)
+
+
+@functools.lru_cache(maxsize=64)
+def _balance_code(layout: _Layout, shape: tuple, family: PotentialFamily):
+    """The code of a layout's ``balance`` on one graph shape with one family,
+    compiled on first use and kept for the 64 used last; the graph's
+    lengths are bound when ``solve`` makes the function."""
+    edges, _, t = _geometry(layout, shape)
+    return _compiled(_balance_source(edges, t, family), "balance",
+                     f"<rigidflex balance, {family.name} family: {len(t[0])} scales over "
+                     f"edges {[(i + 1, j + 1) for _, i, j in edges]}, t = {t}>")
 
 
 def _line(slots, dim, seeds=()):

@@ -206,6 +206,27 @@ def test_leader_spec_is_a_value():
         [LeaderSpec()] * 3 == [specs[2]] * 3
 
 
+@pytest.mark.parametrize("mode, stray, names", [
+    ("target", dict(t0=3.0, times=(0.0,), values=((1.0,),)), "t0, times, values"),
+    ("target", dict(tf=math.nan), "tf"),
+    ("windowed", dict(k_f=5.0), "k_f"),
+    ("windowed", dict(p_t=(1.0, 2.0)), "p_t"),
+    ("none", dict(k_f=5.0, p_t=(1.0, 2.0), t0=1.0), "t0, k_f, p_t"),
+], ids=["target_with_window", "target_with_nan_tf", "windowed_with_k_f", "windowed_with_p_t",
+        "none_with_target"])
+def test_leader_spec_takes_only_its_modes_fields(mode, stray, names):
+    """A field of another mode that differs from its default is refused by
+    name, so one leader has one spec: a target spec that also carries a
+    window would drive the same run as the plain one yet compare unequal.
+    A field left at its default is no stray."""
+    own = {"none": {}, "target": dict(k_f=5.0, p_t=(1.0, 2.0)),
+           "windowed": dict(t0=0.0, tf=1.0, times=(0.0,), values=((1.0, 0.0),))}[mode]
+    with pytest.raises(ValueError, match=f"leader mode '{mode}' takes no {names}$"):
+        LeaderSpec(mode=mode, **own, **stray)
+    defaults = {name: LeaderSpec.__dataclass_fields__[name].default for name in stray}
+    assert LeaderSpec(mode=mode, **own, **defaults) == LeaderSpec(mode=mode, **own)
+
+
 @pytest.mark.parametrize("times, values", [
     ([0.0, 1.0], [(1.0, 0.0), (math.nan, 0.0)]),
     ([0.0, math.inf], [(1.0, 0.0), (0.0, 1.0)]),

@@ -86,6 +86,25 @@ def test_random_perturbation_is_seeded_and_normalized():
             random_perturbation(1.0, 3, 3, 0.01, seed=seed)
 
 
+def test_perturbation_event_is_a_value():
+    """An event holds its displacement as a tuple of floats, so equal events
+    compare equal, hash alike and key a dict, whether the displacement came
+    as a list, a tuple, an array or integers; a non-finite one is refused."""
+    given = ([0.5, 0.0], (0.5, 0.0), np.array([0.5, 0.0]), [0.5, 0])
+    events = [PerturbationEvent(time=0.1, agent=2, displacement=d) for d in given]
+    assert len(set(events)) == 1 and events[0] == events[-1]
+    assert {events[0]: "jump"}[events[2]] == "jump"
+    assert events[0].displacement == (0.5, 0.0)
+    assert all(type(x) is float for x in events[2].displacement)
+    assert events[0] != PerturbationEvent(time=0.1, agent=2, displacement=[0.5, 1e-300])
+    event = random_perturbation(1.0, 3, 3, 0.01, seed=5)
+    assert event == random_perturbation(1.0, 3, 3, 0.01, seed=5)
+    assert hash(event) == hash(random_perturbation(1.0, 3, 3, 0.01, seed=5.0))
+    for bad in ([math.nan, 0.0], [0.0, math.inf]):
+        with pytest.raises(ValueError, match="must be finite"):
+            PerturbationEvent(time=0.1, agent=2, displacement=bad)
+
+
 def _assert_rejected_before_first_step(monkeypatch, events):
     """Each event alone makes integrate raise ValueError before the first
     step: the step is never compiled."""

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from rigidflex import potentials
+from rigidflex.control import edge_states
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     _LAYOUTS,
@@ -466,7 +467,7 @@ def test_gap_solver_failures_say_what_happened():
     assert all(len(seed) == 3 and residual > 1e-10 for seed, residual in failed)
     np.testing.assert_allclose(ast.literal_eval(found), [[0.0, 2.0, 3.0]] * 4, atol=1e-12)
     with pytest.raises(OracleError, match="gap root-finder did not converge for x"):
-        _multi_root(lambda x: (x * x + 1.0, lambda: np.diag(2.0 * x)), [(1.0,)], "x")
+        _multi_root(lambda x: ([x[0] * x[0] + 1.0], lambda: [[2.0 * x[0]]]), [(1.0,)], "x")
 
 
 def test_line_layouts_read_the_stability_slot_table():
@@ -680,22 +681,70 @@ def test_layout_jacobian_matches_central_differences(graph, family, monkeypatch)
         points = [rng.uniform(0.05, 1.0, len(box)) * box for _ in range(5)]
         points += [rng.uniform(0.01, 0.05, len(box)) * box for _ in range(3)]
         for x in points:
-            f, jacobian = balance(x)
-            jac = jacobian()
+            f, jacobian = balance(x.tolist())
+            f, jac = np.array(f), np.array(jacobian())
             h = 1e-5 * x.min()
-            fd = np.column_stack([(balance(x + h * u)[0] - balance(x - h * u)[0]) / (2 * h)
+            fd = np.column_stack([(np.array(balance((x + h * u).tolist())[0])
+                                   - np.array(balance((x - h * u).tolist())[0])) / (2 * h)
                                   for u in np.eye(len(x))])
             assert np.isfinite(f).all() and np.isfinite(jac).all(), (name, x)
             assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max(), (name, x)
 
 
+def test_catalog_at_other_lengths_compiles_no_balance(monkeypatch):
+    """A layout's balance is compiled once per graph shape and family, with
+    the lengths bound per solve: after the equal triangle's and the equal
+    tetrahedron's catalogs with both families, the tailored tetrahedron and
+    a 3-4-5 triangle generate and compile no balance code."""
+    import rigidflex.oracle as oracle
+
+    for graph in (triangle_flex(), tetrahedron_flex()):
+        for family in (QUADRATIC, RATIONAL):
+            build_catalog(graph, family)
+    misses = oracle._balance_code.cache_info().misses
+
+    def forbidden(*args):
+        raise AssertionError("balance source generated for a shape already compiled")
+
+    monkeypatch.setattr(oracle, "_balance_source", forbidden)
+    for graph in (TAILORED, triangle_flex((3.0, 4.0, 5.0, 2.0))):
+        for family in (QUADRATIC, RATIONAL):
+            entries, _ = build_catalog(graph, family)
+            assert entries
+    assert oracle._balance_code.cache_info().misses == misses
+
+
+def test_mirror_image_of_the_equal_triangle_line_is_exact(monkeypatch):
+    """Reflecting the equal triangle's distinct collinear layout swaps its two
+    gaps.  The float balance sums each entry of F and J in one order, so at
+    seeded gaps inside the box F(b, a) is F(a, b) reversed and J(b, a) is
+    J(a, b) with its rows and columns reversed, bit for bit, whatever BLAS
+    kernel runs; and the catalog's entry, reached from the symmetric seed,
+    has g_12 == g_23 exactly."""
+    graph = triangle_flex()
+    [(name, balance, box)] = layout_balances(monkeypatch, graph, QUADRATIC)
+    assert name == "collinear_distinct"
+    rng = np.random.default_rng(32)
+    for a, b in (rng.uniform(0.05, 1.0, (20, 2)) * box).tolist():
+        f, jacobian = balance([a, b])
+        f_mirror, jacobian_mirror = balance([b, a])
+        assert [v.hex() for v in f_mirror] == [v.hex() for v in f[::-1]], (a, b)
+        assert ([[v.hex() for v in row] for row in jacobian_mirror()]
+                == [[v.hex() for v in row[::-1]] for row in jacobian()[::-1]]), (a, b)
+    monkeypatch.undo()
+    entry = construct_equilibrium(graph, QUADRATIC, "collinear_distinct")
+    g = dict(zip(graph.edges, edge_states(entry.positions, graph, QUADRATIC).g.tolist()))
+    assert g[(1, 2)] == g[(2, 3)]
+
+
 @pytest.mark.parametrize("fun, seed", [
-    (lambda x: (x * x + 1.0, lambda: np.diag(2.0 * x)), (0.0,)),
-    (lambda x: (np.array([x.sum() - 1.0, x.sum() - 3.0]), lambda: np.ones((2, 2))),
+    (lambda x: ([x[0] * x[0] + 1.0], lambda: [[2.0 * x[0]]]), (0.0,)),
+    (lambda x: ([x[0] + x[1] - 1.0, x[0] + x[1] - 3.0], lambda: [[1.0, 1.0], [1.0, 1.0]]),
      (0.5, 0.5)),
-    (lambda x: (np.log(x - 2.0), lambda: np.diag(1.0 / (x - 2.0))), (1.0,)),
-    (lambda x: (1.0 / (x - x), lambda: np.eye(len(x))), (1.0, 2.0)),
-    (lambda x: (x - 3.0, lambda: np.diag(np.inf * x)), (1.0,)),
+    (lambda x: ([math.log(x[0] - 2.0) if x[0] > 2.0 else math.nan],
+                lambda: [[1.0 / (x[0] - 2.0)]]), (1.0,)),
+    (lambda x: ([v * math.inf for v in x], lambda: [[1.0, 0.0], [0.0, 1.0]]), (1.0, 2.0)),
+    (lambda x: ([x[0] - 3.0], lambda: [[math.inf * x[0]]]), (1.0,)),
 ], ids=["singular-J-at-seed", "singular-J-everywhere", "nan-F", "inf-F", "inf-J"])
 def test_singular_or_nonfinite_seeds_do_not_converge(fun, seed):
     """A singular Jacobian or a non-finite F or J ends the seed: the seed
@@ -704,7 +753,7 @@ def test_singular_or_nonfinite_seeds_do_not_converge(fun, seed):
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, f = oracle.root(fun, np.array(seed))
+        x, f = oracle.root(fun, list(seed))
         assert not np.abs(f).max() < 1e-10
         with pytest.raises(OracleError, match="gap root-finder did not converge for t"):
             _multi_root(fun, [seed], "t")
