@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .control import EQ_TOL, leader_spec_from_json
-from .graph import FormationGraph, GraphError, graph_from_json, triangle_flex, tetrahedron_flex
+from .graph import (FormationGraph, GraphError, _floats, graph_from_json, triangle_flex,
+                    tetrahedron_flex)
 from .integrator import IntegrationError, PerturbationEvent, integrate, random_perturbation
 from .oracle import OracleError, build_catalog, newton_polish, write_catalog
 from .potentials import FAMILIES, get_family, validate_family
@@ -73,7 +74,7 @@ def _parse_graph(doc) -> FormationGraph:
         return builtin[doc]()
     try:
         return graph_from_json(doc)
-    except (OverflowError, TypeError) as exc:   # not an object, a wrong type, a huge int
+    except (OverflowError, TypeError, ValueError) as exc:   # no object, no number, a huge int
         raise ScenarioError(f"invalid graph: {exc}")
 
 
@@ -82,14 +83,11 @@ def _parse_events(docs, dimension):
     events = []
     for k, doc in enumerate(docs or ()):
         if "displacement" in doc:
-            events.append(PerturbationEvent(time=float(doc["time"]),
-                                            agent=doc["agent"],
-                                            displacement=np.asarray(doc["displacement"], dtype=float)))
+            events.append(PerturbationEvent(time=doc["time"], agent=doc["agent"],
+                                            displacement=doc["displacement"]))
         else:
-            events.append(random_perturbation(time=float(doc["time"]),
-                                              agent=doc["agent"],
-                                              dimension=dimension,
-                                              magnitude=float(doc["magnitude"]),
+            events.append(random_perturbation(time=doc["time"], agent=doc["agent"],
+                                              dimension=dimension, magnitude=doc["magnitude"],
                                               seed=doc.get("seed", k)))
     return events
 
@@ -102,9 +100,9 @@ def _cmd_run(args) -> int:
             raise ScenarioError(f"unknown key(s) {', '.join(unknown)}")
         graph = _parse_graph(doc["graph"])
         family = get_family(doc.get("family", "quadratic"))
-        p0, t_end = doc["initial"], float(doc["t_end"])
-        dt, record_every = float(doc.get("dt", 1e-3)), float(doc.get("record_every", 10))
-        eq_tol = float(doc.get("eq_tol", EQ_TOL))
+        p0, record_every = doc["initial"], doc.get("record_every", 10)
+        t_end, dt, eq_tol = _floats((doc["t_end"], doc.get("dt", 1e-3), doc.get("eq_tol", EQ_TOL)),
+                                    "t_end, dt and eq_tol")
         events = _parse_events(doc.get("events"), graph.dimension)
         leader = leader_spec_from_json(doc.get("leader"))
         analysis = doc.get("analysis", {"hessian_at_equilibria": False})

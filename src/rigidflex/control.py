@@ -22,14 +22,13 @@ import builtins
 import functools
 import linecache
 import math
-import numbers
 import re
 from dataclasses import dataclass
 from types import FunctionType
 
 import numpy as np
 
-from .graph import FormationGraph, as_positions
+from .graph import FormationGraph, _floats, as_positions
 from .potentials import PotentialFamily, evaluators
 
 # Balance residual max_i ||u_i|| below which a realization is an equilibrium:
@@ -106,7 +105,7 @@ def _pass(graph: FormationGraph, family: PotentialFamily):
     """``evaluate`` alone with no leader, made on first use and kept for the
     32 (graph, family) pairs used last: making it costs more than a pass."""
     return FunctionType(_step_code(*_shape(graph), family, "none", "evaluate"),
-                        _constants(graph, family, LeaderSpec()))
+                        _constants(graph, family))
 
 
 @dataclass(frozen=True)
@@ -138,7 +137,8 @@ class LeaderSpec:
     def __post_init__(self):
         if self.mode not in _MODE_FIELDS:
             raise ValueError(f"unknown leader mode {self.mode!r}")
-        fields = {"t0": float(self.t0), "tf": float(self.tf), "k_f": float(self.k_f),
+        t0, tf, k_f = _floats((self.t0, self.tf, self.k_f), "leader t0, tf and k_f")
+        fields = {"t0": t0, "tf": tf, "k_f": k_f,
                   "times": _floats(self.times, "windowed times"),
                   "values": tuple(_floats(row, "windowed v rows") for row in self.values),
                   "p_t": _floats(self.p_t, "target p_t")}
@@ -174,30 +174,14 @@ class LeaderSpec:
         return self
 
     def arrived(self, state) -> bool:
-        """Whether the flex agent is within 1e-3 of p_t, ||p_t - p_flex||^2
-        summed left to right; False outside target mode."""
-        if self.mode != "target":
-            return False
-        total = 0.0
-        for target, x in zip(self.p_t, state[len(state) - len(self.p_t):]):
-            total += (target - x) * (target - x)
-        return math.sqrt(total) < 1e-3
+        """Whether the flex agent is within 1e-3 of p_t, ||p_t - p_flex||
+        by ``_norm``; False outside target mode."""
+        flex = state[len(state) - len(self.p_t):]
+        return self.mode == "target" and _norm([t - x for t, x in zip(self.p_t, flex)]) < 1e-3
 
 
 # the fields of each leader mode besides ``mode``; the others keep their defaults
 _MODE_FIELDS = {"none": (), "target": ("k_f", "p_t"), "windowed": ("t0", "tf", "times", "values")}
-
-
-def _floats(xs, what: str) -> tuple:
-    """``xs``, a list, tuple or 1-D array of real numbers, as a tuple of
-    floats; ValueError for anything else (a scalar, a string, nested rows)."""
-    try:
-        row = None if isinstance(xs, str) else tuple(xs)
-    except TypeError:
-        row = None
-    if row is None or not all(isinstance(x, numbers.Real) for x in row):
-        raise ValueError(f"{what} must be a list of numbers, got {xs!r}")
-    return tuple(map(float, row))
 
 
 # the keys of a leader document besides "mode", per mode
@@ -379,10 +363,11 @@ def _shape(graph: FormationGraph) -> tuple:
             graph.num_nodes, graph.dimension)
 
 
-def _constants(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec) -> dict:
-    """The globals of the bound code: the family's numpy evaluators PHI, G
-    and RHO for ``_on_numpy``, each edge's dbar^2 as D2_k, and the leader's
-    k_f and p_t, or t0, tf and its sample table as TIMES and VALUES."""
+def _constants(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec()) -> dict:
+    """The globals of every generated function (edge pass, RK4 step, layout
+    balance): the family's numpy evaluators PHI, G and RHO for ``_on_numpy``,
+    each edge's dbar^2 as D2_k, and a leader's k_f and p_t, or t0, tf and
+    its sample table as TIMES and VALUES; no leader by default."""
     names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "isfinite": math.isfinite,
              "bisect_right": bisect.bisect_right}
     names["PHI"], names["G"], names["RHO"] = evaluators(family)

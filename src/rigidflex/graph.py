@@ -10,8 +10,8 @@ the order in which the edge pass sums each node's terms).
 from __future__ import annotations
 
 import itertools
-import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -138,17 +138,19 @@ def graph_from_json(doc) -> FormationGraph:
     """Build a graph from the JSON schema.
 
     Schema: {"dimension": d, "nodes": n, "edges": [[i, j, dbar], ...],
-    "flex_edge": [i, j]} with 1-based node indices.
+    "flex_edge": [i, j]} with 1-based node indices.  The dimension, the node
+    count and the labels are integers and the lengths numbers, by the rules
+    of ``_integer`` and ``_floats``: ValueError for 1.7, "4.0" or true.
     """
-    if isinstance(doc, (str, bytes)):
-        doc = json.loads(doc)
-    raw = sorted((int(i), int(j), float(db)) for i, j, db in doc["edges"])
+    labels = [(_integer(i, 1, "node labels"), _integer(j, 1, "node labels"))
+              for i, j, _ in doc["edges"]]
+    raw = sorted(zip(labels, _floats([db for *_, db in doc["edges"]], "desired distances")))
     return FormationGraph(
-        num_nodes=int(doc["nodes"]),
-        dimension=int(doc["dimension"]),
-        edges=tuple((i, j) for i, j, _ in raw),
-        desired=tuple(db for _, _, db in raw),
-        flex_edge=tuple(int(x) for x in doc["flex_edge"]),
+        num_nodes=_integer(doc["nodes"], 1, "node counts"),
+        dimension=_integer(doc["dimension"], 1, "dimensions"),
+        edges=tuple(e for e, _ in raw),
+        desired=tuple(db for _, db in raw),
+        flex_edge=tuple(_integer(x, 1, "node labels") for x in doc["flex_edge"]),
     )
 
 
@@ -171,6 +173,30 @@ def simplex_gram(sq) -> np.ndarray:
     """
     half = np.asarray(sq, dtype=float) / 2
     return half[..., 0, 1:, None] + half[..., 0, None, 1:] - half[..., 1:, 1:]
+
+
+def _floats(xs, what: str) -> tuple:
+    """``xs``, a list, tuple or 1-D array of real numbers, as a tuple of
+    floats; ValueError for anything else (a scalar, nested rows, and a
+    string or a bool, which a JSON document does not give as a number)."""
+    try:
+        row = None if isinstance(xs, str) else tuple(xs)
+    except TypeError:
+        row = None
+    if row is None or not all(isinstance(x, numbers.Real) and type(x) is not bool for x in row):
+        raise ValueError(f"{what} must be numbers, got {xs!r}")
+    return tuple(map(float, row))
+
+
+def _integer(value, least: int, what: str) -> int:
+    """``value`` as an int, 7.0 as 7; ValueError unless it is an integer >=
+    ``least``, and a number by the rule of ``_floats``.  An int is taken
+    exactly, not rounded through a float."""
+    exact = isinstance(value, numbers.Integral) and type(value) is not bool
+    whole = value if exact else _floats((value,), what)[0]
+    if not (whole >= least and whole % 1 == 0):     # False for NaN and infinities
+        raise ValueError(f"{what} are integers >= {least}, got {value!r}")
+    return int(whole)
 
 
 def as_positions(p, graph: FormationGraph) -> np.ndarray:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _check_eq_tol, _compiled_step, _floats, _norm, _residual
-from .graph import FormationGraph, as_positions
+from .control import EQ_TOL, LeaderSpec, _check_eq_tol, _compiled_step, _norm, _residual
+from .graph import FormationGraph, _floats, _integer, as_positions
 from .potentials import PotentialFamily
 
 
@@ -36,29 +36,22 @@ class PerturbationEvent:
     displacement: tuple             # d floats
 
     def __post_init__(self):
+        object.__setattr__(self, "time", _floats((self.time,), "event times")[0])
         object.__setattr__(self, "displacement", _floats(self.displacement, "displacements"))
         object.__setattr__(self, "agent", _integer(self.agent, 1, "agent labels"))
         if not all(map(math.isfinite, self.displacement)):
             raise ValueError("perturbation displacements (and random magnitudes) must be finite")
 
 
-def _integer(value, least: int, what: str) -> int:
-    """``value`` as an int, 7.0 as 7; ValueError unless it is an integer >= ``least``.
-    An int is taken exactly, not rounded through a float."""
-    whole = int(value) if isinstance(value, (int, np.integer)) else float(value)
-    if not (whole >= least and whole % 1 == 0):     # False for NaN and infinities
-        raise ValueError(f"{what} are integers >= {least}, got {value!r}")
-    return int(whole)
-
-
 def random_perturbation(time: float, agent: int, dimension: int, magnitude: float,
                         seed: int) -> PerturbationEvent:
-    """Seeded random-direction displacement of fixed magnitude; ValueError
-    unless the seed is a non-negative integer."""
+    """Seeded random-direction displacement of fixed magnitude, the draw
+    scaled by its ``_norm``, so no BLAS kernel changes it; ValueError unless
+    the seed is a non-negative integer and the magnitude a number."""
     rng = np.random.default_rng(_integer(seed, 0, "random seeds"))
-    v = rng.standard_normal(dimension)
-    v *= magnitude / np.linalg.norm(v)
-    return PerturbationEvent(time=time, agent=agent, displacement=v)
+    v = rng.standard_normal(dimension).tolist()
+    scale = _floats((magnitude,), "random magnitudes")[0] / _norm(v)
+    return PerturbationEvent(time=time, agent=agent, displacement=[x * scale for x in v])
 
 
 @dataclass

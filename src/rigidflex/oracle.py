@@ -15,10 +15,10 @@ edge pass, so its roots are an independent construction.
 
 The balance and its Jacobian are generated per layout, graph shape and
 family as one straight-line function on Python floats (``_balance_code``),
-compiled on first use and cached, with each edge's dbar^2 bound per solve.
-Newton, its k x k solve and Brent then run on lists of floats in a fixed
-summation order, so no step calls numpy and no root depends on how a BLAS
-sums.
+compiled on first use, cached and bound per solve by ``control._constants``
+as every generated function is.  Newton, its k x k solve and Brent then run
+on lists of floats in a fixed summation order, so no step calls numpy and
+no root depends on how a BLAS sums.
 
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes every
@@ -35,7 +35,6 @@ this module and then ``oracle.root`` counts each seed once.
 
 from __future__ import annotations
 
-import builtins
 import functools
 import json
 import math
@@ -44,7 +43,7 @@ from types import FunctionType
 
 import numpy as np
 
-from .control import _call, _compiled, _norm, _on_numpy, _shape, edge_states
+from .control import _call, _compiled, _constants, _norm, _shape, edge_states
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily, evaluators
 from .stability import LINE_SLOTS, _classify, _hessian
@@ -223,12 +222,10 @@ def _dot(u, v) -> float:
 
 
 def _solve(jac, f):
-    """s with J s = F for k <= 3 by Cramer's rule, the 3x3 determinants by
-    cofactors along the first row, or None when det J is exactly 0.  For a
-    2x2 J with J_12 == J_21, swapping the unknowns swaps s bit for bit."""
-    if len(f) == 1:
-        ((a,),), (p,) = jac, f
-        return None if a == 0 else [p / a]
+    """s with J s = F for k = 2 or 3 gaps (one scale goes to Brent) by
+    Cramer's rule, the 3x3 determinants by cofactors along the first row, or
+    None when det J is exactly 0.  For a 2x2 J with J_12 == J_21, swapping
+    the unknowns swaps s bit for bit."""
     if len(f) == 2:
         ((a, b), (c, d)), (p, q) = jac, f
         det = a * d - b * c
@@ -371,8 +368,8 @@ class _Layout:
         balances differ and F = 0 is no equilibrium.  A rigid edge with a
         zero template vector has zero length whatever the scales, so neither
         has a family whose g is not finite at e = -dbar^2.  That test looks
-        up the family's cached ``evaluators``, and so does the balance, for
-        the ``_on_numpy`` fallback of its inlined formulas.
+        up the family's cached ``evaluators``; ``control._constants`` binds
+        the balance, as it binds every generated function.
         """
         k, n, d = self.templates.shape
         shape = _shape(graph)
@@ -399,12 +396,9 @@ class _Layout:
                 if not np.isfinite(g(-d2, d2)).all():
                     raise OracleError(_BOUNDARY)
 
-        _, g, rho = evaluators(family)
         if k == 0:
             return np.zeros((n, d)), "coincidence-construct"
-        names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "G": g, "RHO": rho}
-        names.update((f"D2_{e}", dbar2) for e, dbar2 in enumerate(graph._dbar2.tolist()))
-        balance = FunctionType(_balance_code(self, shape, family), names)
+        balance = FunctionType(_balance_code(self, shape, family), _constants(graph, family))
         method = self.method
         if k == 1:
             ends = [length[e] / _norm(te[0]) for (e, _, _), te in zip(edges, t)]
@@ -481,7 +475,7 @@ def _balance_source(edges, t, family) -> str:
 def _balance_code(layout: _Layout, shape: tuple, family: PotentialFamily):
     """The code of a layout's ``balance`` on one graph shape with one family,
     compiled on first use and kept for the 64 used last; the graph's
-    lengths are bound when ``solve`` makes the function."""
+    lengths are bound when ``solve`` makes the function (``_constants``)."""
     edges, _, t = _geometry(layout, shape)
     return _compiled(_balance_source(edges, t, family), "balance",
                      f"<rigidflex balance, {family.name} family: {len(t[0])} scales over "

@@ -138,7 +138,15 @@ def test_run_bad_scenario_is_config_error(tmp_path):
         ("fractional_random_agent", {"agent": 1.7, "magnitude": 0.01}),
         ("nan_displacement", {"agent": 4, "displacement": [float("nan"), 0.0]}),
         ("nan_magnitude", {"agent": 4, "magnitude": float("nan")}),
-        ("fractional_seed", {"agent": 4, "magnitude": 0.01, "seed": 7.9}))),
+        ("fractional_seed", {"agent": 4, "magnitude": 0.01, "seed": 7.9}),
+        ("string_displacement", {"agent": 4, "displacement": ["0.1", "0"]}),
+        ("boolean_agent", {"agent": True, "displacement": [0.1, 0.0]}),
+        ("string_time", {"time": "0.02", "agent": 4, "displacement": [0.1, 0.0]}),
+        ("string_magnitude", {"agent": 4, "magnitude": "0.01"}),
+        ("boolean_seed", {"agent": 4, "magnitude": 0.01, "seed": True}))),
+    *(pytest.param("run", field, doc, id=f"run-{field}-{name}") for field, name, doc in (
+        ("t_end", "string", "0.5"), ("dt", "boolean", True), ("eq_tol", "string", "1e-9"),
+        ("record_every", "string", "10"), ("record_every", "boolean", True))),
     *(pytest.param("run", "leader", doc, id=f"run-leader-{name}") for name, doc in (
         ("empty_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": []}),
         ("flat_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [1, 2, 3]}),
@@ -151,7 +159,11 @@ def test_run_bad_scenario_is_config_error(tmp_path):
         ("3d_p_t", {"mode": "target", "k_f": 1.0, "p_t": [0.0, 0.0, 0.0]}),
         ("zero", 0), ("false", False), ("empty_list", []),
         ("empty_row", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [[]]}),
-        ("narrow_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [[0.0, 1.0]]}))),
+        ("narrow_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [[0.0, 1.0]]}),
+        ("string_k_f", {"mode": "target", "k_f": "5", "p_t": [0.0, 0.0]}),
+        ("boolean_p_t", {"mode": "target", "k_f": 5.0, "p_t": [True, 2.0]}),
+        ("string_t0", {"mode": "windowed", "t0": "0", "tf": 0.01, "v": [[0.0, 1.0, 0.0]]}),
+        ("boolean_v", {"mode": "windowed", "t0": 0.0, "tf": 0.01, "v": [[0.0, True, 0.0]]}))),
     pytest.param("run", "graph", "square_flex", id="run-graph-unknown_builtin"),
     pytest.param("run", "initial", [[0.0, 0.0]], id="run-initial-wrong_shape"),
     pytest.param("analyze", "realization", {"positions": [[0.0, 0.0]]},
@@ -184,7 +196,10 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
     graph, or whose sample times do not increase strictly, and a JSON
     integer beyond the float range in t_end, dt or a realization, and an
     analysis document other than {"hessian_at_equilibria": true or false}
-    (a string such as "false" is no boolean, a misspelt key is named).
+    (a string such as "false" is no boolean, a misspelt key is named), and
+    a number given as a JSON string or boolean (a t_end of "0.5", a dt of
+    true, an event displacement of ["0.1", "0"], a leader k_f of "5" or
+    p_t of [true, 2]), which float() or numpy would read as a number.
     Each exits before the first step, with no output written."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":
@@ -228,6 +243,19 @@ def test_leader_document_takes_only_its_own_keys(tmp_path, capsys, leader, stray
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and f"unknown key(s) {stray} in a leader document" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+def test_event_time_of_true_is_no_number(tmp_path, capsys):
+    """triangle_flex_2d whose event time is JSON true exits 2 before the
+    first step: true is no 1.0, which would lie inside its 20 s run."""
+    doc = _resolve_scenario("triangle_flex_2d")
+    doc["events"][0]["time"] = True
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "must be numbers" in err[0]
     assert not (tmp_path / "out").exists()
 
 
@@ -344,6 +372,16 @@ BAD_GRAPHS = {
     "infinite_nodes_graph": ({**graph_to_json(triangle_flex()), "nodes": float("inf")},
                              "invalid graph"),
     "desired_400_digits_graph": (triangle_doc(HUGE_INT), "invalid graph"),
+    "fractional_label_graph": ({**graph_to_json(triangle_flex()), "edges": [
+        [1, 2, 4.0], [1.7, 3, 4.0], [2, 3, 4.0], [3, 4, 4.0]]}, "node labels are integers"),
+    "fractional_nodes_graph": ({**graph_to_json(triangle_flex()), "nodes": 4.9},
+                               "node counts are integers"),
+    "fractional_dimension_graph": ({**graph_to_json(triangle_flex()), "dimension": 2.2},
+                                   "dimensions are integers"),
+    "boolean_flex_edge_graph": ({**graph_to_json(triangle_flex()), "flex_edge": [3, True]},
+                                "node labels must be numbers"),
+    "string_desired_graph": (triangle_doc("4.0"), "desired distances must be numbers"),
+    "boolean_desired_graph": (triangle_doc(True), "desired distances must be numbers"),
 }
 BAD_DESIRED = {"nan_desired": float("nan"), "infinite_desired": float("inf"),
                "huge_desired": 1e160, "huge_fourth_power_1e100": 1e100,
@@ -356,7 +394,9 @@ def test_catalog_malformed_input_is_config_error(tmp_path, capsys, case):
     """A graph outside the certified topologies, one that is no formation
     graph (dimension 4, two nodes, an edge past the last node), one whose
     node count is infinite or whose desired distance is an integer beyond
-    the float range, or a NaN or infinite desired distance, or one whose
+    the float range, one whose dimension, node count or label is no integer
+    (2.2, 4.9, 1.7 or true, which int() would truncate or read as 1) or
+    whose length is a string or a boolean, or a NaN or infinite desired distance, or one whose
     fourth power is not a normal float or whose (100 dbar^2)^2 overflows,
     exits 2 before any output is written."""
     path = tmp_path / "bad.json"

@@ -424,3 +424,76 @@ def test_numpy_fallback_guards_itself(graph):
             assert np.isfinite(gradient_control(p, graph, RATIONAL)).all()
             with pytest.raises(IntegrationError, match="not finite"):
                 integrate(p, graph, RATIONAL, t_end=0.01)
+
+
+# SHA-256 of the generated source per (graph, family, leader mode, function)
+STEP_SOURCE_SHA256 = {
+    "4-quadratic-none-advance":
+        "52a1fad65955950fc4bed3616730848040080edcdf0d970c90e937edbc89a743",
+    "4-quadratic-none-evaluate":
+        "98458154500c1b49c26a45b59eb5a1d922b996a908116bf679ca5fee6f7feda3",
+    "4-quadratic-target-advance":
+        "ec4aab3c40ddeb91053a0e859e4f9434eaeebc83a23a24e206d37faeb3fccffd",
+    "4-quadratic-target-evaluate":
+        "77507e52f2406239e7cfdd77b8c573fae6d82400665194f7b0079710a7800689",
+    "4-quadratic-windowed-advance":
+        "6bd0d4334b5c28df4d46733037de7e7c0d5fbe63dcf8fcdbb0908a6322f6beba",
+    "4-quadratic-windowed-evaluate":
+        "233a0233b0b5732569e9534f46ccdfcaf974a737f3cdda578c65262b55f2c427",
+    "4-rational-none-advance":
+        "d29967ba6eefee7320c007147cf4e5c6c7e746c945d5cf851c9b21ec637bcb91",
+    "4-rational-none-evaluate":
+        "afb14ebcfb2519d8dc5b3077b6be99995ca08fcdfcabda94d0bd941f4a91c67d",
+    "4-rational-target-advance":
+        "c2ea38490422f6d5bcef8c0b771e2883350b5d105e2b0323f4810bf9ad075e6e",
+    "4-rational-target-evaluate":
+        "34ee907873b2fd4b96f18927bc3f8edc874c6f2fe619f876cb68a367c0e634ec",
+    "4-rational-windowed-advance":
+        "0b270af32c00043b1eaf53a399df4b062c28a038b22469b328ab0ea966769b27",
+    "4-rational-windowed-evaluate":
+        "bdc3e7b193c4c8c444922fe3728389256fd848b3382a08c416ce975cb34ee61d",
+    "5-quadratic-none-advance":
+        "d1fb381768ece09e6d13d8a1d384a5faca4d18623fa5b6fb28e053a3dc400f60",
+    "5-quadratic-none-evaluate":
+        "3f66201f818eebb09aba7a1041c0b55674198ec92fd7494e968c97f4eafbeeef",
+    "5-quadratic-target-advance":
+        "984d5a075a21b6dcd2542d71081f53a37e14fd5126c76c046266d53c9e67ccc8",
+    "5-quadratic-target-evaluate":
+        "47f3b39d7fa6f30b70047d70aa1e26e2152a72edfefc05436d6d8085485f06c3",
+    "5-quadratic-windowed-advance":
+        "55e4349832d8283850abc413b1b2c3403e7d2b06f509f6afa8cbf9687b5e1d22",
+    "5-quadratic-windowed-evaluate":
+        "5ca02f1eb75a53efe1fac32aaa7c735cd7fdc22778dde137a14912c4e79c2d57",
+    "5-rational-none-advance":
+        "12c88b8bdbabddbf63305cbfbf380e218e66d4d0d27153aa7af71841e29cffba",
+    "5-rational-none-evaluate":
+        "e793debb255163e07943842e9378c8e12c9c32ce91bc5a2ca5cfc14c5a010255",
+    "5-rational-target-advance":
+        "bda5df542c54c04e74aba643bf6d3ed6c39abd78629de63958e48f4242c1c851",
+    "5-rational-target-evaluate":
+        "fcb1ff76d4ff5ab5e09d70dc8ff0ba63b001c0a0edffa75ed0536aef22683d5f",
+    "5-rational-windowed-advance":
+        "2f37f2f191bef51be17492a32fd18362639eb57530b3cb8f7e546562243742f7",
+    "5-rational-windowed-evaluate":
+        "30ff888f4f27af92a6d674c0fbed4388122ffdd12838273472779571ea5d9bbf",
+}
+
+
+def test_generated_step_source_is_pinned():
+    """The source ``_step_source`` writes for the triangle and the
+    tetrahedron, with both families, each leader mode and both functions,
+    is pinned by its SHA-256: a change to the generator that changes any
+    of these functions shows here, before it shows in a trajectory."""
+    import hashlib
+
+    import rigidflex.control as control
+
+    found = {}
+    for graph in (triangle_flex(), tetrahedron_flex()):
+        for family in (QUADRATIC, RATIONAL):
+            for mode in ("none", "target", "windowed"):
+                for name in ("advance", "evaluate"):
+                    source = control._step_source(*control._shape(graph), family, mode, name)
+                    found[f"{graph.num_nodes}-{family.name}-{mode}-{name}"] = \
+                        hashlib.sha256(source.encode()).hexdigest()
+    assert found == STEP_SOURCE_SHA256

@@ -416,17 +416,21 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
                          ids=["triangle", "tetrahedron", "tailored"])
 def test_solve_binds_the_family_once_per_edge_set(graph, family, monkeypatch):
     """``solve`` looks up the family's evaluators once for the balance over
-    the crossing edges, and once before that for the boundary test when some
-    rigid edge has a zero template vector.  A layout refused at the boundary
-    looks them up once; one refused for its desired lengths, never."""
+    the crossing edges (``control._constants`` binds it), and once before
+    that for the boundary test when some rigid edge has a zero template
+    vector.  A layout with no scale has no balance to bind.  A layout
+    refused at the boundary looks them up once; one refused for its
+    desired lengths, never."""
+    import rigidflex.control as control
     import rigidflex.oracle as oracle
 
     binds = []
-    monkeypatch.setattr(oracle, "evaluators",
-                        lambda f: binds.append(f) or potentials.evaluators(f))
+    for module in (oracle, control):
+        monkeypatch.setattr(module, "evaluators",
+                            lambda f: binds.append(f) or potentials.evaluators(f))
     for name, layout in _LAYOUTS[graph.dimension].items():
         t = layout.templates[:, graph.edge_tails[:-1]] - layout.templates[:, graph.edge_heads[:-1]]
-        expected = 1 + (not t.any(axis=(0, 2)).all())
+        expected = (len(layout.templates) > 0) + (not t.any(axis=(0, 2)).all())
         binds.clear()
         try:
             layout.solve(graph, family)
@@ -467,7 +471,8 @@ def test_gap_solver_failures_say_what_happened():
     assert all(len(seed) == 3 and residual > 1e-10 for seed, residual in failed)
     np.testing.assert_allclose(ast.literal_eval(found), [[0.0, 2.0, 3.0]] * 4, atol=1e-12)
     with pytest.raises(OracleError, match="gap root-finder did not converge for x"):
-        _multi_root(lambda x: ([x[0] * x[0] + 1.0], lambda: [[2.0 * x[0]]]), [(1.0,)], "x")
+        _multi_root(lambda x: ([x[0] * x[0] + 1.0, x[1] - 1.0],
+                               lambda: [[2.0 * x[0], 0.0], [0.0, 1.0]]), [(1.0, 1.0)], "x")
 
 
 def test_line_layouts_read_the_stability_slot_table():
@@ -632,10 +637,10 @@ def layout_balances(monkeypatch, graph, family):
     the function ``solve`` hands the Newton seeds, and the bound each gap of
     a root lies below (test_multi_gap_roots_lie_in_the_box).  A layout with
     a shared slot has a zero-length rigid edge, where ``solve`` looks up the
-    family's evaluators once for its boundary test before it looks them up
-    for the balance; the rational family fails that test, so the first
-    lookup of such a layout is steered to the quadratic family's, and the
-    balance gets the family's own."""
+    family's evaluators for its boundary test; the rational family fails
+    that test, so the test's lookup is steered to the quadratic family's,
+    and the balance, which ``control._constants`` binds, gets the family's
+    own."""
     import rigidflex.oracle as oracle
 
     found = []
@@ -649,12 +654,9 @@ def layout_balances(monkeypatch, graph, family):
     for name, layout in _LAYOUTS[graph.dimension].items():
         if not layout.slots or max(layout.slots) < 2:
             continue
-        binds = [QUADRATIC] * (len(set(layout.slots)) < len(layout.slots))
-        monkeypatch.setattr(oracle, "evaluators",
-                            lambda f: potentials.evaluators(binds.pop() if binds else f))
+        monkeypatch.setattr(oracle, "evaluators", lambda f: potentials.evaluators(QUADRATIC))
         with pytest.raises(OracleError, match="recorded"):
             layout.solve(graph, family)
-        assert binds == [], name
         slots = np.array(layout.slots)
         box = [max(db for e, ((i, j), db) in enumerate(zip(graph.edges, graph.desired))
                    if e != graph.flex_edge_index
@@ -738,13 +740,15 @@ def test_mirror_image_of_the_equal_triangle_line_is_exact(monkeypatch):
 
 
 @pytest.mark.parametrize("fun, seed", [
-    (lambda x: ([x[0] * x[0] + 1.0], lambda: [[2.0 * x[0]]]), (0.0,)),
+    (lambda x: ([x[0] * x[0] + 1.0, x[1]], lambda: [[2.0 * x[0], 0.0], [0.0, 1.0]]),
+     (0.0, 1.0)),
     (lambda x: ([x[0] + x[1] - 1.0, x[0] + x[1] - 3.0], lambda: [[1.0, 1.0], [1.0, 1.0]]),
      (0.5, 0.5)),
-    (lambda x: ([math.log(x[0] - 2.0) if x[0] > 2.0 else math.nan],
-                lambda: [[1.0 / (x[0] - 2.0)]]), (1.0,)),
+    (lambda x: ([math.log(x[0] - 2.0) if x[0] > 2.0 else math.nan, x[1]],
+                lambda: [[1.0 / (x[0] - 2.0), 0.0], [0.0, 1.0]]), (1.0, 1.0)),
     (lambda x: ([v * math.inf for v in x], lambda: [[1.0, 0.0], [0.0, 1.0]]), (1.0, 2.0)),
-    (lambda x: ([x[0] - 3.0], lambda: [[math.inf * x[0]]]), (1.0,)),
+    (lambda x: ([x[0] - 3.0, x[1]], lambda: [[math.inf * x[0], 0.0], [0.0, 1.0]]),
+     (1.0, 1.0)),
 ], ids=["singular-J-at-seed", "singular-J-everywhere", "nan-F", "inf-F", "inf-J"])
 def test_singular_or_nonfinite_seeds_do_not_converge(fun, seed):
     """A singular Jacobian or a non-finite F or J ends the seed: the seed
@@ -757,3 +761,39 @@ def test_singular_or_nonfinite_seeds_do_not_converge(fun, seed):
         assert not np.abs(f).max() < 1e-10
         with pytest.raises(OracleError, match="gap root-finder did not converge for t"):
             _multi_root(fun, [seed], "t")
+
+
+# SHA-256 of the hex bits of F and J of every multi-gap line layout, per graph and family
+BALANCE_BITS_SHA256 = {
+    "triangle-quadratic":
+        "9110200ff4fc6c91d69ae6424868f4d1bb48636b6eaa4013d621b46a4ed0aee4",
+    "triangle-rational":
+        "5250442b4e1670a65268e8225d852b848c40d1ed3ce6349ef27658e5f70e3c38",
+    "tetrahedron-quadratic":
+        "5a6538dd1af9c7facddd0d917b7d15313307c4cfc2f54385f92762734e7010b6",
+    "tetrahedron-rational":
+        "506ec6d9da72cfe725db7e7f096efe84e6b94f77235198b2f8220b79881deea2",
+    "tailored-quadratic":
+        "e1e326731cfd6ca1fd5da9ec1278ac4177302adbba3b76b6d7569ef176fbc546",
+    "tailored-rational":
+        "b7f6a4817cf53316423985450e04016e35ae9449840b5a2f963a905fc93ac0c4",
+}
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL], ids=["quadratic", "rational"])
+@pytest.mark.parametrize("name", ["triangle", "tetrahedron", "tailored"])
+def test_layout_balance_bits_are_pinned(name, family, monkeypatch):
+    """F and J of every multi-gap line layout at 20 seeded gaps inside the
+    box are pinned bit for bit by one SHA-256 per graph and family: the
+    roots, and so the catalog, follow from these bits."""
+    import hashlib
+
+    graph = {"triangle": triangle_flex(), "tetrahedron": tetrahedron_flex(),
+             "tailored": TAILORED}[name]
+    rng = np.random.default_rng(33)
+    digest = hashlib.sha256()
+    for _, balance, box in layout_balances(monkeypatch, graph, family):
+        for x in (rng.uniform(0.05, 1.0, (20, len(box))) * box).tolist():
+            f, jacobian = balance(x)
+            digest.update(" ".join(v.hex() for v in [*f, *sum(jacobian(), [])]).encode())
+    assert digest.hexdigest() == BALANCE_BITS_SHA256[f"{name}-{family.name}"]
