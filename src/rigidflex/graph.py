@@ -201,8 +201,13 @@ def _integer(value, least: int, what: str) -> int:
 
 def as_positions(p, graph: FormationGraph) -> np.ndarray:
     """Validate a realization and return it as an (N+1, d) array; GraphError
-    unless ``p`` is an array of numbers of that shape or flattened."""
+    unless ``p`` is an array of numbers of that shape or flattened.  Rows, or
+    one flat row, that are not an ndarray hold numbers by the rule of
+    ``_floats``, as a JSON document gives them."""
     try:
+        if not isinstance(p, np.ndarray):
+            flat = all(isinstance(x, numbers.Real) for x in p)
+            p = _floats(p, "coordinates") if flat else [_floats(row, "coordinates") for row in p]
         arr = np.asarray(p, dtype=float)
     except (OverflowError, TypeError, ValueError) as exc:
         raise GraphError(f"realization is not an array of numbers: {exc}") from None

@@ -5,20 +5,20 @@ catalog walks.  Its rigid agents sit at a combination of fixed templates:
 the slots of ``stability.LINE_SLOTS`` on the first axis, the unit square, or
 the unit triangle with its centroid.  One method, ``_Layout.solve``, checks
 that the desired lengths and the family admit the layout and then solves
-the balance along the templates for the unknown scales: one by Brent's
-method on a proved bracket, two or more by damped Newton on the balance's
-analytic Jacobian from several seeds (rootfind-collinear,
-rootfind-coplanar).  No scale, or one whose bracket closes to a point, is
-exact for every family (coincidence-construct).  The layout solve
+the balance along the templates for the unknown scales: one by bisection
+of a proved bracket down to adjacent floats, two or more by damped Newton
+on the balance's analytic Jacobian from several seeds (rootfind-collinear,
+rootfind-coplanar).  No scale, or one whose bracket ends are equal floats,
+is exact for every family (coincidence-construct).  The layout solve
 evaluates the family on its own edge set, apart from the simulator and the
 edge pass, so its roots are an independent construction.
 
 The balance and its Jacobian are generated per layout, graph shape and
 family as one straight-line function on Python floats (``_balance_code``),
 compiled on first use, cached and bound per solve by ``control._constants``
-as every generated function is.  Newton, its k x k solve and Brent then run
-on lists of floats in a fixed summation order, so no step calls numpy and
-no root depends on how a BLAS sums.
+as every generated function is.  Newton, its k x k solve and the
+bisection then run on lists of floats in a fixed summation order, so no
+step calls numpy and no root depends on how a BLAS sums.
 
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes every
@@ -51,7 +51,6 @@ from .stability import LINE_SLOTS, _classify, _hessian
 
 POLISH_TOL = 1e-12        # balance residual that ends a Newton polish
 POLISH_MAX_ITER = 50      # Newton iterations before a polish stalls
-BRENT_MAX_ITER = 100      # Brent iterations on a one-scale bracket
 NEWTON_MAX_STEPS = 20     # Newton steps per seed,
 NEWTON_HALVINGS = 10      # and the halvings a step may take to reduce max|F|
 
@@ -161,46 +160,23 @@ def flex_coincident_equilibrium(graph: FormationGraph) -> np.ndarray:
 # Root-finding helpers
 
 
-def _brent(f, xpre, xcur, fpre, fcur):
-    """The root of f on [xpre, xcur], where f has the values fpre and fcur of
-    opposite signs, by Brent's method (Brent 1973, ch. 4) to within
-    (1e-15 + 8.9e-16 |x|) / 2.  The arithmetic follows SciPy's C routine
-    ``brentq.c`` line for line, so both return the same float."""
-    xblk = fblk = spre = scur = 0.0
-    if fpre == 0 or fcur == 0:
-        return xpre if fpre == 0 else xcur
-    for _ in range(BRENT_MAX_ITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (1e-15 + 8.9e-16 * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if short := abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                           # extrapolate
-                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            short = 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta)
-        spre, scur = (scur, stry) if short else (sbis, sbis)    # short step, or bisect
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise OracleError(f"layout scale root-finder did not converge in {BRENT_MAX_ITER} iterations")
-
-
 def _bracketed_root(f, lo, hi):
-    """Brent's method on [lo, hi], with a readable error when the ends share a sign."""
+    """The root of f on [lo, hi] by bisection, with a readable error when
+    the ends share a sign.  The bracket is halved by the sign of f until f
+    is exactly 0 at an end or the ends are adjacent floats, and the end with
+    the smaller |f| is returned (lo on a tie).  Every step shrinks a float
+    interval, so no cap is needed, and no tolerance picks the end: a layout
+    whose lengths are scaled by a power of two has its root scaled exactly."""
     f_lo, f_hi = f(lo), f(hi)
     if f_lo * f_hi > 0:
         raise OracleError(f"layout scale bracket failed: f({lo:.4g})={f_lo:.4g}, "
                           f"f({hi:.4g})={f_hi:.4g}")
-    return _brent(f, lo, hi, f_lo, f_hi)
+    while f_lo and f_hi and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if ((f_mid := f(mid)) < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
 
 
 def _max_abs(f) -> float:
@@ -222,7 +198,7 @@ def _dot(u, v) -> float:
 
 
 def _solve(jac, f):
-    """s with J s = F for k = 2 or 3 gaps (one scale goes to Brent) by
+    """s with J s = F for k = 2 or 3 gaps (one scale is bisected) by
     Cramer's rule, the 3x3 determinants by cofactors along the first row, or
     None when det J is exactly 0.  For a 2x2 J with J_12 == J_21, swapping
     the unknowns swaps s bit for bit."""
@@ -345,7 +321,8 @@ class _Layout:
     One scale: <z_e, t_e> = x c_e^2 with c_e = |t_e|, and g has the sign of
     e, so each term has the sign of x c_e - dbar_e.  All terms are <= 0 at
     lo = min dbar_e / c_e and >= 0 at hi = max dbar_e / c_e, so F(lo) <= 0
-    <= F(hi); when lo = hi, every edge has its desired length there.
+    <= F(hi), and ``_bracketed_root`` bisects [lo, hi] when lo < hi.  When
+    lo and hi are one float, every edge has its desired length there.
 
     Box bound, two or more gaps: with every gap positive, an edge crossing
     gap k has <z_e, t_ek> = |z_e| >= x_k, and any other edge has t_ek = 0.
@@ -403,7 +380,7 @@ class _Layout:
         if k == 1:
             ends = [length[e] / _norm(te[0]) for (e, _, _), te in zip(edges, t)]
             lo, hi = min(ends), max(ends)
-            if hi - lo > 1e-12:
+            if lo < hi:
                 x = [_bracketed_root(lambda s: balance([s])[0][0], lo, hi)]
             else:
                 x, method = [lo], "coincidence-construct"

@@ -30,6 +30,7 @@ from its scenario; the PSD tolerance is derived from H.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -456,7 +457,7 @@ def _claims(st: EdgeState, graph: FormationGraph, cls: EquilibriumClass) -> list
 def _json_float(x):
     """Strict-JSON representation: non-finite values become +/-"inf" strings."""
     x = float(x)
-    if np.isfinite(x):
+    if math.isfinite(x):
         return x
     return "inf" if x > 0 else ("-inf" if x < 0 else "nan")
 

@@ -39,6 +39,18 @@ def huge_realization():
     return p
 
 
+def realizations_with_no_json_numbers():
+    """(name, realization) of the desired triangle with coordinates given as
+    JSON strings or booleans, as rows and flat, which numpy reads as numbers."""
+    p = desired_equilibrium(triangle_flex()).tolist()
+    strings = [[str(x) for x in row] for row in p]
+    strings[0][0] = True
+    string, boolean = [row[:] for row in p], [row[:] for row in p]
+    string[1][0], boolean[2][1] = "0.0", True
+    return [("strings_and_true", strings), ("string", string), ("boolean", boolean),
+            ("flat_string", sum(string, [])), ("flat_boolean", sum(boolean, []))]
+
+
 def small_scenario(tmp_path, **overrides):
     doc = {
         "graph": "triangle_flex",
@@ -172,6 +184,10 @@ def test_run_bad_scenario_is_config_error(tmp_path):
         ("t_end", HUGE_INT), ("dt", HUGE_INT), ("initial", huge_realization()))),
     pytest.param("analyze", "realization", {"positions": huge_realization()},
                  id="analyze-realization-400_digits"),
+    *(pytest.param("run", "initial", doc, id=f"run-initial-{name}")
+      for name, doc in realizations_with_no_json_numbers()),
+    *(pytest.param("analyze", "realization", {"positions": doc}, id=f"analyze-realization-{name}")
+      for name, doc in realizations_with_no_json_numbers()),
     *(pytest.param("run", "analysis", doc, id=f"run-analysis-{name}") for name, doc in (
         ("string_false", {"hessian_at_equilibria": "false"}),
         ("string_no", {"hessian_at_equilibria": "no"}),
@@ -199,7 +215,8 @@ def test_malformed_input_is_config_error(tmp_path, graph_file, capsys, verb, fie
     (a string such as "false" is no boolean, a misspelt key is named), and
     a number given as a JSON string or boolean (a t_end of "0.5", a dt of
     true, an event displacement of ["0.1", "0"], a leader k_f of "5" or
-    p_t of [true, 2]), which float() or numpy would read as a number.
+    p_t of [true, 2], a realization coordinate of "0.0" or true), which
+    float() or numpy would read as a number.
     Each exits before the first step, with no output written."""
     bad = tmp_path / "bad.json"
     if verb == "analyze":

@@ -7,6 +7,7 @@ from rigidflex.control import edge_states
 from rigidflex.graph import (
     FormationGraph,
     GraphError,
+    as_positions,
     graph_from_json,
     graph_to_json,
     tetrahedron_flex,
@@ -100,3 +101,13 @@ def test_json_round_trip():
     doc = graph_to_json(g)
     g2 = graph_from_json(doc)
     assert g2 == g
+
+
+def test_realization_rows_or_flat_list_of_numbers():
+    """A realization as rows or one flat row of numbers (lists, tuples or
+    ndarray rows, ints among them) reads as the same array."""
+    g = triangle_flex()
+    p = np.arange(8.0).reshape(4, 2)
+    for given in (p, p.ravel(), p.tolist(), p.ravel().tolist(), list(p),
+                  [tuple(row) for row in p.tolist()], [[0, 1], [2, 3], [4, 5], [6, 7]]):
+        np.testing.assert_array_equal(as_positions(given, g), p)

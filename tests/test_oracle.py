@@ -494,8 +494,8 @@ def test_line_layouts_read_the_stability_slot_table():
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED],
                          ids=["triangle", "tetrahedron", "tailored"])
 def test_one_scale_layouts_bracket_their_root(graph, family, monkeypatch):
-    """Every admitted one-scale layout either has coinciding bracket ends
-    (an exact construction) or hands Brent's method ends with F(lo) <= 0 <= F(hi),
+    """Every admitted one-scale layout either has bracket ends that are one
+    float (an exact construction) or bisects ends with F(lo) <= 0 <= F(hi),
     and its root lies between them."""
     import rigidflex.oracle as oracle
 
@@ -588,15 +588,12 @@ def one_scale_brackets(monkeypatch, graph, family):
     return brackets
 
 
-def test_brent_matches_the_reference_brentq_bit_for_bit(monkeypatch):
-    """``_brent`` ports SciPy's brentq.c line for line: on every one-scale
-    bracket of the three certified graphs x both families, on seeded
-    monotone cubics and rationals, and with an exact zero at either end, it
-    returns the very float ``scipy.optimize.brentq`` returns at the
-    oracle's tolerances."""
-    from scipy.optimize import brentq
-
-    from rigidflex.oracle import _brent
+def test_bisection_ends_at_a_sign_change(monkeypatch):
+    """On every one-scale bracket of the three certified graphs x both
+    families, on seeded monotone cubics and rationals, and with an exact
+    zero at either end, the root lies in [lo, hi] and either f is 0 there
+    or a float next to it inside the bracket has the opposite sign of f."""
+    from rigidflex.oracle import _bracketed_root
 
     cases = [case for graph in (triangle_flex(), tetrahedron_flex(), TAILORED)
              for family in (QUADRATIC, RATIONAL)
@@ -611,15 +608,41 @@ def test_brent_matches_the_reference_brentq_bit_for_bit(monkeypatch):
         cases.append((lambda x, c=c, r=r, s=sign: s * (x - r) / (x + c), lo, hi))
     cases += [(lambda x: x - 2.0, 2.0, 3.0), (lambda x: x - 3.0, 2.0, 3.0)]
     for f, lo, hi in cases:
-        lo, hi = float(lo), float(hi)
-        expected = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        assert _brent(f, lo, hi, f(lo), f(hi)).hex() == expected.hex()
+        x = _bracketed_root(f, lo, hi)
+        assert lo <= x <= hi
+        neighbours = [y for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
+                      if lo <= y <= hi]
+        assert f(x) == 0 or any((f(y) < 0) != (f(x) < 0) for y in neighbours), (lo, x, hi)
 
 
-def test_brent_raises_after_100_iterations():
-    """A step function on a huge bracket needs about a thousand bisections;
-    Brent stops after 100 further evaluations with an OracleError."""
-    from rigidflex.oracle import _brent
+@pytest.mark.parametrize("graph, family, subform", [
+    (tetrahedron_flex(), QUADRATIC, "convex_quadrilateral"),
+    (tetrahedron_flex(), RATIONAL, "convex_quadrilateral"),
+    (tetrahedron_flex(), QUADRATIC, "interior_point"),
+    (tetrahedron_flex(), RATIONAL, "interior_point"),
+    (tetrahedron_with({(1, 4): 5.0, (2, 3): 5.0}), QUADRATIC, "double_pair"),
+], ids=["square-quadratic", "square-rational", "interior-quadratic", "interior-rational",
+        "double_pair-quadratic"])
+def test_one_scale_roots_scale_exactly(graph, family, subform):
+    """Scaling every desired length by 2^k scales each one-scale layout's
+    rigid positions by 2^k bit for bit: the bisection's midpoints and the
+    signs of F scale exactly, and no absolute tolerance picks its end."""
+    layout = _LAYOUTS[3][subform]
+    assert len(layout.templates) == 1
+    rigid, method = layout.solve(graph, family)
+    assert method != "coincidence-construct"
+    for k in (-150, -100, -60, -30, -10, -3, 3, 10, 30, 60, 100):
+        scaled = dataclasses.replace(graph, desired=tuple(math.ldexp(d, k) for d in graph.desired))
+        rigid_k, method_k = layout.solve(scaled, family)
+        assert method_k == method
+        assert np.array_equal(rigid_k, np.ldexp(rigid, k)), k
+
+
+def test_bisection_has_no_iteration_cap():
+    """A step function on a huge bracket takes about a thousand halvings
+    down to the adjacent floats around its jump, and the bisection takes
+    them all."""
+    from rigidflex.oracle import _bracketed_root
 
     calls = []
 
@@ -627,9 +650,8 @@ def test_brent_raises_after_100_iterations():
         calls.append(x)
         return -1.0 if x < 0.5 else 1.0
 
-    with pytest.raises(OracleError, match="did not converge in 100 iterations"):
-        _brent(step, -1e300, 1e300, -1.0, 1.0)
-    assert len(calls) == 100
+    assert _bracketed_root(step, -1e300, 1e300) == math.nextafter(0.5, 0.0)
+    assert len(calls) == 1053
 
 
 def layout_balances(monkeypatch, graph, family):
