@@ -167,7 +167,7 @@ def simplex_gram(sq) -> np.ndarray:
     """Gram matrix G_ab = (sq_0a + sq_0b - sq_ab) / 2 at vertex 1 of a
     (..., k, k) stack of squared distances, over the other k - 1 vertices
     (halved first, so no finite ``sq`` overflows).  The lengths form a
-    non-degenerate simplex exactly when ``np.linalg.cholesky(G)`` succeeds
+    non-degenerate simplex exactly when G's Cholesky pivots are all > 0
     (Blumenthal 1953); the factor's rows then place vertex a + 1 in the span
     of the first a axes with a positive last coordinate, vertex 1 at 0.
     """

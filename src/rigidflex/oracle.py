@@ -21,11 +21,10 @@ bisection then run on lists of floats in a fixed summation order, so no
 step calls numpy and no root depends on how a BLAS sums.
 
 The flex agent sits at its desired length from its anchor along the last
-axis.  ``_finalize`` builds every CatalogEntry: it Newton-polishes every
-point but an exact (coincidence-construct) one, rejects points outside the
-family's domain and classifies; polish and classification run the edge
-pass.  Every point is constructed, never simulated: nothing here
-integrates the closed loop.
+axis.  ``_finalize`` builds every CatalogEntry from one edge pass at the
+constructed point: it rejects points outside the family's domain and
+classifies.  Every point is constructed, never simulated or polished
+(``newton_polish`` serves ``rigidflex run``'s equilibrium reports).
 
 ``root``, one Newton solve from one seed, is a module attribute that every
 seed looks up at call time, so a caller may wrap it to count seeds.  It is a
@@ -61,7 +60,7 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One constructed equilibrium, immutable once polished."""
+    """One constructed equilibrium, as built: never polished, immutable."""
 
     positions: np.ndarray          # (N+1, d)
     kind: str
@@ -129,16 +128,22 @@ def _require_certified(graph: FormationGraph) -> str:
 
 
 def _rigid_embedding(graph: FormationGraph) -> np.ndarray:
-    """The rigid agents at their desired distances, in ``simplex_gram``'s frame."""
+    """The rigid agents at their desired distances, in ``simplex_gram``'s frame:
+    its Cholesky factor on Python floats, sums left to right (``_dot``), each
+    column times its pivot's reciprocal as LAPACK's unblocked factor scales it."""
     topo = _require_certified(graph)
     k, rigid = graph.num_nodes - 1, graph._rigid
     sq = np.zeros((k, k))
     sq[graph._tails[rigid], graph._heads[rigid]] = graph._dbar2[rigid]
-    try:
-        low = np.linalg.cholesky(simplex_gram(sq + sq.T))
-    except np.linalg.LinAlgError:
-        raise OracleError(f"{topo} distances are not realizable") from None
-    return np.vstack([np.zeros(k - 1), low])
+    low = [[0.0] * (k - 1) for _ in range(k)]
+    for i, row in enumerate(simplex_gram(sq + sq.T).tolist(), 1):
+        r = low[i]
+        for j in range(i - 1):
+            r[j] = (row[j] - _dot(r[:j], low[j + 1])) * (1.0 / low[j + 1][j])
+        if not (pivot := row[i - 1] - _dot(r[:i - 1], r)) > 0:     # also NaN
+            raise OracleError(f"{topo} distances are not realizable")
+        r[i - 1] = math.sqrt(pivot)
+    return np.array(low)
 
 
 def desired_equilibrium(graph: FormationGraph) -> np.ndarray:
@@ -146,7 +151,7 @@ def desired_equilibrium(graph: FormationGraph) -> np.ndarray:
     on the far side of its anchor from the rigid centroid."""
     rigid = _rigid_embedding(graph)
     direction = rigid[-1] - rigid.mean(axis=0)
-    direction = direction / np.linalg.norm(direction)
+    direction = direction / _norm(direction)
     return np.vstack([rigid, rigid[-1] + graph.desired[graph.flex_edge_index] * direction])
 
 
@@ -168,7 +173,7 @@ def _bracketed_root(f, lo, hi):
     interval, so no cap is needed, and no tolerance picks the end: a layout
     whose lengths are scaled by a power of two has its root scaled exactly."""
     f_lo, f_hi = f(lo), f(hi)
-    if f_lo * f_hi > 0:
+    if not (f_lo <= 0 <= f_hi or f_hi <= 0 <= f_lo):        # also a NaN end
         raise OracleError(f"layout scale bracket failed: f({lo:.4g})={f_lo:.4g}, "
                           f"f({hi:.4g})={f_hi:.4g}")
     while f_lo and f_hi and lo < (mid := 0.5 * (lo + hi)) < hi:
@@ -340,9 +345,9 @@ class _Layout:
         """(rigid positions, method), or OracleError.
 
         Three refusals come before any solving.  Agents in one slot must
-        reach every other slot along edges of the same desired lengths, and
-        each ``equal`` group must share one length; otherwise the agents'
-        balances differ and F = 0 is no equilibrium.  A rigid edge with a
+        reach every other slot along edges of equal desired lengths, and
+        each ``equal`` group must share one length, as floats compare;
+        otherwise the agents' balances differ and F = 0 is no equilibrium.  A rigid edge with a
         zero template vector has zero length whatever the scales, so neither
         has a family whose g is not finite at e = -dbar^2.  That test looks
         up the family's cached ``evaluators``; ``control._constants`` binds
@@ -356,16 +361,14 @@ class _Layout:
                  for a in range(len(self.slots))]
         for a, slot in enumerate(self.slots):
             ra, rb = reach[a], reach[b := self.slots.index(slot)]
-            if [s for s, _ in ra] != [s for s, _ in rb] or any(
-                    abs(x - y) > 1e-12 for (_, x), (_, y) in zip(ra, rb)):
+            if ra != rb:
                 raise OracleError(
                     f"construction needs equal desired distances: coincident agents "
                     f"{b + 1} and {a + 1} have desired lengths "
-                    f"{[round(float(x), 12) for _, x in rb]} and "
-                    f"{[round(float(x), 12) for _, x in ra]} to the other points")
+                    f"{[x for _, x in rb]} and {[x for _, x in ra]} to the other points")
         desired = dict(zip(graph.edges, graph.desired))
         for what, group in self.equal:
-            if any(abs(desired[e] - desired[group[0]]) > 1e-12 for e in group):
+            if any(desired[e] != desired[group[0]] for e in group):
                 raise OracleError(f"construction needs equal desired distances: {what}")
         if inner:
             g, d2 = evaluators(family)[1], graph._dbar2[list(inner)]
@@ -506,11 +509,9 @@ _BOUNDARY = ("construction lies on the coincidence boundary, where this "
 
 def _finalize(positions, graph: FormationGraph, family: PotentialFamily, method: str,
               expect) -> CatalogEntry:
-    """Polish a root-found point, then check the domain, classify and build
-    the entry from one edge pass; ``expect`` is the (kind, subform) to match."""
+    """Check the domain, classify and build the entry from one edge pass at
+    the constructed point; ``expect`` is the (kind, subform) to match."""
     p = as_positions(positions, graph)
-    if method != "coincidence-construct":
-        p = newton_polish(p, graph, family).reshape(p.shape)
     st = edge_states(p, graph, family)
     if not np.isfinite(st.v):
         raise OracleError(_BOUNDARY)

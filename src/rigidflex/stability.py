@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, EdgeState, _check_eq_tol, _shape, edge_states
+from .control import EQ_TOL, EdgeState, _check_eq_tol, _norm, _shape, edge_states
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialDomainError, PotentialFamily
 
@@ -178,7 +178,7 @@ def _classify(pos: np.ndarray, st: EdgeState, graph: FormationGraph,
         return EquilibriumClass(kind="desired", diagnostics=diag, ambiguous=ambiguous)
 
     z_flex = st.z[graph.flex_edge_index]
-    flex_gap = float(np.linalg.norm(z_flex))
+    flex_gap = _norm(z_flex)
     diag["flex_gap"] = flex_gap
     rigid = pos[:-1]
     if flex_gap < POS_TOL:

@@ -6,12 +6,24 @@ import math
 import numpy as np
 
 from rigidflex.control import gradient_control
-from rigidflex.graph import simplex_gram
+from rigidflex.graph import FormationGraph, simplex_gram
 from rigidflex.integrator import integrate
 from rigidflex.oracle import newton_polish
 from rigidflex.potentials import evaluators
 from rigidflex.stability import Claim, classify
 
+
+def tetrahedron_with(des):
+    """Tetrahedron-plus-flex graph with desired lengths des[(i, j)], 4 elsewhere."""
+    edges = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5))
+    return FormationGraph(num_nodes=5, dimension=3, edges=edges,
+                          desired=tuple(des.get(e, 4.0) for e in edges), flex_edge=(4, 5))
+
+
+# the tailored tetrahedron: unequal lengths whose quadratic balance has a
+# pair-at-endpoint root at gaps (2, 3), d13 = d23 = sqrt(26.5), d34 = sqrt(39)
+TAILORED = tetrahedron_with({(1, 3): math.sqrt(26.5), (2, 3): math.sqrt(26.5),
+                             (3, 4): math.sqrt(39.0)})
 
 def bind(family, dbar):
     """A family's (phi, g, rho) as functions of e alone at the desired

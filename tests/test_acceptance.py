@@ -19,12 +19,12 @@ import pytest
 
 from rigidflex.cli import _resolve_scenario
 from rigidflex.control import edge_states, gradient_control, leader_spec_from_json
-from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
+from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.integrator import integrate, random_perturbation
 from rigidflex.oracle import build_catalog, construct_equilibrium, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
 from rigidflex.stability import analyze, assemble_hessian
-from references import local_frame_control, verify_angle_inequalities
+from references import TAILORED, local_frame_control, verify_angle_inequalities
 
 EPS_EIG_REL = 1e-8
 WITNESS_MARGIN = 1e-10
@@ -213,15 +213,8 @@ def test_criterion_07_instability_certificates_3d():
     certified_q, failures_q = _certify_catalog(TETRA, QUADRATIC)
     certified_r, _ = _certify_catalog(TETRA, RATIONAL)
 
-    edges = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5))
-    des = {(1, 2): 4.0, (1, 3): np.sqrt(26.5), (1, 4): 4.0,
-           (2, 3): np.sqrt(26.5), (2, 4): 4.0, (3, 4): np.sqrt(39.0),
-           (4, 5): 4.0}
-    tailored = FormationGraph(num_nodes=5, dimension=3, edges=edges,
-                              desired=tuple(des[e] for e in edges),
-                              flex_edge=(4, 5))
-    entry = construct_equilibrium(tailored, QUADRATIC, "pair_endpoint_collinear")
-    w = analyze(entry.positions, tailored, QUADRATIC).witness
+    entry = construct_equilibrium(TAILORED, QUADRATIC, "pair_endpoint_collinear")
+    w = analyze(entry.positions, TAILORED, QUADRATIC).witness
     assert w.quadratic_form < 0
 
     covered = set(certified_q) | set(certified_r) | {entry.subform}

@@ -21,12 +21,13 @@ from rigidflex.oracle import (
     build_catalog,
     construct_equilibrium,
     desired_equilibrium,
+    flex_coincident_equilibrium,
     newton_polish,
     write_catalog,
 )
 from rigidflex.potentials import QUADRATIC, RATIONAL
 from rigidflex.stability import EQ_TOL, LINE_SLOTS, classify
-from references import balance_residuals, capture_from_flow
+from references import TAILORED, balance_residuals, capture_from_flow, tetrahedron_with
 from test_integrator import counting_pass
 
 
@@ -103,13 +104,7 @@ def test_catalog_3d_rational_adds_the_distinct_collinear_form():
 def test_pair_endpoint_constructible_with_tailored_distances():
     """Unequal distance set designed so the quadratic balance has a root at
     gaps (2, 3): d13 = d23 = sqrt(26.5), d14 = d24 = 4, d34 = sqrt(39)."""
-    edges = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5))
-    des = {(1, 2): 4.0, (1, 3): math.sqrt(26.5), (1, 4): 4.0,
-           (2, 3): math.sqrt(26.5), (2, 4): 4.0, (3, 4): math.sqrt(39.0),
-           (4, 5): 4.0}
-    g = FormationGraph(num_nodes=5, dimension=3, edges=edges,
-                       desired=tuple(des[e] for e in edges), flex_edge=(4, 5))
-    entry = construct_equilibrium(g, QUADRATIC, "pair_endpoint_collinear")
+    entry = construct_equilibrium(TAILORED, QUADRATIC, "pair_endpoint_collinear")
     assert entry.subform == "pair_endpoint_collinear"
     assert entry.residual < 1e-12
     x = entry.positions[:4, 0]
@@ -204,17 +199,6 @@ def test_uncertified_topology_rejected():
                        desired=(4.0, 4.0), flex_edge=(2, 3))
     with pytest.raises(OracleError):
         build_catalog(g, QUADRATIC)
-
-
-def tetrahedron_with(des):
-    """Tetrahedron-plus-flex graph with desired lengths des[(i, j)]."""
-    edges = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5))
-    return FormationGraph(num_nodes=5, dimension=3, edges=edges,
-                          desired=tuple(des.get(e, 4.0) for e in edges), flex_edge=(4, 5))
-
-
-TAILORED = tetrahedron_with({(1, 3): math.sqrt(26.5), (2, 3): math.sqrt(26.5),
-                             (3, 4): math.sqrt(39.0)})
 
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
@@ -326,27 +310,17 @@ def test_newton_polish_runs_one_edge_pass_per_iteration(monkeypatch):
                                    (triangle_flex, QUADRATIC, "all_coincident"),
                                    (tetrahedron_flex, RATIONAL, "interior_point"),
                                    (tetrahedron_flex, QUADRATIC, "double_pair"))])
-def test_construct_equilibrium_makes_one_pass_after_the_polish(monkeypatch, graph, family,
-                                                                 subform):
-    """After the Newton polish (none for an exact construction), one edge
-    pass gives the entry's domain check, class and residual."""
+def test_construct_equilibrium_makes_one_pass(monkeypatch, graph, family, subform):
+    """A construction, root-found or exact, is never polished: one edge pass
+    at the constructed point gives the entry's domain check, class and
+    residual."""
     import rigidflex.oracle as oracle
 
     counts = {"pass": 0}
-    polish_passes = []
-    polish = oracle.newton_polish
-
-    def counted_polish(*args):
-        before = counts["pass"]
-        out = polish(*args)
-        polish_passes.append(counts["pass"] - before)
-        return out
-
     counting_pass(monkeypatch, counts)
-    monkeypatch.setattr(oracle, "newton_polish", counted_polish)
-    entry = construct_equilibrium(graph, family, subform)
-    assert len(polish_passes) == (entry.method != "coincidence-construct")
-    assert counts["pass"] == sum(polish_passes) + 1
+    monkeypatch.setattr(oracle, "newton_polish", lambda *args: pytest.fail("polished"))
+    construct_equilibrium(graph, family, subform)
+    assert counts["pass"] == 1
 
 
 # the messages of the refusals ``_Layout.solve`` makes before any root solve
@@ -652,6 +626,86 @@ def test_bisection_has_no_iteration_cap():
 
     assert _bracketed_root(step, -1e300, 1e300) == math.nextafter(0.5, 0.0)
     assert len(calls) == 1053
+
+
+@pytest.mark.parametrize("f", [lambda x: 1e-200, lambda x: -1e-200, lambda x: math.nan,
+                               lambda x: math.nan if x < 1.5 else 1.0],
+                         ids=["underflow", "negative-underflow", "nan", "nan-end"])
+def test_bisection_refuses_ends_of_one_sign(f):
+    """Ends whose signs agree are no bracket even when the product of their
+    values underflows to 0, and a NaN end is none either."""
+    from rigidflex.oracle import _bracketed_root
+
+    with pytest.raises(OracleError, match="bracket failed"):
+        _bracketed_root(f, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("family, ks", [(RATIONAL, range(-10, 13)), (QUADRATIC, range(-10, 4))],
+                         ids=["rational", "quadratic"])
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED,
+                                   triangle_flex((3.0, 4.0, 5.5, 2.0))],
+                         ids=["triangle", "tetrahedron", "tailored", "triangle-3-4-5.5"])
+def test_catalogs_scale_exactly(graph, family, ks):
+    """With every desired length times 2^k, a catalog keeps its entries,
+    their methods and its failure names, and each entry's positions are
+    2^k times its positions at k = 0, bit for bit: an entry is its
+    construction, and no absolute tolerance moves or refuses it.  The k
+    range is where ``classify``'s absolute tolerances still hold (ROADMAP
+    item 1); the quadratic family's forces grow as 2^(3k)."""
+    entries, failures = build_catalog(graph, family)
+    for k in ks:
+        scaled = dataclasses.replace(graph, desired=tuple(math.ldexp(d, k) for d in graph.desired))
+        entries_k, failures_k = build_catalog(scaled, family)
+        assert sorted(failures_k) == sorted(failures), k
+        assert ([(e.kind, e.subform, e.method) for e in entries_k]
+                == [(e.kind, e.subform, e.method) for e in entries]), k
+        for e, e_k in zip(entries, entries_k):
+            assert np.array_equal(e_k.positions, np.ldexp(e.positions, k)), (k, e.subform)
+
+
+def test_symmetric_layouts_need_exactly_equal_lengths(monkeypatch):
+    """A layout is an equilibrium only when the desired lengths have its
+    symmetry exactly.  One ulp off is refused before any solve: the
+    triangle's coincident pair with d13 one ulp above d12, whose message
+    gives both lengths in full, and the equal tetrahedron's square and
+    centred triangle with d12 one ulp long."""
+    import rigidflex.oracle as oracle
+
+    brackets = []
+    monkeypatch.setattr(oracle, "_bracketed_root", lambda *args: brackets.append(args))
+    up = math.nextafter(4.0, math.inf)
+    message = re.escape("coincident agents 2 and 3 have desired lengths [4.0] and "
+                        "[4.000000000000001] to the other points")
+    for family in (QUADRATIC, RATIONAL):
+        with pytest.raises(OracleError, match=message):
+            construct_equilibrium(triangle_flex((4.0, up, 4.0, 2.0)), family, "coincident_pair")
+        for subform, group in (("convex_quadrilateral", "the four square sides"),
+                               ("interior_point", "outer triangle sides")):
+            with pytest.raises(OracleError, match=f"needs equal desired distances: {group}"):
+                construct_equilibrium(tetrahedron_flex((up,) + (4.0,) * 6), family, subform)
+    assert brackets == []
+
+
+def test_catalogs_and_desired_shapes_call_no_lapack(monkeypatch):
+    """The desired shape is a Cholesky factor on Python floats and a catalog
+    entry is its construction, so neither calls numpy's cholesky, norm or
+    lstsq, whose bits follow the BLAS kernel; an unrealizable length set is
+    refused by the same factor."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK or BLAS call")
+
+    for name in ("cholesky", "norm", "lstsq"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for graph in (triangle_flex(), tetrahedron_flex(), TAILORED,
+                  triangle_flex((3.0, 4.0, 5.0, 2.0)), triangle_flex((3.0, 4.0, 5.5, 2.0))):
+        desired_equilibrium(graph)
+        flex_coincident_equilibrium(graph)
+        for family in (QUADRATIC, RATIONAL):
+            entries, _ = build_catalog(graph, family)
+            assert entries
+    for lengths in ((1.0, 1.0, 3.0, 2.0), (1.0, 2.0, 3.0, 2.0)):
+        with pytest.raises(OracleError, match="triangle distances are not realizable"):
+            desired_equilibrium(triangle_flex(lengths))
 
 
 def layout_balances(monkeypatch, graph, family):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from rigidflex.control import edge_states, gradient_control
-from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
+from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     build_catalog,
     construct_equilibrium,
@@ -28,7 +28,7 @@ from rigidflex.stability import (
     assemble_hessian,
     classify,
 )
-from references import balance_residuals, bind, psd_check, verify_angle_inequalities
+from references import TAILORED, balance_residuals, bind, psd_check, verify_angle_inequalities
 from test_integrator import counting_pass
 
 RNG = np.random.default_rng(7)
@@ -607,12 +607,7 @@ def separate_report(p, graph, family):
         witness=witness, claims=claims, certified=certified)
 
 
-TAILORED_TETRAHEDRON = FormationGraph(
-    num_nodes=5, dimension=3, edges=((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5)),
-    desired=(4.0, 26.5 ** 0.5, 4.0, 26.5 ** 0.5, 4.0, 39.0 ** 0.5, 4.0), flex_edge=(4, 5))
-
-
-@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED_TETRAHEDRON])
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED])
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
 def test_analyze_equals_the_separate_public_calls(graph, family):
     """analyze shares one edge pass and one aligned block among its parts;
