@@ -51,6 +51,14 @@ def _norm(u) -> float:
     return math.sqrt(sq)
 
 
+def _dot(u, v) -> float:
+    """<u, v> summed left to right, as ``_norm`` sums."""
+    total = 0.0
+    for a, b in zip(u, v):
+        total += a * b
+    return total
+
+
 def _residual(u, d: int) -> float:
     """The balance residual: the largest ``_norm`` of an agent's d entries
     in a flat, node-major list u, which sums ((x^2 + y^2) + z^2) as numpy's

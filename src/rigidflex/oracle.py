@@ -42,7 +42,7 @@ from types import FunctionType
 
 import numpy as np
 
-from .control import _call, _compiled, _constants, _norm, _shape, edge_states
+from .control import _call, _compiled, _constants, _dot, _norm, _pass, _shape, edge_states
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily, evaluators
 from .stability import LINE_SLOTS, _classify, _hessian
@@ -107,7 +107,7 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarr
             return p
         if it == POLISH_MAX_ITER:
             raise OracleError(f"Newton polish stalled at residual {st.residual:.3e}")
-        h = _hessian(st, graph)
+        h = _hessian(st.z, st.g, st.rho, graph)
         if not np.all(np.isfinite(h)):
             raise OracleError("balance Jacobian is non-finite; cannot polish "
                               "(coincident agents with a singular family?)")
@@ -192,14 +192,6 @@ def _max_abs(f) -> float:
         if v > worst or v != v:         # a NaN is taken and then kept
             worst = v
     return worst
-
-
-def _dot(u, v) -> float:
-    """<u, v> summed left to right."""
-    total = 0.0
-    for a, b in zip(u, v):
-        total += a * b
-    return total
 
 
 def _solve(jac, f):
@@ -512,10 +504,10 @@ def _finalize(positions, graph: FormationGraph, family: PotentialFamily, method:
     """Check the domain, classify and build the entry from one edge pass at
     the constructed point; ``expect`` is the (kind, subform) to match."""
     p = as_positions(positions, graph)
-    st = edge_states(p, graph, family)
-    if not np.isfinite(st.v):
+    out = _pass(graph, family)(x := p.ravel().tolist())
+    if not math.isfinite(out[2]):           # V
         raise OracleError(_BOUNDARY)
-    cls = _classify(p, st, graph)
+    cls = _classify(x, out, graph)
     residual = cls.diagnostics["residual"]
     if (cls.kind, cls.subform) != expect:
         raise OracleError(

@@ -4,44 +4,46 @@ The shape potential's Hessian H is assembled from per-edge blocks
 M_e = 2 rho_e z_e z_e^T + g_e I_d, added to the two diagonal node blocks of
 edge e = (i, j) and subtracted from its two off-diagonal node blocks.  At an
 undesired equilibrium the collapsed rigid subformation has a degenerate axis
-r.  For node weights v the direction v (x) r has curvature
-(v (x) r)^T H (v (x) r) = v^T H_r v, where the aligned block is
-H_r[i, j] = r^T H_ij r.  A v with v^T H_r v < 0 certifies that the
+r.  For node weights v, (v (x) r)^T H (v (x) r) = v^T H_r v, where the
+aligned block H_r[i, j] = r^T H_ij r is the Laplacian of the edge weights
+w_e = g_e + 2 rho_e (z_e . r)^2.  A v with v^T H_r v < 0 certifies that the
 equilibrium is a saddle of the potential and hence unstable.
 
-``classify`` decides the layout of an undesired equilibrium once: its axis
-r, and for a degenerate-rigid one its subform and its roles, the rigid
-agents' labels in role order i, j, k, l.  Line forms are looked up in
-LINE_SLOTS, the slot table the oracle builds its line equilibria from;
-planar forms come from the signs of the agents' affine dependence.  The
-paper's sign claims are data over those roles (SIGN_CLAIMS), which
-``_claims`` evaluates.
+``classify`` decides on Python floats, once: the axis r in closed form (at a
+3-D point, z_flex x the coordinate axis least along z_flex), the
+``degeneracy`` (the rigid agents' simplex's smallest height), and for a
+degenerate-rigid class its subform and roles, the rigid agents' labels in
+role order i, j, k, l.  Line forms are looked up in LINE_SLOTS, the slot
+table the oracle builds its line equilibria from; planar forms come from the
+signs of the agents' affine dependence, in signed triangle areas.  The sign
+claims are data over the roles (SIGN_CLAIMS).  No verdict calls LAPACK but
+the witness's eigenvector fallback; the spectra are reported, not judged.
 
-``analyze`` is the one entry point for the witness and the sign claims.  It
-makes one edge pass (``control.edge_states``) and hands it to the private
-``_classify``, ``_hessian``, ``_witness`` and ``_claims``; the public
-``classify`` and ``assemble_hessian`` are each one pass plus their private
-counterpart.  Tolerances are module constants: EQ_TOL from ``control``, and
-SHAPE_TOL, POS_TOL, GEOM_TOL, WITNESS_MARGIN and ZERO_TOL here, read at call
-time.  Only ``analyze`` takes one per call, ``eq_tol``, which a run reads
-from its scenario; the PSD tolerance is derived from H.
+``analyze``, the one entry point for the witness and the sign claims, makes
+one edge pass (``control._pass``) and hands its lists to the private
+``_classify``, ``_hessian``, ``_aligned_block``, ``_witness`` and
+``_claims``; ``classify`` and ``assemble_hessian`` are each one pass plus
+their private counterpart.  Tolerances are module constants read at call
+time (EQ_TOL from ``control``); only ``analyze`` takes one per call,
+``eq_tol``.  The PSD tolerance is derived from H.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, EdgeState, _check_eq_tol, _norm, _shape, edge_states
+from .control import EQ_TOL, _check_eq_tol, _dot, _evaluate, _norm, _pass, _residual, _shape
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialDomainError, PotentialFamily
 
 SHAPE_TOL = 1e-6        # max |e| for the desired-shape set
 POS_TOL = 1e-6          # coincidence detection
-GEOM_TOL = 1e-7         # collinearity/coplanarity via smallest singular value
+GEOM_TOL = 1e-7         # collinearity/coplanarity: the simplex's smallest height
 WITNESS_MARGIN = 1e-10  # a witness form must lie below -WITNESS_MARGIN * max |block|
 ZERO_TOL = 1e-9         # |value| at most this satisfies an "= 0" sign claim
 
@@ -56,19 +58,21 @@ class WitnessNotFoundError(RuntimeError):
 
 def assemble_hessian(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
     """((N+1)d)^2 symmetric Hessian of the shape potential."""
-    return _hessian(edge_states(p, graph, family), graph)
+    _, _, _, z, g, rho = _evaluate(p, graph, family)
+    return _hessian(z, g, rho, graph)
 
 
 @np.errstate(invalid="ignore", over="ignore")
-def _hessian(st: EdgeState, graph: FormationGraph) -> np.ndarray:
-    """The Hessian from one edge pass ``st``, its edge blocks summed in edge
-    order by ``_hessian_index`` rather than multiplied by the incidence
-    matrix: a non-finite block (a coincident edge of a family that diverges
-    there) then reaches only its own four node blocks, where a product with
-    B would spread 0 * inf to all of them."""
-    nd = graph.num_nodes * graph.dimension
-    m = 2.0 * st.rho[:, None, None] * (st.z[:, :, None] * st.z[:, None, :]) \
-        + st.g[:, None, None] * np.eye(graph.dimension)
+def _hessian(z, g, rho, graph: FormationGraph) -> np.ndarray:
+    """The Hessian from one edge pass's z, g and rho (lists or arrays), its
+    edge blocks summed in edge order by ``_hessian_index`` rather than
+    multiplied by the incidence matrix: a non-finite block (a coincident
+    edge of a family that diverges there) then reaches only its own four
+    node blocks, where a product with B would spread 0 * inf to all of them."""
+    d = graph.dimension
+    nd, z = graph.num_nodes * d, np.array(z).reshape(-1, d)
+    m = 2.0 * np.array(rho)[:, None, None] * (z[:, :, None] * z[:, None, :]) \
+        + np.array(g)[:, None, None] * np.eye(d)
     blocks = np.stack([m, m, -m, -m], axis=1).ravel()
     return np.bincount(_hessian_index(*_shape(graph)), blocks, nd * nd).reshape(nd, nd)
 
@@ -84,32 +88,85 @@ def _hessian_index(tails: tuple, heads: tuple, n: int, d: int) -> np.ndarray:
     return index
 
 
-def _aligned_last_block(h: np.ndarray, r) -> np.ndarray:
-    """(N+1)^2 block r^T H_ij r along the unit vector r."""
-    d = len(r)
-    n = len(h) // d
-    return np.einsum("a,iajb,b->ij", r, h.reshape(n, d, n, d), r)
+def _aligned_block(z, g, rho, r, graph: FormationGraph) -> list:
+    """The (N+1)^2 block r^T H_ij r along the unit axis r as rows of floats:
+    the Laplacian of the edge weights w_k = r^T M_k r = g_k + 2 rho_k
+    (z_k . r)^2, diagonals summed in edge order; ``z`` is the pass's flat list."""
+    d, n = len(r), graph.num_nodes
+    block = [[0.0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(graph.edges):
+        a = _dot(z[d * k:d * k + d], r)
+        w = g[k] + 2.0 * rho[k] * (a * a)           # no float ** : it raises on overflow
+        for row, col, entry in ((i, i, w), (j, j, w), (i, j, -w), (j, i, -w)):
+            block[row - 1][col - 1] += entry
+    return block
 
 
-# ---------------------------------------------------------------------------
-# Geometry helpers
+def _cross(a, b) -> list:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
 
 
-def _coincidence_clusters(points: np.ndarray) -> list[int]:
-    """Each point's cluster, named by its lowest member index.
+def _normal(v) -> list:
+    """v x the coordinate axis least along v, the last on a tie."""
+    c = min((2, 1, 0), key=lambda c: abs(v[c]))
+    return _cross(v, [float(k == c) for k in range(3)])
 
-    Points closer than POS_TOL, directly or through a chain of such pairs,
-    share a cluster.
-    """
-    diff = points[:, None] - points
-    near = (np.sqrt(np.vecdot(diff, diff)) < POS_TOL).tolist()
-    cluster = list(range(len(points)))
-    for a, row in enumerate(near):
-        for b in range(a):
-            if row[b] and cluster[a] != cluster[b]:
-                lo, hi = sorted((cluster[a], cluster[b]))
-                cluster = [lo if c == hi else c for c in cluster]
+
+def _coincidence_clusters(length: dict, n: int) -> list[int]:
+    """Each of n points' cluster, named by its lowest member, from the
+    distances ``length[a, b]``, a < b: points closer than POS_TOL share one."""
+    cluster = list(range(n))
+    for (a, b), dist in length.items():
+        if dist < POS_TOL and cluster[a] != cluster[b]:
+            lo, hi = sorted((cluster[a], cluster[b]))
+            cluster = [lo if c == hi else c for c in cluster]
     return cluster
+
+
+def _simplex(points, z) -> tuple:
+    """(heights, r, length, side, t) of the simplex on the ``points`` in d-D
+    (2-D points and the flex edge ``z`` in the plane of the first two axes);
+    ``side[a, b]`` is point b - point a, a < b, and ``length[a, b]`` its norm.
+
+    The heights, one per point past the first up to d: the longest side t,
+    the largest face's height over its own longest side, and in 3-D the
+    farthest other point's height over that face (3 V / A for four points).
+    The first below GEOM_TOL, or a missing one, leaves the affine span S a
+    point, a line or a plane.  r is the unit axis orthogonal to S, None
+    where S fills the space: a hyperplane's normal (the largest face's in
+    3-D); on a 3-D line t x z, or ``_normal(t)`` where that vanishes; at a
+    point ``_normal(z)``, the last axis where z = 0; its largest-magnitude
+    component positive."""
+    d, z = len(z), [*z, 0.0][:3]
+    pts = points if d == 3 else [[*p, 0.0] for p in points]
+    side, length = {}, {}
+    for a, b in itertools.combinations(range(len(pts)), 2):
+        (p0, p1, p2), (q0, q1, q2) = pts[a], pts[b]
+        v = side[a, b] = [q0 - p0, q1 - p1, q2 - p2]
+        length[a, b] = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    longest = max(length, key=length.get)
+    t, heights, n = side[longest], [length[longest]], None
+    if len(pts) > 2:
+        area = -1.0
+        for i, j, k in itertools.combinations(range(len(pts)), 3):
+            c = _cross(side[i, j], side[i, k])
+            if (size := math.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])) > area:
+                area, n, face = size, c, (i, j, k)
+        i, j, k = face
+        heights.append(area / max(length[i, j], length[i, k], length[j, k]) if area else 0.0)
+        if d == 3 and len(pts) > 3:
+            far = max(abs(_dot(n, side[min(a, i), max(a, i)])) for a in range(len(pts))
+                      if a not in face)
+            heights.append(far / area if area else 0.0)
+    span = next((s for s, h in enumerate(heights) if not h >= GEOM_TOL), len(heights))
+    if span == d:
+        return heights, None, length, side, t
+    candidates = ([n] if span == 2 else [_normal(z)] if span == 0
+                  else ([_cross(t, z)] if d == 3 else []) + [_normal(t)])
+    for v in candidates + [[float(c == d - 1) for c in range(3)]]:     # e_d where all vanish
+        if 0 < (size := _norm(v)) < math.inf:
+            r = [c / size for c in v[:d]]
+            return heights, tuple(r if max(r, key=abs) > 0 else [-c for c in r]), length, side, t
 
 
 # ---------------------------------------------------------------------------
@@ -153,107 +210,75 @@ class EquilibriumClass:
 def classify(p, graph: FormationGraph, family: PotentialFamily) -> EquilibriumClass:
     """Classify a realization among desired / undesired equilibrium sets.
 
-    A degenerate-rigid class carries its subform and the roles that its sign
-    claims read, both decided here from the rigid agents' singular values and
-    one array of their pairwise distances.  Both undesired classes carry
-    their axis r (see ``_axis``), the only frame the analysis reads.
+    A degenerate-rigid class carries its subform and the roles its sign
+    claims read, from the rigid agents' distances and the heights of their
+    simplex, the least one its ``degeneracy``.  Both undesired classes carry
+    their axis r in closed form (``_simplex``; at a 3-D point z_flex x the
+    axis least along z_flex); at a flex-coincident point the first d agents'
+    hyperplane normal, else all rigid agents' or the first d's degenerate axis.
     """
-    pos = as_positions(p, graph)
-    return _classify(pos, edge_states(pos, graph, family), graph)
+    x = as_positions(p, graph).ravel().tolist()
+    return _classify(x, _pass(graph, family)(x), graph)
 
 
-def _classify(pos: np.ndarray, st: EdgeState, graph: FormationGraph,
+def _classify(x: list, out: tuple, graph: FormationGraph,
               eq_tol: float = EQ_TOL) -> EquilibriumClass:
-    """``classify`` at the (N+1, d) realization ``pos`` from its edge pass
-    ``st``, whose balance residual ``st.residual`` decides an equilibrium."""
-    residual = st.residual
+    """``classify`` at the flat realization ``x`` from its edge pass ``out``,
+    the lists (u, e, V, z, g, rho), whose balance residual decides an
+    equilibrium."""
+    u, e, _, z, _, _ = out
+    d = graph.dimension
+    residual = _residual(u, d)
     diag = {"residual": residual}
     if not residual < eq_tol:               # also a NaN residual
         return EquilibriumClass(kind="not_equilibrium", diagnostics=diag)
 
-    shape_err = float(np.abs(st.e).max())
+    shape_err = max(map(abs, e))
     diag["shape_error"] = shape_err
     ambiguous = 0.1 * eq_tol < residual < 10.0 * eq_tol
     if shape_err < SHAPE_TOL:
         return EquilibriumClass(kind="desired", diagnostics=diag, ambiguous=ambiguous)
 
-    z_flex = st.z[graph.flex_edge_index]
+    z_flex = z[-d:]                         # the flex edge sorts last
     flex_gap = _norm(z_flex)
     diag["flex_gap"] = flex_gap
-    rigid = pos[:-1]
+    rigid = [x[a:a + d] for a in range(0, len(x) - d, d)]
     if flex_gap < POS_TOL:
+        heights, axis = _simplex(rigid[:d], z_flex)[:2]
+        if min(heights) < GEOM_TOL:
+            axis = _simplex(rigid, z_flex)[1] or axis
         return EquilibriumClass(kind="flex_coincident", diagnostics=diag, ambiguous=ambiguous,
-                                axis=_flex_axis(rigid, z_flex))
+                                axis=axis)
 
-    x = rigid - rigid.mean(axis=0)
-    sv, normal = _normal_space(x)
-    thin = float(sv[-1])                    # 0 = degenerate
+    heights, axis, length, side, t = _simplex(rigid, z_flex)
+    thin = min([*heights, 0.0][:d])         # 0 = degenerate, as is a missing height
     diag["degeneracy"] = thin
-    if thin >= GEOM_TOL:
+    if axis is None:
         return EquilibriumClass(kind="unrecognized", diagnostics=diag, ambiguous=True)
     ambiguous = ambiguous or thin > 0.1 * GEOM_TOL
 
-    cluster = _coincidence_clusters(rigid)
+    cluster = _coincidence_clusters(length, len(rigid))
     diag["clusters"] = [[a + 1 for a, c in enumerate(cluster) if c == head]
                         for head in sorted(set(cluster))]
     # four distinct tetrahedron agents that do not share one line
-    if x.shape == (4, 3) and len(set(cluster)) == 4 and len(normal) == 1:
-        subform, roles = _planar_layout(x)
+    if d == 3 and len(cluster) == len(set(cluster)) == 4 and heights[1] >= GEOM_TOL:
+        subform, roles = _planar_layout(side, axis)
     else:
-        subform, roles = _line_layout(x, cluster)
+        subform, roles = _line_layout(rigid, cluster, t)
     return EquilibriumClass(kind="degenerate_rigid", subform=subform, diagnostics=diag,
-                            ambiguous=ambiguous, roles=roles, axis=_axis(normal, z_flex))
+                            ambiguous=ambiguous, roles=roles, axis=axis)
 
 
-def _axis(normal: np.ndarray, z_flex: np.ndarray) -> tuple:
-    """The degenerate axis r of an undesired class, from the orthonormal rows
-    ``normal`` spanning the normal space of the rigid agents' affine span S.
-
-    Where S fills the space (a flex-coincident point at a full-rank shape),
-    the span of the first d agents, all but the anchor on the certified
-    graphs, stands in for S (``_flex_axis``).  Where the normal space has
-    room (a line in 3-D, coincident agents), r is also orthogonal to the
-    flex edge z_flex: then every edge is orthogonal to r on a line form, and
-    the aligned block is the g-weighted Laplacian whatever r is.  r's
-    largest-magnitude component is positive.
-    """
-    if len(normal) > 1:
-        normal = np.linalg.svd((normal @ z_flex)[None])[2][-1:] @ normal
-    r = normal[0]
-    return tuple((r if r[np.abs(r).argmax()] > 0 else -r).tolist())
-
-
-def _normal_space(rows: np.ndarray):
-    """(singular values of ``rows``, orthonormal rows spanning the
-    complement of their row space)."""
-    _, sv, vt = np.linalg.svd(rows)
-    return sv, vt[int((sv >= GEOM_TOL * max(1.0, sv[0])).sum()):]
-
-
-def _flex_axis(rigid: np.ndarray, z_flex: np.ndarray) -> tuple:
-    """``_axis`` at a flex-coincident point.  Where the first d agents span a
-    hyperplane, S is that hyperplane or the whole space, so the hyperplane's
-    normal is r either way and S needs no decomposition."""
-    d = rigid.shape[1]
-    normal = _normal_space(rigid[1:d] - rigid[0])[1]
-    if len(normal) > 1:
-        span = _normal_space(rigid[1:] - rigid[0])[1]
-        normal = span if len(span) else normal
-    return _axis(normal, z_flex)
-
-
-def _line_layout(x: np.ndarray, cluster: list[int]):
-    """Subform and roles of centred points x on a line, by LINE_SLOTS.
+def _line_layout(x: list, cluster: list[int], t: list):
+    """Subform and roles of points x on a line of direction t, by LINE_SLOTS.
 
     The slot sizes along the line, or their reflection, name the subform.
     Where both orientations fit, the lexicographically smallest role tuple
     wins.  A layout that fits no row (a graph other than the triangle or the
     tetrahedron) has no subform.
     """
-    n, d = x.shape
-    # the points lie on a line through their centroid, so any nonzero point
-    # orders them along it
-    along = (x @ x[np.abs(x).argmax() // d]).tolist()
+    n, d = len(x), len(x[0])
+    along = [_dot(a, t) for a in x]
     heads = sorted(set(cluster), key=along.__getitem__)
     slots = [heads.index(c) for c in cluster]
     found = []
@@ -271,8 +296,8 @@ def _line_layout(x: np.ndarray, cluster: list[int]):
     return subform, roles
 
 
-def _planar_layout(x: np.ndarray):
-    """Subform and roles of four distinct coplanar centred points x.
+def _planar_layout(side: dict, normal: tuple):
+    """Subform and roles of four distinct coplanar points from their sides (``_simplex``).
 
     The signs of the affine dependence sum_a w_a x_a = 0, sum_a w_a = 0
     (Radon's partition) split the agents 3:1, one inside the triangle of the
@@ -280,9 +305,11 @@ def _planar_layout(x: np.ndarray):
     listed as the hull cycle from the lowest label toward its smaller
     neighbour.
     """
-    # w spans the left null space of [1 | x]; agent t, if w_t != 0, has the
+    # w_t = (-1)^t times the others' triangle area signed along the plane's
+    # ``normal``, a cofactor of [1 | x]; agent t, if w_t != 0, has the
     # barycentric coordinates -w_a / w_t in the triangle of the others
-    w = np.linalg.svd(np.hstack([np.ones((4, 1)), x]))[0][:, -1].tolist()
+    w = [(-1) ** t * _dot(normal, _cross(side[a, b], side[a, c]))
+         for t in range(4) for a, b, c in [[s for s in range(4) if s != t]]]
     for t in range(4):
         if w[t] and all(-w[a] / w[t] > 1e-9 for a in range(4) if a != t):
             return "interior_point", (*(a + 1 for a in range(4) if a != t), t + 1)
@@ -303,44 +330,35 @@ class Witness:
     tag: str                       # flex_sum | agent_indicator | eigenvector
 
 
-def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
-    """Certified negative direction of the block aligned with ``cls.axis``.
+def _witness(block: list, cls: EquilibriumClass) -> Witness:
+    """Certified negative direction of ``_aligned_block`` along ``cls.axis``.
 
-    Candidate order: the all-ones-except-flex vector (flex-coincident case),
-    per-agent indicator vectors in index order, then the eigenvector of the
-    most negative eigenvalue of the block; the eigendecomposition runs only
-    if every cheaper candidate fails.  The first candidate whose quadratic
-    form lies below -WITNESS_MARGIN times the block's largest finite |entry|
-    (at least 1) wins; raises WitnessNotFoundError if none does.
+    Candidates: the all-ones-except-flex vector (flex-coincident case), its
+    form w of the flex edge, the flex agent's diagonal entry; each agent's
+    indicator, its form its diagonal entry; then, only if these fail, the
+    eigenvector of the block's lowest eigenvalue.  The first form below
+    -WITNESS_MARGIN times the block's largest finite |entry| (at least 1)
+    wins; raises WitnessNotFoundError if none does.
     """
     n = len(block)
-    finite = np.isfinite(block)
-    scale = max(1.0, float(np.abs(block[finite]).max())) if finite.any() else 1.0
-    threshold = -WITNESS_MARGIN * scale
-
-    def form(v):
-        nz = v != 0.0          # restrict to the candidate's support so that
-        sub = block[np.ix_(nz, nz)]   # untouched non-finite entries cannot
-        with np.errstate(invalid="ignore"):    # poison the quadratic form
-            return float(v[nz] @ sub @ v[nz])
+    finite = [abs(x) for row in block for x in row if math.isfinite(x)]
+    threshold = -WITNESS_MARGIN * max([1.0, *finite])
 
     def candidates():
         if cls.kind == "flex_coincident":
-            v = np.ones(n)
-            v[-1] = 0.0
-            yield "flex_sum", v, form(v)
-        for i, q in enumerate(block.diagonal()[:-1].tolist()):
-            yield "agent_indicator", np.eye(n)[i], q    # its form 1 * b_ii * 1, exactly
-        if finite.all():
+            yield "flex_sum", np.append(np.ones(n - 1), 0.0), block[-1][-1]
+        for i in range(n - 1):
+            yield "agent_indicator", np.eye(n)[i], block[i][i]
+        if len(finite) == n * n:
             v = np.linalg.eigh(block)[1][:, 0]
-            yield "eigenvector", v, form(v)
+            yield "eigenvector", v, float(v @ np.array(block) @ v)
 
     for tag, v, q in candidates():
         if q < threshold:                   # False for a NaN form
             return Witness(vector=v, full_vector=np.outer(v, cls.axis).ravel(),
                            quadratic_form=q, tag=tag)
     # unbounded curvature at a coincidence boundary has no eigendecomposition
-    lowest = np.linalg.eigh(block)[0][0] if finite.all() else -np.inf
+    lowest = np.linalg.eigh(block)[0][0] if len(finite) == n * n else -np.inf
     raise WitnessNotFoundError(
         f"no negative direction found (class {cls.kind}/{cls.subform}, "
         f"min block eigenvalue {lowest:.3e})")
@@ -438,14 +456,15 @@ def _claim(spec: str, roles: tuple, g: dict) -> Claim:
     return Claim(" or ".join(descriptions), min(values), passed)
 
 
-def _claims(st: EdgeState, graph: FormationGraph, cls: EquilibriumClass) -> list[Claim]:
-    """Every sign claim of a degenerate-rigid class, from the edge pass ``st``.
+def _claims(g, graph: FormationGraph, cls: EquilibriumClass) -> list[Claim]:
+    """Every sign claim of a degenerate-rigid class, from one edge pass's g
+    in edge order.
 
     The claims are the subform's SIGN_CLAIMS rows, read at the roles that
     ``classify`` assigned (``cls.roles``).  Every g term names its labels in
     ascending order.
     """
-    g = dict(zip(graph.edges, st.g.tolist()))
+    g = dict(zip(graph.edges, g))
     return [_claim(spec, cls.roles, g)
             for spec in SIGN_CLAIMS[graph.dimension][cls.subform]]
 
@@ -522,27 +541,28 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     """
     _check_eq_tol(eq_tol)
     pos = as_positions(p, graph)
-    st = edge_states(pos, graph, family)
-    cls = _classify(pos, st, graph, eq_tol)
-    h = _hessian(st, graph)
+    x = pos.ravel().tolist()
+    _, e, v, z, g, rho = out = _pass(graph, family)(x)
+    cls = _classify(x, out, graph, eq_tol)
+    h = _hessian(z, g, rho, graph)
     finite_h = bool(np.isfinite(h).all())
     # V diverges only where some g does, so only a non-finite H needs the
     # check (a quadratic V may overflow where H is finite: no domain error)
-    if not finite_h and np.isfinite(pos).all() and not np.isfinite(st.v):
-        if (st.e == -graph._dbar2).any():
+    if not finite_h and np.isfinite(pos).all() and not math.isfinite(v):
+        if (np.array(e) == -graph._dbar2).any():
             raise PotentialDomainError(f"realization lies on the coincidence boundary, where the "
                                        f"{family.name} potential diverges (outside its domain)")
         raise PotentialDomainError(f"V of the {family.name} potential overflows at this "
-                                   f"realization (no agents coincide): V = {st.v!r}")
+                                   f"realization (no agents coincide): V = {v!r}")
     certified = graph.certified_topology() is not None
-    block = _aligned_last_block(h, cls.axis) if cls.axis else None
+    block = _aligned_block(z, g, rho, cls.axis, graph) if cls.axis else None
 
     witness = None
     claims: list = []
     if certified and block is not None:
         witness = _witness(block, cls)
         if cls.kind == "degenerate_rigid":
-            claims = _claims(st, graph, cls)
+            claims = _claims(g, graph, cls)
 
     if finite_h:
         spectrum = np.linalg.eigvalsh(h)

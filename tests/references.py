@@ -5,12 +5,24 @@ import math
 
 import numpy as np
 
-from rigidflex.control import gradient_control
+from rigidflex.control import edge_states, gradient_control
 from rigidflex.graph import FormationGraph, simplex_gram
 from rigidflex.integrator import integrate
 from rigidflex.oracle import newton_polish
 from rigidflex.potentials import evaluators
-from rigidflex.stability import Claim, classify
+from rigidflex.stability import (
+    EQ_TOL,
+    GEOM_TOL,
+    POS_TOL,
+    SHAPE_TOL,
+    WITNESS_MARGIN,
+    Claim,
+    EquilibriumClass,
+    Witness,
+    _coincidence_clusters,
+    _line_layout,
+    classify,
+)
 
 
 def tetrahedron_with(des):
@@ -300,3 +312,123 @@ def verify_angle_inequalities(lengths) -> list[Claim]:
             claims.append(Claim(f"vertex {apex + 1}: pair sum > third (drop {a})",
                                 rest - th[apex, a], rest > th[apex, a]))
     return claims
+
+
+# ---------------------------------------------------------------------------
+# The singular-value classification and the einsum block that ``classify``
+# and ``analyze`` used before the axis, the planar roles and the aligned
+# block took closed forms on floats
+
+
+def aligned_last_block(h, r):
+    """(N+1)^2 block r^T H_ij r of the full Hessian h along the unit vector r."""
+    d = len(r)
+    n = len(h) // d
+    return np.einsum("a,iajb,b->ij", r, h.reshape(n, d, n, d), r)
+
+
+def normal_space(rows):
+    """(singular values of ``rows``, orthonormal rows spanning the
+    complement of their row space)."""
+    _, sv, vt = np.linalg.svd(rows)
+    return sv, vt[int((sv >= GEOM_TOL * max(1.0, sv[0])).sum()):]
+
+
+def svd_axis(normal, z_flex):
+    """The unit axis from the orthonormal rows ``normal`` spanning the
+    normal space of an affine span: where it has room, the combination
+    orthogonal to z_flex (an SVD's choice); largest component positive."""
+    if len(normal) > 1:
+        normal = np.linalg.svd((normal @ z_flex)[None])[2][-1:] @ normal
+    r = normal[0]
+    return tuple((r if r[np.abs(r).argmax()] > 0 else -r).tolist())
+
+
+def svd_flex_axis(rigid, z_flex):
+    """The flex-coincident axis: the normal space of the first d agents'
+    span, or where it has room, of all rigid agents' span, if that does not
+    fill the space."""
+    d = rigid.shape[1]
+    normal = normal_space(rigid[1:d] - rigid[0])[1]
+    if len(normal) > 1:
+        span = normal_space(rigid[1:] - rigid[0])[1]
+        normal = span if len(span) else normal
+    return svd_axis(normal, z_flex)
+
+
+def svd_planar_layout(x):
+    """Planar subform and roles from the affine dependence of four centred
+    points x, the left null vector of [1 | x] by an SVD."""
+    w = np.linalg.svd(np.hstack([np.ones((4, 1)), x]))[0][:, -1].tolist()
+    for t in range(4):
+        if w[t] and all(-w[a] / w[t] > 1e-9 for a in range(4) if a != t):
+            return "interior_point", (*(a + 1 for a in range(4) if a != t), t + 1)
+    across = max((1, 2, 3), key=lambda a: w[0] * w[a])
+    j, l = (a for a in (1, 2, 3) if a != across)
+    return "convex_quadrilateral", (1, j + 1, across + 1, l + 1)
+
+
+def svd_classify(p, graph, family, eq_tol=EQ_TOL):
+    """The class by singular values: the degeneracy is the smallest
+    singular value of the centred rigid agents, and the axis and the planar
+    roles come from SVDs."""
+    pos = np.asarray(p, dtype=float).reshape(graph.num_nodes, graph.dimension)
+    st = edge_states(pos, graph, family)
+    diag = {"residual": st.residual}
+    if not st.residual < eq_tol:
+        return EquilibriumClass(kind="not_equilibrium", diagnostics=diag)
+    diag["shape_error"] = float(np.abs(st.e).max())
+    ambiguous = 0.1 * eq_tol < st.residual < 10.0 * eq_tol
+    if diag["shape_error"] < SHAPE_TOL:
+        return EquilibriumClass(kind="desired", diagnostics=diag, ambiguous=ambiguous)
+    z_flex = st.z[graph.flex_edge_index]
+    diag["flex_gap"] = float(np.linalg.norm(z_flex))
+    rigid = pos[:-1]
+    if diag["flex_gap"] < POS_TOL:
+        return EquilibriumClass(kind="flex_coincident", diagnostics=diag, ambiguous=ambiguous,
+                                axis=svd_flex_axis(rigid, z_flex))
+    x = rigid - rigid.mean(axis=0)
+    sv, normal = normal_space(x)
+    diag["degeneracy"] = float(sv[-1])
+    if sv[-1] >= GEOM_TOL:
+        return EquilibriumClass(kind="unrecognized", diagnostics=diag, ambiguous=True)
+    ambiguous = ambiguous or sv[-1] > 0.1 * GEOM_TOL
+    cluster = _coincidence_clusters({(a, b): float(np.linalg.norm(rigid[b] - rigid[a]))
+                                     for a, b in itertools.combinations(range(len(rigid)), 2)},
+                                    len(rigid))
+    diag["clusters"] = [[a + 1 for a, c in enumerate(cluster) if c == head]
+                        for head in sorted(set(cluster))]
+    if x.shape == (4, 3) and len(set(cluster)) == 4 and len(normal) == 1:
+        subform, roles = svd_planar_layout(x)
+    else:
+        # any nonzero centred point orders points on a line through the centroid
+        ref = x[np.abs(x).argmax() // x.shape[1]]
+        subform, roles = _line_layout(x.tolist(), cluster, ref.tolist())
+    return EquilibriumClass(kind="degenerate_rigid", subform=subform, diagnostics=diag,
+                            ambiguous=ambiguous, roles=roles, axis=svd_axis(normal, z_flex))
+
+
+def einsum_witness(block, cls):
+    """The witness read from an aligned block array: each candidate's form
+    is v^T B v over its support (``np.ix_``), then the eigenvector of the
+    block's lowest eigenvalue; None where no form lies below the margin."""
+    n = len(block)
+    finite = np.isfinite(block)
+    threshold = -WITNESS_MARGIN * (max(1.0, float(np.abs(block[finite]).max()))
+                                   if finite.any() else 1.0)
+
+    def form(v):
+        nz = v != 0.0
+        with np.errstate(invalid="ignore"):
+            return float(v[nz] @ block[np.ix_(nz, nz)] @ v[nz])
+
+    candidates = [("agent_indicator", np.eye(n)[i]) for i in range(n - 1)]
+    if cls.kind == "flex_coincident":
+        candidates.insert(0, ("flex_sum", np.append(np.ones(n - 1), 0.0)))
+    if finite.all():
+        candidates.append(("eigenvector", np.linalg.eigh(block)[1][:, 0]))
+    for tag, v in candidates:
+        if (q := form(v)) < threshold:
+            return Witness(vector=v, full_vector=np.outer(v, cls.axis).ravel(),
+                           quadratic_form=q, tag=tag)
+    return None

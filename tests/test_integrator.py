@@ -444,8 +444,11 @@ def counting_compiled_step(calls, monkeypatch):
 
 def counting_pass(monkeypatch, calls, key="pass"):
     """Count in ``calls[key]`` the runs of the cached edge pass behind
-    edge_states, gradient_control and potential_value."""
+    edge_states, gradient_control and potential_value, and behind the
+    analysis and the catalog, which call it by name."""
     import rigidflex.control as control
+    import rigidflex.oracle as oracle
+    import rigidflex.stability as stability
 
     cached = control._pass
 
@@ -458,7 +461,8 @@ def counting_pass(monkeypatch, calls, key="pass"):
 
         return counted
 
-    monkeypatch.setattr(control, "_pass", stand_in)
+    for module in (control, oracle, stability):
+        monkeypatch.setattr(module, "_pass", stand_in)
 
 
 def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):

@@ -2,13 +2,15 @@
 
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
-from rigidflex.control import edge_states, gradient_control
-from rigidflex.graph import tetrahedron_flex, triangle_flex
+from rigidflex.control import _evaluate, edge_states, gradient_control
+from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
+    OracleError,
     build_catalog,
     construct_equilibrium,
     desired_equilibrium,
@@ -21,14 +23,24 @@ from rigidflex.stability import (
     StabilityReport,
     WitnessNotFoundError,
     analyze,
-    _aligned_last_block,
+    _aligned_block,
     _claim,
     _claims,
+    _classify,
     _witness,
     assemble_hessian,
     classify,
 )
-from references import TAILORED, balance_residuals, bind, psd_check, verify_angle_inequalities
+from references import (
+    TAILORED,
+    aligned_last_block,
+    balance_residuals,
+    bind,
+    einsum_witness,
+    psd_check,
+    svd_classify,
+    verify_angle_inequalities,
+)
 from test_integrator import counting_pass
 
 RNG = np.random.default_rng(7)
@@ -133,17 +145,22 @@ def test_hessian_matches_per_edge_loop(graph, family):
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
 def test_aligned_last_block_equals_block_at_rotated_positions(graph, family):
-    """r^T H_ij r for the unit vector r, the last row of a rotation R, is the
-    last-axis block of the Hessian re-assembled at the rotated realization
-    p R^T."""
+    """The Laplacian of the edge weights w along the unit vector r, the last
+    row of a rotation R, is the last-axis block of the Hessian re-assembled
+    at the rotated realization p R^T, and r^T H_ij r read from the full
+    Hessian (the einsum reference)."""
     rng = np.random.default_rng(12)
     d = graph.dimension
     for _ in range(10):
         p = rng.uniform(-5, 5, (graph.num_nodes, d))
         rot = random_rotation(rng, d)
-        block = _aligned_last_block(assemble_hessian(p, graph, family), rot[-1])
+        st = edge_states(p, graph, family)
+        block = np.array(_aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
+                                        tuple(rot[-1].tolist()), graph))
         moved = assemble_hessian(p @ rot.T, graph, family)[d - 1::d, d - 1::d]
-        assert np.abs(block - moved).max() <= 1e-12 * np.abs(moved).max()
+        read = aligned_last_block(assemble_hessian(p, graph, family), rot[-1])
+        for other in (moved, read):
+            assert np.abs(block - other).max() <= 1e-12 * np.abs(other).max()
 
 
 def test_rigid_motion_null_space_at_desired_equilibrium():
@@ -236,7 +253,10 @@ def test_classify_axis_is_a_normal_of_the_layout(graph):
             laplacian = np.zeros((graph.num_nodes,) * 2)
             for (i, j), g in zip(graph.edges, st.g):
                 laplacian[np.ix_([i - 1, j - 1], [i - 1, j - 1])] += [[g, -g], [-g, g]]
-            block = _aligned_last_block(assemble_hessian(p, graph, QUADRATIC), r)
+            block = aligned_last_block(assemble_hessian(p, graph, QUADRATIC), r)
+            np.testing.assert_allclose(block, laplacian, rtol=0, atol=1e-12)
+            block = _aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
+                                   cls.axis, graph)
             np.testing.assert_allclose(block, laplacian, rtol=0, atol=1e-12)
     # all_coincident in 2-D; the four line forms the quadratic family
     # builds on the equal tetrahedron
@@ -302,9 +322,12 @@ def test_witness_not_found_is_raised_not_faked():
     cls = classify(p, g, QUADRATIC)
     forged = type(cls)(kind="degenerate_rigid", subform="collinear_distinct",
                        diagnostics={}, ambiguous=False, axis=(0.0, 1.0))
-    block = _aligned_last_block(assemble_hessian(p, g, QUADRATIC), forged.axis)
+    st = edge_states(p, g, QUADRATIC)
+    block = _aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(), forged.axis, g)
     with pytest.raises(WitnessNotFoundError):
         _witness(block, forged)
+    assert einsum_witness(aligned_last_block(assemble_hessian(p, g, QUADRATIC), forged.axis),
+                          forged) is None
 
 
 def test_sign_properties_pass_on_catalog():
@@ -322,9 +345,10 @@ def test_sign_properties_pass_on_catalog():
 
 
 def test_coincidence_clusters_match_a_pairwise_loop(monkeypatch):
-    """The clusters from one distance array equal those of a loop over pairs
-    (single linkage below POS_TOL, each cluster named by its lowest index),
-    on grids of spacing 0.7 POS_TOL that form pairs, chains and loners."""
+    """The clusters from the pairwise distances equal those of a loop over
+    pairs until nothing changes (single linkage below POS_TOL, each cluster
+    named by its lowest index), on grids of spacing 0.7 POS_TOL that form
+    pairs, chains and loners."""
     import rigidflex.stability as stability
 
     rng = np.random.default_rng(11)
@@ -340,7 +364,9 @@ def test_coincidence_clusters_match_a_pairwise_loop(monkeypatch):
             for a, b in itertools.permutations(range(n), 2):
                 if np.linalg.norm(pts[a] - pts[b]) < tol and ref[b] < ref[a]:
                     ref[a], changed = ref[b], True
-        assert stability._coincidence_clusters(pts) == ref
+        length = {(a, b): np.linalg.norm(pts[b] - pts[a])
+                  for a, b in itertools.combinations(range(n), 2)}
+        assert stability._coincidence_clusters(length, n) == ref
 
 
 def relabelled(p, perm):
@@ -405,7 +431,7 @@ def test_sign_claims_use_the_roles_of_the_given_classification(monkeypatch):
     assert classify(p, g, QUADRATIC).subform == "collinear_distinct"
     monkeypatch.setattr(stability, "POS_TOL", 1e-3)
     cls = classify(p, g, QUADRATIC)
-    claims = _claims(edge_states(p, g, QUADRATIC), g, cls)
+    claims = _claims(edge_states(p, g, QUADRATIC).g.tolist(), g, cls)
     assert [(c.description, c.passed) for c in claims] == [
         ("g_23 < 0", True), ("g_12 = 0", False), ("g_13 = 0", False)]
     assert (cls.subform, cls.roles) == ("coincident_pair", (1, 2, 3))
@@ -503,12 +529,12 @@ def test_classify_runs_one_kernel_pass(monkeypatch):
 
 def test_analyze_assembles_once_and_aligns_once(monkeypatch):
     """One analyze at a moved 3-D catalog point or the desired shape: one
-    edge pass, shared by the class, the Hessian and the sign claims, one
-    Hessian, and one aligned block, none for the desired class, which has
-    no axis."""
+    edge pass, shared by the class, the Hessian, the aligned block and the
+    sign claims, one Hessian, and one aligned block, none for the desired
+    class, which has no axis."""
     import rigidflex.stability as stability
 
-    counts = dict.fromkeys(("pass", "_hessian", "_aligned_last_block"), 0)
+    counts = dict.fromkeys(("pass", "_hessian", "_aligned_block"), 0)
 
     def counted(name):
         fn = getattr(stability, name)
@@ -520,7 +546,7 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         monkeypatch.setattr(stability, name, wrapper)
 
     counting_pass(monkeypatch, counts)
-    for name in ("_hessian", "_aligned_last_block"):
+    for name in ("_hessian", "_aligned_block"):
         counted(name)
     g = tetrahedron_flex()
     entries, _ = build_catalog(g, QUADRATIC)
@@ -533,7 +559,7 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         assert report.classification.kind == kind
         assert (report.witness is not None) == (kind != "desired")
         assert counts == {"pass": 1, "_hessian": 1,
-                          "_aligned_last_block": int(kind != "desired")}
+                          "_aligned_block": int(kind != "desired")}
 
 
 def reference_claim(spec, roles, g, zero_tol=1e-9):
@@ -588,18 +614,23 @@ def test_parsed_sign_claims_equal_the_per_call_parser(d):
 
 def separate_report(p, graph, family):
     """The stability report from ``classify``, ``assemble_hessian`` and the
-    private witness and claims, each public call with its own edge pass."""
+    private aligned block, witness and claims, each public call with its own
+    edge pass."""
     cls = classify(p, graph, family)
     h = assemble_hessian(p, graph, family)
     certified = graph.certified_topology() is not None
-    witness, claims = None, []
+    witness, claims, block = None, [], None
+    if cls.axis:
+        st = edge_states(p, graph, family)
+        block = _aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
+                               cls.axis, graph)
     if certified and cls.kind in ("flex_coincident", "degenerate_rigid"):
-        witness = _witness(_aligned_last_block(h, cls.axis), cls)
+        witness = _witness(block, cls)
         if cls.kind == "degenerate_rigid":
-            claims = _claims(edge_states(p, graph, family), graph, cls)
+            claims = _claims(edge_states(p, graph, family).g.tolist(), graph, cls)
     block_spectrum = None
     if cls.axis:
-        block_spectrum = np.linalg.eigvalsh(_aligned_last_block(h, cls.axis))
+        block_spectrum = np.linalg.eigvalsh(block)
     min_eig, is_psd = psd_check(h)
     return StabilityReport(
         classification=cls, spectrum=np.linalg.eigvalsh(h), block_spectrum=block_spectrum,
@@ -653,3 +684,171 @@ def test_analyze_on_the_coincidence_boundary_makes_one_pass(monkeypatch, graph):
     with pytest.raises(PotentialDomainError, match="coincidence boundary"):
         analyze(p, graph, RATIONAL)
     assert calls["pass"] == 1
+
+
+def assert_verdicts_equal_the_svd_reference(p, graph, family):
+    """analyze's verdicts at p equal those of the singular-value reference:
+    class, subform, roles, ambiguity, clusters, the witness tag and vector
+    (its form within 1e-12 relative), each claim, and the PSD flag; the axis
+    within 1e-12, except at a 3-D point, where the reference's SVD leaves it
+    free on the circle orthogonal to z_flex and the new rule fixes it."""
+    report = analyze(p, graph, family)
+    cls, ref = report.classification, svd_classify(p, graph, family)
+    assert (cls.kind, cls.subform, cls.roles, cls.ambiguous, cls.diagnostics.get("clusters")) \
+        == (ref.kind, ref.subform, ref.roles, ref.ambiguous, ref.diagnostics.get("clusters"))
+    h = assemble_hessian(p, graph, family)
+    assert report.positive_semidefinite == psd_check(h)[1]
+    if not cls.axis:
+        assert report.witness is None and not ref.axis
+        return
+    point = len(cls.diagnostics.get("clusters", ())) == 1 and graph.dimension == 3
+    if not point:
+        np.testing.assert_allclose(cls.axis, ref.axis, rtol=0, atol=1e-12)
+    witness = einsum_witness(aligned_last_block(h, ref.axis), ref)
+    assert (report.witness.tag, report.witness.vector.tolist()) \
+        == (witness.tag, witness.vector.tolist())
+    assert report.witness.quadratic_form == pytest.approx(witness.quadratic_form, rel=1e-12)
+    g = edge_states(p, graph, family).g.tolist()
+    assert report.claims == (_claims(g, graph, ref) if ref.kind == "degenerate_rigid" else [])
+
+
+# the tetrahedron's edge groups that a planar layout needs equal: the
+# centred triangle's sides and spokes, the square's sides and diagonals
+GROUPS = ((0, 0, 1, 0, 1, 1), (0, 1, 0, 0, 1, 0))
+
+
+def realizable_graphs(rng, count):
+    """``count`` (graph, family) pairs, triangle and tetrahedron in turn with
+    both families, whose rigid lengths embed.  The lengths are uniform in
+    [2, 6], or drawn from {3, 4, 5} so that the coincident layouts occur, or
+    (a tetrahedron) two uniform lengths on the groups of a planar layout; the
+    flex length is uniform in [1, 3]."""
+    made = 0
+    while made < count:
+        build, m = (triangle_flex, 3) if made % 2 == 0 else (tetrahedron_flex, 6)
+        rigid, mode = rng.uniform(2.0, 6.0, m), rng.integers(3)
+        if mode == 1:
+            rigid = rng.choice([3.0, 4.0, 5.0], m)
+        elif mode == 2 and m == 6:
+            rigid = rigid[list(GROUPS[rng.integers(2)])]
+        graph = build((*rigid.tolist(), float(rng.uniform(1.0, 3.0))))
+        try:
+            desired_equilibrium(graph)
+        except OracleError:
+            continue
+        yield graph, (QUADRATIC, RATIONAL)[made // 2 % 2]
+        made += 1
+
+
+def test_verdicts_equal_the_svd_reference_on_seeded_sets():
+    """The equal triangle, the equal, the tailored and the 3-4-3-3-4-3
+    tetrahedron with both families, then 200 seeded realizable distance
+    sets: every catalog entry and the desired shape under a random rigid
+    motion, and for the named graphs also as built, get the reference's
+    verdicts.  The sets reach every subform of both dimensions."""
+    rng = np.random.default_rng(36)
+    named = [(graph, family) for graph in (triangle_flex(), tetrahedron_flex(), TAILORED,
+                                           tetrahedron_flex((3.0, 4.0, 3.0, 3.0, 4.0, 3.0, 2.0)))
+             for family in (QUADRATIC, RATIONAL)]
+    seen = set()
+    for n, (graph, family) in enumerate(itertools.chain(named, realizable_graphs(rng, 200))):
+        d = graph.dimension
+        entries = build_catalog(graph, family)[0]
+        seen.update((d, e.subform or e.kind) for e in entries)
+        for pos in [e.positions for e in entries] + [desired_equilibrium(graph)]:
+            moved = pos @ random_rotation(rng, d).T + rng.uniform(-10, 10, d)
+            for q in (pos, moved)[n >= len(named):]:
+                assert_verdicts_equal_the_svd_reference(q, graph, family)
+    assert seen == {(d, name) for d in (2, 3)
+                    for name in ("flex_coincident", *SIGN_CLAIMS[d])}
+
+
+def complete_flex(rng, d, k):
+    """The complete graph on k rigid agents in d-D plus the flex agent,
+    every length uniform in [2, 6]."""
+    edges = (*itertools.combinations(range(1, k + 1), 2), (k, k + 1))
+    return FormationGraph(num_nodes=k + 1, dimension=d, edges=edges,
+                          desired=tuple(rng.uniform(2.0, 6.0, len(edges)).tolist()),
+                          flex_edge=(k, k + 1))
+
+
+def flat_points(rng, count, rank, d):
+    """``count`` random points on a random affine flat of dimension ``rank``
+    in d-D (rank 0: one point)."""
+    return rng.normal(size=(count, rank)) @ rng.normal(size=(rank, d)) + rng.normal(size=d)
+
+
+@pytest.mark.parametrize("d, k", [(2, 2), (2, 4), (3, 3), (3, 5)])
+def test_classify_fewer_or_more_than_d_plus_one_agents_like_the_svd_reference(d, k):
+    """On complete graphs of k rigid agents, k != d + 1, the quadratic
+    class of any point (eq_tol = inf) equals the reference's, with its
+    axis: rigid agents on a flat of each dimension up to d (unrecognized
+    where more than d + 1 fill the space), flex-coincident points whose
+    first d agents span no hyperplane while the rest lie anywhere, and a
+    hyperplane with two agents coincident (four distinct agents in 3-D)."""
+    rng = np.random.default_rng(40 + 10 * d + k)
+    g = complete_flex(rng, d, k)
+    points = [np.vstack([flat_points(rng, k, rank, d), rng.normal(size=(1, d))])
+              for rank in range(1, d + 1)]
+    for _ in range(3):
+        rigid = np.vstack([flat_points(rng, d, d - 2, d), flat_points(rng, k - d, d, d)])
+        points.append(np.vstack([rigid, rigid[-1] + 1e-8 * rng.normal(size=(1, d))]))
+    plane = flat_points(rng, k, d - 1, d)
+    plane[1] = plane[0]
+    points.append(np.vstack([plane, rng.normal(size=(1, d))]))
+    for p in points:
+        cls = _classify(p.ravel().tolist(), _evaluate(p, g, QUADRATIC), g, eq_tol=math.inf)
+        ref = svd_classify(p, g, QUADRATIC, eq_tol=math.inf)
+        assert (cls.kind, cls.subform, cls.roles, cls.ambiguous) \
+            == (ref.kind, ref.subform, ref.roles, ref.ambiguous)
+        np.testing.assert_allclose(cls.axis, ref.axis, rtol=0, atol=1e-12)
+    assert [_classify(p.ravel().tolist(), _evaluate(p, g, QUADRATIC), g, eq_tol=math.inf).kind
+            for p in points] == ["degenerate_rigid"] * (d - 1) \
+        + ["unrecognized" if k > d else "degenerate_rigid"] + ["flex_coincident"] * 3 \
+        + ["degenerate_rigid"]
+
+
+def test_verdicts_call_no_svd_eigh_or_einsum(monkeypatch):
+    """classify, build_catalog and every verdict of analyze run on floats:
+    with numpy's svd, eigh and einsum made to raise they still run on the
+    equal and the 3-4-5.5 triangle and on the equal, the tailored and the
+    3-4-3-3-4-3 tetrahedron with both families.  The spectra stay eigvalsh."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK decomposition or einsum in a verdict")
+
+    monkeypatch.setattr(np, "einsum", refuse)
+    for name in ("svd", "eigh"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    rng = np.random.default_rng(38)
+    for graph in (triangle_flex(), triangle_flex((3.0, 4.0, 5.5, 2.0)), tetrahedron_flex(),
+                  TAILORED, tetrahedron_flex((3.0, 4.0, 3.0, 3.0, 4.0, 3.0, 2.0))):
+        d = graph.dimension
+        for family in (QUADRATIC, RATIONAL):
+            entries, _ = build_catalog(graph, family)
+            assert entries
+            for e in entries:
+                p = e.positions @ random_rotation(rng, d).T + rng.normal(0, 5, d)
+                assert classify(p, graph, family).kind == e.kind
+                report = analyze(p, graph, family)
+                assert report.witness.quadratic_form < 0
+                assert all(c.passed for c in report.claims)
+            assert analyze(desired_equilibrium(graph), graph, family).positive_semidefinite
+
+
+def test_all_coincident_axis_in_3d_is_fixed_by_the_flex_edge():
+    """At the equal tetrahedron's all_coincident entry under rigid motions
+    the axis is z_flex x the coordinate axis least along z_flex: a unit
+    vector orthogonal to z_flex, its largest-magnitude component positive."""
+    g = tetrahedron_flex()
+    entry = construct_equilibrium(g, QUADRATIC, "all_coincident")
+    rng = np.random.default_rng(39)
+    for _ in range(20):
+        p = entry.positions @ random_rotation(rng, 3).T + rng.normal(0, 5, 3)
+        r = np.array(classify(p, g, QUADRATIC).axis)
+        z = p[-2] - p[-1]
+        least = np.eye(3)[2 - np.argmin(np.abs(z)[::-1])]
+        expected = np.cross(z, least) / np.linalg.norm(np.cross(z, least))
+        np.testing.assert_allclose(np.abs(r), np.abs(expected), rtol=0, atol=1e-15)
+        assert abs(np.linalg.norm(r) - 1.0) < 1e-15
+        assert abs(r @ z) < 1e-14 * np.linalg.norm(z)
+        assert r[np.abs(r).argmax()] > 0
