@@ -9,10 +9,11 @@ Every edge pass of the package is generated here, one straight-line Python
 function at a time with the family's formulas inlined.  ``evaluate`` is the
 pass behind ``edge_states``, ``gradient_control`` and ``potential_value``
 (``_pass`` makes it alone) and behind each ``integrate`` segment start;
-``advance`` is the integrator's RK4 loop.  The pass sums on Python floats
-in edge order, so no result depends on how a BLAS sums.  ``LeaderSpec``
-holds the flex agent's leader input as values, a windowed one as a sample
-table that the generated step looks up inline, and its arrival test.
+``advance`` is the integrator's RK4 loop; ``hessian`` (``_hessian_pass``)
+is H from a pass's z, g and rho.  Each sums on Python floats in edge order,
+so no result depends on how a BLAS sums.  ``LeaderSpec`` holds the flex
+agent's leader input as values, a windowed one as a sample table that the
+generated step looks up inline, and its arrival test.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import bisect
 import builtins
 import functools
+import itertools
 import linecache
 import math
 import re
@@ -112,7 +114,7 @@ def _evaluate(p, graph: FormationGraph, family: PotentialFamily):
 def _pass(graph: FormationGraph, family: PotentialFamily):
     """``evaluate`` alone with no leader, made on first use and kept for the
     32 (graph, family) pairs used last: making it costs more than a pass."""
-    return FunctionType(_step_code(*_shape(graph), family, "none", "evaluate"),
+    return FunctionType(_step_code(*graph._shape, family, "none", "evaluate"),
                         _constants(graph, family))
 
 
@@ -355,6 +357,38 @@ def _step_code(tails, heads, n, d, family, mode, name):
                      f"{n} nodes in {d}-D, {list(zip(tails, heads))}>")
 
 
+def _hessian_source(tails, heads, n, d) -> str:
+    """Python source of ``hessian(z, g, rho)``: H's (n d)^2 entries, row-major,
+    from one pass's lists, as numpy formed them.  Edge k's M[a][b] = (2.0 rho)
+    (z_a z_b) + g delta_ab (g * 0.0 off the diagonal) goes to node blocks (i,i),
+    (j,j), (i,j), (j,i) as M, M, -M, -M, each entry 0.0 + its terms in edge order."""
+    edges = range(len(tails))
+    lines = [f"{', '.join(f'z{k}_{c}' for k in edges for c in range(d))}, = z",
+             *(f"{', '.join(f'{x}{k}' for k in edges)}, = {x}" for x in ("g", "rho"))]
+    entries = {}                # (row, column) -> its sum so far
+    for k, (i, j) in enumerate(zip(tails, heads)):
+        lines.append(f"t = 2.0 * rho{k}")
+        for a, b in itertools.product(range(d), repeat=2):           # g * 1.0 is g
+            m = f"m{k}_{a}{b}"
+            lines += [f"{m} = t * (z{k}_{a} * z{k}_{b}) + g{k}" + " * 0.0" * (a != b),
+                      f"o{m} = 0.0 + -{m}"]                 # both -M blocks' entry
+            for key in ((d * i + a, d * i + b), (d * j + a, d * j + b)):
+                entries[key] = entries.get(key, "0.0") + f" + {m}"
+            entries[d * i + a, d * j + b] = entries[d * j + a, d * i + b] = f"o{m}"
+    flat = (entries.get(divmod(x, n * d), "0.0") for x in range((n * d) ** 2))
+    return ("def hessian(z, g, rho):\n" + "".join(f"    {line}\n" for line in lines)
+            + f"    return [{', '.join(flat)}]\n")
+
+
+@functools.lru_cache(maxsize=32)
+def _hessian_pass(shape: tuple):
+    """``hessian`` for one graph shape (``FormationGraph._shape``), compiled
+    on first use and kept for the 32 shapes used last."""
+    return FunctionType(_compiled(_hessian_source(*shape), "hessian", f"<rigidflex hessian: "
+                                  f"{shape[2]} nodes in {shape[3]}-D, {list(zip(*shape[:2]))}>"),
+                        {})
+
+
 def _compiled(source: str, name: str, filename: str):
     """The code of the function ``name`` that ``source`` defines, compiled
     under ``filename``; the source goes to ``linecache``, so tracebacks and
@@ -363,12 +397,6 @@ def _compiled(source: str, name: str, filename: str):
     namespace = {}
     exec(compile(source, filename, "exec"), namespace)
     return namespace[name].__code__
-
-
-def _shape(graph: FormationGraph) -> tuple:
-    """The key of a graph's compiled code: edge tails and heads, N+1 and d."""
-    return (tuple(graph._tails.tolist()), tuple(graph._heads.tolist()),
-            graph.num_nodes, graph.dimension)
 
 
 def _constants(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec()) -> dict:
@@ -421,7 +449,7 @@ def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: Leade
     monotone, so e = fl(||z||^2 - dbar^2) >= -dbar^2.  Only ``_on_numpy``
     does numpy arithmetic, so no caller sets a floating-point error state.
     """
-    shape, names = _shape(graph), _constants(graph, family, leader)
+    shape, names = graph._shape, _constants(graph, family, leader)
     target = "target" if leader.mode == "target" else "none"
     return (FunctionType(_step_code(*shape, family, leader.mode, "advance"), names),
             FunctionType(_step_code(*shape, family, target, "evaluate"), names))

@@ -78,6 +78,12 @@ class FormationGraph:
                           ("_dbar", dbar), ("_dbar2", dbar**2)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+        # the key of the graph's generated code (edge tails and heads, N+1
+        # and d), and its certified topology, fixed with the edges
+        object.__setattr__(self, "_shape", (tuple(tails.tolist()), tuple(heads.tolist()), n, d))
+        key, k4 = (n, d, list(self.edges[:-1])), sorted(itertools.combinations(range(1, 5), 2))
+        object.__setattr__(self, "_topology", "triangle" if key == (4, 2, [(1, 2), (1, 3), (2, 3)])
+                           else "tetrahedron" if key == (5, 3, k4) else None)
 
     @property
     def num_edges(self) -> int:
@@ -99,13 +105,7 @@ class FormationGraph:
 
     def certified_topology(self) -> str | None:
         """'triangle' / 'tetrahedron' when the instability theory applies, else None."""
-        n, rigid = self.num_nodes, list(self.edges[:-1])
-        if n == 4 and self.dimension == 2 and rigid == [(1, 2), (1, 3), (2, 3)]:
-            return "triangle"
-        k4 = sorted(itertools.combinations(range(1, 5), 2))
-        if n == 5 and self.dimension == 3 and rigid == [tuple(e) for e in k4]:
-            return "tetrahedron"
-        return None
+        return self._topology
 
 
 def triangle_flex(desired=(4.0, 4.0, 4.0, 4.0)) -> FormationGraph:

@@ -42,7 +42,7 @@ from types import FunctionType
 
 import numpy as np
 
-from .control import _call, _compiled, _constants, _dot, _norm, _pass, _shape, edge_states
+from .control import _call, _compiled, _constants, _dot, _norm, _pass, _residual
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily, evaluators
 from .stability import LINE_SLOTS, _classify, _hessian
@@ -97,21 +97,22 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarr
     The balance map is the potential gradient, so its Jacobian is the
     assembled Hessian; least-squares steps take the minimal-norm correction,
     leaving the rigid-motion (and flex-orbit) null directions untouched.
-    Each iteration makes one edge pass, which gives the balance residual
-    (``EdgeState.residual``), the right-hand side u and the Hessian.
+    Each iteration makes one edge pass (``control._pass``) on the float
+    list of p, whose u gives the balance residual (``control._residual``)
+    and the right-hand side, and whose z, g and rho give the Hessian.
     """
-    p = as_positions(p, graph).reshape(-1).astype(float)
+    p, evaluate = as_positions(p, graph).reshape(-1).astype(float), _pass(graph, family)
     for it in range(POLISH_MAX_ITER + 1):
-        st = edge_states(p, graph, family)
-        if st.residual < POLISH_TOL:
+        u, _, _, z, g, rho = evaluate(p.tolist())
+        if (residual := _residual(u, graph.dimension)) < POLISH_TOL:
             return p
         if it == POLISH_MAX_ITER:
-            raise OracleError(f"Newton polish stalled at residual {st.residual:.3e}")
-        h = _hessian(st.z, st.g, st.rho, graph)
+            raise OracleError(f"Newton polish stalled at residual {residual:.3e}")
+        h = _hessian(z, g, rho, graph)
         if not np.all(np.isfinite(h)):
             raise OracleError("balance Jacobian is non-finite; cannot polish "
                               "(coincident agents with a singular family?)")
-        step, *_ = np.linalg.lstsq(h, st.u.reshape(-1), rcond=1e-10)
+        step, *_ = np.linalg.lstsq(h, np.array(u), rcond=1e-10)
         p += step
 
 
@@ -346,7 +347,7 @@ class _Layout:
         the balance, as it binds every generated function.
         """
         k, n, d = self.templates.shape
-        shape = _shape(graph)
+        shape = graph._shape
         edges, inner, t = _geometry(self, shape)
         length = graph._dbar.tolist()
         reach = [sorted((self.slots[i + j - a], length[e]) for e, i, j in edges if a in (i, j))

@@ -1,8 +1,8 @@
 """Hessian assembly, equilibrium classification, and instability certificates.
 
-The shape potential's Hessian H is assembled from per-edge blocks
-M_e = 2 rho_e z_e z_e^T + g_e I_d, added to the two diagonal node blocks of
-edge e = (i, j) and subtracted from its two off-diagonal node blocks.  At an
+The shape potential's Hessian H is code that ``control`` generates: it adds
+edge blocks M_e = 2 rho_e z_e z_e^T + g_e I_d to the diagonal node blocks of
+edge e = (i, j) and subtracts them from its off-diagonal node blocks.  At an
 undesired equilibrium the collapsed rigid subformation has a degenerate axis
 r.  For node weights v, (v (x) r)^T H (v (x) r) = v^T H_r v, where the
 aligned block H_r[i, j] = r^T H_ij r is the Laplacian of the edge weights
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, _check_eq_tol, _dot, _evaluate, _norm, _pass, _residual, _shape
+from .control import EQ_TOL, _check_eq_tol, _dot, _evaluate, _hessian_pass, _norm, _pass, _residual
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialDomainError, PotentialFamily
 
@@ -62,30 +62,13 @@ def assemble_hessian(p, graph: FormationGraph, family: PotentialFamily) -> np.nd
     return _hessian(z, g, rho, graph)
 
 
-@np.errstate(invalid="ignore", over="ignore")
 def _hessian(z, g, rho, graph: FormationGraph) -> np.ndarray:
-    """The Hessian from one edge pass's z, g and rho (lists or arrays), its
-    edge blocks summed in edge order by ``_hessian_index`` rather than
-    multiplied by the incidence matrix: a non-finite block (a coincident
-    edge of a family that diverges there) then reaches only its own four
-    node blocks, where a product with B would spread 0 * inf to all of them."""
-    d = graph.dimension
-    nd, z = graph.num_nodes * d, np.array(z).reshape(-1, d)
-    m = 2.0 * np.array(rho)[:, None, None] * (z[:, :, None] * z[:, None, :]) \
-        + np.array(g)[:, None, None] * np.eye(d)
-    blocks = np.stack([m, m, -m, -m], axis=1).ravel()
-    return np.bincount(_hessian_index(*_shape(graph)), blocks, nd * nd).reshape(nd, nd)
-
-
-@functools.lru_cache(maxsize=32)
-def _hessian_index(tails: tuple, heads: tuple, n: int, d: int) -> np.ndarray:
-    """Flat (n d)^2 index of ``_hessian``'s blocks [M, M, -M, -M] at node blocks
-    (i,i), (j,j), (i,j), (j,i), in edge order; read-only, built once per shape."""
-    i, j, axis = np.array(tails), np.array(heads), np.arange(d)
-    rows = np.stack([i, j, i, j], 1)[..., None, None] * d + axis[:, None]
-    index = (rows * (n * d) + np.stack([i, j, j, i], 1)[..., None, None] * d + axis).ravel()
-    index.flags.writeable = False
-    return index
+    """The Hessian from one edge pass's z, g and rho lists by the shape's
+    generated ``hessian``: a non-finite edge block (a coincident edge of a
+    family that diverges there) reaches only its own four node blocks,
+    where a product with the incidence matrix would spread 0 * inf."""
+    nd = graph.num_nodes * graph.dimension
+    return np.array(_hessian_pass(graph._shape)(z, g, rho), dtype=float).reshape(nd, nd)
 
 
 def _aligned_block(z, g, rho, r, graph: FormationGraph) -> list:
@@ -345,16 +328,19 @@ def _witness(block: list, cls: EquilibriumClass) -> Witness:
     threshold = -WITNESS_MARGIN * max([1.0, *finite])
 
     def candidates():
-        if cls.kind == "flex_coincident":
-            yield "flex_sum", np.append(np.ones(n - 1), 0.0), block[-1][-1]
+        if cls.kind == "flex_coincident":       # (tag, where v is 1 or v, form)
+            yield "flex_sum", slice(n - 1), block[-1][-1]
         for i in range(n - 1):
-            yield "agent_indicator", np.eye(n)[i], block[i][i]
+            yield "agent_indicator", i, block[i][i]
         if len(finite) == n * n:
             v = np.linalg.eigh(block)[1][:, 0]
             yield "eigenvector", v, float(v @ np.array(block) @ v)
 
     for tag, v, q in candidates():
         if q < threshold:                   # False for a NaN form
+            if tag != "eigenvector":        # only the winner's vector is built
+                ones, v = v, np.zeros(n)
+                v[ones] = 1.0
             return Witness(vector=v, full_vector=np.outer(v, cls.axis).ravel(),
                            quadratic_form=q, tag=tag)
     # unbounded curvature at a coincidence boundary has no eigendecomposition

@@ -432,3 +432,30 @@ def einsum_witness(block, cls):
             return Witness(vector=v, full_vector=np.outer(v, cls.axis).ravel(),
                            quadratic_form=q, tag=tag)
     return None
+
+
+# ---------------------------------------------------------------------------
+# The Hessian as ``stability`` scattered it with numpy before ``control``
+# generated it per graph shape
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def bincount_hessian(z, g, rho, graph):
+    """The Hessian from one edge pass's z, g and rho (lists or arrays), its
+    edge blocks summed in edge order by ``hessian_index``."""
+    d = graph.dimension
+    nd, z = graph.num_nodes * d, np.array(z).reshape(-1, d)
+    m = 2.0 * np.array(rho)[:, None, None] * (z[:, :, None] * z[:, None, :]) \
+        + np.array(g)[:, None, None] * np.eye(d)
+    blocks = np.stack([m, m, -m, -m], axis=1).ravel()
+    index = hessian_index(tuple(graph.edge_tails.tolist()), tuple(graph.edge_heads.tolist()),
+                          graph.num_nodes, d)
+    return np.bincount(index, blocks, nd * nd).reshape(nd, nd)
+
+
+def hessian_index(tails: tuple, heads: tuple, n: int, d: int) -> np.ndarray:
+    """Flat (n d)^2 index of ``bincount_hessian``'s blocks [M, M, -M, -M] at
+    node blocks (i,i), (j,j), (i,j), (j,i), in edge order."""
+    i, j, axis = np.array(tails), np.array(heads), np.arange(d)
+    rows = np.stack([i, j, i, j], 1)[..., None, None] * d + axis[:, None]
+    return (rows * (n * d) + np.stack([i, j, j, i], 1)[..., None, None] * d + axis).ravel()

@@ -493,7 +493,7 @@ def test_generated_step_source_is_pinned():
         for family in (QUADRATIC, RATIONAL):
             for mode in ("none", "target", "windowed"):
                 for name in ("advance", "evaluate"):
-                    source = control._step_source(*control._shape(graph), family, mode, name)
+                    source = control._step_source(*graph._shape, family, mode, name)
                     found[f"{graph.num_nodes}-{family.name}-{mode}-{name}"] = \
                         hashlib.sha256(source.encode()).hexdigest()
     assert found == STEP_SOURCE_SHA256

@@ -82,18 +82,19 @@ def test_incidence_matrix_signs():
 
 
 def test_cached_arrays_are_read_only():
-    """The graph's cached arrays, and the Hessian index that ``stability``
-    caches per graph shape, are read-only."""
-    from rigidflex.control import _shape
-    from rigidflex.stability import _hessian_index
+    """The graph's cached arrays are read-only, and the Hessian code that
+    ``control`` generates is compiled once per graph shape: graphs of one
+    shape share it whatever their lengths, and another shape gets its own."""
+    from rigidflex.control import _hessian_pass
 
-    g = tetrahedron_flex()
-    index = _hessian_index(*_shape(g))
-    for arr in (g._tails, g._heads, g._dbar, g._dbar2, index):
+    g, other = tetrahedron_flex(), tetrahedron_flex(desired=(3.0, 4.0, 3.0, 3.0, 4.0, 3.0, 2.0))
+    for arr in (g._tails, g._heads, g._dbar, g._dbar2):
         assert not arr.flags.writeable
-    with pytest.raises(ValueError):
-        index[0] = 0
-    assert not hasattr(g, "_hessian_index")
+    assert g._shape == other._shape == ((0, 0, 0, 1, 1, 2, 3), (1, 2, 3, 2, 3, 3, 4), 5, 3)
+    hessian = _hessian_pass(g._shape)
+    assert _hessian_pass(other._shape) is hessian
+    assert _hessian_pass(triangle_flex()._shape) is not hessian
+    assert hessian.__code__.co_filename.startswith("<rigidflex hessian: 5 nodes in 3-D")
 
 
 def test_json_round_trip():

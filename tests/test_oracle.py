@@ -282,26 +282,36 @@ def test_construct_rejects_unknown_subform():
 
 def test_newton_polish_runs_one_edge_pass_per_iteration(monkeypatch):
     """Each iteration takes its residual, the Newton right-hand side and the
-    Hessian from one edge pass; the last pass only finds the residual small."""
+    Hessian from one ``_pass`` call, and solves once; the last pass only
+    finds the residual small.  No iteration calls ``edge_states``."""
+    import rigidflex
+    import rigidflex.control as control
     import rigidflex.oracle as oracle
 
-    counts = {"pass": 0, "hessian": 0}
-    hessian = oracle._hessian
+    counts = {"pass": 0, "hessian": 0, "lstsq": 0}
+    hessian, lstsq = oracle._hessian, np.linalg.lstsq
 
-    def counted_hessian(*args):
-        counts["hessian"] += 1
-        return hessian(*args)
+    def counted(key, f):
+        def call(*args, **kwargs):
+            counts[key] += 1
+            return f(*args, **kwargs)
+        return call
 
     counting_pass(monkeypatch, counts)
-    monkeypatch.setattr(oracle, "_hessian", counted_hessian)
-    g = triangle_flex()
-    p = construct_equilibrium(g, QUADRATIC, "collinear_distinct").positions
-    p = p + 1e-4 * np.random.default_rng(3).standard_normal(p.shape)
-    counts.update({"pass": 0, "hessian": 0})
-    polished = newton_polish(p, g, QUADRATIC)
-    assert counts["hessian"] >= 2
-    assert counts["pass"] == counts["hessian"] + 1
-    assert balance_residuals(polished, g, QUADRATIC).max() < 1e-12
+    monkeypatch.setattr(oracle, "_hessian", counted("hessian", hessian))
+    monkeypatch.setattr(np.linalg, "lstsq", counted("lstsq", lstsq))
+    for module in (rigidflex, control, oracle):
+        monkeypatch.setattr(module, "edge_states", lambda *args: pytest.fail("edge_states"),
+                            raising=False)
+    for g, family, subform in ((triangle_flex(), QUADRATIC, "collinear_distinct"),
+                               (tetrahedron_flex(), RATIONAL, "interior_point")):
+        p = construct_equilibrium(g, family, subform).positions
+        p = p + 1e-4 * np.random.default_rng(3).standard_normal(p.shape)
+        counts.update({"pass": 0, "hessian": 0, "lstsq": 0})
+        polished = newton_polish(p, g, family)
+        assert counts["hessian"] == counts["lstsq"] >= 2
+        assert counts["pass"] == counts["hessian"] + 1
+        assert balance_residuals(polished, g, family).max() < 1e-12
 
 
 @pytest.mark.parametrize("graph, family, subform", [

@@ -35,6 +35,7 @@ from references import (
     TAILORED,
     aligned_last_block,
     balance_residuals,
+    bincount_hessian,
     bind,
     einsum_witness,
     psd_check,
@@ -140,6 +141,60 @@ def test_hessian_matches_per_edge_loop(graph, family):
     flex_blocks[-2 * d:, -2 * d:] = True
     assert not (~finite & ~flex_blocks).any()
     assert np.abs(h[finite] - ref[finite]).max() <= 1e-13 * np.abs(ref[finite]).max()
+
+
+# the complete graph on four rigid agents in the plane: uncertified, yet analyzed
+K4_PLANE = FormationGraph(num_nodes=5, dimension=2,
+                          edges=(*itertools.combinations(range(1, 5), 2), (4, 5)),
+                          desired=(4.0, 5.0, 4.5, 3.0, 4.0, 5.5, 2.0), flex_edge=(4, 5))
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), K4_PLANE],
+                         ids=["triangle", "tetrahedron", "k4_plane"])
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+def test_generated_hessian_equals_the_bincount_reference_bit_for_bit(graph, family):
+    """The generated H is byte for byte the Hessian that numpy scattered
+    with bincount: at seeded random points, with the flex agent on its
+    anchor (a coincident edge: an infinite rational g, NaN entries) and with
+    a NaN or an infinite coordinate, whose NaN sign bits it must keep."""
+    rng = np.random.default_rng(37)
+    n, d = graph.num_nodes, graph.dimension
+    points = [rng.uniform(-5, 5, (n, d)) for _ in range(20)]
+    for bad in (np.nan, -np.nan, np.inf, -np.inf):
+        p = rng.uniform(-5, 5, (n, d))
+        p[rng.integers(n), rng.integers(d)] = bad
+        points.append(p)
+    for p in points[:4]:
+        coincident = p.copy()
+        coincident[-1] = coincident[-2]
+        points.append(coincident)
+    assert np.isnan(assemble_hessian(points[-1], graph, family)).any() == (family is RATIONAL)
+    for p in points:
+        _, _, _, z, g, rho = _evaluate(p, graph, family)
+        h = assemble_hessian(p, graph, family)
+        assert h.shape == (n * d, n * d)
+        assert h.tobytes() == bincount_hessian(z, g, rho, graph).tobytes()
+    assert analyze(points[0], graph, family).classification.kind == "not_equilibrium"
+
+
+def test_hessian_and_polish_call_no_bincount_or_stack(monkeypatch):
+    """analyze, assemble_hessian and newton_polish build H without numpy's
+    bincount or stack: with both made to raise they still run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy scatter in the Hessian")
+
+    rng, g = np.random.default_rng(38), tetrahedron_flex()
+    pushed = {family: construct_equilibrium(g, family, "interior_point").positions
+              + 1e-6 * rng.standard_normal((5, 3)) for family in (QUADRATIC, RATIONAL)}
+    for name in ("bincount", "stack"):
+        monkeypatch.setattr(np, name, refuse)
+    for graph in (triangle_flex(), g, K4_PLANE):
+        for family in (QUADRATIC, RATIONAL):
+            p = rng.uniform(-5, 5, (graph.num_nodes, graph.dimension))
+            assert assemble_hessian(p, graph, family).shape == (p.size, p.size)
+            assert analyze(p, graph, family).spectrum is not None
+    for family, p in pushed.items():
+        assert analyze(newton_polish(p, g, family), g, family).witness is not None
 
 
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
