@@ -53,6 +53,14 @@ def _norm(u) -> float:
     return math.sqrt(sq)
 
 
+def _sum(xs) -> float:
+    """xs summed left to right from 0.0 (the builtin ``sum`` compensates from 3.12)."""
+    total = 0.0
+    for x in xs:
+        total += x
+    return total
+
+
 def _dot(u, v) -> float:
     """<u, v> summed left to right, as ``_norm`` sums."""
     total = 0.0
@@ -407,7 +415,7 @@ def _constants(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec
     names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "isfinite": math.isfinite,
              "bisect_right": bisect.bisect_right}
     names["PHI"], names["G"], names["RHO"] = evaluators(family)
-    names.update((f"D2_{k}", dbar2) for k, dbar2 in enumerate(graph._dbar2.tolist()))
+    names.update((f"D2_{k}", dbar2) for k, dbar2 in enumerate(graph._dbar2))
     if leader.mode == "target":
         names["K_F"] = leader.k_f
         names.update((f"PT_{k}", x) for k, x in enumerate(leader.p_t))

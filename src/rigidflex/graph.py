@@ -1,4 +1,4 @@
-"""Formation graphs: node/edge structure, cached index arrays, realizations.
+"""Formation graphs: node/edge structure, its cached shape, realizations.
 
 A formation graph is a rigid interaction graph on nodes 1..N plus one flex
 node N+1 attached by a single edge (N, N+1).  Edges are stored in
@@ -29,7 +29,7 @@ class FormationGraph:
     num_nodes : total node count N+1 (1-based node labels)
     dimension : ambient dimension, 2 or 3
     edges     : tuple of (i, j) pairs, i < j, lexicographically sorted
-    desired   : desired distance per edge, aligned with ``edges``
+    desired   : desired distance per edge, aligned with ``edges``, kept as floats
     flex_edge : the single edge attaching node N+1; must be (N, N+1)
     """
 
@@ -68,19 +68,12 @@ class FormationGraph:
         if incident_to_flex != [flex]:
             raise GraphError("flex node must have degree exactly 1 via the flex edge")
 
-        # derived arrays, computed once and cached read-only on the instance;
-        # the flex edge (N, N+1) sorts last, so the rigid edges are 0..m-2
-        m = len(pairs)
-        tails = np.array([i - 1 for i, _ in pairs], dtype=int)
-        heads = np.array([j - 1 for _, j in pairs], dtype=int)
-        dbar = np.array(self.desired, dtype=float)
-        for name, arr in (("_tails", tails), ("_heads", heads), ("_rigid", np.arange(m - 1)),
-                          ("_dbar", dbar), ("_dbar2", dbar**2)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        # the key of the graph's generated code (edge tails and heads, N+1
-        # and d), and its certified topology, fixed with the edges
-        object.__setattr__(self, "_shape", (tuple(tails.tolist()), tuple(heads.tolist()), n, d))
+        # kept as floats and tuples: lengths, squares, the generated code's key (edge
+        # tails and heads, N+1, d; the flex edge (N, N+1) sorts last) and the topology
+        object.__setattr__(self, "desired", tuple(map(float, self.desired)))
+        object.__setattr__(self, "_shape", (tuple(i - 1 for i, _ in pairs),
+                                            tuple(j - 1 for _, j in pairs), n, d))
+        object.__setattr__(self, "_dbar2", tuple(db * db for db in self.desired))
         key, k4 = (n, d, list(self.edges[:-1])), sorted(itertools.combinations(range(1, 5), 2))
         object.__setattr__(self, "_topology", "triangle" if key == (4, 2, [(1, 2), (1, 3), (2, 3)])
                            else "tetrahedron" if key == (5, 3, k4) else None)
@@ -91,13 +84,13 @@ class FormationGraph:
 
     @property
     def edge_tails(self) -> np.ndarray:
-        """0-based index of node i for each edge (i, j); read-only."""
-        return self._tails
+        """0-based index of node i for each edge (i, j), as a new array."""
+        return np.array(self._shape[0])
 
     @property
     def edge_heads(self) -> np.ndarray:
-        """0-based index of node j for each edge (i, j); read-only."""
-        return self._heads
+        """0-based index of node j for each edge (i, j), as a new array."""
+        return np.array(self._shape[1])
 
     @property
     def flex_edge_index(self) -> int:

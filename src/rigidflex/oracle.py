@@ -1,24 +1,24 @@
 """Independent construction of equilibria for the certified topologies.
 
 Each undesired subform has one ``_Layout`` in ``_LAYOUTS``, in the order the
-catalog walks.  Its rigid agents sit at a combination of fixed templates:
-the slots of ``stability.LINE_SLOTS`` on the first axis, the unit square, or
-the unit triangle with its centroid.  One method, ``_Layout.solve``, checks
-that the desired lengths and the family admit the layout and then solves
-the balance along the templates for the unknown scales: one by bisection
-of a proved bracket down to adjacent floats, two or more by damped Newton
-on the balance's analytic Jacobian from several seeds (rootfind-collinear,
-rootfind-coplanar).  No scale, or one whose bracket ends are equal floats,
-is exact for every family (coincidence-construct).  The layout solve
-evaluates the family on its own edge set, apart from the simulator and the
-edge pass, so its roots are an independent construction.
+catalog walks.  Its rigid agents sit at a combination of fixed templates,
+tuples of Python floats: the slots of ``stability.LINE_SLOTS`` on the first
+axis, the unit square, or the unit triangle with its centroid.  One method,
+``_Layout.solve``, checks that the desired lengths and the family admit the
+layout and then solves the balance along the templates for the unknown
+scales: one by bisection of a proved bracket down to adjacent floats, two or
+more by damped Newton on the balance's analytic Jacobian from several seeds
+(rootfind-collinear, rootfind-coplanar).  No scale, or one whose bracket
+ends are equal floats, is exact for every family (coincidence-construct).
+The layout solve evaluates the family on its own edge set, apart from the
+simulator and the edge pass, so its roots are an independent construction.
 
 The balance and its Jacobian are generated per layout, graph shape and
 family as one straight-line function on Python floats (``_balance_code``),
 compiled on first use, cached and bound per solve by ``control._constants``
-as every generated function is.  Newton, its k x k solve and the
-bisection then run on lists of floats in a fixed summation order, so no
-step calls numpy and no root depends on how a BLAS sums.
+as every generated function is.  Newton, its k x k solve, the bisection
+and each agent's placement run on floats in a fixed summation order, so
+no root or position depends on how a BLAS sums.
 
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry from one edge pass at the
@@ -42,7 +42,7 @@ from types import FunctionType
 
 import numpy as np
 
-from .control import _call, _compiled, _constants, _dot, _norm, _pass, _residual
+from .control import _call, _compiled, _constants, _dot, _norm, _on_numpy, _pass, _residual, _sum
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily, evaluators
 from .stability import LINE_SLOTS, _classify, _hessian
@@ -128,38 +128,39 @@ def _require_certified(graph: FormationGraph) -> str:
     return topo
 
 
-def _rigid_embedding(graph: FormationGraph) -> np.ndarray:
-    """The rigid agents at their desired distances, in ``simplex_gram``'s frame:
-    its Cholesky factor on Python floats, sums left to right (``_dot``), each
-    column times its pivot's reciprocal as LAPACK's unblocked factor scales it."""
+def _rigid_embedding(graph: FormationGraph) -> list:
+    """The rigid agents at their desired distances in ``simplex_gram``'s frame:
+    its Cholesky factor as rows of Python floats, sums left to right, each
+    column times its pivot's reciprocal as LAPACK's unblocked factor does."""
     topo = _require_certified(graph)
-    k, rigid = graph.num_nodes - 1, graph._rigid
-    sq = np.zeros((k, k))
-    sq[graph._tails[rigid], graph._heads[rigid]] = graph._dbar2[rigid]
+    k, (tails, heads, *_) = graph.num_nodes - 1, graph._shape
+    sq = [[0.0] * k for _ in range(k)]
+    for i, j, d2 in zip(tails[:-1], heads[:-1], graph._dbar2):
+        sq[i][j] = sq[j][i] = d2
     low = [[0.0] * (k - 1) for _ in range(k)]
-    for i, row in enumerate(simplex_gram(sq + sq.T).tolist(), 1):
+    for i, row in enumerate(simplex_gram(sq).tolist(), 1):
         r = low[i]
         for j in range(i - 1):
             r[j] = (row[j] - _dot(r[:j], low[j + 1])) * (1.0 / low[j + 1][j])
         if not (pivot := row[i - 1] - _dot(r[:i - 1], r)) > 0:     # also NaN
             raise OracleError(f"{topo} distances are not realizable")
         r[i - 1] = math.sqrt(pivot)
-    return np.array(low)
+    return low
 
 
 def desired_equilibrium(graph: FormationGraph) -> np.ndarray:
     """A realization with every edge at its desired length, the flex agent
     on the far side of its anchor from the rigid centroid."""
     rigid = _rigid_embedding(graph)
-    direction = rigid[-1] - rigid.mean(axis=0)
-    direction = direction / _norm(direction)
-    return np.vstack([rigid, rigid[-1] + graph.desired[graph.flex_edge_index] * direction])
+    direction = [a - _sum(column) / len(rigid) for a, column in zip(rigid[-1], zip(*rigid))]
+    size, length = _norm(direction), graph.desired[graph.flex_edge_index]
+    return np.array(rigid + [[a + length * (c / size) for a, c in zip(rigid[-1], direction)]])
 
 
 def flex_coincident_equilibrium(graph: FormationGraph) -> np.ndarray:
     """Rigid agents at the desired shape, flex agent on top of its anchor."""
     rigid = _rigid_embedding(graph)
-    return np.vstack([rigid, rigid[graph.num_nodes - 2].copy()])
+    return np.array(rigid + [rigid[-1]])
 
 
 # ---------------------------------------------------------------------------
@@ -291,11 +292,11 @@ def _multi_root(fun, seeds, names):
 class _Layout:
     """The rigid agents sit at sum_k x_k T_k for k unknown scales x > 0.
 
-    ``templates`` stacks the T_k as a (k, N, d) array.  In a line layout,
-    rigid agent r + 1 sits in slot ``slots[r]`` (numbered along the first
-    axis from 0; agents of one slot coincide) and T_k is the first unit
-    vector for the agents whose slot lies past gap k, so x_k is the k-th
-    gap.  A planar layout has one unit-side template, and ``equal`` names
+    ``templates`` holds the T_k, each N points as tuples of d floats.  In a
+    line layout, rigid agent r + 1 sits in slot ``slots[r]`` (numbered along
+    the first axis from 0; agents of one slot coincide) and T_k is the first
+    unit vector for the agents whose slot lies past gap k, so x_k is the
+    k-th gap.  A planar layout has one unit-side template, and ``equal`` names
     the edge groups whose desired lengths its symmetry needs to agree.
     ``seeds`` are the Newton seeds of the gaps, as fractions of the mean
     desired length over slot pairs.  ``solve`` checks and solves a layout
@@ -328,7 +329,7 @@ class _Layout:
     makes every term of F_k positive, so no root has one.
     """
 
-    templates: np.ndarray
+    templates: tuple
     method: str
     slots: tuple = ()
     seeds: tuple = ()
@@ -340,16 +341,15 @@ class _Layout:
         Three refusals come before any solving.  Agents in one slot must
         reach every other slot along edges of equal desired lengths, and
         each ``equal`` group must share one length, as floats compare;
-        otherwise the agents' balances differ and F = 0 is no equilibrium.  A rigid edge with a
-        zero template vector has zero length whatever the scales, so neither
-        has a family whose g is not finite at e = -dbar^2.  That test looks
-        up the family's cached ``evaluators``; ``control._constants`` binds
-        the balance, as it binds every generated function.
+        otherwise the agents' balances differ and F = 0 is no equilibrium.
+        A rigid edge with a zero template vector has zero length whatever
+        the scales, so neither has a family whose g is not finite at
+        e = -dbar^2: ``control._on_numpy`` runs the family's cached g there.
+        ``control._constants`` binds the balance, as it binds every
+        generated function.  Each coordinate sums x_k T_k left to right.
         """
-        k, n, d = self.templates.shape
-        shape = graph._shape
+        shape, length = graph._shape, graph.desired
         edges, inner, t = _geometry(self, shape)
-        length = graph._dbar.tolist()
         reach = [sorted((self.slots[i + j - a], length[e]) for e, i, j in edges if a in (i, j))
                  for a in range(len(self.slots))]
         for a, slot in enumerate(self.slots):
@@ -364,16 +364,16 @@ class _Layout:
             if any(desired[e] != desired[group[0]] for e in group):
                 raise OracleError(f"construction needs equal desired distances: {what}")
         if inner:
-            g, d2 = evaluators(family)[1], graph._dbar2[list(inner)]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                if not np.isfinite(g(-d2, d2)).all():
-                    raise OracleError(_BOUNDARY)
+            g, d2 = evaluators(family)[1], graph._dbar2
+            if not all(math.isfinite(_on_numpy(g, -d2[e], d2[e])) for e in inner):
+                raise OracleError(_BOUNDARY)
 
-        if k == 0:
-            return np.zeros((n, d)), "coincidence-construct"
+        *_, n, d = shape                    # N + 1 agents in d-D
+        if not self.templates:
+            return [[0.0] * d for _ in range(n - 1)], "coincidence-construct"
         balance = FunctionType(_balance_code(self, shape, family), _constants(graph, family))
         method = self.method
-        if k == 1:
+        if len(self.templates) == 1:
             ends = [length[e] / _norm(te[0]) for (e, _, _), te in zip(edges, t)]
             lo, hi = min(ends), max(ends)
             if lo < hi:
@@ -382,24 +382,26 @@ class _Layout:
                 x, method = [lo], "coincidence-construct"
         else:
             per_pair = {frozenset((self.slots[i], self.slots[j])): length[e] for e, i, j in edges}
-            scale = float(np.mean(list(per_pair.values())))
+            scale = _sum(per_pair.values()) / len(per_pair)
             x = _multi_root(balance, [[v * scale for v in seed] for seed in self.seeds],
                             f"the gaps of line layout {self.slots}")
-        return np.dot(x, self.templates.reshape(k, n * d)).reshape(n, d), method
+        return [[_dot(x, [tk[a][c] for tk in self.templates]) for c in range(d)]
+                for a in range(n - 1)], method
 
 
 @functools.lru_cache(maxsize=64)
 def _geometry(layout: _Layout, shape: tuple):
     """The crossing edges of a layout on a graph shape as (e, i, j), its
     other rigid edges, and each crossing edge's t_ek per scale k as tuples
-    of d floats."""
+    of d floats, differences of the templates' tuples."""
     tails, heads = shape[:2]
-    rigid = range(len(tails) - 1)           # the flex edge (N, N+1) sorts last
-    t = (layout.templates[:, list(tails[:-1])] - layout.templates[:, list(heads[:-1])])
-    moving = t.any(axis=(0, 2)).tolist()
-    edges = tuple((e, tails[e], heads[e]) for e in rigid if moving[e])
-    return (edges, tuple(e for e in rigid if not moving[e]),
-            tuple(tuple(map(tuple, t[:, e].tolist())) for e, _, _ in edges))
+    rigid = tuple(zip(range(len(tails) - 1), tails, heads))   # the flex edge sorts last
+    t = [tuple(tuple(a - b for a, b in zip(tk[i], tk[j])) for tk in layout.templates)
+         for _, i, j in rigid]
+    moving = [any(map(any, te)) for te in t]
+    return (tuple(edge for edge, m in zip(rigid, moving) if m),
+            tuple(e for (e, _, _), m in zip(rigid, moving) if not m),
+            tuple(te for te, m in zip(t, moving) if m))
 
 
 def _combination(terms) -> str:
@@ -457,8 +459,8 @@ def _balance_code(layout: _Layout, shape: tuple, family: PotentialFamily):
 
 def _line(slots, dim, seeds=()):
     """The line layout of a LINE_SLOTS vector: T_k moves the agents past gap k."""
-    templates = np.zeros((max(slots), len(slots), dim))
-    templates[..., 0] = np.array(slots) > np.arange(max(slots))[:, None]
+    templates = tuple(tuple((float(s > k),) + (0.0,) * (dim - 1) for s in slots)
+                      for k in range(max(slots)))
     return _Layout(templates, "rootfind-collinear", slots, seeds)
 
 
@@ -466,13 +468,13 @@ def _line(slots, dim, seeds=()):
 # equilateral triangle 1-2-3 with agent 4 at its centroid.
 _PLANAR = {2: {}, 3: {
     "convex_quadrilateral": _Layout(
-        np.array([[[0.5, 0.5, 0.0], [-0.5, 0.5, 0.0], [-0.5, -0.5, 0.0], [0.5, -0.5, 0.0]]]),
+        (((0.5, 0.5, 0.0), (-0.5, 0.5, 0.0), (-0.5, -0.5, 0.0), (0.5, -0.5, 0.0)),),
         "rootfind-coplanar",
         equal=(("the four square sides", ((1, 2), (2, 3), (3, 4), (1, 4))),
                ("the two diagonals", ((1, 3), (2, 4))))),
     "interior_point": _Layout(
-        np.array([[[np.cos(a) / np.sqrt(3.0), np.sin(a) / np.sqrt(3.0), 0.0]
-                    for a in (0.0, 2 * np.pi / 3, 4 * np.pi / 3)] + [[0.0, 0.0, 0.0]]]),
+        (tuple((math.cos(a) / math.sqrt(3.0), math.sin(a) / math.sqrt(3.0), 0.0)
+               for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)) + ((0.0, 0.0, 0.0),),),
         "rootfind-coplanar",
         equal=(("outer triangle sides", ((1, 2), (1, 3), (2, 3))),
                ("vertex-to-center edges", ((1, 4), (2, 4), (3, 4))))),
@@ -531,10 +533,8 @@ def construct_equilibrium(graph: FormationGraph, family: PotentialFamily,
         raise OracleError(f"unknown subform {subform!r} for dimension "
                           f"{graph.dimension}; known: {sorted(table)}")
     rigid, method = table[subform].solve(graph, family)
-    flex = rigid[-1].copy()
-    flex[-1] += graph.desired[graph.flex_edge_index]
-    return _finalize(np.vstack([rigid, flex]), graph, family, method,
-                     ("degenerate_rigid", subform))
+    flex = rigid[-1][:-1] + [rigid[-1][-1] + graph.desired[graph.flex_edge_index]]
+    return _finalize(rigid + [flex], graph, family, method, ("degenerate_rigid", subform))
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, _check_eq_tol, _dot, _evaluate, _hessian_pass, _norm, _pass, _residual
+from .control import (EQ_TOL, _check_eq_tol, _dot, _evaluate, _hessian_pass, _norm, _pass,
+                      _residual, _sum)
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialDomainError, PotentialFamily
 
@@ -402,10 +403,7 @@ def _g_terms(terms: str, roles: tuple):
 
 
 def _g_total(parts: tuple, g: dict) -> float:
-    value = 0.0
-    for part in parts:
-        value += g[part[0]] if len(part) == 1 else sum(g[pair] for pair in part)
-    return value
+    return _sum(_sum(g[pair] for pair in part) for part in parts)
 
 
 @functools.lru_cache(maxsize=None)
@@ -535,7 +533,7 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     # V diverges only where some g does, so only a non-finite H needs the
     # check (a quadratic V may overflow where H is finite: no domain error)
     if not finite_h and np.isfinite(pos).all() and not math.isfinite(v):
-        if (np.array(e) == -graph._dbar2).any():
+        if any(ek == -d2 for ek, d2 in zip(e, graph._dbar2)):
             raise PotentialDomainError(f"realization lies on the coincidence boundary, where the "
                                        f"{family.name} potential diverges (outside its domain)")
         raise PotentialDomainError(f"V of the {family.name} potential overflows at this "

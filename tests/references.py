@@ -146,8 +146,8 @@ def float_pass(graph, family):
     V = 1/2 sum phi(e) left to right.  An evaluator that raises runs on a
     numpy float."""
     d, size = graph.dimension, graph.num_nodes * graph.dimension
-    phis, gs = zip(*(bind(family, dbar)[:2] for dbar in graph._dbar.tolist()))
-    edges = list(zip(graph._tails.tolist(), graph._heads.tolist(), graph._dbar2.tolist(), gs))
+    phis, gs = zip(*(bind(family, dbar)[:2] for dbar in graph.desired))
+    edges = list(zip(graph.edge_tails.tolist(), graph.edge_heads.tolist(), graph._dbar2, gs))
 
     def call(f, e):
         try:

@@ -432,6 +432,16 @@ def test_validate_potential_ok(capsys):
     assert out["violations"] == []
 
 
+def test_validate_potential_writes_its_report(tmp_path, capsys):
+    """With --out, the report printed is also written to
+    validate_<family>.json in that directory, which is made if missing."""
+    out = tmp_path / "reports"
+    assert main(["validate-potential", "rational", "--out", str(out)]) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    assert printed == {"family": "rational", "dbar": 4.0, "violations": []}
+    assert json.loads((out / "validate_rational.json").read_text()) == printed
+
+
 @pytest.mark.parametrize("dbar", ["3e5", "1e7", "1e40"])
 def test_validate_potential_passes_at_large_dbar(capsys, dbar):
     """The sample grid scales with dbar^2, so the rational family is not

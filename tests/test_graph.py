@@ -1,5 +1,7 @@
 """Structural checks for formation graphs and incidence matrices."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -82,14 +84,19 @@ def test_incidence_matrix_signs():
 
 
 def test_cached_arrays_are_read_only():
-    """The graph's cached arrays are read-only, and the Hessian code that
+    """The graph caches no numpy array: its lengths and their squares are
+    tuples of Python floats (numpy scalars given as lengths too), each edge
+    index array is a new one per access, and the Hessian code that
     ``control`` generates is compiled once per graph shape: graphs of one
     shape share it whatever their lengths, and another shape gets its own."""
     from rigidflex.control import _hessian_pass
 
     g, other = tetrahedron_flex(), tetrahedron_flex(desired=(3.0, 4.0, 3.0, 3.0, 4.0, 3.0, 2.0))
-    for arr in (g._tails, g._heads, g._dbar, g._dbar2):
-        assert not arr.flags.writeable
+    assert not any(isinstance(v, np.ndarray) for v in vars(g).values())
+    assert g.edge_tails is not g.edge_tails
+    assert g._dbar2 == tuple(np.array(g.desired) ** 2)
+    numpy_lengths = dataclasses.replace(g, desired=tuple(np.sqrt(g._dbar2)))
+    assert all(type(x) is float for x in g.desired + g._dbar2 + numpy_lengths.desired)
     assert g._shape == other._shape == ((0, 0, 0, 1, 1, 2, 3), (1, 2, 3, 2, 3, 3, 4), 5, 3)
     hessian = _hessian_pass(g._shape)
     assert _hessian_pass(other._shape) is hessian

@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import re
+import sys
 import warnings
 
 import numpy as np
@@ -16,7 +17,9 @@ from rigidflex.control import edge_states
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     _LAYOUTS,
+    _finalize,
     _multi_root,
+    _solve,
     OracleError,
     build_catalog,
     construct_equilibrium,
@@ -152,6 +155,28 @@ def test_newton_polish_reports_stall(monkeypatch):
         newton_polish(np.array([[9.0, 0], [0, 0], [0, 9.0], [5, 5]]), g, QUADRATIC)
 
 
+def test_newton_polish_refuses_a_non_finite_jacobian():
+    """Agent 2 on agent 1 lies on the rational family's coincidence
+    boundary, where g and rho diverge: with agent 3 pushed off balance, the
+    polish stops at the non-finite Hessian instead of stepping along it."""
+    g = triangle_flex()
+    p = desired_equilibrium(g)
+    p[1] = p[0]
+    p[2, 0] += 0.1
+    with pytest.raises(OracleError, match="balance Jacobian is non-finite"):
+        newton_polish(p, g, RATIONAL)
+
+
+def test_construction_refuses_a_point_of_another_class():
+    """A constructed point is checked against the class it was built for:
+    the desired shape offered as the distinct collinear form is refused."""
+    g = triangle_flex()
+    with pytest.raises(OracleError, match="constructed point classifies as desired/None, "
+                                          "expected degenerate_rigid/collinear_distinct"):
+        _finalize(desired_equilibrium(g), g, QUADRATIC, "rootfind-collinear",
+                  ("degenerate_rigid", "collinear_distinct"))
+
+
 @pytest.mark.parametrize("scenario, graph, subform", [
     ("triangle_flex_2d", triangle_flex(), "collinear_distinct"),
     ("tetra_flex_3d", tetrahedron_flex(), "interior_point")])
@@ -212,7 +237,7 @@ def test_double_pair_with_crossed_unequal_distances(family, monkeypatch):
     if family is QUADRATIC:
         rigid, method = _LAYOUTS[3]["double_pair"].solve(g, family)
         assert method == "rootfind-collinear"
-        p = np.vstack([rigid, rigid[-1] + [0.0, 0.0, 4.0]])
+        p = np.array(rigid + [[*rigid[-1][:2], rigid[-1][2] + 4.0]])
         assert balance_residuals(p, g, family).max() < 1e-12
         entry = construct_equilibrium(g, family, "double_pair")
         assert (entry.kind, entry.subform) == ("degenerate_rigid", "double_pair")
@@ -358,7 +383,7 @@ def test_rational_collinear_distinct_succeeds_on_its_first_seed(graph, monkeypat
     root is accepted, and it is the one the later seeds converge to."""
     calls = counted_root(monkeypatch)
     layout = _LAYOUTS[graph.dimension]["collinear_distinct"]
-    first, _ = layout.solve(graph, RATIONAL)
+    first = np.array(layout.solve(graph, RATIONAL)[0])
     assert len(calls) == 1
     later, _ = dataclasses.replace(layout, seeds=layout.seeds[1:]).solve(graph, RATIONAL)
     np.testing.assert_allclose(first, later, rtol=0, atol=1e-12)
@@ -413,8 +438,9 @@ def test_solve_binds_the_family_once_per_edge_set(graph, family, monkeypatch):
         monkeypatch.setattr(module, "evaluators",
                             lambda f: binds.append(f) or potentials.evaluators(f))
     for name, layout in _LAYOUTS[graph.dimension].items():
-        t = layout.templates[:, graph.edge_tails[:-1]] - layout.templates[:, graph.edge_heads[:-1]]
-        expected = (len(layout.templates) > 0) + (not t.any(axis=(0, 2)).all())
+        zero = [all(tk[i] == tk[j] for tk in layout.templates)
+                for i, j in zip(graph.edge_tails[:-1], graph.edge_heads[:-1])]
+        expected = (len(layout.templates) > 0) + any(zero)
         binds.clear()
         try:
             layout.solve(graph, family)
@@ -526,7 +552,7 @@ def test_multi_gap_roots_lie_in_the_box(graph, family):
             continue
         roots += 1
         slots = np.array(layout.slots)
-        x = rigid[:, 0]
+        x = np.array(rigid)[:, 0]
         for k in range(max(layout.slots)):
             gap = x[slots == k + 1][0] - x[slots == k][0]
             crossing = [db for e, ((i, j), db) in enumerate(zip(graph.edges, graph.desired))
@@ -716,6 +742,78 @@ def test_catalogs_and_desired_shapes_call_no_lapack(monkeypatch):
     for lengths in ((1.0, 1.0, 3.0, 2.0), (1.0, 2.0, 3.0, 2.0)):
         with pytest.raises(OracleError, match="triangle distances are not realizable"):
             desired_equilibrium(triangle_flex(lengths))
+
+
+# numpy functions and ndarray methods whose bits, or whose summation order,
+# a numpy or BLAS build may change: none is called while constructing
+NUMPY_NAMES = {"dot", "mean", "cos", "sin"}
+
+
+def numpy_calls(fn, *args):
+    """The calls of NUMPY_NAMES that ``fn(*args)`` makes, by name, recorded
+    with ``sys.setprofile``: the Python functions of numpy (``np.dot`` and
+    ``np.mean`` among them) as calls, and C methods of an ndarray or of a
+    numpy module (``ndarray.mean``, which cannot be patched) as C calls."""
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("numpy"):
+            name = frame.f_code.co_name
+        elif event == "c_call" and (isinstance(getattr(arg, "__self__", None), np.ndarray)
+                                    or str(getattr(arg, "__module__", "")).startswith("numpy")):
+            name = arg.__name__
+        else:
+            return
+        if name in NUMPY_NAMES:
+            calls.append(name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_numpy_calls_are_recorded():
+    """The recorder sees each way a construction could reach NUMPY_NAMES."""
+    a = np.ones((3, 2))
+    assert numpy_calls(lambda: (np.dot([1.0, 2.0], a[:2]), a.mean(axis=0),
+                                np.mean([1.0, 2.0]), math.cos(0.5))) == ["dot", "mean", "mean"]
+
+
+def constructions(graph, family):
+    """The desired and flex-coincident shapes, every subform's construction
+    and the catalog of graph x family, with the refusals they may raise."""
+    desired_equilibrium(graph)
+    flex_coincident_equilibrium(graph)
+    for subform in _LAYOUTS[graph.dimension]:
+        try:
+            construct_equilibrium(graph, family, subform)
+        except OracleError:
+            pass
+    return build_catalog(graph, family)
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL], ids=["quadratic", "rational"])
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED],
+                         ids=["triangle", "tetrahedron", "tailored"])
+def test_constructions_call_no_numpy_dot_mean_or_trig(graph, family):
+    """Construction holds its data as Python floats and tuples: each agent
+    coordinate is a left-to-right sum of scales times template entries, the
+    seed scale and the centroid are left-to-right sums over their count,
+    and the planar template comes from ``math``.  So no np.dot (a BLAS
+    gemv), np.mean or ndarray.mean is called, and every template entry is
+    a float, not the numpy scalar np.cos or np.sin would give."""
+    assert numpy_calls(constructions, graph, family) == []
+    assert all(type(c) is float for layout in _LAYOUTS[graph.dimension].values()
+               for template in layout.templates for point in template for c in point)
+
+
+def test_three_gap_step_refuses_an_exactly_singular_jacobian():
+    """Cramer's rule gives no step when det J is exactly 0, here a 3 x 3
+    with two proportional rows, as for 2 x 2 (see the seeds above)."""
+    assert _solve([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]], [1.0, 1.0, 1.0]) is None
 
 
 def layout_balances(monkeypatch, graph, family):

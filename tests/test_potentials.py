@@ -100,6 +100,16 @@ def test_validator_catches_wrong_sign_g():
     assert problems  # not increasing and wrong sign
 
 
+@pytest.mark.parametrize("phi, problems", [
+    ("-0.5 * (e * e)", ["phi takes negative values", "phi vanishes away from e = 0"]),
+    ("0.5 * (e * e) + 1.0", ["phi(0) != 0"]),
+], ids=["negative", "lifted"])
+def test_validator_names_each_phi_violation(phi, problems):
+    """With the quadratic family's g and rho, a phi below zero, or one that
+    is not zero at e = 0, is reported by exactly its own messages."""
+    assert validate_family(PotentialFamily("bad", phi, "e", "e ** 0"), DBAR) == problems
+
+
 def closed_forms(e, dbar):
     """(phi, g, rho) of both families written out on float64 arrays, with
     dbar^4 as dbar^2 dbar^2 and s^3 as (s s) s."""

@@ -146,9 +146,10 @@ def test_edge_kernel_never_leaves_the_domain(graph_name, family_name, data):
     states = edge_states(p, graph, family)
     z, e = states.z, states.e
     assert not np.isnan(e).any()
-    assert (e >= -graph._dbar2).all()
+    dbar2 = np.array(graph._dbar2)
+    assert (e >= -dbar2).all()
     coincident = ~z.any(axis=1)
-    assert (e[coincident] == -graph._dbar2[coincident]).all()
+    assert (e[coincident] == -dbar2[coincident]).all()
 
 
 # the offset of an edge's head from its tail in each coordinate: at, next to

@@ -631,7 +631,11 @@ def reference_claim(spec, roles, g, zero_tol=1e-9):
             if term[0] == "@":
                 a = roles["ijkl".index(term[1])]
                 names.append(f"sum_g at {a}")
-                value += sum(g[min(a, b), max(a, b)] for b in roles if b != a)
+                total = 0.0                 # left to right: no compensated sum
+                for b in roles:
+                    if b != a:
+                        total += g[min(a, b), max(a, b)]
+                value += total
             else:
                 a, b = sorted(roles["ijkl".index(r)] for r in term)
                 names.append(f"g_{a}{b}")
@@ -665,6 +669,16 @@ def test_parsed_sign_claims_equal_the_per_call_parser(d):
                     c = _claim(spec, roles, g)
                     ref = reference_claim(spec, roles, g)
                     assert (c.description, c.value.hex(), c.passed) == (ref[0], ref[1].hex(), ref[2])
+
+
+def test_sign_claims_sum_left_to_right():
+    """A sum_g term adds its g values left to right from 0.0, the rule of
+    every sum in the package: 1e16 + 1.0 rounds to 1e16, so the claim's
+    value is 0.0, where a compensated sum (math.fsum, or the builtin sum
+    from Python 3.12) gives 1.0."""
+    g = {(1, 2): 1e16, (1, 3): 1.0, (1, 4): -1e16}
+    assert math.fsum(g.values()) == 1.0
+    assert _claim("@i < 0", (1, 2, 3, 4), g).value == 0.0
 
 
 def separate_report(p, graph, family):
