@@ -108,7 +108,7 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarr
             return p
         if it == POLISH_MAX_ITER:
             raise OracleError(f"Newton polish stalled at residual {residual:.3e}")
-        h = _hessian(z, g, rho, graph)
+        h = _hessian(z, g, rho, graph._shape)
         if not np.all(np.isfinite(h)):
             raise OracleError("balance Jacobian is non-finite; cannot polish "
                               "(coincident agents with a singular family?)")

@@ -6,8 +6,11 @@ edge e = (i, j) and subtracts them from its off-diagonal node blocks.  At an
 undesired equilibrium the collapsed rigid subformation has a degenerate axis
 r.  For node weights v, (v (x) r)^T H (v (x) r) = v^T H_r v, where the
 aligned block H_r[i, j] = r^T H_ij r is the Laplacian of the edge weights
-w_e = g_e + 2 rho_e (z_e . r)^2.  A v with v^T H_r v < 0 certifies that the
-equilibrium is a saddle of the potential and hence unstable.
+w_e = g_e + 2 rho_e (z_e . r)^2: the same generated Hessian in one
+dimension, at the edge coordinates z_e . r.  A v with v^T H_r v < 0
+certifies that the equilibrium is a saddle of the potential and hence
+unstable; the witness tries the paper's v, whose forms are diagonal
+entries of H_r.
 
 ``classify`` decides on Python floats, once: the axis r in closed form (at a
 3-D point, z_flex x the coordinate axis least along z_flex), the
@@ -16,8 +19,8 @@ degenerate-rigid class its subform and roles, the rigid agents' labels in
 role order i, j, k, l.  Line forms are looked up in LINE_SLOTS, the slot
 table the oracle builds its line equilibria from; planar forms come from the
 signs of the agents' affine dependence, in signed triangle areas.  The sign
-claims are data over the roles (SIGN_CLAIMS).  No verdict calls LAPACK but
-the witness's eigenvector fallback; the spectra are reported, not judged.
+claims are data over the roles (SIGN_CLAIMS).  No verdict calls LAPACK; the
+spectra are reported, not judged.
 
 ``analyze``, the one entry point for the witness and the sign claims, makes
 one edge pass (``control._pass``) and hands its lists to the private
@@ -60,30 +63,27 @@ class WitnessNotFoundError(RuntimeError):
 def assemble_hessian(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
     """((N+1)d)^2 symmetric Hessian of the shape potential."""
     _, _, _, z, g, rho = _evaluate(p, graph, family)
-    return _hessian(z, g, rho, graph)
+    return _hessian(z, g, rho, graph._shape)
 
 
-def _hessian(z, g, rho, graph: FormationGraph) -> np.ndarray:
-    """The Hessian from one edge pass's z, g and rho lists by the shape's
-    generated ``hessian``: a non-finite edge block (a coincident edge of a
-    family that diverges there) reaches only its own four node blocks,
-    where a product with the incidence matrix would spread 0 * inf."""
-    nd = graph.num_nodes * graph.dimension
-    return np.array(_hessian_pass(graph._shape)(z, g, rho), dtype=float).reshape(nd, nd)
+def _hessian(z, g, rho, shape: tuple) -> np.ndarray:
+    """The Hessian of a graph shape (``FormationGraph._shape``, or its 1-D
+    form) from one edge pass's z, g and rho lists by the shape's generated
+    ``hessian``: a non-finite edge block (a coincident edge of a family that
+    diverges there) reaches only its own four node blocks, where a product
+    with the incidence matrix would spread 0 * inf."""
+    nd = shape[2] * shape[3]
+    return np.array(_hessian_pass(shape)(z, g, rho), dtype=float).reshape(nd, nd)
 
 
-def _aligned_block(z, g, rho, r, graph: FormationGraph) -> list:
-    """The (N+1)^2 block r^T H_ij r along the unit axis r as rows of floats:
-    the Laplacian of the edge weights w_k = r^T M_k r = g_k + 2 rho_k
-    (z_k . r)^2, diagonals summed in edge order; ``z`` is the pass's flat list."""
-    d, n = len(r), graph.num_nodes
-    block = [[0.0] * n for _ in range(n)]
-    for k, (i, j) in enumerate(graph.edges):
-        a = _dot(z[d * k:d * k + d], r)
-        w = g[k] + 2.0 * rho[k] * (a * a)           # no float ** : it raises on overflow
-        for row, col, entry in ((i, i, w), (j, j, w), (i, j, -w), (j, i, -w)):
-            block[row - 1][col - 1] += entry
-    return block
+def _aligned_block(z, g, rho, r, graph: FormationGraph) -> np.ndarray:
+    """The (N+1)^2 block r^T H_ij r along the unit axis r: the generated
+    Hessian in one dimension at the edge coordinates z_k . r, the Laplacian
+    of the edge weights w_k = r^T M_k r = 2 rho_k (z_k . r)^2 + g_k;
+    ``z`` is the pass's flat list."""
+    d = len(r)
+    return _hessian([_dot(z[k:k + d], r) for k in range(0, len(z), d)], g, rho,
+                    (*graph._shape[:3], 1))
 
 
 def _cross(a, b) -> list:
@@ -311,44 +311,36 @@ class Witness:
     vector: np.ndarray             # node weights v, length N+1
     full_vector: np.ndarray        # v (x) r
     quadratic_form: float
-    tag: str                       # flex_sum | agent_indicator | eigenvector
+    tag: str                       # flex_sum | agent_indicator
 
 
-def _witness(block: list, cls: EquilibriumClass) -> Witness:
+def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
     """Certified negative direction of ``_aligned_block`` along ``cls.axis``.
 
-    Candidates: the all-ones-except-flex vector (flex-coincident case), its
-    form w of the flex edge, the flex agent's diagonal entry; each agent's
-    indicator, its form its diagonal entry; then, only if these fail, the
-    eigenvector of the block's lowest eigenvalue.  The first form below
-    -WITNESS_MARGIN times the block's largest finite |entry| (at least 1)
-    wins; raises WitnessNotFoundError if none does.
+    Candidates, each form a diagonal entry of the block: the
+    all-ones-except-flex vector (flex-coincident case), its form w of the
+    flex edge, the flex agent's entry; then each agent's indicator, its
+    form the agent's entry.  The first form below -WITNESS_MARGIN times the
+    block's largest finite |entry| (at least 1) wins; raises
+    WitnessNotFoundError, naming the least form and that threshold, if none
+    does.
     """
-    n = len(block)
-    finite = [abs(x) for row in block for x in row if math.isfinite(x)]
-    threshold = -WITNESS_MARGIN * max([1.0, *finite])
-
-    def candidates():
-        if cls.kind == "flex_coincident":       # (tag, where v is 1 or v, form)
-            yield "flex_sum", slice(n - 1), block[-1][-1]
-        for i in range(n - 1):
-            yield "agent_indicator", i, block[i][i]
-        if len(finite) == n * n:
-            v = np.linalg.eigh(block)[1][:, 0]
-            yield "eigenvector", v, float(v @ np.array(block) @ v)
-
-    for tag, v, q in candidates():
+    rows, n = block.tolist(), len(block)
+    threshold = -WITNESS_MARGIN * max([1.0, *(abs(x) for row in rows for x in row
+                                               if math.isfinite(x))])
+    forms = [("agent_indicator", i, rows[i][i]) for i in range(n - 1)]
+    if cls.kind == "flex_coincident":       # (tag, where v is 1, form)
+        forms.insert(0, ("flex_sum", slice(n - 1), rows[-1][-1]))
+    for tag, ones, q in forms:
         if q < threshold:                   # False for a NaN form
-            if tag != "eigenvector":        # only the winner's vector is built
-                ones, v = v, np.zeros(n)
-                v[ones] = 1.0
+            v = np.zeros(n)
+            v[ones] = 1.0
             return Witness(vector=v, full_vector=np.outer(v, cls.axis).ravel(),
                            quadratic_form=q, tag=tag)
-    # unbounded curvature at a coincidence boundary has no eigendecomposition
-    lowest = np.linalg.eigh(block)[0][0] if len(finite) == n * n else -np.inf
+    tag, _, q = min(forms, key=lambda form: form[2])
     raise WitnessNotFoundError(
-        f"no negative direction found (class {cls.kind}/{cls.subform}, "
-        f"min block eigenvalue {lowest:.3e})")
+        f"no negative direction found (class {cls.kind}/{cls.subform}): the least "
+        f"candidate form, {tag} {q:.3e}, is not below the threshold {threshold:.3e}")
 
 
 # ---------------------------------------------------------------------------
@@ -524,15 +516,14 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     H is PSD when lambda_min >= -1e-8 * max(|lambda_min|, |lambda_max|, 1).
     """
     _check_eq_tol(eq_tol)
-    pos = as_positions(p, graph)
-    x = pos.ravel().tolist()
+    x = as_positions(p, graph).ravel().tolist()
     _, e, v, z, g, rho = out = _pass(graph, family)(x)
     cls = _classify(x, out, graph, eq_tol)
-    h = _hessian(z, g, rho, graph)
+    h = _hessian(z, g, rho, graph._shape)
     finite_h = bool(np.isfinite(h).all())
     # V diverges only where some g does, so only a non-finite H needs the
     # check (a quadratic V may overflow where H is finite: no domain error)
-    if not finite_h and np.isfinite(pos).all() and not math.isfinite(v):
+    if not finite_h and all(map(math.isfinite, x)) and not math.isfinite(v):
         if any(ek == -d2 for ek, d2 in zip(e, graph._dbar2)):
             raise PotentialDomainError(f"realization lies on the coincidence boundary, where the "
                                        f"{family.name} potential diverges (outside its domain)")

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from rigidflex.control import edge_states, gradient_control
+from rigidflex.control import _dot, edge_states, gradient_control
 from rigidflex.graph import FormationGraph, simplex_gram
 from rigidflex.integrator import integrate
 from rigidflex.oracle import newton_polish
@@ -410,8 +410,8 @@ def svd_classify(p, graph, family, eq_tol=EQ_TOL):
 
 def einsum_witness(block, cls):
     """The witness read from an aligned block array: each candidate's form
-    is v^T B v over its support (``np.ix_``), then the eigenvector of the
-    block's lowest eigenvalue; None where no form lies below the margin."""
+    is v^T B v over its support (``np.ix_``); None where no form lies below
+    the margin."""
     n = len(block)
     finite = np.isfinite(block)
     threshold = -WITNESS_MARGIN * (max(1.0, float(np.abs(block[finite]).max()))
@@ -425,13 +425,25 @@ def einsum_witness(block, cls):
     candidates = [("agent_indicator", np.eye(n)[i]) for i in range(n - 1)]
     if cls.kind == "flex_coincident":
         candidates.insert(0, ("flex_sum", np.append(np.ones(n - 1), 0.0)))
-    if finite.all():
-        candidates.append(("eigenvector", np.linalg.eigh(block)[1][:, 0]))
     for tag, v in candidates:
         if (q := form(v)) < threshold:
             return Witness(vector=v, full_vector=np.outer(v, cls.axis).ravel(),
                            quadratic_form=q, tag=tag)
     return None
+
+
+def loop_aligned_block(z, g, rho, r, graph):
+    """The aligned block r^T H_ij r as rows of floats, by a loop over the
+    edges: the Laplacian of the edge weights w_k = g_k + 2 rho_k (z_k . r)^2,
+    each entry 0.0 plus its terms in edge order; ``z`` is a pass's flat list."""
+    d, n = len(r), graph.num_nodes
+    block = [[0.0] * n for _ in range(n)]
+    for k, (i, j) in enumerate(graph.edges):
+        a = _dot(z[d * k:d * k + d], r)
+        w = g[k] + 2.0 * rho[k] * (a * a)           # no float ** : it raises on overflow
+        for row, col, entry in ((i, i, w), (j, j, w), (i, j, -w), (j, i, -w)):
+            block[row - 1][col - 1] += entry
+    return block
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from references import (
     bincount_hessian,
     bind,
     einsum_witness,
+    loop_aligned_block,
     psd_check,
     svd_classify,
     verify_angle_inequalities,
@@ -175,6 +176,40 @@ def test_generated_hessian_equals_the_bincount_reference_bit_for_bit(graph, fami
         assert h.shape == (n * d, n * d)
         assert h.tobytes() == bincount_hessian(z, g, rho, graph).tobytes()
     assert analyze(points[0], graph, family).classification.kind == "not_equilibrium"
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), K4_PLANE],
+                         ids=["triangle", "tetrahedron", "k4_plane"])
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+def test_aligned_block_equals_the_edge_loop_bit_for_bit(graph, family):
+    """The aligned block, the generated Hessian in one dimension, is byte
+    for byte the Laplacian that a loop over the edges sums, along seeded
+    unit axes: at seeded random points, with a coincident pair (an
+    infinite rational g, NaN entries) and with a NaN or an infinite
+    coordinate, whose NaN sign bits it must keep."""
+    rng = np.random.default_rng(39)
+    n, d = graph.num_nodes, graph.dimension
+    points = [rng.uniform(-5, 5, (n, d)) for _ in range(20)]
+    for bad in (np.nan, -np.nan, np.inf, -np.inf):
+        for _ in range(3):
+            p = rng.uniform(-5, 5, (n, d))
+            p[rng.integers(n), rng.integers(d)] = bad
+            points.append(p)
+    for _ in range(6):
+        p = rng.uniform(-5, 5, (n, d))
+        a, b = rng.choice(n, 2, replace=False)
+        p[a] = p[b]
+        points.append(p)
+    nan_blocks = 0
+    for p in points:
+        _, _, _, z, g, rho = _evaluate(p, graph, family)
+        r = rng.standard_normal(d)
+        r = tuple((r / np.linalg.norm(r)).tolist())
+        block = _aligned_block(z, g, rho, r, graph)
+        assert block.shape == (n, n)
+        assert block.tobytes() == np.array(loop_aligned_block(z, g, rho, r, graph)).tobytes()
+        nan_blocks += bool(np.isnan(block).any())
+    assert nan_blocks >= 6
 
 
 def test_hessian_and_polish_call_no_bincount_or_stack(monkeypatch):
@@ -370,8 +405,9 @@ def test_witness_refused_for_desired_equilibrium(monkeypatch):
     assert report.witness is None and report.claims == []
 
 
-def test_witness_not_found_is_raised_not_faked():
-    # a desired-shape realization misclassified on purpose has a PSD block
+def forged_block():
+    """A desired-shape triangle misclassified on purpose as degenerate along
+    (0, 1), its aligned block (positive semidefinite), and its Hessian."""
     g = triangle_flex()
     p = desired_equilibrium(g)
     cls = classify(p, g, QUADRATIC)
@@ -379,10 +415,19 @@ def test_witness_not_found_is_raised_not_faked():
                        diagnostics={}, ambiguous=False, axis=(0.0, 1.0))
     st = edge_states(p, g, QUADRATIC)
     block = _aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(), forged.axis, g)
-    with pytest.raises(WitnessNotFoundError):
+    return forged, block, assemble_hessian(p, g, QUADRATIC)
+
+
+def test_witness_not_found_is_raised_not_faked():
+    """No candidate form of a positive semidefinite block passes: the error
+    names the least form and the threshold, and the einsum reference finds
+    no witness either."""
+    forged, block, h = forged_block()
+    with pytest.raises(WitnessNotFoundError, match="least candidate form, agent_indicator "
+                                                   "2.400e[+]01, is not below the threshold "
+                                                   "-8.000e-09"):
         _witness(block, forged)
-    assert einsum_witness(aligned_last_block(assemble_hessian(p, g, QUADRATIC), forged.axis),
-                          forged) is None
+    assert einsum_witness(aligned_last_block(h, forged.axis), forged) is None
 
 
 def test_sign_properties_pass_on_catalog():
@@ -585,24 +630,25 @@ def test_classify_runs_one_kernel_pass(monkeypatch):
 def test_analyze_assembles_once_and_aligns_once(monkeypatch):
     """One analyze at a moved 3-D catalog point or the desired shape: one
     edge pass, shared by the class, the Hessian, the aligned block and the
-    sign claims, one Hessian, and one aligned block, none for the desired
-    class, which has no axis."""
+    sign claims, one Hessian, and one aligned block, itself the Hessian
+    assembled in one dimension, none for the desired class, which has no
+    axis."""
     import rigidflex.stability as stability
 
-    counts = dict.fromkeys(("pass", "_hessian", "_aligned_block"), 0)
+    counts = dict.fromkeys(("pass", "_hessian 3-D", "_hessian 1-D", "_aligned_block"), 0)
 
-    def counted(name):
+    def counted(name, key):
         fn = getattr(stability, name)
 
         def wrapper(*args, **kwargs):
-            counts[name] += 1
+            counts[key(*args)] += 1
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(stability, name, wrapper)
 
     counting_pass(monkeypatch, counts)
-    for name in ("_hessian", "_aligned_block"):
-        counted(name)
+    counted("_hessian", lambda z, g, rho, shape: f"_hessian {shape[3]}-D")
+    counted("_aligned_block", lambda *args: "_aligned_block")
     g = tetrahedron_flex()
     entries, _ = build_catalog(g, QUADRATIC)
     rng = np.random.default_rng(13)
@@ -613,8 +659,9 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         report = analyze(p, g, QUADRATIC)
         assert report.classification.kind == kind
         assert (report.witness is not None) == (kind != "desired")
-        assert counts == {"pass": 1, "_hessian": 1,
-                          "_aligned_block": int(kind != "desired")}
+        aligned = int(kind != "desired")
+        assert counts == {"pass": 1, "_hessian 3-D": 1, "_hessian 1-D": aligned,
+                          "_aligned_block": aligned}
 
 
 def reference_claim(spec, roles, g, zero_tol=1e-9):
@@ -879,14 +926,16 @@ def test_classify_fewer_or_more_than_d_plus_one_agents_like_the_svd_reference(d,
 
 def test_verdicts_call_no_svd_eigh_or_einsum(monkeypatch):
     """classify, build_catalog and every verdict of analyze run on floats:
-    with numpy's svd, eigh and einsum made to raise they still run on the
-    equal and the 3-4-5.5 triangle and on the equal, the tailored and the
-    3-4-3-3-4-3 tetrahedron with both families.  The spectra stay eigvalsh."""
+    with numpy's svd, eig, eigh and einsum made to raise they still run on
+    the equal and the 3-4-5.5 triangle and on the equal, the tailored and
+    the 3-4-3-3-4-3 tetrahedron with both families, and a block without a
+    negative form still raises WitnessNotFoundError.  The spectra stay
+    eigvalsh."""
     def refuse(*args, **kwargs):
         raise AssertionError("LAPACK decomposition or einsum in a verdict")
 
     monkeypatch.setattr(np, "einsum", refuse)
-    for name in ("svd", "eigh"):
+    for name in ("svd", "eig", "eigh"):
         monkeypatch.setattr(np.linalg, name, refuse)
     rng = np.random.default_rng(38)
     for graph in (triangle_flex(), triangle_flex((3.0, 4.0, 5.5, 2.0)), tetrahedron_flex(),
@@ -902,6 +951,9 @@ def test_verdicts_call_no_svd_eigh_or_einsum(monkeypatch):
                 assert report.witness.quadratic_form < 0
                 assert all(c.passed for c in report.claims)
             assert analyze(desired_equilibrium(graph), graph, family).positive_semidefinite
+    forged, block, _ = forged_block()
+    with pytest.raises(WitnessNotFoundError, match="least candidate form.*threshold"):
+        _witness(block, forged)
 
 
 def test_all_coincident_axis_in_3d_is_fixed_by_the_flex_edge():
