@@ -344,7 +344,8 @@ class _Layout:
         otherwise the agents' balances differ and F = 0 is no equilibrium.
         A rigid edge with a zero template vector has zero length whatever
         the scales, so neither has a family whose g is not finite at
-        e = -dbar^2: ``control._on_numpy`` runs the family's cached g there.
+        e = -dbar^2: the family's g runs there on floats, and where floats
+        raise, ``control._on_numpy`` runs it, as in the generated pass.
         ``control._constants`` binds the balance, as it binds every
         generated function.  Each coordinate sums x_k T_k left to right.
         """
@@ -365,8 +366,13 @@ class _Layout:
                 raise OracleError(f"construction needs equal desired distances: {what}")
         if inner:
             g, d2 = evaluators(family)[1], graph._dbar2
-            if not all(math.isfinite(_on_numpy(g, -d2[e], d2[e])) for e in inner):
-                raise OracleError(_BOUNDARY)
+            for e in inner:
+                try:
+                    ge = g(-d2[e], d2[e])
+                except (ZeroDivisionError, OverflowError):
+                    ge = _on_numpy(g, -d2[e], d2[e])
+                if not math.isfinite(ge):
+                    raise OracleError(_BOUNDARY)
 
         *_, n, d = shape                    # N + 1 agents in d-D
         if not self.templates:
@@ -505,8 +511,8 @@ _BOUNDARY = ("construction lies on the coincidence boundary, where this "
 def _finalize(positions, graph: FormationGraph, family: PotentialFamily, method: str,
               expect) -> CatalogEntry:
     """Check the domain, classify and build the entry from one edge pass at
-    the constructed point; ``expect`` is the (kind, subform) to match."""
-    p = as_positions(positions, graph)
+    the constructed point, (N+1) x d floats; ``expect`` is the (kind, subform) to match."""
+    p = np.array(positions, dtype=float)
     out = _pass(graph, family)(x := p.ravel().tolist())
     if not math.isfinite(out[2]):           # V
         raise OracleError(_BOUNDARY)

@@ -19,7 +19,9 @@ degenerate-rigid class its subform and roles, the rigid agents' labels in
 role order i, j, k, l.  Line forms are looked up in LINE_SLOTS, the slot
 table the oracle builds its line equilibria from; planar forms come from the
 signs of the agents' affine dependence, in signed triangle areas.  The sign
-claims are data over the roles (SIGN_CLAIMS).  No verdict calls LAPACK; the
+claims are data over the roles (SIGN_CLAIMS), compiled once per subform,
+roles and edges into edge indices, and the simplex's index pairs and faces
+are made once per point count (``_faces``).  No verdict calls LAPACK; the
 spectra are reported, not judged.
 
 ``analyze``, the one entry point for the witness and the sign claims, makes
@@ -34,14 +36,13 @@ time (EQ_TOL from ``control``); only ``analyze`` takes one per call,
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .control import (EQ_TOL, _check_eq_tol, _dot, _evaluate, _hessian_pass, _norm, _pass,
-                      _residual, _sum)
+                      _residual)
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialDomainError, PotentialFamily
 
@@ -73,7 +74,7 @@ def _hessian(z, g, rho, shape: tuple) -> np.ndarray:
     diverges there) reaches only its own four node blocks, where a product
     with the incidence matrix would spread 0 * inf."""
     nd = shape[2] * shape[3]
-    return np.array(_hessian_pass(shape)(z, g, rho), dtype=float).reshape(nd, nd)
+    return np.fromiter(_hessian_pass(shape)(z, g, rho), float, count=nd * nd).reshape(nd, nd)
 
 
 def _aligned_block(z, g, rho, r, graph: FormationGraph) -> np.ndarray:
@@ -96,11 +97,22 @@ def _normal(v) -> list:
     return _cross(v, [float(k == c) for k in range(3)])
 
 
-def _coincidence_clusters(length: dict, n: int) -> list[int]:
-    """Each of n points' cluster, named by its lowest member, from the
-    distances ``length[a, b]``, a < b: points closer than POS_TOL share one."""
+@functools.lru_cache(maxsize=None)
+def _faces(n: int) -> tuple:
+    """The index pairs of n points in lexicographic order, and per triple i < j < k in order
+    the positions of its pairs ij, ik and jk and of those joining i to each other point."""
+    pairs = tuple((a, b) for a in range(n) for b in range(a + 1, n))
+    at = {pair: s for s, pair in enumerate(pairs)}.__getitem__
+    return pairs, tuple((at((i, j)), at((i, k)), at((j, k)),
+                         tuple(at((min(a, i), max(a, i))) for a in range(n) if a not in (i, j, k)))
+                        for i, j in pairs for k in range(j + 1, n))
+
+
+def _coincidence_clusters(length: list, n: int) -> list[int]:
+    """Each of n points' cluster, named by its lowest member, from their
+    distances in ``_faces(n)`` pair order: points closer than POS_TOL share one."""
     cluster = list(range(n))
-    for (a, b), dist in length.items():
+    for (a, b), dist in zip(_faces(n)[0], length):
         if dist < POS_TOL and cluster[a] != cluster[b]:
             lo, hi = sorted((cluster[a], cluster[b]))
             cluster = [lo if c == hi else c for c in cluster]
@@ -110,9 +122,9 @@ def _coincidence_clusters(length: dict, n: int) -> list[int]:
 def _simplex(points, z) -> tuple:
     """(heights, r, length, side, t) of the simplex on the ``points`` in d-D
     (2-D points and the flex edge ``z`` in the plane of the first two axes);
-    ``side[a, b]`` is point b - point a, a < b, and ``length[a, b]`` its norm.
+    ``side`` lists point b - point a, ``length`` its norm, per pair a < b of ``_faces``.
 
-    The heights, one per point past the first up to d: the longest side t,
+    The heights, one per point past the first up to d: the first longest side t,
     the largest face's height over its own longest side, and in 3-D the
     farthest other point's height over that face (3 V / A for four points).
     The first below GEOM_TOL, or a missing one, leaves the affine span S a
@@ -123,24 +135,28 @@ def _simplex(points, z) -> tuple:
     component positive."""
     d, z = len(z), [*z, 0.0][:3]
     pts = points if d == 3 else [[*p, 0.0] for p in points]
-    side, length = {}, {}
-    for a, b in itertools.combinations(range(len(pts)), 2):
+    pairs, faces = _faces(len(pts))
+    side, length, longest = [], [], 0
+    for s, (a, b) in enumerate(pairs):
         (p0, p1, p2), (q0, q1, q2) = pts[a], pts[b]
-        v = side[a, b] = [q0 - p0, q1 - p1, q2 - p2]
-        length[a, b] = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
-    longest = max(length, key=length.get)
+        v0, v1, v2 = q0 - p0, q1 - p1, q2 - p2
+        side.append((v0, v1, v2))
+        length.append(math.sqrt(v0 * v0 + v1 * v1 + v2 * v2))
+        if length[s] > length[longest]:     # a NaN found first is kept, as by max
+            longest = s
     t, heights, n = side[longest], [length[longest]], None
     if len(pts) > 2:
         area = -1.0
-        for i, j, k in itertools.combinations(range(len(pts)), 3):
-            c = _cross(side[i, j], side[i, k])
+        for face in faces:
+            (a0, a1, a2), (b0, b1, b2) = side[face[0]], side[face[1]]
+            c = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
             if (size := math.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])) > area:
-                area, n, face = size, c, (i, j, k)
-        i, j, k = face
-        heights.append(area / max(length[i, j], length[i, k], length[j, k]) if area else 0.0)
+                area, n, largest = size, c, face
+        ij, ik, jk, off = largest
+        heights.append(area / max(length[ij], length[ik], length[jk]) if area else 0.0)
         if d == 3 and len(pts) > 3:
-            far = max(abs(_dot(n, side[min(a, i), max(a, i)])) for a in range(len(pts))
-                      if a not in face)
+            far = max(abs(0.0 + n[0] * s[0] + n[1] * s[1] + n[2] * s[2])
+                      for s in map(side.__getitem__, off))
             heights.append(far / area if area else 0.0)
     span = next((s for s, h in enumerate(heights) if not h >= GEOM_TOL), len(heights))
     if span == d:
@@ -241,11 +257,12 @@ def _classify(x: list, out: tuple, graph: FormationGraph,
         return EquilibriumClass(kind="unrecognized", diagnostics=diag, ambiguous=True)
     ambiguous = ambiguous or thin > 0.1 * GEOM_TOL
 
-    cluster = _coincidence_clusters(length, len(rigid))
-    diag["clusters"] = [[a + 1 for a, c in enumerate(cluster) if c == head]
-                        for head in sorted(set(cluster))]
+    cluster, groups = _coincidence_clusters(length, len(rigid)), {}
+    for a, head in enumerate(cluster, 1):   # a head is its cluster's first member
+        groups.setdefault(head, []).append(a)
+    diag["clusters"] = list(groups.values())
     # four distinct tetrahedron agents that do not share one line
-    if d == 3 and len(cluster) == len(set(cluster)) == 4 and heights[1] >= GEOM_TOL:
+    if d == 3 and len(cluster) == len(groups) == 4 and heights[1] >= GEOM_TOL:
         subform, roles = _planar_layout(side, axis)
     else:
         subform, roles = _line_layout(rigid, cluster, t)
@@ -263,11 +280,13 @@ def _line_layout(x: list, cluster: list[int], t: list):
     """
     n, d = len(x), len(x[0])
     along = [_dot(a, t) for a in x]
-    heads = sorted(set(cluster), key=along.__getitem__)
-    slots = [heads.index(c) for c in cluster]
+    rank = {c: s for s, c in enumerate(sorted(dict.fromkeys(cluster), key=along.__getitem__))}
+    slots, sizes = [rank[c] for c in cluster], [0] * len(rank)
+    for s in slots:
+        sizes[s] += 1
     found = []
-    for side in (slots, [len(heads) - 1 - s for s in slots]):
-        form = _LINE_FORMS[d].get(tuple(side.count(s) for s in range(len(heads))))
+    for side, size in ((slots, sizes), ([len(rank) - 1 - s for s in slots], sizes[::-1])):
+        form = _LINE_FORMS[d].get(tuple(size))
         if form is not None:
             subform, by_slot = form
             roles = [0] * n
@@ -280,7 +299,7 @@ def _line_layout(x: list, cluster: list[int], t: list):
     return subform, roles
 
 
-def _planar_layout(side: dict, normal: tuple):
+def _planar_layout(side: list, normal: tuple):
     """Subform and roles of four distinct coplanar points from their sides (``_simplex``).
 
     The signs of the affine dependence sum_a w_a x_a = 0, sum_a w_a = 0
@@ -290,10 +309,14 @@ def _planar_layout(side: dict, normal: tuple):
     neighbour.
     """
     # w_t = (-1)^t times the others' triangle area signed along the plane's
-    # ``normal``, a cofactor of [1 | x]; agent t, if w_t != 0, has the
-    # barycentric coordinates -w_a / w_t in the triangle of the others
-    w = [(-1) ** t * _dot(normal, _cross(side[a, b], side[a, c]))
-         for t in range(4) for a, b, c in [[s for s in range(4) if s != t]]]
+    # ``normal``, a cofactor of [1 | x], from the sides ab and ac of the
+    # others a < b < c, face 3 - t of ``_faces(4)``; agent t, if w_t != 0,
+    # has the barycentric coordinates -w_a / w_t in the triangle of the others
+    n0, n1, n2 = normal
+    w = [(-1) ** t * (0.0 + n0 * (a1 * b2 - a2 * b1) + n1 * (a2 * b0 - a0 * b2)
+                      + n2 * (a0 * b1 - a1 * b0))
+         for t, (ab, ac, *_) in enumerate(_faces(4)[1][::-1])
+         for (a0, a1, a2), (b0, b1, b2) in [(side[ab], side[ac])]]
     for t in range(4):
         if w[t] and all(-w[a] / w[t] > 1e-9 for a in range(4) if a != t):
             return "interior_point", (*(a + 1 for a in range(4) if a != t), t + 1)
@@ -325,19 +348,21 @@ def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
     WitnessNotFoundError, naming the least form and that threshold, if none
     does.
     """
-    rows, n = block.tolist(), len(block)
-    threshold = -WITNESS_MARGIN * max([1.0, *(abs(x) for row in rows for x in row
-                                               if math.isfinite(x))])
-    forms = [("agent_indicator", i, rows[i][i]) for i in range(n - 1)]
-    if cls.kind == "flex_coincident":       # (tag, where v is 1, form)
-        forms.insert(0, ("flex_sum", slice(n - 1), rows[-1][-1]))
-    for tag, ones, q in forms:
+    flat, n, top = block.ravel().tolist(), len(block), 1.0
+    for x in map(abs, flat):
+        if top < x < math.inf:              # the first largest finite |entry|
+            top = x
+    threshold = -WITNESS_MARGIN * top
+    forms = [("agent_indicator", i, i + 1, flat[i * (n + 1)]) for i in range(n - 1)]
+    if cls.kind == "flex_coincident":       # (tag, v is 1 from start to stop, form)
+        forms.insert(0, ("flex_sum", 0, n - 1, flat[-1]))
+    for tag, start, stop, q in forms:
         if q < threshold:                   # False for a NaN form
-            v = np.zeros(n)
-            v[ones] = 1.0
-            return Witness(vector=v, full_vector=np.outer(v, cls.axis).ravel(),
+            v = [0.0] * start + [1.0] * (stop - start) + [0.0] * (n - stop)
+            return Witness(vector=np.array(v), full_vector=np.array([a * r for a in v
+                                                                     for r in cls.axis]),
                            quadratic_form=q, tag=tag)
-    tag, _, q = min(forms, key=lambda form: form[2])
+    tag, *_, q = min(forms, key=lambda form: form[-1])
     raise WitnessNotFoundError(
         f"no negative direction found (class {cls.kind}/{cls.subform}): the least "
         f"candidate form, {tag} {q:.3e}, is not below the threshold {threshold:.3e}")
@@ -378,53 +403,59 @@ SIGN_CLAIMS = {
 }
 
 
-def _g_terms(terms: str, roles: tuple):
-    """Description of a '+'-joined sum of g terms over roles, and its terms,
-    each a tuple of label pairs ("@" terms sum several)."""
-    names, parts = [], []
-    for term in terms.split("+"):
-        if term[0] == "@":
-            a = roles["ijkl".index(term[1])]
-            names.append(f"sum_g at {a}")
-            parts.append(tuple((min(a, b), max(a, b)) for b in roles if b != a))
-        else:
-            a, b = sorted(roles["ijkl".index(r)] for r in term)
-            names.append(f"g_{a}{b}")
-            parts.append(((a, b),))
-    return "+".join(names), tuple(parts)
-
-
-def _g_total(parts: tuple, g: dict) -> float:
-    return _sum(_sum(g[pair] for pair in part) for part in parts)
-
-
 @functools.lru_cache(maxsize=None)
-def _parsed_claim(spec: str, roles: tuple) -> tuple:
-    """One SIGN_CLAIMS row at the given roles, parsed once: per alternative
-    its relation, pivot terms ("" if none) and options, each a (description,
-    terms) pair."""
-    parsed = []
-    for part in spec.split(" or "):
-        terms, relation, _ = part.rsplit(" ", 2)
-        pivot, _, terms = terms.rpartition(" ? ")
-        options = [_g_terms(option, roles) for option in terms.split(" : ")]
-        parsed.append((relation, pivot and _g_terms(pivot, roles)[1],
-                       tuple((f"{name} {relation} 0", parts) for name, parts in options)))
-    return tuple(parsed)
+def _compiled_claims(d: int, subform: str, roles: tuple, edges: tuple) -> tuple:
+    """The SIGN_CLAIMS rows of a subform at the given roles, compiled once for
+    the graph's ``edges``: per row its alternatives, each a relation, the pivot's
+    terms ("" if none) and the options, each a (description, terms) pair; a
+    term is a tuple of edge indices ("@" terms hold several, in role order)."""
+    at = {pair: k for k, pair in enumerate(edges)}
+
+    def terms(spec: str) -> tuple:
+        names, parts = [], []
+        for term in spec.split("+"):
+            if term[0] == "@":
+                a = roles["ijkl".index(term[1])]
+                names.append(f"sum_g at {a}")
+                parts.append(tuple(at[min(a, b), max(a, b)] for b in roles if b != a))
+            else:
+                a, b = sorted(roles["ijkl".index(r)] for r in term)
+                names.append(f"g_{a}{b}")
+                parts.append((at[a, b],))
+        return "+".join(names), tuple(parts)
+
+    def alternative(part: str) -> tuple:
+        body, relation, _ = part.rsplit(" ", 2)
+        pivot, _, body = body.rpartition(" ? ")
+        return relation, pivot and terms(pivot)[1], tuple(
+            (f"{name} {relation} 0", parts) for name, parts in map(terms, body.split(" : ")))
+
+    return tuple(tuple(map(alternative, spec.split(" or "))) for spec in SIGN_CLAIMS[d][subform])
 
 
-def _claim(spec: str, roles: tuple, g: dict) -> Claim:
-    """One row of SIGN_CLAIMS at the given roles; g maps label pairs to g.
+def _total(parts: tuple, g: list) -> float:
+    """Each term's g values summed left to right from 0.0, then the terms (``_sum``'s rule)."""
+    total = 0.0
+    for part in parts:
+        term = 0.0
+        for k in part:
+            term += g[k]
+        total += term
+    return total
+
+
+def _claim(row: tuple, g: list) -> Claim:
+    """One compiled SIGN_CLAIMS row (``_compiled_claims``) on g in edge order.
     "A or B" holds when either alternative does, with the smaller value.
     A value within ZERO_TOL of 0 counts as zero."""
     descriptions, values, passed = [], [], False
-    for relation, pivot, options in _parsed_claim(spec, roles):
+    for relation, pivot, options in row:
         option = 0
         if pivot:
-            gp = _g_total(pivot, g)
+            gp = _total(pivot, g)
             option = (gp >= -ZERO_TOL) + (gp > ZERO_TOL)
         description, parts = options[option]
-        value = _g_total(parts, g)
+        value = _total(parts, g)
         descriptions.append(description)
         values.append(value)
         passed = passed or (value < 0 if relation == "<" else
@@ -440,9 +471,8 @@ def _claims(g, graph: FormationGraph, cls: EquilibriumClass) -> list[Claim]:
     ``classify`` assigned (``cls.roles``).  Every g term names its labels in
     ascending order.
     """
-    g = dict(zip(graph.edges, g))
-    return [_claim(spec, cls.roles, g)
-            for spec in SIGN_CLAIMS[graph.dimension][cls.subform]]
+    return [_claim(row, g) for row in _compiled_claims(graph.dimension, cls.subform, cls.roles,
+                                                       graph.edges)]
 
 
 # ---------------------------------------------------------------------------
@@ -532,8 +562,7 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     certified = graph.certified_topology() is not None
     block = _aligned_block(z, g, rho, cls.axis, graph) if cls.axis else None
 
-    witness = None
-    claims: list = []
+    witness, claims = None, []
     if certified and block is not None:
         witness = _witness(block, cls)
         if cls.kind == "degenerate_rigid":

@@ -5,22 +5,26 @@ import math
 
 import numpy as np
 
-from rigidflex.control import _dot, edge_states, gradient_control
+from rigidflex.control import _dot, _norm, _residual, _sum, edge_states, gradient_control
 from rigidflex.graph import FormationGraph, simplex_gram
 from rigidflex.integrator import integrate
 from rigidflex.oracle import newton_polish
 from rigidflex.potentials import evaluators
 from rigidflex.stability import (
+    _LINE_FORMS,
     EQ_TOL,
     GEOM_TOL,
     POS_TOL,
     SHAPE_TOL,
     WITNESS_MARGIN,
+    ZERO_TOL,
     Claim,
     EquilibriumClass,
     Witness,
+    WitnessNotFoundError,
     _coincidence_clusters,
-    _line_layout,
+    _cross,
+    _normal,
     classify,
 )
 
@@ -393,8 +397,8 @@ def svd_classify(p, graph, family, eq_tol=EQ_TOL):
     if sv[-1] >= GEOM_TOL:
         return EquilibriumClass(kind="unrecognized", diagnostics=diag, ambiguous=True)
     ambiguous = ambiguous or sv[-1] > 0.1 * GEOM_TOL
-    cluster = _coincidence_clusters({(a, b): float(np.linalg.norm(rigid[b] - rigid[a]))
-                                     for a, b in itertools.combinations(range(len(rigid)), 2)},
+    cluster = _coincidence_clusters([float(np.linalg.norm(rigid[b] - rigid[a]))
+                                     for a, b in itertools.combinations(range(len(rigid)), 2)],
                                     len(rigid))
     diag["clusters"] = [[a + 1 for a, c in enumerate(cluster) if c == head]
                         for head in sorted(set(cluster))]
@@ -403,7 +407,7 @@ def svd_classify(p, graph, family, eq_tol=EQ_TOL):
     else:
         # any nonzero centred point orders points on a line through the centroid
         ref = x[np.abs(x).argmax() // x.shape[1]]
-        subform, roles = _line_layout(x.tolist(), cluster, ref.tolist())
+        subform, roles = dict_line_layout(x.tolist(), cluster, ref.tolist())
     return EquilibriumClass(kind="degenerate_rigid", subform=subform, diagnostics=diag,
                             ambiguous=ambiguous, roles=roles, axis=svd_axis(normal, z_flex))
 
@@ -471,3 +475,185 @@ def hessian_index(tails: tuple, heads: tuple, n: int, d: int) -> np.ndarray:
     i, j, axis = np.array(tails), np.array(heads), np.arange(d)
     rows = np.stack([i, j, i, j], 1)[..., None, None] * d + axis[:, None]
     return (rows * (n * d) + np.stack([i, j, j, i], 1)[..., None, None] * d + axis).ravel()
+
+
+# ---------------------------------------------------------------------------
+# The verdict pieces as ``stability`` wrote them before they read index
+# tables made once per shape: a simplex of sides and lengths in dicts keyed
+# by index pairs (``itertools.combinations`` per call), slots found with
+# ``list.index``, cofactors from per-call index lists, sign claims over g
+# keyed by label pairs, and the witness over the block's rows
+
+
+def dict_simplex(points, z) -> tuple:
+    """(heights, r, length, side, t) as ``stability._simplex`` gives them,
+    with ``side[a, b]`` and ``length[a, b]`` in dicts over the pairs a < b."""
+    d, z = len(z), [*z, 0.0][:3]
+    pts = points if d == 3 else [[*p, 0.0] for p in points]
+    side, length = {}, {}
+    for a, b in itertools.combinations(range(len(pts)), 2):
+        (p0, p1, p2), (q0, q1, q2) = pts[a], pts[b]
+        v = side[a, b] = [q0 - p0, q1 - p1, q2 - p2]
+        length[a, b] = math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    longest = max(length, key=length.get)
+    t, heights, n = side[longest], [length[longest]], None
+    if len(pts) > 2:
+        area = -1.0
+        for i, j, k in itertools.combinations(range(len(pts)), 3):
+            c = _cross(side[i, j], side[i, k])
+            if (size := math.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])) > area:
+                area, n, face = size, c, (i, j, k)
+        i, j, k = face
+        heights.append(area / max(length[i, j], length[i, k], length[j, k]) if area else 0.0)
+        if d == 3 and len(pts) > 3:
+            far = max(abs(_dot(n, side[min(a, i), max(a, i)])) for a in range(len(pts))
+                      if a not in face)
+            heights.append(far / area if area else 0.0)
+    span = next((s for s, h in enumerate(heights) if not h >= GEOM_TOL), len(heights))
+    if span == d:
+        return heights, None, length, side, t
+    candidates = ([n] if span == 2 else [_normal(z)] if span == 0
+                  else ([_cross(t, z)] if d == 3 else []) + [_normal(t)])
+    for v in candidates + [[float(c == d - 1) for c in range(3)]]:     # e_d where all vanish
+        if 0 < (size := _norm(v)) < math.inf:
+            r = [c / size for c in v[:d]]
+            return heights, tuple(r if max(r, key=abs) > 0 else [-c for c in r]), length, side, t
+
+
+def dict_line_layout(x: list, cluster: list, t: list):
+    """``stability._line_layout`` with each slot found by ``list.index`` and
+    each slot size by ``list.count``."""
+    n, d = len(x), len(x[0])
+    along = [_dot(a, t) for a in x]
+    heads = sorted(set(cluster), key=along.__getitem__)
+    slots = [heads.index(c) for c in cluster]
+    found = []
+    for side in (slots, [len(heads) - 1 - s for s in slots]):
+        form = _LINE_FORMS[d].get(tuple(side.count(s) for s in range(len(heads))))
+        if form is not None:
+            subform, by_slot = form
+            roles = [0] * n
+            for r, a in zip(by_slot, sorted(range(n), key=side.__getitem__)):
+                roles[r] = a + 1
+            found.append((tuple(roles), subform))
+    if not found:
+        return None, ()
+    roles, subform = min(found)
+    return subform, roles
+
+
+def dict_planar_layout(side: dict, normal: tuple):
+    """``stability._planar_layout`` from ``dict_simplex``'s sides, each
+    cofactor w_t = (-1)^t normal . (side ab x side ac) over the others a < b < c."""
+    w = [(-1) ** t * _dot(normal, _cross(side[a, b], side[a, c]))
+         for t in range(4) for a, b, c in [[s for s in range(4) if s != t]]]
+    for t in range(4):
+        if w[t] and all(-w[a] / w[t] > 1e-9 for a in range(4) if a != t):
+            return "interior_point", (*(a + 1 for a in range(4) if a != t), t + 1)
+    across = max((1, 2, 3), key=lambda a: w[0] * w[a])
+    j, l = (a for a in (1, 2, 3) if a != across)
+    return "convex_quadrilateral", (1, j + 1, across + 1, l + 1)
+
+
+def dict_classify(x: list, out: tuple, graph, eq_tol: float = EQ_TOL) -> EquilibriumClass:
+    """``stability._classify`` from ``dict_simplex``, ``dict_line_layout``
+    and ``dict_planar_layout``, each cluster listed by a scan per head."""
+    u, e, _, z, _, _ = out
+    d = graph.dimension
+    residual = _residual(u, d)
+    diag = {"residual": residual}
+    if not residual < eq_tol:
+        return EquilibriumClass(kind="not_equilibrium", diagnostics=diag)
+    shape_err = max(map(abs, e))
+    diag["shape_error"] = shape_err
+    ambiguous = 0.1 * eq_tol < residual < 10.0 * eq_tol
+    if shape_err < SHAPE_TOL:
+        return EquilibriumClass(kind="desired", diagnostics=diag, ambiguous=ambiguous)
+    z_flex = z[-d:]
+    flex_gap = _norm(z_flex)
+    diag["flex_gap"] = flex_gap
+    rigid = [x[a:a + d] for a in range(0, len(x) - d, d)]
+    if flex_gap < POS_TOL:
+        heights, axis = dict_simplex(rigid[:d], z_flex)[:2]
+        if min(heights) < GEOM_TOL:
+            axis = dict_simplex(rigid, z_flex)[1] or axis
+        return EquilibriumClass(kind="flex_coincident", diagnostics=diag, ambiguous=ambiguous,
+                                axis=axis)
+    heights, axis, length, side, t = dict_simplex(rigid, z_flex)
+    thin = min([*heights, 0.0][:d])
+    diag["degeneracy"] = thin
+    if axis is None:
+        return EquilibriumClass(kind="unrecognized", diagnostics=diag, ambiguous=True)
+    ambiguous = ambiguous or thin > 0.1 * GEOM_TOL
+    cluster = _coincidence_clusters(list(length.values()), len(rigid))
+    diag["clusters"] = [[a + 1 for a, c in enumerate(cluster) if c == head]
+                        for head in sorted(set(cluster))]
+    if d == 3 and len(cluster) == len(set(cluster)) == 4 and heights[1] >= GEOM_TOL:
+        subform, roles = dict_planar_layout(side, axis)
+    else:
+        subform, roles = dict_line_layout(rigid, cluster, t)
+    return EquilibriumClass(kind="degenerate_rigid", subform=subform, diagnostics=diag,
+                            ambiguous=ambiguous, roles=roles, axis=axis)
+
+
+def _g_terms(terms: str, roles: tuple):
+    """Description of a '+'-joined sum of g terms over roles, and its terms,
+    each a tuple of label pairs ("@" terms sum several)."""
+    names, parts = [], []
+    for term in terms.split("+"):
+        if term[0] == "@":
+            a = roles["ijkl".index(term[1])]
+            names.append(f"sum_g at {a}")
+            parts.append(tuple((min(a, b), max(a, b)) for b in roles if b != a))
+        else:
+            a, b = sorted(roles["ijkl".index(r)] for r in term)
+            names.append(f"g_{a}{b}")
+            parts.append(((a, b),))
+    return "+".join(names), tuple(parts)
+
+
+def _g_total(parts: tuple, g: dict) -> float:
+    return _sum(_sum(g[pair] for pair in part) for part in parts)
+
+
+def dict_claim(spec: str, roles: tuple, g: dict) -> Claim:
+    """One row of SIGN_CLAIMS at the given roles, parsed on the call; g maps
+    label pairs to g.  "A or B" holds when either alternative does, with the
+    smaller value.  A value within ZERO_TOL of 0 counts as zero."""
+    descriptions, values, passed = [], [], False
+    for part in spec.split(" or "):
+        terms, relation, _ = part.rsplit(" ", 2)
+        pivot, _, terms = terms.rpartition(" ? ")
+        options = [_g_terms(option, roles) for option in terms.split(" : ")]
+        option = 0
+        if pivot:
+            gp = _g_total(_g_terms(pivot, roles)[1], g)
+            option = (gp >= -ZERO_TOL) + (gp > ZERO_TOL)
+        name, parts = options[option]
+        value = _g_total(parts, g)
+        descriptions.append(f"{name} {relation} 0")
+        values.append(value)
+        passed = passed or (value < 0 if relation == "<" else
+                            value > 0 if relation == ">" else abs(value) <= ZERO_TOL)
+    return Claim(" or ".join(descriptions), min(values), passed)
+
+
+def rows_witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
+    """``stability._witness`` over the block's rows, each vector built with
+    numpy: ``np.zeros``, then ``np.outer`` with the axis."""
+    rows, n = block.tolist(), len(block)
+    threshold = -WITNESS_MARGIN * max([1.0, *(abs(x) for row in rows for x in row
+                                               if math.isfinite(x))])
+    forms = [("agent_indicator", i, rows[i][i]) for i in range(n - 1)]
+    if cls.kind == "flex_coincident":
+        forms.insert(0, ("flex_sum", slice(n - 1), rows[-1][-1]))
+    for tag, ones, q in forms:
+        if q < threshold:
+            v = np.zeros(n)
+            v[ones] = 1.0
+            return Witness(vector=v, full_vector=np.outer(v, cls.axis).ravel(),
+                           quadratic_form=q, tag=tag)
+    tag, _, q = min(forms, key=lambda form: form[2])
+    raise WitnessNotFoundError(
+        f"no negative direction found (class {cls.kind}/{cls.subform}): the least "
+        f"candidate form, {tag} {q:.3e}, is not below the threshold {threshold:.3e}")

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rigidflex.control import _evaluate, edge_states, gradient_control
+from rigidflex.control import _evaluate, _pass, edge_states, gradient_control
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     OracleError,
@@ -19,14 +19,16 @@ from rigidflex.oracle import (
 )
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialDomainError
 from rigidflex.stability import (
+    EQ_TOL,
     SIGN_CLAIMS,
+    EquilibriumClass,
     StabilityReport,
     WitnessNotFoundError,
     analyze,
     _aligned_block,
-    _claim,
     _claims,
     _classify,
+    _simplex,
     _witness,
     assemble_hessian,
     classify,
@@ -37,9 +39,13 @@ from references import (
     balance_residuals,
     bincount_hessian,
     bind,
+    dict_claim,
+    dict_classify,
+    dict_simplex,
     einsum_witness,
     loop_aligned_block,
     psd_check,
+    rows_witness,
     svd_classify,
     verify_angle_inequalities,
 )
@@ -464,8 +470,7 @@ def test_coincidence_clusters_match_a_pairwise_loop(monkeypatch):
             for a, b in itertools.permutations(range(n), 2):
                 if np.linalg.norm(pts[a] - pts[b]) < tol and ref[b] < ref[a]:
                     ref[a], changed = ref[b], True
-        length = {(a, b): np.linalg.norm(pts[b] - pts[a])
-                  for a, b in itertools.combinations(range(n), 2)}
+        length = [np.linalg.norm(pts[b] - pts[a]) for a, b in itertools.combinations(range(n), 2)]
         assert stability._coincidence_clusters(length, n) == ref
 
 
@@ -703,17 +708,21 @@ def reference_claim(spec, roles, g, zero_tol=1e-9):
 def test_parsed_sign_claims_equal_the_per_call_parser(d):
     """Every SIGN_CLAIMS row, at every role order, over g values that hit
     each branch of a pivot (negative, zero to the tolerance's edge, positive):
-    the cached parse gives the reference's description, value bits and
-    verdict."""
+    the rows compiled into edge indices, read from a g list in edge order
+    whose flex entry is NaN, give the reference's description, value bits
+    and verdict."""
     rng = np.random.default_rng(23)
     labels = range(1, d + 2)
+    graph = triangle_flex() if d == 2 else tetrahedron_flex()
     for subform, specs in SIGN_CLAIMS[d].items():
         for roles in itertools.permutations(labels):
+            cls = EquilibriumClass(kind="degenerate_rigid", subform=subform, roles=roles)
             for _ in range(4):
                 g = {pair: float(rng.choice([0.0, 1e-9, -1e-9, rng.standard_normal()]))
                      for pair in itertools.combinations(labels, 2)}
-                for spec in specs:
-                    c = _claim(spec, roles, g)
+                claims = _claims([*map(g.__getitem__, graph.edges[:-1]), math.nan], graph, cls)
+                assert len(claims) == len(specs)
+                for c, spec in zip(claims, specs):
                     ref = reference_claim(spec, roles, g)
                     assert (c.description, c.value.hex(), c.passed) == (ref[0], ref[1].hex(), ref[2])
 
@@ -723,9 +732,12 @@ def test_sign_claims_sum_left_to_right():
     every sum in the package: 1e16 + 1.0 rounds to 1e16, so the claim's
     value is 0.0, where a compensated sum (math.fsum, or the builtin sum
     from Python 3.12) gives 1.0."""
-    g = {(1, 2): 1e16, (1, 3): 1.0, (1, 4): -1e16}
-    assert math.fsum(g.values()) == 1.0
-    assert _claim("@i < 0", (1, 2, 3, 4), g).value == 0.0
+    g = [1e16, 1.0, -1e16, 0.0, 0.0, 0.0, 0.0]         # g_12, g_13, g_14 first
+    assert math.fsum(g) == 1.0
+    cls = EquilibriumClass(kind="degenerate_rigid", subform="convex_quadrilateral",
+                           roles=(1, 2, 3, 4))
+    claims = {c.description: c for c in _claims(g, tetrahedron_flex(), cls)}
+    assert claims["sum_g at 1 < 0"].value == 0.0
 
 
 def separate_report(p, graph, family):
@@ -973,3 +985,139 @@ def test_all_coincident_axis_in_3d_is_fixed_by_the_flex_edge():
         assert abs(np.linalg.norm(r) - 1.0) < 1e-15
         assert abs(r @ z) < 1e-14 * np.linalg.norm(z)
         assert r[np.abs(r).argmax()] > 0
+
+
+def witness_outcome(find, block, cls):
+    """A witness's tag, form bits and vector bytes, or its error message."""
+    try:
+        w = find(block, cls)
+    except WitnessNotFoundError as exc:
+        return str(exc)
+    return (w.tag, w.quadratic_form.hex(), w.vector.dtype, w.vector.tobytes(),
+            w.full_vector.dtype, w.full_vector.tobytes())
+
+
+def assert_verdict_pieces_equal_the_dict_reference(p, graph, family, eq_tol):
+    """``_classify`` at p equals ``dict_classify`` in kind, subform, roles,
+    ambiguity, axis bytes and ``repr`` of its diagnostics; the class's sign
+    claims equal ``dict_claim``'s in description, value bits and verdict,
+    and its witness ``rows_witness``'s, or both raise alike, also with a
+    corner or a diagonal entry of the block made +-inf or NaN.  Returns the
+    kind."""
+    x = np.asarray(p, dtype=float).ravel().tolist()
+    out = _pass(graph, family)(x)
+    cls, ref = (classify_at(x, out, graph, eq_tol) for classify_at in (_classify, dict_classify))
+    assert (cls.kind, cls.subform, cls.roles, cls.ambiguous, repr(cls.diagnostics)) \
+        == (ref.kind, ref.subform, ref.roles, ref.ambiguous, repr(ref.diagnostics))
+    assert np.array(cls.axis, dtype=float).tobytes() == np.array(ref.axis, dtype=float).tobytes()
+    _, _, _, z, g, rho = out
+    if cls.subform and graph.certified_topology():
+        by_pair = dict(zip(graph.edges, g))
+        refs = [dict_claim(spec, cls.roles, by_pair)
+                for spec in SIGN_CLAIMS[graph.dimension][cls.subform]]
+        assert [(c.description, c.value.hex(), c.passed) for c in _claims(g, graph, cls)] \
+            == [(c.description, c.value.hex(), c.passed) for c in refs]
+    if cls.axis:
+        block = _aligned_block(z, g, rho, cls.axis, graph)
+        assert witness_outcome(_witness, block, cls) == witness_outcome(rows_witness, block, cls)
+        for entry, bad in itertools.product([(0, -1), (0, 0)], [math.inf, -math.inf, math.nan]):
+            marred = block.copy()               # no finite point's block has these
+            marred[entry] = bad
+            assert witness_outcome(_witness, marred, cls) \
+                == witness_outcome(rows_witness, marred, cls)
+    return cls.kind
+
+
+def simplex_outcome(find, points, z):
+    """``_simplex``'s result with its sides and lengths as tuples in pair
+    order, as ``repr`` shows it, or its error's type."""
+    try:
+        heights, r, length, side, t = find(points, z)
+    except Exception as exc:            # a NaN face leaves no largest face in either
+        return type(exc)
+    if isinstance(length, dict):
+        length, side = length.values(), side.values()
+    return repr((heights, r, tuple(length), tuple(map(tuple, side)), tuple(t)))
+
+
+VERDICT_GRAPHS = {"triangle": triangle_flex(), "triangle_3455": triangle_flex((3.0, 4.0, 5.5, 2.0)),
+                  "tetrahedron": tetrahedron_flex(), "tailored": TAILORED, "k4_plane": K4_PLANE}
+
+
+@pytest.mark.parametrize("name", list(VERDICT_GRAPHS))
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+def test_verdict_pieces_equal_the_dict_reference_bit_for_bit(name, family):
+    """The verdict path's tables (index pairs and faces per point count,
+    cofactor positions, slot ranks, compiled sign claims, the witness's
+    flat block) give ``dict_classify``, ``dict_claim`` and ``rows_witness``
+    bit for bit, at the default eq_tol and at an infinite one (every finite
+    point is classified): at each catalog entry and the desired shape, as
+    built, under rigid motions and pushed by 1e-12 to 1e-7; at random
+    points, points on random lines and planes, with the flex agent on its
+    anchor or not, points of a small integer grid (exact ties of sides and
+    of positions along a line), coincident pairs, and NaN and +-inf
+    coordinates.  ``_simplex`` equals ``dict_simplex`` on the rigid agents
+    of every point, non-finite ones included."""
+    graph = VERDICT_GRAPHS[name]
+    rng = np.random.default_rng(40)
+    d, n = graph.dimension, graph.num_nodes
+    bases = []
+    if graph.certified_topology():
+        bases = [e.positions for e in build_catalog(graph, family)[0]]
+        bases.append(desired_equilibrium(graph))
+    points = []
+    for p in bases:
+        moved = [p @ random_rotation(rng, d).T + rng.uniform(-10, 10, d) for _ in range(3)]
+        points += [p, *moved]
+        points += [q + 10.0 ** -rng.uniform(7, 12) * rng.standard_normal(q.shape)
+                   for q in (p, *moved) for _ in range(2)]
+    for rank in range(d + 1):
+        for _ in range(4):
+            rigid = flat_points(rng, n - 1, rank, d) if rank else np.tile(rng.normal(size=d),
+                                                                          (n - 1, 1))
+            points += [np.vstack([rigid, rng.normal(size=(1, d))]),
+                       np.vstack([rigid, rigid[-1:]])]
+    for _ in range(40):
+        p = rng.integers(0, 3, (n, d)).astype(float)
+        points.append(p)
+        q = rng.uniform(-5, 5, (n, d))
+        q[rng.integers(1, n - 1)] = q[0]
+        points += [q, rng.uniform(-5, 5, (n, d))]
+    for bad in (math.nan, math.inf, -math.inf):
+        for p in points[:20]:
+            q = p.copy()
+            q[rng.integers(n), rng.integers(d)] = bad
+            points.append(q)
+    kinds = set()
+    for p in points:
+        for eq_tol in (EQ_TOL, math.inf):
+            kinds.add(assert_verdict_pieces_equal_the_dict_reference(p, graph, family, eq_tol))
+        rigid, z = p[:-1].tolist(), (p[-2] - p[-1]).tolist()
+        for agents in (rigid, rigid[:d]):
+            assert simplex_outcome(_simplex, agents, z) == simplex_outcome(dict_simplex, agents, z)
+    expected = {"not_equilibrium", "degenerate_rigid", "flex_coincident"}
+    if graph.certified_topology():
+        expected.add("desired")
+    assert expected <= kinds, kinds
+
+
+def test_analyze_builds_no_index_combinations_per_call(monkeypatch):
+    """The verdict path reads index tables made once per point count and
+    sign claims compiled once per shape, and makes no index combinations
+    per call: with ``itertools.combinations`` made to raise, every catalog
+    of the four certified graphs of ``VERDICT_GRAPHS`` with both families is
+    built and each entry analyzed, witness and claims passing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("itertools.combinations in a verdict")
+
+    monkeypatch.setattr(itertools, "combinations", refuse)
+    for graph in VERDICT_GRAPHS.values():
+        if not graph.certified_topology():
+            continue
+        for family in (QUADRATIC, RATIONAL):
+            entries, _ = build_catalog(graph, family)
+            assert entries
+            for e in entries:
+                report = analyze(e.positions, graph, family)
+                assert report.witness.quadratic_form < 0
+                assert all(c.passed for c in report.claims)
