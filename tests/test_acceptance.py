@@ -11,6 +11,7 @@ bundled scenarios use the numerically determined separatrix heights, from
 which the saddle visits occur at the expected times.
 """
 
+import hashlib
 import itertools
 import time
 
@@ -291,6 +292,42 @@ def test_criterion_10_lyapunov_monotonicity(run_2d, run_3d, leader_runs):
     assert worst <= 1e-10
     print(f"\n[PASS] criterion 10: worst per-step Lyapunov increase "
           f"{worst:.1e} <= 1e-10")
+
+
+# SHA-256 of each bundled scenario's trajectory, as ``trajectory_digest`` hashes it
+SCENARIO_SHA256 = {
+    "triangle_flex_2d":
+        "d76baac01b099f4669bfd9a9a0944a59da4c08af0348bef6ff5570c24e7af500",
+    "tetra_flex_3d":
+        "adf9cfd55793e0b9f38d4492e623586188704fe2db1761071c239dcebaeafd65",
+    "triangle_flex_leader":
+        "cd0eb138f9f636416ca3c4579aa6d428b2700d1a3c1a8747c30446e60dd28d25",
+    "tetra_flex_leader":
+        "6ddf22bb04ede5217a752ab36352ece9ffd3af849367b469b21c9614f3ebec50",
+}
+
+
+def trajectory_digest(traj):
+    """SHA-256 of a trajectory's times, states, edge errors and gradient
+    norms (their float64 bytes), its event log (each time's bytes and kind)
+    and its worst Lyapunov increase (its bytes)."""
+    h = hashlib.sha256()
+    for values in (traj.times, traj.states, traj.edge_errors, traj.grad_norms,
+                   [traj.max_lyapunov_increase]):
+        h.update(np.asarray(values, dtype=float).tobytes())
+    for t, kind in traj.events:
+        h.update(np.float64(t).tobytes() + kind.encode())
+    return h.hexdigest()
+
+
+def test_bundled_scenario_trajectories_are_pinned(run_2d, run_3d, leader_runs):
+    """The four bundled scenarios' trajectories, event logs and worst
+    Lyapunov increases, as the criteria above compute them, are pinned bit
+    for bit: a change to the step that moves any value shows here."""
+    found = {"triangle_flex_2d": trajectory_digest(run_2d[0]),
+             "tetra_flex_3d": trajectory_digest(run_3d[0]),
+             **{name: trajectory_digest(traj) for name, (traj, _) in leader_runs.items()}}
+    assert found == SCENARIO_SHA256
 
 
 # ---------------------------------------------------------------------------
