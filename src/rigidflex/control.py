@@ -6,20 +6,26 @@ gradient of V (with e = ||z||^2 - dbar^2, grad_p_i phi(e_ij) = 2 g_ij z_ij).
 Scaling V leaves trajectories, equilibria, and stability verdicts unchanged.
 
 Every edge pass of the package is generated here, one straight-line Python
-function at a time with the family's formulas inlined.  ``evaluate`` is the
-pass behind ``edge_states``, ``gradient_control`` and ``potential_value``
-(``_pass`` makes it alone) and behind each ``integrate`` segment start;
-``advance`` is the integrator's RK4 loop; ``hessian`` (``_hessian_pass``)
-is H from a pass's z, g and rho.  Each sums on Python floats in edge order,
-so no result depends on how a BLAS sums.  ``LeaderSpec`` holds the flex
+function at a time with the family's formulas inlined, each rewritten once
+(``_terms``) so that a call computes each value once: a term of dbar^2
+alone once per call, a repeated term once per evaluation, each edge's
+force once and each node's control as one sum of its edges' forces.
+``evaluate`` is the pass behind ``edge_states``, ``gradient_control`` and
+``potential_value`` (``_pass`` makes it alone) and behind each
+``integrate`` segment start; ``advance`` is the integrator's RK4 loop;
+``hessian`` (``_hessian_pass``) is H from a pass's z, g and rho, each
+symmetric pair of entries formed once.  Each sums on Python floats in edge
+order, so no result depends on how a BLAS sums.  ``LeaderSpec`` holds the flex
 agent's leader input as values, a windowed one as a sample table that the
 generated step looks up inline, and its arrival test.
 """
 
 from __future__ import annotations
 
+import ast
 import bisect
 import builtins
+import collections
 import functools
 import itertools
 import linecache
@@ -244,31 +250,113 @@ def _on_numpy(f, e: float, d2: float) -> float:
         return float(f(np.float64(e), d2))
 
 
-def _call(assign, family: PotentialFamily, which: str, k: int) -> list[str]:
-    """Source lines of ``assign`` the family's formula ``which`` at edge k,
-    its names e and d2 (not the e of 1e-6) made ``e{k}`` and ``d2_{k}``;
-    where floats raise, ``_on_numpy`` runs the evaluator PHI, G or RHO."""
-    formula = re.sub(r"(?<![\w.])(e|d2)\b", lambda x: f"e{k}" if x[1] == "e" else f"d2_{k}",
-                     getattr(family, which))
-    return ["try:", f"    {assign} {formula}", "except (ZeroDivisionError, OverflowError):",
-            f"    {assign} _on_numpy({which.upper()}, e{k}, d2_{k})"]
+# the nodes of a formula that ``_terms`` rewrites, and those of a term that
+# cannot raise on floats (+, - and * give inf or NaN where they overflow)
+_ARITHMETIC = (ast.BinOp, ast.UnaryOp, ast.Name, ast.Constant, ast.operator, ast.unaryop, ast.Load)
+_EXACT = (ast.BinOp, ast.UnaryOp, ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.USub, ast.Load)
+
+
+def _named(node, name_of):
+    """The arithmetic tree ``node``, each outermost subtree that ``name_of``
+    names (a str) made that name."""
+    if isinstance(node, (ast.BinOp, ast.UnaryOp)) and (name := name_of(node)):
+        return ast.Name(name)
+    for child in ("left", "right", "operand"):
+        if hasattr(node, child):
+            setattr(node, child, _named(getattr(node, child), name_of))
+    return node
+
+
+@functools.lru_cache(maxsize=32)
+def _terms(family: PotentialFamily) -> dict:
+    """Each formula of a family rewritten once for the float pass, in e and
+    d2: ``which -> (per_call, temps, formula)``.  Each outermost term of d2
+    and numbers under +, - and * cannot raise and is the same at every step:
+    it is named pre<j> (one name per distinct term of the family), and
+    ``per_call`` holds the formula's (name, source) pairs.  Then each term
+    that occurs more than once, innermost first, is named sub<j>, and
+    ``temps`` holds its (name, source) in that order.  Every operation keeps
+    its operands, so every value keeps its bits; a formula of more than
+    arithmetic is kept as written."""
+    hoisted, out = {}, {}
+    for which in ("phi", "g", "rho"):
+        tree = ast.parse(getattr(family, which), mode="eval").body
+        if not all(isinstance(node, _ARITHMETIC) for node in ast.walk(tree)):
+            out[which] = (), (), getattr(family, which)
+            continue
+        tree = _named(tree, lambda node: all(
+            isinstance(n, _EXACT) or isinstance(n, ast.Name) and n.id == "d2"
+            for n in ast.walk(node)) and hoisted.setdefault(ast.unparse(node), f"pre{len(hoisted)}"))
+        reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        temps = []
+        while True:
+            inner = [n for n in ast.walk(tree) if isinstance(n, (ast.BinOp, ast.UnaryOp))]
+            count = collections.Counter(map(ast.dump, inner))
+            repeated = [n for n in inner if count[ast.dump(n)] > 1]
+            if not repeated:
+                break
+            first = min(repeated, key=lambda n: len(list(ast.walk(n))))
+            key, name = ast.dump(first), f"sub{len(temps)}"
+            temps.append((name, ast.unparse(first)))
+            tree = _named(tree, lambda node: ast.dump(node) == key and name)
+        out[which] = (tuple((pre, source) for source, pre in hoisted.items() if pre in reads),
+                      tuple(temps), ast.unparse(tree))
+    return out
+
+
+def _at(source: str, k: int) -> str:
+    """``source`` at edge k: its names e and d2 made ``e{k}`` and ``d2_{k}``
+    (not the e of 1e-6), and ``_terms``' pre<j> and sub<j> made ``pre<j>_{k}``
+    and ``sub<j>_{k}``."""
+    return re.sub(r"(?<![\w.])(e|d2|pre\d+|sub\d+)\b",
+                  lambda x: f"e{k}" if x[1] == "e" else f"{x[1]}_{k}", source)
+
+
+def _call(name: str, family: PotentialFamily, which: str, k: int) -> tuple[list[str], str]:
+    """(lines, value): source lines that set ``name`` to the family's formula
+    ``which`` (as ``_terms`` rewrote it) at edge k, and the expression that
+    reads it.  The temporaries are set inside the same ``try``; where floats
+    raise, ``_on_numpy`` runs the evaluator PHI, G or RHO, the formula as
+    written.  A formula that is one name needs no line: it is read where it
+    is used.  The per-call names it reads are ``_per_call``'s."""
+    _, temps, formula = _terms(family)[which]
+    if formula.isidentifier():
+        return [], _at(formula, k)
+    return (["try:", *(f"    {_at(t, k)} = {_at(source, k)}" for t, source in temps),
+             f"    {name} = {_at(formula, k)}", "except (ZeroDivisionError, OverflowError):",
+             f"    {name} = _on_numpy({which.upper()}, e{k}, d2_{k})"], name)
+
+
+def _per_call(family: PotentialFamily, which, edges) -> list[str]:
+    """Source lines that set, once per call, the per-call names (``_terms``)
+    that the formulas ``which`` read, at each of ``edges``, after d2_k."""
+    terms = _terms(family)
+    used = dict.fromkeys(pair for w in which for pair in terms[w][0])
+    return [f"{_at(pre, k)} = {_at(source, k)}" for k in edges for pre, source in used]
 
 
 def _edge_pass(x, u, tails, heads, d, family) -> list[str]:
     """Source lines of one edge pass from the state names ``x`` to the
-    control names ``u``: per edge k, zk_c = p_i - p_j per coordinate,
-    ||z||^2 left to right, ek = ||z||^2 - dbar^2 and gk = g(ek), then
-    u_i -= gk z and u_j += gk z, skipping an exactly-zero edge."""
-    lines = [" = ".join(u) + " = 0.0"]
+    control names ``u``.  Per edge k: zk_c = p_i - p_j per coordinate,
+    ||z||^2 left to right, ek = ||z||^2 - dbar^2, g(ek), and the force
+    fk_c = g zk_c, or 0.0 where ||z||^2 is exactly 0 (a coincident edge of
+    a family whose g is infinite there exerts none).  Then each control name
+    is one sum, 0.0 - f.. + f.. over its node's edges in edge order, minus
+    at the tail: the sum of u_i -= g z and u_j += g z over the edges bit for
+    bit, since a sum that starts at +0.0 is never -0.0, and adding or
+    subtracting +0.0 leaves any other value as it is."""
+    lines, terms = [], [[] for _ in u]
     for k, (i, j) in enumerate(zip(tails, heads)):
-        z = [f"z{k}_{c}" for c in range(d)]
+        z, f = ([f"{v}{k}_{c}" for c in range(d)] for v in "zf")
+        g_lines, g = _call(f"g{k}", family, "g", k)
         lines += [f"{z[c]} = {x[d * i + c]} - {x[d * j + c]}" for c in range(d)]
         lines += ["sq = " + " + ".join(f"{zc} * {zc}" for zc in z), f"e{k} = sq - d2_{k}",
-                  *_call(f"g{k} =", family, "g", k), "if sq:"]
-        lines += [f"    f{c} = g{k} * {z[c]}" for c in range(d)]
-        lines += [f"    {u[d * i + c]} -= f{c}" for c in range(d)]
-        lines += [f"    {u[d * j + c]} += f{c}" for c in range(d)]
-    return lines
+                  *g_lines, "if sq:", *(f"    {fc} = {g} * {zc}" for fc, zc in zip(f, z)),
+                  "else:", f"    {' = '.join(f)} = 0.0"]
+        for c in range(d):
+            terms[d * i + c].append(f" - {f[c]}")
+            terms[d * j + c].append(f" + {f[c]}")
+    return lines + [f"{name} = 0.0{''.join(t)}" for name, t in zip(u, terms)]
 
 
 def _leader_input(mode, time, x, u, flex) -> list[str]:
@@ -299,29 +387,32 @@ def _step_source(tails, heads, n, d, family, mode, name) -> str:
         bound.update(k_f="K_F", **{f"pt_{k}": f"PT_{k}" for k in range(d)})
     elif mode == "windowed":
         bound.update(t0="T0", tf="TF", times="TIMES", values="VALUES")
-    constants = f"{', '.join(bound)}, = {', '.join(bound.values())},"
+    formulas = ("phi", "g", "rho") if name == "evaluate" else ("phi", "g")
+    constants = [f"{', '.join(bound)}, = {', '.join(bound.values())},",
+                 *_per_call(family, formulas, range(m))]
 
     def closing(x, u):
         """The pass at an accepted state x into the control names u and its
         Lyapunov value w: V = 1/2 sum phi(e) left to right, plus (k_f/2)
         ||p_t - p_flex||^2 in target mode."""
-        lines = _edge_pass(x, u, tails, heads, d, family) + ["pot = 0.0"]
-        for k in range(m):
-            lines += _call("pot +=", family, "phi", k)
+        phi = [_call(f"phi{k}", family, "phi", k) for k in range(m)]
+        lines = _edge_pass(x, u, tails, heads, d, family) + [line for f, _ in phi for line in f]
+        pot = "0.5 * (0.0" + "".join(f" + {value}" for _, value in phi) + ")"
         if mode != "target":
-            return lines + ["w = 0.5 * pot"]
+            return lines + [f"w = {pot}"]
         lines += [f"o{k} = pt_{k} - {x[i]}" for k, i in enumerate(flex)]
-        return lines + ["w = 0.5 * pot + 0.5 * k_f * ("
+        return lines + [f"w = {pot} + 0.5 * k_f * ("
                         + " + ".join(f"o{k} * o{k}" for k in range(d)) + ")"]
 
     errors = ", ".join(f"e{k}" for k in range(m))
     if name == "evaluate":
-        body = [constants, f"{', '.join(p)}, = p", *closing(p, a)]
-        for k in range(m):
-            body += _call(f"r{k} =", family, "rho", k)
-        body.append(f"return [{', '.join(a)}], [{errors}], w, "
-                    f"[{', '.join(f'z{k}_{c}' for k in range(m) for c in range(d))}], "
-                    + ", ".join(f"[{', '.join(f'{x}{k}' for k in range(m))}]" for x in "gr"))
+        rho = [_call(f"r{k}", family, "rho", k) for k in range(m)]
+        g = (_call(f"g{k}", family, "g", k)[1] for k in range(m))
+        body = [*constants, f"{', '.join(p)}, = p", *closing(p, a),
+                *(line for lines, _ in rho for line in lines),
+                f"return [{', '.join(a)}], [{errors}], w, "
+                f"[{', '.join(f'z{k}_{c}' for k in range(m) for c in range(d))}], "
+                f"[{', '.join(g)}], [{', '.join(value for _, value in rho)}]"]
         return "def evaluate(p):\n" + "".join(f"    {line}\n" for line in body)
 
     def stage(k, out, scale, time):
@@ -336,7 +427,7 @@ def _step_source(tails, heads, n, d, family, mode, name) -> str:
     if mode == "windowed":
         rise = ["if not (t <= tf and t0 <= t + h):", *(f"    {line}" for line in rise)]
     step = ["h = boundary - t", "if not h > 1e-12:", "    break", "if h > dt:", "    h = dt",
-            "half = 0.5 * h", "th = t + half", "sixth = h / 6.0",
+            "half = 0.5 * h", *["th = t + half"] * (mode == "windowed"), "sixth = h / 6.0",
             *_leader_input(mode, "t", p, a, flex),
             *stage(a, b, "half", "th"), *stage(b, c, "half", "th"), *stage(c, r, "h", "t + h"),
             *(f"{q[i]} = {p[i]} + ((({a[i]} + 2.0 * {b[i]}) + 2.0 * {c[i]}) + {r[i]}) * sixth"
@@ -348,7 +439,7 @@ def _step_source(tails, heads, n, d, family, mode, name) -> str:
             *rise,
             *(f"{p[i]} = {q[i]}" for i in range(size)),
             "t += h"]
-    body = [constants, f"{', '.join(p)}, = p", f"{', '.join(a)}, = k1",
+    body = [*constants, f"{', '.join(p)}, = p", f"{', '.join(a)}, = k1",
             "for _ in range(n):", *(f"    {line}" for line in step),
             f"return [{', '.join(p)}], [{', '.join(a)}], [{errors}], w, t, dv"]
     return ("def advance(p, k1, w, t, boundary, dt, n, dv):\n"
@@ -369,21 +460,29 @@ def _hessian_source(tails, heads, n, d) -> str:
     """Python source of ``hessian(z, g, rho)``: H's (n d)^2 entries, row-major,
     from one pass's lists, as numpy formed them.  Edge k's M[a][b] = (2.0 rho)
     (z_a z_b) + g delta_ab (g * 0.0 off the diagonal) goes to node blocks (i,i),
-    (j,j), (i,j), (j,i) as M, M, -M, -M, each entry 0.0 + its terms in edge order."""
+    (j,j), (i,j), (j,i) as M, M, -M, -M, each entry 0.0 + its terms in edge order.
+    M is formed for a <= b only: M[b][a] is M[a][b] bit for bit (z_b z_a is
+    z_a z_b, but for which NaN a product of two NaNs keeps), so H is symmetric
+    term by term and each sum off the diagonal is formed once for both entries."""
     edges = range(len(tails))
     lines = [f"{', '.join(f'z{k}_{c}' for k in edges for c in range(d))}, = z",
              *(f"{', '.join(f'{x}{k}' for k in edges)}, = {x}" for x in ("g", "rho"))]
-    entries = {}                # (row, column) -> its sum so far
+    entries = {}                # (row, column), row <= column -> its sum so far
     for k, (i, j) in enumerate(zip(tails, heads)):
         lines.append(f"t = 2.0 * rho{k}")
-        for a, b in itertools.product(range(d), repeat=2):           # g * 1.0 is g
+        for a, b in itertools.combinations_with_replacement(range(d), 2):  # g * 1.0 is g
             m = f"m{k}_{a}{b}"
             lines += [f"{m} = t * (z{k}_{a} * z{k}_{b}) + g{k}" + " * 0.0" * (a != b),
-                      f"o{m} = 0.0 + -{m}"]                 # both -M blocks' entry
+                      f"o{m} = 0.0 + -{m}"]                 # the -M blocks' entries
             for key in ((d * i + a, d * i + b), (d * j + a, d * j + b)):
                 entries[key] = entries.get(key, "0.0") + f" + {m}"
-            entries[d * i + a, d * j + b] = entries[d * j + a, d * i + b] = f"o{m}"
-    flat = (entries.get(divmod(x, n * d), "0.0") for x in range((n * d) ** 2))
+            for key in ((d * i + a, d * j + b), (d * i + b, d * j + a)):
+                entries[min(key), max(key)] = f"o{m}"
+    for (row, col), total in entries.items():
+        if row < col and " + " in total:    # read twice: named once
+            lines.append(f"h{row}_{col} = {total}")
+            entries[row, col] = f"h{row}_{col}"
+    flat = (entries.get(tuple(sorted(divmod(x, n * d))), "0.0") for x in range((n * d) ** 2))
     return ("def hessian(z, g, rho):\n" + "".join(f"    {line}\n" for line in lines)
             + f"    return [{', '.join(flat)}]\n")
 
@@ -434,8 +533,8 @@ def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: Leade
     new lists, the gradient control u in that layout, the squared errors e
     in edge order and, in third place, the Lyapunov value w = V + the target
     potential, then the edge vectors z (edge-major, d entries per edge) and
-    g and rho per edge, at every edge (an exactly coincident one's force u
-    skips).  ``advance(p, k1, w, t, boundary, dt, n, dv)``, with k1 and w
+    g and rho per edge, at every edge (an exactly coincident one exerts no
+    force).  ``advance(p, k1, w, t, boundary, dt, n, dv)``, with k1 and w
     what ``evaluate`` gave at p, takes up to n RK4 steps of length
     min(dt, boundary - t) from time t while boundary - t > 1e-12 (callers
     leave it at least one).  It returns the state, u and e there as new
@@ -448,10 +547,12 @@ def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: Leade
     code over local floats, unrolled over the edges and coordinates: the
     stage states and p + (h/6) (((k1 + 2 k2) + 2 k3) + k4) are formed per
     coordinate, and each stage is ``_edge_pass`` plus the leader input at
-    t, t + h/2, t + h/2 and t + h, with the family's g, phi and rho
-    formulas inlined per edge (``_call``).  Each node sums its terms in
-    edge order and V sums phi(e) left to right, so no sum depends on the
-    CPU.  A non-finite coordinate reaches only its own node's edges, and a
+    t, t + h/2, t + h/2 and t + h (t + h/2 formed only for a windowed
+    leader, the one mode that reads it), with the family's g, phi and rho
+    formulas inlined per edge as ``_terms`` rewrote them (``_call``) and
+    their per-call terms (``_per_call``) formed once per call.  Each node's
+    control is one sum of its edges' forces in edge order and V sums phi(e)
+    left to right, so no sum depends on the CPU.  A non-finite coordinate reaches only its own node's edges, and a
     non-finite g z only its edge's two nodes.
     There is no domain check: ||z||^2 >= 0 (or NaN), and rounding is
     monotone, so e = fl(||z||^2 - dbar^2) >= -dbar^2.  Only ``_on_numpy``

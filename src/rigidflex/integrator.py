@@ -93,7 +93,7 @@ class Trajectory:
 
 
 def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
-              dt: float = 1e-3, leader: LeaderSpec | None = None,
+              dt: float = 1e-3, leader: LeaderSpec | None = LeaderSpec(),
               events=(), record_every: int = 10, eq_tol: float = EQ_TOL) -> Trajectory:
     """Integrate the closed loop from p0 to t_end with fixed-step RK4.
 
@@ -103,7 +103,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     arrival) and the worst per-step increase of V plus the target potential
     (k_f/2) ||p_t - p_flex||^2 over the steps that do not meet a windowed
     leader's [t0, tf].  The velocity is the gradient control plus the
-    leader's input on the flex agent.  Every input, each event's agent and
+    leader's input on the flex agent (none for the default leader, made
+    once, or None).  Every input, each event's agent and
     displacement too, is checked once here: ValueError before the first step.
 
     The state is one flat, node-major list of (N+1) d Python floats: on

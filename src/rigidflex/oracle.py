@@ -42,7 +42,8 @@ from types import FunctionType
 
 import numpy as np
 
-from .control import _call, _compiled, _constants, _dot, _norm, _on_numpy, _pass, _residual, _sum
+from .control import (_call, _compiled, _constants, _dot, _norm, _on_numpy, _pass, _per_call,
+                      _residual, _sum)
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily, evaluators
 from .stability import LINE_SLOTS, _classify, _hessian
@@ -426,7 +427,8 @@ def _balance_source(edges, t, family) -> str:
     xs = [f"x{l}" for l in range(k)]
     body = [f"{', '.join(xs)}, = x",
             f"{', '.join(f'd2_{e}' for e, _, _ in edges)}, = "
-            f"{', '.join(f'D2_{e}' for e, _, _ in edges)},"]
+            f"{', '.join(f'D2_{e}' for e, _, _ in edges)},",
+            *_per_call(family, ("g", "rho"), [e for e, _, _ in edges])]
     rho, force = [], [[] for _ in range(k)]
     jac = {(l, m): [] for l in range(k) for m in range(l, k)}
     for (e, _, _), te in zip(edges, t):
@@ -434,16 +436,17 @@ def _balance_source(edges, t, family) -> str:
         z = [f"z{e}_{c}" for c in coords]
         body += [f"{zc} = {_combination((x, tl[c]) for x, tl in zip(xs, te))}"
                  for zc, c in zip(z, coords)]
-        body += [f"e{e} = {' + '.join(f'{zc} * {zc}' for zc in z)} - d2_{e}",
-                 *_call(f"g{e} =", family, "g", e)]
+        g_lines, g = _call(f"g{e}", family, "g", e)
+        rho_lines, r = _call(f"r{e}", family, "rho", e)
+        body += [f"e{e} = {' + '.join(f'{zc} * {zc}' for zc in z)} - d2_{e}", *g_lines]
         moved = [l for l in range(k) if any(te[l])]
         body += [f"a{e}_{l} = {_combination(zip(z, (te[l][c] for c in coords)))}" for l in moved]
-        rho += _call(f"r{e} =", family, "rho", e)
+        rho += rho_lines
         for i, l in enumerate(moved):
-            force[l].append(f"g{e} * a{e}_{l}")
+            force[l].append(f"{g} * a{e}_{l}")
             for m in moved[i:]:
-                jac[l, m].append(f"(2.0 * r{e} * a{e}_{l} * a{e}_{m} + "
-                                 f"{_combination([(f'g{e}', _dot(te[l], te[m]))])})")
+                jac[l, m].append(f"(2.0 * {r} * a{e}_{l} * a{e}_{m} + "
+                                 f"{_combination([(g, _dot(te[l], te[m]))])})")
     rows = (", ".join(f"j{min(l, m)}_{max(l, m)}" for m in range(k)) for l in range(k))
     body += ["def jacobian():", *(f"    {line}" for line in rho),
              *(f"    j{l}_{m} = {' + '.join(terms) or '0.0'}" for (l, m), terms in jac.items()),

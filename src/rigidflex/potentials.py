@@ -26,7 +26,9 @@ class PotentialFamily:
     """An edge potential stated once: phi, g and rho as Python expressions
     in ``e`` and ``d2`` (= dbar^2) that name nothing of their own, so a
     shared term such as ``(e + d2)`` is repeated.  ``evaluators`` compiles
-    them for floats and arrays; ``control``'s edge pass inlines them.  The
+    them for floats and arrays as written; ``control``'s edge pass inlines
+    them rewritten (``control._terms``), each repeated term computed once
+    and each term of d2 alone once per call, which keeps every value's bits.  The
     built-in families use products and quotients, which round alike on
     floats and arrays (a float's ``**`` calls libm's ``pow``, numpy has its
     own), so their values agree bit for bit; ``e ** 0`` is exactly 1.0, NaN

@@ -68,8 +68,8 @@ def assemble_hessian(p, graph: FormationGraph, family: PotentialFamily) -> np.nd
 
 
 def _hessian(z, g, rho, shape: tuple) -> np.ndarray:
-    """The Hessian of a graph shape (``FormationGraph._shape``, or its 1-D
-    form) from one edge pass's z, g and rho lists by the shape's generated
+    """The Hessian of a graph shape (``FormationGraph._shape``) as an array
+    from one edge pass's z, g and rho lists by the shape's generated
     ``hessian``: a non-finite edge block (a coincident edge of a family that
     diverges there) reaches only its own four node blocks, where a product
     with the incidence matrix would spread 0 * inf."""
@@ -77,14 +77,14 @@ def _hessian(z, g, rho, shape: tuple) -> np.ndarray:
     return np.fromiter(_hessian_pass(shape)(z, g, rho), float, count=nd * nd).reshape(nd, nd)
 
 
-def _aligned_block(z, g, rho, r, graph: FormationGraph) -> np.ndarray:
-    """The (N+1)^2 block r^T H_ij r along the unit axis r: the generated
-    Hessian in one dimension at the edge coordinates z_k . r, the Laplacian
-    of the edge weights w_k = r^T M_k r = 2 rho_k (z_k . r)^2 + g_k;
-    ``z`` is the pass's flat list."""
+def _aligned_block(z, g, rho, r, graph: FormationGraph) -> list:
+    """The (N+1)^2 block r^T H_ij r along the unit axis r, as a flat,
+    row-major list: the generated Hessian in one dimension at the edge
+    coordinates z_k . r, the Laplacian of the edge weights
+    w_k = r^T M_k r = 2 rho_k (z_k . r)^2 + g_k; ``z`` is the pass's flat list."""
     d = len(r)
-    return _hessian([_dot(z[k:k + d], r) for k in range(0, len(z), d)], g, rho,
-                    (*graph._shape[:3], 1))
+    return _hessian_pass((*graph._shape[:3], 1))([_dot(z[k:k + d], r)
+                                                  for k in range(0, len(z), d)], g, rho)
 
 
 def _cross(a, b) -> list:
@@ -161,12 +161,25 @@ def _simplex(points, z) -> tuple:
     span = next((s for s, h in enumerate(heights) if not h >= GEOM_TOL), len(heights))
     if span == d:
         return heights, None, length, side, t
-    candidates = ([n] if span == 2 else [_normal(z)] if span == 0
-                  else ([_cross(t, z)] if d == 3 else []) + [_normal(t)])
-    for v in candidates + [[float(c == d - 1) for c in range(3)]]:     # e_d where all vanish
+    for v in _axes(span, d, n, z, t):
         if 0 < (size := _norm(v)) < math.inf:
             r = [c / size for c in v[:d]]
             return heights, tuple(r if max(r, key=abs) > 0 else [-c for c in r]), length, side, t
+
+
+def _axes(span: int, d: int, n, z, t):
+    """``_simplex``'s candidate axes in order, each made only if the one
+    before it vanishes: the hyperplane normal n, or at a point ``_normal(z)``,
+    or on a line t x z (in 3-D) and then ``_normal(t)``; last e_d."""
+    if span == 2:
+        yield n
+    elif span == 0:
+        yield _normal(z)
+    else:
+        if d == 3:
+            yield _cross(t, z)
+        yield _normal(t)
+    yield [float(c == d - 1) for c in range(3)]
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +350,8 @@ class Witness:
     tag: str                       # flex_sum | agent_indicator
 
 
-def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
-    """Certified negative direction of ``_aligned_block`` along ``cls.axis``.
+def _witness(block: list, cls: EquilibriumClass) -> Witness:
+    """Certified negative direction of ``_aligned_block``'s flat list along ``cls.axis``.
 
     Candidates, each form a diagonal entry of the block: the
     all-ones-except-flex vector (flex-coincident case), its form w of the
@@ -348,14 +361,14 @@ def _witness(block: np.ndarray, cls: EquilibriumClass) -> Witness:
     WitnessNotFoundError, naming the least form and that threshold, if none
     does.
     """
-    flat, n, top = block.ravel().tolist(), len(block), 1.0
-    for x in map(abs, flat):
+    n, top = math.isqrt(len(block)), 1.0
+    for x in map(abs, block):
         if top < x < math.inf:              # the first largest finite |entry|
             top = x
     threshold = -WITNESS_MARGIN * top
-    forms = [("agent_indicator", i, i + 1, flat[i * (n + 1)]) for i in range(n - 1)]
+    forms = [("agent_indicator", i, i + 1, block[i * (n + 1)]) for i in range(n - 1)]
     if cls.kind == "flex_coincident":       # (tag, v is 1 from start to stop, form)
-        forms.insert(0, ("flex_sum", 0, n - 1, flat[-1]))
+        forms.insert(0, ("flex_sum", 0, n - 1, block[-1]))
     for tag, start, stop, q in forms:
         if q < threshold:                   # False for a NaN form
             v = [0.0] * start + [1.0] * (stop - start) + [0.0] * (n - stop)
@@ -570,7 +583,8 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
 
     if finite_h:
         spectrum = np.linalg.eigvalsh(h)
-        block_spectrum = None if block is None else np.linalg.eigvalsh(block)
+        block_spectrum = None if block is None else np.linalg.eigvalsh(
+            np.reshape(block, (graph.num_nodes,) * 2))
         eig_tol = 1e-8 * max(abs(spectrum[0]), abs(spectrum[-1]), 1.0)
         min_eig, is_psd = float(spectrum[0]), bool(spectrum[0] >= -eig_tol)
     else:

@@ -429,53 +429,53 @@ def test_numpy_fallback_guards_itself(graph):
 # SHA-256 of the generated source per (graph, family, leader mode, function)
 STEP_SOURCE_SHA256 = {
     "4-quadratic-none-advance":
-        "52a1fad65955950fc4bed3616730848040080edcdf0d970c90e937edbc89a743",
+        "75d037f91db0ee8fd516f103c0009f2f13b953e2b9f37ea1560129449bf43b84",
     "4-quadratic-none-evaluate":
-        "98458154500c1b49c26a45b59eb5a1d922b996a908116bf679ca5fee6f7feda3",
+        "a74a0675ba84408b5e32cc62f828b1c92c3c3067d409cde5498210f90b2c5f86",
     "4-quadratic-target-advance":
-        "ec4aab3c40ddeb91053a0e859e4f9434eaeebc83a23a24e206d37faeb3fccffd",
+        "e1d641d4395bcd923bc6ec43fae16f132fe5eb182d9c08b1af7261dcd6a20d4e",
     "4-quadratic-target-evaluate":
-        "77507e52f2406239e7cfdd77b8c573fae6d82400665194f7b0079710a7800689",
+        "407f03f04cdd53e2c354b4805288c485d81e6f1e34e0b2f651f025f30a410316",
     "4-quadratic-windowed-advance":
-        "6bd0d4334b5c28df4d46733037de7e7c0d5fbe63dcf8fcdbb0908a6322f6beba",
+        "74927adcd317f504a6ab76bbde999e4ca231747d5c8cef7cd877f047eb9903cb",
     "4-quadratic-windowed-evaluate":
-        "233a0233b0b5732569e9534f46ccdfcaf974a737f3cdda578c65262b55f2c427",
+        "ce099417b6204dc69a6d4dbb68b3ef741033fd5204f2fa6e40f8f50e846e3ab5",
     "4-rational-none-advance":
-        "d29967ba6eefee7320c007147cf4e5c6c7e746c945d5cf851c9b21ec637bcb91",
+        "bfdcf70962d03561f2087386d2006f8e9fc721d00f99db780fcb61208bffae39",
     "4-rational-none-evaluate":
-        "afb14ebcfb2519d8dc5b3077b6be99995ca08fcdfcabda94d0bd941f4a91c67d",
+        "a6475b945962c74ff60bba989e39f28daadda96ab4fccb5cca85f0b84144de93",
     "4-rational-target-advance":
-        "c2ea38490422f6d5bcef8c0b771e2883350b5d105e2b0323f4810bf9ad075e6e",
+        "065e49544c0ee9b3c2e7790bcead4cb64168d447b61f43a69cc514e39baf7d70",
     "4-rational-target-evaluate":
-        "34ee907873b2fd4b96f18927bc3f8edc874c6f2fe619f876cb68a367c0e634ec",
+        "a05319d9a062074890494c85ef156b706f96009a15bae7a5d737e514df8a9569",
     "4-rational-windowed-advance":
-        "0b270af32c00043b1eaf53a399df4b062c28a038b22469b328ab0ea966769b27",
+        "e1dadf0811f39d99eb7630b10ce9f420fefc256abc5e73a3386a6540e1c25021",
     "4-rational-windowed-evaluate":
-        "bdc3e7b193c4c8c444922fe3728389256fd848b3382a08c416ce975cb34ee61d",
+        "0f659dab2c3f06946f0f81ef025f9f26b5e4844c699bed9f6431e43b9203dd3f",
     "5-quadratic-none-advance":
-        "d1fb381768ece09e6d13d8a1d384a5faca4d18623fa5b6fb28e053a3dc400f60",
+        "27b43c806be5f63ba5698faae4f44409327f298d23434afad374a95642ea385d",
     "5-quadratic-none-evaluate":
-        "3f66201f818eebb09aba7a1041c0b55674198ec92fd7494e968c97f4eafbeeef",
+        "4a15fe08e6714e71de2e50ea8a3de49ff59cde19f88c04428b2a2b2a9a598488",
     "5-quadratic-target-advance":
-        "984d5a075a21b6dcd2542d71081f53a37e14fd5126c76c046266d53c9e67ccc8",
+        "54af0958aa10c52c72b9674a9cb506f011322a0fc7e0300d84f45f4706e71c5a",
     "5-quadratic-target-evaluate":
-        "47f3b39d7fa6f30b70047d70aa1e26e2152a72edfefc05436d6d8085485f06c3",
+        "b91f47403dfef5112b6ff12b249c55e01132720dcb0c7399792fd104e4c2f2aa",
     "5-quadratic-windowed-advance":
-        "55e4349832d8283850abc413b1b2c3403e7d2b06f509f6afa8cbf9687b5e1d22",
+        "81c14ca347abf2e7ae382d6245494be42874316b589a21bb3b07f988e1e83e46",
     "5-quadratic-windowed-evaluate":
-        "5ca02f1eb75a53efe1fac32aaa7c735cd7fdc22778dde137a14912c4e79c2d57",
+        "3db21bc606ca5670ef5eb3ba3ee257c6b82ecc2046668f69f741275b9a2ece6c",
     "5-rational-none-advance":
-        "12c88b8bdbabddbf63305cbfbf380e218e66d4d0d27153aa7af71841e29cffba",
+        "281ffe87d539e714bdd853376f9964dbd107da3d70f13682d13c74dfba29322d",
     "5-rational-none-evaluate":
-        "e793debb255163e07943842e9378c8e12c9c32ce91bc5a2ca5cfc14c5a010255",
+        "ed68ea39e4cee1443131e95dfa9ddf49fd04b3a52cd0645fcb0830f923fad6f3",
     "5-rational-target-advance":
-        "bda5df542c54c04e74aba643bf6d3ed6c39abd78629de63958e48f4242c1c851",
+        "f32afc22aeb077acf49b00c9a54f79a986f8ee3846d256f7255ec6fe5b793a1d",
     "5-rational-target-evaluate":
-        "fcb1ff76d4ff5ab5e09d70dc8ff0ba63b001c0a0edffa75ed0536aef22683d5f",
+        "e55ba49ec957330b689a1754a8d71b42764d76f61b5050f9daa20ae6dc0a613c",
     "5-rational-windowed-advance":
-        "2f37f2f191bef51be17492a32fd18362639eb57530b3cb8f7e546562243742f7",
+        "6d17d54188fdd714556ec85edb3aa4a3cd92c71b285a8f93d973efd3909383ec",
     "5-rational-windowed-evaluate":
-        "30ff888f4f27af92a6d674c0fbed4388122ffdd12838273472779571ea5d9bbf",
+        "a551eb52344233287e95cfaaa578ed80219d2ba5e997009efb4bb14de0d020dc",
 }
 
 

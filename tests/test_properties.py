@@ -159,8 +159,10 @@ offsets = st.sampled_from([0.0, 1e-300, 1e-12, 1e-7, 1e-3, 1.0, 1e3])
 
 def draw_realization(data, graph_name):
     """A graph of the named shape at drawn desired lengths in [0.5, 10] and
-    a realization of it at scale 1e-3, 1 or 1e4, with up to two edges put
-    at, next to or far from coincidence."""
+    a realization of it at scale 1e-3, 1 or 1e4, sometimes with -0.0, NaN,
+    inf or -inf at a drawn coordinate, and with up to two edges put at, next
+    to or far from coincidence (an edge at coincidence on a -0.0 has z = -0.0
+    there)."""
     base = GRAPHS[graph_name]
     n, d, m = base.num_nodes, base.dimension, base.num_edges
     lengths = data.draw(st.lists(st.floats(0.5, 10.0), min_size=m, max_size=m))
@@ -168,6 +170,9 @@ def draw_realization(data, graph_name):
     scale = data.draw(st.sampled_from([1e-3, 1.0, 1e4]))
     p = scale * np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n * d,
                                             max_size=n * d))).reshape(n, d)
+    if data.draw(st.booleans()):
+        p.flat[data.draw(st.integers(0, n * d - 1))] = data.draw(
+            st.sampled_from([-0.0, math.nan, math.inf, -math.inf]))
     for k, offset in data.draw(st.lists(st.tuples(st.integers(0, m - 1), offsets), max_size=2)):
         p[graph.edge_heads[k]] = p[graph.edge_tails[k]] + offset
     return graph, p

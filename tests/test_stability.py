@@ -211,8 +211,8 @@ def test_aligned_block_equals_the_edge_loop_bit_for_bit(graph, family):
         _, _, _, z, g, rho = _evaluate(p, graph, family)
         r = rng.standard_normal(d)
         r = tuple((r / np.linalg.norm(r)).tolist())
-        block = _aligned_block(z, g, rho, r, graph)
-        assert block.shape == (n, n)
+        block = np.array(_aligned_block(z, g, rho, r, graph))
+        assert block.shape == (n * n,)
         assert block.tobytes() == np.array(loop_aligned_block(z, g, rho, r, graph)).tobytes()
         nan_blocks += bool(np.isnan(block).any())
     assert nan_blocks >= 6
@@ -251,8 +251,8 @@ def test_aligned_last_block_equals_block_at_rotated_positions(graph, family):
         p = rng.uniform(-5, 5, (graph.num_nodes, d))
         rot = random_rotation(rng, d)
         st = edge_states(p, graph, family)
-        block = np.array(_aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
-                                        tuple(rot[-1].tolist()), graph))
+        block = np.reshape(_aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
+                                          tuple(rot[-1].tolist()), graph), (graph.num_nodes,) * 2)
         moved = assemble_hessian(p @ rot.T, graph, family)[d - 1::d, d - 1::d]
         read = aligned_last_block(assemble_hessian(p, graph, family), rot[-1])
         for other in (moved, read):
@@ -353,7 +353,8 @@ def test_classify_axis_is_a_normal_of_the_layout(graph):
             np.testing.assert_allclose(block, laplacian, rtol=0, atol=1e-12)
             block = _aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
                                    cls.axis, graph)
-            np.testing.assert_allclose(block, laplacian, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(np.reshape(block, laplacian.shape), laplacian,
+                                       rtol=0, atol=1e-12)
     # all_coincident in 2-D; the four line forms the quadratic family
     # builds on the equal tetrahedron
     assert laid == (1 if d == 2 else 4)
@@ -640,7 +641,7 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
     axis."""
     import rigidflex.stability as stability
 
-    counts = dict.fromkeys(("pass", "_hessian 3-D", "_hessian 1-D", "_aligned_block"), 0)
+    counts = dict.fromkeys(("pass", "hessian 3-D", "hessian 1-D", "_aligned_block"), 0)
 
     def counted(name, key):
         fn = getattr(stability, name)
@@ -652,7 +653,7 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         monkeypatch.setattr(stability, name, wrapper)
 
     counting_pass(monkeypatch, counts)
-    counted("_hessian", lambda z, g, rho, shape: f"_hessian {shape[3]}-D")
+    counted("_hessian_pass", lambda shape: f"hessian {shape[3]}-D")
     counted("_aligned_block", lambda *args: "_aligned_block")
     g = tetrahedron_flex()
     entries, _ = build_catalog(g, QUADRATIC)
@@ -665,7 +666,7 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         assert report.classification.kind == kind
         assert (report.witness is not None) == (kind != "desired")
         aligned = int(kind != "desired")
-        assert counts == {"pass": 1, "_hessian 3-D": 1, "_hessian 1-D": aligned,
+        assert counts == {"pass": 1, "hessian 3-D": 1, "hessian 1-D": aligned,
                           "_aligned_block": aligned}
 
 
@@ -758,7 +759,7 @@ def separate_report(p, graph, family):
             claims = _claims(edge_states(p, graph, family).g.tolist(), graph, cls)
     block_spectrum = None
     if cls.axis:
-        block_spectrum = np.linalg.eigvalsh(block)
+        block_spectrum = np.linalg.eigvalsh(np.reshape(block, (graph.num_nodes,) * 2))
     min_eig, is_psd = psd_check(h)
     return StabilityReport(
         classification=cls, spectrum=np.linalg.eigvalsh(h), block_spectrum=block_spectrum,
@@ -1018,13 +1019,14 @@ def assert_verdict_pieces_equal_the_dict_reference(p, graph, family, eq_tol):
         assert [(c.description, c.value.hex(), c.passed) for c in _claims(g, graph, cls)] \
             == [(c.description, c.value.hex(), c.passed) for c in refs]
     if cls.axis:
-        block = _aligned_block(z, g, rho, cls.axis, graph)
-        assert witness_outcome(_witness, block, cls) == witness_outcome(rows_witness, block, cls)
-        for entry, bad in itertools.product([(0, -1), (0, 0)], [math.inf, -math.inf, math.nan]):
+        block, n = _aligned_block(z, g, rho, cls.axis, graph), graph.num_nodes
+        assert witness_outcome(_witness, block, cls) \
+            == witness_outcome(rows_witness, np.reshape(block, (n, n)), cls)
+        for entry, bad in itertools.product([n - 1, 0], [math.inf, -math.inf, math.nan]):
             marred = block.copy()               # no finite point's block has these
             marred[entry] = bad
             assert witness_outcome(_witness, marred, cls) \
-                == witness_outcome(rows_witness, marred, cls)
+                == witness_outcome(rows_witness, np.reshape(marred, (n, n)), cls)
     return cls.kind
 
 
