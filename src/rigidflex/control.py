@@ -25,7 +25,6 @@ from __future__ import annotations
 import ast
 import bisect
 import builtins
-import collections
 import functools
 import itertools
 import linecache
@@ -250,12 +249,6 @@ def _on_numpy(f, e: float, d2: float) -> float:
         return float(f(np.float64(e), d2))
 
 
-# the nodes of a formula that ``_terms`` rewrites, and those of a term that
-# cannot raise on floats (+, - and * give inf or NaN where they overflow)
-_ARITHMETIC = (ast.BinOp, ast.UnaryOp, ast.Name, ast.Constant, ast.operator, ast.unaryop, ast.Load)
-_EXACT = (ast.BinOp, ast.UnaryOp, ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.USub, ast.Load)
-
-
 def _named(node, name_of):
     """The arithmetic tree ``node``, each outermost subtree that ``name_of``
     names (a str) made that name."""
@@ -278,21 +271,26 @@ def _terms(family: PotentialFamily) -> dict:
     ``temps`` holds its (name, source) in that order.  Every operation keeps
     its operands, so every value keeps its bits; a formula of more than
     arithmetic is kept as written."""
+    # the nodes of a formula it rewrites, and those of a term that cannot
+    # raise on floats (+, - and * give inf or NaN where they overflow)
+    arithmetic = (ast.BinOp, ast.UnaryOp, ast.Name, ast.Constant, ast.operator, ast.unaryop,
+                  ast.Load)
+    exact = (ast.BinOp, ast.UnaryOp, ast.Constant, ast.Add, ast.Sub, ast.Mult, ast.USub, ast.Load)
     hoisted, out = {}, {}
     for which in ("phi", "g", "rho"):
         tree = ast.parse(getattr(family, which), mode="eval").body
-        if not all(isinstance(node, _ARITHMETIC) for node in ast.walk(tree)):
+        if not all(isinstance(node, arithmetic) for node in ast.walk(tree)):
             out[which] = (), (), getattr(family, which)
             continue
         tree = _named(tree, lambda node: all(
-            isinstance(n, _EXACT) or isinstance(n, ast.Name) and n.id == "d2"
+            isinstance(n, exact) or isinstance(n, ast.Name) and n.id == "d2"
             for n in ast.walk(node)) and hoisted.setdefault(ast.unparse(node), f"pre{len(hoisted)}"))
         reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         temps = []
         while True:
             inner = [n for n in ast.walk(tree) if isinstance(n, (ast.BinOp, ast.UnaryOp))]
-            count = collections.Counter(map(ast.dump, inner))
-            repeated = [n for n in inner if count[ast.dump(n)] > 1]
+            dumps = [ast.dump(n) for n in inner]
+            repeated = [n for n, key in zip(inner, dumps) if dumps.count(key) > 1]
             if not repeated:
                 break
             first = min(repeated, key=lambda n: len(list(ast.walk(n))))
@@ -342,9 +340,9 @@ def _edge_pass(x, u, tails, heads, d, family) -> list[str]:
     fk_c = g zk_c, or 0.0 where ||z||^2 is exactly 0 (a coincident edge of
     a family whose g is infinite there exerts none).  Then each control name
     is one sum, 0.0 - f.. + f.. over its node's edges in edge order, minus
-    at the tail: the sum of u_i -= g z and u_j += g z over the edges bit for
-    bit, since a sum that starts at +0.0 is never -0.0, and adding or
-    subtracting +0.0 leaves any other value as it is."""
+    at the tail.  That equals u_i -= g z, u_j += g z edge by edge with a
+    coincident edge skipped, bit for bit: a sum that starts at +0.0 is
+    never -0.0, and adding or subtracting +0.0 leaves any other value as it is."""
     lines, terms = [], [[] for _ in u]
     for k, (i, j) in enumerate(zip(tails, heads)):
         z, f = ([f"{v}{k}_{c}" for c in range(d)] for v in "zf")

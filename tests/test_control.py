@@ -16,15 +16,18 @@ from rigidflex.control import (
     potential_value,
 )
 from rigidflex.graph import tetrahedron_flex, triangle_flex
-from rigidflex.potentials import QUADRATIC, RATIONAL
+from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
 from references import (
+    array_pass,
     balance_residuals,
     bind,
+    float_pass,
     leader_control,
     leader_input,
     leader_potential,
     leader_velocity,
     local_frame_control,
+    rk4_advance,
 )
 
 RNG = np.random.default_rng(42)
@@ -497,3 +500,64 @@ def test_generated_step_source_is_pinned():
                     found[f"{graph.num_nodes}-{family.name}-{mode}-{name}"] = \
                         hashlib.sha256(source.encode()).hexdigest()
     assert found == STEP_SOURCE_SHA256
+
+
+# families whose formulas repeat terms: nested e * e (quartic), and a
+# repeated term inside a repeated term, beside terms of d2 alone (nested)
+QUARTIC = PotentialFamily("quartic", "0.5 * (e * e) + 0.25 * ((e * e) * (e * e))",
+                          "e + (e * e) * e", "1.0 + 3.0 * (e * e)")
+NESTED = PotentialFamily("nested", "(e + d2) * (e + d2) + (e + d2) * (e + d2) * d2",
+                         "1.0 / ((e + d2) * (e + d2)) - 1.0 / (d2 * d2)",
+                         "-2.0 / ((e + d2) * (e + d2) * (e + d2))")
+
+
+def test_rewritten_formulas_keep_every_bit():
+    """``_terms`` names each term of d2 alone once per call (pre<j>) and
+    each repeated term once per evaluation (sub<j>, innermost first), and
+    leaves a formula that is one name bare.  With the rewritten formulas,
+    the pass equals the array pass of the formulas as written (a NaN as a
+    NaN), and its control and errors and the RK4 step equal the float
+    pass and the reference step bit for bit, at random points, coincident
+    pairs (where NESTED divides by zero after its temporaries are set and
+    falls back to numpy) and NaN and infinite coordinates."""
+    import rigidflex.control as control
+
+    assert control._terms(QUADRATIC)["g"] == ((), (), "e")
+    assert control._terms(RATIONAL)["g"] == ((("pre0", "d2 * d2"),), (("sub0", "e + d2"),),
+                                             "1.0 - pre0 / (sub0 * sub0)")
+    assert control._terms(RATIONAL)["rho"] == ((("pre1", "2.0 * (d2 * d2)"),),
+                                               (("sub0", "e + d2"),), "pre1 / (sub0 * sub0 * sub0)")
+    assert control._terms(QUARTIC)["phi"] == ((), (("sub0", "e * e"),),
+                                              "0.5 * sub0 + 0.25 * (sub0 * sub0)")
+    assert control._terms(NESTED)["phi"] == (
+        (), (("sub0", "e + d2"), ("sub1", "sub0 * sub0")), "sub1 + sub1 * d2")
+    rng = np.random.default_rng(41)
+    for graph in (triangle_flex(), tetrahedron_flex()):
+        n, d = graph.num_nodes, graph.dimension
+        points = [rng.uniform(-3.0, 3.0, (n, d)) for _ in range(6)]
+        for bad in (math.nan, math.inf, -math.inf):
+            points.append(rng.uniform(-3.0, 3.0, (n, d)))
+            points[-1][rng.integers(n), rng.integers(d)] = bad
+        for p in points[:3]:
+            points.append(p.copy())
+            points[-1][-1] = points[-1][-2]
+        for family in (QUADRATIC, RATIONAL, QUARTIC, NESTED):
+            advance, evaluate = control._compiled_step(graph, family, LeaderSpec())
+            run = float_pass(graph, family)[0]
+            for p in points:
+                states = edge_states(p, graph, family)
+                with np.errstate(all="ignore"):
+                    want = array_pass(p, graph, family)
+                for got, value in zip((states.z, states.e, states.g, states.rho, states.u,
+                                       states.v), want):
+                    np.testing.assert_array_equal(got, value, strict=True)
+                x = (0.1 * p).ravel().tolist()
+                k1, e0, w = evaluate(x)[:3]
+                with np.errstate(all="ignore"):
+                    assert [np.asarray(a).tobytes() for a in (k1, e0)] \
+                        == [np.asarray(b).tobytes() for b in run(x)]
+                    want = rk4_advance(graph, family, LeaderSpec(), x, k1, e0, w, 0.0, 1.0,
+                                       1e-3, 3, -math.inf)
+                got = advance(x, k1, w, 0.0, 1.0, 1e-3, 3, -math.inf)
+                assert [None if a is None else np.asarray(a).tobytes() for a in got] \
+                    == [None if b is None else np.asarray(b).tobytes() for b in want]
