@@ -12,10 +12,14 @@ alone once per call, a repeated term once per evaluation, each edge's
 force once and each node's control as one sum of its edges' forces.
 ``evaluate`` is the pass behind ``edge_states``, ``gradient_control`` and
 ``potential_value`` (``_pass`` makes it alone) and behind each
-``integrate`` segment start; ``advance`` is the integrator's RK4 loop;
+``integrate`` segment start; ``advance`` is the integrator's RK4 loop.
+Both also return the balance residual max_i ||u_i||, which decides every
+equilibrium, formed inline from their control names (``_residual_lines``).
 ``hessian`` (``_hessian_pass``) is H from a pass's z, g and rho, each
-symmetric pair of entries formed once.  Each sums on Python floats in edge
-order, so no result depends on how a BLAS sums.  ``LeaderSpec`` holds the flex
+symmetric pair of entries formed once, and ``aligned`` (``_aligned_pass``)
+the same H in one dimension at the edge coordinates z_k . r that it forms
+itself: the block that ``stability``'s witness reads.  Each sums on Python
+floats in edge order, so no result depends on how a BLAS sums.  ``LeaderSpec`` holds the flex
 agent's leader input as values, a windowed one as a sample table that the
 generated step looks up inline, and its arrival test.
 """
@@ -74,18 +78,6 @@ def _dot(u, v) -> float:
     return total
 
 
-def _residual(u, d: int) -> float:
-    """The balance residual: the largest ``_norm`` of an agent's d entries
-    in a flat, node-major list u, which sums ((x^2 + y^2) + z^2) as numpy's
-    norm along an axis does; NaN if any is NaN, as numpy's max gives."""
-    worst = 0.0
-    for i in range(0, len(u), d):
-        r = _norm(u[i:i + d])
-        if r > worst or r != r:         # a NaN is taken and then kept
-            worst = r
-    return worst
-
-
 @dataclass(frozen=True)
 class EdgeState:
     """Per-edge kinematics and potential derivatives, in edge order, V and
@@ -97,15 +89,14 @@ class EdgeState:
     rho: np.ndarray    # (m,) d g / d e
     u: np.ndarray      # (N+1, d) control of the same pass, u_i = -sum_j g_ij z_ij
     v: float           # V = 1/2 sum phi(e) of the same pass, inf on the coincidence boundary
-    residual: float    # max_i ||u_i|| (``_residual``), NaN if any u_i is
+    residual: float    # the balance residual max_i ||u_i||, NaN if any u_i is
 
 
 def edge_states(p, graph: FormationGraph, family: PotentialFamily) -> EdgeState:
-    u, e, v, z, g, rho = _evaluate(p, graph, family)
+    u, e, v, z, g, rho, residual = _pass(graph, family)(as_positions(p, graph).ravel().tolist())
     d = graph.dimension
     return EdgeState(z=np.array(z).reshape(-1, d), e=np.array(e), g=np.array(g),
-                     rho=np.array(rho), u=np.array(u).reshape(-1, d), v=v,
-                     residual=_residual(u, d))
+                     rho=np.array(rho), u=np.array(u).reshape(-1, d), v=v, residual=residual)
 
 
 def potential_value(p, graph: FormationGraph, family: PotentialFamily) -> float:
@@ -120,7 +111,7 @@ def gradient_control(p, graph: FormationGraph, family: PotentialFamily) -> np.nd
 
 def _evaluate(p, graph: FormationGraph, family: PotentialFamily):
     """The edge pass at a realization ``p``: (u, e, V, z, g, rho) as lists."""
-    return _pass(graph, family)(as_positions(p, graph).ravel().tolist())
+    return _pass(graph, family)(as_positions(p, graph).ravel().tolist())[:6]
 
 
 @functools.lru_cache(maxsize=32)
@@ -357,6 +348,19 @@ def _edge_pass(x, u, tails, heads, d, family) -> list[str]:
     return lines + [f"{name} = 0.0{''.join(t)}" for name, t in zip(u, terms)]
 
 
+def _residual_lines(u, d) -> list[str]:
+    """Source lines that set ``res`` to the balance residual max_i ||u_i||
+    of the control names ``u``, d per node in node order.  Each node's norm
+    is sqrt(0.0 + x*x + y*y (+ z*z)), its squares summed left to right as
+    ``_norm`` sums them, and it is taken where it is larger or NaN: a NaN
+    is taken and then kept, as numpy's max gives one."""
+    lines = ["res = 0.0"]
+    for i in range(0, len(u), d):
+        lines += [f"r = sqrt(0.0{''.join(f' + {x} * {x}' for x in u[i:i + d])})",
+                  "if r > res or r != r:", "    res = r"]
+    return lines
+
+
 def _leader_input(mode, time, x, u, flex) -> list[str]:
     """Source lines that add the leader input at ``time`` to the flex
     agent's control names: k_f (p_t - p_flex) in target mode; on [t0, tf]
@@ -407,10 +411,10 @@ def _step_source(tails, heads, n, d, family, mode, name) -> str:
         rho = [_call(f"r{k}", family, "rho", k) for k in range(m)]
         g = (_call(f"g{k}", family, "g", k)[1] for k in range(m))
         body = [*constants, f"{', '.join(p)}, = p", *closing(p, a),
-                *(line for lines, _ in rho for line in lines),
+                *(line for lines, _ in rho for line in lines), *_residual_lines(a, d),
                 f"return [{', '.join(a)}], [{errors}], w, "
                 f"[{', '.join(f'z{k}_{c}' for k in range(m) for c in range(d))}], "
-                f"[{', '.join(g)}], [{', '.join(value for _, value in rho)}]"]
+                f"[{', '.join(g)}], [{', '.join(value for _, value in rho)}], res"]
         return "def evaluate(p):\n" + "".join(f"    {line}\n" for line in body)
 
     def stage(k, out, scale, time):
@@ -433,13 +437,13 @@ def _step_source(tails, heads, n, d, family, mode, name) -> str:
             "w_prev = w",
             *closing(q, a),
             "if not isfinite(w):",
-            f"    return [{', '.join(p)}], None, None, w, t, dv",
+            f"    return [{', '.join(p)}], None, None, w, t, dv, None",
             *rise,
             *(f"{p[i]} = {q[i]}" for i in range(size)),
             "t += h"]
     body = [*constants, f"{', '.join(p)}, = p", f"{', '.join(a)}, = k1",
-            "for _ in range(n):", *(f"    {line}" for line in step),
-            f"return [{', '.join(p)}], [{', '.join(a)}], [{errors}], w, t, dv"]
+            "for _ in range(n):", *(f"    {line}" for line in step), *_residual_lines(a, d),
+            f"return [{', '.join(p)}], [{', '.join(a)}], [{errors}], w, t, dv, res"]
     return ("def advance(p, k1, w, t, boundary, dt, n, dv):\n"
             + "".join(f"    {line}\n" for line in body))
 
@@ -454,18 +458,16 @@ def _step_code(tails, heads, n, d, family, mode, name):
                      f"{n} nodes in {d}-D, {list(zip(tails, heads))}>")
 
 
-def _hessian_source(tails, heads, n, d) -> str:
-    """Python source of ``hessian(z, g, rho)``: H's (n d)^2 entries, row-major,
-    from one pass's lists, as numpy formed them.  Edge k's M[a][b] = (2.0 rho)
-    (z_a z_b) + g delta_ab (g * 0.0 off the diagonal) goes to node blocks (i,i),
-    (j,j), (i,j), (j,i) as M, M, -M, -M, each entry 0.0 + its terms in edge order.
-    M is formed for a <= b only: M[b][a] is M[a][b] bit for bit (z_b z_a is
-    z_a z_b, but for which NaN a product of two NaNs keeps), so H is symmetric
-    term by term and each sum off the diagonal is formed once for both entries."""
-    edges = range(len(tails))
-    lines = [f"{', '.join(f'z{k}_{c}' for k in edges for c in range(d))}, = z",
-             *(f"{', '.join(f'{x}{k}' for k in edges)}, = {x}" for x in ("g", "rho"))]
-    entries = {}                # (row, column), row <= column -> its sum so far
+def _hessian_lines(tails, heads, n, d) -> list[str]:
+    """Source lines from a pass's names z{k}_{c}, g{k} and rho{k} to the
+    return of H's (n d)^2 entries, row-major, as numpy formed them.  Edge
+    k's M[a][b] = (2.0 rho) (z_a z_b) + g delta_ab (g * 0.0 off the
+    diagonal) goes to node blocks (i,i), (j,j), (i,j), (j,i) as M, M, -M,
+    -M, each entry 0.0 + its terms in edge order.  M is formed for a <= b
+    only: M[b][a] is M[a][b] bit for bit (z_b z_a is z_a z_b, but for which
+    NaN a product of two NaNs keeps), so H is symmetric term by term and
+    each sum off the diagonal is formed once for both entries."""
+    lines, entries = [], {}     # (row, column), row <= column -> its sum so far
     for k, (i, j) in enumerate(zip(tails, heads)):
         lines.append(f"t = 2.0 * rho{k}")
         for a, b in itertools.combinations_with_replacement(range(d), 2):  # g * 1.0 is g
@@ -481,8 +483,33 @@ def _hessian_source(tails, heads, n, d) -> str:
             lines.append(f"h{row}_{col} = {total}")
             entries[row, col] = f"h{row}_{col}"
     flat = (entries.get(tuple(sorted(divmod(x, n * d))), "0.0") for x in range((n * d) ** 2))
-    return ("def hessian(z, g, rho):\n" + "".join(f"    {line}\n" for line in lines)
-            + f"    return [{', '.join(flat)}]\n")
+    return lines + [f"return [{', '.join(flat)}]"]
+
+
+def _hessian_source(tails, heads, n, d) -> str:
+    """Python source of ``hessian(z, g, rho)``: H from one pass's lists
+    (``_hessian_lines``)."""
+    edges = range(len(tails))
+    lines = [f"{', '.join(f'z{k}_{c}' for k in edges for c in range(d))}, = z",
+             *(f"{', '.join(f'{x}{k}' for k in edges)}, = {x}" for x in ("g", "rho")),
+             *_hessian_lines(tails, heads, n, d)]
+    return "def hessian(z, g, rho):\n" + "".join(f"    {line}\n" for line in lines)
+
+
+def _aligned_source(tails, heads, n, d) -> str:
+    """Python source of ``aligned(z, r, g, rho)``: the n^2 block r^T H_ij r
+    along the unit axis r, flat and row-major, from one pass's lists.  It is
+    H in one dimension (``_hessian_lines``) at the edge coordinates z_k . r,
+    each formed as 0.0 + z_k0 r0 + z_k1 r1 (+ z_k2 r2) left to right, as
+    ``_dot`` sums: the Laplacian of the edge weights
+    w_k = r^T M_k r = 2 rho_k (z_k . r)^2 + g_k."""
+    edges = range(len(tails))
+    lines = [f"{', '.join(f'y{k}_{c}' for k in edges for c in range(d))}, = z",
+             f"{', '.join(f'r{c}' for c in range(d))}, = r",
+             *(f"z{k}_0 = 0.0{''.join(f' + y{k}_{c} * r{c}' for c in range(d))}" for k in edges),
+             *(f"{', '.join(f'{x}{k}' for k in edges)}, = {x}" for x in ("g", "rho")),
+             *_hessian_lines(tails, heads, n, 1)]
+    return "def aligned(z, r, g, rho):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 @functools.lru_cache(maxsize=32)
@@ -492,6 +519,15 @@ def _hessian_pass(shape: tuple):
     return FunctionType(_compiled(_hessian_source(*shape), "hessian", f"<rigidflex hessian: "
                                   f"{shape[2]} nodes in {shape[3]}-D, {list(zip(*shape[:2]))}>"),
                         {})
+
+
+@functools.lru_cache(maxsize=32)
+def _aligned_pass(shape: tuple):
+    """``aligned`` for one graph shape, compiled on first use and kept for
+    the 32 shapes used last."""
+    return FunctionType(_compiled(_aligned_source(*shape), "aligned", f"<rigidflex aligned "
+                                  f"block: {shape[2]} nodes in {shape[3]}-D, "
+                                  f"{list(zip(*shape[:2]))}>"), {})
 
 
 def _compiled(source: str, name: str, filename: str):
@@ -504,13 +540,20 @@ def _compiled(source: str, name: str, filename: str):
     return namespace[name].__code__
 
 
+@functools.lru_cache(maxsize=32)
 def _constants(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec()) -> dict:
     """The globals of every generated function (edge pass, RK4 step, layout
     balance): the family's numpy evaluators PHI, G and RHO for ``_on_numpy``,
     each edge's dbar^2 as D2_k, and a leader's k_f and p_t, or t0, tf and
-    its sample table as TIMES and VALUES; no leader by default."""
+    its sample table as TIMES and VALUES; no leader by default.  Made once
+    per (graph, family, leader) and kept for the 32 used last; no generated
+    function writes a global.  Specs that differ only in the sign of a zero
+    compare equal and share one dict, which changes no bit: the times are
+    only compared, p_t - p_flex is squared or scaled, and a scaled
+    difference or a sample row is added to a control, a sum from +0.0
+    that is never -0.0."""
     names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "isfinite": math.isfinite,
-             "bisect_right": bisect.bisect_right}
+             "bisect_right": bisect.bisect_right, "sqrt": math.sqrt}
     names["PHI"], names["G"], names["RHO"] = evaluators(family)
     names.update((f"D2_{k}", dbar2) for k, dbar2 in enumerate(graph._dbar2))
     if leader.mode == "target":
@@ -521,25 +564,29 @@ def _constants(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec
     return names
 
 
+@functools.lru_cache(maxsize=32)
 def _compiled_step(graph: FormationGraph, family: PotentialFamily, leader: LeaderSpec):
     """``(advance, evaluate)`` bound to the ``_constants`` of a graph, a
-    family and a leader: ``advance``'s code is cached per graph shape,
-    family and leader mode, ``evaluate``'s per shape, family and whether a
-    target term is added.
+    family and a leader, made once per (graph, family, leader) and kept for
+    the 32 used last: ``advance``'s code is cached per graph shape, family
+    and leader mode, ``evaluate``'s per shape, family and whether a target
+    term is added.
 
     ``evaluate(p)`` maps a flat, node-major list of (N+1) d floats to, as
     new lists, the gradient control u in that layout, the squared errors e
     in edge order and, in third place, the Lyapunov value w = V + the target
     potential, then the edge vectors z (edge-major, d entries per edge) and
     g and rho per edge, at every edge (an exactly coincident one exerts no
-    force).  ``advance(p, k1, w, t, boundary, dt, n, dv)``, with k1 and w
-    what ``evaluate`` gave at p, takes up to n RK4 steps of length
+    force), and last the balance residual max_i ||u_i|| (``_residual_lines``).
+    ``advance(p, k1, w, t, boundary, dt, n, dv)``, with k1 and w what
+    ``evaluate`` gave at p, takes up to n RK4 steps of length
     min(dt, boundary - t) from time t while boundary - t > 1e-12 (callers
     leave it at least one).  It returns the state, u and e there as new
-    lists, w, the time and dv raised to the worst step's increase of w,
-    leaving out the steps that meet a windowed leader's [t0, tf].  A step
-    whose w is not finite is not taken: advance then returns the state,
-    time and dv before it, None for u and e, and that w.
+    lists, w, the time, dv raised to the worst step's increase of w,
+    leaving out the steps that meet a windowed leader's [t0, tf], and the
+    balance residual of u, formed once after the last step.  A step whose w
+    is not finite is not taken: advance then returns the state, time and dv
+    before it, None for u, e and the residual, and that w.
 
     Both read the call's constants into locals once and run straight-line
     code over local floats, unrolled over the edges and coordinates: the

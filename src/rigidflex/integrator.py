@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _check_eq_tol, _compiled_step, _norm, _residual
+from .control import EQ_TOL, LeaderSpec, _check_eq_tol, _compiled_step, _norm
 from .graph import FormationGraph, _floats, _integer, as_positions
 from .potentials import PotentialFamily
 
@@ -111,15 +111,15 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     states this small, numpy's per-call cost would be most of the work.
     The loop turns once per record: each turn is one call of the
     straight-line ``advance`` that ``control._compiled_step`` ties to the
-    graph, the family and the leader once per call.  It takes the steps up
-    to the next record (every record_every steps and at each event and
-    t_end) and returns the control, squared errors and Lyapunov value
-    there, which serve as the next call's first stage, the record and the
-    equilibrium check; ``evaluate`` gives them at each segment start.
-    Records go into compact ``array('d')`` buffers and make no numpy call:
-    the recorded gradient norm sums the squared control left to right
-    (``_norm``) and the equilibrium check takes the balance residual
-    (``control._residual``).  A perturbation is added to the agent's d
+    graph, the family and the leader, bound once per (graph, family,
+    leader).  It takes the steps up to the next record (every record_every
+    steps and at each event and t_end) and returns the control, squared
+    errors and Lyapunov value there, which serve as the next call's first
+    stage and the record, and the balance residual of that control, which
+    the equilibrium check reads; ``evaluate`` gives them at each segment
+    start.  Records go into compact ``array('d')`` buffers and make no
+    numpy call: the recorded gradient norm sums the squared control left to
+    right (``_norm``).  A perturbation is added to the agent's d
     floats of the list; an add that overflows gives inf, and the guard
     judges the state it leaves.  The loop does no numpy arithmetic.
 
@@ -146,7 +146,7 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             raise ValueError(f"agent {ev.agent} out of range for {n} nodes")
         if len(ev.displacement) != d:
             raise ValueError("displacement does not match the ambient dimension")
-    advance, evaluate = _compiled_step(graph, family, leader)     # once per call
+    advance, evaluate = _compiled_step(graph, family, leader)
 
     def failure(w, t_w, t, state):
         """The error for a Lyapunov value w reached at t_w that is not
@@ -176,9 +176,8 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
         errors.extend(e)
         gnorms.append(_norm(u))
 
-    def check_events(t, state, u):
+    def check_events(t, state, residual):
         nonlocal eq_armed, target_armed
-        residual = _residual(u, d)
         if eq_armed and residual < eq_tol:
             log.append((t, "equilibrium_detected"))
             eq_armed = False
@@ -193,11 +192,12 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     record(t, p, e, k1)
     for event, boundary in [*((ev, ev.time) for ev in schedule), (None, t_end)]:
         while boundary - t > 1e-12:
-            p, k1, e, w, t, max_dv = advance(p, k1, w, t, boundary, dt, record_every, max_dv)
+            p, k1, e, w, t, max_dv, residual = advance(p, k1, w, t, boundary, dt,
+                                                       record_every, max_dv)
             if not math.isfinite(w):
                 raise failure(w, t + min(dt, boundary - t), t, p)
             record(t, p, e, k1)
-            check_events(t, p, k1)
+            check_events(t, p, residual)
         t = boundary
         if event is not None:
             i = d * (event.agent - 1)

@@ -43,7 +43,7 @@ from types import FunctionType
 import numpy as np
 
 from .control import (_call, _compiled, _constants, _dot, _norm, _on_numpy, _pass, _per_call,
-                      _residual, _sum)
+                      _sum)
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily, evaluators
 from .stability import LINE_SLOTS, _classify, _hessian
@@ -99,13 +99,13 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarr
     assembled Hessian; least-squares steps take the minimal-norm correction,
     leaving the rigid-motion (and flex-orbit) null directions untouched.
     Each iteration makes one edge pass (``control._pass``) on the float
-    list of p, whose u gives the balance residual (``control._residual``)
-    and the right-hand side, and whose z, g and rho give the Hessian.
+    list of p, which returns the balance residual with u, the right-hand
+    side, and whose z, g and rho give the Hessian.
     """
     p, evaluate = as_positions(p, graph).reshape(-1).astype(float), _pass(graph, family)
     for it in range(POLISH_MAX_ITER + 1):
-        u, _, _, z, g, rho = evaluate(p.tolist())
-        if (residual := _residual(u, graph.dimension)) < POLISH_TOL:
+        u, _, _, z, g, rho, residual = evaluate(p.tolist())
+        if residual < POLISH_TOL:
             return p
         if it == POLISH_MAX_ITER:
             raise OracleError(f"Newton polish stalled at residual {residual:.3e}")

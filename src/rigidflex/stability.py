@@ -19,10 +19,12 @@ degenerate-rigid class its subform and roles, the rigid agents' labels in
 role order i, j, k, l.  Line forms are looked up in LINE_SLOTS, the slot
 table the oracle builds its line equilibria from; planar forms come from the
 signs of the agents' affine dependence, in signed triangle areas.  The sign
-claims are data over the roles (SIGN_CLAIMS), compiled once per subform,
-roles and edges into edge indices, and the simplex's index pairs and faces
-are made once per point count (``_faces``).  No verdict calls LAPACK; the
-spectra are reported, not judged.
+claims are data over the roles (SIGN_CLAIMS), generated once per subform,
+roles and edges as one straight-line function over g (``_compiled_claims``),
+and the simplex's index pairs and faces are made once per point count
+(``_faces``).  The balance residual that decides an equilibrium comes with
+the edge pass, and the aligned block from ``control``'s generated
+``aligned``.  No verdict calls LAPACK; the spectra are reported, not judged.
 
 ``analyze``, the one entry point for the witness and the sign claims, makes
 one edge pass (``control._pass``) and hands its lists to the private
@@ -38,11 +40,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from types import FunctionType
 
 import numpy as np
 
-from .control import (EQ_TOL, _check_eq_tol, _dot, _evaluate, _hessian_pass, _norm, _pass,
-                      _residual)
+from .control import (EQ_TOL, _aligned_pass, _check_eq_tol, _compiled, _dot, _evaluate,
+                      _hessian_pass, _norm, _pass)
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialDomainError, PotentialFamily
 
@@ -79,12 +82,11 @@ def _hessian(z, g, rho, shape: tuple) -> np.ndarray:
 
 def _aligned_block(z, g, rho, r, graph: FormationGraph) -> list:
     """The (N+1)^2 block r^T H_ij r along the unit axis r, as a flat,
-    row-major list: the generated Hessian in one dimension at the edge
-    coordinates z_k . r, the Laplacian of the edge weights
-    w_k = r^T M_k r = 2 rho_k (z_k . r)^2 + g_k; ``z`` is the pass's flat list."""
-    d = len(r)
-    return _hessian_pass((*graph._shape[:3], 1))([_dot(z[k:k + d], r)
-                                                  for k in range(0, len(z), d)], g, rho)
+    row-major list, by the graph shape's generated ``aligned``
+    (``control._aligned_pass``): each edge coordinate z_k . r formed inline
+    from the pass's flat z, then the Hessian in one dimension there, the
+    Laplacian of the edge weights w_k = r^T M_k r = 2 rho_k (z_k . r)^2 + g_k."""
+    return _aligned_pass(graph._shape)(z, r, g, rho)
 
 
 def _cross(a, b) -> list:
@@ -237,11 +239,10 @@ def classify(p, graph: FormationGraph, family: PotentialFamily) -> EquilibriumCl
 def _classify(x: list, out: tuple, graph: FormationGraph,
               eq_tol: float = EQ_TOL) -> EquilibriumClass:
     """``classify`` at the flat realization ``x`` from its edge pass ``out``,
-    the lists (u, e, V, z, g, rho), whose balance residual decides an
-    equilibrium."""
-    u, e, _, z, _, _ = out
+    the lists (u, e, V, z, g, rho) and the balance residual, which decides
+    an equilibrium."""
+    _, e, _, z, _, _, residual = out
     d = graph.dimension
-    residual = _residual(u, d)
     diag = {"residual": residual}
     if not residual < eq_tol:               # also a NaN residual
         return EquilibriumClass(kind="not_equilibrium", diagnostics=diag)
@@ -416,64 +417,74 @@ SIGN_CLAIMS = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def _compiled_claims(d: int, subform: str, roles: tuple, edges: tuple) -> tuple:
-    """The SIGN_CLAIMS rows of a subform at the given roles, compiled once for
-    the graph's ``edges``: per row its alternatives, each a relation, the pivot's
-    terms ("" if none) and the options, each a (description, terms) pair; a
-    term is a tuple of edge indices ("@" terms hold several, in role order)."""
+def _claims_source(d: int, subform: str, roles: tuple, edges: tuple) -> str:
+    """Python source of ``claims(g)``: the SIGN_CLAIMS rows of a subform at
+    the given roles, one Claim per row, over g in the order of the graph's
+    ``edges``.
+
+    Each value is one expression: each term's g values summed left to right
+    from 0.0, then the terms from 0.0 ("@" terms in role order).  A pivot
+    picks its option, and "A or B" its smaller value (min's first of the
+    least), by if expressions; "A or B" holds when either alternative does.
+    A value within ZERO_TOL (>= 0) of 0 counts as zero; ZERO_TOL and Claim
+    are read from this module at each call."""
     at = {pair: k for k, pair in enumerate(edges)}
 
     def terms(spec: str) -> tuple:
-        names, parts = [], []
+        """The description of a '+'-joined sum of g terms, and its value's source."""
+        names, sums = [], []
         for term in spec.split("+"):
             if term[0] == "@":
                 a = roles["ijkl".index(term[1])]
                 names.append(f"sum_g at {a}")
-                parts.append(tuple(at[min(a, b), max(a, b)] for b in roles if b != a))
+                ks = [at[min(a, b), max(a, b)] for b in roles if b != a]
             else:
                 a, b = sorted(roles["ijkl".index(r)] for r in term)
                 names.append(f"g_{a}{b}")
-                parts.append((at[a, b],))
-        return "+".join(names), tuple(parts)
+                ks = [at[a, b]]
+            sums.append(f"(0.0{''.join(f' + g{k}' for k in ks)})")
+        return "+".join(names), "0.0 + " + " + ".join(sums)
 
-    def alternative(part: str) -> tuple:
-        body, relation, _ = part.rsplit(" ", 2)
-        pivot, _, body = body.rpartition(" ? ")
-        return relation, pivot and terms(pivot)[1], tuple(
-            (f"{name} {relation} 0", parts) for name, parts in map(terms, body.split(" : ")))
+    def pick(options, p) -> str:
+        """The option as the pivot p is below -tol, within tol or above."""
+        return f"({options[2]} if {p} > tol else {options[1]} if {p} >= -tol else {options[0]})"
 
-    return tuple(tuple(map(alternative, spec.split(" or "))) for spec in SIGN_CLAIMS[d][subform])
+    verdict = {"<": "{} < 0", ">": "{} > 0", "=": "abs({}) <= tol"}
+    lines, claims = [f"{', '.join(f'g{k}' for k in range(len(edges)))}, = g", "tol = ZERO_TOL"], []
+    for j, spec in enumerate(SIGN_CLAIMS[d][subform]):
+        described, values, passed = [], [], []
+        for part in spec.split(" or "):
+            body, relation, _ = part.rsplit(" ", 2)
+            pivot, _, body = body.rpartition(" ? ")
+            names, sums = zip(*map(terms, body.split(" : ")))
+            names = [repr(f"{name} {relation} 0") for name in names]
+            value = f"v{j}_{len(values)}"
+            if pivot:
+                p = f"p{j}_{len(values)}"
+                lines += [f"{p} = {terms(pivot)[1]}", f"{value} = {pick(sums, p)}"]
+                described.append(pick(names, p))
+            else:
+                lines.append(f"{value} = {sums[0]}")
+                described.append(names[0])
+            values.append(value)
+            passed.append(verdict[relation].format(value))
+        least = values[0]
+        for value in values[1:]:        # min(values): the first of the least
+            lines.append(f"m{j} = {value} if {value} < {least} else {least}")
+            least = f"m{j}"
+        described = " + ' or ' + ".join(described)
+        claims.append(f"Claim({described}, {least}, {' or '.join(passed)})")
+    lines.append(f"return [{', '.join(claims)}]")
+    return "def claims(g):\n" + "".join(f"    {line}\n" for line in lines)
 
 
-def _total(parts: tuple, g: list) -> float:
-    """Each term's g values summed left to right from 0.0, then the terms (``_sum``'s rule)."""
-    total = 0.0
-    for part in parts:
-        term = 0.0
-        for k in part:
-            term += g[k]
-        total += term
-    return total
-
-
-def _claim(row: tuple, g: list) -> Claim:
-    """One compiled SIGN_CLAIMS row (``_compiled_claims``) on g in edge order.
-    "A or B" holds when either alternative does, with the smaller value.
-    A value within ZERO_TOL of 0 counts as zero."""
-    descriptions, values, passed = [], [], False
-    for relation, pivot, options in row:
-        option = 0
-        if pivot:
-            gp = _total(pivot, g)
-            option = (gp >= -ZERO_TOL) + (gp > ZERO_TOL)
-        description, parts = options[option]
-        value = _total(parts, g)
-        descriptions.append(description)
-        values.append(value)
-        passed = passed or (value < 0 if relation == "<" else
-                            value > 0 if relation == ">" else abs(value) <= ZERO_TOL)
-    return Claim(" or ".join(descriptions), min(values), passed)
+@functools.lru_cache(maxsize=None)
+def _compiled_claims(d: int, subform: str, roles: tuple, edges: tuple):
+    """``claims(g)`` of a subform at the given roles on a graph's ``edges``
+    (``_claims_source``), generated and compiled once."""
+    return FunctionType(_compiled(_claims_source(d, subform, roles, edges), "claims",
+                                  f"<rigidflex claims: {subform} in {d}-D, roles {roles}, "
+                                  f"edges {edges}>"), globals())
 
 
 def _claims(g, graph: FormationGraph, cls: EquilibriumClass) -> list[Claim]:
@@ -484,8 +495,7 @@ def _claims(g, graph: FormationGraph, cls: EquilibriumClass) -> list[Claim]:
     ``classify`` assigned (``cls.roles``).  Every g term names its labels in
     ascending order.
     """
-    return [_claim(row, g) for row in _compiled_claims(graph.dimension, cls.subform, cls.roles,
-                                                       graph.edges)]
+    return _compiled_claims(graph.dimension, cls.subform, cls.roles, graph.edges)(g)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +570,7 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     """
     _check_eq_tol(eq_tol)
     x = as_positions(p, graph).ravel().tolist()
-    _, e, v, z, g, rho = out = _pass(graph, family)(x)
+    _, e, v, z, g, rho, _ = out = _pass(graph, family)(x)
     cls = _classify(x, out, graph, eq_tol)
     h = _hessian(z, g, rho, graph._shape)
     finite_h = bool(np.isfinite(h).all())

@@ -5,19 +5,20 @@ import math
 
 import numpy as np
 
-from rigidflex.control import _dot, _norm, _residual, _sum, edge_states, gradient_control
+from rigidflex.control import _dot, _norm, _sum, edge_states, gradient_control
 from rigidflex.graph import FormationGraph, simplex_gram
 from rigidflex.integrator import integrate
 from rigidflex.oracle import newton_polish
 from rigidflex.potentials import evaluators
+import rigidflex.stability as stability
 from rigidflex.stability import (
     _LINE_FORMS,
     EQ_TOL,
     GEOM_TOL,
     POS_TOL,
     SHAPE_TOL,
+    SIGN_CLAIMS,
     WITNESS_MARGIN,
-    ZERO_TOL,
     Claim,
     EquilibriumClass,
     Witness,
@@ -209,9 +210,10 @@ def rk4_advance(graph, family, spec, p, k1, e, w, t, boundary, dt, n, dv):
     """Up to n ``rk4_step`` calls while boundary - t > 1e-12, each of length
     min(dt, boundary - t), from the state p with its gradient control k1,
     squared errors e and Lyapunov value w: (state, control, errors, w, t,
-    dv) after the last step, dv raised to the worst increase of w over the
-    steps that do not meet a windowed leader's [t0, tf].  A step whose w is
-    not finite is not taken: (state, None, None, that w, t, dv) before it."""
+    dv, residual) after the last step, dv raised to the worst increase of w
+    over the steps that do not meet a windowed leader's [t0, tf], and the
+    control's ``_residual``.  A step whose w is not finite is not taken:
+    (state, None, None, that w, t, dv, None) before it."""
     t0, tf = (spec.t0, spec.tf) if spec.mode == "windowed" else (math.inf, -math.inf)
     for _ in range(n):
         if not boundary - t > 1e-12:
@@ -219,17 +221,29 @@ def rk4_advance(graph, family, spec, p, k1, e, w, t, boundary, dt, n, dv):
         h = min(dt, boundary - t)
         p_new, u, e_new, w_new = rk4_step(graph, family, spec, p, k1, t, h)
         if not math.isfinite(w_new):
-            return p, None, None, w_new, t, dv
+            return p, None, None, w_new, t, dv, None
         if not (t <= tf and t0 <= t + h):
             dv = max(dv, w_new - w)
         p, k1, e, w, t = p_new, u, e_new, w_new, t + h
-    return p, k1, e, w, t, dv
+    return p, k1, e, w, t, dv, _residual(k1, graph.dimension)
 
 
 def gradient_norm(u):
     """||u|| with the squares summed left to right: the square root of the
     last partial sum of numpy's cumulative sum, which is sequential."""
     return float(np.sqrt(np.cumsum(np.square(u))[-1]))
+
+
+def _residual(u, d: int) -> float:
+    """The balance residual as ``control`` computed it before the generated
+    pass returned it: the largest ``_norm`` of an agent's d entries in a
+    flat, node-major list u; NaN if any is NaN, the last NaN found."""
+    worst = 0.0
+    for i in range(0, len(u), d):
+        r = _norm(u[i:i + d])
+        if r > worst or r != r:         # a NaN is taken and then kept
+            worst = r
+    return worst
 
 
 def balance_residual(u, d):
@@ -558,7 +572,7 @@ def dict_planar_layout(side: dict, normal: tuple):
 def dict_classify(x: list, out: tuple, graph, eq_tol: float = EQ_TOL) -> EquilibriumClass:
     """``stability._classify`` from ``dict_simplex``, ``dict_line_layout``
     and ``dict_planar_layout``, each cluster listed by a scan per head."""
-    u, e, _, z, _, _ = out
+    u, e, _, z, _, _, _ = out
     d = graph.dimension
     residual = _residual(u, d)
     diag = {"residual": residual}
@@ -628,13 +642,79 @@ def dict_claim(spec: str, roles: tuple, g: dict) -> Claim:
         option = 0
         if pivot:
             gp = _g_total(_g_terms(pivot, roles)[1], g)
-            option = (gp >= -ZERO_TOL) + (gp > ZERO_TOL)
+            option = (gp >= -stability.ZERO_TOL) + (gp > stability.ZERO_TOL)
         name, parts = options[option]
         value = _g_total(parts, g)
         descriptions.append(f"{name} {relation} 0")
         values.append(value)
         passed = passed or (value < 0 if relation == "<" else
-                            value > 0 if relation == ">" else abs(value) <= ZERO_TOL)
+                            value > 0 if relation == ">" else abs(value) <= stability.ZERO_TOL)
+    return Claim(" or ".join(descriptions), min(values), passed)
+
+
+# ---------------------------------------------------------------------------
+# The sign claims as ``stability`` interpreted them before it generated one
+# function per subform, roles and edges: rows compiled into edge indices,
+# then read one claim at a time
+
+
+def claim_rows(d: int, subform: str, roles: tuple, edges: tuple) -> tuple:
+    """The SIGN_CLAIMS rows of a subform at the given roles, compiled for the
+    graph's ``edges``: per row its alternatives, each a relation, the pivot's
+    terms ("" if none) and the options, each a (description, terms) pair; a
+    term is a tuple of edge indices ("@" terms hold several, in role order)."""
+    at = {pair: k for k, pair in enumerate(edges)}
+
+    def terms(spec: str) -> tuple:
+        names, parts = [], []
+        for term in spec.split("+"):
+            if term[0] == "@":
+                a = roles["ijkl".index(term[1])]
+                names.append(f"sum_g at {a}")
+                parts.append(tuple(at[min(a, b), max(a, b)] for b in roles if b != a))
+            else:
+                a, b = sorted(roles["ijkl".index(r)] for r in term)
+                names.append(f"g_{a}{b}")
+                parts.append((at[a, b],))
+        return "+".join(names), tuple(parts)
+
+    def alternative(part: str) -> tuple:
+        body, relation, _ = part.rsplit(" ", 2)
+        pivot, _, body = body.rpartition(" ? ")
+        return relation, pivot and terms(pivot)[1], tuple(
+            (f"{name} {relation} 0", parts) for name, parts in map(terms, body.split(" : ")))
+
+    return tuple(tuple(map(alternative, spec.split(" or "))) for spec in SIGN_CLAIMS[d][subform])
+
+
+def _total(parts: tuple, g: list) -> float:
+    """Each term's g values summed left to right from 0.0, then the terms (``_sum``'s rule)."""
+    total = 0.0
+    for part in parts:
+        term = 0.0
+        for k in part:
+            term += g[k]
+        total += term
+    return total
+
+
+def _claim(row: tuple, g: list) -> Claim:
+    """One row of ``claim_rows`` on g in edge order.  "A or B" holds when
+    either alternative does, with the smaller value.  A value within
+    ZERO_TOL of 0 counts as zero."""
+    descriptions, values, passed = [], [], False
+    tol = stability.ZERO_TOL
+    for relation, pivot, options in row:
+        option = 0
+        if pivot:
+            gp = _total(pivot, g)
+            option = (gp >= -tol) + (gp > tol)
+        description, parts = options[option]
+        value = _total(parts, g)
+        descriptions.append(description)
+        values.append(value)
+        passed = passed or (value < 0 if relation == "<" else
+                            value > 0 if relation == ">" else abs(value) <= tol)
     return Claim(" or ".join(descriptions), min(values), passed)
 
 

@@ -18,7 +18,9 @@ from rigidflex.control import (
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
 from references import (
+    _residual,
     array_pass,
+    balance_residual,
     balance_residuals,
     bind,
     float_pass,
@@ -432,53 +434,53 @@ def test_numpy_fallback_guards_itself(graph):
 # SHA-256 of the generated source per (graph, family, leader mode, function)
 STEP_SOURCE_SHA256 = {
     "4-quadratic-none-advance":
-        "75d037f91db0ee8fd516f103c0009f2f13b953e2b9f37ea1560129449bf43b84",
+        "907ce1815334384fe6703492ba91ff96fb2bc93cf590e2a82899ec7c365e5717",
     "4-quadratic-none-evaluate":
-        "a74a0675ba84408b5e32cc62f828b1c92c3c3067d409cde5498210f90b2c5f86",
+        "38f80dfe6eb923e62c4674484f6a306561d4d2f1f6bde747e1ddec7c7ba33429",
     "4-quadratic-target-advance":
-        "e1d641d4395bcd923bc6ec43fae16f132fe5eb182d9c08b1af7261dcd6a20d4e",
+        "407cdffdcaa6a2916b983d126d0bcbd524bff496592cde7d7941461ca5ab9062",
     "4-quadratic-target-evaluate":
-        "407f03f04cdd53e2c354b4805288c485d81e6f1e34e0b2f651f025f30a410316",
+        "16ea0393a30b77bc0ea27430fce23bfafc8f5421ef2fb917db02ec01cea29eb2",
     "4-quadratic-windowed-advance":
-        "74927adcd317f504a6ab76bbde999e4ca231747d5c8cef7cd877f047eb9903cb",
+        "a1d898b2a2c140d8db2855c5658e8d3266f612a17e7273d25e047365b8a10ace",
     "4-quadratic-windowed-evaluate":
-        "ce099417b6204dc69a6d4dbb68b3ef741033fd5204f2fa6e40f8f50e846e3ab5",
+        "2f62a94bcf57535f811973d606b7ced0acbdf2e7c141152da4b90f9c7181918d",
     "4-rational-none-advance":
-        "bfdcf70962d03561f2087386d2006f8e9fc721d00f99db780fcb61208bffae39",
+        "007b552bae2084d138a851382ef4d225721ddeab7beb79599618fa9a86da486a",
     "4-rational-none-evaluate":
-        "a6475b945962c74ff60bba989e39f28daadda96ab4fccb5cca85f0b84144de93",
+        "1525d3cabf80924c939874e2c79ba94e5e9b3a5dbe9ce43d110d230cf7f8fe50",
     "4-rational-target-advance":
-        "065e49544c0ee9b3c2e7790bcead4cb64168d447b61f43a69cc514e39baf7d70",
+        "77fb51adf070eed702695a681f41141bab9bf7bb6013c35e55da25f08c78ed1a",
     "4-rational-target-evaluate":
-        "a05319d9a062074890494c85ef156b706f96009a15bae7a5d737e514df8a9569",
+        "58fba2b87658355977bdf87be74680ab4fdcad7be7bcfbbde96024348900077d",
     "4-rational-windowed-advance":
-        "e1dadf0811f39d99eb7630b10ce9f420fefc256abc5e73a3386a6540e1c25021",
+        "ebf3bbd27fbe6de495bc7daa5b098f66d1bc3b6078a7ff7f155dc980af3e117b",
     "4-rational-windowed-evaluate":
-        "0f659dab2c3f06946f0f81ef025f9f26b5e4844c699bed9f6431e43b9203dd3f",
+        "66b86b2c8b2908563546049879dfc797d2f5ba188cc1824716b75bb1f28f97de",
     "5-quadratic-none-advance":
-        "27b43c806be5f63ba5698faae4f44409327f298d23434afad374a95642ea385d",
+        "31b14e29f0321f3c07555a88e4a75363c6f97c50221956da8d577fb17df0900c",
     "5-quadratic-none-evaluate":
-        "4a15fe08e6714e71de2e50ea8a3de49ff59cde19f88c04428b2a2b2a9a598488",
+        "ef4087920cc1b957562acce53996aa10725a03e2a6adb09dfe364b7ed1a338a9",
     "5-quadratic-target-advance":
-        "54af0958aa10c52c72b9674a9cb506f011322a0fc7e0300d84f45f4706e71c5a",
+        "b0bec7b6685fcbd98465cc53152b407299c0e1b4450063940862e136b6236eed",
     "5-quadratic-target-evaluate":
-        "b91f47403dfef5112b6ff12b249c55e01132720dcb0c7399792fd104e4c2f2aa",
+        "3eb5eacb95bb80d85b300d6b9d5f94db01fb13db5a216705e55e37e6483f0f2c",
     "5-quadratic-windowed-advance":
-        "81c14ca347abf2e7ae382d6245494be42874316b589a21bb3b07f988e1e83e46",
+        "03015bc04c00e1cbd308b772636f88da651e63f7443c37f1bf73c9fef306a6ee",
     "5-quadratic-windowed-evaluate":
-        "3db21bc606ca5670ef5eb3ba3ee257c6b82ecc2046668f69f741275b9a2ece6c",
+        "f95a0c1a4a152df2ce7c0735f236ec1658527b9ca0b52b6d750ff99fe11d052e",
     "5-rational-none-advance":
-        "281ffe87d539e714bdd853376f9964dbd107da3d70f13682d13c74dfba29322d",
+        "54729bfc539e96b73c1e52693e24ab5921178ec72eb711016406708f1bd4285c",
     "5-rational-none-evaluate":
-        "ed68ea39e4cee1443131e95dfa9ddf49fd04b3a52cd0645fcb0830f923fad6f3",
+        "143053b18e65a414ea390b4b7624d873ac6b96f201790072a9d9e8f4dd4530d7",
     "5-rational-target-advance":
-        "f32afc22aeb077acf49b00c9a54f79a986f8ee3846d256f7255ec6fe5b793a1d",
+        "3abd00a98b60b898dff40e606c83d29f3b4670b15a1063f0b137bc6f06be99ea",
     "5-rational-target-evaluate":
-        "e55ba49ec957330b689a1754a8d71b42764d76f61b5050f9daa20ae6dc0a613c",
+        "7130785d396780936610578320f37ec78aae0e23428bc44703ed81d94da0cb56",
     "5-rational-windowed-advance":
-        "6d17d54188fdd714556ec85edb3aa4a3cd92c71b285a8f93d973efd3909383ec",
+        "8f6d4e853d07899a6fd582d8d9b78543b2d309314b6e04a4794d44ca0bb6673f",
     "5-rational-windowed-evaluate":
-        "a551eb52344233287e95cfaaa578ed80219d2ba5e997009efb4bb14de0d020dc",
+        "7d952e73eb4324a633add34e21285a171ae1f8ffdf53d46944bde8740d253576",
 }
 
 
@@ -500,6 +502,63 @@ def test_generated_step_source_is_pinned():
                     found[f"{graph.num_nodes}-{family.name}-{mode}-{name}"] = \
                         hashlib.sha256(source.encode()).hexdigest()
     assert found == STEP_SOURCE_SHA256
+
+
+def test_generated_residual_equals_numpy_bit_for_bit():
+    """The balance residual that ``evaluate`` and ``advance`` return
+    (``_residual_lines``) is numpy's per-agent norm and max bit for bit, and
+    the interpreted ``_residual`` it replaced, on seeded controls of every
+    node count 1..6 in 1, 2 and 3 dimensions with NaN, +-inf and -0.0
+    entries (and a NaN of the other sign for the interpreter: both keep the
+    last NaN); and the residual of a pass is the interpreter's on the pass's
+    own control at the shapes that Tier-1 compiles, NaN and infinite
+    coordinates and coincident pairs among them."""
+    from types import FunctionType
+
+    import rigidflex.control as control
+
+    rng = np.random.default_rng(43)
+    for n in range(1, 7):
+        for d in (1, 2, 3):
+            names = [f"a{k}" for k in range(n * d)]
+            lines = [f"{', '.join(names)}, = u", *control._residual_lines(names, d), "return res"]
+            source = "def residual(u):\n" + "".join(f"    {line}\n" for line in lines)
+            residual = FunctionType(control._compiled(source, "residual", f"<residual {n} {d}>"),
+                                    {"sqrt": math.sqrt})
+            for case in range(40):
+                u = (10.0 ** rng.integers(-200, 160) * rng.standard_normal(n * d)).tolist()
+                for _ in range(case % 4):
+                    u[rng.integers(n * d)] = [math.nan, math.inf, -math.inf, -0.0][rng.integers(4)]
+                with np.errstate(over="ignore"):
+                    want = np.float64(balance_residual(u, d)).tobytes()
+                assert np.float64(residual(u)).tobytes() == want
+                # a NaN of the other sign at one node: the last NaN is kept (the
+                # sign of a sum of NaNs of both signs is the interpreter's to pick)
+                i = d * rng.integers(n)
+                u[i + rng.integers(d)] = math.nan
+                u[i:i + d] = [-math.nan if x != x else x for x in u[i:i + d]]
+                assert np.float64(residual(u)).tobytes() == np.float64(_residual(u, d)).tobytes()
+    graphs = [triangle_flex(), tetrahedron_flex(), tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))]
+    for graph in graphs:
+        n, d = graph.num_nodes, graph.dimension
+        points = [rng.uniform(-5, 5, (n, d)) for _ in range(10)]
+        for bad in (math.nan, math.inf, -math.inf):
+            points.append(rng.uniform(-5, 5, (n, d)))
+            points[-1][rng.integers(n), rng.integers(d)] = bad
+        points.append(points[0].copy())
+        points[-1][-1] = points[-1][-2]
+        for family in (QUADRATIC, RATIONAL):
+            advance, evaluate = control._compiled_step(graph, family, LeaderSpec())
+            for p in points:
+                x = p.ravel().tolist()
+                u, _, w, *_, res = evaluate(x)
+                assert np.float64(res).tobytes() == np.float64(_residual(u, d)).tobytes()
+                assert np.float64(edge_states(p, graph, family).residual).tobytes() \
+                    == np.float64(res).tobytes()
+                if math.isfinite(w):
+                    _, k1, _, _, _, _, res = advance(x, u, w, 0.0, 1.0, 1e-3, 2, -math.inf)
+                    if k1 is not None:
+                        assert np.float64(res).tobytes() == np.float64(_residual(k1, d)).tobytes()
 
 
 # families whose formulas repeat terms: nested e * e (quartic), and a

@@ -313,7 +313,7 @@ def test_windowed_step_looks_up_the_last_sample_at_or_before_each_stage(t, rows)
     advance, evaluate = _compiled_step(g, INERT, spec)
     p = desired_equilibrium(g).ravel().tolist()
     k1, _, w = evaluate(p)[:3]
-    state, _, _, _, time, _ = advance(p, k1, w, t, t + 0.5, 0.5, 1, -math.inf)
+    state, _, _, _, time, _, _ = advance(p, k1, w, t, t + 0.5, 0.5, 1, -math.inf)
     a, b, c = (values[k] for k in rows)
     sixth = 0.5 / 6.0
     assert time == t + 0.5
@@ -544,6 +544,7 @@ def test_windowed_run_shares_evaluate_with_a_plain_run(monkeypatch):
 
     monkeypatch.setattr(control, "_step_source", recorded)
     control._step_code.cache_clear()
+    control._compiled_step.cache_clear()
     g = triangle_flex()
     integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.01)
     window = LeaderSpec(mode="windowed", times=[0.0], values=[(1.0, 0.0)], t0=0.0, tf=0.005)
@@ -566,6 +567,7 @@ def test_second_integrate_of_a_shape_compiles_nothing(monkeypatch, mode):
                                        t0=0.01 * k, tf=0.02 * k)}[mode]
 
     g = triangle_flex()
+    control._compiled_step.cache_clear()        # so the first runs reach _step_code
     for family in (QUADRATIC, RATIONAL):
         integrate(desired_equilibrium(g), g, family, t_end=0.01, leader=leader(1.0))
     misses = control._step_code.cache_info().misses
@@ -579,6 +581,48 @@ def test_second_integrate_of_a_shape_compiles_nothing(monkeypatch, mode):
         g = triangle_flex(lengths)
         integrate(desired_equilibrium(g), g, family, t_end=0.01, leader=leader(k))
     assert control._step_code.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()],
+                         ids=["triangle", "tetrahedron"])
+def test_leaders_equal_but_for_a_signed_zero_share_one_binding(monkeypatch, graph):
+    """Leader specs whose target point or sample rows differ only in the
+    sign of a zero compare and hash equal, so ``_compiled_step`` binds the
+    second to the constants of the first.  That changes no byte: on a cold
+    cache, each spec gives the same trajectory whether it runs first or
+    second, with the flex agent started on the zero coordinate, so that
+    p_t - p_flex starts as a signed zero.  A further run of an equal spec
+    binds nothing."""
+    import rigidflex.control as control
+
+    d = graph.dimension
+    p0 = desired_equilibrium(graph)
+    p0[-1, 0] = 0.0
+    rest = (1.0,) * (d - 1)
+    pairs = [(LeaderSpec(mode="target", k_f=5.0, p_t=(0.0, *rest)),
+              LeaderSpec(mode="target", k_f=5.0, p_t=(-0.0, *rest))),
+             (LeaderSpec(mode="windowed", times=(0.0, 0.005), values=((0.0, *rest), (-0.0,) * d),
+                         t0=0.0, tf=0.01),
+              LeaderSpec(mode="windowed", times=(0.0, 0.005), values=((-0.0, *rest), (0.0,) * d),
+                         t0=0.0, tf=0.01))]
+
+    def run(spec):
+        traj = integrate(p0, graph, RATIONAL, t_end=0.02, leader=spec, record_every=1)
+        return b"".join(a.tobytes() for a in (traj.times, traj.states, traj.edge_errors,
+                                              traj.grad_norms)) \
+            + repr((traj.events, traj.max_lyapunov_increase)).encode()
+
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b) and repr(a) != repr(b)
+        runs = []
+        for order in ((a, b), (b, a)):
+            control._compiled_step.cache_clear()
+            control._constants.cache_clear()
+            runs.append([run(spec) for spec in order])
+            assert control._compiled_step.cache_info().misses == 1
+        assert runs[0] == runs[1][::-1]
+    monkeypatch.setattr(control, "_constants", lambda *args: pytest.fail("bound again"))
+    assert run(pairs[1][0]) == runs[0][0]
 
 
 DIGEST = textwrap.dedent("""

@@ -425,7 +425,8 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
                          ids=["triangle", "tetrahedron", "tailored"])
 def test_solve_binds_the_family_once_per_edge_set(graph, family, monkeypatch):
     """``solve`` looks up the family's evaluators once for the balance over
-    the crossing edges (``control._constants`` binds it), and once before
+    the crossing edges (``control._constants`` binds it, once per graph and
+    family: its cache is cleared before each solve here), and once before
     that for the boundary test when some rigid edge has a zero template
     vector.  A layout with no scale has no balance to bind.  A layout
     refused at the boundary looks them up once; one refused for its
@@ -442,6 +443,7 @@ def test_solve_binds_the_family_once_per_edge_set(graph, family, monkeypatch):
                 for i, j in zip(graph.edge_tails[:-1], graph.edge_heads[:-1])]
         expected = (len(layout.templates) > 0) + any(zero)
         binds.clear()
+        control._constants.cache_clear()
         try:
             layout.solve(graph, family)
         except OracleError as exc:
@@ -898,6 +900,25 @@ def test_catalog_at_other_lengths_compiles_no_balance(monkeypatch):
             entries, _ = build_catalog(graph, family)
             assert entries
     assert oracle._balance_code.cache_info().misses == misses
+
+
+def test_second_catalog_binds_nothing(monkeypatch):
+    """Every layout's balance is bound to the constants of its graph and
+    family once (``control._constants``): a second catalog of an equal
+    graph with the same family makes no constants and gives the same
+    entries."""
+    import rigidflex.control as control
+
+    def catalog(graph, family):
+        entries, failures = build_catalog(graph, family)
+        return [(e.subform, e.method, e.positions.tobytes()) for e in entries], failures
+
+    for make in (triangle_flex, tetrahedron_flex):
+        for family in (QUADRATIC, RATIONAL):
+            first = catalog(make(), family)
+            misses = control._constants.cache_info().misses
+            assert catalog(make(), family) == first
+            assert control._constants.cache_info().misses == misses
 
 
 def test_mirror_image_of_the_equal_triangle_line_is_exact(monkeypatch):

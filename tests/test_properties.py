@@ -12,7 +12,6 @@ from rigidflex.control import (
     LeaderSpec,
     _compiled_step,
     _norm,
-    _residual,
     edge_states,
     gradient_control,
     leader_spec_from_json,
@@ -23,6 +22,7 @@ from rigidflex.oracle import build_catalog, desired_equilibrium
 from rigidflex.potentials import QUADRATIC, RATIONAL
 from rigidflex.stability import analyze, assemble_hessian, classify
 from references import (
+    _residual,
     array_pass,
     balance_residual,
     float_pass,

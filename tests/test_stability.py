@@ -35,10 +35,12 @@ from rigidflex.stability import (
 )
 from references import (
     TAILORED,
+    _claim,
     aligned_last_block,
     balance_residuals,
     bincount_hessian,
     bind,
+    claim_rows,
     dict_claim,
     dict_classify,
     dict_simplex,
@@ -188,8 +190,9 @@ def test_generated_hessian_equals_the_bincount_reference_bit_for_bit(graph, fami
                          ids=["triangle", "tetrahedron", "k4_plane"])
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
 def test_aligned_block_equals_the_edge_loop_bit_for_bit(graph, family):
-    """The aligned block, the generated Hessian in one dimension, is byte
-    for byte the Laplacian that a loop over the edges sums, along seeded
+    """The aligned block, generated per shape as the axis projection z_k . r
+    and then the Hessian in one dimension, is byte for byte the Laplacian
+    that a loop over the edges sums from ``_dot`` projections, along seeded
     unit axes: at seeded random points, with a coincident pair (an
     infinite rational g, NaN entries) and with a NaN or an infinite
     coordinate, whose NaN sign bits it must keep."""
@@ -636,12 +639,12 @@ def test_classify_runs_one_kernel_pass(monkeypatch):
 def test_analyze_assembles_once_and_aligns_once(monkeypatch):
     """One analyze at a moved 3-D catalog point or the desired shape: one
     edge pass, shared by the class, the Hessian, the aligned block and the
-    sign claims, one Hessian, and one aligned block, itself the Hessian
-    assembled in one dimension, none for the desired class, which has no
-    axis."""
+    sign claims, one Hessian, and one aligned block, by the shape's
+    generated ``aligned`` (no 1-D Hessian is made), none for the desired
+    class, which has no axis."""
     import rigidflex.stability as stability
 
-    counts = dict.fromkeys(("pass", "hessian 3-D", "hessian 1-D", "_aligned_block"), 0)
+    counts = dict.fromkeys(("pass", "hessian 3-D", "aligned 3-D", "_aligned_block"), 0)
 
     def counted(name, key):
         fn = getattr(stability, name)
@@ -654,6 +657,7 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
 
     counting_pass(monkeypatch, counts)
     counted("_hessian_pass", lambda shape: f"hessian {shape[3]}-D")
+    counted("_aligned_pass", lambda shape: f"aligned {shape[3]}-D")
     counted("_aligned_block", lambda *args: "_aligned_block")
     g = tetrahedron_flex()
     entries, _ = build_catalog(g, QUADRATIC)
@@ -666,7 +670,7 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         assert report.classification.kind == kind
         assert (report.witness is not None) == (kind != "desired")
         aligned = int(kind != "desired")
-        assert counts == {"pass": 1, "hessian 3-D": 1, "hessian 1-D": aligned,
+        assert counts == {"pass": 1, "hessian 3-D": 1, "aligned 3-D": aligned,
                           "_aligned_block": aligned}
 
 
@@ -709,9 +713,8 @@ def reference_claim(spec, roles, g, zero_tol=1e-9):
 def test_parsed_sign_claims_equal_the_per_call_parser(d):
     """Every SIGN_CLAIMS row, at every role order, over g values that hit
     each branch of a pivot (negative, zero to the tolerance's edge, positive):
-    the rows compiled into edge indices, read from a g list in edge order
-    whose flex entry is NaN, give the reference's description, value bits
-    and verdict."""
+    the generated claims, read from a g list in edge order whose flex entry
+    is NaN, give the reference's description, value bits and verdict."""
     rng = np.random.default_rng(23)
     labels = range(1, d + 2)
     graph = triangle_flex() if d == 2 else tetrahedron_flex()
@@ -739,6 +742,124 @@ def test_sign_claims_sum_left_to_right():
                            roles=(1, 2, 3, 4))
     claims = {c.description: c for c in _claims(g, tetrahedron_flex(), cls)}
     assert claims["sum_g at 1 < 0"].value == 0.0
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_generated_claims_equal_the_interpreter_and_dict_claim_bit_for_bit(d):
+    """The generated claims of every subform at every role order equal, in
+    description, value and verdict, the interpreter that read the rows one
+    claim at a time (``claim_rows`` and ``_claim``) and ``dict_claim``, which
+    parses each row on the call: over g values of every sign, +-0.0, each
+    side of the zero tolerance, +-inf and NaN, with the flex entry NaN."""
+    rng = np.random.default_rng(29)
+    labels = range(1, d + 2)
+    graph = triangle_flex() if d == 2 else tetrahedron_flex()
+    choices = [0.0, -0.0, 1e-9, -1e-9, 2e-9, -2e-9, math.inf, -math.inf, math.nan]
+    for subform, specs in SIGN_CLAIMS[d].items():
+        for roles in itertools.permutations(labels):
+            cls = EquilibriumClass(kind="degenerate_rigid", subform=subform, roles=roles)
+            rows = claim_rows(d, subform, roles, graph.edges)
+            for case in range(6):
+                by_pair = {pair: float(rng.choice(choices)) if rng.random() < 0.3 * (case > 0)
+                           else float(rng.standard_normal()) for pair in graph.edges[:-1]}
+                g = [*map(by_pair.__getitem__, graph.edges[:-1]), math.nan]
+                got = [(c.description, c.value.hex(), c.passed) for c in _claims(g, graph, cls)]
+                assert got == [(c.description, c.value.hex(), c.passed)
+                               for c in (_claim(row, g) for row in rows)]
+                assert got == [(c.description, c.value.hex(), c.passed)
+                               for c in (dict_claim(spec, roles, by_pair) for spec in specs)]
+
+
+def test_tolerances_are_read_at_call_time(monkeypatch):
+    """ZERO_TOL and WITNESS_MARGIN are read at each call, not bound when the
+    claims or the aligned block are generated: monkeypatched after the first
+    call, each flips a verdict, and nothing is generated or compiled again."""
+    import rigidflex.control as control
+    import rigidflex.stability as stability
+
+    g, graph = [1.0, 5e-10, 3.0, 2.0, -1.0, -2.0, 0.0], tetrahedron_flex()  # edge order
+    zero = EquilibriumClass(kind="degenerate_rigid", subform="triple_coincident",
+                            roles=(1, 2, 4, 3))             # il = g_13, jl = g_23, kl = g_34
+    pivot = EquilibriumClass(kind="degenerate_rigid", subform="collinear_distinct",
+                             roles=(2, 4, 1, 3))            # its pivot ij is g_24 = -1
+    entry = next(e for e in build_catalog(graph, QUADRATIC)[0] if e.subform == "interior_point")
+    before = [_claims(g, graph, zero)[0], _claims(g, graph, pivot)[1],
+              analyze(entry.positions, graph, QUADRATIC).witness]
+
+    def forbidden(*args):
+        raise AssertionError("generated again")
+
+    for module in (control, stability):
+        monkeypatch.setattr(module, "_compiled", forbidden)
+    monkeypatch.setattr(stability, "ZERO_TOL", 1e-10)
+    monkeypatch.setattr(stability, "WITNESS_MARGIN", 1e12)
+    after = [_claims(g, graph, zero)[0], _claims(g, graph, pivot)[1]]
+    assert (before[0].description, before[0].passed) == ("g_13 = 0", True)
+    assert (after[0].description, after[0].passed) == ("g_13 = 0", False)
+    monkeypatch.setattr(stability, "ZERO_TOL", 2.0)        # g_24 = -1 is now zero
+    assert before[1].description == "g_24+g_12+g_23 < 0"
+    assert _claims(g, graph, pivot)[1].description == "g_24+g_14+g_34 < 0"
+    assert before[2] is not None
+    with pytest.raises(WitnessNotFoundError):
+        analyze(entry.positions, graph, QUADRATIC)
+
+
+# SHA-256 of the generated aligned block per graph shape (nodes, dimension)
+ALIGNED_SOURCE_SHA256 = {
+    "4-2": "a69fd3a4199e25615ff6e12e752f2111f20ec41721c7c28612b265f84677b2b4",
+    "5-3": "78666268bd7947511595e6e9054bb6441b6944990fd2234da65f954b8afe0c5d",
+    "5-2": "27a989eb2f9141d1c00868b2a0f12bacbde9829848a197b7b07ec68be1350313",
+}
+
+# SHA-256 of the generated claims per (dimension, subform): all role orders
+# on the triangle's or the tetrahedron's edges, joined in permutation order
+CLAIMS_SOURCE_SHA256 = {
+    "2-collinear_distinct":
+        "5bf62c477f64c999ba0525e85c195fc7be3ead059c4dd35fc44a0d3f51f62b47",
+    "2-coincident_pair":
+        "4d8137446a386d26fde7d465d849a9a93a58aecd272df16b3d6733048eb7abb8",
+    "2-all_coincident":
+        "0b3da8fcf48f8a31f07c39b7618436b9f274b609acb607af8354c4ff85b6a5b2",
+    "3-convex_quadrilateral":
+        "3b68a9c83adc4da173844c4ba9d8cf75f3e9f7aefe7c593ba121e62bc510be14",
+    "3-interior_point":
+        "61f43111ca50ff7457440cf94294efb946b48ca8c9db9ee572dfa592574dfcbb",
+    "3-all_coincident":
+        "e0d2cb7eb02622b947d607cc741410f33ec0cadf9c3a8092451aa10f52a887b0",
+    "3-triple_coincident":
+        "887858d9f652747bb8cf66e430be6a115d6f797c05e7638ddc0b46a06271a9f5",
+    "3-double_pair":
+        "03e6b3e6fd53ffedbb2c7ab196c7992a8a1a6c43eaa21020512c859e6ca3f969",
+    "3-pair_endpoint_collinear":
+        "1dfa8b2bce15e9edcd6ce512244eab76bbf97489b42da2352bbfdb4491006d05",
+    "3-pair_interior_collinear":
+        "ae3a44e620dc2469aad86fffc0921cbbf2b2c7db2e82e0e95ad02b65a2c3eec1",
+    "3-collinear_distinct":
+        "465407d0f3458ad772e55a31bc41d8b613fbab4149398d4e26763672bbd5e984",
+}
+
+
+def test_generated_aligned_and_claims_sources_are_pinned():
+    """The source of ``aligned`` for the triangle, the tetrahedron and
+    K4_PLANE, and of ``claims`` for every subform at every role order, is
+    pinned by its SHA-256: a change to either generator shows here, before
+    it shows in a verdict."""
+    import hashlib
+
+    import rigidflex.control as control
+    from rigidflex.stability import _claims_source
+
+    aligned = {f"{graph.num_nodes}-{graph.dimension}": hashlib.sha256(
+        control._aligned_source(*graph._shape).encode()).hexdigest()
+        for graph in (triangle_flex(), tetrahedron_flex(), K4_PLANE)}
+    claims = {}
+    for d, graph in ((2, triangle_flex()), (3, tetrahedron_flex())):
+        for subform in SIGN_CLAIMS[d]:
+            sources = (_claims_source(d, subform, roles, graph.edges)
+                       for roles in itertools.permutations(range(1, d + 2)))
+            claims[f"{d}-{subform}"] = hashlib.sha256("".join(sources).encode()).hexdigest()
+    assert aligned == ALIGNED_SOURCE_SHA256
+    assert claims == CLAIMS_SOURCE_SHA256
 
 
 def separate_report(p, graph, family):
@@ -926,13 +1047,14 @@ def test_classify_fewer_or_more_than_d_plus_one_agents_like_the_svd_reference(d,
     plane[1] = plane[0]
     points.append(np.vstack([plane, rng.normal(size=(1, d))]))
     for p in points:
-        cls = _classify(p.ravel().tolist(), _evaluate(p, g, QUADRATIC), g, eq_tol=math.inf)
+        x = p.ravel().tolist()
+        cls = _classify(x, _pass(g, QUADRATIC)(x), g, eq_tol=math.inf)
         ref = svd_classify(p, g, QUADRATIC, eq_tol=math.inf)
         assert (cls.kind, cls.subform, cls.roles, cls.ambiguous) \
             == (ref.kind, ref.subform, ref.roles, ref.ambiguous)
         np.testing.assert_allclose(cls.axis, ref.axis, rtol=0, atol=1e-12)
-    assert [_classify(p.ravel().tolist(), _evaluate(p, g, QUADRATIC), g, eq_tol=math.inf).kind
-            for p in points] == ["degenerate_rigid"] * (d - 1) \
+    assert [_classify(x, _pass(g, QUADRATIC)(x), g, eq_tol=math.inf).kind
+            for x in (p.ravel().tolist() for p in points)] == ["degenerate_rigid"] * (d - 1) \
         + ["unrecognized" if k > d else "degenerate_rigid"] + ["flex_coincident"] * 3 \
         + ["degenerate_rigid"]
 
@@ -1011,7 +1133,7 @@ def assert_verdict_pieces_equal_the_dict_reference(p, graph, family, eq_tol):
     assert (cls.kind, cls.subform, cls.roles, cls.ambiguous, repr(cls.diagnostics)) \
         == (ref.kind, ref.subform, ref.roles, ref.ambiguous, repr(ref.diagnostics))
     assert np.array(cls.axis, dtype=float).tobytes() == np.array(ref.axis, dtype=float).tobytes()
-    _, _, _, z, g, rho = out
+    _, _, _, z, g, rho, _ = out
     if cls.subform and graph.certified_topology():
         by_pair = dict(zip(graph.edges, g))
         refs = [dict_claim(spec, cls.roles, by_pair)
