@@ -19,9 +19,10 @@ equilibrium, formed inline from their control names (``_residual_lines``).
 symmetric pair of entries formed once, and ``aligned`` (``_aligned_pass``)
 the same H in one dimension at the edge coordinates z_k . r that it forms
 itself: the block that ``stability``'s witness reads.  Each sums on Python
-floats in edge order, so no result depends on how a BLAS sums.  ``LeaderSpec`` holds the flex
-agent's leader input as values, a windowed one as a sample table that the
-generated step looks up inline, and its arrival test.
+floats in edge order, so no result depends on how a BLAS sums.
+``LeaderSpec`` holds the flex agent's leader input as values, a windowed
+one as a sample table that the generated step looks up inline, and its
+arrival test.
 """
 
 from __future__ import annotations
@@ -352,8 +353,8 @@ def _residual_lines(u, d) -> list[str]:
     """Source lines that set ``res`` to the balance residual max_i ||u_i||
     of the control names ``u``, d per node in node order.  Each node's norm
     is sqrt(0.0 + x*x + y*y (+ z*z)), its squares summed left to right as
-    ``_norm`` sums them, and it is taken where it is larger or NaN: a NaN
-    is taken and then kept, as numpy's max gives one."""
+    ``_norm`` sums them, and it is taken where it is larger or NaN, so the
+    residual is NaN where any norm is, as numpy's max gives."""
     lines = ["res = 0.0"]
     for i in range(0, len(u), d):
         lines += [f"r = sqrt(0.0{''.join(f' + {x} * {x}' for x in u[i:i + d])})",
