@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import EQ_TOL, LeaderSpec, _check_eq_tol, _compiled_step, _norm
+from .control import EQ_TOL, LeaderSpec, _bound, _check_eq_tol, _norm
 from .graph import FormationGraph, _floats, _integer, as_positions
 from .potentials import PotentialFamily
 
@@ -110,10 +110,10 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
     The state is one flat, node-major list of (N+1) d Python floats: on
     states this small, numpy's per-call cost would be most of the work.
     The loop turns once per record: each turn is one call of the
-    straight-line ``advance`` that ``control._compiled_step`` ties to the
-    graph, the family and the leader, bound once per (graph, family,
-    leader).  It takes the steps up to the next record (every record_every
-    steps and at each event and t_end) and returns the control, squared
+    straight-line ``advance`` that ``control._bound`` ties to the graph,
+    the family and the leader, bound once per (graph, family, leader).
+    It takes the steps up to the next record (every record_every steps
+    and at each event and t_end) and returns the control, squared
     errors and Lyapunov value there, which serve as the next call's first
     stage and the record, and the balance residual of that control, which
     the equilibrium check reads; ``evaluate`` gives them at each segment
@@ -146,7 +146,10 @@ def integrate(p0, graph: FormationGraph, family: PotentialFamily, t_end: float,
             raise ValueError(f"agent {ev.agent} out of range for {n} nodes")
         if len(ev.displacement) != d:
             raise ValueError("displacement does not match the ambient dimension")
-    advance, evaluate = _compiled_step(graph, family, leader)
+    advance = _bound(graph, family, leader, key=(leader.mode, "advance"))
+    # every mode but target, the one that adds a term to V, shares one evaluate
+    target = "target" if leader.mode == "target" else "none"
+    evaluate = _bound(graph, family, leader, key=(target, "evaluate"))
 
     def failure(w, t_w, t, state):
         """The error for a Lyapunov value w reached at t_w that is not

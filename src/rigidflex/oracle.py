@@ -14,11 +14,11 @@ The layout solve evaluates the family on its own edge set, apart from the
 simulator and the edge pass, so its roots are an independent construction.
 
 The balance and its Jacobian are generated per layout, graph shape and
-family as one straight-line function on Python floats (``_balance_code``),
-compiled on first use, cached and bound per solve by ``control._constants``
-as every generated function is.  Newton, its k x k solve, the bisection
-and each agent's placement run on floats in a fixed summation order, so
-no root or position depends on how a BLAS sums.
+family as one straight-line function on Python floats (``_balance_source``),
+compiled by ``control._generated`` and bound to the graph's lengths by
+``control._bound``, as the edge pass is.  Newton, its k x k solve, the
+bisection and each agent's placement run on floats in a fixed summation
+order, so no root or position depends on how a BLAS sums.
 
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry from one edge pass at the
@@ -38,12 +38,10 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from types import FunctionType
 
 import numpy as np
 
-from .control import (_call, _compiled, _constants, _dot, _norm, _on_numpy, _pass, _per_call,
-                      _sum)
+from .control import _bound, _call, _dot, _norm, _on_numpy, _per_call, _sum
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily, evaluators
 from .stability import LINE_SLOTS, _classify, _hessian
@@ -98,11 +96,11 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarr
     The balance map is the potential gradient, so its Jacobian is the
     assembled Hessian; least-squares steps take the minimal-norm correction,
     leaving the rigid-motion (and flex-orbit) null directions untouched.
-    Each iteration makes one edge pass (``control._pass``) on the float
+    Each iteration makes one edge pass (``control._bound``) on the float
     list of p, which returns the balance residual with u, the right-hand
     side, and whose z, g and rho give the Hessian.
     """
-    p, evaluate = as_positions(p, graph).reshape(-1).astype(float), _pass(graph, family)
+    p, evaluate = as_positions(p, graph).reshape(-1).astype(float), _bound(graph, family)
     for it in range(POLISH_MAX_ITER + 1):
         u, _, _, z, g, rho, residual = evaluate(p.tolist())
         if residual < POLISH_TOL:
@@ -310,9 +308,9 @@ class _Layout:
     F is the derivative of V along the layout, and its Jacobian is
     J_kl = sum_e 2 rho_e a_ek a_el + g_e <t_ek, t_el>, a_ek = <z_e, t_ek>.
 
-    ``_balance_code`` writes F and J as straight-line code on Python floats
+    ``_balance_source`` writes F and J as straight-line code on Python floats
     for one layout, graph shape and family, with the crossing edges and
-    their t_ek fixed in it and each edge's dbar^2 bound per solve.  It sums
+    their t_ek fixed in it and each edge's dbar^2 bound per graph.  It sums
     in a fixed order: z_e per coordinate over k, then |z_e|^2 and a_ek left
     to right, then F_k and J_kl edge by edge, each edge's term of J_kl
     grouped, and J_lk is J_kl.  So a mirror image of a layout has the mirror
@@ -347,8 +345,9 @@ class _Layout:
         the scales, so neither has a family whose g is not finite at
         e = -dbar^2: the family's g runs there on floats, and where floats
         raise, ``control._on_numpy`` runs it, as in the generated pass.
-        ``control._constants`` binds the balance, as it binds every
-        generated function.  Each coordinate sums x_k T_k left to right.
+        ``control._bound`` binds the balance to the graph's lengths, as it
+        binds every generated edge pass.  Each coordinate sums x_k T_k left
+        to right.
         """
         shape, length = graph._shape, graph.desired
         edges, inner, t = _geometry(self, shape)
@@ -378,7 +377,7 @@ class _Layout:
         *_, n, d = shape                    # N + 1 agents in d-D
         if not self.templates:
             return [[0.0] * d for _ in range(n - 1)], "coincidence-construct"
-        balance = FunctionType(_balance_code(self, shape, family), _constants(graph, family))
+        balance = _bound(graph, family, source=_balance_source, key=(self,))
         method = self.method
         if len(self.templates) == 1:
             ends = [length[e] / _norm(te[0]) for (e, _, _), te in zip(edges, t)]
@@ -419,11 +418,14 @@ def _combination(terms) -> str:
     return " + ".join(parts) or "0.0"
 
 
-def _balance_source(edges, t, family) -> str:
-    """Python source of ``balance(x)``: F at the scales x as a list and a
-    function that gives J there as a list of rows, in the order of the
-    ``_Layout`` docstring, with the family's g and rho inlined per edge."""
-    k, d = len(t[0]), len(t[0][0])
+def _balance_source(tails, heads, n, d, family, layout) -> str:
+    """Python source of a layout's ``balance(x)`` on one graph shape with
+    one family: F at the scales x as a list and a function that gives J
+    there as a list of rows, in the order of the ``_Layout`` docstring,
+    with the family's g and rho inlined per edge and each edge's dbar^2
+    read from the globals that ``control._bound`` binds."""
+    edges, _, t = _geometry(layout, (tails, heads, n, d))
+    k = len(t[0])
     xs = [f"x{l}" for l in range(k)]
     body = [f"{', '.join(xs)}, = x",
             f"{', '.join(f'd2_{e}' for e, _, _ in edges)}, = "
@@ -453,17 +455,6 @@ def _balance_source(edges, t, family) -> str:
              f"    return [{', '.join(f'[{row}]' for row in rows)}]",
              f"return [{', '.join(' + '.join(terms) for terms in force)}], jacobian"]
     return "def balance(x):\n" + "".join(f"    {line}\n" for line in body)
-
-
-@functools.lru_cache(maxsize=64)
-def _balance_code(layout: _Layout, shape: tuple, family: PotentialFamily):
-    """The code of a layout's ``balance`` on one graph shape with one family,
-    compiled on first use and kept for the 64 used last; the graph's
-    lengths are bound when ``solve`` makes the function (``_constants``)."""
-    edges, _, t = _geometry(layout, shape)
-    return _compiled(_balance_source(edges, t, family), "balance",
-                     f"<rigidflex balance, {family.name} family: {len(t[0])} scales over "
-                     f"edges {[(i + 1, j + 1) for _, i, j in edges]}, t = {t}>")
 
 
 def _line(slots, dim, seeds=()):
@@ -516,7 +507,7 @@ def _finalize(positions, graph: FormationGraph, family: PotentialFamily, method:
     """Check the domain, classify and build the entry from one edge pass at
     the constructed point, (N+1) x d floats; ``expect`` is the (kind, subform) to match."""
     p = np.array(positions, dtype=float)
-    out = _pass(graph, family)(x := p.ravel().tolist())
+    out = _bound(graph, family)(x := p.ravel().tolist())
     if not math.isfinite(out[2]):           # V
         raise OracleError(_BOUNDARY)
     cls = _classify(x, out, graph)

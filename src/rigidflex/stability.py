@@ -20,19 +20,20 @@ role order i, j, k, l.  Line forms are looked up in LINE_SLOTS, the slot
 table the oracle builds its line equilibria from; planar forms come from the
 signs of the agents' affine dependence, in signed triangle areas.  The sign
 claims are data over the roles (SIGN_CLAIMS), generated once per subform,
-roles and edges as one straight-line function over g (``_compiled_claims``),
-and the simplex's index pairs and faces are made once per point count
-(``_faces``).  The balance residual that decides an equilibrium comes with
-the edge pass, and the aligned block from ``control``'s generated
-``aligned``.  No verdict calls LAPACK; the spectra are reported, not judged.
+roles and edges as one straight-line function over g (``_claims_source``,
+made by ``control._generated``), and the simplex's index pairs and faces
+are made once per point count (``_faces``).  The balance residual that
+decides an equilibrium comes with the edge pass, and the aligned block from
+``control``'s generated ``aligned``.  No verdict calls LAPACK; the spectra
+are reported, not judged.
 
 ``analyze``, the one entry point for the witness and the sign claims, makes
-one edge pass (``control._pass``) and hands its lists to the private
-``_classify``, ``_hessian``, ``_aligned_block``, ``_witness`` and
-``_claims``; ``classify`` and ``assemble_hessian`` are each one pass plus
-their private counterpart.  Tolerances are module constants read at call
-time (EQ_TOL from ``control``); only ``analyze`` takes one per call,
-``eq_tol``.  The PSD tolerance is derived from H.
+one edge pass (``control._bound``), hands its lists to the private
+``_classify``, ``_hessian`` and ``_witness``, and calls the generated
+``aligned`` and ``claims`` itself; ``classify`` and ``assemble_hessian``
+are each one pass plus their private counterpart.  Tolerances are module
+constants read at call time (EQ_TOL from ``control``); only ``analyze``
+takes one per call, ``eq_tol``.  The PSD tolerance is derived from H.
 """
 
 from __future__ import annotations
@@ -40,12 +41,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from types import FunctionType
 
 import numpy as np
 
-from .control import (EQ_TOL, _aligned_pass, _check_eq_tol, _compiled, _dot, _evaluate,
-                      _hessian_pass, _norm, _pass)
+from .control import (EQ_TOL, _aligned_source, _bound, _check_eq_tol, _dot, _generated,
+                      _hessian_source, _norm)
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialDomainError, PotentialFamily
 
@@ -66,7 +66,7 @@ class WitnessNotFoundError(RuntimeError):
 
 def assemble_hessian(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarray:
     """((N+1)d)^2 symmetric Hessian of the shape potential."""
-    _, _, _, z, g, rho = _evaluate(p, graph, family)
+    _, _, _, z, g, rho, _ = _bound(graph, family)(as_positions(p, graph).ravel().tolist())
     return _hessian(z, g, rho, graph._shape)
 
 
@@ -77,16 +77,8 @@ def _hessian(z, g, rho, shape: tuple) -> np.ndarray:
     diverges there) reaches only its own four node blocks, where a product
     with the incidence matrix would spread 0 * inf."""
     nd = shape[2] * shape[3]
-    return np.fromiter(_hessian_pass(shape)(z, g, rho), float, count=nd * nd).reshape(nd, nd)
-
-
-def _aligned_block(z, g, rho, r, graph: FormationGraph) -> list:
-    """The (N+1)^2 block r^T H_ij r along the unit axis r, as a flat,
-    row-major list, by the graph shape's generated ``aligned``
-    (``control._aligned_pass``): each edge coordinate z_k . r formed inline
-    from the pass's flat z, then the Hessian in one dimension there, the
-    Laplacian of the edge weights w_k = r^T M_k r = 2 rho_k (z_k . r)^2 + g_k."""
-    return _aligned_pass(graph._shape)(z, r, g, rho)
+    return np.fromiter(_generated(_hessian_source, *shape)(z, g, rho), float,
+                       count=nd * nd).reshape(nd, nd)
 
 
 def _cross(a, b) -> list:
@@ -233,7 +225,7 @@ def classify(p, graph: FormationGraph, family: PotentialFamily) -> EquilibriumCl
     hyperplane normal, else all rigid agents' or the first d's degenerate axis.
     """
     x = as_positions(p, graph).ravel().tolist()
-    return _classify(x, _pass(graph, family)(x), graph)
+    return _classify(x, _bound(graph, family)(x), graph)
 
 
 def _classify(x: list, out: tuple, graph: FormationGraph,
@@ -352,7 +344,7 @@ class Witness:
 
 
 def _witness(block: list, cls: EquilibriumClass) -> Witness:
-    """Certified negative direction of ``_aligned_block``'s flat list along ``cls.axis``.
+    """Certified negative direction of the aligned block's flat list along ``cls.axis``.
 
     Candidates, each form a diagonal entry of the block: the
     all-ones-except-flex vector (flex-coincident case), its form w of the
@@ -420,7 +412,7 @@ SIGN_CLAIMS = {
 def _claims_source(d: int, subform: str, roles: tuple, edges: tuple) -> str:
     """Python source of ``claims(g)``: the SIGN_CLAIMS rows of a subform at
     the given roles, one Claim per row, over g in the order of the graph's
-    ``edges``.
+    ``edges``, each g term named by its labels in ascending order.
 
     Each value is one expression: each term's g values summed left to right
     from 0.0, then the terms from 0.0 ("@" terms in role order).  A pivot
@@ -476,26 +468,6 @@ def _claims_source(d: int, subform: str, roles: tuple, edges: tuple) -> str:
         claims.append(f"Claim({described}, {least}, {' or '.join(passed)})")
     lines.append(f"return [{', '.join(claims)}]")
     return "def claims(g):\n" + "".join(f"    {line}\n" for line in lines)
-
-
-@functools.lru_cache(maxsize=None)
-def _compiled_claims(d: int, subform: str, roles: tuple, edges: tuple):
-    """``claims(g)`` of a subform at the given roles on a graph's ``edges``
-    (``_claims_source``), generated and compiled once."""
-    return FunctionType(_compiled(_claims_source(d, subform, roles, edges), "claims",
-                                  f"<rigidflex claims: {subform} in {d}-D, roles {roles}, "
-                                  f"edges {edges}>"), globals())
-
-
-def _claims(g, graph: FormationGraph, cls: EquilibriumClass) -> list[Claim]:
-    """Every sign claim of a degenerate-rigid class, from one edge pass's g
-    in edge order.
-
-    The claims are the subform's SIGN_CLAIMS rows, read at the roles that
-    ``classify`` assigned (``cls.roles``).  Every g term names its labels in
-    ascending order.
-    """
-    return _compiled_claims(graph.dimension, cls.subform, cls.roles, graph.edges)(g)
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +542,7 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
     """
     _check_eq_tol(eq_tol)
     x = as_positions(p, graph).ravel().tolist()
-    _, e, v, z, g, rho, _ = out = _pass(graph, family)(x)
+    _, e, v, z, g, rho, _ = out = _bound(graph, family)(x)
     cls = _classify(x, out, graph, eq_tol)
     h = _hessian(z, g, rho, graph._shape)
     finite_h = bool(np.isfinite(h).all())
@@ -583,13 +555,15 @@ def analyze(p, graph: FormationGraph, family: PotentialFamily,
         raise PotentialDomainError(f"V of the {family.name} potential overflows at this "
                                    f"realization (no agents coincide): V = {v!r}")
     certified = graph.certified_topology() is not None
-    block = _aligned_block(z, g, rho, cls.axis, graph) if cls.axis else None
+    # the flat (N+1)^2 block r^T H_ij r along the axis r (``_aligned_source``)
+    block = _generated(_aligned_source, *graph._shape)(z, cls.axis, g, rho) if cls.axis else None
 
     witness, claims = None, []
     if certified and block is not None:
         witness = _witness(block, cls)
-        if cls.kind == "degenerate_rigid":
-            claims = _claims(g, graph, cls)
+        if cls.kind == "degenerate_rigid":     # the SIGN_CLAIMS rows at the class's roles
+            claims = _generated(_claims_source, graph.dimension, cls.subform, cls.roles,
+                                graph.edges)(g)
 
     if finite_h:
         spectrum = np.linalg.eigvalsh(h)

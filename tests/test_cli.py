@@ -354,13 +354,20 @@ def test_catalog_computes_each_sign_table_row_once(tmp_path, graph_file, monkeyp
     import rigidflex.stability as stability
 
     calls = []
-    claims = stability._claims
+    generated = stability._generated
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return claims(*args, **kwargs)
+    def counted(source, *key):
+        function = generated(source, *key)
+        if function.__name__ != "claims":
+            return function
 
-    monkeypatch.setattr(stability, "_claims", counted)
+        def claims(g):
+            calls.append(g)
+            return function(g)
+
+        return claims
+
+    monkeypatch.setattr(stability, "_generated", counted)
     assert main(["catalog", str(graph_file), "--out", str(tmp_path / "cat")]) == EXIT_OK
     entries = [json.loads(x) for x in
                (tmp_path / "cat" / "catalog.jsonl").read_text().splitlines()]
@@ -516,11 +523,11 @@ def test_run_rejects_bad_event_before_the_first_step(tmp_path, monkeypatch, caps
     no call of ``advance``, ``evaluate`` or a bound phi or g, not when the
     run reaches it."""
     import rigidflex.integrator as integrator
-    from test_integrator import counting_compiled_step, counting_pass
+    from test_integrator import counting_pass, counting_step
 
     calls = {"pass": 0, "advance": 0, "evaluate": 0, "phi": 0, "g": 0}
     counting_pass(monkeypatch, calls)
-    monkeypatch.setattr(integrator, "_compiled_step", counting_compiled_step(calls, monkeypatch))
+    monkeypatch.setattr(integrator, "_bound", counting_step(calls, monkeypatch))
     scen = small_scenario(tmp_path, events=[event])
     assert main(["run", str(scen), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
     assert calls == {"pass": 0, "advance": 0, "evaluate": 0, "phi": 0, "g": 0}

@@ -31,6 +31,7 @@ from references import (
     local_frame_control,
     rk4_advance,
 )
+from test_integrator import compiled_step
 
 RNG = np.random.default_rng(42)
 
@@ -386,25 +387,45 @@ def test_second_analysis_call_binds_and_compiles_nothing(monkeypatch):
     """edge_states, gradient_control and potential_value bind the compiled
     pass once per graph and family: a second call on the same pair, or on
     an equal graph, binds (``_constants``), generates and compiles
-    nothing."""
+    nothing (``_generated``)."""
     import rigidflex.control as control
 
     g = tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))
     p = random_positions(g)
     want = [edge_states(p, g, RATIONAL).u, gradient_control(p, g, RATIONAL),
             potential_value(p, g, RATIONAL)]
-    misses = control._step_code.cache_info().misses
+    misses = control._generated.cache_info().misses
 
     def forbidden(*args):
-        raise AssertionError("edge pass bound or compiled again")
+        raise AssertionError("edge pass bound again")
 
     monkeypatch.setattr(control, "_constants", forbidden)
-    monkeypatch.setattr(control, "_step_source", forbidden)
     for graph in (g, tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))):
         np.testing.assert_array_equal(edge_states(p, graph, RATIONAL).u, want[0], strict=True)
         np.testing.assert_array_equal(gradient_control(p, graph, RATIONAL), want[1], strict=True)
         assert potential_value(p, graph, RATIONAL) == want[2]
-    assert control._step_code.cache_info().misses == misses
+    assert control._generated.cache_info().misses == misses
+
+
+def test_families_of_one_name_keep_their_own_generated_source():
+    """Two families of one name but other formulas each keep their own
+    ``evaluate`` text in ``linecache``, under a file name of its own: a
+    traceback or a profiler shows the code that ran, not the other
+    family's."""
+    import linecache
+
+    import rigidflex.control as control
+
+    graph, p = triangle_flex(), random_positions(triangle_flex())
+    other = PotentialFamily("quadratic", "0.5 * (e * e)", "e / (e - e)", "e ** 0")
+    for family in (QUADRATIC, other):
+        edge_states(p, graph, family)
+    names = [control._bound(graph, family).__code__.co_filename for family in (QUADRATIC, other)]
+    assert names[0] != names[1]
+    for name, family in zip(names, (QUADRATIC, other)):
+        assert "".join(linecache.getlines(name)) \
+            == control._step_source(*graph._shape, family, "none", "evaluate")
+    assert "g0 = e0 / (e0 - e0)" in "".join(linecache.getlines(names[1]))
 
 
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])
@@ -513,8 +534,6 @@ def test_generated_residual_equals_numpy_bit_for_bit():
     last NaN); and the residual of a pass is the interpreter's on the pass's
     own control at the shapes that Tier-1 compiles, NaN and infinite
     coordinates and coincident pairs among them."""
-    from types import FunctionType
-
     import rigidflex.control as control
 
     rng = np.random.default_rng(43)
@@ -523,8 +542,9 @@ def test_generated_residual_equals_numpy_bit_for_bit():
             names = [f"a{k}" for k in range(n * d)]
             lines = [f"{', '.join(names)}, = u", *control._residual_lines(names, d), "return res"]
             source = "def residual(u):\n" + "".join(f"    {line}\n" for line in lines)
-            residual = FunctionType(control._compiled(source, "residual", f"<residual {n} {d}>"),
-                                    {"sqrt": math.sqrt})
+            namespace = {"sqrt": math.sqrt}
+            exec(source, namespace)
+            residual = namespace["residual"]
             for case in range(40):
                 u = (10.0 ** rng.integers(-200, 160) * rng.standard_normal(n * d)).tolist()
                 for _ in range(case % 4):
@@ -548,7 +568,7 @@ def test_generated_residual_equals_numpy_bit_for_bit():
         points.append(points[0].copy())
         points[-1][-1] = points[-1][-2]
         for family in (QUADRATIC, RATIONAL):
-            advance, evaluate = control._compiled_step(graph, family, LeaderSpec())
+            advance, evaluate = compiled_step(graph, family, LeaderSpec())
             for p in points:
                 x = p.ravel().tolist()
                 u, _, w, *_, res = evaluate(x)
@@ -601,7 +621,7 @@ def test_rewritten_formulas_keep_every_bit():
             points.append(p.copy())
             points[-1][-1] = points[-1][-2]
         for family in (QUADRATIC, RATIONAL, QUARTIC, NESTED):
-            advance, evaluate = control._compiled_step(graph, family, LeaderSpec())
+            advance, evaluate = compiled_step(graph, family, LeaderSpec())
             run = float_pass(graph, family)[0]
             for p in points:
                 states = edge_states(p, graph, family)

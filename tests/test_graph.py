@@ -89,7 +89,7 @@ def test_cached_arrays_are_read_only():
     index array is a new one per access, and the Hessian code that
     ``control`` generates is compiled once per graph shape: graphs of one
     shape share it whatever their lengths, and another shape gets its own."""
-    from rigidflex.control import _hessian_pass
+    from rigidflex.control import _generated, _hessian_source
 
     g, other = tetrahedron_flex(), tetrahedron_flex(desired=(3.0, 4.0, 3.0, 3.0, 4.0, 3.0, 2.0))
     assert not any(isinstance(v, np.ndarray) for v in vars(g).values())
@@ -98,10 +98,11 @@ def test_cached_arrays_are_read_only():
     numpy_lengths = dataclasses.replace(g, desired=tuple(np.sqrt(g._dbar2)))
     assert all(type(x) is float for x in g.desired + g._dbar2 + numpy_lengths.desired)
     assert g._shape == other._shape == ((0, 0, 0, 1, 1, 2, 3), (1, 2, 3, 2, 3, 3, 4), 5, 3)
-    hessian = _hessian_pass(g._shape)
-    assert _hessian_pass(other._shape) is hessian
-    assert _hessian_pass(triangle_flex()._shape) is not hessian
-    assert hessian.__code__.co_filename.startswith("<rigidflex hessian: 5 nodes in 3-D")
+    hessian = _generated(_hessian_source, *g._shape)
+    assert _generated(_hessian_source, *other._shape) is hessian
+    assert _generated(_hessian_source, *triangle_flex()._shape) is not hessian
+    assert hessian.__code__.co_filename == ("<rigidflex _hessian_source((0, 0, 0, 1, 1, 2, 3), "
+                                            "(1, 2, 3, 2, 3, 3, 4), 5, 3)>")
 
 
 def test_json_round_trip():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from rigidflex.cli import _resolve_scenario
-from rigidflex.control import LeaderSpec, _compiled_step, leader_spec_from_json, potential_value
+from rigidflex.control import LeaderSpec, _bound, leader_spec_from_json, potential_value
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.integrator import (
     IntegrationError,
@@ -123,13 +123,13 @@ def test_perturbation_event_is_a_value():
 
 def _assert_rejected_before_first_step(monkeypatch, events):
     """Each event alone makes integrate raise ValueError before the first
-    step: the step is never compiled."""
+    step: the step is never bound."""
     import rigidflex.integrator as integrator
 
-    def no_step(*args):
-        raise AssertionError("a step was compiled before the events were checked")
+    def no_step(*args, **kwargs):
+        raise AssertionError("a step was bound before the events were checked")
 
-    monkeypatch.setattr(integrator, "_compiled_step", no_step)
+    monkeypatch.setattr(integrator, "_bound", no_step)
     g = triangle_flex()
     for ev in events:
         with pytest.raises(ValueError):
@@ -310,7 +310,7 @@ def test_windowed_step_looks_up_the_last_sample_at_or_before_each_stage(t, rows)
     g = triangle_flex()
     values = [(1.0, -1.0), (16.0, -16.0), (256.0, -256.0)]
     spec = LeaderSpec(mode="windowed", t0=0.0, tf=10.0, times=[1.0, 2.0, 3.0], values=values)
-    advance, evaluate = _compiled_step(g, INERT, spec)
+    advance, evaluate = compiled_step(g, INERT, spec)
     p = desired_equilibrium(g).ravel().tolist()
     k1, _, w = evaluate(p)[:3]
     state, _, _, _, time, _, _ = advance(p, k1, w, t, t + 0.5, 0.5, 1, -math.inf)
@@ -410,18 +410,27 @@ def test_rational_start_on_coincidence_boundary_is_rejected(graph):
     np.testing.assert_array_equal(info.value.last_state, p0)
 
 
-def counting_compiled_step(calls, monkeypatch):
-    """A stand-in for ``integrator._compiled_step`` that counts in ``calls``
-    the calls of ``advance`` and of ``evaluate``, and of each edge's phi and
-    g: phi runs once per edge at each accepted state, g once per edge in
-    each edge pass.  The step it binds is the family's with phi and g
+def compiled_step(graph, family, leader):
+    """(advance, evaluate) as ``integrate`` binds them (``control._bound``):
+    ``advance`` for the leader's mode, and ``evaluate`` with the target
+    potential in target mode and without it in the others."""
+    target = "target" if leader.mode == "target" else "none"
+    return (_bound(graph, family, leader, key=(leader.mode, "advance")),
+            _bound(graph, family, leader, key=(target, "evaluate")))
+
+
+def counting_step(calls, monkeypatch):
+    """A stand-in for ``integrator._bound`` that counts in ``calls`` the
+    calls of ``advance`` and of ``evaluate``, and of each edge's phi and g:
+    phi runs once per edge at each accepted state, g once per edge in each
+    edge pass.  The function it binds is the family's with phi and g
     wrapped in counters, which the inlined formulas reach through
     ``builtins``."""
     import builtins
 
     import rigidflex.integrator as integrator
 
-    compiled_step = integrator._compiled_step
+    bound = integrator._bound
 
     def counted(key, f):
         def call(*a):
@@ -430,30 +439,33 @@ def counting_compiled_step(calls, monkeypatch):
 
         return call
 
-    def stand_in(graph, family, leader):
+    def stand_in(graph, family, leader, key):
         phi, g, _ = evaluators(family)
         monkeypatch.setattr(builtins, "counted_phi", counted("phi", phi), raising=False)
         monkeypatch.setattr(builtins, "counted_g", counted("g", g), raising=False)
         family = PotentialFamily(f"counted {family.name}", "counted_phi(e, d2)",
                                  "counted_g(e, d2)", family.rho)
-        advance, evaluate = compiled_step(graph, family, leader)
-        return counted("advance", advance), counted("evaluate", evaluate)
+        return counted(key[-1], bound(graph, family, leader, key=key))
 
     return stand_in
 
 
 def counting_pass(monkeypatch, calls, key="pass"):
-    """Count in ``calls[key]`` the runs of the cached edge pass behind
+    """Count in ``calls[key]`` the runs of the bound edge pass behind
     edge_states, gradient_control and potential_value, and behind the
-    analysis and the catalog, which call it by name."""
+    analysis and the catalog, which bind it by name (``_bound`` of a graph
+    and a family alone); any other binding, such as a layout's balance,
+    passes uncounted."""
     import rigidflex.control as control
     import rigidflex.oracle as oracle
     import rigidflex.stability as stability
 
-    cached = control._pass
+    bound = control._bound
 
-    def stand_in(graph, family):
-        evaluate = cached(graph, family)
+    def stand_in(graph, family, *args, **kwargs):
+        evaluate = bound(graph, family, *args, **kwargs)
+        if args or kwargs:
+            return evaluate
 
         def counted(p):
             calls[key] += 1
@@ -462,7 +474,7 @@ def counting_pass(monkeypatch, calls, key="pass"):
         return counted
 
     for module in (control, oracle, stability):
-        monkeypatch.setattr(module, "_pass", stand_in)
+        monkeypatch.setattr(module, "_bound", stand_in)
 
 
 def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
@@ -470,7 +482,7 @@ def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     perturbation, one ``evaluate`` at t = 0 and after each perturbation,
     one V per accepted state and four edge passes per accepted step (the
     pass at each state is the next step's first stage); neither the public
-    gradient_control nor the analysis entry points' cached pass is called."""
+    gradient_control nor the analysis entry points' bound pass is called."""
     import rigidflex.control as control
     import rigidflex.integrator as integrator
 
@@ -479,8 +491,8 @@ def test_fixed_step_loop_runs_one_kernel_pass_per_state(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("public control function or analysis pass called in the loop")
 
-    monkeypatch.setattr(integrator, "_compiled_step", counting_compiled_step(calls, monkeypatch))
-    monkeypatch.setattr(control, "_pass", forbidden)
+    monkeypatch.setattr(integrator, "_bound", counting_step(calls, monkeypatch))
+    monkeypatch.setattr(control, "_bound", forbidden)
     # the integrator imports no gradient_control; one added later is caught
     monkeypatch.setattr(integrator, "gradient_control", forbidden, raising=False)
     g = triangle_flex()
@@ -506,7 +518,7 @@ def test_import_compiles_no_step(tmp_path):
     run_fresh(textwrap.dedent("""
         import linecache
         import rigidflex, rigidflex.cli, rigidflex.control as control
-        assert control._step_code.cache_info().currsize == 0
+        assert control._generated.cache_info().currsize == 0
         assert not [name for name in linecache.cache if name.startswith("<rigidflex")]
     """), tmp_path)
 
@@ -529,32 +541,61 @@ def test_analysis_half_compiles_no_advance(tmp_path):
     assert out.split() == ["4", "0"]
 
 
+def test_every_generated_function_comes_from_the_one_factory(tmp_path):
+    """In a fresh interpreter, the catalogs of both certified graphs with
+    both families, analyze at every entry and one integrate per leader mode
+    compile each function once, through ``control._generated``: its cache
+    holds as many functions as ``linecache`` holds generated texts."""
+    out = run_fresh(textwrap.dedent("""
+        import linecache
+        import rigidflex.control as control
+        from rigidflex import (FAMILIES, LeaderSpec, analyze, build_catalog, desired_equilibrium,
+                               integrate, tetrahedron_flex, triangle_flex)
+        for g in (triangle_flex(), tetrahedron_flex()):
+            for family in FAMILIES.values():
+                for entry in build_catalog(g, family)[0]:
+                    analyze(entry.positions, g, family)
+        g = triangle_flex()
+        for leader in (LeaderSpec(), LeaderSpec(mode="target", k_f=5.0, p_t=(6.0, 6.0)),
+                       LeaderSpec(mode="windowed", t0=0.0, tf=0.005, times=(0.0,),
+                                  values=((1.0, 0.0),))):
+            integrate(desired_equilibrium(g), g, FAMILIES["quadratic"], t_end=0.01, leader=leader)
+        print(sum(name.startswith("<rigidflex") for name in linecache.cache),
+              control._generated.cache_info().currsize)
+    """), tmp_path)
+    texts, functions = map(int, out.split())
+    assert texts == functions > 0
+
+
 def test_windowed_run_shares_evaluate_with_a_plain_run(monkeypatch):
     """``evaluate`` is compiled once per graph shape and whether a target
     potential is added: a run with no leader and a windowed run of one shape
     generate two ``advance`` functions and one ``evaluate``."""
     import rigidflex.control as control
 
-    sources = []
-    step_source = control._step_source
+    names = []
+    generated = control._generated
 
-    def recorded(*args):
-        sources.append(step_source(*args))
-        return sources[-1]
+    def recorded(source, *key):
+        misses = generated.cache_info().misses
+        function = generated(source, *key)
+        if generated.cache_info().misses > misses:
+            names.append(function.__name__)
+        return function
 
-    monkeypatch.setattr(control, "_step_source", recorded)
-    control._step_code.cache_clear()
-    control._compiled_step.cache_clear()
+    monkeypatch.setattr(control, "_generated", recorded)
+    generated.cache_clear()
+    control._bound.cache_clear()
     g = triangle_flex()
     integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.01)
     window = LeaderSpec(mode="windowed", times=[0.0], values=[(1.0, 0.0)], t0=0.0, tf=0.005)
     integrate(desired_equilibrium(g), g, QUADRATIC, t_end=0.01, leader=window)
-    assert sum(source.count("def evaluate(") for source in sources) == 1
-    assert sum(source.count("def advance(") for source in sources) == 2
+    assert names.count("evaluate") == 1
+    assert names.count("advance") == 2
 
 
 @pytest.mark.parametrize("mode", ["none", "target", "windowed"])
-def test_second_integrate_of_a_shape_compiles_nothing(monkeypatch, mode):
+def test_second_integrate_of_a_shape_compiles_nothing(mode):
     """After one run of a graph shape and leader mode with each family,
     runs at other lengths, with either family and other leader constants
     generate and compile no code."""
@@ -567,28 +608,23 @@ def test_second_integrate_of_a_shape_compiles_nothing(monkeypatch, mode):
                                        t0=0.01 * k, tf=0.02 * k)}[mode]
 
     g = triangle_flex()
-    control._compiled_step.cache_clear()        # so the first runs reach _step_code
+    control._bound.cache_clear()        # so the first runs reach _generated
     for family in (QUADRATIC, RATIONAL):
         integrate(desired_equilibrium(g), g, family, t_end=0.01, leader=leader(1.0))
-    misses = control._step_code.cache_info().misses
-
-    def forbidden(*args):
-        raise AssertionError("step source generated for a shape already compiled")
-
-    monkeypatch.setattr(control, "_step_source", forbidden)
+    misses = control._generated.cache_info().misses
     for k, (lengths, family) in enumerate([((3.0, 4.0, 5.0, 2.0), RATIONAL),
                                            ((1.5, 2.5, 2.0, 7.0), QUADRATIC)], 2):
         g = triangle_flex(lengths)
         integrate(desired_equilibrium(g), g, family, t_end=0.01, leader=leader(k))
-    assert control._step_code.cache_info().misses == misses
+    assert control._generated.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()],
                          ids=["triangle", "tetrahedron"])
 def test_leaders_equal_but_for_a_signed_zero_share_one_binding(monkeypatch, graph):
     """Leader specs whose target point or sample rows differ only in the
-    sign of a zero compare and hash equal, so ``_compiled_step`` binds the
-    second to the constants of the first.  That changes no byte: on a cold
+    sign of a zero compare and hash equal, so ``_bound`` binds the
+    second's step to the constants of the first.  That changes no byte: on a cold
     cache, each spec gives the same trajectory whether it runs first or
     second, with the flex agent started on the zero coordinate, so that
     p_t - p_flex starts as a signed zero.  A further run of an equal spec
@@ -616,10 +652,10 @@ def test_leaders_equal_but_for_a_signed_zero_share_one_binding(monkeypatch, grap
         assert a == b and hash(a) == hash(b) and repr(a) != repr(b)
         runs = []
         for order in ((a, b), (b, a)):
-            control._compiled_step.cache_clear()
+            control._bound.cache_clear()
             control._constants.cache_clear()
             runs.append([run(spec) for spec in order])
-            assert control._compiled_step.cache_info().misses == 1
+            assert control._bound.cache_info().misses == 2      # advance and evaluate
         assert runs[0] == runs[1][::-1]
     monkeypatch.setattr(control, "_constants", lambda *args: pytest.fail("bound again"))
     assert run(pairs[1][0]) == runs[0][0]

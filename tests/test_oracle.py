@@ -307,7 +307,7 @@ def test_construct_rejects_unknown_subform():
 
 def test_newton_polish_runs_one_edge_pass_per_iteration(monkeypatch):
     """Each iteration takes its residual, the Newton right-hand side and the
-    Hessian from one ``_pass`` call, and solves once; the last pass only
+    Hessian from one bound edge pass, and solves once; the last pass only
     finds the residual small.  No iteration calls ``edge_states``."""
     import rigidflex
     import rigidflex.control as control
@@ -425,8 +425,9 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
                          ids=["triangle", "tetrahedron", "tailored"])
 def test_solve_binds_the_family_once_per_edge_set(graph, family, monkeypatch):
     """``solve`` looks up the family's evaluators once for the balance over
-    the crossing edges (``control._constants`` binds it, once per graph and
-    family: its cache is cleared before each solve here), and once before
+    the crossing edges (``control._bound`` binds it to ``control._constants``,
+    once per graph and family: both caches are cleared before each solve
+    here), and once before
     that for the boundary test when some rigid edge has a zero template
     vector.  A layout with no scale has no balance to bind.  A layout
     refused at the boundary looks them up once; one refused for its
@@ -443,6 +444,7 @@ def test_solve_binds_the_family_once_per_edge_set(graph, family, monkeypatch):
                 for i, j in zip(graph.edge_tails[:-1], graph.edge_heads[:-1])]
         expected = (len(layout.templates) > 0) + any(zero)
         binds.clear()
+        control._bound.cache_clear()
         control._constants.cache_clear()
         try:
             layout.solve(graph, family)
@@ -879,27 +881,23 @@ def test_layout_jacobian_matches_central_differences(graph, family, monkeypatch)
             assert np.abs(jac - fd).max() <= 1e-6 * np.abs(jac).max(), (name, x)
 
 
-def test_catalog_at_other_lengths_compiles_no_balance(monkeypatch):
+def test_catalog_at_other_lengths_compiles_no_balance():
     """A layout's balance is compiled once per graph shape and family, with
-    the lengths bound per solve: after the equal triangle's and the equal
-    tetrahedron's catalogs with both families, the tailored tetrahedron and
-    a 3-4-5 triangle generate and compile no balance code."""
-    import rigidflex.oracle as oracle
+    the lengths bound per graph (``control._bound``): after the equal
+    triangle's and the equal tetrahedron's catalogs with both families, the
+    tailored tetrahedron and a 3-4-5 triangle generate and compile no code,
+    balance or edge pass (``control._generated`` misses nothing)."""
+    import rigidflex.control as control
 
     for graph in (triangle_flex(), tetrahedron_flex()):
         for family in (QUADRATIC, RATIONAL):
             build_catalog(graph, family)
-    misses = oracle._balance_code.cache_info().misses
-
-    def forbidden(*args):
-        raise AssertionError("balance source generated for a shape already compiled")
-
-    monkeypatch.setattr(oracle, "_balance_source", forbidden)
+    misses = control._generated.cache_info().misses
     for graph in (TAILORED, triangle_flex((3.0, 4.0, 5.0, 2.0))):
         for family in (QUADRATIC, RATIONAL):
             entries, _ = build_catalog(graph, family)
             assert entries
-    assert oracle._balance_code.cache_info().misses == misses
+    assert control._generated.cache_info().misses == misses
 
 
 def test_second_catalog_binds_nothing(monkeypatch):

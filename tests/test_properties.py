@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from rigidflex.control import (
     LeaderSpec,
-    _compiled_step,
     _norm,
     edge_states,
     gradient_control,
@@ -30,6 +29,7 @@ from references import (
     leader_potential,
     rk4_advance,
 )
+from test_integrator import compiled_step
 
 GRAPHS = {"triangle": triangle_flex(), "tetrahedron": tetrahedron_flex()}
 FAMILIES = {"quadratic": QUADRATIC, "rational": RATIONAL}
@@ -262,7 +262,7 @@ def test_compiled_step_equals_the_reference_step(graph_name, family_name, mode, 
                           values=[(0.5,) * graph.dimension, (1e308,) * graph.dimension])
     else:
         spec = leader(mode, graph.dimension)
-    advance, evaluate = _compiled_step(graph, family, spec)
+    advance, evaluate = compiled_step(graph, family, spec)
     run, potential = float_pass(graph, family)
     p = p.ravel().tolist()
     boundary = t + left * dt

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from rigidflex.control import _evaluate, _pass, edge_states, gradient_control
+from rigidflex.control import _aligned_source, _bound, _generated, edge_states, gradient_control
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     OracleError,
@@ -25,8 +25,7 @@ from rigidflex.stability import (
     StabilityReport,
     WitnessNotFoundError,
     analyze,
-    _aligned_block,
-    _claims,
+    _claims_source,
     _classify,
     _simplex,
     _witness,
@@ -54,6 +53,19 @@ from references import (
 from test_integrator import counting_pass
 
 RNG = np.random.default_rng(7)
+
+
+def aligned_block(z, g, rho, r, graph):
+    """The flat aligned block that ``analyze`` reads along the axis r: the
+    graph shape's generated ``aligned`` on one edge pass's lists."""
+    return _generated(_aligned_source, *graph._shape)(z, r, g, rho)
+
+
+def sign_claims(g, graph, cls):
+    """The sign claims that ``analyze`` makes for a degenerate-rigid class:
+    the generated ``claims`` of its subform at its roles on the graph's
+    edges, over one edge pass's g in edge order."""
+    return _generated(_claims_source, graph.dimension, cls.subform, cls.roles, graph.edges)(g)
 
 
 def fd_jacobian(p, graph, family, h=1e-6):
@@ -179,7 +191,7 @@ def test_generated_hessian_equals_the_bincount_reference_bit_for_bit(graph, fami
         points.append(coincident)
     assert np.isnan(assemble_hessian(points[-1], graph, family)).any() == (family is RATIONAL)
     for p in points:
-        _, _, _, z, g, rho = _evaluate(p, graph, family)
+        _, _, _, z, g, rho, _ = _bound(graph, family)(p.ravel().tolist())
         h = assemble_hessian(p, graph, family)
         assert h.shape == (n * d, n * d)
         assert h.tobytes() == bincount_hessian(z, g, rho, graph).tobytes()
@@ -211,10 +223,10 @@ def test_aligned_block_equals_the_edge_loop_bit_for_bit(graph, family):
         points.append(p)
     nan_blocks = 0
     for p in points:
-        _, _, _, z, g, rho = _evaluate(p, graph, family)
+        _, _, _, z, g, rho, _ = _bound(graph, family)(p.ravel().tolist())
         r = rng.standard_normal(d)
         r = tuple((r / np.linalg.norm(r)).tolist())
-        block = np.array(_aligned_block(z, g, rho, r, graph))
+        block = np.array(aligned_block(z, g, rho, r, graph))
         assert block.shape == (n * n,)
         assert block.tobytes() == np.array(loop_aligned_block(z, g, rho, r, graph)).tobytes()
         nan_blocks += bool(np.isnan(block).any())
@@ -254,8 +266,8 @@ def test_aligned_last_block_equals_block_at_rotated_positions(graph, family):
         p = rng.uniform(-5, 5, (graph.num_nodes, d))
         rot = random_rotation(rng, d)
         st = edge_states(p, graph, family)
-        block = np.reshape(_aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
-                                          tuple(rot[-1].tolist()), graph), (graph.num_nodes,) * 2)
+        block = np.reshape(aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
+                                         tuple(rot[-1].tolist()), graph), (graph.num_nodes,) * 2)
         moved = assemble_hessian(p @ rot.T, graph, family)[d - 1::d, d - 1::d]
         read = aligned_last_block(assemble_hessian(p, graph, family), rot[-1])
         for other in (moved, read):
@@ -354,8 +366,8 @@ def test_classify_axis_is_a_normal_of_the_layout(graph):
                 laplacian[np.ix_([i - 1, j - 1], [i - 1, j - 1])] += [[g, -g], [-g, g]]
             block = aligned_last_block(assemble_hessian(p, graph, QUADRATIC), r)
             np.testing.assert_allclose(block, laplacian, rtol=0, atol=1e-12)
-            block = _aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
-                                   cls.axis, graph)
+            block = aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
+                                  cls.axis, graph)
             np.testing.assert_allclose(np.reshape(block, laplacian.shape), laplacian,
                                        rtol=0, atol=1e-12)
     # all_coincident in 2-D; the four line forms the quadratic family
@@ -424,7 +436,7 @@ def forged_block():
     forged = type(cls)(kind="degenerate_rigid", subform="collinear_distinct",
                        diagnostics={}, ambiguous=False, axis=(0.0, 1.0))
     st = edge_states(p, g, QUADRATIC)
-    block = _aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(), forged.axis, g)
+    block = aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(), forged.axis, g)
     return forged, block, assemble_hessian(p, g, QUADRATIC)
 
 
@@ -540,7 +552,7 @@ def test_sign_claims_use_the_roles_of_the_given_classification(monkeypatch):
     assert classify(p, g, QUADRATIC).subform == "collinear_distinct"
     monkeypatch.setattr(stability, "POS_TOL", 1e-3)
     cls = classify(p, g, QUADRATIC)
-    claims = _claims(edge_states(p, g, QUADRATIC).g.tolist(), g, cls)
+    claims = sign_claims(edge_states(p, g, QUADRATIC).g.tolist(), g, cls)
     assert [(c.description, c.passed) for c in claims] == [
         ("g_23 < 0", True), ("g_12 = 0", False), ("g_13 = 0", False)]
     assert (cls.subform, cls.roles) == ("coincident_pair", (1, 2, 3))
@@ -640,25 +652,29 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
     """One analyze at a moved 3-D catalog point or the desired shape: one
     edge pass, shared by the class, the Hessian, the aligned block and the
     sign claims, one Hessian, and one aligned block, by the shape's
-    generated ``aligned`` (no 1-D Hessian is made), none for the desired
-    class, which has no axis."""
+    generated ``aligned``, looked up and run once (no 1-D Hessian is made),
+    none for the desired class, which has no axis; the claims are looked up
+    once for a degenerate-rigid class."""
     import rigidflex.stability as stability
 
-    counts = dict.fromkeys(("pass", "hessian 3-D", "aligned 3-D", "_aligned_block"), 0)
+    counts = dict.fromkeys(("pass", "hessian 3-D", "aligned 3-D", "aligned block", "claims"), 0)
+    generated = stability._generated
 
-    def counted(name, key):
-        fn = getattr(stability, name)
+    def looked_up(source, *key):
+        function = generated(source, *key)
+        name = function.__name__
+        counts[name if name == "claims" else f"{name} {key[3]}-D"] += 1
+        if name != "aligned":
+            return function
 
-        def wrapper(*args, **kwargs):
-            counts[key(*args)] += 1
-            return fn(*args, **kwargs)
+        def block(*args):
+            counts["aligned block"] += 1
+            return function(*args)
 
-        monkeypatch.setattr(stability, name, wrapper)
+        return block
 
     counting_pass(monkeypatch, counts)
-    counted("_hessian_pass", lambda shape: f"hessian {shape[3]}-D")
-    counted("_aligned_pass", lambda shape: f"aligned {shape[3]}-D")
-    counted("_aligned_block", lambda *args: "_aligned_block")
+    monkeypatch.setattr(stability, "_generated", looked_up)
     g = tetrahedron_flex()
     entries, _ = build_catalog(g, QUADRATIC)
     rng = np.random.default_rng(13)
@@ -671,7 +687,7 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         assert (report.witness is not None) == (kind != "desired")
         aligned = int(kind != "desired")
         assert counts == {"pass": 1, "hessian 3-D": 1, "aligned 3-D": aligned,
-                          "_aligned_block": aligned}
+                          "aligned block": aligned, "claims": int(kind == "degenerate_rigid")}
 
 
 def reference_claim(spec, roles, g, zero_tol=1e-9):
@@ -724,7 +740,7 @@ def test_parsed_sign_claims_equal_the_per_call_parser(d):
             for _ in range(4):
                 g = {pair: float(rng.choice([0.0, 1e-9, -1e-9, rng.standard_normal()]))
                      for pair in itertools.combinations(labels, 2)}
-                claims = _claims([*map(g.__getitem__, graph.edges[:-1]), math.nan], graph, cls)
+                claims = sign_claims([*map(g.__getitem__, graph.edges[:-1]), math.nan], graph, cls)
                 assert len(claims) == len(specs)
                 for c, spec in zip(claims, specs):
                     ref = reference_claim(spec, roles, g)
@@ -740,7 +756,7 @@ def test_sign_claims_sum_left_to_right():
     assert math.fsum(g) == 1.0
     cls = EquilibriumClass(kind="degenerate_rigid", subform="convex_quadrilateral",
                            roles=(1, 2, 3, 4))
-    claims = {c.description: c for c in _claims(g, tetrahedron_flex(), cls)}
+    claims = {c.description: c for c in sign_claims(g, tetrahedron_flex(), cls)}
     assert claims["sum_g at 1 < 0"].value == 0.0
 
 
@@ -763,7 +779,7 @@ def test_generated_claims_equal_the_interpreter_and_dict_claim_bit_for_bit(d):
                 by_pair = {pair: float(rng.choice(choices)) if rng.random() < 0.3 * (case > 0)
                            else float(rng.standard_normal()) for pair in graph.edges[:-1]}
                 g = [*map(by_pair.__getitem__, graph.edges[:-1]), math.nan]
-                got = [(c.description, c.value.hex(), c.passed) for c in _claims(g, graph, cls)]
+                got = [(c.description, c.value.hex(), c.passed) for c in sign_claims(g, graph, cls)]
                 assert got == [(c.description, c.value.hex(), c.passed)
                                for c in (_claim(row, g) for row in rows)]
                 assert got == [(c.description, c.value.hex(), c.passed)
@@ -783,25 +799,21 @@ def test_tolerances_are_read_at_call_time(monkeypatch):
     pivot = EquilibriumClass(kind="degenerate_rigid", subform="collinear_distinct",
                              roles=(2, 4, 1, 3))            # its pivot ij is g_24 = -1
     entry = next(e for e in build_catalog(graph, QUADRATIC)[0] if e.subform == "interior_point")
-    before = [_claims(g, graph, zero)[0], _claims(g, graph, pivot)[1],
+    before = [sign_claims(g, graph, zero)[0], sign_claims(g, graph, pivot)[1],
               analyze(entry.positions, graph, QUADRATIC).witness]
-
-    def forbidden(*args):
-        raise AssertionError("generated again")
-
-    for module in (control, stability):
-        monkeypatch.setattr(module, "_compiled", forbidden)
+    misses = control._generated.cache_info().misses
     monkeypatch.setattr(stability, "ZERO_TOL", 1e-10)
     monkeypatch.setattr(stability, "WITNESS_MARGIN", 1e12)
-    after = [_claims(g, graph, zero)[0], _claims(g, graph, pivot)[1]]
+    after = [sign_claims(g, graph, zero)[0], sign_claims(g, graph, pivot)[1]]
     assert (before[0].description, before[0].passed) == ("g_13 = 0", True)
     assert (after[0].description, after[0].passed) == ("g_13 = 0", False)
     monkeypatch.setattr(stability, "ZERO_TOL", 2.0)        # g_24 = -1 is now zero
     assert before[1].description == "g_24+g_12+g_23 < 0"
-    assert _claims(g, graph, pivot)[1].description == "g_24+g_14+g_34 < 0"
+    assert sign_claims(g, graph, pivot)[1].description == "g_24+g_14+g_34 < 0"
     assert before[2] is not None
     with pytest.raises(WitnessNotFoundError):
         analyze(entry.positions, graph, QUADRATIC)
+    assert control._generated.cache_info().misses == misses
 
 
 # SHA-256 of the generated aligned block per graph shape (nodes, dimension)
@@ -872,12 +884,12 @@ def separate_report(p, graph, family):
     witness, claims, block = None, [], None
     if cls.axis:
         st = edge_states(p, graph, family)
-        block = _aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
-                               cls.axis, graph)
+        block = aligned_block(st.z.ravel().tolist(), st.g.tolist(), st.rho.tolist(),
+                              cls.axis, graph)
     if certified and cls.kind in ("flex_coincident", "degenerate_rigid"):
         witness = _witness(block, cls)
         if cls.kind == "degenerate_rigid":
-            claims = _claims(edge_states(p, graph, family).g.tolist(), graph, cls)
+            claims = sign_claims(edge_states(p, graph, family).g.tolist(), graph, cls)
     block_spectrum = None
     if cls.axis:
         block_spectrum = np.linalg.eigvalsh(np.reshape(block, (graph.num_nodes,) * 2))
@@ -959,7 +971,7 @@ def assert_verdicts_equal_the_svd_reference(p, graph, family):
         == (witness.tag, witness.vector.tolist())
     assert report.witness.quadratic_form == pytest.approx(witness.quadratic_form, rel=1e-12)
     g = edge_states(p, graph, family).g.tolist()
-    assert report.claims == (_claims(g, graph, ref) if ref.kind == "degenerate_rigid" else [])
+    assert report.claims == (sign_claims(g, graph, ref) if ref.kind == "degenerate_rigid" else [])
 
 
 # the tetrahedron's edge groups that a planar layout needs equal: the
@@ -1048,12 +1060,12 @@ def test_classify_fewer_or_more_than_d_plus_one_agents_like_the_svd_reference(d,
     points.append(np.vstack([plane, rng.normal(size=(1, d))]))
     for p in points:
         x = p.ravel().tolist()
-        cls = _classify(x, _pass(g, QUADRATIC)(x), g, eq_tol=math.inf)
+        cls = _classify(x, _bound(g, QUADRATIC)(x), g, eq_tol=math.inf)
         ref = svd_classify(p, g, QUADRATIC, eq_tol=math.inf)
         assert (cls.kind, cls.subform, cls.roles, cls.ambiguous) \
             == (ref.kind, ref.subform, ref.roles, ref.ambiguous)
         np.testing.assert_allclose(cls.axis, ref.axis, rtol=0, atol=1e-12)
-    assert [_classify(x, _pass(g, QUADRATIC)(x), g, eq_tol=math.inf).kind
+    assert [_classify(x, _bound(g, QUADRATIC)(x), g, eq_tol=math.inf).kind
             for x in (p.ravel().tolist() for p in points)] == ["degenerate_rigid"] * (d - 1) \
         + ["unrecognized" if k > d else "degenerate_rigid"] + ["flex_coincident"] * 3 \
         + ["degenerate_rigid"]
@@ -1128,7 +1140,7 @@ def assert_verdict_pieces_equal_the_dict_reference(p, graph, family, eq_tol):
     corner or a diagonal entry of the block made +-inf or NaN.  Returns the
     kind."""
     x = np.asarray(p, dtype=float).ravel().tolist()
-    out = _pass(graph, family)(x)
+    out = _bound(graph, family)(x)
     cls, ref = (classify_at(x, out, graph, eq_tol) for classify_at in (_classify, dict_classify))
     assert (cls.kind, cls.subform, cls.roles, cls.ambiguous, repr(cls.diagnostics)) \
         == (ref.kind, ref.subform, ref.roles, ref.ambiguous, repr(ref.diagnostics))
@@ -1138,10 +1150,10 @@ def assert_verdict_pieces_equal_the_dict_reference(p, graph, family, eq_tol):
         by_pair = dict(zip(graph.edges, g))
         refs = [dict_claim(spec, cls.roles, by_pair)
                 for spec in SIGN_CLAIMS[graph.dimension][cls.subform]]
-        assert [(c.description, c.value.hex(), c.passed) for c in _claims(g, graph, cls)] \
+        assert [(c.description, c.value.hex(), c.passed) for c in sign_claims(g, graph, cls)] \
             == [(c.description, c.value.hex(), c.passed) for c in refs]
     if cls.axis:
-        block, n = _aligned_block(z, g, rho, cls.axis, graph), graph.num_nodes
+        block, n = aligned_block(z, g, rho, cls.axis, graph), graph.num_nodes
         assert witness_outcome(_witness, block, cls) \
             == witness_outcome(rows_witness, np.reshape(block, (n, n)), cls)
         for entry, bad in itertools.product([n - 1, 0], [math.inf, -math.inf, math.nan]):
