@@ -20,10 +20,11 @@ entries formed once, and ``aligned`` the same H in one dimension at the
 edge coordinates z_k . r that it forms itself: the block that
 ``stability``'s witness reads.  Each sums on Python floats in edge order,
 so no result depends on how a BLAS sums.  Every generated text of the
-package, these, ``oracle``'s layout balance and ``stability``'s sign
-claims, becomes a function in one place, ``_generated``, and ``_bound``
-binds those that read a graph's lengths, a family's evaluators or a
-leader's constants to them (``_constants``).
+package, these, ``oracle``'s layout root finders and placements and
+``stability``'s sign claims, becomes a function in one place,
+``_generated``, which keeps its text in ``linecache`` while it lives, and
+``_bound`` binds those that read a graph's lengths, a family's evaluators
+or a leader's constants to them (``_constants``).
 ``LeaderSpec`` holds the flex agent's leader input as values, a windowed
 one as a sample table that the generated step looks up inline, and its
 arrival test.
@@ -39,6 +40,7 @@ import itertools
 import linecache
 import math
 import re
+import weakref
 from dataclasses import dataclass
 from types import CodeType, FunctionType
 
@@ -501,18 +503,22 @@ def _generated(source, *key):
     the globals of ``source``'s module, whose names it reads at each call,
     and its text goes to ``linecache`` as ``<rigidflex source(key)>``, a
     file name of its own per source and key, so that tracebacks and
-    profilers show it."""
+    profilers show it, for as long as the function lives: an evicted one
+    takes its text with it."""
     text = source(*key)
     filename = f"<rigidflex {source.__name__}{key!r}>"
-    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    linecache.cache[filename] = entry = (len(text), None, text.splitlines(True), filename)
     code = next(c for c in compile(text, filename, "exec").co_consts if isinstance(c, CodeType))
-    return FunctionType(code, source.__globals__)
+    function = FunctionType(code, source.__globals__)
+    weakref.finalize(function, lambda: linecache.cache.get(filename) is entry
+                     and linecache.cache.pop(filename))
+    return function
 
 
 @functools.lru_cache(maxsize=32)
 def _constants(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec()) -> dict:
-    """The globals of every generated function (edge pass, RK4 step, layout
-    balance): the family's numpy evaluators PHI, G and RHO for ``_on_numpy``,
+    """The globals of every generated function that reads them (edge pass,
+    RK4 step, layout root finder): the family's numpy evaluators PHI, G and RHO for ``_on_numpy``,
     each edge's dbar^2 as D2_k, and a leader's k_f and p_t, or t0, tf and
     its sample table as TIMES and VALUES; no leader by default.  Made once
     per (graph, family, leader) and kept for the 32 used last; no generated
@@ -542,8 +548,8 @@ def _bound(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec(),
     By default it is ``evaluate`` with no leader, the one edge pass; a
     ``_step_source`` key is (leader mode, name), and ``integrate`` binds
     ``advance`` with its leader's mode and ``evaluate`` with 'target' or
-    'none', whether a target term is added.  ``oracle``'s layout balance
-    is bound here too.
+    'none', whether a target term is added.  ``oracle``'s layout root
+    finders are bound here too.
 
     ``evaluate(p)`` maps a flat, node-major list of (N+1) d floats to, as
     new lists, the gradient control u in that layout, the squared errors e

@@ -13,12 +13,15 @@ ends are equal floats, is exact for every family (coincidence-construct).
 The layout solve evaluates the family on its own edge set, apart from the
 simulator and the edge pass, so its roots are an independent construction.
 
-The balance and its Jacobian are generated per layout, graph shape and
-family as one straight-line function on Python floats (``_balance_source``),
-compiled by ``control._generated`` and bound to the graph's lengths by
-``control._bound``, as the edge pass is.  Newton, its k x k solve, the
-bisection and each agent's placement run on floats in a fixed summation
-order, so no root or position depends on how a BLAS sums.
+Each layout's root finder is generated per graph shape and family as one
+straight-line function on Python floats with the balance inline
+(``_solver_source``): the bisection, or one Newton solve from one seed with
+its Jacobian, Cramer solve, step cut and halvings.  ``control._generated``
+compiles it and ``control._bound`` binds it to the graph's lengths, as it
+binds the edge pass.  The placement sum_k x_k T_k of the agents, the flex
+agent included, is generated per layout and graph shape
+(``_placement_source``).  Every sum runs in a fixed order on floats, so no
+root or position depends on how a BLAS sums.
 
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry from one edge pass at the
@@ -26,10 +29,11 @@ constructed point: it rejects points outside the family's domain and
 classifies.  Every point is constructed, never simulated or polished
 (``newton_polish`` serves ``rigidflex run``'s equilibrium reports).
 
-``root``, one Newton solve from one seed, is a module attribute that every
-seed looks up at call time, so a caller may wrap it to count seeds.  It is a
-partial, not a function, so a tracer that wraps every public function of
-this module and then ``oracle.root`` counts each seed once.
+``root`` runs a layout's generated Newton solve from one seed.  It is a
+module attribute that every seed looks up at call time, so a caller may wrap
+it to count seeds, and a partial, not a function, so a tracer that wraps
+every public function of this module and then ``oracle.root`` counts each
+seed once.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import _bound, _call, _dot, _norm, _on_numpy, _per_call, _sum
+from .control import _bound, _call, _dot, _generated, _norm, _on_numpy, _per_call, _sum
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily, evaluators
 from .stability import LINE_SLOTS, _classify, _hessian
@@ -166,107 +170,26 @@ def flex_coincident_equilibrium(graph: FormationGraph) -> np.ndarray:
 # Root-finding helpers
 
 
-def _bracketed_root(f, lo, hi):
-    """The root of f on [lo, hi] by bisection, with a readable error when
-    the ends share a sign.  The bracket is halved by the sign of f until f
-    is exactly 0 at an end or the ends are adjacent floats, and the end with
-    the smaller |f| is returned (lo on a tie).  Every step shrinks a float
-    interval, so no cap is needed, and no tolerance picks the end: a layout
-    whose lengths are scaled by a power of two has its root scaled exactly."""
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo <= 0 <= f_hi or f_hi <= 0 <= f_lo):        # also a NaN end
-        raise OracleError(f"layout scale bracket failed: f({lo:.4g})={f_lo:.4g}, "
-                          f"f({hi:.4g})={f_hi:.4g}")
-    while f_lo and f_hi and lo < (mid := 0.5 * (lo + hi)) < hi:
-        if ((f_mid := f(mid)) < 0) == (f_lo < 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi, f_hi = mid, f_mid
-    return lo if abs(f_lo) <= abs(f_hi) else hi
+def _from_seed(newton, seed):
+    """A layout's generated ``newton`` from ``seed``, with the module's step
+    and halving limits read at call time: the gaps it ends at and max|F| there."""
+    return newton(seed, NEWTON_MAX_STEPS, NEWTON_HALVINGS)
 
 
-def _max_abs(f) -> float:
-    """max |F_k|, NaN if any F_k is NaN, as numpy's max gives."""
-    worst = 0.0
-    for v in f:
-        v = abs(v)
-        if v > worst or v != v:         # a NaN is taken and then kept
-            worst = v
-    return worst
+root = functools.partial(_from_seed)      # a partial, for tracers: see the module docstring
 
 
-def _solve(jac, f):
-    """s with J s = F for k = 2 or 3 gaps (one scale is bisected) by
-    Cramer's rule, the 3x3 determinants by cofactors along the first row, or
-    None when det J is exactly 0.  For a 2x2 J with J_12 == J_21, swapping
-    the unknowns swaps s bit for bit."""
-    if len(f) == 2:
-        ((a, b), (c, d)), (p, q) = jac, f
-        det = a * d - b * c
-        return None if det == 0 else [(p * d - b * q) / det, (a * q - p * c) / det]
-    ((a, b, c), (d, e, g), (h, i, j)), (p, q, r) = jac, f
-    ej, dj, di = e * j - g * i, d * j - g * h, d * i - e * h
-    det = a * ej - b * dj + c * di
-    if det == 0:
-        return None
-    qj, dr, er = q * j - g * r, d * r - q * h, e * r - q * i
-    return [(p * ej - b * qj + c * (q * i - e * r)) / det,
-            (a * qj - p * dj + c * dr) / det,
-            (a * er - b * dr + p * di) / det]
-
-
-def _newton(fun, x):
-    """Damped Newton from the seed x0 = x, a list of floats: the x and F it
-    ends at, as lists.
-
-    ``fun(x)`` gives F(x) as a list and a function that gives J(x) as a list
-    of rows, so a trial point that is not taken costs F alone.  Each step s
-    solves J s = F (``_solve``), is cut to |x0| and halved until max|F|
-    falls.  A seed ends once s, or Deuflhard's estimate |s| |F_new| / |F_old|
-    of the distance left, is below 1e-15 |x0|; when J is exactly singular or
-    s not finite; when no halving reduces max|F|; when max|F| fell by less
-    than 10 % over three steps; or after NEWTON_MAX_STEPS.  It runs on
-    Python floats alone: a non-finite F or J is judged, never raised or
-    warned about, and no sum depends on how a BLAS sums.
-    """
-    f, jac = fun(x)
-    history, bound = [_max_abs(f)], _dot(x, x)
-    for _ in range(NEWTON_MAX_STEPS):
-        step = _solve(jac(), f)
-        if step is None or not 1e-30 * bound < (size := _dot(step, step)) < math.inf:
-            break
-        cut = min(1.0, (bound / size) ** 0.5)
-        step = [s * cut for s in step]
-        for _ in range(NEWTON_HALVINGS + 1):
-            f_t, jac_t = fun(trial := [a - s for a, s in zip(x, step)])
-            if (res := _max_abs(f_t)) < history[-1]:
-                break
-            step = [s / 2 for s in step]
-        else:
-            break
-        x, f, jac = trial, f_t, jac_t
-        history.append(res)
-        if (_dot(step, step) * (res * res) <= 1e-30 * bound * (history[-2] * history[-2])
-                or len(history) > 3 and res > 0.9 * history[-4]):
-            break
-    return x, f
-
-
-root = functools.partial(_newton)         # a partial, for tracers: see the module docstring
-
-
-def _multi_root(fun, seeds, names):
-    """Try ``root`` on ``fun`` from several seeds; return the first positive
-    solution.  A seed's end point is judged by its gaps and residual alone.
-    When no root has all gaps positive, the error lists the gaps of the
-    roots the seeds reached apart from the seeds that did not converge,
-    with their residuals.
+def _multi_root(newton, seeds, names):
+    """Try ``root`` on a layout's ``newton`` from several seeds; return the
+    first positive solution.  A seed's end point is judged by its gaps and
+    residual alone.  When no root has all gaps positive, the error lists the
+    gaps of the roots the seeds reached apart from the seeds that did not
+    converge, with their residuals.
     """
     tried = []
     for seed in seeds:
         seed = [float(v) for v in seed]
-        x, f = root(fun, seed)
-        residual = _max_abs(f)
+        x, residual = root(newton, seed)
         tried.append((seed, residual, x))
         if residual < 1e-10 and all(v > 1e-9 for v in x):
             return x
@@ -308,19 +231,20 @@ class _Layout:
     F is the derivative of V along the layout, and its Jacobian is
     J_kl = sum_e 2 rho_e a_ek a_el + g_e <t_ek, t_el>, a_ek = <z_e, t_ek>.
 
-    ``_balance_source`` writes F and J as straight-line code on Python floats
+    ``_balance_lines`` writes F and J as straight-line code on Python floats
     for one layout, graph shape and family, with the crossing edges and
     their t_ek fixed in it and each edge's dbar^2 bound per graph.  It sums
     in a fixed order: z_e per coordinate over k, then |z_e|^2 and a_ek left
     to right, then F_k and J_kl edge by edge, each edge's term of J_kl
     grouped, and J_lk is J_kl.  So a mirror image of a layout has the mirror
-    image of F and J, bit for bit.
+    image of F and J, bit for bit.  ``_solver_source`` writes the root
+    finder around it.
 
     One scale: <z_e, t_e> = x c_e^2 with c_e = |t_e|, and g has the sign of
     e, so each term has the sign of x c_e - dbar_e.  All terms are <= 0 at
     lo = min dbar_e / c_e and >= 0 at hi = max dbar_e / c_e, so F(lo) <= 0
-    <= F(hi), and ``_bracketed_root`` bisects [lo, hi] when lo < hi.  When
-    lo and hi are one float, every edge has its desired length there.
+    <= F(hi), and the generated bisection halves [lo, hi] when lo < hi.
+    When lo and hi are one float, every edge has its desired length there.
 
     Box bound, two or more gaps: with every gap positive, an edge crossing
     gap k has <z_e, t_ek> = |z_e| >= x_k, and any other edge has t_ek = 0.
@@ -335,34 +259,35 @@ class _Layout:
     equal: tuple = ()
 
     def solve(self, graph: FormationGraph, family: PotentialFamily):
-        """(rigid positions, method), or OracleError.
+        """(positions, method), or OracleError: ``positions`` is the flat
+        list of the N + 1 agents' coordinates, the flex agent's last.
 
         Three refusals come before any solving.  Agents in one slot must
         reach every other slot along edges of equal desired lengths, and
         each ``equal`` group must share one length, as floats compare;
         otherwise the agents' balances differ and F = 0 is no equilibrium.
-        A rigid edge with a zero template vector has zero length whatever
-        the scales, so neither has a family whose g is not finite at
-        e = -dbar^2: the family's g runs there on floats, and where floats
-        raise, ``control._on_numpy`` runs it, as in the generated pass.
-        ``control._bound`` binds the balance to the graph's lengths, as it
-        binds every generated edge pass.  Each coordinate sums x_k T_k left
-        to right.
+        Both read ``_geometry``'s index tables.  A rigid edge with a zero
+        template vector has zero length whatever the scales, so neither has
+        a family whose g is not finite at e = -dbar^2: the family's g runs
+        there on floats, and where floats raise, ``control._on_numpy`` runs
+        it, as in the generated pass.  ``control._bound`` binds the
+        generated root finder to the graph's lengths, as it binds every
+        generated edge pass, and the generated placement forms the agents.
         """
         shape, length = graph._shape, graph.desired
-        edges, inner, t = _geometry(self, shape)
-        reach = [sorted((self.slots[i + j - a], length[e]) for e, i, j in edges if a in (i, j))
-                 for a in range(len(self.slots))]
-        for a, slot in enumerate(self.slots):
-            ra, rb = reach[a], reach[b := self.slots.index(slot)]
-            if ra != rb:
+        edges, inner, _, reach, equal, ends, spans = _geometry(self, shape)
+        for b, a, pairs, groups in reach:
+            at = length.__getitem__
+            if (any(length[i] != length[j] for i, j in pairs)
+                    or any(sorted(map(at, gb)) != sorted(map(at, ga)) for gb, ga in groups)):
+                rb, ra = ([x for _, x in sorted((self.slots[i + j - c], length[e])
+                                                for e, i, j in edges if c in (i, j))]
+                          for c in (b, a))
                 raise OracleError(
                     f"construction needs equal desired distances: coincident agents "
-                    f"{b + 1} and {a + 1} have desired lengths "
-                    f"{[x for _, x in rb]} and {[x for _, x in ra]} to the other points")
-        desired = dict(zip(graph.edges, graph.desired))
-        for what, group in self.equal:
-            if any(desired[e] != desired[group[0]] for e in group):
+                    f"{b + 1} and {a + 1} have desired lengths {rb} and {ra} to the other points")
+        for what, group in equal:
+            if any(length[e] != length[group[0]] for e in group):
                 raise OracleError(f"construction needs equal desired distances: {what}")
         if inner:
             g, d2 = evaluators(family)[1], graph._dbar2
@@ -374,40 +299,60 @@ class _Layout:
                 if not math.isfinite(ge):
                     raise OracleError(_BOUNDARY)
 
-        *_, n, d = shape                    # N + 1 agents in d-D
-        if not self.templates:
-            return [[0.0] * d for _ in range(n - 1)], "coincidence-construct"
-        balance = _bound(graph, family, source=_balance_source, key=(self,))
-        method = self.method
-        if len(self.templates) == 1:
-            ends = [length[e] / _norm(te[0]) for (e, _, _), te in zip(edges, t)]
+        x, method = [], "coincidence-construct"
+        if self.templates:
+            solver, method = _bound(graph, family, source=_solver_source, key=(self,)), self.method
+        if len(self.templates) > 1:
+            scale = _sum(length[e] for e in spans) / len(spans)
+            x = _multi_root(solver, [[v * scale for v in seed] for seed in self.seeds],
+                            f"the gaps of line layout {self.slots}")
+        elif self.templates:
+            ends = [length[e] / c for e, c in ends]
             lo, hi = min(ends), max(ends)
             if lo < hi:
-                x = [_bracketed_root(lambda s: balance([s])[0][0], lo, hi)]
+                x, f_lo, f_hi = solver(lo, hi)
+                if x is None:
+                    raise OracleError(f"layout scale bracket failed: f({lo:.4g})={f_lo:.4g}, "
+                                      f"f({hi:.4g})={f_hi:.4g}")
             else:
                 x, method = [lo], "coincidence-construct"
-        else:
-            per_pair = {frozenset((self.slots[i], self.slots[j])): length[e] for e, i, j in edges}
-            scale = _sum(per_pair.values()) / len(per_pair)
-            x = _multi_root(balance, [[v * scale for v in seed] for seed in self.seeds],
-                            f"the gaps of line layout {self.slots}")
-        return [[_dot(x, [tk[a][c] for tk in self.templates]) for c in range(d)]
-                for a in range(n - 1)], method
+        return _generated(_placement_source, *shape, self)(x, length[-1]), method
 
 
 @functools.lru_cache(maxsize=64)
 def _geometry(layout: _Layout, shape: tuple):
     """The crossing edges of a layout on a graph shape as (e, i, j), its
-    other rigid edges, and each crossing edge's t_ek per scale k as tuples
-    of d floats, differences of the templates' tuples."""
+    other rigid edges, each crossing edge's t_ek per scale k as tuples of d
+    floats (differences of the templates' tuples), and the index tables
+    that ``_Layout.solve`` reads: ``reach``, per agent a whose slot an
+    earlier agent b holds, (b, a, pairs, groups) with the crossing edges
+    from b and from a to each other slot, in slot order, as (e_b, e_a)
+    where each reaches it by one edge and as (edges of b, edges of a)
+    otherwise; each ``equal`` group as (what, edge indices); per crossing
+    edge (e, c_e), c_e = |t_e|, the one-scale bracket's ends; and the seed
+    scale's edges, for each slot pair the last edge between them, in the
+    order the pairs first occur."""
     tails, heads = shape[:2]
     rigid = tuple(zip(range(len(tails) - 1), tails, heads))   # the flex edge sorts last
     t = [tuple(tuple(a - b for a, b in zip(tk[i], tk[j])) for tk in layout.templates)
          for _, i, j in rigid]
     moving = [any(map(any, te)) for te in t]
-    return (tuple(edge for edge, m in zip(rigid, moving) if m),
-            tuple(e for (e, _, _), m in zip(rigid, moving) if not m),
-            tuple(te for te, m in zip(t, moving) if m))
+    edges, t = (tuple(x for x, m in zip(xs, moving) if m) for xs in (rigid, t))
+    slots, reach = layout.slots, []
+    near = [[(slots[i + j - a], e) for e, i, j in edges if a in (i, j)] for a in range(len(slots))]
+    for a, slot in enumerate(slots):
+        if (b := slots.index(slot)) != a:
+            groups = [tuple(tuple(e for s, e in near[c] if s == other) for c in (b, a))
+                      for other in sorted({s for s, _ in near[a] + near[b]})]
+            one = [len(gb) == len(ga) == 1 for gb, ga in groups]
+            reach.append((b, a, tuple((gb[0], ga[0]) for (gb, ga), o in zip(groups, one) if o),
+                          tuple(group for group, o in zip(groups, one) if not o)))
+    index = {(i + 1, j + 1): e for e, i, j in rigid}
+    return (edges, tuple(e for (e, _, _), m in zip(rigid, moving) if not m), t, tuple(reach),
+            tuple((what, tuple(index[pair] for pair in group)) for what, group in layout.equal),
+            tuple((e, _norm(te[0])) for (e, _, _), te in zip(edges, t)),
+            tuple({frozenset((slots[i], slots[j])): e for e, i, j in edges}.values())
+            if slots else ())
 
 
 def _combination(terms) -> str:
@@ -418,43 +363,135 @@ def _combination(terms) -> str:
     return " + ".join(parts) or "0.0"
 
 
-def _balance_source(tails, heads, n, d, family, layout) -> str:
-    """Python source of a layout's ``balance(x)`` on one graph shape with
-    one family: F at the scales x as a list and a function that gives J
-    there as a list of rows, in the order of the ``_Layout`` docstring,
-    with the family's g and rho inlined per edge and each edge's dbar^2
-    read from the globals that ``control._bound`` binds."""
-    edges, _, t = _geometry(layout, (tails, heads, n, d))
-    k = len(t[0])
-    xs = [f"x{l}" for l in range(k)]
-    body = [f"{', '.join(xs)}, = x",
-            f"{', '.join(f'd2_{e}' for e, _, _ in edges)}, = "
-            f"{', '.join(f'D2_{e}' for e, _, _ in edges)},",
-            *_per_call(family, ("g", "rho"), [e for e, _, _ in edges])]
-    rho, force = [], [[] for _ in range(k)]
+def _balance_lines(layout, shape, family, xs):
+    """Source of a layout's balance at the scales named ``xs`` on one graph
+    shape with one family, in the order of the ``_Layout`` docstring, as
+    (lines that set each crossing edge's z{e}_{c}, e{e}, g{e} and a{e}_{l},
+    F_k as expressions over them, lines that set rho{e} as r{e} and J_kl as
+    j{l}_{m} for l <= m).  The family's g and rho are inlined per edge
+    (``control._call``); they read d2_e and the per-call names of
+    ``control._per_call``."""
+    edges, _, t, *_ = _geometry(layout, shape)
+    k, d = len(xs), shape[3]
+    lines, rho, force = [], [], [[] for _ in range(k)]
     jac = {(l, m): [] for l in range(k) for m in range(l, k)}
     for (e, _, _), te in zip(edges, t):
         coords = [c for c in range(d) if any(tl[c] for tl in te)]
         z = [f"z{e}_{c}" for c in coords]
-        body += [f"{zc} = {_combination((x, tl[c]) for x, tl in zip(xs, te))}"
-                 for zc, c in zip(z, coords)]
+        lines += [f"{zc} = {_combination((x, tl[c]) for x, tl in zip(xs, te))}"
+                  for zc, c in zip(z, coords)]
         g_lines, g = _call(f"g{e}", family, "g", e)
         rho_lines, r = _call(f"r{e}", family, "rho", e)
-        body += [f"e{e} = {' + '.join(f'{zc} * {zc}' for zc in z)} - d2_{e}", *g_lines]
+        lines += [f"e{e} = {' + '.join(f'{zc} * {zc}' for zc in z)} - d2_{e}", *g_lines]
         moved = [l for l in range(k) if any(te[l])]
-        body += [f"a{e}_{l} = {_combination(zip(z, (te[l][c] for c in coords)))}" for l in moved]
+        lines += [f"a{e}_{l} = {_combination(zip(z, (te[l][c] for c in coords)))}" for l in moved]
         rho += rho_lines
         for i, l in enumerate(moved):
             force[l].append(f"{g} * a{e}_{l}")
             for m in moved[i:]:
                 jac[l, m].append(f"(2.0 * {r} * a{e}_{l} * a{e}_{m} + "
                                  f"{_combination([(g, _dot(te[l], te[m]))])})")
-    rows = (", ".join(f"j{min(l, m)}_{max(l, m)}" for m in range(k)) for l in range(k))
-    body += ["def jacobian():", *(f"    {line}" for line in rho),
-             *(f"    j{l}_{m} = {' + '.join(terms) or '0.0'}" for (l, m), terms in jac.items()),
-             f"    return [{', '.join(f'[{row}]' for row in rows)}]",
-             f"return [{', '.join(' + '.join(terms) for terms in force)}], jacobian"]
-    return "def balance(x):\n" + "".join(f"    {line}\n" for line in body)
+    return (lines, [" + ".join(terms) for terms in force],
+            rho + [f"j{l}_{m} = {' + '.join(terms) or '0.0'}" for (l, m), terms in jac.items()])
+
+
+def _cramer(k) -> list[str]:
+    """Source lines that set s0.. to the solution of J s = F for k = 2 or 3
+    gaps by Cramer's rule, from the names j{l}_{m} (l <= m; J_ml is J_lm)
+    and f{l}, the 3 x 3 determinants by cofactors along the first row, and
+    that break where det J is exactly 0.  For 2 x 2, swapping the unknowns
+    swaps s bit for bit."""
+    if k == 2:
+        return ["det = j0_0 * j1_1 - j0_1 * j0_1", "if det == 0:", "    break",
+                "s0 = (f0 * j1_1 - j0_1 * f1) / det", "s1 = (j0_0 * f1 - f0 * j0_1) / det"]
+    return ["ej = j1_1 * j2_2 - j1_2 * j1_2", "dj = j0_1 * j2_2 - j1_2 * j0_2",
+            "di = j0_1 * j1_2 - j1_1 * j0_2", "det = j0_0 * ej - j0_1 * dj + j0_2 * di",
+            "if det == 0:", "    break",
+            "qj = f1 * j2_2 - j1_2 * f2", "dr = j0_1 * f2 - f1 * j0_2",
+            "er = j1_1 * f2 - f1 * j1_2",
+            "s0 = (f0 * ej - j0_1 * qj + j0_2 * (f1 * j1_2 - j1_1 * f2)) / det",
+            "s1 = (j0_0 * qj - f0 * dj + j0_2 * dr) / det",
+            "s2 = (j0_0 * er - j0_1 * dr + f0 * di) / det"]
+
+
+def _solver_source(tails, heads, n, d, family, layout) -> str:
+    """Python source of a layout's root finder on one graph shape with one
+    family: the balance inline (``_balance_lines``) at the scales y0..,
+    each edge's dbar^2 read from the globals that ``control._bound`` binds
+    and the per-call terms of d2 formed once per call.
+
+    One scale: ``bisection(lo, hi)`` gives ([x], F(lo), F(hi)) and
+    evaluates F alone.  It halves [lo, hi] by the sign of F until F is
+    exactly 0 at an end or the ends are adjacent floats, and x is the end
+    with the smaller |F| (lo on a tie); None in place of [x] when F(lo)
+    and F(hi) share a sign or one is NaN.  Every step shrinks a float
+    interval, so no cap is needed, and no tolerance picks the end: a layout
+    whose lengths are scaled by a power of two has its root scaled exactly.
+
+    Two or three gaps: ``newton(x, steps, halvings)`` gives the gaps that
+    damped Newton from the seed x0 = x, a list of floats, ends at and
+    max|F| there (NaN if any F_k is, as numpy's max gives).  Each step s
+    solves J s = F (``_cramer``), is cut to |x0| and halved until max|F|
+    falls.  A seed ends once s, or Deuflhard's estimate |s| |F_new| /
+    |F_old| of the distance left, is below 1e-15 |x0|; when det J is
+    exactly 0 or s not finite; when ``halvings`` halvings do not reduce
+    max|F|; when max|F| fell by less than 10 % over three steps; or after
+    ``steps`` steps.  A non-finite F or J is judged, never raised or warned
+    about.  |s|^2 and |x0|^2 sum left to right, as ``_dot`` sums."""
+    edges = _geometry(layout, (tails, heads, n, d))[0]
+    k = len(layout.templates)
+    ys = [f"y{l}" for l in range(k)]
+    force, f, jac = _balance_lines(layout, (tails, heads, n, d), family, ys)
+    head = [f"{', '.join(f'd2_{e}' for e, _, _ in edges)}, = "
+            f"{', '.join(f'D2_{e}' for e, _, _ in edges)},",
+            *_per_call(family, ("g",) if k == 1 else ("g", "rho"), [e for e, _, _ in edges])]
+    if k == 1:
+        body = [*head, "y0 = lo", *force, f"f_lo = {f[0]}", "y0 = hi", *force, f"f_hi = {f[0]}",
+                "if not (f_lo <= 0 <= f_hi or f_hi <= 0 <= f_lo):", "    return None, f_lo, f_hi",
+                "while f_lo and f_hi and lo < (y0 := 0.5 * (lo + hi)) < hi:",
+                *(f"    {line}" for line in force), f"    f0 = {f[0]}",
+                "    if (f0 < 0) == (f_lo < 0):", "        lo, f_lo = y0, f0",
+                "    else:", "        hi, f_hi = y0, f0",
+                "return [lo if abs(f_lo) <= abs(f_hi) else hi], f_lo, f_hi"]
+        return "def bisection(lo, hi):\n" + "".join(f"    {line}\n" for line in body)
+    xs, ss = (", ".join(f"{v}{l}" for l in range(k)) for v in "xs")
+    square = "0.0" + "".join(f" + s{l} * s{l}" for l in range(k))
+    evaluate = [*force, *(f"f{l} = {value}" for l, value in enumerate(f)), "r = abs(f0)",
+                *(line for l in range(1, k)
+                  for line in (f"v = abs(f{l})", "if v > r or v != v:", "    r = v"))]
+    loop = [*jac, *_cramer(k), f"size = {square}",
+            "if not (1e-30 * bound < size and isfinite(size)):", "    break",
+            "cut = min(1.0, (bound / size) ** 0.5)",
+            f"{ss}, = {', '.join(f's{l} * cut' for l in range(k))},",
+            "for _ in range(halvings + 1):",
+            *(f"    y{l} = x{l} - s{l}" for l in range(k)), *(f"    {line}" for line in evaluate),
+            "    if r < history[-1]:", "        break",
+            *(f"    s{l} = s{l} / 2" for l in range(k)),
+            "else:", "    break",
+            f"{xs}, = {', '.join(ys)},", "history.append(r)",
+            f"if (({square}) * (r * r) <= 1e-30 * bound * (history[-2] * history[-2])",
+            "        or len(history) > 3 and r > 0.9 * history[-4]):", "    break"]
+    body = [*head, f"{xs}, = {', '.join(ys)}, = x",
+            f"bound = 0.0{''.join(f' + x{l} * x{l}' for l in range(k))}", *evaluate,
+            "history = [r]", "for _ in range(steps):", *(f"    {line}" for line in loop),
+            f"return [{xs}], history[-1]"]
+    return "def newton(x, steps, halvings):\n" + "".join(f"    {line}\n" for line in body)
+
+
+def _placement_source(tails, heads, n, d, layout) -> str:
+    """Python source of ``place(x, flex)``: the flat list of the N + 1
+    agents' coordinates at the scales x.  Each rigid coordinate is
+    0.0 + x_0 T_0 + x_1 T_1 ... left to right, as ``_dot`` sums, and the
+    flex agent sits at the last rigid agent moved by ``flex`` along the
+    last axis."""
+    xs = [f"x{l}" for l in range(len(layout.templates))]
+    body = [f"{', '.join(xs)}, = x"] if xs else []
+    body += [f"p{d * a + c} = 0.0" + "".join(f" + {x} * {tk[a][c]!r}"
+                                             for x, tk in zip(xs, layout.templates))
+             for a in range(n - 1) for c in range(d)]
+    p = [f"p{i}" for i in range(d * (n - 1))]
+    body.append(f"return [{', '.join(p + p[-d:-1])}, {p[-1]} + flex]")
+    return "def place(x, flex):\n" + "".join(f"    {line}\n" for line in body)
 
 
 def _line(slots, dim, seeds=()):
@@ -502,12 +539,12 @@ _BOUNDARY = ("construction lies on the coincidence boundary, where this "
              "potential family diverges (outside its domain)")
 
 
-def _finalize(positions, graph: FormationGraph, family: PotentialFamily, method: str,
+def _finalize(x: list, graph: FormationGraph, family: PotentialFamily, method: str,
               expect) -> CatalogEntry:
     """Check the domain, classify and build the entry from one edge pass at
-    the constructed point, (N+1) x d floats; ``expect`` is the (kind, subform) to match."""
-    p = np.array(positions, dtype=float)
-    out = _bound(graph, family)(x := p.ravel().tolist())
+    the constructed point, the flat list x of (N+1) d floats; ``expect`` is
+    the (kind, subform) to match."""
+    out = _bound(graph, family)(x)
     if not math.isfinite(out[2]):           # V
         raise OracleError(_BOUNDARY)
     cls = _classify(x, out, graph)
@@ -516,8 +553,9 @@ def _finalize(positions, graph: FormationGraph, family: PotentialFamily, method:
         raise OracleError(
             f"constructed point classifies as {cls.kind}/{cls.subform}, "
             f"expected {expect[0]}/{expect[1]} (residual {residual:.3e})")
-    return CatalogEntry(positions=p, kind=cls.kind, subform=cls.subform,
-                        residual=residual, method=method, family_name=family.name)
+    return CatalogEntry(positions=np.array(x).reshape(-1, graph.dimension), kind=cls.kind,
+                        subform=cls.subform, residual=residual, method=method,
+                        family_name=family.name)
 
 
 def construct_equilibrium(graph: FormationGraph, family: PotentialFamily,
@@ -532,9 +570,8 @@ def construct_equilibrium(graph: FormationGraph, family: PotentialFamily,
     if subform not in table:
         raise OracleError(f"unknown subform {subform!r} for dimension "
                           f"{graph.dimension}; known: {sorted(table)}")
-    rigid, method = table[subform].solve(graph, family)
-    flex = rigid[-1][:-1] + [rigid[-1][-1] + graph.desired[graph.flex_edge_index]]
-    return _finalize(rigid + [flex], graph, family, method, ("degenerate_rigid", subform))
+    x, method = table[subform].solve(graph, family)
+    return _finalize(x, graph, family, method, ("degenerate_rigid", subform))
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +591,8 @@ def build_catalog(graph: FormationGraph, family: PotentialFamily):
     for name in ["flex_coincident", *_LAYOUTS[graph.dimension]]:
         try:
             if name == "flex_coincident":
-                entry = _finalize(flex_coincident_equilibrium(graph), graph, family,
-                                  "coincidence-construct", ("flex_coincident", None))
+                entry = _finalize(flex_coincident_equilibrium(graph).ravel().tolist(), graph,
+                                  family, "coincidence-construct", ("flex_coincident", None))
             else:
                 entry = construct_equilibrium(graph, family, name)
         except OracleError as exc:

@@ -5,10 +5,12 @@ import math
 
 import numpy as np
 
-from rigidflex.control import _dot, _norm, _sum, edge_states, gradient_control
+from rigidflex.control import (_bound, _dot, _norm, _on_numpy, _per_call, _sum, edge_states,
+                               gradient_control)
 from rigidflex.graph import FormationGraph, simplex_gram
 from rigidflex.integrator import integrate
-from rigidflex.oracle import newton_polish
+import rigidflex.oracle as oracle
+from rigidflex.oracle import OracleError, newton_polish
 from rigidflex.potentials import evaluators
 import rigidflex.stability as stability
 from rigidflex.stability import (
@@ -286,6 +288,166 @@ def capture_from_flow(p0, graph, family, t_end):
     p = newton_polish(traj.states[np.argmin(np.abs(traj.times - hit))], graph, family)
     p = p.reshape(graph.num_nodes, graph.dimension)
     return p, classify(p, graph, family)
+
+
+# ---------------------------------------------------------------------------
+# A layout solve as the interpreter ran it: the bit-for-bit references of
+# oracle's generated bisection, Newton solve and placement
+
+
+def balance_source(tails, heads, n, d, family, layout) -> str:
+    """Python source of a layout's ``balance(x)`` on one graph shape with
+    one family, for ``control._bound`` to bind with key (layout,): F at the
+    scales x as a list and a function that gives J there as a list of rows,
+    from ``oracle._balance_lines``, with the per-call terms of d2 formed
+    once per call and rho and J only when J is asked for."""
+    edges = oracle._geometry(layout, (tails, heads, n, d))[0]
+    k = len(layout.templates)
+    xs = [f"x{l}" for l in range(k)]
+    force, f, jac = oracle._balance_lines(layout, (tails, heads, n, d), family, xs)
+    rows = (", ".join(f"j{min(l, m)}_{max(l, m)}" for m in range(k)) for l in range(k))
+    body = [f"{', '.join(xs)}, = x",
+            f"{', '.join(f'd2_{e}' for e, _, _ in edges)}, = "
+            f"{', '.join(f'D2_{e}' for e, _, _ in edges)},",
+            *_per_call(family, ("g", "rho"), [e for e, _, _ in edges]), *force,
+            "def jacobian():", *(f"    {line}" for line in jac),
+            f"    return [{', '.join(f'[{row}]' for row in rows)}]",
+            f"return [{', '.join(f)}], jacobian"]
+    return "def balance(x):\n" + "".join(f"    {line}\n" for line in body)
+
+
+def _bracketed_root(f, lo, hi):
+    """The root of f on [lo, hi] by bisection, with a readable error when
+    the ends share a sign.  The bracket is halved by the sign of f until f
+    is exactly 0 at an end or the ends are adjacent floats, and the end with
+    the smaller |f| is returned (lo on a tie)."""
+    f_lo, f_hi = f(lo), f(hi)
+    if not (f_lo <= 0 <= f_hi or f_hi <= 0 <= f_lo):        # also a NaN end
+        raise OracleError(f"layout scale bracket failed: f({lo:.4g})={f_lo:.4g}, "
+                          f"f({hi:.4g})={f_hi:.4g}")
+    while f_lo and f_hi and lo < (mid := 0.5 * (lo + hi)) < hi:
+        if ((f_mid := f(mid)) < 0) == (f_lo < 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi, f_hi = mid, f_mid
+    return lo if abs(f_lo) <= abs(f_hi) else hi
+
+
+def _max_abs(f) -> float:
+    """max |F_k|, NaN if any F_k is NaN, as numpy's max gives."""
+    worst = 0.0
+    for v in f:
+        v = abs(v)
+        if v > worst or v != v:         # a NaN is taken and then kept
+            worst = v
+    return worst
+
+
+def _solve(jac, f):
+    """s with J s = F for k = 2 or 3 gaps by Cramer's rule, the 3x3
+    determinants by cofactors along the first row, or None when det J is
+    exactly 0."""
+    if len(f) == 2:
+        ((a, b), (c, d)), (p, q) = jac, f
+        det = a * d - b * c
+        return None if det == 0 else [(p * d - b * q) / det, (a * q - p * c) / det]
+    ((a, b, c), (d, e, g), (h, i, j)), (p, q, r) = jac, f
+    ej, dj, di = e * j - g * i, d * j - g * h, d * i - e * h
+    det = a * ej - b * dj + c * di
+    if det == 0:
+        return None
+    qj, dr, er = q * j - g * r, d * r - q * h, e * r - q * i
+    return [(p * ej - b * qj + c * (q * i - e * r)) / det,
+            (a * qj - p * dj + c * dr) / det,
+            (a * er - b * dr + p * di) / det]
+
+
+def _newton(fun, x):
+    """Damped Newton from the seed x0 = x on ``fun(x)``, which gives F(x) as
+    a list and a function that gives J(x) as rows: the x and F it ends at.
+    Each step s solves J s = F (``_solve``), is cut to |x0| and halved up to
+    ``oracle.NEWTON_HALVINGS`` times until max|F| falls; the stopping rules
+    are those of ``oracle._solver_source``, with ``oracle.NEWTON_MAX_STEPS``
+    read at call time."""
+    f, jac = fun(x)
+    history, bound = [_max_abs(f)], _dot(x, x)
+    for _ in range(oracle.NEWTON_MAX_STEPS):
+        step = _solve(jac(), f)
+        if step is None or not 1e-30 * bound < (size := _dot(step, step)) < math.inf:
+            break
+        cut = min(1.0, (bound / size) ** 0.5)
+        step = [s * cut for s in step]
+        for _ in range(oracle.NEWTON_HALVINGS + 1):
+            f_t, jac_t = fun(trial := [a - s for a, s in zip(x, step)])
+            if (res := _max_abs(f_t)) < history[-1]:
+                break
+            step = [s / 2 for s in step]
+        else:
+            break
+        x, f, jac = trial, f_t, jac_t
+        history.append(res)
+        if (_dot(step, step) * (res * res) <= 1e-30 * bound * (history[-2] * history[-2])
+                or len(history) > 3 and res > 0.9 * history[-4]):
+            break
+    return x, f
+
+
+def layout_solve(layout, graph, family):
+    """``_Layout.solve`` as the interpreter ran it: the refusals by sorting
+    each agent's (slot, length) pairs, the bisection and the Newton seeds on
+    the bound ``balance_source`` (``_bracketed_root``, ``_newton``), and
+    each coordinate as ``_dot`` of the scales and the template entries.
+    The seeds go through ``oracle._multi_root``, and so through
+    ``oracle.root``.  Gives (the flat positions, the flex agent's last,
+    method) or raises OracleError with the message ``solve`` gives."""
+    shape, length = graph._shape, graph.desired
+    edges, inner, t = oracle._geometry(layout, shape)[:3]
+    reach = [sorted((layout.slots[i + j - a], length[e]) for e, i, j in edges if a in (i, j))
+             for a in range(len(layout.slots))]
+    for a, slot in enumerate(layout.slots):
+        ra, rb = reach[a], reach[b := layout.slots.index(slot)]
+        if ra != rb:
+            raise OracleError(
+                f"construction needs equal desired distances: coincident agents "
+                f"{b + 1} and {a + 1} have desired lengths "
+                f"{[x for _, x in rb]} and {[x for _, x in ra]} to the other points")
+    desired = dict(zip(graph.edges, graph.desired))
+    for what, group in layout.equal:
+        if any(desired[e] != desired[group[0]] for e in group):
+            raise OracleError(f"construction needs equal desired distances: {what}")
+    g, d2 = evaluators(family)[1], graph._dbar2
+    for e in inner:
+        try:
+            ge = g(-d2[e], d2[e])
+        except (ZeroDivisionError, OverflowError):
+            ge = _on_numpy(g, -d2[e], d2[e])
+        if not math.isfinite(ge):
+            raise OracleError(oracle._BOUNDARY)
+    *_, n, d = shape
+    x, method = [], "coincidence-construct"
+    if layout.templates:
+        balance, method = _bound(graph, family, source=balance_source, key=(layout,)), layout.method
+    if len(layout.templates) == 1:
+        ends = [length[e] / _norm(te[0]) for (e, _, _), te in zip(edges, t)]
+        lo, hi = min(ends), max(ends)
+        if lo < hi:
+            x = [_bracketed_root(lambda s: balance([s])[0][0], lo, hi)]
+        else:
+            x, method = [lo], "coincidence-construct"
+    elif layout.templates:
+        per_pair = {frozenset((layout.slots[i], layout.slots[j])): length[e] for e, i, j in edges}
+        scale = _sum(per_pair.values()) / len(per_pair)
+
+        def newton(seed, steps, halvings):      # as oracle.root calls a generated one
+            gaps, f = _newton(balance, seed)
+            return gaps, _max_abs(f)
+
+        x = oracle._multi_root(newton, [[v * scale for v in seed] for seed in layout.seeds],
+                               f"the gaps of line layout {layout.slots}")
+    rigid = [[_dot(x, [tk[a][c] for tk in layout.templates]) for c in range(d)]
+             for a in range(n - 1)]
+    flex = rigid[-1][:-1] + [rigid[-1][-1] + length[-1]]
+    return [c for row in rigid + [flex] for c in row], method
 
 
 _APEX_FIRST = np.array([[apex, *(x for x in range(4) if x != apex)] for apex in range(4)])

@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import textwrap
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from references import (
     local_frame_control,
     rk4_advance,
 )
-from test_integrator import compiled_step
+from test_integrator import compiled_step, run_fresh
 
 RNG = np.random.default_rng(42)
 
@@ -426,6 +427,29 @@ def test_families_of_one_name_keep_their_own_generated_source():
         assert "".join(linecache.getlines(name)) \
             == control._step_source(*graph._shape, family, "none", "evaluate")
     assert "g0 = e0 / (e0 - e0)" in "".join(linecache.getlines(names[1]))
+
+
+def test_linecache_holds_the_texts_of_live_generated_functions_only(tmp_path):
+    """``_generated`` keeps the 256 functions used last, and ``linecache``
+    the text of each function it keeps and of no other: in a fresh
+    interpreter, ``aligned`` compiled for the 462 two-dimensional
+    five-agent shapes with four or five of the ten pairs as edges leaves as
+    many ``<rigidflex`` texts as the factory holds, and clearing the
+    factory leaves none."""
+    out = run_fresh(textwrap.dedent("""
+        import itertools, linecache
+        import rigidflex.control as control
+        pairs = list(itertools.combinations(range(5), 2))
+        for edges in itertools.chain(*(itertools.combinations(pairs, k) for k in (4, 5))):
+            control._generated(control._aligned_source, *zip(*edges), 5, 2)
+        def texts():
+            return sum(name.startswith("<rigidflex") for name in linecache.cache)
+        print(control._generated.cache_info().misses, control._generated.cache_info().currsize,
+              texts())
+        control._generated.cache_clear()
+        print(texts())
+    """), tmp_path)
+    assert out.split() == ["462", "256", "256", "0"]
 
 
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])

@@ -13,13 +13,13 @@ import numpy as np
 import pytest
 
 from rigidflex import potentials
-from rigidflex.control import edge_states
+from rigidflex.control import _bound, edge_states
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     _LAYOUTS,
     _finalize,
     _multi_root,
-    _solve,
+    _solver_source,
     OracleError,
     build_catalog,
     construct_equilibrium,
@@ -28,9 +28,10 @@ from rigidflex.oracle import (
     newton_polish,
     write_catalog,
 )
-from rigidflex.potentials import QUADRATIC, RATIONAL
+from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
 from rigidflex.stability import EQ_TOL, LINE_SLOTS, classify
-from references import TAILORED, balance_residuals, capture_from_flow, tetrahedron_with
+from references import (TAILORED, _bracketed_root, _max_abs, _newton, _solve, balance_residuals,
+                        balance_source, capture_from_flow, layout_solve, tetrahedron_with)
 from test_integrator import counting_pass
 
 
@@ -173,7 +174,7 @@ def test_construction_refuses_a_point_of_another_class():
     g = triangle_flex()
     with pytest.raises(OracleError, match="constructed point classifies as desired/None, "
                                           "expected degenerate_rigid/collinear_distinct"):
-        _finalize(desired_equilibrium(g), g, QUADRATIC, "rootfind-collinear",
+        _finalize(desired_equilibrium(g).ravel().tolist(), g, QUADRATIC, "rootfind-collinear",
                   ("degenerate_rigid", "collinear_distinct"))
 
 
@@ -235,9 +236,10 @@ def test_double_pair_with_crossed_unequal_distances(family, monkeypatch):
     the boundary before any root is sought."""
     g = tetrahedron_with({(1, 4): 5.0, (2, 3): 5.0})
     if family is QUADRATIC:
-        rigid, method = _LAYOUTS[3]["double_pair"].solve(g, family)
+        x, method = _LAYOUTS[3]["double_pair"].solve(g, family)
         assert method == "rootfind-collinear"
-        p = np.array(rigid + [[*rigid[-1][:2], rigid[-1][2] + 4.0]])
+        p = np.array(x).reshape(-1, 3)
+        np.testing.assert_array_equal(p[-1] - p[-2], [0.0, 0.0, 4.0])
         assert balance_residuals(p, g, family).max() < 1e-12
         entry = construct_equilibrium(g, family, "double_pair")
         assert (entry.kind, entry.subform) == ("degenerate_rigid", "double_pair")
@@ -248,10 +250,10 @@ def test_double_pair_with_crossed_unequal_distances(family, monkeypatch):
         import rigidflex.oracle as oracle
 
         calls = counted_root(monkeypatch)
-        monkeypatch.setattr(oracle, "_bracketed_root", lambda *args: calls.append(args))
+        solves = solver_calls(monkeypatch)
         with pytest.raises(OracleError, match="coincidence boundary"):
             _LAYOUTS[3]["double_pair"].solve(g, family)
-        assert calls == []
+        assert calls == solves == []
         with pytest.raises(OracleError, match="boundary"):
             construct_equilibrium(g, family, "double_pair")
     # the unbalanced pairing (d13 = d23, d14 = d24) is refused up front
@@ -377,16 +379,40 @@ def counted_root(monkeypatch):
     return calls
 
 
+def solver_calls(monkeypatch):
+    """Record each call of the generated root finders that ``_Layout.solve``
+    binds, as (layout, args, result): a bisection's (lo, hi) and ([x],
+    F(lo), F(hi)), a Newton solve's (seed, steps, halvings) and (gaps,
+    max|F|)."""
+    import rigidflex.oracle as oracle
+
+    calls, bound = [], oracle._bound
+
+    def binding(graph, family, **kwargs):
+        solver = bound(graph, family, **kwargs)
+        if kwargs.get("source") is not _solver_source:
+            return solver
+
+        def recorded(*args):
+            calls.append((kwargs["key"][0], args, out := solver(*args)))
+            return out
+        return recorded
+
+    monkeypatch.setattr(oracle, "_bound", binding)
+    return calls
+
+
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()], ids=["2d", "3d"])
 def test_rational_collinear_distinct_succeeds_on_its_first_seed(graph, monkeypatch):
     """Newton converges from the first seed to a residual near 1e-15; that
     root is accepted, and it is the one the later seeds converge to."""
     calls = counted_root(monkeypatch)
     layout = _LAYOUTS[graph.dimension]["collinear_distinct"]
-    first = np.array(layout.solve(graph, RATIONAL)[0])
+    first = np.array(layout.solve(graph, RATIONAL)[0]).reshape(-1, graph.dimension)[:-1]
     assert len(calls) == 1
     later, _ = dataclasses.replace(layout, seeds=layout.seeds[1:]).solve(graph, RATIONAL)
-    np.testing.assert_allclose(first, later, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(first, np.reshape(later, (-1, graph.dimension))[:-1],
+                               rtol=0, atol=1e-12)
     assert np.all(np.diff(first[:, 0]) > 0)
 
 
@@ -462,8 +488,10 @@ def test_gap_solver_failures_say_what_happened():
     so and lists the gaps.  On the tailored tetrahedron four seeds of the
     distinct collinear layout reach the zero-gap root (0, 2, 3) and two do
     not converge: the failure lists the roots apart from the failed seeds
-    and their residuals.  A system with no real root keeps the
-    non-convergence message: Newton stops where its Jacobian is singular."""
+    and their residuals.  A balance with no real root keeps the
+    non-convergence message: with g = 1 + dbar^4 / |z_e|^4 > 1 every F_k
+    of the triangle's distinct collinear layout is positive where the gaps
+    are, and Newton stalls."""
     names = ["pair_endpoint_collinear", "collinear_distinct"]
     _, failures = build_catalog(tetrahedron_flex(), QUADRATIC)
     assert sorted(failures) == sorted(names)
@@ -484,9 +512,12 @@ def test_gap_solver_failures_say_what_happened():
     assert len(failed) == 2
     assert all(len(seed) == 3 and residual > 1e-10 for seed, residual in failed)
     np.testing.assert_allclose(ast.literal_eval(found), [[0.0, 2.0, 3.0]] * 4, atol=1e-12)
+    rootless = PotentialFamily("rootless", "e", "1.0 + (d2 * d2) / ((e + d2) * (e + d2))",
+                               "-2.0 * (d2 * d2) / (((e + d2) * (e + d2)) * (e + d2))")
+    newton = _bound(triangle_flex(), rootless, source=_solver_source,
+                    key=(_LAYOUTS[2]["collinear_distinct"],))
     with pytest.raises(OracleError, match="gap root-finder did not converge for x"):
-        _multi_root(lambda x: ([x[0] * x[0] + 1.0, x[1] - 1.0],
-                               lambda: [[2.0 * x[0], 0.0], [0.0, 1.0]]), [(1.0, 1.0)], "x")
+        _multi_root(newton, [(1.0, 1.0)], "x")
 
 
 def test_line_layouts_read_the_stability_slot_table():
@@ -511,17 +542,7 @@ def test_one_scale_layouts_bracket_their_root(graph, family, monkeypatch):
     """Every admitted one-scale layout either has bracket ends that are one
     float (an exact construction) or bisects ends with F(lo) <= 0 <= F(hi),
     and its root lies between them."""
-    import rigidflex.oracle as oracle
-
-    brackets = []
-    bracketed_root = oracle._bracketed_root
-
-    def recorded(f, lo, hi):
-        x = bracketed_root(f, lo, hi)
-        brackets.append((f(lo), f(hi), lo, x, hi))
-        return x
-
-    monkeypatch.setattr(oracle, "_bracketed_root", recorded)
+    brackets = solver_calls(monkeypatch)
     for name, layout in _LAYOUTS[graph.dimension].items():
         if len(layout.templates) != 1:
             continue
@@ -535,7 +556,7 @@ def test_one_scale_layouts_bracket_their_root(graph, family, monkeypatch):
         if method == "coincidence-construct":
             assert brackets == [], name
             continue
-        [(f_lo, f_hi, lo, x, hi)] = brackets
+        [(_, (lo, hi), ([x], f_lo, f_hi))] = brackets
         assert f_lo <= 0.0 <= f_hi, name
         assert lo <= x <= hi, name
 
@@ -556,7 +577,7 @@ def test_multi_gap_roots_lie_in_the_box(graph, family):
             continue
         roots += 1
         slots = np.array(layout.slots)
-        x = np.array(rigid)[:, 0]
+        x = np.reshape(rigid, (-1, graph.dimension))[:-1, 0]
         for k in range(max(layout.slots)):
             gap = x[slots == k + 1][0] - x[slots == k][0]
             crossing = [db for e, ((i, j), db) in enumerate(zip(graph.edges, graph.desired))
@@ -587,42 +608,37 @@ def test_catalog_seeds_go_through_oracle_root(graph, family, seeds, monkeypatch)
 
 
 def one_scale_brackets(monkeypatch, graph, family):
-    """(f, lo, hi) of every one-scale bracket the catalog of graph x family solves."""
-    import rigidflex.oracle as oracle
-
-    brackets = []
-    bracketed_root = oracle._bracketed_root
-
-    def recorded(f, lo, hi):
-        brackets.append((f, lo, hi))
-        return bracketed_root(f, lo, hi)
-
-    monkeypatch.setattr(oracle, "_bracketed_root", recorded)
+    """(f, lo, hi, x) of every one-scale bracket the catalog of graph x
+    family bisects: f is F as the bound ``references.balance_source`` gives
+    it, and x the root of the generated bisection."""
+    calls = solver_calls(monkeypatch)
     build_catalog(graph, family)
-    return brackets
+    return [(lambda s, balance=_bound(graph, family, source=balance_source, key=(layout,)):
+             balance([s])[0][0], *args, out[0][0])
+            for layout, args, out in calls if len(args) == 2]
 
 
 def test_bisection_ends_at_a_sign_change(monkeypatch):
     """On every one-scale bracket of the three certified graphs x both
-    families, on seeded monotone cubics and rationals, and with an exact
-    zero at either end, the root lies in [lo, hi] and either f is 0 there
-    or a float next to it inside the bracket has the opposite sign of f."""
-    from rigidflex.oracle import _bracketed_root
-
+    families, the generated bisection's root lies in [lo, hi] and either F
+    is 0 there or a float next to it inside the bracket has the opposite
+    sign of F.  So does the reference bisection's on seeded monotone cubics
+    and rationals and with an exact zero at either end."""
     cases = [case for graph in (triangle_flex(), tetrahedron_flex(), TAILORED)
              for family in (QUADRATIC, RATIONAL)
              for case in one_scale_brackets(monkeypatch, graph, family)]
     assert len(cases) >= 4
     rng = np.random.default_rng(19)
+    functions = []
     for _ in range(50):
         lo, r, hi = np.sort(rng.uniform(0.1, 10.0, 3)).tolist()
         a, b, c, sign = *rng.uniform(0.1, 5.0, 3).tolist(), rng.choice([-1.0, 1.0])
-        cases.append((lambda x, a=a, b=b, r=r, s=sign: s * (a * (x - r) + b * (x - r) ** 3),
-                      lo, hi))
-        cases.append((lambda x, c=c, r=r, s=sign: s * (x - r) / (x + c), lo, hi))
-    cases += [(lambda x: x - 2.0, 2.0, 3.0), (lambda x: x - 3.0, 2.0, 3.0)]
-    for f, lo, hi in cases:
-        x = _bracketed_root(f, lo, hi)
+        functions.append((lambda x, a=a, b=b, r=r, s=sign: s * (a * (x - r) + b * (x - r) ** 3),
+                          lo, hi))
+        functions.append((lambda x, c=c, r=r, s=sign: s * (x - r) / (x + c), lo, hi))
+    functions += [(lambda x: x - 2.0, 2.0, 3.0), (lambda x: x - 3.0, 2.0, 3.0)]
+    cases += [(f, lo, hi, _bracketed_root(f, lo, hi)) for f, lo, hi in functions]
+    for f, lo, hi, x in cases:
         assert lo <= x <= hi
         neighbours = [y for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
                       if lo <= y <= hi]
@@ -655,9 +671,8 @@ def test_one_scale_roots_scale_exactly(graph, family, subform):
 def test_bisection_has_no_iteration_cap():
     """A step function on a huge bracket takes about a thousand halvings
     down to the adjacent floats around its jump, and the bisection takes
-    them all."""
-    from rigidflex.oracle import _bracketed_root
-
+    them all: the reference bisection, whose loop the generated one runs
+    (test_generated_solvers_match_the_references)."""
     calls = []
 
     def step(x):
@@ -668,16 +683,28 @@ def test_bisection_has_no_iteration_cap():
     assert len(calls) == 1053
 
 
-@pytest.mark.parametrize("f", [lambda x: 1e-200, lambda x: -1e-200, lambda x: math.nan,
-                               lambda x: math.nan if x < 1.5 else 1.0],
-                         ids=["underflow", "negative-underflow", "nan", "nan-end"])
-def test_bisection_refuses_ends_of_one_sign(f):
-    """Ends whose signs agree are no bracket even when the product of their
-    values underflows to 0, and a NaN end is none either."""
-    from rigidflex.oracle import _bracketed_root
+# a NaN and an infinity as terms of a family's formulas
+NAN, INF = "(1e308 * 10.0 - 1e308 * 10.0)", "1e308 * 10.0"
 
-    with pytest.raises(OracleError, match="bracket failed"):
-        _bracketed_root(f, 1.0, 2.0)
+
+@pytest.mark.parametrize("g", ["1e-200", "-1e-200", f"e + {NAN}", f"e if e >= 0.0 else e * {NAN}"],
+                         ids=["underflow", "negative-underflow", "nan", "nan-end"])
+def test_bisection_refuses_ends_of_one_sign(g, monkeypatch):
+    """Ends whose signs agree are no bracket even when the product of their
+    values underflows to 0, and a NaN end is none either: the equal
+    tetrahedron's square layout with a family whose g is 1e-200 or -1e-200,
+    NaN, or NaN where e < 0 (at lo, where the sides are short).  The
+    generated bisection refuses it before any halving, with the message of
+    the reference solve."""
+    family, layout = PotentialFamily("ends", "e", g, "e ** 0"), _LAYOUTS[3]["convex_quadrilateral"]
+    calls = solver_calls(monkeypatch)
+    with pytest.raises(OracleError, match="bracket failed") as refused:
+        layout.solve(tetrahedron_flex(), family)
+    with pytest.raises(OracleError) as reference:
+        layout_solve(layout, tetrahedron_flex(), family)
+    assert str(refused.value) == str(reference.value)
+    [(_, _, (x, _, _))] = calls
+    assert x is None
 
 
 @pytest.mark.parametrize("family, ks", [(RATIONAL, range(-10, 13)), (QUADRATIC, range(-10, 4))],
@@ -709,10 +736,7 @@ def test_symmetric_layouts_need_exactly_equal_lengths(monkeypatch):
     triangle's coincident pair with d13 one ulp above d12, whose message
     gives both lengths in full, and the equal tetrahedron's square and
     centred triangle with d12 one ulp long."""
-    import rigidflex.oracle as oracle
-
-    brackets = []
-    monkeypatch.setattr(oracle, "_bracketed_root", lambda *args: brackets.append(args))
+    brackets = solver_calls(monkeypatch)
     up = math.nextafter(4.0, math.inf)
     message = re.escape("coincident agents 2 and 3 have desired lengths [4.0] and "
                         "[4.000000000000001] to the other points")
@@ -815,49 +839,47 @@ def test_constructions_call_no_numpy_dot_mean_or_trig(graph, family):
 
 
 def test_three_gap_step_refuses_an_exactly_singular_jacobian():
-    """Cramer's rule gives no step when det J is exactly 0, here a 3 x 3
-    with two proportional rows, as for 2 x 2 (see the seeds above)."""
-    assert _solve([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]], [1.0, 1.0, 1.0]) is None
-
-
-def layout_balances(monkeypatch, graph, family):
-    """(name, balance, box) of every multi-gap line layout of graph x family:
-    the function ``solve`` hands the Newton seeds, and the bound each gap of
-    a root lies below (test_multi_gap_roots_lie_in_the_box).  A layout with
-    a shared slot has a zero-length rigid edge, where ``solve`` looks up the
-    family's evaluators for its boundary test; the rational family fails
-    that test, so the test's lookup is steered to the quadratic family's,
-    and the balance, which ``control._constants`` binds, gets the family's
-    own."""
+    """Cramer's rule gives no step when det J is exactly 0, as for 2 x 2
+    (test_singular_or_nonfinite_seeds_do_not_converge): the reference
+    ``_solve`` on a 3 x 3 with two proportional rows, and the generated
+    Newton solve of the tetrahedron's distinct collinear layout where
+    J = 9 [1 1 1]^T [1 1 1].  With g = dbar^2 - 16 and rho = 0 only the
+    edge (1, 4), of length 5, pulls, so F = J x is not 0 at the seed, and
+    the seed ends there, not converged."""
     import rigidflex.oracle as oracle
 
-    found = []
+    assert _solve([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]], [1.0, 1.0, 1.0]) is None
+    graph = tetrahedron_flex((4.0, 4.0, 5.0, 4.0, 4.0, 4.0, 2.0))
+    family = PotentialFamily("rank-one", "e", "d2 - 16.0", "0.0 * e")
+    newton = _bound(graph, family, source=_solver_source, key=(_LAYOUTS[3]["collinear_distinct"],))
+    assert oracle.root(newton, [1.0, 1.0, 1.0]) == ([1.0, 1.0, 1.0], 27.0)
 
-    def recorded(fun, seeds, names):
-        found.append(fun)
-        raise OracleError("recorded")
 
-    monkeypatch.setattr(oracle, "_multi_root", recorded)
+def layout_balances(graph, family):
+    """(name, balance, box) of every multi-gap line layout of graph x family:
+    the balance that ``references.balance_source`` writes from
+    ``oracle._balance_lines``, the F and J that the generated Newton solve
+    runs inline, bound to the graph's lengths as ``solve`` binds it, and
+    the bound each gap of a root lies below
+    (test_multi_gap_roots_lie_in_the_box)."""
     out = []
     for name, layout in _LAYOUTS[graph.dimension].items():
         if not layout.slots or max(layout.slots) < 2:
             continue
-        monkeypatch.setattr(oracle, "evaluators", lambda f: potentials.evaluators(QUADRATIC))
-        with pytest.raises(OracleError, match="recorded"):
-            layout.solve(graph, family)
         slots = np.array(layout.slots)
         box = [max(db for e, ((i, j), db) in enumerate(zip(graph.edges, graph.desired))
                    if e != graph.flex_edge_index
                    and min(slots[i - 1], slots[j - 1]) <= k < max(slots[i - 1], slots[j - 1]))
                for k in range(max(layout.slots))]
-        out.append((name, found[-1], np.array(box)))
+        out.append((name, _bound(graph, family, source=balance_source, key=(layout,)),
+                    np.array(box)))
     return out
 
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED],
                          ids=["triangle", "tetrahedron", "tailored"])
-def test_layout_jacobian_matches_central_differences(graph, family, monkeypatch):
+def test_layout_jacobian_matches_central_differences(graph, family):
     """The analytic Jacobian of every multi-gap line layout equals central
     differences of F to 1e-6 of its largest entry, at seeded gaps inside
     the box and at gaps of 1 % to 5 % of it, where the shortest edges sit
@@ -865,7 +887,7 @@ def test_layout_jacobian_matches_central_differences(graph, family, monkeypatch)
     difference step is 1e-5 of the smallest gap: a smaller one would show
     the rounding of e = |z|^2 - dbar^2 there, not the Jacobian."""
     rng = np.random.default_rng(7)
-    balances = layout_balances(monkeypatch, graph, family)
+    balances = layout_balances(graph, family)
     assert len(balances) == {2: 1, 3: 3}[graph.dimension]
     for name, balance, box in balances:
         points = [rng.uniform(0.05, 1.0, len(box)) * box for _ in range(5)]
@@ -919,7 +941,7 @@ def test_second_catalog_binds_nothing(monkeypatch):
             assert control._constants.cache_info().misses == misses
 
 
-def test_mirror_image_of_the_equal_triangle_line_is_exact(monkeypatch):
+def test_mirror_image_of_the_equal_triangle_line_is_exact():
     """Reflecting the equal triangle's distinct collinear layout swaps its two
     gaps.  The float balance sums each entry of F and J in one order, so at
     seeded gaps inside the box F(b, a) is F(a, b) reversed and J(b, a) is
@@ -927,7 +949,7 @@ def test_mirror_image_of_the_equal_triangle_line_is_exact(monkeypatch):
     kernel runs; and the catalog's entry, reached from the symmetric seed,
     has g_12 == g_23 exactly."""
     graph = triangle_flex()
-    [(name, balance, box)] = layout_balances(monkeypatch, graph, QUADRATIC)
+    [(name, balance, box)] = layout_balances(graph, QUADRATIC)
     assert name == "collinear_distinct"
     rng = np.random.default_rng(32)
     for a, b in (rng.uniform(0.05, 1.0, (20, 2)) * box).tolist():
@@ -936,34 +958,43 @@ def test_mirror_image_of_the_equal_triangle_line_is_exact(monkeypatch):
         assert [v.hex() for v in f_mirror] == [v.hex() for v in f[::-1]], (a, b)
         assert ([[v.hex() for v in row] for row in jacobian_mirror()]
                 == [[v.hex() for v in row[::-1]] for row in jacobian()[::-1]]), (a, b)
-    monkeypatch.undo()
     entry = construct_equilibrium(graph, QUADRATIC, "collinear_distinct")
     g = dict(zip(graph.edges, edge_states(entry.positions, graph, QUADRATIC).g.tolist()))
     assert g[(1, 2)] == g[(2, 3)]
 
 
-@pytest.mark.parametrize("fun, seed", [
-    (lambda x: ([x[0] * x[0] + 1.0, x[1]], lambda: [[2.0 * x[0], 0.0], [0.0, 1.0]]),
-     (0.0, 1.0)),
-    (lambda x: ([x[0] + x[1] - 1.0, x[0] + x[1] - 3.0], lambda: [[1.0, 1.0], [1.0, 1.0]]),
-     (0.5, 0.5)),
-    (lambda x: ([math.log(x[0] - 2.0) if x[0] > 2.0 else math.nan, x[1]],
-                lambda: [[1.0 / (x[0] - 2.0), 0.0], [0.0, 1.0]]), (1.0, 1.0)),
-    (lambda x: ([v * math.inf for v in x], lambda: [[1.0, 0.0], [0.0, 1.0]]), (1.0, 2.0)),
-    (lambda x: ([x[0] - 3.0, x[1]], lambda: [[math.inf * x[0], 0.0], [0.0, 1.0]]),
-     (1.0, 1.0)),
-], ids=["singular-J-at-seed", "singular-J-everywhere", "nan-F", "inf-F", "inf-J"])
-def test_singular_or_nonfinite_seeds_do_not_converge(fun, seed):
+@pytest.mark.parametrize("lengths, g, rho, seed", [
+    ((2.0, 8.0, 2.0, 2.0), "d2 - 4.0", "(d2 - 64.0) * e", (2.0, 2.0)),
+    ((2.0, 8.0, 2.0, 2.0), "d2 - 4.0", "0.0 * e", (0.5, 0.5)),
+    ((4.0,) * 4, f"e + {NAN}", "e ** 0", (1.0, 1.0)),
+    ((4.0,) * 4, f"e + {INF}", "e ** 0", (1.0, 2.0)),
+    ((4.0,) * 4, "e", f"e * 0.0 + {NAN}", (1.0, 1.0)),
+    ((4.0,) * 4, "e", f"e * 0.0 + {INF}", (1.0, 1.0)),
+], ids=["singular-J-at-seed", "singular-J-everywhere", "nan-F", "inf-F", "nan-J", "inf-J"])
+def test_singular_or_nonfinite_seeds_do_not_converge(lengths, g, rho, seed):
     """A singular Jacobian or a non-finite F or J ends the seed: the seed
-    counts as not converged, with no exception and no RuntimeWarning."""
+    counts as not converged, with no exception and no RuntimeWarning, where
+    the reference Newton ends it, bit for bit.  Each case is the triangle's
+    distinct collinear layout with a family that makes it.  With lengths 2,
+    8, 2 and g = dbar^2 - 4 only the edge (1, 3) pulls, so J is
+    60 [[1, 1], [1, 1]] where rho is 0 on the edges (1, 2) and (2, 3):
+    everywhere when rho = 0, and at the seed (2, 2) alone, where e is 0
+    there, when rho = (dbar^2 - 64) e.  A NaN or infinite g makes F so, and
+    a NaN or infinite rho makes J so."""
     import rigidflex.oracle as oracle
 
+    graph, family = triangle_flex(lengths), PotentialFamily("edge-case", "e", g, rho)
+    layout = _LAYOUTS[2]["collinear_distinct"]
+    newton = _bound(graph, family, source=_solver_source, key=(layout,))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x, f = oracle.root(fun, list(seed))
-        assert not np.abs(f).max() < 1e-10
+        x, residual = oracle.root(newton, list(seed))
+        assert not residual < 1e-10
+        reference, f = _newton(_bound(graph, family, source=balance_source, key=(layout,)),
+                               list(seed))
+        assert repr((x, residual)) == repr((reference, _max_abs(f)))
         with pytest.raises(OracleError, match="gap root-finder did not converge for t"):
-            _multi_root(fun, [seed], "t")
+            _multi_root(newton, [seed], "t")
 
 
 # SHA-256 of the hex bits of F and J of every multi-gap line layout, per graph and family
@@ -985,7 +1016,7 @@ BALANCE_BITS_SHA256 = {
 
 @pytest.mark.parametrize("family", [QUADRATIC, RATIONAL], ids=["quadratic", "rational"])
 @pytest.mark.parametrize("name", ["triangle", "tetrahedron", "tailored"])
-def test_layout_balance_bits_are_pinned(name, family, monkeypatch):
+def test_layout_balance_bits_are_pinned(name, family):
     """F and J of every multi-gap line layout at 20 seeded gaps inside the
     box are pinned bit for bit by one SHA-256 per graph and family: the
     roots, and so the catalog, follow from these bits."""
@@ -995,8 +1026,195 @@ def test_layout_balance_bits_are_pinned(name, family, monkeypatch):
              "tailored": TAILORED}[name]
     rng = np.random.default_rng(33)
     digest = hashlib.sha256()
-    for _, balance, box in layout_balances(monkeypatch, graph, family):
+    for _, balance, box in layout_balances(graph, family):
         for x in (rng.uniform(0.05, 1.0, (20, len(box))) * box).tolist():
             f, jacobian = balance(x)
             digest.update(" ".join(v.hex() for v in [*f, *sum(jacobian(), [])]).encode())
     assert digest.hexdigest() == BALANCE_BITS_SHA256[f"{name}-{family.name}"]
+
+
+def solved(solve, *args) -> str:
+    """The repr of ``solve(*args)``, or of the OracleError it raises: the
+    same for two solves when their floats agree bit for bit, a NaN of
+    either sign aside (the sign of a NaN sum follows the interpreter's
+    specialisation of the add, not the operands)."""
+    try:
+        return repr(solve(*args))
+    except OracleError as exc:
+        return f"OracleError({str(exc)!r})"
+
+
+def assert_solves_match_the_references(graph, family):
+    """Every layout of graph x family solves, or refuses, as
+    ``references.layout_solve`` does, bit for bit; and the generated Newton
+    solve of every multi-gap layout ends where the reference Newton does
+    from each of its seeds (scaled by 4), refused layouts included."""
+    import rigidflex.oracle as oracle
+
+    for name, layout in _LAYOUTS[graph.dimension].items():
+        assert (solved(layout.solve, graph, family)
+                == solved(layout_solve, layout, graph, family)), name
+        if len(layout.templates) < 2:
+            continue
+        newton = _bound(graph, family, source=_solver_source, key=(layout,))
+        balance = _bound(graph, family, source=balance_source, key=(layout,))
+        for seed in layout.seeds:
+            x = [4.0 * v for v in seed]
+            reference, f = _newton(balance, x)
+            assert repr(oracle.root(newton, x)) == repr((reference, _max_abs(f))), (name, seed)
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL], ids=["quadratic", "rational"])
+@pytest.mark.parametrize("graph", [
+    triangle_flex(), triangle_flex((3.0, 4.0, 5.5, 2.0)), tetrahedron_flex(),
+    tetrahedron_flex((3.0, 4.0, 3.0, 3.0, 4.0, 3.0, 2.0)), TAILORED],
+    ids=["triangle", "triangle-3-4-5.5", "tetrahedron", "tetrahedron-3-4-3-3-4-3", "tailored"])
+def test_generated_solvers_match_the_references(graph, family):
+    """Each layout's generated bisection, Newton solve and placement give
+    the interpreted references' positions, methods and messages bit for
+    bit (``assert_solves_match_the_references``)."""
+    assert_solves_match_the_references(graph, family)
+
+
+def test_large_lengths_keep_the_absolute_residual_refusal():
+    """With every length of the equal triangle times 16, the quadratic
+    balance's residual at the root is above the absolute 1e-10 that
+    ``_multi_root`` accepts, and the distinct collinear layout is still
+    refused, with the reference's message (ROADMAP item 1)."""
+    graph = dataclasses.replace(triangle_flex(), desired=(64.0,) * 4)
+    layout = _LAYOUTS[2]["collinear_distinct"]
+    message = solved(layout.solve, graph, QUADRATIC)
+    assert message.startswith("OracleError('gap root-finder did not converge for the gaps")
+    assert message == solved(layout_solve, layout, graph, QUADRATIC)
+    assert build_catalog(graph, QUADRATIC)[1]["collinear_distinct"] == ast.literal_eval(
+        message[len("OracleError("):-1])
+
+
+@pytest.mark.parametrize("family, ks", [(RATIONAL, range(-10, 13)), (QUADRATIC, range(-10, 4))],
+                         ids=["rational", "quadratic"])
+@pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex(), TAILORED,
+                                   triangle_flex((3.0, 4.0, 5.5, 2.0))],
+                         ids=["triangle", "tetrahedron", "tailored", "triangle-3-4-5.5"])
+def test_scaled_catalog_solves_match_the_references(graph, family, ks):
+    """On every graph of test_catalogs_scale_exactly, with every length times
+    2^k, each layout solves as the interpreted references do, bit for bit."""
+    for k in ks:
+        assert_solves_match_the_references(
+            dataclasses.replace(graph, desired=tuple(math.ldexp(d, k) for d in graph.desired)),
+            family)
+
+
+@pytest.mark.parametrize("graph, family", [
+    (triangle_flex(), QUADRATIC), (triangle_flex(), RATIONAL), (tetrahedron_flex(), QUADRATIC),
+    (tetrahedron_flex(), RATIONAL), (TAILORED, QUADRATIC), (TAILORED, RATIONAL),
+], ids=["triangle-quadratic", "triangle-rational", "tetrahedron-quadratic",
+        "tetrahedron-rational", "tailored-quadratic", "tailored-rational"])
+def test_one_multi_root_call_per_multi_gap_layout_attempt(graph, family, monkeypatch):
+    """bench/spans.py counts a seed per ``oracle.root`` call and a useful
+    attempt per ``oracle._multi_root`` call that returns, so
+    ``oracle.root.success_ratio`` is useful attempts per seed.  A catalog
+    calls ``_multi_root`` once per multi-gap layout that the refusals let
+    through, and every ``root`` call, one per seed tried, comes from one."""
+    import rigidflex.oracle as oracle
+
+    seeds, attempts, multi_root = counted_root(monkeypatch), [], oracle._multi_root
+
+    def counted(newton, tried, names):
+        before = len(seeds)
+        try:
+            return multi_root(newton, tried, names)
+        finally:
+            attempts.append(len(seeds) - before)
+
+    monkeypatch.setattr(oracle, "_multi_root", counted)
+    _, failures = build_catalog(graph, family)
+    multi = [name for name, layout in _LAYOUTS[graph.dimension].items()
+             if len(layout.templates) > 1 and not REFUSALS.search(failures.get(name, ""))]
+    assert len(attempts) == len(multi) > 0
+    assert all(attempts) and sum(attempts) == len(seeds)
+
+
+# SHA-256 of the generated root finder of every layout with a scale, per agent count and
+# family, and of every layout's placement, per agent count
+SOLVER_SOURCE_SHA256 = {
+    "4-collinear_distinct-place":
+        "0342a61f1048aedae2fad840a81cfbc872cd63fd25f03c74467910dc4f0413ff",
+    "4-collinear_distinct-quadratic":
+        "7a02f5deecb39cc5d595222f1983614fd62e2b9e8457119b54fa7f2ca5f1e1e3",
+    "4-collinear_distinct-rational":
+        "140416366f37cfce2ee2d99398e499aad40d07e61c31a06f80217a911c143727",
+    "4-coincident_pair-place":
+        "1e688baa7b7c04c916e28bc42b709454cb5a6115fcffe440afdbc3f430e57440",
+    "4-coincident_pair-quadratic":
+        "1327809a508b242aa19a7d27a55e8fd87a75b3df9241b151205738243410b6ba",
+    "4-coincident_pair-rational":
+        "a6cf985a63ccf289e203a1c106ce95afb548d54079939d3852f67f182b197135",
+    "4-all_coincident-place":
+        "82d1866589fca51dd30d4274e07e8dbfc6cae163e346d4a427c71f1a10c98596",
+    "5-convex_quadrilateral-place":
+        "0849670d28f38c2d5556d01b4a1b9a4345f6ca93741c9acd66759dc5278540f3",
+    "5-convex_quadrilateral-quadratic":
+        "449cb53cff56e9d10ee23db87dc28bfb0e5a3bc094956df68d1ddd4d7c8c7680",
+    "5-convex_quadrilateral-rational":
+        "3ef5a29eb4fcf2f6129981a0d80d4e6ee9efbcb86b71aaf352103af6bf0e0d88",
+    "5-interior_point-place":
+        "210a4ec79b6e4434bb76bad11bd609c513d9080bc5569398ebccf38264dccb6d",
+    "5-interior_point-quadratic":
+        "4aa4eed822d271bdf953c820848b4c4b5b86638ae713ea012d3b35ab995b43da",
+    "5-interior_point-rational":
+        "f0af509e4c56b25d59a2bd189395449b0a6110fcdb48c1609747e68df01efc27",
+    "5-all_coincident-place":
+        "e2c6734c9d2403c07ce96e2b5e467e58dec77a2be83c224aa57f5c2c09ef336f",
+    "5-triple_coincident-place":
+        "c97ed3a43c713d90e442622e6c8102f04030f56b37a446588c64f10623033135",
+    "5-triple_coincident-quadratic":
+        "0e8740db865a8034c5753407e5512de02768ba9c919e9f7776758406c79b56c1",
+    "5-triple_coincident-rational":
+        "ef14a5018d862b7cd5ff38b5dc3eb6bc69d6d38fa235e73deac77d1dbe31f297",
+    "5-double_pair-place":
+        "c74cdb45ab0bc679bcd0500dd04f8f2abf6adb5143ff728961dfbc1e4b73dd89",
+    "5-double_pair-quadratic":
+        "8f62bd8bb85fd3d9594038388cc9caba984fef1943ba64d45ae06bf8dcbfced0",
+    "5-double_pair-rational":
+        "65e53b62121a32154ac1dc1f805a23ffabb142d6268450ff1cf797484ae5f2dd",
+    "5-pair_endpoint_collinear-place":
+        "005dc4fdf09b6a9c004247259c0130661b18776f2eb95079abc800bb3176755b",
+    "5-pair_endpoint_collinear-quadratic":
+        "fc7418e5f67df8b434c0834119eed64f123d3f5c23559e74968fe206ce782f58",
+    "5-pair_endpoint_collinear-rational":
+        "5844f8193368281a5ca606231384f7ad24d9f98dbae708723a28552fa2e514c0",
+    "5-pair_interior_collinear-place":
+        "34fa4611f7a586eb3f3e99885c48826f526322e1c33e103297496d554602dec8",
+    "5-pair_interior_collinear-quadratic":
+        "ff651c5985d3c326a90767246a64b2dd427694cae48bdb345405a94eba8c1121",
+    "5-pair_interior_collinear-rational":
+        "cad7845ac8c4883fedad46abe407ef14aa6ff1c9abf39042a1ea902b287ed1ec",
+    "5-collinear_distinct-place":
+        "218d39ec6d153bceb5d63a1cdb2ad349e868047906a4a0f81ed17f4740790ebd",
+    "5-collinear_distinct-quadratic":
+        "03fc894bfecf8785d170af6199c9383b4cd2169207423cc6091369c9d6891a4b",
+    "5-collinear_distinct-rational":
+        "2f7a34aa70f2ccdcc6f05ecb4e5912991cae41c29c35f23e41e68951d3fba82b",
+}
+
+
+def test_generated_solver_source_is_pinned():
+    """The root finder ``_solver_source`` writes for every layout of the
+    triangle and the tetrahedron with a scale, with both families, and the
+    placement ``_placement_source`` writes for every layout, are pinned by
+    their SHA-256: a change to the generator that changes any of these
+    functions shows here, before it shows in a catalog."""
+    import hashlib
+
+    import rigidflex.oracle as oracle
+
+    found = {}
+    for graph in (triangle_flex(), tetrahedron_flex()):
+        for name, layout in _LAYOUTS[graph.dimension].items():
+            text = oracle._placement_source(*graph._shape, layout)
+            found[f"{graph.num_nodes}-{name}-place"] = hashlib.sha256(text.encode()).hexdigest()
+            for family in (QUADRATIC, RATIONAL) if layout.templates else ():
+                text = _solver_source(*graph._shape, family, layout)
+                found[f"{graph.num_nodes}-{name}-{family.name}"] = \
+                    hashlib.sha256(text.encode()).hexdigest()
+    assert found == SOLVER_SOURCE_SHA256
