@@ -503,8 +503,9 @@ def _generated(source, *key):
     the globals of ``source``'s module, whose names it reads at each call,
     and its text goes to ``linecache`` as ``<rigidflex source(key)>``, a
     file name of its own per source and key, so that tracebacks and
-    profilers show it, for as long as the function lives: an evicted one
-    takes its text with it."""
+    profilers show it, for as long as the function, or one that ``_bound``
+    made from it, lives: an evicted function takes its text with it once
+    nothing runs its code."""
     text = source(*key)
     filename = f"<rigidflex {source.__name__}{key!r}>"
     linecache.cache[filename] = entry = (len(text), None, text.splitlines(True), filename)
@@ -549,7 +550,9 @@ def _bound(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec(),
     ``_step_source`` key is (leader mode, name), and ``integrate`` binds
     ``advance`` with its leader's mode and ``evaluate`` with 'target' or
     'none', whether a target term is added.  ``oracle``'s layout root
-    finders are bound here too.
+    finders are bound here too.  Each holds the function that
+    ``_generated`` made as ``generated``, so its text stays in
+    ``linecache`` while it can run.
 
     ``evaluate(p)`` maps a flat, node-major list of (N+1) d floats to, as
     new lists, the gradient control u in that layout, the squared errors e
@@ -583,5 +586,7 @@ def _bound(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec(),
     ``_on_numpy`` does numpy arithmetic, so no caller sets a floating-point
     error state.
     """
-    return FunctionType(_generated(source, *graph._shape, family, *key).__code__,
-                        _constants(graph, family, leader))
+    function = _generated(source, *graph._shape, family, *key)
+    bound = FunctionType(function.__code__, _constants(graph, family, leader))
+    bound.generated = function
+    return bound

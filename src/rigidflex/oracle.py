@@ -266,7 +266,8 @@ class _Layout:
         reach every other slot along edges of equal desired lengths, and
         each ``equal`` group must share one length, as floats compare;
         otherwise the agents' balances differ and F = 0 is no equilibrium.
-        Both read ``_geometry``'s index tables.  A rigid edge with a zero
+        Both read ``_geometry``'s index tables; the lengths of each slot's
+        group of edges are compared sorted.  A rigid edge with a zero
         template vector has zero length whatever the scales, so neither has
         a family whose g is not finite at e = -dbar^2: the family's g runs
         there on floats, and where floats raise, ``control._on_numpy`` runs
@@ -276,16 +277,13 @@ class _Layout:
         """
         shape, length = graph._shape, graph.desired
         edges, inner, _, reach, equal, ends, spans = _geometry(self, shape)
-        for b, a, pairs, groups in reach:
-            at = length.__getitem__
-            if (any(length[i] != length[j] for i, j in pairs)
-                    or any(sorted(map(at, gb)) != sorted(map(at, ga)) for gb, ga in groups)):
-                rb, ra = ([x for _, x in sorted((self.slots[i + j - c], length[e])
-                                                for e, i, j in edges if c in (i, j))]
-                          for c in (b, a))
+        for b, a, sides in reach:
+            rb, ra = ([sorted(map(length.__getitem__, group)) for group in side] for side in sides)
+            if rb != ra:
                 raise OracleError(
-                    f"construction needs equal desired distances: coincident agents "
-                    f"{b + 1} and {a + 1} have desired lengths {rb} and {ra} to the other points")
+                    f"construction needs equal desired distances: coincident agents {b + 1} "
+                    f"and {a + 1} have desired lengths {sum(rb, [])} and {sum(ra, [])} "
+                    f"to the other points")
         for what, group in equal:
             if any(length[e] != length[group[0]] for e in group):
                 raise OracleError(f"construction needs equal desired distances: {what}")
@@ -325,13 +323,12 @@ def _geometry(layout: _Layout, shape: tuple):
     other rigid edges, each crossing edge's t_ek per scale k as tuples of d
     floats (differences of the templates' tuples), and the index tables
     that ``_Layout.solve`` reads: ``reach``, per agent a whose slot an
-    earlier agent b holds, (b, a, pairs, groups) with the crossing edges
-    from b and from a to each other slot, in slot order, as (e_b, e_a)
-    where each reaches it by one edge and as (edges of b, edges of a)
-    otherwise; each ``equal`` group as (what, edge indices); per crossing
-    edge (e, c_e), c_e = |t_e|, the one-scale bracket's ends; and the seed
-    scale's edges, for each slot pair the last edge between them, in the
-    order the pairs first occur."""
+    earlier agent b holds, (b, a, sides), where sides holds for b and then
+    for a its crossing edges to each slot that either reaches, one group
+    per slot in slot order; each ``equal`` group as (what, edge indices);
+    per crossing edge (e, c_e), c_e = |t_e|, the one-scale bracket's ends;
+    and the seed scale's edges, for each slot pair the last edge between
+    them, in the order the pairs first occur."""
     tails, heads = shape[:2]
     rigid = tuple(zip(range(len(tails) - 1), tails, heads))   # the flex edge sorts last
     t = [tuple(tuple(a - b for a, b in zip(tk[i], tk[j])) for tk in layout.templates)
@@ -342,11 +339,9 @@ def _geometry(layout: _Layout, shape: tuple):
     near = [[(slots[i + j - a], e) for e, i, j in edges if a in (i, j)] for a in range(len(slots))]
     for a, slot in enumerate(slots):
         if (b := slots.index(slot)) != a:
-            groups = [tuple(tuple(e for s, e in near[c] if s == other) for c in (b, a))
-                      for other in sorted({s for s, _ in near[a] + near[b]})]
-            one = [len(gb) == len(ga) == 1 for gb, ga in groups]
-            reach.append((b, a, tuple((gb[0], ga[0]) for (gb, ga), o in zip(groups, one) if o),
-                          tuple(group for group, o in zip(groups, one) if not o)))
+            others = sorted({s for s, _ in near[a] + near[b]})
+            reach.append((b, a, tuple(tuple(tuple(e for s, e in near[c] if s == other)
+                                            for other in others) for c in (b, a))))
     index = {(i + 1, j + 1): e for e, i, j in rigid}
     return (edges, tuple(e for (e, _, _), m in zip(rigid, moving) if not m), t, tuple(reach),
             tuple((what, tuple(index[pair] for pair in group)) for what, group in layout.equal),

@@ -431,25 +431,34 @@ def test_families_of_one_name_keep_their_own_generated_source():
 
 def test_linecache_holds_the_texts_of_live_generated_functions_only(tmp_path):
     """``_generated`` keeps the 256 functions used last, and ``linecache``
-    the text of each function it keeps and of no other: in a fresh
-    interpreter, ``aligned`` compiled for the 462 two-dimensional
-    five-agent shapes with four or five of the ten pairs as edges leaves as
-    many ``<rigidflex`` texts as the factory holds, and clearing the
-    factory leaves none."""
+    the text of each function that can still run and of no other: in a
+    fresh interpreter, the triangle's ``evaluate`` bound by ``_bound`` and
+    then ``aligned`` compiled for the 462 two-dimensional five-agent shapes
+    with four or five of the ten pairs as edges evict ``evaluate``'s entry,
+    but its text stays while the bound function lives.  Once it is dropped,
+    ``linecache`` holds as many ``<rigidflex`` texts as the factory, and
+    clearing the factory leaves none."""
     out = run_fresh(textwrap.dedent("""
         import itertools, linecache
         import rigidflex.control as control
+        from rigidflex.graph import triangle_flex
+        from rigidflex.potentials import QUADRATIC
+        evaluate = control._bound(triangle_flex(), QUADRATIC)
         pairs = list(itertools.combinations(range(5), 2))
         for edges in itertools.chain(*(itertools.combinations(pairs, k) for k in (4, 5))):
             control._generated(control._aligned_source, *zip(*edges), 5, 2)
         def texts():
             return sum(name.startswith("<rigidflex") for name in linecache.cache)
+        name = evaluate.__code__.co_filename
         print(control._generated.cache_info().misses, control._generated.cache_info().currsize,
-              texts())
+              texts(), "".join(linecache.getlines(name)).startswith("def evaluate("))
+        del evaluate
+        control._bound.cache_clear()
+        print(texts(), name in linecache.cache)
         control._generated.cache_clear()
         print(texts())
     """), tmp_path)
-    assert out.split() == ["462", "256", "256", "0"]
+    assert out.split() == ["463", "256", "257", "True", "256", "False", "0"]
 
 
 @pytest.mark.parametrize("graph", [triangle_flex(), tetrahedron_flex()])

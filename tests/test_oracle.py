@@ -618,12 +618,34 @@ def one_scale_brackets(monkeypatch, graph, family):
             for layout, args, out in calls if len(args) == 2]
 
 
+def square_brackets(monkeypatch, cases):
+    """(f, lo, hi, x) of the square layout's bracket on the tetrahedron whose
+    square sides are ``side`` and diagonals ``diagonal``, with a family
+    whose g is the formula ``g``, for each (side, diagonal, g) of ``cases``:
+    f is F as the bound ``references.balance_source`` gives it, and x the
+    root of the generated bisection."""
+    layout, calls, out = _LAYOUTS[3]["convex_quadrilateral"], solver_calls(monkeypatch), []
+    for side, diagonal, g in cases:
+        graph = tetrahedron_flex((side, diagonal, side, side, diagonal, side, 2.0))
+        family = PotentialFamily("bracket", "e", g, "e ** 0")
+        layout.solve(graph, family)
+        [(_, (lo, hi), ([x], _, _))] = calls
+        calls.clear()
+        balance = _bound(graph, family, source=balance_source, key=(layout,))
+        out.append((lambda s, balance=balance: balance([s])[0][0], lo, hi, x))
+    return out
+
+
 def test_bisection_ends_at_a_sign_change(monkeypatch):
     """On every one-scale bracket of the three certified graphs x both
     families, the generated bisection's root lies in [lo, hi] and either F
     is 0 there or a float next to it inside the bracket has the opposite
-    sign of F.  So does the reference bisection's on seeded monotone cubics
-    and rationals and with an exact zero at either end."""
+    sign of F.  So does it on the square layout at seeded side and diagonal
+    lengths with seeded monotone cubic and rational g of either sign, and
+    with F exactly 0 at lo (g = 0 where e <= 0, as the sides have e = 0
+    there) or at hi (g = 0 where e >= -dbar^2 / 2), bit for bit where the
+    reference bisection ends; and so does the reference bisection on seeded
+    monotone cubics and rationals and with an exact zero at either end."""
     cases = [case for graph in (triangle_flex(), tetrahedron_flex(), TAILORED)
              for family in (QUADRATIC, RATIONAL)
              for case in one_scale_brackets(monkeypatch, graph, family)]
@@ -637,7 +659,20 @@ def test_bisection_ends_at_a_sign_change(monkeypatch):
                           lo, hi))
         functions.append((lambda x, c=c, r=r, s=sign: s * (x - r) / (x + c), lo, hi))
     functions += [(lambda x: x - 2.0, 2.0, 3.0), (lambda x: x - 3.0, 2.0, 3.0)]
-    cases += [(f, lo, hi, _bracketed_root(f, lo, hi)) for f, lo, hi in functions]
+    brackets = []
+    for sign in (1.0, -1.0):
+        a, b, c = rng.uniform(0.1, 5.0, 3).tolist()
+        for g in (f"{sign!r} * ({a!r} * e + {b!r} * (e * e * e))",
+                  f"{sign!r} * e / (e * e + {c!r})"):
+            brackets += [(*rng.uniform(0.5, 8.0, 2).tolist(), g) for _ in range(10)]
+    brackets += [(1.0, 10.0, "1.0 if e > 0.0 else 0.0"),
+                 (1.0, 10.0, "0.0 if e >= -0.5 * d2 else -1.0")]
+    generated = square_brackets(monkeypatch, brackets)
+    for f, lo, hi, x in generated:
+        assert x == _bracketed_root(f, lo, hi)
+    (f_lo, lo, _, x_lo), (f_hi, _, hi, x_hi) = generated[-2:]
+    assert (x_lo, f_lo(lo), x_hi, f_hi(hi)) == (lo, 0.0, hi, 0.0)
+    cases += generated + [(f, lo, hi, _bracketed_root(f, lo, hi)) for f, lo, hi in functions]
     for f, lo, hi, x in cases:
         assert lo <= x <= hi
         neighbours = [y for y in (math.nextafter(x, -math.inf), math.nextafter(x, math.inf))
@@ -668,11 +703,14 @@ def test_one_scale_roots_scale_exactly(graph, family, subform):
         assert np.array_equal(rigid_k, np.ldexp(rigid, k)), k
 
 
-def test_bisection_has_no_iteration_cap():
+def test_bisection_has_no_iteration_cap(monkeypatch):
     """A step function on a huge bracket takes about a thousand halvings
     down to the adjacent floats around its jump, and the bisection takes
-    them all: the reference bisection, whose loop the generated one runs
-    (test_generated_solvers_match_the_references)."""
+    them all: the reference bisection on a step at 0.5, and the generated
+    one on the square layout with sides 1e-75 and diagonals 1e75 and
+    g = 1 where e > 0, -1/2 elsewhere.  There F = 2x > 0 on (lo, hi] and
+    F(lo) = -4 lo, so it takes 551 halvings, as the reference does, down to
+    the float above lo = 1e-75; a catalog bracket takes about fifty."""
     calls = []
 
     def step(x):
@@ -681,6 +719,11 @@ def test_bisection_has_no_iteration_cap():
 
     assert _bracketed_root(step, -1e300, 1e300) == math.nextafter(0.5, 0.0)
     assert len(calls) == 1053
+    [(f, lo, hi, x)] = square_brackets(monkeypatch, [(1e-75, 1e75, "1.0 if e > 0.0 else -0.5")])
+    assert (lo, x) == (1e-75, math.nextafter(1e-75, math.inf))
+    calls.clear()
+    assert _bracketed_root(lambda s: calls.append(s) or f(s), lo, hi) == x
+    assert len(calls) == 2 + 551
 
 
 # a NaN and an infinity as terms of a family's formulas
