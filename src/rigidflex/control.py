@@ -20,11 +20,11 @@ entries formed once, and ``aligned`` the same H in one dimension at the
 edge coordinates z_k . r that it forms itself: the block that
 ``stability``'s witness reads.  Each sums on Python floats in edge order,
 so no result depends on how a BLAS sums.  Every generated text of the
-package, these, ``oracle``'s layout root finders and placements and
-``stability``'s sign claims, becomes a function in one place,
-``_generated``, which keeps its text in ``linecache`` while it lives, and
-``_bound`` binds those that read a graph's lengths, a family's evaluators
-or a leader's constants to them (``_constants``).
+package, these, ``oracle``'s layout root finders and ``stability``'s sign
+claims, becomes a function in one place, ``_generated``, which keeps its
+text in ``linecache`` while it lives, and ``_bound`` binds those that read
+a graph's lengths, a family's evaluators or a leader's constants to them
+(``_constants``).
 ``LeaderSpec`` holds the flex agent's leader input as values, a windowed
 one as a sample table that the generated step looks up inline, and its
 arrival test.

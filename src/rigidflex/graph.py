@@ -74,9 +74,8 @@ class FormationGraph:
         object.__setattr__(self, "_shape", (tuple(i - 1 for i, _ in pairs),
                                             tuple(j - 1 for _, j in pairs), n, d))
         object.__setattr__(self, "_dbar2", tuple(db * db for db in self.desired))
-        key, k4 = (n, d, list(self.edges[:-1])), sorted(itertools.combinations(range(1, 5), 2))
-        object.__setattr__(self, "_topology", "triangle" if key == (4, 2, [(1, 2), (1, 3), (2, 3)])
-                           else "tetrahedron" if key == (5, 3, k4) else None)
+        object.__setattr__(self, "_topology", ("triangle", "tetrahedron")[d - 2]
+                           if tuple(self.edges) == _certified_edges(d) else None)
 
     @property
     def num_edges(self) -> int:
@@ -101,15 +100,14 @@ class FormationGraph:
         return self._topology
 
 
+def _certified_edges(d: int) -> tuple:
+    """The certified edges in d dimensions: all pairs of agents 1..d+1, then (d+1, d+2)."""
+    return (*itertools.combinations(range(1, d + 2), 2), (d + 1, d + 2))
+
+
 def triangle_flex(desired=(4.0, 4.0, 4.0, 4.0)) -> FormationGraph:
     """Triangle (1,2,3) plus flex node 4 in the plane."""
-    return FormationGraph(
-        num_nodes=4,
-        dimension=2,
-        edges=((1, 2), (1, 3), (2, 3), (3, 4)),
-        desired=tuple(float(x) for x in desired),
-        flex_edge=(3, 4),
-    )
+    return FormationGraph(4, 2, _certified_edges(2), tuple(float(x) for x in desired), (3, 4))
 
 
 def tetrahedron_flex(desired=(4.0,) * 7) -> FormationGraph:
@@ -117,14 +115,7 @@ def tetrahedron_flex(desired=(4.0,) * 7) -> FormationGraph:
 
     Edge order: (1,2),(1,3),(1,4),(2,3),(2,4),(3,4),(4,5).
     """
-    edges = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5))
-    return FormationGraph(
-        num_nodes=5,
-        dimension=3,
-        edges=edges,
-        desired=tuple(float(x) for x in desired),
-        flex_edge=(4, 5),
-    )
+    return FormationGraph(5, 3, _certified_edges(3), tuple(float(x) for x in desired), (4, 5))
 
 
 def graph_from_json(doc) -> FormationGraph:

@@ -18,10 +18,9 @@ straight-line function on Python floats with the balance inline
 (``_solver_source``): the bisection, or one Newton solve from one seed with
 its Jacobian, Cramer solve, step cut and halvings.  ``control._generated``
 compiles it and ``control._bound`` binds it to the graph's lengths, as it
-binds the edge pass.  The placement sum_k x_k T_k of the agents, the flex
-agent included, is generated per layout and graph shape
-(``_placement_source``).  Every sum runs in a fixed order on floats, so no
-root or position depends on how a BLAS sums.
+binds the edge pass, when a solve first runs it.  The agents sit at
+sum_k x_k T_k, each coordinate summed by ``_dot``.  Every sum runs in a
+fixed order on floats, so no root or position depends on how a BLAS sums.
 
 The flex agent sits at its desired length from its anchor along the last
 axis.  ``_finalize`` builds every CatalogEntry from one edge pass at the
@@ -45,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import _bound, _call, _dot, _generated, _norm, _on_numpy, _per_call, _sum
+from .control import _bound, _call, _dot, _norm, _on_numpy, _per_call, _sum
 from .graph import FormationGraph, as_positions, simplex_gram
 from .potentials import PotentialFamily, evaluators
 from .stability import LINE_SLOTS, _classify, _hessian
@@ -253,7 +252,6 @@ class _Layout:
     """
 
     templates: tuple
-    method: str
     slots: tuple = ()
     seeds: tuple = ()
     equal: tuple = ()
@@ -269,14 +267,15 @@ class _Layout:
         Both read ``_geometry``'s index tables; the lengths of each slot's
         group of edges are compared sorted.  A rigid edge with a zero
         template vector has zero length whatever the scales, so neither has
-        a family whose g is not finite at e = -dbar^2: the family's g runs
-        there on floats, and where floats raise, ``control._on_numpy`` runs
-        it, as in the generated pass.  ``control._bound`` binds the
-        generated root finder to the graph's lengths, as it binds every
-        generated edge pass, and the generated placement forms the agents.
+        a family whose g is not finite at e = -dbar^2 (``_diverges``).
+        ``control._bound`` binds, and so compiles on first use, the
+        generated root finder only on the path that runs it: the Newton
+        seeds of two or more gaps, or the bisection when lo < hi.  Each
+        rigid coordinate is ``_dot`` of the scales and its row of template
+        entries (``_geometry``).
         """
         shape, length = graph._shape, graph.desired
-        edges, inner, _, reach, equal, ends, spans = _geometry(self, shape)
+        _, inner, _, reach, equal, ends, spans, rows = _geometry(self, shape)
         for b, a, sides in reach:
             rb, ra = ([sorted(map(length.__getitem__, group)) for group in side] for side in sides)
             if rb != ra:
@@ -287,34 +286,28 @@ class _Layout:
         for what, group in equal:
             if any(length[e] != length[group[0]] for e in group):
                 raise OracleError(f"construction needs equal desired distances: {what}")
-        if inner:
-            g, d2 = evaluators(family)[1], graph._dbar2
-            for e in inner:
-                try:
-                    ge = g(-d2[e], d2[e])
-                except (ZeroDivisionError, OverflowError):
-                    ge = _on_numpy(g, -d2[e], d2[e])
-                if not math.isfinite(ge):
-                    raise OracleError(_BOUNDARY)
+        if any(_diverges(family, graph._dbar2[e]) for e in inner):
+            raise OracleError(_BOUNDARY)
 
-        x, method = [], "coincidence-construct"
-        if self.templates:
-            solver, method = _bound(graph, family, source=_solver_source, key=(self,)), self.method
-        if len(self.templates) > 1:
+        x, solved = [], len(self.templates) > 1
+        if solved:
             scale = _sum(length[e] for e in spans) / len(spans)
-            x = _multi_root(solver, [[v * scale for v in seed] for seed in self.seeds],
+            x = _multi_root(_bound(graph, family, source=_solver_source, key=(self,)),
+                            [[v * scale for v in seed] for seed in self.seeds],
                             f"the gaps of line layout {self.slots}")
         elif self.templates:
             ends = [length[e] / c for e, c in ends]
             lo, hi = min(ends), max(ends)
-            if lo < hi:
-                x, f_lo, f_hi = solver(lo, hi)
+            x, solved = [lo], lo < hi
+            if solved:
+                x, f_lo, f_hi = _bound(graph, family, source=_solver_source, key=(self,))(lo, hi)
                 if x is None:
                     raise OracleError(f"layout scale bracket failed: f({lo:.4g})={f_lo:.4g}, "
                                       f"f({hi:.4g})={f_hi:.4g}")
-            else:
-                x, method = [lo], "coincidence-construct"
-        return _generated(_placement_source, *shape, self)(x, length[-1]), method
+        p = [_dot(x, row) for row in rows]
+        method = ("coincidence-construct" if not solved else
+                  "rootfind-collinear" if self.slots else "rootfind-coplanar")
+        return p + p[-shape[3]:-1] + [p[-1] + length[-1]], method
 
 
 @functools.lru_cache(maxsize=64)
@@ -327,8 +320,9 @@ def _geometry(layout: _Layout, shape: tuple):
     for a its crossing edges to each slot that either reaches, one group
     per slot in slot order; each ``equal`` group as (what, edge indices);
     per crossing edge (e, c_e), c_e = |t_e|, the one-scale bracket's ends;
-    and the seed scale's edges, for each slot pair the last edge between
-    them, in the order the pairs first occur."""
+    the seed scale's edges, for each slot pair the last edge between
+    them, in the order the pairs first occur; and per rigid coordinate,
+    node-major, its entries T_k[a][c] over the scales k."""
     tails, heads = shape[:2]
     rigid = tuple(zip(range(len(tails) - 1), tails, heads))   # the flex edge sorts last
     t = [tuple(tuple(a - b for a, b in zip(tk[i], tk[j])) for tk in layout.templates)
@@ -347,7 +341,22 @@ def _geometry(layout: _Layout, shape: tuple):
             tuple((what, tuple(index[pair] for pair in group)) for what, group in layout.equal),
             tuple((e, _norm(te[0])) for (e, _, _), te in zip(edges, t)),
             tuple({frozenset((slots[i], slots[j])): e for e, i, j in edges}.values())
-            if slots else ())
+            if slots else (),
+            tuple(tuple(tk[a][c] for tk in layout.templates)
+                  for a in range(shape[2] - 1) for c in range(shape[3])))
+
+
+@functools.lru_cache(maxsize=64)
+def _diverges(family: PotentialFamily, d2: float) -> bool:
+    """Whether the family's g is not finite at e = -d2, an edge of zero length:
+    on floats, and where they raise through ``control._on_numpy``, as in the
+    generated pass.  Decided once per (family, d2), the 64 used last kept."""
+    g = evaluators(family)[1]
+    try:
+        ge = g(-d2, d2)
+    except (ZeroDivisionError, OverflowError):
+        ge = _on_numpy(g, -d2, d2)
+    return not math.isfinite(ge)
 
 
 def _combination(terms) -> str:
@@ -473,27 +482,11 @@ def _solver_source(tails, heads, n, d, family, layout) -> str:
     return "def newton(x, steps, halvings):\n" + "".join(f"    {line}\n" for line in body)
 
 
-def _placement_source(tails, heads, n, d, layout) -> str:
-    """Python source of ``place(x, flex)``: the flat list of the N + 1
-    agents' coordinates at the scales x.  Each rigid coordinate is
-    0.0 + x_0 T_0 + x_1 T_1 ... left to right, as ``_dot`` sums, and the
-    flex agent sits at the last rigid agent moved by ``flex`` along the
-    last axis."""
-    xs = [f"x{l}" for l in range(len(layout.templates))]
-    body = [f"{', '.join(xs)}, = x"] if xs else []
-    body += [f"p{d * a + c} = 0.0" + "".join(f" + {x} * {tk[a][c]!r}"
-                                             for x, tk in zip(xs, layout.templates))
-             for a in range(n - 1) for c in range(d)]
-    p = [f"p{i}" for i in range(d * (n - 1))]
-    body.append(f"return [{', '.join(p + p[-d:-1])}, {p[-1]} + flex]")
-    return "def place(x, flex):\n" + "".join(f"    {line}\n" for line in body)
-
-
 def _line(slots, dim, seeds=()):
     """The line layout of a LINE_SLOTS vector: T_k moves the agents past gap k."""
     templates = tuple(tuple((float(s > k),) + (0.0,) * (dim - 1) for s in slots)
                       for k in range(max(slots)))
-    return _Layout(templates, "rootfind-collinear", slots, seeds)
+    return _Layout(templates, slots, seeds)
 
 
 # The tetrahedron's planar layouts: the unit square 1-2-3-4, and the unit
@@ -501,13 +494,11 @@ def _line(slots, dim, seeds=()):
 _PLANAR = {2: {}, 3: {
     "convex_quadrilateral": _Layout(
         (((0.5, 0.5, 0.0), (-0.5, 0.5, 0.0), (-0.5, -0.5, 0.0), (0.5, -0.5, 0.0)),),
-        "rootfind-coplanar",
         equal=(("the four square sides", ((1, 2), (2, 3), (3, 4), (1, 4))),
                ("the two diagonals", ((1, 3), (2, 4))))),
     "interior_point": _Layout(
         (tuple((math.cos(a) / math.sqrt(3.0), math.sin(a) / math.sqrt(3.0), 0.0)
                for a in (0.0, 2 * math.pi / 3, 4 * math.pi / 3)) + ((0.0, 0.0, 0.0),),),
-        "rootfind-coplanar",
         equal=(("outer triangle sides", ((1, 2), (1, 3), (2, 3))),
                ("vertex-to-center edges", ((1, 4), (2, 4), (3, 4))))),
 }}
@@ -579,15 +570,18 @@ def build_catalog(graph: FormationGraph, family: PotentialFamily):
     Returns (entries, failures): entries in a deterministic order, failures a
     name -> message map for constructions that did not succeed with this
     distance set / family (reported, not raised).  An uncertified graph
-    raises OracleError; ``construct_equilibrium`` builds a single subform.
+    raises OracleError, and so do rigid lengths that form no triangle or
+    tetrahedron (``_rigid_embedding``, whose agents the flex-coincident
+    entry takes): with no desired shape the undesired points need not be
+    unstable.  ``construct_equilibrium`` builds a single subform.
     """
-    _require_certified(graph)
+    rigid = _rigid_embedding(graph)
     entries, failures = [], {}
     for name in ["flex_coincident", *_LAYOUTS[graph.dimension]]:
         try:
             if name == "flex_coincident":
-                entry = _finalize(flex_coincident_equilibrium(graph).ravel().tolist(), graph,
-                                  family, "coincidence-construct", ("flex_coincident", None))
+                entry = _finalize([c for row in rigid + [rigid[-1]] for c in row], graph, family,
+                                  "coincidence-construct", ("flex_coincident", None))
             else:
                 entry = construct_equilibrium(graph, family, name)
         except OracleError as exc:

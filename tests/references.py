@@ -292,7 +292,7 @@ def capture_from_flow(p0, graph, family, t_end):
 
 # ---------------------------------------------------------------------------
 # A layout solve as the interpreter ran it: the bit-for-bit references of
-# oracle's generated bisection, Newton solve and placement
+# oracle's generated bisection and Newton solve, and of its placement
 
 
 def balance_source(tails, heads, n, d, family, layout) -> str:
@@ -396,8 +396,9 @@ def layout_solve(layout, graph, family):
     """``_Layout.solve`` as the interpreter ran it: the refusals by sorting
     each agent's (slot, length) pairs, the bisection and the Newton seeds on
     the bound ``balance_source`` (``_bracketed_root``, ``_newton``), and
-    each coordinate as ``_dot`` of the scales and the template entries.
-    The seeds go through ``oracle._multi_root``, and so through
+    each coordinate as ``_dot`` of the scales and the template entries; the
+    method follows from the layout's kind, a line layout (``slots``) or a
+    planar one.  The seeds go through ``oracle._multi_root``, and so through
     ``oracle.root``.  Gives (the flat positions, the flex agent's last,
     method) or raises OracleError with the message ``solve`` gives."""
     shape, length = graph._shape, graph.desired
@@ -426,7 +427,8 @@ def layout_solve(layout, graph, family):
     *_, n, d = shape
     x, method = [], "coincidence-construct"
     if layout.templates:
-        balance, method = _bound(graph, family, source=balance_source, key=(layout,)), layout.method
+        balance = _bound(graph, family, source=balance_source, key=(layout,))
+        method = "rootfind-collinear" if layout.slots else "rootfind-coplanar"
     if len(layout.templates) == 1:
         ends = [length[e] / _norm(te[0]) for (e, _, _), te in zip(edges, t)]
         lo, hi = min(ends), max(ends)

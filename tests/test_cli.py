@@ -8,7 +8,7 @@ import pytest
 
 from rigidflex.cli import (EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, SCENARIO_KEYS,
                            _resolve_scenario, bundled_scenario_names, main)
-from rigidflex.graph import FormationGraph, graph_to_json, triangle_flex
+from rigidflex.graph import FormationGraph, graph_to_json, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (construct_equilibrium, desired_equilibrium,
                               flex_coincident_equilibrium)
 from rigidflex.potentials import QUADRATIC
@@ -430,6 +430,32 @@ def test_catalog_malformed_input_is_config_error(tmp_path, capsys, case):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: ")
     assert words in err[0]
+    assert not (tmp_path / "cat").exists()
+
+
+UNREALIZABLE = {
+    "triangle_1.1_2.3_1.1": ({"dimension": 2, "nodes": 4, "edges": [
+        [1, 2, 1.1], [1, 3, 2.3], [2, 3, 1.1], [3, 4, 2.0]], "flex_edge": [3, 4]}, "triangle"),
+    "tetrahedron_d34_3": (graph_to_json(tetrahedron_flex((1.0,) * 5 + (3.0, 2.0))),
+                          "tetrahedron"),
+}
+
+
+@pytest.mark.parametrize("family", ["quadratic", "rational"])
+@pytest.mark.parametrize("case", UNREALIZABLE)
+def test_catalog_of_unrealizable_lengths_is_config_error(tmp_path, capsys, case, family):
+    """Rigid lengths that form no triangle or tetrahedron (1.1 + 1.1 <
+    2.3; d13 + d14 < d34) give no desired shape, and without one the
+    collinear point is a minimum, so no witness need exist: the catalog
+    exits 2 with one configuration error line before any output is
+    written, with both families."""
+    path = tmp_path / "unrealizable.json"
+    doc, topology = UNREALIZABLE[case]
+    path.write_text(json.dumps(doc))
+    assert main(["catalog", str(path), "--family", family,
+                 "--out", str(tmp_path / "cat")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"configuration error: {topology} distances are not realizable"]
     assert not (tmp_path / "cat").exists()
 
 

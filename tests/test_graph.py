@@ -35,6 +35,26 @@ def test_tetrahedron_flex_structure():
     assert g.certified_topology() == "tetrahedron"
 
 
+def test_builders_give_the_certified_graphs_written_out():
+    """triangle_flex and tetrahedron_flex equal, and hash alike, the graphs
+    with the complete rigid graph on d + 1 agents and the flex edge
+    (d + 1, d + 2) written out, and those are the certified topologies;
+    the triangle's edges in 3-D and the tetrahedron with a rigid edge
+    missing are not."""
+    written = {2: ((1, 2), (1, 3), (2, 3), (3, 4)),
+               3: ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4), (4, 5))}
+    for build, d, topology in ((triangle_flex, 2, "triangle"),
+                               (tetrahedron_flex, 3, "tetrahedron")):
+        graph = FormationGraph(num_nodes=d + 2, dimension=d, edges=written[d],
+                               desired=(4.0,) * len(written[d]), flex_edge=(d + 1, d + 2))
+        assert build() == graph and hash(build()) == hash(graph)
+        assert graph.certified_topology() == topology
+    assert FormationGraph(num_nodes=4, dimension=3, edges=written[2], desired=(4.0,) * 4,
+                          flex_edge=(3, 4)).certified_topology() is None
+    assert FormationGraph(num_nodes=5, dimension=3, edges=written[3][1:], desired=(4.0,) * 6,
+                          flex_edge=(4, 5)).certified_topology() is None
+
+
 def test_edge_order_is_contractual():
     with pytest.raises(GraphError):
         FormationGraph(num_nodes=4, dimension=2,

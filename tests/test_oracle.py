@@ -451,13 +451,14 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
                          ids=["triangle", "tetrahedron", "tailored"])
 def test_solve_binds_the_family_once_per_edge_set(graph, family, monkeypatch):
     """``solve`` looks up the family's evaluators once for the balance over
-    the crossing edges (``control._bound`` binds it to ``control._constants``,
-    once per graph and family: both caches are cleared before each solve
-    here), and once before
-    that for the boundary test when some rigid edge has a zero template
-    vector.  A layout with no scale has no balance to bind.  A layout
-    refused at the boundary looks them up once; one refused for its
-    desired lengths, never."""
+    the crossing edges, when it runs the root finder (``control._bound``
+    binds it to ``control._constants``, once per graph and family: both
+    caches are cleared before each solve here), and once per (family,
+    d2) for the boundary test of the rigid edges with a zero template
+    vector (``oracle._diverges``, cleared too).  A layout that solves no
+    scale (coincidence-construct) binds no root finder.  A layout refused
+    at the boundary looks them up once; one refused for its desired
+    lengths, never."""
     import rigidflex.control as control
     import rigidflex.oracle as oracle
 
@@ -468,18 +469,70 @@ def test_solve_binds_the_family_once_per_edge_set(graph, family, monkeypatch):
     for name, layout in _LAYOUTS[graph.dimension].items():
         zero = [all(tk[i] == tk[j] for tk in layout.templates)
                 for i, j in zip(graph.edge_tails[:-1], graph.edge_heads[:-1])]
-        expected = (len(layout.templates) > 0) + any(zero)
+        lookups = len({d2 for d2, z in zip(graph._dbar2, zero) if z})
         binds.clear()
         control._bound.cache_clear()
         control._constants.cache_clear()
+        oracle._diverges.cache_clear()
         try:
-            layout.solve(graph, family)
+            expected = lookups + (layout.solve(graph, family)[1] != "coincidence-construct")
         except OracleError as exc:
+            expected = lookups + 1              # the root finder ran and failed
             if "needs equal desired distances" in str(exc):
                 expected = 0
             elif "coincidence boundary" in str(exc):
                 expected = 1
         assert len(binds) == expected, name
+
+
+def test_boundary_verdict_is_decided_once_per_length(monkeypatch):
+    """Whether g is finite at e = -dbar^2 is decided once per (family,
+    dbar^2): after one catalog of the equal tetrahedron with the rational
+    family, whose g diverges there, a second one refuses the same layouts
+    with the same messages and makes no ``_on_numpy`` call from
+    ``oracle``."""
+    import rigidflex.oracle as oracle
+
+    calls, on_numpy = [], oracle._on_numpy
+    oracle._diverges.cache_clear()
+    first = build_catalog(tetrahedron_flex(), RATIONAL)[1]
+    monkeypatch.setattr(oracle, "_on_numpy", lambda *args: calls.append(args) or on_numpy(*args))
+    assert build_catalog(tetrahedron_flex(), RATIONAL)[1] == first
+    assert sum("coincidence boundary" in message for message in first.values()) >= 3
+    assert calls == []
+
+
+def test_certify_catalogs_run_every_compiled_solver(monkeypatch):
+    """A layout's root finder is compiled only on the path that runs it:
+    after the six catalogs of the triangle, the equal and the tailored
+    tetrahedron with both families on a cold ``control._generated`` cache,
+    every ``_solver_source`` text compiled has been called, and the exact
+    layouts at equal lengths (the triangle's coincident pair, the
+    tetrahedron's triple and double coincidences) compiled none."""
+    import rigidflex.control as control
+    import rigidflex.oracle as oracle
+
+    compiled, called, generated, bound = set(), set(), control._generated, oracle._bound
+
+    def recorded(source, *key):
+        if source is _solver_source:
+            compiled.add(key)
+        return generated(source, *key)
+
+    def counted(graph, family, **kwargs):
+        function = bound(graph, family, **kwargs)
+        if kwargs.get("source") is not _solver_source:
+            return function
+        return lambda *args: called.add((*graph._shape, family, *kwargs["key"])) or function(*args)
+
+    control._bound.cache_clear()
+    control._generated.cache_clear()
+    monkeypatch.setattr(control, "_generated", recorded)
+    monkeypatch.setattr(oracle, "_bound", counted)
+    for graph in (triangle_flex(), tetrahedron_flex(), TAILORED):
+        for family in (QUADRATIC, RATIONAL):
+            build_catalog(graph, family)
+    assert compiled == called and len(compiled) == 10
 
 
 def test_gap_solver_failures_say_what_happened():
@@ -1177,63 +1230,40 @@ def test_one_multi_root_call_per_multi_gap_layout_attempt(graph, family, monkeyp
     assert all(attempts) and sum(attempts) == len(seeds)
 
 
-# SHA-256 of the generated root finder of every layout with a scale, per agent count and
-# family, and of every layout's placement, per agent count
+# SHA-256 of the generated root finder of every layout with a scale, per agent count and family
 SOLVER_SOURCE_SHA256 = {
-    "4-collinear_distinct-place":
-        "0342a61f1048aedae2fad840a81cfbc872cd63fd25f03c74467910dc4f0413ff",
     "4-collinear_distinct-quadratic":
         "7a02f5deecb39cc5d595222f1983614fd62e2b9e8457119b54fa7f2ca5f1e1e3",
     "4-collinear_distinct-rational":
         "140416366f37cfce2ee2d99398e499aad40d07e61c31a06f80217a911c143727",
-    "4-coincident_pair-place":
-        "1e688baa7b7c04c916e28bc42b709454cb5a6115fcffe440afdbc3f430e57440",
     "4-coincident_pair-quadratic":
         "1327809a508b242aa19a7d27a55e8fd87a75b3df9241b151205738243410b6ba",
     "4-coincident_pair-rational":
         "a6cf985a63ccf289e203a1c106ce95afb548d54079939d3852f67f182b197135",
-    "4-all_coincident-place":
-        "82d1866589fca51dd30d4274e07e8dbfc6cae163e346d4a427c71f1a10c98596",
-    "5-convex_quadrilateral-place":
-        "0849670d28f38c2d5556d01b4a1b9a4345f6ca93741c9acd66759dc5278540f3",
     "5-convex_quadrilateral-quadratic":
         "449cb53cff56e9d10ee23db87dc28bfb0e5a3bc094956df68d1ddd4d7c8c7680",
     "5-convex_quadrilateral-rational":
         "3ef5a29eb4fcf2f6129981a0d80d4e6ee9efbcb86b71aaf352103af6bf0e0d88",
-    "5-interior_point-place":
-        "210a4ec79b6e4434bb76bad11bd609c513d9080bc5569398ebccf38264dccb6d",
     "5-interior_point-quadratic":
         "4aa4eed822d271bdf953c820848b4c4b5b86638ae713ea012d3b35ab995b43da",
     "5-interior_point-rational":
         "f0af509e4c56b25d59a2bd189395449b0a6110fcdb48c1609747e68df01efc27",
-    "5-all_coincident-place":
-        "e2c6734c9d2403c07ce96e2b5e467e58dec77a2be83c224aa57f5c2c09ef336f",
-    "5-triple_coincident-place":
-        "c97ed3a43c713d90e442622e6c8102f04030f56b37a446588c64f10623033135",
     "5-triple_coincident-quadratic":
         "0e8740db865a8034c5753407e5512de02768ba9c919e9f7776758406c79b56c1",
     "5-triple_coincident-rational":
         "ef14a5018d862b7cd5ff38b5dc3eb6bc69d6d38fa235e73deac77d1dbe31f297",
-    "5-double_pair-place":
-        "c74cdb45ab0bc679bcd0500dd04f8f2abf6adb5143ff728961dfbc1e4b73dd89",
     "5-double_pair-quadratic":
         "8f62bd8bb85fd3d9594038388cc9caba984fef1943ba64d45ae06bf8dcbfced0",
     "5-double_pair-rational":
         "65e53b62121a32154ac1dc1f805a23ffabb142d6268450ff1cf797484ae5f2dd",
-    "5-pair_endpoint_collinear-place":
-        "005dc4fdf09b6a9c004247259c0130661b18776f2eb95079abc800bb3176755b",
     "5-pair_endpoint_collinear-quadratic":
         "fc7418e5f67df8b434c0834119eed64f123d3f5c23559e74968fe206ce782f58",
     "5-pair_endpoint_collinear-rational":
         "5844f8193368281a5ca606231384f7ad24d9f98dbae708723a28552fa2e514c0",
-    "5-pair_interior_collinear-place":
-        "34fa4611f7a586eb3f3e99885c48826f526322e1c33e103297496d554602dec8",
     "5-pair_interior_collinear-quadratic":
         "ff651c5985d3c326a90767246a64b2dd427694cae48bdb345405a94eba8c1121",
     "5-pair_interior_collinear-rational":
         "cad7845ac8c4883fedad46abe407ef14aa6ff1c9abf39042a1ea902b287ed1ec",
-    "5-collinear_distinct-place":
-        "218d39ec6d153bceb5d63a1cdb2ad349e868047906a4a0f81ed17f4740790ebd",
     "5-collinear_distinct-quadratic":
         "03fc894bfecf8785d170af6199c9383b4cd2169207423cc6091369c9d6891a4b",
     "5-collinear_distinct-rational":
@@ -1243,19 +1273,14 @@ SOLVER_SOURCE_SHA256 = {
 
 def test_generated_solver_source_is_pinned():
     """The root finder ``_solver_source`` writes for every layout of the
-    triangle and the tetrahedron with a scale, with both families, and the
-    placement ``_placement_source`` writes for every layout, are pinned by
-    their SHA-256: a change to the generator that changes any of these
-    functions shows here, before it shows in a catalog."""
+    triangle and the tetrahedron with a scale, with both families, is
+    pinned by its SHA-256: a change to the generator that changes any of
+    these functions shows here, before it shows in a catalog."""
     import hashlib
-
-    import rigidflex.oracle as oracle
 
     found = {}
     for graph in (triangle_flex(), tetrahedron_flex()):
         for name, layout in _LAYOUTS[graph.dimension].items():
-            text = oracle._placement_source(*graph._shape, layout)
-            found[f"{graph.num_nodes}-{name}-place"] = hashlib.sha256(text.encode()).hexdigest()
             for family in (QUADRATIC, RATIONAL) if layout.templates else ():
                 text = _solver_source(*graph._shape, family, layout)
                 found[f"{graph.num_nodes}-{name}-{family.name}"] = \
