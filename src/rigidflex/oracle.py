@@ -122,19 +122,15 @@ def newton_polish(p, graph: FormationGraph, family: PotentialFamily) -> np.ndarr
 # Desired-shape embeddings
 
 
-def _require_certified(graph: FormationGraph) -> str:
-    topo = graph.certified_topology()
-    if topo is None:
-        raise OracleError("oracle constructions cover only the certified "
-                          "triangle and tetrahedron topologies")
-    return topo
-
-
 def _rigid_embedding(graph: FormationGraph) -> list:
     """The rigid agents at their desired distances in ``simplex_gram``'s frame:
     its Cholesky factor as rows of Python floats, sums left to right, each
-    column times its pivot's reciprocal as LAPACK's unblocked factor does."""
-    topo = _require_certified(graph)
+    column times its pivot's reciprocal as LAPACK's unblocked factor does.
+    Raises OracleError for an uncertified graph and for lengths that no
+    triangle or tetrahedron has."""
+    if (topo := graph.certified_topology()) is None:
+        raise OracleError("oracle constructions cover only the certified "
+                          "triangle and tetrahedron topologies")
     k, (tails, heads, *_) = graph.num_nodes - 1, graph._shape
     sq = [[0.0] * k for _ in range(k)]
     for i, j, d2 in zip(tails[:-1], heads[:-1], graph._dbar2):
@@ -548,15 +544,22 @@ def construct_equilibrium(graph: FormationGraph, family: PotentialFamily,
                           subform: str) -> CatalogEntry:
     """The degenerate equilibrium of one subform, from its layout.
 
-    Raises OracleError when the desired distances do not admit the layout,
-    the root-finder fails, or the point leaves the family's domain.
+    Raises OracleError, as ``build_catalog`` does, for an uncertified graph
+    and for rigid lengths that form no triangle or tetrahedron
+    (``_rigid_embedding``), and when the desired distances do not admit the
+    layout, the root-finder fails, or the point leaves the family's domain.
     """
-    _require_certified(graph)
+    _rigid_embedding(graph)
     table = _LAYOUTS[graph.dimension]
     if subform not in table:
         raise OracleError(f"unknown subform {subform!r} for dimension "
                           f"{graph.dimension}; known: {sorted(table)}")
-    x, method = table[subform].solve(graph, family)
+    return _degenerate(graph, family, subform)
+
+
+def _degenerate(graph: FormationGraph, family: PotentialFamily, subform: str) -> CatalogEntry:
+    """``construct_equilibrium`` past its checks of the graph and the name."""
+    x, method = _LAYOUTS[graph.dimension][subform].solve(graph, family)
     return _finalize(x, graph, family, method, ("degenerate_rigid", subform))
 
 
@@ -572,8 +575,8 @@ def build_catalog(graph: FormationGraph, family: PotentialFamily):
     distance set / family (reported, not raised).  An uncertified graph
     raises OracleError, and so do rigid lengths that form no triangle or
     tetrahedron (``_rigid_embedding``, whose agents the flex-coincident
-    entry takes): with no desired shape the undesired points need not be
-    unstable.  ``construct_equilibrium`` builds a single subform.
+    entry takes), once: with no desired shape the undesired points need not
+    be unstable.  ``construct_equilibrium`` builds a single subform.
     """
     rigid = _rigid_embedding(graph)
     entries, failures = [], {}
@@ -583,7 +586,7 @@ def build_catalog(graph: FormationGraph, family: PotentialFamily):
                 entry = _finalize([c for row in rigid + [rigid[-1]] for c in row], graph, family,
                                   "coincidence-construct", ("flex_coincident", None))
             else:
-                entry = construct_equilibrium(graph, family, name)
+                entry = _degenerate(graph, family, name)
         except OracleError as exc:
             failures[name] = str(exc)
         else:

@@ -16,13 +16,17 @@ entries of H_r.
 3-D point, z_flex x the coordinate axis least along z_flex), the
 ``degeneracy`` (the rigid agents' simplex's smallest height), and for a
 degenerate-rigid class its subform and roles, the rigid agents' labels in
-role order i, j, k, l.  Line forms are looked up in LINE_SLOTS, the slot
-table the oracle builds its line equilibria from; planar forms come from the
-signs of the agents' affine dependence, in signed triangle areas.  The sign
-claims are data over the roles (SIGN_CLAIMS), generated once per subform,
-roles and edges as one straight-line function over g (``_claims_source``,
-made by ``control._generated``), and the simplex's index pairs and faces
-are made once per point count (``_faces``).  The balance residual that
+role order i, j, k, l.  The rigid agents' simplex, its heights, its axis
+and the planar forms (from the signs of the agents' affine dependence, in
+signed triangle areas) are one straight-line function per point count and
+dimension (``_simplex_source``, made by ``control._generated``) over the
+flat realization.  Line forms are read from a table made once per tuple of
+the clusters' ranks along the line (``_line_form``), from LINE_SLOTS, the
+slot table the oracle builds its line equilibria from.  The sign claims
+are data over the roles (SIGN_CLAIMS), generated once per subform, roles
+and edges as one straight-line function over g (``_claims_source``).  The
+simplex's index pairs and faces are made once per point count
+(``_faces``).  The balance residual that
 decides an equilibrium comes with the edge pass, and the aligned block from
 ``control``'s generated ``aligned``.  No verdict calls LAPACK; the spectra
 are reported, not judged.
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import (EQ_TOL, _aligned_source, _bound, _check_eq_tol, _dot, _generated,
+from .control import (EQ_TOL, _aligned_source, _bound, _check_eq_tol, _generated,
                       _hessian_source, _norm)
 from .graph import FormationGraph, as_positions
 from .potentials import PotentialDomainError, PotentialFamily
@@ -81,16 +85,6 @@ def _hessian(z, g, rho, shape: tuple) -> np.ndarray:
                        count=nd * nd).reshape(nd, nd)
 
 
-def _cross(a, b) -> list:
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
-
-
-def _normal(v) -> list:
-    """v x the coordinate axis least along v, the last on a tie."""
-    c = min((2, 1, 0), key=lambda c: abs(v[c]))
-    return _cross(v, [float(k == c) for k in range(3)])
-
-
 @functools.lru_cache(maxsize=None)
 def _faces(n: int) -> tuple:
     """The index pairs of n points in lexicographic order, and per triple i < j < k in order
@@ -114,66 +108,144 @@ def _coincidence_clusters(length: list, n: int) -> list[int]:
 
 
 def _simplex(points, z) -> tuple:
-    """(heights, r, length, side, t) of the simplex on the ``points`` in d-D
-    (2-D points and the flex edge ``z`` in the plane of the first two axes);
-    ``side`` lists point b - point a, ``length`` its norm, per pair a < b of ``_faces``.
+    """(heights, r, length, side, t) of the simplex on the ``points``, lists
+    of d floats, and the flex edge ``z``: the first five values of the
+    generated ``simplex`` (``_simplex_source``) on their flat list."""
+    return _generated(_simplex_source, len(points), len(z))([c for p in points for c in p], z)[:5]
 
-    The heights, one per point past the first up to d: the first longest side t,
-    the largest face's height over its own longest side, and in 3-D the
-    farthest other point's height over that face (3 V / A for four points).
-    The first below GEOM_TOL, or a missing one, leaves the affine span S a
-    point, a line or a plane.  r is the unit axis orthogonal to S, None
-    where S fills the space: a hyperplane's normal (the largest face's in
-    3-D); on a 3-D line t x z, or ``_normal(t)`` where that vanishes; at a
-    point ``_normal(z)``, the last axis where z = 0; its largest-magnitude
-    component positive."""
-    d, z = len(z), [*z, 0.0][:3]
-    pts = points if d == 3 else [[*p, 0.0] for p in points]
-    pairs, faces = _faces(len(pts))
-    side, length, longest = [], [], 0
+
+def _simplex_source(n: int, d: int) -> str:
+    """Python source of ``simplex(x, z)``: the simplex on the first n points
+    of the flat list x in d-D and the flex edge z, as straight-line code
+    over local floats (2-D points and z lie in the plane of the first two
+    axes, their third coordinate the literal 0.0).
+
+    It returns (heights, r, length, side, t, along, planar).  ``side``
+    lists point b - point a, ``length`` its norm, per pair a < b of
+    ``_faces``.  The heights, one per point past the first up to d: the
+    first longest side t, the largest face's height over its own longest
+    side, and in 3-D the farthest other point's height over that face
+    (3 V / A for four points).  The first below GEOM_TOL, or a missing one,
+    leaves the affine span S a point, a line or a plane.  r is the unit
+    axis orthogonal to S, None where S fills the space: a hyperplane's
+    normal (the largest face's in 3-D); on a 3-D line t x z, or
+    ``normal(t)`` where that vanishes; at a point ``normal(z)``; e_d where
+    every candidate vanishes; its largest-magnitude component positive.
+    ``normal(v)`` is v x the coordinate axis least along v, the last on a
+    tie.  ``along`` is each point's coordinate along t.
+
+    ``planar``, for four points in 3-D with an r whose largest face's
+    height reaches GEOM_TOL, is their planar (subform, roles), else None.
+    The cofactors w_a of [1 | x], (-1)^a times the others' triangle area
+    signed along r, give the affine dependence sum_a w_a x_a = 0,
+    sum_a w_a = 0, whose signs (Radon's partition) split the agents 3:1,
+    one inside the triangle of the others and listed last (agent a, if
+    w_a != 0, has the barycentric coordinates -w_b / w_a there), or 2:2,
+    the diagonals of a convex quadrilateral, listed as the hull cycle from
+    the lowest label toward its smaller neighbour.
+
+    GEOM_TOL is read at each call.  Sums run left to right as the loops
+    they unroll did (a norm from 0.0, as ``_norm``), a maximum keeps the
+    first of the largest and a NaN compared is never larger; where every
+    face's area is NaN no face is the largest, and the call raises
+    UnboundLocalError."""
+    pairs, faces = _faces(n)
+
+    def cross(a, b) -> list:
+        """The texts of the components of a x b from those of a's and b's."""
+        return [f"{a[1]} * {b[2]} - {a[2]} * {b[1]}", f"{a[2]} * {b[0]} - {a[0]} * {b[2]}",
+                f"{a[0]} * {b[1]} - {a[1]} * {b[0]}"]
+
+    def pad(name) -> list:
+        return [f"{name}{c}" if c < d else "0.0" for c in range(3)]
+
+    def squares(v) -> str:
+        return " + ".join(f"{c} * {c}" for c in v)
+
+    def normal(v) -> list:
+        """Lines setting u0, u1, u2 to v x the axis least along v: in 2-D
+        always e_3, as v's third component is 0 and no |v_c| is below it."""
+        axes = [[("0.0", "1.0")[k == c] for k in range(3)] for c in range(3)]
+        to = [f"u0, u1, u2 = {', '.join(cross(v, e))}" for e in axes]
+        if d == 2:
+            return [to[2]]
+        return [f"if abs({v[1]}) < abs({v[2]}):", f"    if abs({v[0]}) < abs({v[1]}): {to[0]}",
+                f"    else: {to[1]}", f"elif abs({v[0]}) < abs({v[2]}): {to[0]}", f"else: {to[2]}"]
+
+    def attempt(candidates) -> list:
+        """Lines setting r from the first candidate (lines setting u0, u1,
+        u2) of finite non-zero norm, e_d where none has one."""
+        if not candidates:
+            return [f"r = {tuple(float(c == d - 1) for c in range(d))}"]
+        r = [f"r{c}" for c in range(d)]
+        largest = [f"m = {r[c]} if abs({r[c]}) > abs(m) else m" for c in range(1, d)]
+        return [*candidates[0], f"size = sqrt(0.0 + {squares(u)})", "if 0 < size < inf:",
+                f"    {', '.join(r)} = {', '.join(f'{c} / size' for c in u[:d])}",
+                "    m = r0", *(f"    {line}" for line in largest),
+                f"    r = ({', '.join(r)}) if m > 0 else ({', '.join(f'-{c}' for c in r)})",
+                "else:", *(f"    {line}" for line in attempt(candidates[1:]))]
+
+    point, side = [pad(f"p{a}_") for a in range(n)], [pad(f"s{s}_") for s in range(len(pairs))]
+    z, t, u = pad("z"), pad("t"), ["u0", "u1", "u2"]
+    lines = [f"{', '.join(c for p in point for c in p[:d])}, = x[:{n * d}]",
+             f"{', '.join(z[:d])}, = z", "sqrt, inf, tol = math.sqrt, math.inf, GEOM_TOL"]
     for s, (a, b) in enumerate(pairs):
-        (p0, p1, p2), (q0, q1, q2) = pts[a], pts[b]
-        v0, v1, v2 = q0 - p0, q1 - p1, q2 - p2
-        side.append((v0, v1, v2))
-        length.append(math.sqrt(v0 * v0 + v1 * v1 + v2 * v2))
-        if length[s] > length[longest]:     # a NaN found first is kept, as by max
-            longest = s
-    t, heights, n = side[longest], [length[longest]], None
-    if len(pts) > 2:
-        area = -1.0
-        for face in faces:
-            (a0, a1, a2), (b0, b1, b2) = side[face[0]], side[face[1]]
-            c = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
-            if (size := math.sqrt(c[0] * c[0] + c[1] * c[1] + c[2] * c[2])) > area:
-                area, n, largest = size, c, face
-        ij, ik, jk, off = largest
-        heights.append(area / max(length[ij], length[ik], length[jk]) if area else 0.0)
-        if d == 3 and len(pts) > 3:
-            far = max(abs(0.0 + n[0] * s[0] + n[1] * s[1] + n[2] * s[2])
-                      for s in map(side.__getitem__, off))
-            heights.append(far / area if area else 0.0)
-    span = next((s for s, h in enumerate(heights) if not h >= GEOM_TOL), len(heights))
-    if span == d:
-        return heights, None, length, side, t
-    for v in _axes(span, d, n, z, t):
-        if 0 < (size := _norm(v)) < math.inf:
-            r = [c / size for c in v[:d]]
-            return heights, tuple(r if max(r, key=abs) > 0 else [-c for c in r]), length, side, t
-
-
-def _axes(span: int, d: int, n, z, t):
-    """``_simplex``'s candidate axes in order, each made only if the one
-    before it vanishes: the hyperplane normal n, or at a point ``_normal(z)``,
-    or on a line t x z (in 3-D) and then ``_normal(t)``; last e_d."""
-    if span == 2:
-        yield n
-    elif span == 0:
-        yield _normal(z)
-    else:
-        if d == 3:
-            yield _cross(t, z)
-        yield _normal(t)
-    yield [float(c == d - 1) for c in range(3)]
+        lines += [f"{side[s][c]} = {point[b][c]} - {point[a][c]}" for c in range(d)]
+        lines.append(f"l{s} = sqrt({squares(side[s])})")
+    lines.append(f"h0, {', '.join(t[:d])} = l0, {', '.join(side[0][:d])}")
+    lines += [f"if l{s} > h0: h0, {', '.join(t[:d])} = l{s}, {', '.join(side[s][:d])}"
+              for s in range(1, len(pairs))]
+    heights, others = ["h0"], range(n - 3 if d == 3 else 0)   # the points off a face
+    if n > 2:
+        lines.append("area = -1.0")
+        normal_of = ["n0", "n1", "n2"] if d == 3 else []    # the plane's normal, 3-D only
+        kept = [*normal_of, "la", "lb", "lc", *(f"o{m}_{k}" for m in others for k in range(3))]
+        for f, (ij, ik, jk, off) in enumerate(faces):
+            c = [f"c{f}_{k}" for k in range(3)]
+            values = [*c[:len(normal_of)], f"l{ij}", f"l{ik}", f"l{jk}"]
+            values += [side[s][k] for s in off[:len(others)] for k in range(3)]
+            lines += [f"{c[k]} = {text}" for k, text in enumerate(cross(side[ij], side[ik]))]
+            lines += [f"a{f} = sqrt({squares(c)})",
+                      f"if a{f} > area: area, {', '.join(kept)} = a{f}, {', '.join(values)}"]
+        lines += ["m = lb if lb > la else la", "m = lc if lc > m else m",
+                  "h1 = area / m if area else 0.0"]
+        heights.append("h1")
+        for m in others:
+            dot = " + ".join(f"n{k} * o{m}_{k}" for k in range(3))
+            lines.append(f"f{m} = abs(0.0 + {dot})")
+            lines.append("far = f0" if m == 0 else f"far = f{m} if f{m} > far else far")
+        if others:
+            lines.append("h2 = far / area if area else 0.0")
+            heights.append("h2")
+    across = [[f"u0, u1, u2 = {', '.join(cross(t, z))}"]] if d == 3 else []
+    candidates = [[normal(z)], [*across, normal(t)], [["u0, u1, u2 = n0, n1, n2"]]]
+    for span, h in enumerate(heights):
+        lines += [f"{('if', 'elif')[span > 0]} not {h} >= tol:",
+                  *(f"    {line}" for line in attempt(candidates[span]))]
+    last = attempt(candidates[len(heights)]) if len(heights) < d else ["r = None"]
+    lines += ["else:", *(f"    {line}" for line in last), "planar = None"]
+    if (n, d) == (4, 3):
+        lines += ["if r is not None and h1 >= tol:", "    q0, q1, q2 = r"]
+        for a in range(4):          # w_a = (-1)^a r . (side bc x side bd), b < c < d the others
+            dot = f"0.0 + q0 * c{3 - a}_0 + q1 * c{3 - a}_1 + q2 * c{3 - a}_2"     # face 3 - a
+            lines.append(f"    w{a} = {dot}" if a % 2 == 0 else f"    w{a} = -1.0 * ({dot})")
+        for a in range(4):
+            rest = [b for b in range(4) if b != a]
+            inside = " and ".join(f"-w{b} / w{a} > 1e-9" for b in rest)
+            roles = (*(b + 1 for b in rest), a + 1)
+            lines.append(f"    {('if', 'elif')[a > 0]} w{a} and {inside}: "
+                         f"planar = 'interior_point', {roles}")
+        lines.append("    else:")
+        for a in (1, 2, 3):         # the first a with the largest w_0 w_a lies across from 1
+            j, l = (b + 1 for b in (1, 2, 3) if b != a)
+            pick = f"m, planar = w0 * w{a}, ('convex_quadrilateral', (1, {j}, {a + 1}, {l}))"
+            lines.append(f"        {pick}" if a == 1 else f"        if w0 * w{a} > m: {pick}")
+    along = (" + ".join(f"{p[c]} * {t[c]}" for c in range(d)) for p in point)
+    lines += [f"length = [{', '.join(f'l{s}' for s in range(len(pairs)))}]",
+              f"side = [{', '.join('(' + ', '.join(v) + ')' for v in side)}]",
+              f"along = [{', '.join(f'0.0 + {text}' for text in along)}]",
+              f"return [{', '.join(heights)}], r, length, side, ({', '.join(t)}), along, planar"]
+    return "def simplex(x, z):\n" + "".join(f"    {line}\n" for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -192,13 +264,31 @@ LINE_SLOTS = {
         "pair_interior_collinear": (1, 1, 0, 2), "collinear_distinct": (0, 1, 2, 3)},
 }
 
-# slot sizes along the line -> (subform, its roles sorted by slot)
-_LINE_FORMS = {
-    d: {tuple(slots.count(s) for s in range(max(slots) + 1)):
-        (name, sorted(range(len(slots)), key=slots.__getitem__))
-        for name, slots in table.items()}
-    for d, table in LINE_SLOTS.items()
-}
+
+@functools.lru_cache(maxsize=None)
+def _line_form(slots: tuple, d: int) -> tuple:
+    """(subform, roles) of agents in the given slots along a line, by LINE_SLOTS.
+
+    A row names the subform when the agents fill its slots, read along the
+    line or against it; each role then goes to the agent of its slot, the
+    roles and the agents of one slot each taken in order.  Where both
+    orientations fit, the lexicographically smallest role tuple wins.  A
+    layout that fits no row (a graph other than the triangle or the
+    tetrahedron) has no subform: (None, ()).
+    """
+    found = []
+    for side in (slots, tuple(max(slots) - s for s in slots)):
+        for name, row in LINE_SLOTS[d].items():
+            if sorted(row) == sorted(side):
+                roles = [0] * len(side)
+                for r, a in zip(sorted(range(len(row)), key=row.__getitem__),
+                                sorted(range(len(side)), key=side.__getitem__)):
+                    roles[r] = a + 1
+                found.append((tuple(roles), name))
+    if not found:
+        return None, ()
+    roles, subform = min(found)
+    return subform, roles
 
 
 @dataclass(frozen=True)
@@ -248,87 +338,32 @@ def _classify(x: list, out: tuple, graph: FormationGraph,
     z_flex = z[-d:]                         # the flex edge sorts last
     flex_gap = _norm(z_flex)
     diag["flex_gap"] = flex_gap
-    rigid = [x[a:a + d] for a in range(0, len(x) - d, d)]
+    n = len(x) // d - 1                     # the rigid agents, the flat x's first n d floats
     if flex_gap < POS_TOL:
-        heights, axis = _simplex(rigid[:d], z_flex)[:2]
+        heights, axis = _generated(_simplex_source, min(n, d), d)(x, z_flex)[:2]
         if min(heights) < GEOM_TOL:
-            axis = _simplex(rigid, z_flex)[1] or axis
+            axis = _generated(_simplex_source, n, d)(x, z_flex)[1] or axis
         return EquilibriumClass(kind="flex_coincident", diagnostics=diag, ambiguous=ambiguous,
                                 axis=axis)
 
-    heights, axis, length, side, t = _simplex(rigid, z_flex)
+    heights, axis, length, _, _, along, planar = _generated(_simplex_source, n, d)(x, z_flex)
     thin = min([*heights, 0.0][:d])         # 0 = degenerate, as is a missing height
     diag["degeneracy"] = thin
     if axis is None:
         return EquilibriumClass(kind="unrecognized", diagnostics=diag, ambiguous=True)
     ambiguous = ambiguous or thin > 0.1 * GEOM_TOL
 
-    cluster, groups = _coincidence_clusters(length, len(rigid)), {}
+    cluster, groups = _coincidence_clusters(length, n), {}
     for a, head in enumerate(cluster, 1):   # a head is its cluster's first member
         groups.setdefault(head, []).append(a)
     diag["clusters"] = list(groups.values())
-    # four distinct tetrahedron agents that do not share one line
-    if d == 3 and len(cluster) == len(groups) == 4 and heights[1] >= GEOM_TOL:
-        subform, roles = _planar_layout(side, axis)
-    else:
-        subform, roles = _line_layout(rigid, cluster, t)
+    if planar and len(groups) == 4:         # four distinct agents that do not share one line
+        subform, roles = planar
+    else:                                   # the clusters' ranks along t, a stable sort
+        rank = {c: s for s, c in enumerate(sorted(groups, key=along.__getitem__))}
+        subform, roles = _line_form(tuple(rank[c] for c in cluster), d)
     return EquilibriumClass(kind="degenerate_rigid", subform=subform, diagnostics=diag,
                             ambiguous=ambiguous, roles=roles, axis=axis)
-
-
-def _line_layout(x: list, cluster: list[int], t: list):
-    """Subform and roles of points x on a line of direction t, by LINE_SLOTS.
-
-    The slot sizes along the line, or their reflection, name the subform.
-    Where both orientations fit, the lexicographically smallest role tuple
-    wins.  A layout that fits no row (a graph other than the triangle or the
-    tetrahedron) has no subform.
-    """
-    n, d = len(x), len(x[0])
-    along = [_dot(a, t) for a in x]
-    rank = {c: s for s, c in enumerate(sorted(dict.fromkeys(cluster), key=along.__getitem__))}
-    slots, sizes = [rank[c] for c in cluster], [0] * len(rank)
-    for s in slots:
-        sizes[s] += 1
-    found = []
-    for side, size in ((slots, sizes), ([len(rank) - 1 - s for s in slots], sizes[::-1])):
-        form = _LINE_FORMS[d].get(tuple(size))
-        if form is not None:
-            subform, by_slot = form
-            roles = [0] * n
-            for r, a in zip(by_slot, sorted(range(n), key=side.__getitem__)):
-                roles[r] = a + 1
-            found.append((tuple(roles), subform))
-    if not found:
-        return None, ()
-    roles, subform = min(found)
-    return subform, roles
-
-
-def _planar_layout(side: list, normal: tuple):
-    """Subform and roles of four distinct coplanar points from their sides (``_simplex``).
-
-    The signs of the affine dependence sum_a w_a x_a = 0, sum_a w_a = 0
-    (Radon's partition) split the agents 3:1, one inside the triangle of the
-    others and listed last, or 2:2, the diagonals of a convex quadrilateral,
-    listed as the hull cycle from the lowest label toward its smaller
-    neighbour.
-    """
-    # w_t = (-1)^t times the others' triangle area signed along the plane's
-    # ``normal``, a cofactor of [1 | x], from the sides ab and ac of the
-    # others a < b < c, face 3 - t of ``_faces(4)``; agent t, if w_t != 0,
-    # has the barycentric coordinates -w_a / w_t in the triangle of the others
-    n0, n1, n2 = normal
-    w = [(-1) ** t * (0.0 + n0 * (a1 * b2 - a2 * b1) + n1 * (a2 * b0 - a0 * b2)
-                      + n2 * (a0 * b1 - a1 * b0))
-         for t, (ab, ac, *_) in enumerate(_faces(4)[1][::-1])
-         for (a0, a1, a2), (b0, b1, b2) in [(side[ab], side[ac])]]
-    for t in range(4):
-        if w[t] and all(-w[a] / w[t] > 1e-9 for a in range(4) if a != t):
-            return "interior_point", (*(a + 1 for a in range(4) if a != t), t + 1)
-    across = max((1, 2, 3), key=lambda a: w[0] * w[a])
-    j, l = (a for a in (1, 2, 3) if a != across)
-    return "convex_quadrilateral", (1, j + 1, across + 1, l + 1)
 
 
 # ---------------------------------------------------------------------------

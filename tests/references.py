@@ -14,8 +14,8 @@ from rigidflex.oracle import OracleError, newton_polish
 from rigidflex.potentials import evaluators
 import rigidflex.stability as stability
 from rigidflex.stability import (
-    _LINE_FORMS,
     EQ_TOL,
+    LINE_SLOTS,
     GEOM_TOL,
     POS_TOL,
     SHAPE_TOL,
@@ -26,8 +26,6 @@ from rigidflex.stability import (
     Witness,
     WitnessNotFoundError,
     _coincidence_clusters,
-    _cross,
-    _normal,
     classify,
 )
 
@@ -657,10 +655,32 @@ def hessian_index(tails: tuple, heads: tuple, n: int, d: int) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # The verdict pieces as ``stability`` wrote them before they read index
-# tables made once per shape: a simplex of sides and lengths in dicts keyed
-# by index pairs (``itertools.combinations`` per call), slots found with
-# ``list.index``, cofactors from per-call index lists, sign claims over g
+# tables made once per shape and before its simplex was generated: a simplex
+# of sides and lengths in dicts keyed by index pairs
+# (``itertools.combinations`` per call) with its axis candidates made by
+# ``_cross`` and ``_normal``, slots found with ``list.index`` and line forms
+# by slot sizes, cofactors from per-call index lists, sign claims over g
 # keyed by label pairs, and the witness over the block's rows
+
+
+def _cross(a, b) -> list:
+    """a x b of two 3-vectors."""
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _normal(v) -> list:
+    """v x the coordinate axis least along v, the last on a tie."""
+    c = min((2, 1, 0), key=lambda c: abs(v[c]))
+    return _cross(v, [float(k == c) for k in range(3)])
+
+
+# slot sizes along the line -> (subform, its roles sorted by slot)
+_LINE_FORMS = {
+    d: {tuple(slots.count(s) for s in range(max(slots) + 1)):
+        (name, sorted(range(len(slots)), key=slots.__getitem__))
+        for name, slots in table.items()}
+    for d, table in LINE_SLOTS.items()
+}
 
 
 def dict_simplex(points, z) -> tuple:
@@ -699,8 +719,12 @@ def dict_simplex(points, z) -> tuple:
 
 
 def dict_line_layout(x: list, cluster: list, t: list):
-    """``stability._line_layout`` with each slot found by ``list.index`` and
-    each slot size by ``list.count``."""
+    """Subform and roles of points x on a line of direction t, by LINE_SLOTS,
+    as ``stability._line_form`` reads them from the clusters' ranks along t:
+    the slot sizes along the line, or their reflection, name the subform
+    (``_LINE_FORMS``), each slot found by ``list.index`` and each size by
+    ``list.count``; where both orientations fit, the smallest role tuple
+    wins, and a layout that fits no row has none."""
     n, d = len(x), len(x[0])
     along = [_dot(a, t) for a in x]
     heads = sorted(set(cluster), key=along.__getitem__)
@@ -721,8 +745,9 @@ def dict_line_layout(x: list, cluster: list, t: list):
 
 
 def dict_planar_layout(side: dict, normal: tuple):
-    """``stability._planar_layout`` from ``dict_simplex``'s sides, each
-    cofactor w_t = (-1)^t normal . (side ab x side ac) over the others a < b < c."""
+    """The planar (subform, roles) of the generated ``simplex`` from
+    ``dict_simplex``'s sides, each cofactor w_t = (-1)^t normal .
+    (side ab x side ac) over the others a < b < c."""
     w = [(-1) ** t * _dot(normal, _cross(side[a, b], side[a, c]))
          for t in range(4) for a, b, c in [[s for s in range(4) if s != t]]]
     for t in range(4):

@@ -429,7 +429,7 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
         construct_equilibrium(tetrahedron_flex(), RATIONAL, subform)
     assert calls == []
     solves = {}                             # Newton seeds per subform within build_catalog
-    construct = oracle.construct_equilibrium
+    construct = oracle._degenerate
 
     def counted_construct(graph, family, name):
         before = len(calls)
@@ -438,7 +438,7 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
         finally:
             solves[name] = len(calls) - before
 
-    monkeypatch.setattr(oracle, "construct_equilibrium", counted_construct)
+    monkeypatch.setattr(oracle, "_degenerate", counted_construct)
     _, failures = build_catalog(tetrahedron_flex(), RATIONAL)
     assert "coincidence boundary" in failures[subform]
     assert solves[subform] == 0
@@ -844,6 +844,42 @@ def test_symmetric_layouts_need_exactly_equal_lengths(monkeypatch):
             with pytest.raises(OracleError, match=f"needs equal desired distances: {group}"):
                 construct_equilibrium(tetrahedron_flex((up,) + (4.0,) * 6), family, subform)
     assert brackets == []
+
+
+@pytest.mark.parametrize("family", [QUADRATIC, RATIONAL])
+@pytest.mark.parametrize("graph, topology", [
+    pytest.param(triangle_flex((1.1, 2.3, 1.1, 2.0)), "triangle", id="triangle_1.1_2.3_1.1"),
+    pytest.param(tetrahedron_flex((1.0,) * 5 + (3.0, 2.0)), "tetrahedron", id="tetrahedron_d34_3")])
+def test_construct_equilibrium_refuses_unrealizable_lengths(monkeypatch, graph, topology, family):
+    """Rigid lengths that form no triangle (1.1 + 1.1 < 2.3) or tetrahedron
+    (d13 + d14 < d34 = 3) have no desired shape, and without one an
+    undesired point need not be unstable: every subform's construction is
+    refused with the message ``build_catalog`` gives, before any layout is
+    solved, as is the catalog."""
+    brackets = solver_calls(monkeypatch)
+    message = f"{topology} distances are not realizable"
+    for subform in _LAYOUTS[graph.dimension]:
+        with pytest.raises(OracleError, match=message):
+            construct_equilibrium(graph, family, subform)
+    with pytest.raises(OracleError, match=message):
+        build_catalog(graph, family)
+    assert brackets == []
+
+
+def test_catalog_computes_the_embedding_once(monkeypatch):
+    """``build_catalog`` checks the rigid lengths once, by the embedding its
+    flex-coincident entry takes, and builds each subform without computing
+    it again."""
+    import rigidflex.oracle as oracle
+
+    calls, embedding = [], oracle._rigid_embedding
+    monkeypatch.setattr(oracle, "_rigid_embedding",
+                        lambda graph: calls.append(graph) or embedding(graph))
+    for graph in (triangle_flex(), tetrahedron_flex()):
+        for family in (QUADRATIC, RATIONAL):
+            calls.clear()
+            entries, _ = build_catalog(graph, family)
+            assert entries and calls == [graph]
 
 
 def test_catalogs_and_desired_shapes_call_no_lapack(monkeypatch):

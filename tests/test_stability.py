@@ -27,7 +27,9 @@ from rigidflex.stability import (
     analyze,
     _claims_source,
     _classify,
+    _line_form,
     _simplex,
+    _simplex_source,
     _witness,
     assemble_hessian,
     classify,
@@ -42,6 +44,7 @@ from references import (
     claim_rows,
     dict_claim,
     dict_classify,
+    dict_line_layout,
     dict_simplex,
     einsum_witness,
     loop_aligned_block,
@@ -653,17 +656,19 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
     edge pass, shared by the class, the Hessian, the aligned block and the
     sign claims, one Hessian, and one aligned block, by the shape's
     generated ``aligned``, looked up and run once (no 1-D Hessian is made),
-    none for the desired class, which has no axis; the claims are looked up
-    once for a degenerate-rigid class."""
+    none for the desired class, which has no axis; the simplex is looked up
+    once for an undesired class, and the claims once for a degenerate-rigid
+    class."""
     import rigidflex.stability as stability
 
-    counts = dict.fromkeys(("pass", "hessian 3-D", "aligned 3-D", "aligned block", "claims"), 0)
+    counts = dict.fromkeys(("pass", "simplex 3-D", "hessian 3-D", "aligned 3-D", "aligned block",
+                            "claims"), 0)
     generated = stability._generated
 
     def looked_up(source, *key):
         function = generated(source, *key)
         name = function.__name__
-        counts[name if name == "claims" else f"{name} {key[3]}-D"] += 1
+        counts[name if name == "claims" else f"{name} {key[-1]}-D"] += 1
         if name != "aligned":
             return function
 
@@ -686,8 +691,9 @@ def test_analyze_assembles_once_and_aligns_once(monkeypatch):
         assert report.classification.kind == kind
         assert (report.witness is not None) == (kind != "desired")
         aligned = int(kind != "desired")
-        assert counts == {"pass": 1, "hessian 3-D": 1, "aligned 3-D": aligned,
-                          "aligned block": aligned, "claims": int(kind == "degenerate_rigid")}
+        assert counts == {"pass": 1, "simplex 3-D": aligned, "hessian 3-D": 1,
+                          "aligned 3-D": aligned, "aligned block": aligned,
+                          "claims": int(kind == "degenerate_rigid")}
 
 
 def reference_claim(spec, roles, g, zero_tol=1e-9):
@@ -1257,3 +1263,119 @@ def test_analyze_builds_no_index_combinations_per_call(monkeypatch):
                 report = analyze(e.positions, graph, family)
                 assert report.witness.quadratic_form < 0
                 assert all(c.passed for c in report.claims)
+
+
+def test_line_forms_equal_the_dict_reference_on_every_slot_tuple():
+    """The slot-keyed line forms equal ``dict_line_layout`` on every slot
+    tuple of 3 and 4 agents in 2-D and 3-D: every ordered set partition of
+    the agents into slots along the first axis, with t along it and against
+    it (the reflected ranks).  Only a tuple of d + 1 agents fits a
+    LINE_SLOTS row; the others give (None, ())."""
+    for n in (3, 4):
+        for slots in itertools.product(range(n), repeat=n):
+            if set(slots) != set(range(max(slots) + 1)):
+                continue                    # an empty slot: not a partition
+            cluster = [slots.index(s) for s in slots]      # named by its lowest member
+            for d in (2, 3):
+                x = [[float(s)] + [0.0] * (d - 1) for s in slots]
+                for sign in (1.0, -1.0):
+                    ranks = slots if sign > 0 else tuple(max(slots) - s for s in slots)
+                    form = _line_form(ranks, d)
+                    assert form == dict_line_layout(x, cluster, [sign, 0.0, 0.0])
+                    assert (form == (None, ())) == (n != d + 1)
+
+
+def test_geometry_tolerances_are_read_at_call_time(monkeypatch):
+    """GEOM_TOL and POS_TOL are read at each call, not bound when the
+    simplex is generated: once it is compiled, raising either changes the
+    class as it changes ``dict_classify``'s (read at its call too): a
+    triangle 1e-5 off a line turns collinear, a pair 1e-5 apart coincident
+    and a flex agent 1e-5 from its anchor flex-coincident (one on its
+    anchor is at every tolerance).  Nothing is generated again."""
+    import rigidflex.control as control
+    import rigidflex.stability as stability
+
+    import references
+
+    g = triangle_flex()
+    line = construct_equilibrium(g, QUADRATIC, "collinear_distinct").positions
+    points = [line + [[0.0, 0.0], [0.0, 1e-5], [0.0, 0.0], [0.0, 0.0]],
+              np.vstack([line[:2], line[1] + [1e-5, 0.0], line[3]]),
+              np.vstack([line[:3], line[2] + [0.0, 1e-5]]), np.vstack([line[:3], line[2]])]
+
+    def classes():
+        found = []
+        for p in points:
+            x = p.ravel().tolist()
+            out = _bound(g, QUADRATIC)(x)
+            cls, ref = (at(x, out, g, math.inf) for at in (_classify, dict_classify))
+            assert (cls.kind, cls.subform, cls.roles, cls.axis, repr(cls.diagnostics)) \
+                == (ref.kind, ref.subform, ref.roles, ref.axis, repr(ref.diagnostics))
+            found.append((cls.kind, cls.subform))
+        return found
+
+    flex = ("flex_coincident", None)
+    assert classes() == [("unrecognized", None), ("degenerate_rigid", "collinear_distinct"),
+                         ("degenerate_rigid", "collinear_distinct"), flex]
+    misses = control._generated.cache_info().misses
+    for module in (stability, references):
+        monkeypatch.setattr(module, "GEOM_TOL", 1e-3)
+    assert classes() == [("degenerate_rigid", "collinear_distinct")] * 3 + [flex]
+    for module in (stability, references):
+        monkeypatch.setattr(module, "POS_TOL", 1e-3)
+    assert classes() == [("degenerate_rigid", "collinear_distinct"),
+                         ("degenerate_rigid", "coincident_pair"), flex, flex]
+    assert control._generated.cache_info().misses == misses
+
+
+# SHA-256 of the generated simplex per (point count, dimension)
+SIMPLEX_SOURCE_SHA256 = {
+    "2-2": "fbd72ecbe98cffe71e2ae4f8b4e35da9f894aa717f7f07cf9e9d7431e87d9158",
+    "3-2": "a8e846e03b915087331990268b8347ffff02d472df2069e0da3b9c0670521142",
+    "4-2": "d1a49df5da8daf0777f974b07a20dc6cd23af646903d33543ad7cf4f05b4e62e",
+    "3-3": "53892ebdf8c0851eddbdb0b682ad76a01c41640f7ff257800c14760e874ae69e",
+    "4-3": "c429812368591a5194c68d929e1fa497fc51e977b9c5dec384e4bcf2bfac344e",
+}
+
+
+def test_generated_simplex_source_is_pinned(monkeypatch):
+    """The source of ``simplex`` for every point count and dimension that a
+    class reads is pinned by its SHA-256: the rigid agents of the triangle,
+    the tetrahedron and K4_PLANE, and the first d of them, which decide a
+    flex-coincident point's axis.  Each is generated once: classifying
+    every catalog entry of the triangle and the tetrahedron with both
+    families, and K4_PLANE at random points and with its flex agent on its
+    anchor, generates each shape's text once from an empty cache, and a
+    second pass none."""
+    import hashlib
+
+    import rigidflex.control as control
+    import rigidflex.stability as stability
+
+    found = {key: hashlib.sha256(_simplex_source(*map(int, key.split("-"))).encode()).hexdigest()
+             for key in SIMPLEX_SOURCE_SHA256}
+    assert found == SIMPLEX_SOURCE_SHA256
+    rng = np.random.default_rng(46)
+    points = [(e.positions, graph, family) for graph in (triangle_flex(), tetrahedron_flex())
+              for family in (QUADRATIC, RATIONAL) for e in build_catalog(graph, family)[0]]
+    for _ in range(3):
+        p = rng.uniform(-5, 5, (5, 2))
+        points += [(p, K4_PLANE, QUADRATIC), (np.vstack([p[:-1], p[-2]]), K4_PLANE, QUADRATIC)]
+    passes = [(p.ravel().tolist(), graph, _bound(graph, family)(p.ravel().tolist()))
+              for p, graph, family in points]
+    misses, generated = [], control._generated
+
+    def recorded(source, *key):
+        before = generated.cache_info().misses
+        function = generated(source, *key)
+        if generated.cache_info().misses > before:
+            misses.append((source.__name__, key))
+        return function
+
+    monkeypatch.setattr(stability, "_generated", recorded)
+    generated.cache_clear()
+    for _ in range(2):
+        for x, graph, out in passes:
+            _classify(x, out, graph, math.inf)
+        assert sorted(misses) == sorted(("_simplex_source", tuple(map(int, key.split("-"))))
+                                        for key in SIMPLEX_SOURCE_SHA256)
