@@ -263,7 +263,7 @@ def main(argv=None) -> int:
     except (IntegrationError, OracleError, WitnessNotFoundError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ScenarioError, GraphError, KeyError, ValueError) as exc:
+    except (ScenarioError, GraphError, KeyError, OSError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -22,9 +22,9 @@ edge coordinates z_k . r that it forms itself: the block that
 so no result depends on how a BLAS sums.  Every generated text of the
 package, these, ``oracle``'s layout root finders and ``stability``'s sign
 claims, becomes a function in one place, ``_generated``, which keeps its
-text in ``linecache`` while it lives, and ``_bound`` binds those that read
-a graph's lengths, a family's evaluators or a leader's constants to them
-(``_constants``).
+text in ``linecache`` while its code lives, and ``_bound`` binds those
+that read a graph's lengths, a family's evaluators or a leader's
+constants to globals that it builds.
 ``LeaderSpec`` holds the flex agent's leader input as values, a windowed
 one as a sample table that the generated step looks up inline, and its
 arrival test.
@@ -503,56 +503,35 @@ def _generated(source, *key):
     the globals of ``source``'s module, whose names it reads at each call,
     and its text goes to ``linecache`` as ``<rigidflex source(key)>``, a
     file name of its own per source and key, so that tracebacks and
-    profilers show it, for as long as the function, or one that ``_bound``
-    made from it, lives: an evicted function takes its text with it once
-    nothing runs its code."""
+    profilers show it, for as long as its code lives: in this function or
+    in one that ``_bound`` made from it.  An evicted function takes its
+    text with it once nothing runs its code."""
     text = source(*key)
     filename = f"<rigidflex {source.__name__}{key!r}>"
     linecache.cache[filename] = entry = (len(text), None, text.splitlines(True), filename)
     code = next(c for c in compile(text, filename, "exec").co_consts if isinstance(c, CodeType))
-    function = FunctionType(code, source.__globals__)
-    weakref.finalize(function, lambda: linecache.cache.get(filename) is entry
+    weakref.finalize(code, lambda: linecache.cache.get(filename) is entry
                      and linecache.cache.pop(filename))
-    return function
-
-
-@functools.lru_cache(maxsize=32)
-def _constants(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec()) -> dict:
-    """The globals of every generated function that reads them (edge pass,
-    RK4 step, layout root finder): the family's numpy evaluators PHI, G and RHO for ``_on_numpy``,
-    each edge's dbar^2 as D2_k, and a leader's k_f and p_t, or t0, tf and
-    its sample table as TIMES and VALUES; no leader by default.  Made once
-    per (graph, family, leader) and kept for the 32 used last; no generated
-    function writes a global.  Specs that differ only in the sign of a zero
-    compare equal and share one dict, which changes no bit: the times are
-    only compared, p_t - p_flex is squared or scaled, and a scaled
-    difference or a sample row is added to a control, a sum from +0.0
-    that is never -0.0."""
-    names = {"__builtins__": builtins, "_on_numpy": _on_numpy, "isfinite": math.isfinite,
-             "bisect_right": bisect.bisect_right, "sqrt": math.sqrt}
-    names["PHI"], names["G"], names["RHO"] = evaluators(family)
-    names.update((f"D2_{k}", dbar2) for k, dbar2 in enumerate(graph._dbar2))
-    if leader.mode == "target":
-        names["K_F"] = leader.k_f
-        names.update((f"PT_{k}", x) for k, x in enumerate(leader.p_t))
-    elif leader.mode == "windowed":
-        names.update(T0=leader.t0, TF=leader.tf, TIMES=leader.times, VALUES=leader.values)
-    return names
+    return FunctionType(code, source.__globals__)
 
 
 @functools.lru_cache(maxsize=128)
 def _bound(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec(),
            source=_step_source, key=("none", "evaluate")):
     """``_generated(source, *graph._shape, family, *key)`` bound to the
-    ``_constants`` of a graph, a family and a leader, made once per
-    (graph, family, leader, source, key) and kept for the 128 used last.
-    By default it is ``evaluate`` with no leader, the one edge pass; a
-    ``_step_source`` key is (leader mode, name), and ``integrate`` binds
-    ``advance`` with its leader's mode and ``evaluate`` with 'target' or
-    'none', whether a target term is added.  ``oracle``'s layout root
-    finders are bound here too.  Each holds the function that
-    ``_generated`` made as ``generated``, so its text stays in
-    ``linecache`` while it can run.
+    globals that it reads, made once per (graph, family, leader, source,
+    key) and kept for the 128 used last: the family's numpy evaluators PHI,
+    G and RHO for ``_on_numpy``, each edge's dbar^2 as D2_k, and a leader's
+    k_f and p_t, or t0, tf and its sample table as TIMES and VALUES; no
+    leader by default.  No generated function writes a global.  Specs that
+    differ only in the sign of a zero compare equal and share one binding,
+    which changes no bit: the times are only compared, p_t - p_flex is
+    squared or scaled, and a scaled difference or a sample row is added to a
+    control, a sum from +0.0 that is never -0.0.  By default it is
+    ``evaluate`` with no leader, the one edge pass; a ``_step_source`` key
+    is (leader mode, name), and ``integrate`` binds ``advance`` with its
+    leader's mode and ``evaluate`` with 'target' or 'none', whether a target
+    term is added.  ``oracle``'s layout root finders are bound here too.
 
     ``evaluate(p)`` maps a flat, node-major list of (N+1) d floats to, as
     new lists, the gradient control u in that layout, the squared errors e
@@ -586,7 +565,12 @@ def _bound(graph: FormationGraph, family: PotentialFamily, leader=LeaderSpec(),
     ``_on_numpy`` does numpy arithmetic, so no caller sets a floating-point
     error state.
     """
-    function = _generated(source, *graph._shape, family, *key)
-    bound = FunctionType(function.__code__, _constants(graph, family, leader))
-    bound.generated = function
-    return bound
+    names = dict(zip(("PHI", "G", "RHO"), evaluators(family)), __builtins__=builtins,
+                 _on_numpy=_on_numpy, isfinite=math.isfinite, bisect_right=bisect.bisect_right,
+                 sqrt=math.sqrt, **{f"D2_{k}": dbar2 for k, dbar2 in enumerate(graph._dbar2)})
+    if leader.mode == "target":
+        names["K_F"] = leader.k_f
+        names.update((f"PT_{k}", x) for k, x in enumerate(leader.p_t))
+    elif leader.mode == "windowed":
+        names.update(T0=leader.t0, TF=leader.tf, TIMES=leader.times, VALUES=leader.values)
+    return FunctionType(_generated(source, *graph._shape, family, *key).__code__, names)

@@ -122,12 +122,17 @@ def graph_from_json(doc) -> FormationGraph:
     """Build a graph from the JSON schema.
 
     Schema: {"dimension": d, "nodes": n, "edges": [[i, j, dbar], ...],
-    "flex_edge": [i, j]} with 1-based node indices.  The dimension, the node
-    count and the labels are integers and the lengths numbers, by the rules
-    of ``_integer`` and ``_floats``: ValueError for 1.7, "4.0" or true.
+    "flex_edge": [i, j]} with 1-based node indices, and no other key
+    (ValueError names it).  The dimension, the node count and the labels
+    are integers and the lengths numbers, by the rules of ``_integer`` and
+    ``_floats``: ValueError for 1.7, "4.0" or true.
     """
     labels = [(_integer(i, 1, "node labels"), _integer(j, 1, "node labels"))
               for i, j, _ in doc["edges"]]
+    # after doc["edges"], which refuses a document that is no object
+    unknown = sorted(doc.keys() - {"dimension", "nodes", "edges", "flex_edge"})
+    if unknown:
+        raise ValueError(f"unknown key(s) {', '.join(unknown)} in a graph document")
     raw = sorted(zip(labels, _floats([db for *_, db in doc["edges"]], "desired distances")))
     return FormationGraph(
         num_nodes=_integer(doc["nodes"], 1, "node counts"),

@@ -12,8 +12,8 @@ certifies that the equilibrium is a saddle of the potential and hence
 unstable; the witness tries the paper's v, whose forms are diagonal
 entries of H_r.
 
-``classify`` decides on Python floats, once: the axis r in closed form (at a
-3-D point, z_flex x the coordinate axis least along z_flex), the
+``classify`` decides on Python floats, once: the axis r in closed form (at
+a 3-D point, z_flex x the coordinate axis least along z_flex), the
 ``degeneracy`` (the rigid agents' simplex's smallest height), and for a
 degenerate-rigid class its subform and roles, the rigid agents' labels in
 role order i, j, k, l.  The rigid agents' simplex, its heights, its axis
@@ -22,14 +22,13 @@ signed triangle areas) are one straight-line function per point count and
 dimension (``_simplex_source``, made by ``control._generated``) over the
 flat realization.  Line forms are read from a table made once per tuple of
 the clusters' ranks along the line (``_line_form``), from LINE_SLOTS, the
-slot table the oracle builds its line equilibria from.  The sign claims
-are data over the roles (SIGN_CLAIMS), generated once per subform, roles
-and edges as one straight-line function over g (``_claims_source``).  The
-simplex's index pairs and faces are made once per point count
-(``_faces``).  The balance residual that
-decides an equilibrium comes with the edge pass, and the aligned block from
-``control``'s generated ``aligned``.  No verdict calls LAPACK; the spectra
-are reported, not judged.
+slot table the oracle builds its line equilibria from.  The sign claims are
+data over the roles (SIGN_CLAIMS), generated once per subform, roles and
+edges as one straight-line function over g (``_claims_source``).  The
+simplex's index pairs and faces are made once per point count (``_faces``).
+The balance residual that decides an equilibrium comes with the edge pass,
+and the aligned block from ``control``'s generated ``aligned``.  No verdict
+calls LAPACK; the spectra are reported, not judged.
 
 ``analyze``, the one entry point for the witness and the sign claims, makes
 one edge pass (``control._bound``), hands its lists to the private
@@ -107,32 +106,25 @@ def _coincidence_clusters(length: list, n: int) -> list[int]:
     return cluster
 
 
-def _simplex(points, z) -> tuple:
-    """(heights, r, length, side, t) of the simplex on the ``points``, lists
-    of d floats, and the flex edge ``z``: the first five values of the
-    generated ``simplex`` (``_simplex_source``) on their flat list."""
-    return _generated(_simplex_source, len(points), len(z))([c for p in points for c in p], z)[:5]
-
-
 def _simplex_source(n: int, d: int) -> str:
     """Python source of ``simplex(x, z)``: the simplex on the first n points
     of the flat list x in d-D and the flex edge z, as straight-line code
     over local floats (2-D points and z lie in the plane of the first two
     axes, their third coordinate the literal 0.0).
 
-    It returns (heights, r, length, side, t, along, planar).  ``side``
-    lists point b - point a, ``length`` its norm, per pair a < b of
-    ``_faces``.  The heights, one per point past the first up to d: the
-    first longest side t, the largest face's height over its own longest
-    side, and in 3-D the farthest other point's height over that face
-    (3 V / A for four points).  The first below GEOM_TOL, or a missing one,
-    leaves the affine span S a point, a line or a plane.  r is the unit
-    axis orthogonal to S, None where S fills the space: a hyperplane's
-    normal (the largest face's in 3-D); on a 3-D line t x z, or
-    ``normal(t)`` where that vanishes; at a point ``normal(z)``; e_d where
-    every candidate vanishes; its largest-magnitude component positive.
-    ``normal(v)`` is v x the coordinate axis least along v, the last on a
-    tie.  ``along`` is each point's coordinate along t.
+    It returns (heights, r, length, along, planar).  ``length`` lists the
+    norm of the side point b - point a per pair a < b of ``_faces``.  The
+    heights, one per point past the first up to d: the first longest side t,
+    the largest face's height over its own longest side, and in 3-D the
+    farthest other point's height over that face (3 V / A for four points).
+    The first below GEOM_TOL, or a missing one, leaves the affine span S a
+    point, a line or a plane.  r is the unit axis orthogonal to S, None
+    where S fills the space: a hyperplane's normal (the largest face's in
+    3-D); on a 3-D line t x z, or ``normal(t)`` where that vanishes; at a
+    point ``normal(z)``; e_d where every candidate vanishes; its
+    largest-magnitude component positive.  ``normal(v)`` is v x the
+    coordinate axis least along v, the last on a tie.  ``along`` is each
+    point's coordinate along t.
 
     ``planar``, for four points in 3-D with an r whose largest face's
     height reaches GEOM_TOL, is their planar (subform, roles), else None.
@@ -242,9 +234,8 @@ def _simplex_source(n: int, d: int) -> str:
             lines.append(f"        {pick}" if a == 1 else f"        if w0 * w{a} > m: {pick}")
     along = (" + ".join(f"{p[c]} * {t[c]}" for c in range(d)) for p in point)
     lines += [f"length = [{', '.join(f'l{s}' for s in range(len(pairs)))}]",
-              f"side = [{', '.join('(' + ', '.join(v) + ')' for v in side)}]",
               f"along = [{', '.join(f'0.0 + {text}' for text in along)}]",
-              f"return [{', '.join(heights)}], r, length, side, ({', '.join(t)}), along, planar"]
+              f"return [{', '.join(heights)}], r, length, along, planar"]
     return "def simplex(x, z):\n" + "".join(f"    {line}\n" for line in lines)
 
 
@@ -310,7 +301,7 @@ def classify(p, graph: FormationGraph, family: PotentialFamily) -> EquilibriumCl
     A degenerate-rigid class carries its subform and the roles its sign
     claims read, from the rigid agents' distances and the heights of their
     simplex, the least one its ``degeneracy``.  Both undesired classes carry
-    their axis r in closed form (``_simplex``; at a 3-D point z_flex x the
+    their axis r in closed form (``simplex``; at a 3-D point z_flex x the
     axis least along z_flex); at a flex-coincident point the first d agents'
     hyperplane normal, else all rigid agents' or the first d's degenerate axis.
     """
@@ -346,7 +337,7 @@ def _classify(x: list, out: tuple, graph: FormationGraph,
         return EquilibriumClass(kind="flex_coincident", diagnostics=diag, ambiguous=ambiguous,
                                 axis=axis)
 
-    heights, axis, length, _, _, along, planar = _generated(_simplex_source, n, d)(x, z_flex)
+    heights, axis, length, along, planar = _generated(_simplex_source, n, d)(x, z_flex)
     thin = min([*heights, 0.0][:d])         # 0 = degenerate, as is a missing height
     diag["degeneracy"] = thin
     if axis is None:

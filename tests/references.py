@@ -684,8 +684,9 @@ _LINE_FORMS = {
 
 
 def dict_simplex(points, z) -> tuple:
-    """(heights, r, length, side, t) as ``stability._simplex`` gives them,
-    with ``side[a, b]`` and ``length[a, b]`` in dicts over the pairs a < b."""
+    """(heights, r, length, side, t) of the simplex on the ``points`` and
+    the flex edge ``z``, as the generated ``simplex`` forms them, with
+    ``side[a, b]`` and ``length[a, b]`` in dicts over the pairs a < b."""
     d, z = len(z), [*z, 0.0][:3]
     pts = points if d == 3 else [[*p, 0.0] for p in points]
     side, length = {}, {}

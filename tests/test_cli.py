@@ -263,6 +263,36 @@ def test_leader_document_takes_only_its_own_keys(tmp_path, capsys, leader, stray
     assert not (tmp_path / "out").exists()
 
 
+def test_graph_document_takes_only_its_own_keys(tmp_path, capsys):
+    """A scenario whose inline graph holds a key besides dimension, nodes,
+    edges and flex_edge (a misspelt "nodez") exits 2 before the first
+    step, naming the key, not run without it."""
+    path = small_scenario(tmp_path, graph={**graph_to_json(triangle_flex()), "nodez": 4})
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "unknown key(s) nodez in a graph document" in err[0]
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("through", [False, True], ids=["file", "path_through_file"])
+@pytest.mark.parametrize("verb", ["run", "analyze", "catalog", "validate-potential"])
+def test_out_that_is_no_directory_is_config_error(tmp_path, graph_file, capsys, verb, through):
+    """An --out that names an existing file, or a path through one, exits 2
+    on every verb with one configuration error line, never a traceback, and
+    leaves the file as it was."""
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    real = tmp_path / "real.json"
+    real.write_text(json.dumps({"positions": desired_equilibrium(triangle_flex()).tolist()}))
+    inputs = {"run": [small_scenario(tmp_path)], "analyze": [real, graph_file],
+              "catalog": [graph_file], "validate-potential": ["rational"]}[verb]
+    out = taken / "out" if through else taken
+    assert main([verb, *map(str, inputs), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: ")
+    assert taken.read_text() == "kept\n"
+
+
 def test_event_time_of_true_is_no_number(tmp_path, capsys):
     """triangle_flex_2d whose event time is JSON true exits 2 before the
     first step: true is no 1.0, which would lie inside its 20 s run."""
@@ -406,6 +436,8 @@ BAD_GRAPHS = {
                                 "node labels must be numbers"),
     "string_desired_graph": (triangle_doc("4.0"), "desired distances must be numbers"),
     "boolean_desired_graph": (triangle_doc(True), "desired distances must be numbers"),
+    "unknown_key_graph": ({**graph_to_json(triangle_flex()), "nodez": 4},
+                          "unknown key(s) nodez in a graph document"),
 }
 BAD_DESIRED = {"nan_desired": float("nan"), "infinite_desired": float("inf"),
                "huge_desired": 1e160, "huge_fourth_power_1e100": 1e100,
@@ -422,7 +454,8 @@ def test_catalog_malformed_input_is_config_error(tmp_path, capsys, case):
     (2.2, 4.9, 1.7 or true, which int() would truncate or read as 1) or
     whose length is a string or a boolean, or a NaN or infinite desired distance, or one whose
     fourth power is not a normal float or whose (100 dbar^2)^2 overflows,
-    exits 2 before any output is written."""
+    or one with a key besides its four, exits 2 before any output is
+    written."""
     path = tmp_path / "bad.json"
     doc, words = BAD_GRAPHS.get(case) or (triangle_doc(BAD_DESIRED[case]), "desired distances")
     path.write_text(json.dumps(doc))

@@ -1,6 +1,7 @@
 """Gradient control law, leader variants, and frame-independence."""
 
 import contextlib
+import itertools
 import json
 import math
 import textwrap
@@ -19,6 +20,7 @@ from rigidflex.control import (
 from rigidflex.graph import tetrahedron_flex, triangle_flex
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialFamily
 from references import (
+    TAILORED,
     _residual,
     array_pass,
     balance_residual,
@@ -384,28 +386,23 @@ def test_public_entry_points_raise_no_runtime_warning(graph, case):
             integrate(p, graph, RATIONAL, t_end=0.01, leader=spec)
 
 
-def test_second_analysis_call_binds_and_compiles_nothing(monkeypatch):
+def test_second_analysis_call_binds_and_compiles_nothing():
     """edge_states, gradient_control and potential_value bind the compiled
     pass once per graph and family: a second call on the same pair, or on
-    an equal graph, binds (``_constants``), generates and compiles
-    nothing (``_generated``)."""
+    an equal graph, binds (``_bound``), generates and compiles nothing
+    (``_generated``)."""
     import rigidflex.control as control
 
     g = tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))
     p = random_positions(g)
     want = [edge_states(p, g, RATIONAL).u, gradient_control(p, g, RATIONAL),
             potential_value(p, g, RATIONAL)]
-    misses = control._generated.cache_info().misses
-
-    def forbidden(*args):
-        raise AssertionError("edge pass bound again")
-
-    monkeypatch.setattr(control, "_constants", forbidden)
+    misses = control._generated.cache_info().misses, control._bound.cache_info().misses
     for graph in (g, tetrahedron_flex(desired=(4, 5, 6, 5, 4, 5, 3))):
         np.testing.assert_array_equal(edge_states(p, graph, RATIONAL).u, want[0], strict=True)
         np.testing.assert_array_equal(gradient_control(p, graph, RATIONAL), want[1], strict=True)
         assert potential_value(p, graph, RATIONAL) == want[2]
-    assert control._generated.cache_info().misses == misses
+    assert (control._generated.cache_info().misses, control._bound.cache_info().misses) == misses
 
 
 def test_families_of_one_name_keep_their_own_generated_source():
@@ -427,6 +424,44 @@ def test_families_of_one_name_keep_their_own_generated_source():
         assert "".join(linecache.getlines(name)) \
             == control._step_source(*graph._shape, family, "none", "evaluate")
     assert "g0 = e0 / (e0 - e0)" in "".join(linecache.getlines(names[1]))
+
+
+def test_every_global_a_bound_kernel_reads_is_bound(monkeypatch):
+    """Each name that a function bound by ``_bound`` loads as a global
+    (``dis``) is in the globals that ``_bound`` built or a builtin:
+    ``evaluate`` and ``advance`` with each leader mode, on the triangle and
+    the tetrahedron with both families, and every function that ``oracle``
+    binds while it builds the catalogs of the triangle, the tetrahedron and
+    the tailored tetrahedron with both families, each layout's root finder
+    among them."""
+    import builtins
+    import dis
+
+    import rigidflex.control as control
+    import rigidflex.oracle as oracle
+
+    bound = []
+
+    def recorded(*args, **kwargs):
+        bound.append(control._bound(*args, **kwargs))
+        return bound[-1]
+
+    monkeypatch.setattr(oracle, "_bound", recorded)
+    for graph, family in itertools.product([triangle_flex(), tetrahedron_flex(), TAILORED],
+                                           [QUADRATIC, RATIONAL]):
+        assert oracle.build_catalog(graph, family)[0]
+        if graph is TAILORED:
+            continue
+        d = graph.dimension
+        for leader in (LeaderSpec(), LeaderSpec("target", k_f=1.0, p_t=(1.0,) * d),
+                       LeaderSpec("windowed", tf=1.0, times=(0.0,), values=((1.0,) * d,))):
+            bound += [control._bound(graph, family, leader, key=(leader.mode, name))
+                      for name in ("evaluate", "advance")]
+    assert {"evaluate", "advance", "bisection", "newton"} <= {f.__name__ for f in bound}
+    for function in bound:
+        reads = {i.argval for i in dis.get_instructions(function) if i.opname == "LOAD_GLOBAL"}
+        assert reads <= function.__globals__.keys() | vars(builtins).keys(), \
+            function.__code__.co_filename
 
 
 def test_linecache_holds_the_texts_of_live_generated_functions_only(tmp_path):

@@ -452,10 +452,10 @@ def test_shared_slot_layouts_are_refused_before_solving(subform, monkeypatch):
 def test_solve_binds_the_family_once_per_edge_set(graph, family, monkeypatch):
     """``solve`` looks up the family's evaluators once for the balance over
     the crossing edges, when it runs the root finder (``control._bound``
-    binds it to ``control._constants``, once per graph and family: both
-    caches are cleared before each solve here), and once per (family,
-    d2) for the boundary test of the rigid edges with a zero template
-    vector (``oracle._diverges``, cleared too).  A layout that solves no
+    binds it, once per graph and family: its cache is cleared before each
+    solve here), and once per (family, d2) for the boundary test of the
+    rigid edges with a zero template vector (``oracle._diverges``, cleared
+    too).  A layout that solves no
     scale (coincidence-construct) binds no root finder.  A layout refused
     at the boundary looks them up once; one refused for its desired
     lengths, never."""
@@ -472,7 +472,6 @@ def test_solve_binds_the_family_once_per_edge_set(graph, family, monkeypatch):
         lookups = len({d2 for d2, z in zip(graph._dbar2, zero) if z})
         binds.clear()
         control._bound.cache_clear()
-        control._constants.cache_clear()
         oracle._diverges.cache_clear()
         try:
             expected = lookups + (layout.solve(graph, family)[1] != "coincidence-construct")
@@ -1056,9 +1055,8 @@ def test_catalog_at_other_lengths_compiles_no_balance():
 
 def test_second_catalog_binds_nothing(monkeypatch):
     """Every layout's balance is bound to the constants of its graph and
-    family once (``control._constants``): a second catalog of an equal
-    graph with the same family makes no constants and gives the same
-    entries."""
+    family once (``control._bound``): a second catalog of an equal graph
+    with the same family binds nothing and gives the same entries."""
     import rigidflex.control as control
 
     def catalog(graph, family):
@@ -1068,9 +1066,9 @@ def test_second_catalog_binds_nothing(monkeypatch):
     for make in (triangle_flex, tetrahedron_flex):
         for family in (QUADRATIC, RATIONAL):
             first = catalog(make(), family)
-            misses = control._constants.cache_info().misses
+            misses = control._bound.cache_info().misses
             assert catalog(make(), family) == first
-            assert control._constants.cache_info().misses == misses
+            assert control._bound.cache_info().misses == misses
 
 
 def test_mirror_image_of_the_equal_triangle_line_is_exact():

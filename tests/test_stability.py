@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from rigidflex.control import _aligned_source, _bound, _generated, edge_states, gradient_control
+from rigidflex.control import (_aligned_source, _bound, _dot, _generated, edge_states,
+                               gradient_control)
 from rigidflex.graph import FormationGraph, tetrahedron_flex, triangle_flex
 from rigidflex.oracle import (
     OracleError,
@@ -20,6 +21,7 @@ from rigidflex.oracle import (
 from rigidflex.potentials import QUADRATIC, RATIONAL, PotentialDomainError
 from rigidflex.stability import (
     EQ_TOL,
+    GEOM_TOL,
     SIGN_CLAIMS,
     EquilibriumClass,
     StabilityReport,
@@ -28,7 +30,6 @@ from rigidflex.stability import (
     _claims_source,
     _classify,
     _line_form,
-    _simplex,
     _simplex_source,
     _witness,
     assemble_hessian,
@@ -45,6 +46,7 @@ from references import (
     dict_claim,
     dict_classify,
     dict_line_layout,
+    dict_planar_layout,
     dict_simplex,
     einsum_witness,
     loop_aligned_block,
@@ -1170,16 +1172,30 @@ def assert_verdict_pieces_equal_the_dict_reference(p, graph, family, eq_tol):
     return cls.kind
 
 
-def simplex_outcome(find, points, z):
-    """``_simplex``'s result with its sides and lengths as tuples in pair
-    order, as ``repr`` shows it, or its error's type."""
+def simplex_outcome(points, z):
+    """The generated ``simplex`` on the ``points``, lists of d floats, and
+    the flex edge ``z``, called on their flat list as ``_classify`` calls
+    it, as ``repr`` shows its result, or its error's type."""
     try:
-        heights, r, length, side, t = find(points, z)
+        return repr(_generated(_simplex_source, len(points), len(z))(
+            [c for p in points for c in p], z))
     except Exception as exc:            # a NaN face leaves no largest face in either
         return type(exc)
-    if isinstance(length, dict):
-        length, side = length.values(), side.values()
-    return repr((heights, r, tuple(length), tuple(map(tuple, side)), tuple(t)))
+
+
+def dict_simplex_outcome(points, z):
+    """``simplex_outcome`` from the dict references: ``dict_simplex``'s
+    heights, r and lengths in pair order, each point's coordinate along its
+    t by ``_dot``, and for four points in 3-D with an r whose largest
+    face's height reaches GEOM_TOL, ``dict_planar_layout``, else None."""
+    try:
+        heights, r, length, side, t = dict_simplex(points, z)
+    except Exception as exc:
+        return type(exc)
+    planar = None
+    if (len(points), len(z)) == (4, 3) and r is not None and heights[1] >= GEOM_TOL:
+        planar = dict_planar_layout(side, r)
+    return repr((heights, r, list(length.values()), [_dot(p, t) for p in points], planar))
 
 
 VERDICT_GRAPHS = {"triangle": triangle_flex(), "triangle_3455": triangle_flex((3.0, 4.0, 5.5, 2.0)),
@@ -1198,8 +1214,9 @@ def test_verdict_pieces_equal_the_dict_reference_bit_for_bit(name, family):
     points, points on random lines and planes, with the flex agent on its
     anchor or not, points of a small integer grid (exact ties of sides and
     of positions along a line), coincident pairs, and NaN and +-inf
-    coordinates.  ``_simplex`` equals ``dict_simplex`` on the rigid agents
-    of every point, non-finite ones included."""
+    coordinates.  The generated ``simplex`` gives every value that it
+    returns as the dict references do, on all rigid agents and on the first
+    d of every point, non-finite ones included (``dict_simplex_outcome``)."""
     graph = VERDICT_GRAPHS[name]
     rng = np.random.default_rng(40)
     d, n = graph.dimension, graph.num_nodes
@@ -1236,7 +1253,7 @@ def test_verdict_pieces_equal_the_dict_reference_bit_for_bit(name, family):
             kinds.add(assert_verdict_pieces_equal_the_dict_reference(p, graph, family, eq_tol))
         rigid, z = p[:-1].tolist(), (p[-2] - p[-1]).tolist()
         for agents in (rigid, rigid[:d]):
-            assert simplex_outcome(_simplex, agents, z) == simplex_outcome(dict_simplex, agents, z)
+            assert simplex_outcome(agents, z) == dict_simplex_outcome(agents, z)
     expected = {"not_equilibrium", "degenerate_rigid", "flex_coincident"}
     if graph.certified_topology():
         expected.add("desired")
@@ -1330,11 +1347,11 @@ def test_geometry_tolerances_are_read_at_call_time(monkeypatch):
 
 # SHA-256 of the generated simplex per (point count, dimension)
 SIMPLEX_SOURCE_SHA256 = {
-    "2-2": "fbd72ecbe98cffe71e2ae4f8b4e35da9f894aa717f7f07cf9e9d7431e87d9158",
-    "3-2": "a8e846e03b915087331990268b8347ffff02d472df2069e0da3b9c0670521142",
-    "4-2": "d1a49df5da8daf0777f974b07a20dc6cd23af646903d33543ad7cf4f05b4e62e",
-    "3-3": "53892ebdf8c0851eddbdb0b682ad76a01c41640f7ff257800c14760e874ae69e",
-    "4-3": "c429812368591a5194c68d929e1fa497fc51e977b9c5dec384e4bcf2bfac344e",
+    "2-2": "f1a0f8f3cf0c0d45753248a557a5fc88b03d1c1fcabdff65034759d7cbd2c682",
+    "3-2": "e0a9c7da47cee943e17c621248d59df1b2e5b25964a93db078b64aa6639089c2",
+    "4-2": "29db374a8dd705b764273f9ca7bbcfe77eb78feb952ec9dc15562cec423973fc",
+    "3-3": "9830e1dcb6b24a0872890d6571ee2e67adae62d3d9b277c2bb03e3399c6913fb",
+    "4-3": "10a347ad960ae2ee373bc2723940ba9a77e316d67b3273b8563891d8ac8c61e4",
 }
 
 
